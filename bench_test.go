@@ -264,7 +264,7 @@ var (
 
 // ingestFixture synthesizes a 30-day small-machine span with the benign
 // noise rate raised so the syslog archive is parse-dominated (several MB of
-// classified lines), which is what parallel ingestion shards.
+// classified lines), which is what the ingestion block workers shard.
 func ingestFixture(b *testing.B) *ingestState {
 	b.Helper()
 	ingestOnce.Do(func() {
@@ -316,9 +316,11 @@ func benchAnalyze(b *testing.B, f *ingestState, parallelism int) {
 	}
 }
 
-// BenchmarkAnalyze measures the raw-text pipeline on a 30-day archive set,
-// sequential vs parallel ingestion. cmd/benchgate compares the two
-// sub-benchmarks and fails CI when the parallel path regresses on a
+// BenchmarkAnalyze measures the raw-text pipeline on a 30-day archive set
+// at one block worker per archive ("serial") and at GOMAXPROCS workers per
+// archive ("parallel") — the same code either way. The sub-benchmark names
+// are the keys of the gates committed in BENCH_ingest.json; cmd/benchgate
+// compares the two and fails CI when more workers do not pay off on a
 // multi-core runner (GOMAXPROCS >= 4).
 func BenchmarkAnalyze(b *testing.B) {
 	f := ingestFixture(b)

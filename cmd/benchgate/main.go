@@ -1,19 +1,20 @@
 // Command benchgate turns `go test -bench` output into a benchmark-
-// regression gate for the parallel ingestion path.
+// regression gate, first of all for ingestion.
 //
 // It parses the standard benchmark output format, records every benchmark
 // (best-of-count ns/op, B/op, allocs/op, MB/s) into a JSON report, and
 // compares a gated pair of benchmarks — by default BenchmarkAnalyze/serial
-// (the baseline, the report's serial slot) against BenchmarkAnalyze/parallel
-// (the contender, the parallel slot); -serial-name/-parallel-name repoint
+// (one ingestion worker per archive: the baseline, the report's serial
+// slot) against BenchmarkAnalyze/parallel (GOMAXPROCS workers per archive:
+// the contender, the parallel slot); -serial-name/-parallel-name repoint
 // the pair, e.g. at BenchmarkRestore/cold vs /warm for the warm-restart
 // gate. When the benchmarks ran at GOMAXPROCS >= the enforcement threshold
 // (default 4), benchgate exits nonzero if the contender did not reach the
 // required speedup over the baseline; below the threshold the comparison is
 // recorded but not enforced, because a speedup cannot materialize without
-// cores (single-core parallel ingestion degrades to the sequential path by
-// design; pass -min-procs 1 for pairs whose speedup does not come from
-// cores, like warm-vs-cold restart). With -speedup-gate=false the report is
+// cores (at GOMAXPROCS 1 both ingestion sub-benchmarks run one worker per
+// archive, i.e. the same thing; pass -min-procs 1 for pairs whose speedup
+// does not come from cores, like warm-vs-cold restart). With -speedup-gate=false the report is
 // still written but the pair is neither required nor compared — for
 // benchmark suites (like the serving benchmarks) that have no such pair.
 //

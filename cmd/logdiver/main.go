@@ -30,10 +30,12 @@
 // same linter to -rules files before using them; -validate-rules=false
 // skips that gate.
 //
-// -parallelism bounds the worker pools of the streaming ingestion layer
-// (analyze: the three archives are parsed and classified concurrently) and
-// of archive emission (generate). 0 means one worker per CPU; 1 forces the
-// sequential path. Results and output bytes are identical at any setting.
+// -parallelism sets the worker pools of the streaming ingestion layer
+// (analyze: the three archives are always parsed and classified
+// concurrently, each by this many block workers) and of archive emission
+// (generate). 0 means one worker per CPU; 1 means one worker per archive
+// (analyze) or sequential emission (generate). Results and output bytes are
+// identical at any setting.
 //
 // -parse-mode selects the malformed-input policy: lenient (default) skips
 // unparseable lines and accounts them per kind in the stderr summary;
@@ -154,7 +156,7 @@ func analyze(args []string) error {
 		timezone = fs.String("tz", "UTC", "accounting timestamp zone")
 		rules    = fs.String("rules", "", "optional classifier rule file (replaces the built-in taxonomy rules)")
 		validate = fs.Bool("validate-rules", true, "lint -rules files and reject rule sets with error-severity findings")
-		par      = fs.Int("parallelism", 0, "ingestion/attribution worker count (0 = GOMAXPROCS, 1 = sequential)")
+		par      = fs.Int("parallelism", 0, "ingestion workers per archive and attribution workers (0 = GOMAXPROCS; the three archives are always read concurrently)")
 		mode     = fs.String("parse-mode", "lenient", "malformed-input policy: lenient (skip and account) or strict (fail fast)")
 		fleetCfg = fs.String("fleet-config", "", "fleet config file: analyze every [shard NAME] archive dir and print merged fleet tables (mutually exclusive with the per-archive flags)")
 	)

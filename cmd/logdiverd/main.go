@@ -97,7 +97,7 @@ func run(args []string, onListen func(addr string)) error {
 		fleetConc   = fs.Int("fleet-sync-concurrency", 4, "how many shards ingest concurrently during a fleet sync round")
 		poll        = fs.Duration("poll-interval", 2*time.Second, "archive poll interval")
 		machineName = fs.String("machine", "bluewaters", "machine model: bluewaters or small")
-		par         = fs.Int("parallelism", 0, "ingestion/attribution worker count (0 = GOMAXPROCS)")
+		par         = fs.Int("parallelism", 0, "ingestion workers per archive and attribution workers (0 = GOMAXPROCS)")
 		mode        = fs.String("parse-mode", "lenient", "malformed-input policy: lenient or strict")
 		rules       = fs.String("rules", "", "optional classifier rule file (replaces the built-in taxonomy rules)")
 		validate    = fs.Bool("validate-rules", true, "lint -rules files and reject rule sets with error-severity findings")

@@ -117,9 +117,8 @@ type Message struct {
 // KindUnknown with a nil error so callers can skip them cheaply.
 //
 // ParseMessage is a pure function and safe to call from concurrent
-// goroutines; the parallel ingestion path shards apsys lines across workers
-// and feeds the resulting Messages to a single Assembler in archive order
-// (Assembler itself is not goroutine-safe).
+// goroutines. It is the string-form reference of ParseMessageBytes, which
+// ingestion uses; the differential tests pin the two to each other.
 func ParseMessage(body string) (Message, error) {
 	var m Message
 	fields, err := splitFields(body)
@@ -234,37 +233,25 @@ func NewAssembler() *Assembler {
 // tolerate both.
 func (a *Assembler) SetLenient(on bool) { a.lenient = on }
 
-// Add folds one timestamped apsys message into the assembler.
+// Add folds one timestamped apsys message into the assembler. It delegates
+// to AddView (the byte-view entry point ingestion uses) so the assembler has
+// one fold implementation.
 func (a *Assembler) Add(at time.Time, m Message) error {
-	switch m.Kind {
-	case KindStarting:
-		if _, dup := a.open[m.ApID]; dup {
-			if a.lenient {
-				a.duplicates++
-				return nil
-			}
-			return fmt.Errorf("alps: duplicate Starting for apid %d", m.ApID)
-		}
-		a.open[m.ApID] = AppRun{
-			ApID:  m.ApID,
-			JobID: m.JobID,
-			User:  m.User,
-			Cmd:   m.Cmd,
-			Width: m.Width,
-			Nodes: m.Nodes,
-			Start: at,
-		}
-	case KindFinishing:
-		return a.finish(at, m.ApID, m.ExitCode, m.Signal)
-	case KindUnknown:
-		// apsys chatter; ignore.
-	default:
-		return fmt.Errorf("alps: unknown message kind %d", m.Kind)
-	}
-	return nil
+	return a.AddView(at, MessageView{
+		Kind:     m.Kind,
+		ApID:     m.ApID,
+		User:     []byte(m.User),
+		JobID:    []byte(m.JobID),
+		Cmd:      []byte(m.Cmd),
+		Width:    m.Width,
+		Nodes:    m.Nodes,
+		ExitCode: m.ExitCode,
+		Signal:   m.Signal,
+		NodeCnt:  m.NodeCnt,
+	})
 }
 
-// finish closes the open run for apid, shared by Add and AddView.
+// finish closes the open run for apid.
 func (a *Assembler) finish(at time.Time, apid uint64, exitCode, signal int) error {
 	run, ok := a.open[apid]
 	if !ok {

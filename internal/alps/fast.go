@@ -183,9 +183,9 @@ func truncBody(b []byte) string {
 	return string(b)
 }
 
-// AddView folds one timestamped apsys message view into the assembler with
-// the exact semantics of Add. Retained strings (user, job ID, command) are
-// copied out of the caller's buffer through the assembler's intern table.
+// AddView folds one timestamped apsys message view into the assembler.
+// Retained strings (user, job ID, command) are copied out of the caller's
+// buffer through the assembler's intern table.
 //
 //ldvet:pooled
 //ldvet:hotpath

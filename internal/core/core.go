@@ -7,7 +7,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -21,7 +20,6 @@ import (
 	"logdiver/internal/interval"
 	"logdiver/internal/machine"
 	"logdiver/internal/parse"
-	"logdiver/internal/syslogx"
 	"logdiver/internal/taxonomy"
 	"logdiver/internal/wlm"
 )
@@ -51,20 +49,19 @@ type Options struct {
 	// use; taxonomy.Classifier is (see its doc), and custom implementations
 	// built from NewClassifier inherit that property.
 	Classifier *taxonomy.Classifier
-	// Parallelism bounds the worker count of every parallel stage: the
-	// streaming ingestion workers that parse and classify each archive
-	// (Analyze splits the three archives into line-aligned blocks and fans
-	// them out) as well as the attribution workers of the join. Values <= 0
-	// (including negatives) select runtime.GOMAXPROCS(0); 1 forces the
-	// fully sequential ingestion path. Parallel and sequential ingestion
-	// produce identical Results.
+	// Parallelism is the worker count of every parallel stage: the block
+	// workers that parse and classify each archive (ingestion always reads
+	// the three archives concurrently and splits each into line-aligned
+	// blocks, so N means N workers per archive) and the attribution workers
+	// of the join. Values <= 0 (including negatives) select
+	// runtime.GOMAXPROCS(0). Results are identical at every value.
 	Parallelism int
 	// ParseMode selects the malformed-input policy. Lenient (the zero
 	// value) skips unparseable lines while accounting them — per-kind
 	// counters plus first-N provenance samples in ParseStats, identical
-	// between sequential and parallel ingestion. Strict fails fast: the
-	// first malformed line surfaces as a typed *parse.Error carrying the
-	// archive name and line number.
+	// at every worker count. Strict fails fast: the first malformed line
+	// surfaces as a typed *parse.Error carrying the archive name and line
+	// number.
 	ParseMode parse.Mode
 }
 
@@ -101,11 +98,25 @@ const (
 	ArchiveSyslog     = "syslog"
 )
 
+// The fixed archive order: the precedence of strict-mode errors and the
+// layout of the incremental per-archive line bases.
+const (
+	archiveIdxAccounting = iota
+	archiveIdxApsys
+	archiveIdxSyslog
+)
+
+var archiveNames = [...]string{
+	archiveIdxAccounting: ArchiveAccounting,
+	archiveIdxApsys:      ArchiveApsys,
+	archiveIdxSyslog:     ArchiveSyslog,
+}
+
 // ParseStats reports archive hygiene: how much of the raw input was usable.
 // The malformed totals are derived from the per-archive detail (typed
 // per-kind counters with first-N line/offset provenance) and are identical
-// between sequential and parallel ingestion. ParseStats is comparable with
-// ==; the serial/parallel differential tests rely on that.
+// at every worker count and block size. ParseStats is comparable with ==;
+// the ingestion differential tests rely on that.
 type ParseStats struct {
 	// AccountingRecords and AccountingMalformed count accounting lines.
 	AccountingRecords, AccountingMalformed int
@@ -221,45 +232,25 @@ type Result struct {
 	Start, End time.Time
 }
 
-// Analyze runs the full pipeline over raw archives. With Parallelism > 1
-// (the default resolves to GOMAXPROCS) the three archives are ingested
-// concurrently by the parallel streaming layer in ingest.go; Parallelism ==
-// 1 selects the sequential reference path. Both paths produce identical
-// Results.
+// Analyze runs the full pipeline over raw archives. The three archives are
+// read concurrently through the block engine in ingest.go, each with
+// Options.Parallelism block workers; the Result is identical at every
+// worker count and block size.
 func Analyze(a Archives, top *machine.Topology, opts Options) (*Result, error) {
 	if top == nil {
 		return nil, fmt.Errorf("core: nil topology")
 	}
 	opts = opts.withDefaults()
-	res := &Result{}
-
-	if opts.Parallelism > 1 {
-		jobs, runs, events, stats, err := ingestParallel(a, top, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Jobs = jobs
-		res.Parse = stats
-		return finish(res, runs, events, top, opts)
-	}
-
-	jobs, err := readAccounting(a, res, opts.ParseMode)
+	wlmAsm := wlm.NewAssembler()
+	alpsAsm := alps.NewAssembler()
+	alpsAsm.SetLenient(opts.ParseMode == parse.Lenient)
+	events, stats, err := ingest(a, top, opts, wlmAsm.AddScan, alpsAsm)
 	if err != nil {
 		return nil, err
 	}
-	res.Jobs = jobs
-
-	runs, err := readApsys(a, res, opts.ParseMode)
-	if err != nil {
-		return nil, err
-	}
-
-	events, err := readSyslog(a, top, opts.Classifier, res, opts.ParseMode)
-	if err != nil {
-		return nil, err
-	}
-
-	return finish(res, runs, events, top, opts)
+	stats.setAssembler(alpsAsm)
+	res := &Result{Jobs: wlmAsm.Jobs(), Parse: stats}
+	return finish(res, alpsAsm.Runs(), events, top, opts)
 }
 
 // AnalyzeParsed runs the pipeline over already-parsed inputs (the in-memory
@@ -274,9 +265,20 @@ func AnalyzeParsed(jobs []wlm.Job, runs []alps.AppRun, events []errlog.Event, to
 }
 
 func finish(res *Result, runs []alps.AppRun, events []errlog.Event, top *machine.Topology, opts Options) (*Result, error) {
-	workers := opts.Parallelism
-	// Preprocess: dedup then coalesce. Attribution uses the deduplicated
-	// event stream; the tuples/groups feed the coalescing experiments.
+	corr, err := res.preprocess(events, top, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Runs = corr.AttributeAllParallel(runs, opts.Parallelism)
+	res.setSpan()
+	return res, nil
+}
+
+// preprocess fills the event-side fields of res — dedup, then coalescing
+// into tuples and groups — and returns the correlator for the join, built
+// over the deduplicated event stream and res.Jobs. Attribution uses the
+// deduplicated events; the tuples/groups feed the coalescing experiments.
+func (res *Result) preprocess(events []errlog.Event, top *machine.Topology, opts Options) (*correlate.Correlator, error) {
 	deduped := coalesce.Dedup(events)
 	res.Events = deduped
 	res.Tuples = coalesce.Tuples(deduped, opts.TemporalWindow)
@@ -288,7 +290,6 @@ func finish(res *Result, runs []alps.AppRun, events []errlog.Event, top *machine
 		Groups:  len(res.Groups),
 	}
 
-	// Join.
 	cfg := opts.Correlate
 	if cfg.Jobs == nil && len(res.Jobs) > 0 {
 		cfg.Jobs = make(map[string]wlm.Job, len(res.Jobs))
@@ -296,12 +297,11 @@ func finish(res *Result, runs []alps.AppRun, events []errlog.Event, top *machine
 			cfg.Jobs[j.ID] = j
 		}
 	}
-	corr, err := correlate.New(interval.NewIndex(deduped), top, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.Runs = corr.AttributeAllParallel(runs, workers)
+	return correlate.New(interval.NewIndex(deduped), top, cfg)
+}
 
+// setSpan derives Start and End from the attributed runs.
+func (res *Result) setSpan() {
 	for _, r := range res.Runs {
 		if res.Start.IsZero() || r.Start.Before(res.Start) {
 			res.Start = r.Start
@@ -310,7 +310,6 @@ func finish(res *Result, runs []alps.AppRun, events []errlog.Event, top *machine
 			res.End = r.End
 		}
 	}
-	return res, nil
 }
 
 // archiveErr stamps the archive name onto typed parse errors and wraps err
@@ -324,198 +323,4 @@ func archiveErr(archive string, err error) error {
 		return fmt.Errorf("core: %w", err)
 	}
 	return fmt.Errorf("core: %s: %w", archive, err)
-}
-
-func readAccounting(a Archives, res *Result, mode parse.Mode) ([]wlm.Job, error) {
-	if a.Accounting == nil {
-		return nil, nil
-	}
-	lr := parse.NewLineReader(a.Accounting)
-	asm := wlm.NewAssembler()
-	var stats parse.LineStats
-	for {
-		raw, no, ok := lr.NextBytes()
-		if !ok {
-			break
-		}
-		rec, skip, perr := wlm.CheckLineBytes(raw, a.Location)
-		if skip {
-			continue
-		}
-		if perr != nil {
-			perr.Line = no
-			if mode == parse.Strict {
-				return nil, archiveErr(ArchiveAccounting, perr)
-			}
-			stats.Record(perr)
-			continue
-		}
-		res.Parse.AccountingRecords++
-		if err := asm.AddScan(rec); err != nil {
-			return nil, archiveErr(ArchiveAccounting, err)
-		}
-	}
-	if err := lr.Err(); err != nil {
-		return nil, archiveErr(ArchiveAccounting, err)
-	}
-	res.Parse.AccountingDetail = stats
-	res.Parse.AccountingDetail.SetArchive(ArchiveAccounting)
-	res.Parse.AccountingMalformed = res.Parse.AccountingDetail.Malformed()
-	return asm.Jobs(), nil
-}
-
-// apsysMsg is one parsed apsys message with its syslog timestamp.
-type apsysMsg struct {
-	at  time.Time
-	msg alps.Message
-}
-
-// checkApsysLine applies the full per-line semantics of the apsys archive,
-// shared by the sequential reader and the parallel block workers so the two
-// paths cannot drift: the syslog layer first (blank lines skip, malformed
-// lines yield a typed error), then the apsys message layer for lines with
-// the apsys tag. counted reports whether the line counts toward ApsysLines
-// (the syslog layer parsed — including lines whose apsys message is
-// malformed); haveMsg reports whether msg holds a parsed message to feed the
-// assembler. Any returned error carries the archive line number no.
-func checkApsysLine(text string, no int) (msg apsysMsg, counted, haveMsg bool, perr *parse.Error) {
-	line, skip, perr := syslogx.CheckLine(text)
-	if skip {
-		return apsysMsg{}, false, false, nil
-	}
-	if perr != nil {
-		perr.Line = no
-		return apsysMsg{}, false, false, perr
-	}
-	if line.Tag != alps.Tag {
-		return apsysMsg{}, true, false, nil
-	}
-	m, err := alps.ParseMessage(line.Message)
-	if err != nil {
-		var pe *parse.Error
-		if !errors.As(err, &pe) {
-			pe = parse.Errorf(parse.KindStructure, line.Message, "%s", err.Error())
-		}
-		pe.Line = no
-		return apsysMsg{}, true, false, pe
-	}
-	return apsysMsg{at: line.Time, msg: m}, true, true, nil
-}
-
-// apsysTagBytes is alps.Tag for byte-view comparison on the hot path.
-var apsysTagBytes = []byte(alps.Tag)
-
-// checkApsysLineBytes is checkApsysLine on the byte-view fast path: the
-// syslog layer via syslogx.CheckLineBytes, then alps.ParseMessageBytes for
-// lines with the apsys tag, with identical skip/counted/error semantics.
-// The returned view aliases raw; callers must fold it (AddView copies what
-// it retains) before the buffer is reused.
-//
-//ldvet:pooled
-//ldvet:hotpath
-func checkApsysLineBytes(raw []byte, no int) (at time.Time, v alps.MessageView, counted, haveMsg bool, perr *parse.Error) {
-	lv, skip, perr := syslogx.CheckLineBytes(raw)
-	if skip {
-		return time.Time{}, alps.MessageView{}, false, false, nil
-	}
-	if perr != nil {
-		perr.Line = no
-		return time.Time{}, alps.MessageView{}, false, false, perr
-	}
-	if !bytes.Equal(lv.Tag, apsysTagBytes) {
-		return time.Time{}, alps.MessageView{}, true, false, nil
-	}
-	m, merr := alps.ParseMessageBytes(lv.Msg)
-	if merr != nil {
-		merr.Line = no
-		return time.Time{}, alps.MessageView{}, true, false, merr
-	}
-	return lv.Time, m, true, true, nil
-}
-
-func readApsys(a Archives, res *Result, mode parse.Mode) ([]alps.AppRun, error) {
-	if a.Apsys == nil {
-		return nil, nil
-	}
-	lr := parse.NewLineReader(a.Apsys)
-	asm := alps.NewAssembler()
-	asm.SetLenient(mode == parse.Lenient)
-	var stats parse.LineStats
-	for {
-		raw, no, ok := lr.NextBytes()
-		if !ok {
-			break
-		}
-		at, v, counted, haveMsg, perr := checkApsysLineBytes(raw, no)
-		if counted {
-			res.Parse.ApsysLines++
-		}
-		if perr != nil {
-			if mode == parse.Strict {
-				return nil, archiveErr(ArchiveApsys, perr)
-			}
-			stats.Record(perr)
-			continue
-		}
-		if !haveMsg {
-			continue
-		}
-		if err := asm.AddView(at, v); err != nil {
-			return nil, archiveErr(ArchiveApsys, err)
-		}
-	}
-	if err := lr.Err(); err != nil {
-		return nil, archiveErr(ArchiveApsys, err)
-	}
-	res.Parse.ApsysDetail = stats
-	res.Parse.ApsysDetail.SetArchive(ArchiveApsys)
-	res.Parse.ApsysMalformed = res.Parse.ApsysDetail.Malformed()
-	res.Parse.OpenRuns = asm.Open()
-	res.Parse.UnmatchedExits = asm.Unmatched()
-	res.Parse.DuplicateStarts = asm.Duplicates()
-	res.Parse.ClampedRuns = asm.ClampedEnds()
-	return asm.Runs(), nil
-}
-
-func readSyslog(a Archives, top *machine.Topology, cls *taxonomy.Classifier, res *Result, mode parse.Mode) ([]errlog.Event, error) {
-	if a.Syslog == nil {
-		return nil, nil
-	}
-	lr := parse.NewLineReader(a.Syslog)
-	hc := errlog.NewHostCache()
-	var batch errlog.EventBatch
-	var stats parse.LineStats
-	for {
-		raw, no, ok := lr.NextBytes()
-		if !ok {
-			break
-		}
-		v, skip, perr := syslogx.CheckLineBytes(raw)
-		if skip {
-			continue
-		}
-		if perr != nil {
-			perr.Line = no
-			if mode == parse.Strict {
-				return nil, archiveErr(ArchiveSyslog, perr)
-			}
-			stats.Record(perr)
-			continue
-		}
-		res.Parse.SyslogLines++
-		cat, sev := cls.ClassifyBytes(v.Msg)
-		if cat == taxonomy.Unclassified {
-			res.Parse.Unclassified++
-			continue
-		}
-		node, cname := hc.Resolve(v.Host, top)
-		batch.Append(errlog.Event{Time: v.Time, Node: node, Cname: cname, Category: cat, Severity: sev}, v.Msg)
-	}
-	if err := lr.Err(); err != nil {
-		return nil, archiveErr(ArchiveSyslog, err)
-	}
-	res.Parse.SyslogDetail = stats
-	res.Parse.SyslogDetail.SetArchive(ArchiveSyslog)
-	res.Parse.SyslogMalformed = res.Parse.SyslogDetail.Malformed()
-	return batch.Finish(), nil
 }

@@ -2,14 +2,17 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"logdiver/internal/errlog"
 	"logdiver/internal/mutate"
 	"logdiver/internal/parse"
 	"logdiver/internal/stream"
 	"logdiver/internal/syslogx"
+	"logdiver/internal/taxonomy"
 	"logdiver/internal/wlm"
 )
 
@@ -80,8 +83,8 @@ func cleanApsys(n int) []byte {
 	return []byte(b.String())
 }
 
-// FuzzParseAccounting pins the serial accounting scanner to the parallel
-// block parser on arbitrary archives: identical records, identical
+// FuzzParseAccounting pins the accounting block parser ingestion runs to the
+// string Scanner on arbitrary archives: identical assembled jobs, identical
 // malformed-line accounting, identical strict-mode failure.
 func FuzzParseAccounting(f *testing.F) {
 	for _, seed := range mutateSeeds(cleanAccounting(12)) {
@@ -93,19 +96,31 @@ func FuzzParseAccounting(f *testing.F) {
 			return
 		}
 		sc := wlm.NewScannerMode(bytes.NewReader(data), time.UTC, parse.Lenient)
-		var serial []wlm.Record
+		ref, asm := wlm.NewAssembler(), wlm.NewAssembler()
+		var scanned int
 		for sc.Scan() {
-			serial = append(serial, sc.Record())
+			scanned++
+			if err := ref.Add(sc.Record()); err != nil {
+				t.Fatalf("reference assembler: %v", err)
+			}
 		}
 		if err := sc.Err(); err != nil {
 			t.Fatalf("lenient scanner failed: %v", err)
 		}
-		recs, stats, err := wlm.ParseBlockMode(data, time.UTC, 1, parse.Lenient)
+		recs, stats, err := wlm.ScanBlockMode(data, time.UTC, 1, parse.Lenient)
 		if err != nil {
 			t.Fatalf("lenient block failed: %v", err)
 		}
-		if len(recs) != len(serial) {
-			t.Fatalf("block parsed %d records, scanner %d", len(recs), len(serial))
+		if len(recs) != scanned {
+			t.Fatalf("block parsed %d records, scanner %d", len(recs), scanned)
+		}
+		for _, rec := range recs {
+			if err := asm.AddScan(rec); err != nil {
+				t.Fatalf("block assembler: %v", err)
+			}
+		}
+		if got, want := asm.Jobs(), ref.Jobs(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("assembled jobs diverge:\n block   %+v\n scanner %+v", got, want)
 		}
 		if stats != sc.Stats() {
 			t.Fatalf("stats diverge:\n block   %+v\n scanner %+v", stats, sc.Stats())
@@ -114,73 +129,48 @@ func FuzzParseAccounting(f *testing.F) {
 		strictSc := wlm.NewScannerMode(bytes.NewReader(data), time.UTC, parse.Strict)
 		for strictSc.Scan() {
 		}
-		_, _, blockErr := wlm.ParseBlockMode(data, time.UTC, 1, parse.Strict)
-		serialErr := strictSc.Err()
-		if (serialErr == nil) != (blockErr == nil) {
-			t.Fatalf("strict disagreement: scanner %v, block %v", serialErr, blockErr)
-		}
-		if serialErr != nil && serialErr.Error() != blockErr.Error() {
-			t.Fatalf("strict errors diverge:\n scanner %v\n block   %v", serialErr, blockErr)
-		}
-		if serialErr == nil && stats.Malformed() != 0 {
+		_, _, blockErr := wlm.ScanBlockMode(data, time.UTC, 1, parse.Strict)
+		sameStrictError(t, blockErr, strictSc.Err())
+		if blockErr == nil && stats.Malformed() != 0 {
 			t.Fatalf("strict passed but lenient counted %d malformed", stats.Malformed())
 		}
 	})
 }
 
-// FuzzParseSyslog pins the serial syslog scanner to the parallel block
-// parser on arbitrary archives.
+// FuzzParseSyslog pins the syslog block parser ingestion runs to the string
+// Scanner, string classifier and uncached topology lookup on arbitrary
+// archives.
 func FuzzParseSyslog(f *testing.F) {
 	for _, seed := range mutateSeeds(cleanSyslog(12)) {
 		f.Add(seed)
 	}
 	f.Add([]byte("not a syslog line\n\n2013-04-03T12:00:00.000000+00:00 host tag: ok\n"))
+	top, cls := blockTestTopology(f), taxonomy.Default()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > fuzzInputCap {
 			return
 		}
-		sc := syslogx.NewScannerMode(bytes.NewReader(data), parse.Lenient)
-		var serial []syslogx.Line
-		var serialNums []int
-		for sc.Scan() {
-			serial = append(serial, sc.Line())
-			serialNums = append(serialNums, sc.LineNo())
-		}
-		if err := sc.Err(); err != nil {
-			t.Fatalf("lenient scanner failed: %v", err)
-		}
-		lines, nums, stats, err := syslogx.ParseBlockMode(data, 1, parse.Lenient)
+		block := stream.Block{Data: data, FirstLine: 1}
+		got, err := parseSyslogBlock(block, top, cls, errlog.NewHostCache(), parse.Lenient)
 		if err != nil {
 			t.Fatalf("lenient block failed: %v", err)
 		}
-		if len(lines) != len(serial) {
-			t.Fatalf("block parsed %d lines, scanner %d", len(lines), len(serial))
+		want, err := refSyslogBlock(data, 1, top, cls, parse.Lenient)
+		if err != nil {
+			t.Fatalf("lenient scanner failed: %v", err)
 		}
-		for i := range nums {
-			if nums[i] != serialNums[i] {
-				t.Fatalf("line numbering diverges at %d: block %d, scanner %d", i, nums[i], serialNums[i])
-			}
-		}
-		if stats != sc.Stats() {
-			t.Fatalf("stats diverge:\n block   %+v\n scanner %+v", stats, sc.Stats())
-		}
+		sameSysChunk(t, got, want)
 
-		strictSc := syslogx.NewScannerMode(bytes.NewReader(data), parse.Strict)
-		for strictSc.Scan() {
-		}
-		_, _, _, blockErr := syslogx.ParseBlockMode(data, 1, parse.Strict)
-		serialErr := strictSc.Err()
-		if (serialErr == nil) != (blockErr == nil) {
-			t.Fatalf("strict disagreement: scanner %v, block %v", serialErr, blockErr)
-		}
-		if serialErr != nil && serialErr.Error() != blockErr.Error() {
-			t.Fatalf("strict errors diverge:\n scanner %v\n block   %v", serialErr, blockErr)
-		}
+		_, blockErr := parseSyslogBlock(block, top, cls, errlog.NewHostCache(), parse.Strict)
+		_, refErr := refSyslogBlock(data, 1, top, cls, parse.Strict)
+		sameStrictError(t, blockErr, refErr)
 	})
 }
 
-// FuzzParseApsys pins the serial per-line apsys checker to the parallel
-// block parser on arbitrary archives, plus checkApsysLine's own invariants.
+// FuzzParseApsys pins the apsys block parser ingestion runs to the string
+// parsers (syslogx.CheckLine, alps.ParseMessage) on arbitrary archives:
+// identical line counts, malformed-line accounting, paired runs and
+// strict-mode failure.
 func FuzzParseApsys(f *testing.F) {
 	for _, seed := range mutateSeeds(cleanApsys(12)) {
 		f.Add(seed)
@@ -190,49 +180,23 @@ func FuzzParseApsys(f *testing.F) {
 		if len(data) > fuzzInputCap {
 			return
 		}
-		lr := parse.NewLineReader(bytes.NewReader(data))
-		var serial apsChunk
-		for {
-			text, no, ok := lr.Next()
-			if !ok {
-				break
-			}
-			msg, counted, haveMsg, perr := checkApsysLine(text, no)
-			if haveMsg && (perr != nil || !counted) {
-				t.Fatalf("line %d: message with perr=%v counted=%v", no, perr, counted)
-			}
-			if counted {
-				serial.lines++
-			}
-			if perr != nil {
-				if perr.Line != no {
-					t.Fatalf("error line %d stamped on line %d", perr.Line, no)
-				}
-				serial.stats.Record(perr)
-				continue
-			}
-			if haveMsg {
-				serial.msgs = append(serial.msgs, msg)
-			}
-		}
-		if err := lr.Err(); err != nil {
-			t.Fatalf("line reader failed: %v", err)
-		}
-		c, err := parseApsysBlock(stream.Block{Data: data, FirstLine: 1}, parse.Lenient)
+		got, err := gotApsysBlock(data, 1, parse.Lenient)
 		if err != nil {
 			t.Fatalf("lenient block failed: %v", err)
 		}
-		if c.lines != serial.lines || len(c.msgs) != len(serial.msgs) {
-			t.Fatalf("block (%d lines, %d msgs) vs serial (%d lines, %d msgs)",
-				c.lines, len(c.msgs), serial.lines, len(serial.msgs))
+		want, err := refApsysBlock(data, 1, parse.Lenient)
+		if err != nil {
+			t.Fatalf("lenient reference failed: %v", err)
 		}
-		if c.stats != serial.stats {
-			t.Fatalf("stats diverge:\n block  %+v\n serial %+v", c.stats, serial.stats)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("block diverges from the string parsers:\n block     %+v\n reference %+v", got, want)
 		}
 
-		_, strictErr := parseApsysBlock(stream.Block{Data: data, FirstLine: 1}, parse.Strict)
-		if (strictErr == nil) != (serial.stats.Malformed() == 0) {
-			t.Fatalf("strict err %v but lenient counted %d malformed", strictErr, serial.stats.Malformed())
+		_, blockErr := gotApsysBlock(data, 1, parse.Strict)
+		_, refErr := refApsysBlock(data, 1, parse.Strict)
+		sameStrictError(t, blockErr, refErr)
+		if (blockErr == nil) != (got.stats.Malformed() == 0) {
+			t.Fatalf("strict err %v but lenient counted %d malformed", blockErr, got.stats.Malformed())
 		}
 	})
 }

@@ -25,14 +25,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"time"
 
 	"logdiver/internal/alps"
-	"logdiver/internal/coalesce"
 	"logdiver/internal/correlate"
 	"logdiver/internal/errlog"
-	"logdiver/internal/interval"
 	"logdiver/internal/machine"
 	"logdiver/internal/parse"
 	"logdiver/internal/wlm"
@@ -91,13 +90,6 @@ type Incremental struct {
 	err error
 }
 
-// archive indices of lineBase.
-const (
-	archiveIdxAccounting = iota
-	archiveIdxApsys
-	archiveIdxSyslog
-)
-
 // NewIncremental returns an empty incremental pipeline. loc interprets
 // accounting timestamps (UTC when nil); opts follows Analyze semantics,
 // with the zero value selecting the study defaults.
@@ -141,81 +133,71 @@ func shiftSamples(ls *parse.LineStats, base int) {
 	}
 }
 
-// shiftErr rebases a strict-mode parse error the same way.
-func shiftErr(err error, base int) error {
-	var pe *parse.Error
-	if base != 0 && errors.As(err, &pe) && pe.Line > 0 {
-		pe.Line += base
+// deltaReader wraps one Delta field for ingest; an empty field is a nil
+// archive, which ingest skips.
+func deltaReader(b []byte) io.Reader {
+	if len(b) == 0 {
+		return nil
 	}
-	return err
+	return bytes.NewReader(b)
 }
 
 // Append folds one chunk of raw archive bytes into the pipeline state. The
-// chunk is parsed through the same block readers as Analyze (parallel
-// within the chunk, bounded by Options.Parallelism), in lenient or strict
-// mode per Options.ParseMode. A strict-mode parse failure poisons the
-// Incremental: the error, with absolute line provenance, is returned from
-// this and every later call.
+// chunk goes through ingest — the block engine Analyze uses, the three
+// archives concurrently with Options.Parallelism workers each — into the
+// persistent assemblers, in lenient or strict mode per Options.ParseMode. A
+// strict-mode parse failure poisons the Incremental: the error, with
+// absolute line provenance, is returned from this and every later call.
 func (inc *Incremental) Append(d Delta) (AppendStats, error) {
 	if inc.err != nil {
 		return AppendStats{}, inc.err
 	}
-	var (
-		rst ParseStats
-		st  AppendStats
-	)
-	fail := func(archive string, base int, err error) (AppendStats, error) {
-		inc.err = archiveErr(archive, shiftErr(err, base))
-		return AppendStats{}, inc.err
-	}
-
-	if len(d.Accounting) > 0 {
-		base := inc.lineBase[archiveIdxAccounting]
-		err := readAccountingParallel(bytes.NewReader(d.Accounting), inc.loc,
-			inc.opts.Parallelism, inc.opts.ParseMode, &rst, func(rec wlm.ScanRecord) error {
-				inc.dirtyJobs[string(rec.JobID)] = struct{}{}
-				return inc.wlmAsm.AddScan(rec)
-			})
-		if err != nil {
-			return fail(ArchiveAccounting, base, err)
-		}
-		shiftSamples(&rst.AccountingDetail, base)
-		st.AccountingLines = countLines(d.Accounting)
-		inc.lineBase[archiveIdxAccounting] += st.AccountingLines
-	}
-
-	if len(d.Apsys) > 0 {
-		base := inc.lineBase[archiveIdxApsys]
-		err := readApsysParallel(bytes.NewReader(d.Apsys),
-			inc.opts.Parallelism, inc.opts.ParseMode, &rst, inc.alpsAsm)
-		if err != nil {
-			return fail(ArchiveApsys, base, err)
-		}
-		shiftSamples(&rst.ApsysDetail, base)
-		st.ApsysLines = countLines(d.Apsys)
-		inc.lineBase[archiveIdxApsys] += st.ApsysLines
-	}
-
-	if len(d.Syslog) > 0 {
-		base := inc.lineBase[archiveIdxSyslog]
-		evs, err := readSyslogParallel(bytes.NewReader(d.Syslog), inc.top,
-			inc.opts.Classifier, inc.opts.Parallelism, inc.opts.ParseMode, &rst)
-		if err != nil {
-			return fail(ArchiveSyslog, base, err)
-		}
-		shiftSamples(&rst.SyslogDetail, base)
-		st.SyslogLines = countLines(d.Syslog)
-		inc.lineBase[archiveIdxSyslog] += st.SyslogLines
-		st.Events = len(evs)
-		for _, e := range evs {
-			if !inc.haveNew || e.Time.Before(inc.minNew) {
-				inc.minNew, inc.haveNew = e.Time, true
+	evs, rst, err := ingest(Archives{
+		Accounting: deltaReader(d.Accounting),
+		Apsys:      deltaReader(d.Apsys),
+		Syslog:     deltaReader(d.Syslog),
+		Location:   inc.loc,
+	}, inc.top, inc.opts, func(rec wlm.ScanRecord) error {
+		inc.dirtyJobs[string(rec.JobID)] = struct{}{}
+		return inc.wlmAsm.AddScan(rec)
+	}, inc.alpsAsm)
+	if err != nil {
+		// A strict-mode error carries a chunk-relative line: rebase it by the
+		// lines its archive had already consumed and re-render the message.
+		var pe *parse.Error
+		if errors.As(err, &pe) && pe.Line > 0 {
+			for i, name := range archiveNames {
+				if pe.Archive == name {
+					pe.Line += inc.lineBase[i]
+					break
+				}
 			}
+			err = archiveErr(pe.Archive, pe)
 		}
-		inc.events = append(inc.events, evs...)
+		inc.err = err
+		return AppendStats{}, err
 	}
 
+	st := AppendStats{
+		AccountingLines: countLines(d.Accounting),
+		ApsysLines:      countLines(d.Apsys),
+		SyslogLines:     countLines(d.Syslog),
+		Events:          len(evs),
+	}
+	lines := [len(archiveNames)]int{st.AccountingLines, st.ApsysLines, st.SyslogLines}
+	details := [len(archiveNames)]*parse.LineStats{&rst.AccountingDetail, &rst.ApsysDetail, &rst.SyslogDetail}
+	for i := range archiveNames {
+		shiftSamples(details[i], inc.lineBase[i])
+		inc.lineBase[i] += lines[i]
+	}
 	inc.stats.merge(rst)
+
+	for _, e := range evs {
+		if !inc.haveNew || e.Time.Before(inc.minNew) {
+			inc.minNew, inc.haveNew = e.Time, true
+		}
+	}
+	inc.events = append(inc.events, evs...)
 	st.RunsCompleted = len(inc.alpsAsm.Done())
 	return st, nil
 }
@@ -234,32 +216,14 @@ func (inc *Incremental) Result() (*Result, error) {
 	res.Parse = inc.stats
 	res.Parse.setAssembler(inc.alpsAsm)
 
-	deduped := coalesce.Dedup(inc.events)
-	res.Events = deduped
-	res.Tuples = coalesce.Tuples(deduped, inc.opts.TemporalWindow)
-	res.Groups = coalesce.Spatial(res.Tuples, inc.opts.SpatialWindow)
-	res.Coalesce = coalesce.Stats{
-		Raw:     len(inc.events),
-		Deduped: len(deduped),
-		Tuples:  len(res.Tuples),
-		Groups:  len(res.Groups),
-	}
-
-	cfg := inc.opts.Correlate
-	if cfg.Jobs == nil && len(res.Jobs) > 0 {
-		cfg.Jobs = make(map[string]wlm.Job, len(res.Jobs))
-		for _, j := range res.Jobs {
-			cfg.Jobs[j.ID] = j
-		}
-	}
-	corr, err := correlate.New(interval.NewIndex(deduped), inc.top, cfg)
+	corr, err := res.preprocess(inc.events, inc.top, inc.opts)
 	if err != nil {
 		return nil, err
 	}
 
 	var boundary time.Time
 	if inc.haveNew {
-		boundary = inc.minNew.Add(-(cfg.EvidenceWindow + cfg.PostWindow))
+		boundary = inc.minNew.Add(-(inc.opts.Correlate.EvidenceWindow + inc.opts.Correlate.PostWindow))
 	}
 	done := inc.alpsAsm.Done()
 	attr := make([]correlate.AttributedRun, len(done))
@@ -299,15 +263,7 @@ func (inc *Incremental) Result() (*Result, error) {
 		}
 		return res.Runs[i].ApID < res.Runs[j].ApID
 	})
-
-	for _, r := range res.Runs {
-		if res.Start.IsZero() || r.Start.Before(res.Start) {
-			res.Start = r.Start
-		}
-		if r.End.After(res.End) {
-			res.End = r.End
-		}
-	}
+	res.setSpan()
 	return res, nil
 }
 

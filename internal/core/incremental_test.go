@@ -70,6 +70,11 @@ func TestIncrementalMatchesAnalyze(t *testing.T) {
 			var accPfx, apsPfx, sysPfx strings.Builder
 			var totalRedo int
 			for r := 0; r < rounds; r++ {
+				// Every round drives all three archive readers at once (the
+				// concurrency -race certifies).
+				if len(accC[r]) == 0 || len(apsC[r]) == 0 || len(sysC[r]) == 0 {
+					t.Fatalf("round %d: empty delta field", r)
+				}
 				accPfx.Write(accC[r])
 				apsPfx.Write(apsC[r])
 				sysPfx.Write(sysC[r])
@@ -232,6 +237,48 @@ func TestIncrementalStrictLineProvenance(t *testing.T) {
 	}
 	if _, err2 := inc.Result(); err2 == nil {
 		t.Error("poisoned pipeline produced a result")
+	}
+	if inc.Err() == nil {
+		t.Error("Err() nil after poisoning")
+	}
+}
+
+// TestIncrementalStrictArchivePrecedence: a strict-mode delta corrupt in two
+// archives reports the accounting failure — the fixed archive order, however
+// the concurrent readers finish — with its absolute line number after a
+// previous append: the very error a from-scratch Analyze over the
+// concatenated input returns.
+func TestIncrementalStrictArchivePrecedence(t *testing.T) {
+	acc, _, sys := testArchiveText(t)
+	ds := testDataset(t)
+	accC, sysC := splitChunks(acc, 2), splitChunks(sys, 2)
+	opts := Options{ParseMode: parse.Strict, Parallelism: 2}
+	inc, err := NewIncremental(ds.Topology, time.UTC, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc.Append(Delta{Accounting: accC[0]}); err != nil {
+		t.Fatalf("clean chunk rejected: %v", err)
+	}
+	// The syslog corruption comes first in its archive, the accounting one
+	// last, so the syslog reader fails first in wall-clock terms too.
+	badAcc := append(append([]byte(nil), accC[1]...), "not an accounting record\n"...)
+	badSys := append([]byte("not a syslog line\n"), sysC[1]...)
+	_, err = inc.Append(Delta{Accounting: badAcc, Syslog: badSys})
+	var pe *parse.Error
+	if !errors.As(err, &pe) {
+		t.Fatalf("error %v is not a *parse.Error", err)
+	}
+	if wantLine := countLines(accC[0]) + countLines(badAcc); pe.Archive != ArchiveAccounting || pe.Line != wantLine {
+		t.Errorf("error at %s line %d, want %s line %d", pe.Archive, pe.Line, ArchiveAccounting, wantLine)
+	}
+	_, want := Analyze(Archives{
+		Accounting: strings.NewReader(string(accC[0]) + string(badAcc)),
+		Syslog:     strings.NewReader(string(badSys)),
+		Location:   time.UTC,
+	}, ds.Topology, opts)
+	if want == nil || err.Error() != want.Error() {
+		t.Errorf("append error diverges from Analyze over the concatenated input:\n append  %v\n analyze %v", err, want)
 	}
 	if inc.Err() == nil {
 		t.Error("Err() nil after poisoning")

@@ -1,27 +1,29 @@
 package core
 
-// Parallel streaming ingestion. The three archives are parsed concurrently
+// Ingestion: the one path from raw archive bytes to parsed state, shared by
+// Analyze and Incremental.Append. The three archives are parsed concurrently
 // (one reader goroutine each), and within every archive the raw text is
-// split into line-aligned blocks that a worker pool (bounded by
-// Options.Parallelism per archive) parses — and, for syslog, classifies —
-// concurrently. Block results are merged back in archive order, so the
-// assembled jobs, runs, events and ParseStats — including the per-kind
-// malformed counters and provenance samples — are identical to the
-// sequential path; TestParallelAnalyzeMatchesSerial asserts exact equality
-// of the whole Result.
+// split into line-aligned blocks that a worker pool (Options.Parallelism
+// workers per archive) parses — and, for syslog, classifies — concurrently.
+// Block results are merged back in archive order, so the assembled jobs,
+// runs, events and ParseStats — including the per-kind malformed counters
+// and provenance samples — do not depend on the worker count or the block
+// size; TestAnalyzeInvariantToWorkersAndBlockSize asserts exact equality of
+// the whole Result against a one-worker, one-block scan.
 //
 // ParseStats accumulation is race-free by construction: each archive reader
 // owns a private ParseStats, each block's counters and line-stats travel
 // with the block result and are folded in on the single consumer goroutine,
 // and the three private structs are merged after all readers join.
 //
-// Strict mode stays deterministic under parallelism: each block worker
-// reports the first malformed line of its block (with the archive line
-// number from the block's provenance), and stream.Ordered surfaces the
-// first error in block-production order — together, the first malformed
-// line of the whole archive, exactly as the sequential scan would.
+// Strict mode is deterministic: each block worker reports the first
+// malformed line of its block (with the archive line number from the
+// block's provenance), and stream.Ordered surfaces the first error in
+// block-production order — together, the first malformed line of the whole
+// archive.
 
 import (
+	"bytes"
 	"io"
 	"sync"
 	"time"
@@ -36,9 +38,9 @@ import (
 	"logdiver/internal/wlm"
 )
 
-// ingestBlockSize is the block granularity of parallel ingestion. A
-// variable (not const) so tests can shrink it to force malformed lines and
-// record boundaries onto chunk edges.
+// ingestBlockSize is the block granularity of ingestion. A variable (not
+// const) so tests can shrink it to force malformed lines and record
+// boundaries onto chunk edges.
 var ingestBlockSize = stream.DefaultBlockSize
 
 // merge folds per-archive stats into the pipeline totals.
@@ -59,53 +61,43 @@ func (s *ParseStats) merge(o ParseStats) {
 	s.SyslogDetail.Merge(o.SyslogDetail)
 }
 
-// ingestParallel parses the three archives concurrently and returns the
-// assembled jobs, runs and classified events plus merged parse stats.
-func ingestParallel(a Archives, top *machine.Topology, opts Options) (jobs []wlm.Job, runs []alps.AppRun, events []errlog.Event, stats ParseStats, err error) {
+// ingest parses the three archives concurrently (a nil archive is skipped):
+// accounting records go to accSink and apsys messages into alpsAsm, both in
+// archive order, and the classified syslog events are returned with the
+// merged parse stats. The caller owns both sinks — Analyze passes fresh
+// assemblers, Incremental.Append its persistent ones — and derives the
+// pairing-anomaly counters via setAssembler when it snapshots. With
+// corruption in several archives a strict-mode run reports the error of the
+// first one in fixed order (accounting, apsys, syslog).
+func ingest(a Archives, top *machine.Topology, opts Options, accSink func(wlm.ScanRecord) error, alpsAsm *alps.Assembler) (events []errlog.Event, stats ParseStats, err error) {
 	var (
-		wg                           sync.WaitGroup
-		accStats, apsStats, sysStats ParseStats
-		accErr, apsErr, sysErr       error
+		wg    sync.WaitGroup
+		parts [len(archiveNames)]ParseStats
+		errs  [len(archiveNames)]error
 	)
-	wlmAsm := wlm.NewAssembler()
-	alpsAsm := alps.NewAssembler()
-	alpsAsm.SetLenient(opts.ParseMode == parse.Lenient)
-	wg.Add(3)
+	wg.Add(len(archiveNames))
 	go func() {
 		defer wg.Done()
-		accErr = readAccountingParallel(a.Accounting, a.Location, opts.Parallelism, opts.ParseMode, &accStats, wlmAsm.AddScan)
-		if accErr != nil {
-			accErr = archiveErr(ArchiveAccounting, accErr)
-		}
+		errs[archiveIdxAccounting] = ingestAccounting(a.Accounting, a.Location, opts.Parallelism, opts.ParseMode, &parts[archiveIdxAccounting], accSink)
 	}()
 	go func() {
 		defer wg.Done()
-		apsErr = readApsysParallel(a.Apsys, opts.Parallelism, opts.ParseMode, &apsStats, alpsAsm)
-		if apsErr != nil {
-			apsErr = archiveErr(ArchiveApsys, apsErr)
-		}
+		errs[archiveIdxApsys] = ingestApsys(a.Apsys, opts.Parallelism, opts.ParseMode, &parts[archiveIdxApsys], alpsAsm)
 	}()
 	go func() {
 		defer wg.Done()
-		events, sysErr = readSyslogParallel(a.Syslog, top, opts.Classifier, opts.Parallelism, opts.ParseMode, &sysStats)
-		if sysErr != nil {
-			sysErr = archiveErr(ArchiveSyslog, sysErr)
-		}
+		events, errs[archiveIdxSyslog] = ingestSyslog(a.Syslog, top, opts.Classifier, opts.Parallelism, opts.ParseMode, &parts[archiveIdxSyslog])
 	}()
 	wg.Wait()
-	// Surface errors in fixed archive order (accounting, apsys, syslog) so a
-	// strict-mode run with corruption in several archives reports the same
-	// failure as the sequential path.
-	for _, e := range []error{accErr, apsErr, sysErr} {
+	for i, e := range errs {
 		if e != nil {
-			return nil, nil, nil, ParseStats{}, e
+			return nil, ParseStats{}, archiveErr(archiveNames[i], e)
 		}
 	}
-	apsStats.setAssembler(alpsAsm)
-	stats.merge(accStats)
-	stats.merge(apsStats)
-	stats.merge(sysStats)
-	return wlmAsm.Jobs(), alpsAsm.Runs(), events, stats, nil
+	for _, p := range parts {
+		stats.merge(p)
+	}
+	return events, stats, nil
 }
 
 // setAssembler copies the pairing-anomaly counters out of an apsys
@@ -126,12 +118,11 @@ type accChunk struct {
 	stats parse.LineStats
 }
 
-// readAccountingParallel streams the accounting archive through the block
-// worker pool, feeding every parsed record to sink (in archive order) and
-// accumulating parse stats into st. The caller owns the assembler behind
-// sink, so both the one-shot and the incremental ingestion paths share this
-// reader. Errors are returned unwrapped; the caller stamps the archive name.
-func readAccountingParallel(r io.Reader, loc *time.Location, workers int, mode parse.Mode, st *ParseStats, sink func(wlm.ScanRecord) error) error {
+// ingestAccounting streams the accounting archive through the block worker
+// pool, feeding every parsed record to sink (in archive order) and
+// accumulating parse stats into st. Errors are returned unwrapped; ingest
+// stamps the archive name.
+func ingestAccounting(r io.Reader, loc *time.Location, workers int, mode parse.Mode, st *ParseStats, sink func(wlm.ScanRecord) error) error {
 	if r == nil {
 		return nil
 	}
@@ -161,44 +152,39 @@ func readAccountingParallel(r io.Reader, loc *time.Location, workers int, mode p
 	return nil
 }
 
-// apsChunk is one parsed apsys block.
-type apsChunk struct {
-	msgs  []apsysMsg
-	lines int // well-formed syslog lines (any tag)
-	stats parse.LineStats
-}
+// apsysTagBytes is alps.Tag for byte-view comparison on the hot path.
+var apsysTagBytes = []byte(alps.Tag)
 
-// parseApsysBlock applies checkApsysLine — the exact per-line semantics of
-// the sequential apsys reader — to every line of a numbered block.
-func parseApsysBlock(b stream.Block, mode parse.Mode) (apsChunk, error) {
-	var c apsChunk
-	no := b.FirstLine - 1
-	var failed *parse.Error
-	stream.ForEachLine(b.Data, func(raw []byte) {
-		no++
-		if failed != nil {
-			return
-		}
-		msg, counted, haveMsg, perr := checkApsysLine(string(raw), no)
-		if counted {
-			c.lines++
-		}
-		if perr != nil {
-			if mode == parse.Strict {
-				failed = perr
-				return
-			}
-			c.stats.Record(perr)
-			return
-		}
-		if haveMsg {
-			c.msgs = append(c.msgs, msg)
-		}
-	})
-	if failed != nil {
-		return apsChunk{}, failed
+// checkApsysLineBytes applies the full per-line semantics of the apsys
+// archive: the syslog layer first (blank lines skip, malformed lines yield a
+// typed error), then the apsys message layer for lines with the apsys tag.
+// counted reports whether the line counts toward ApsysLines (the syslog
+// layer parsed — including lines whose apsys message is malformed); haveMsg
+// reports whether v holds a parsed message to feed the assembler. Any
+// returned error carries the archive line number no. The returned view
+// aliases raw; callers must fold it (AddView copies what it retains) before
+// the buffer is reused.
+//
+//ldvet:pooled
+//ldvet:hotpath
+func checkApsysLineBytes(raw []byte, no int) (at time.Time, v alps.MessageView, counted, haveMsg bool, perr *parse.Error) {
+	lv, skip, perr := syslogx.CheckLineBytes(raw)
+	if skip {
+		return time.Time{}, alps.MessageView{}, false, false, nil
 	}
-	return c, nil
+	if perr != nil {
+		perr.Line = no
+		return time.Time{}, alps.MessageView{}, false, false, perr
+	}
+	if !bytes.Equal(lv.Tag, apsysTagBytes) {
+		return time.Time{}, alps.MessageView{}, true, false, nil
+	}
+	m, merr := alps.ParseMessageBytes(lv.Msg)
+	if merr != nil {
+		merr.Line = no
+		return time.Time{}, alps.MessageView{}, true, false, merr
+	}
+	return lv.Time, m, true, true, nil
 }
 
 // apsView is one parsed apsys message view with its syslog timestamp.
@@ -207,8 +193,7 @@ type apsView struct {
 	v  alps.MessageView
 }
 
-// apsViewChunk is one parsed apsys block on the byte-view fast path. The
-// message views alias the block's pooled buffer, valid until the consume
+// apsViewChunk is one parsed apsys block. The message views alias the block's pooled buffer, valid until the consume
 // callback returns (AddView copies or interns what it retains).
 type apsViewChunk struct {
 	msgs  []apsView
@@ -216,8 +201,8 @@ type apsViewChunk struct {
 	stats parse.LineStats
 }
 
-// parseApsysBlockBytes is parseApsysBlock on the byte-view fast path,
-// applying checkApsysLineBytes to every line of a numbered block.
+// parseApsysBlockBytes applies checkApsysLineBytes to every line of a
+// numbered block.
 //
 //ldvet:pooled
 //ldvet:hotpath
@@ -252,13 +237,12 @@ func parseApsysBlockBytes(b stream.Block, mode parse.Mode) (apsViewChunk, error)
 	return c, nil
 }
 
-// readApsysParallel streams the apsys archive through the block worker
-// pool into the caller-owned assembler. The pairing-anomaly counters
-// (OpenRuns, UnmatchedExits, ...) are assembler state, not per-block
-// deltas, so the caller derives them via setAssembler once ingestion — or,
-// on the incremental path, the whole tailing session — is done. Errors are
-// returned unwrapped; the caller stamps the archive name.
-func readApsysParallel(r io.Reader, workers int, mode parse.Mode, st *ParseStats, asm *alps.Assembler) error {
+// ingestApsys streams the apsys archive through the block worker pool into
+// the caller-owned assembler. The pairing-anomaly counters (OpenRuns,
+// UnmatchedExits, ...) are assembler state, not per-block deltas, so they
+// are not accumulated here (see setAssembler). Errors are returned
+// unwrapped; ingest stamps the archive name.
+func ingestApsys(r io.Reader, workers int, mode parse.Mode, st *ParseStats, asm *alps.Assembler) error {
 	if r == nil {
 		return nil
 	}
@@ -290,7 +274,55 @@ type sysChunk struct {
 	stats        parse.LineStats
 }
 
-func readSyslogParallel(r io.Reader, top *machine.Topology, cls *taxonomy.Classifier, workers int, mode parse.Mode, st *ParseStats) ([]errlog.Event, error) {
+// parseSyslogBlock parses and classifies every line of a numbered block. hc
+// memoizes host resolution against top and must not be shared between
+// concurrent calls.
+//
+//ldvet:pooled
+//ldvet:hotpath
+func parseSyslogBlock(b stream.Block, top *machine.Topology, cls *taxonomy.Classifier, hc *errlog.HostCache, mode parse.Mode) (sysChunk, error) {
+	var c sysChunk
+	var batch errlog.EventBatch
+	no := b.FirstLine - 1
+	var failed *parse.Error
+	stream.ForEachLine(b.Data, func(raw []byte) {
+		no++
+		if failed != nil {
+			return
+		}
+		v, skip, perr := syslogx.CheckLineBytes(raw)
+		if skip {
+			return
+		}
+		if perr != nil {
+			perr.Line = no
+			if mode == parse.Strict {
+				failed = perr
+				return
+			}
+			c.stats.Record(perr)
+			return
+		}
+		c.lines++
+		cat, sev := cls.ClassifyBytes(v.Msg)
+		if cat == taxonomy.Unclassified {
+			c.unclassified++
+			return
+		}
+		node, cname := hc.Resolve(v.Host, top)
+		batch.Append(errlog.Event{Time: v.Time, Node: node, Cname: cname, Category: cat, Severity: sev}, v.Msg)
+	})
+	if failed != nil {
+		return sysChunk{}, failed
+	}
+	c.events = batch.Finish()
+	return c, nil
+}
+
+// ingestSyslog streams the error log through the block worker pool and
+// returns the classified events in archive order. Errors are returned
+// unwrapped; ingest stamps the archive name.
+func ingestSyslog(r io.Reader, top *machine.Topology, cls *taxonomy.Classifier, workers int, mode parse.Mode, st *ParseStats) ([]errlog.Event, error) {
 	if r == nil {
 		return nil, nil
 	}
@@ -303,42 +335,7 @@ func readSyslogParallel(r io.Reader, top *machine.Topology, cls *taxonomy.Classi
 		func(b stream.Block) (sysChunk, error) {
 			hc := hostCaches.Get().(*errlog.HostCache)
 			defer hostCaches.Put(hc)
-			var c sysChunk
-			var batch errlog.EventBatch
-			no := b.FirstLine - 1
-			var failed *parse.Error
-			stream.ForEachLine(b.Data, func(raw []byte) {
-				no++
-				if failed != nil {
-					return
-				}
-				v, skip, perr := syslogx.CheckLineBytes(raw)
-				if skip {
-					return
-				}
-				if perr != nil {
-					perr.Line = no
-					if mode == parse.Strict {
-						failed = perr
-						return
-					}
-					c.stats.Record(perr)
-					return
-				}
-				c.lines++
-				cat, sev := cls.ClassifyBytes(v.Msg)
-				if cat == taxonomy.Unclassified {
-					c.unclassified++
-					return
-				}
-				node, cname := hc.Resolve(v.Host, top)
-				batch.Append(errlog.Event{Time: v.Time, Node: node, Cname: cname, Category: cat, Severity: sev}, v.Msg)
-			})
-			if failed != nil {
-				return sysChunk{}, failed
-			}
-			c.events = batch.Finish()
-			return c, nil
+			return parseSyslogBlock(b, top, cls, hc, mode)
 		},
 		func(c sysChunk) error {
 			st.SyslogLines += c.lines

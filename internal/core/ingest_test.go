@@ -8,46 +8,50 @@ import (
 	"time"
 
 	"logdiver/internal/machine"
+	"logdiver/internal/stream"
 )
 
-// TestParallelAnalyzeMatchesSerial is the differential equivalence test of
-// the parallel streaming ingestion layer: over a multi-day synthesized
-// dataset (with injected duplicates and malformed lines), Analyze with
-// Parallelism > 1 must produce a Result exactly equal — field for field,
-// including every run, event, tuple, group and parse counter — to the
-// sequential path. Run it under -race to also certify the worker pool.
-func TestParallelAnalyzeMatchesSerial(t *testing.T) {
-	ds := testDataset(t)
-	serial, err := Analyze(archivesFor(t, ds), ds.Topology, Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 4, 8} {
-		parallel, err := Analyze(archivesFor(t, ds), ds.Topology, Options{Parallelism: workers})
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		assertResultsEqual(t, serial, parallel, workers)
-	}
+// withBlockSize runs fn with the ingestion block size set to n.
+func withBlockSize(n int, fn func()) {
+	defer func(old int) { ingestBlockSize = old }(ingestBlockSize)
+	ingestBlockSize = n
+	fn()
 }
 
-// TestParallelAnalyzeMatchesSerialSmallBlocks re-runs the differential test
-// with a tiny ingestion block size so thousands of block boundaries fall in
-// the middle of the archives, including inside malformed-line neighborhoods.
-func TestParallelAnalyzeMatchesSerialSmallBlocks(t *testing.T) {
-	defer func(old int) { ingestBlockSize = old }(ingestBlockSize)
-	ingestBlockSize = 256
-
+// TestAnalyzeInvariantToWorkersAndBlockSize is the differential equivalence
+// test of the ingestion engine: over a multi-day synthesized dataset (with
+// injected duplicates and malformed lines), Analyze must produce a Result
+// exactly equal — field for field, including every run, event, tuple, group
+// and parse counter — at every worker count and block size. The reference is
+// one worker over a block size larger than any archive: each archive is one
+// block, i.e. a sequential scan. The tiny block size puts thousands of block
+// boundaries in the middle of the archives, including inside malformed-line
+// neighborhoods. Run it under -race to also certify the worker pool.
+func TestAnalyzeInvariantToWorkersAndBlockSize(t *testing.T) {
 	ds := testDataset(t)
-	serial, err := Analyze(archivesFor(t, ds), ds.Topology, Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
+	acc, aps, sys := archiveText(t, ds)
+	oneBlock := len(acc) + len(aps) + len(sys)
+	var want *Result
+	withBlockSize(oneBlock, func() {
+		var err error
+		if want, err = Analyze(archivesFor(t, ds), ds.Topology, Options{Parallelism: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want.Parse.AccountingRecords == 0 || want.Parse.ApsysLines == 0 || want.Parse.SyslogLines == 0 {
+		t.Fatalf("reference parsed nothing from some archive: %+v", want.Parse)
 	}
-	parallel, err := Analyze(archivesFor(t, ds), ds.Topology, Options{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
+	for _, blockSize := range []int{256, stream.DefaultBlockSize, oneBlock} {
+		for _, workers := range []int{1, 2, 3, 4, 8} {
+			withBlockSize(blockSize, func() {
+				got, err := Analyze(archivesFor(t, ds), ds.Topology, Options{Parallelism: workers})
+				if err != nil {
+					t.Fatalf("blockSize %d workers %d: %v", blockSize, workers, err)
+				}
+				assertResultsEqual(t, want, got, workers)
+			})
+		}
 	}
-	assertResultsEqual(t, serial, parallel, 4)
 }
 
 func assertResultsEqual(t *testing.T, serial, parallel *Result, workers int) {
@@ -86,12 +90,13 @@ func assertResultsEqual(t *testing.T, serial, parallel *Result, workers int) {
 	}
 }
 
-// TestParallelMalformedAccountingAcrossChunks: malformed accounting lines
+// TestMalformedAccountingAcrossChunks: malformed accounting lines
 // interleaved with good records — and block sizes chosen so the malformed
-// lines land on and around chunk boundaries — must yield exactly the serial
-// ParseStats. This guards the per-chunk malformed counters and the ordered
-// merge.
-func TestParallelMalformedAccountingAcrossChunks(t *testing.T) {
+// lines land on and around chunk boundaries — must yield exactly the
+// ParseStats of a one-worker scan at the default block size (one block,
+// these archives being tiny). This guards the per-chunk malformed counters
+// and the ordered merge.
+func TestMalformedAccountingAcrossChunks(t *testing.T) {
 	top, err := machine.New(machine.Small())
 	if err != nil {
 		t.Fatal(err)
@@ -133,9 +138,7 @@ func TestParallelMalformedAccountingAcrossChunks(t *testing.T) {
 			// Sweep block sizes small enough that every line relationship
 			// (same block, adjacent blocks, block-per-line) occurs.
 			for _, blockSize := range []int{1, 16, 33, 64, 128, 1 << 20} {
-				func() {
-					defer func(old int) { ingestBlockSize = old }(ingestBlockSize)
-					ingestBlockSize = blockSize
+				withBlockSize(blockSize, func() {
 					parallel, err := Analyze(Archives{Accounting: strings.NewReader(text)}, top, Options{Parallelism: 4})
 					if err != nil {
 						t.Fatalf("blockSize %d: %v", blockSize, err)
@@ -147,7 +150,7 @@ func TestParallelMalformedAccountingAcrossChunks(t *testing.T) {
 					if !reflect.DeepEqual(serial.Jobs, parallel.Jobs) {
 						t.Errorf("blockSize %d: assembled jobs differ", blockSize)
 					}
-				}()
+				})
 			}
 		})
 	}

@@ -49,9 +49,9 @@ func archivesOf(acc, aps, sys string) Archives {
 	}
 }
 
-// Per-archive line checkers: the same authoritative acceptance functions
-// the pipeline itself uses, exposed as one closure shape for the reference
-// scan and the manifest reconciliation below.
+// Per-archive line checkers: the string-form acceptance functions the
+// pipeline's byte parsers are pinned to, exposed as one closure shape for
+// the reference scan and the manifest reconciliation below.
 func accCheck(line string, no int) *parse.Error {
 	_, skip, perr := wlm.CheckLine(line, time.UTC)
 	if skip || perr == nil {
@@ -62,7 +62,7 @@ func accCheck(line string, no int) *parse.Error {
 }
 
 func apsCheck(line string, no int) *parse.Error {
-	_, _, _, perr := checkApsysLine(line, no)
+	_, _, _, perr := refApsysLine(line, no)
 	return perr
 }
 
@@ -112,8 +112,8 @@ func mutateAll(acc, aps, sys string, cfg mutate.Config) (macc, maps, msys string
 
 // TestMutatedArchivesLenientNeverFail sweeps corruption seeds and budgets
 // over all operators: lenient Analyze must succeed on every mutated input,
-// and the parallel path must produce the exact same Result as the
-// sequential one — corruption must not open a serial/parallel gap.
+// and four workers per archive must produce the exact same Result as one —
+// corruption must not make the Result depend on the worker count.
 func TestMutatedArchivesLenientNeverFail(t *testing.T) {
 	ds := testDataset(t)
 	acc, aps, sys := archiveText(t, ds)
@@ -301,7 +301,7 @@ func TestMutatedOutcomeDegradationBounded(t *testing.T) {
 
 // TestStrictModeFailFast: strict parsing surfaces the FIRST injected
 // corruption as a typed *parse.Error carrying the archive name and line
-// number — identically from the sequential and the parallel path — while
+// number — identically at one and at four workers per archive — while
 // lenient mode sails through the same input.
 func TestStrictModeFailFast(t *testing.T) {
 	ds := testDataset(t)
@@ -352,7 +352,7 @@ func TestStrictModeFailFast(t *testing.T) {
 				t.Fatal("strict parallel Analyze succeeded on corrupted archive")
 			}
 			if perr.Error() != err.Error() {
-				t.Errorf("strict error differs between paths:\nserial   %v\nparallel %v", err, perr)
+				t.Errorf("strict error differs between worker counts:\n1 worker  %v\n4 workers %v", err, perr)
 			}
 
 			if _, err := Analyze(tc.build(string(mutated)), ds.Topology, Options{}); err != nil {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"logdiver/internal/machine"
-	"logdiver/internal/syslogx"
 	"logdiver/internal/taxonomy"
 )
 
@@ -39,32 +38,6 @@ type Event struct {
 // IsSystemWide reports whether the event is machine-scoped rather than
 // node-scoped.
 func (e Event) IsSystemWide() bool { return e.Node == SystemWide }
-
-// FromLine classifies one parsed syslog line into an Event. It is the
-// single event-construction step shared by the sequential and parallel
-// ingestion paths (so their classification and node attribution cannot
-// drift): the message body is classified by cls, unclassifiable lines
-// return ok == false, and hosts that are not node cnames attribute to
-// SystemWide. Pure given a concurrency-safe classifier, so parallel block
-// workers may call it freely.
-func FromLine(l syslogx.Line, top *machine.Topology, cls *taxonomy.Classifier) (e Event, ok bool) {
-	cat, sev := cls.Classify(l.Message)
-	if cat == taxonomy.Unclassified {
-		return Event{}, false
-	}
-	node := SystemWide
-	if id, err := top.LookupString(l.Host); err == nil {
-		node = id
-	}
-	return Event{
-		Time:     l.Time,
-		Node:     node,
-		Cname:    l.Host,
-		Category: cat,
-		Severity: sev,
-		Message:  l.Message,
-	}, true
-}
 
 // Tag returns the syslog program tag under which events of this category
 // are logged by the system software stack. It is a pure function, safe for

@@ -1,10 +1,9 @@
 // Byte-oriented event construction for the ingestion hot path. The two
-// helpers here remove the per-line allocations FromLine cannot avoid:
-// HostCache memoizes host resolution (ParseCname and its error allocate on
-// every service-host line otherwise), and EventBatch materializes retained
-// message bodies in large batches — one string allocation per ~64 KiB of
-// message text instead of one per event. FromLine remains the reference
-// implementation; fast_test.go pins the two paths to each other.
+// helpers here remove the per-line allocations a string-per-event
+// construction cannot avoid: HostCache memoizes host resolution (ParseCname
+// and its error allocate on every service-host line otherwise), and
+// EventBatch materializes retained message bodies in large batches — one
+// string allocation per ~64 KiB of message text instead of one per event.
 
 package errlog
 
@@ -19,7 +18,7 @@ const hostCacheCap = 1 << 16
 
 // HostCache memoizes host-field resolution: dense node ID (or SystemWide)
 // plus the canonical host string. One cache serves one goroutine; the
-// parallel ingestion workers keep per-worker caches.
+// ingestion workers keep per-worker caches.
 type HostCache struct {
 	m map[string]hostEntry
 }
@@ -35,8 +34,8 @@ func NewHostCache() *HostCache {
 }
 
 // Resolve returns the node attribution and canonical string for a host
-// field, with the exact semantics of FromLine: hosts that are not node
-// cnames in the topology attribute to SystemWide. It allocates only the
+// field, with the semantics of an uncached Topology.LookupString: hosts
+// that are not node cnames in the topology attribute to SystemWide. It allocates only the
 // first time a distinct host is seen.
 //
 //ldvet:pooled

@@ -10,7 +10,7 @@ import (
 )
 
 // TestHostCacheResolveMatchesLookup pins cached resolution to the
-// uncached topology lookup FromLine uses: node cnames resolve to their
+// uncached topology lookup: node cnames resolve to their
 // dense IDs, everything else attributes to SystemWide, and a second
 // Resolve of the same host returns identical results.
 func TestHostCacheResolveMatchesLookup(t *testing.T) {

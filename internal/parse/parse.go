@@ -4,8 +4,7 @@
 // provenance samples, and a line reader that tolerates oversized lines
 // instead of aborting the scan. The format parsers (internal/wlm,
 // internal/alps, internal/syslogx) produce these types; internal/core
-// aggregates them into ParseStats and threads the mode through both the
-// sequential and the parallel ingestion paths.
+// aggregates them into ParseStats and threads the mode through ingestion.
 package parse
 
 import (
@@ -247,7 +246,7 @@ func (s Sample) String() string {
 
 // MaxSamples bounds the provenance samples retained per archive. A fixed
 // array (not a slice) keeps LineStats — and hence core.ParseStats —
-// comparable with ==, which the serial/parallel differential tests rely on.
+// comparable with ==, which the ingestion differential tests rely on.
 const MaxSamples = 8
 
 // SampleSet retains the first MaxSamples malformed-line samples in archive
@@ -280,8 +279,8 @@ func (s *SampleSet) All() []Sample {
 }
 
 // LineStats is the malformed-line accounting of one archive: per-kind
-// counters plus first-N provenance samples. The sequential scanners and the
-// parallel block parsers produce identical LineStats for identical input —
+// counters plus first-N provenance samples. The string scanners and the
+// block parsers produce identical LineStats for identical input —
 // the per-block stats travel with each block and merge on the single
 // consumer goroutine in archive order.
 type LineStats struct {

@@ -139,12 +139,19 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 		}
 	}
 	if s.cfg.MaxInFlight > 0 {
-		if n := s.inFlight.Add(1); n > int64(s.cfg.MaxInFlight) {
-			s.inFlight.Add(-1)
-			s.prom.shedInFlight.Add(1)
-			w.Header().Set("Retry-After", s.retryAfter)
-			s.writeErr(w, http.StatusServiceUnavailable, "server at concurrency limit")
-			return false
+		// Take a slot by compare-and-swap, not add-then-undo, so the gauge
+		// (exported on /metrics) never reads above the bound.
+		for {
+			n := s.inFlight.Load()
+			if n >= int64(s.cfg.MaxInFlight) {
+				s.prom.shedInFlight.Add(1)
+				w.Header().Set("Retry-After", s.retryAfter)
+				s.writeErr(w, http.StatusServiceUnavailable, "server at concurrency limit")
+				return false
+			}
+			if s.inFlight.CompareAndSwap(n, n+1) {
+				break
+			}
 		}
 	}
 	s.prom.admitted.Add(1)

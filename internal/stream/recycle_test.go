@@ -9,10 +9,11 @@ import (
 )
 
 // TestOrderedRecycledBlocksMatchesNumbered runs the same input through
-// OrderedNumberedBlocks and OrderedRecycledBlocks and requires identical
-// per-block summaries in identical order. The summaries (checksum, byte and
-// line counts, first-line provenance) are computed inside apply because the
-// recycled variant forbids retaining block bytes past consume.
+// Ordered over NumberedBlocks (fresh block buffers, the reference) and
+// through OrderedRecycledBlocks and requires identical per-block summaries
+// in identical order. The summaries (checksum, byte and line counts,
+// first-line provenance) are computed inside apply because the recycled
+// variant forbids retaining block bytes past consume.
 func TestOrderedRecycledBlocksMatchesNumbered(t *testing.T) {
 	var b strings.Builder
 	for i := 0; i < 5000; i++ {
@@ -35,7 +36,9 @@ func TestOrderedRecycledBlocksMatchesNumbered(t *testing.T) {
 	for _, blockSize := range []int{64, 1024, 1 << 20} {
 		for _, workers := range []int{1, 4} {
 			var want, got []sum
-			if err := OrderedNumberedBlocks(strings.NewReader(input), blockSize, workers, digest,
+			if err := Ordered(workers,
+				func(emit func(Block) bool) error { return NumberedBlocks(strings.NewReader(input), blockSize, emit) },
+				digest,
 				func(s sum) error { want = append(want, s); return nil }); err != nil {
 				t.Fatal(err)
 			}

@@ -1,10 +1,10 @@
-// Package stream provides the building blocks of the parallel streaming
-// ingestion layer: a chunked reader that splits an archive into line-aligned
+// Package stream provides the building blocks of the streaming ingestion
+// layer: a chunked reader that splits an archive into line-aligned
 // byte blocks, and an ordered fan-out/fan-in engine that applies a function
 // to those blocks on a bounded worker pool while delivering results in
 // production order. Together they let the pipeline parse and classify log
-// archives on every core while producing output that is byte-identical to a
-// sequential scan.
+// archives on every core while producing output that does not depend on the
+// worker count or the block size.
 package stream
 
 import (
@@ -23,74 +23,37 @@ import (
 const DefaultBlockSize = 256 << 10
 
 // MaxLineBytes is the per-line acceptance cap shared with the parsers
-// (parse.MaxLineBytes). Lines beyond it still travel through Blocks whole —
-// the parsers account them as oversize-malformed — so lenient ingestion can
-// skip-and-count an oversized line instead of aborting the archive. Only a
-// line beyond parse.AbsMaxLineBytes (input that is not line-structured at
-// all) fails Blocks with bufio.ErrTooLong, matching the sequential
+// (parse.MaxLineBytes). Lines beyond it still travel through the block
+// reader whole — the parsers account them as oversize-malformed — so lenient
+// ingestion can skip-and-count an oversized line instead of aborting the
+// archive. Only a line beyond parse.AbsMaxLineBytes (input that is not
+// line-structured at all) fails the read with bufio.ErrTooLong, matching
 // parse.LineReader.
 const MaxLineBytes = parse.MaxLineBytes
 
 // Block is one line-aligned chunk of an archive together with the 1-based
-// line number of its first line, so parallel block parsers can report
-// malformed-line provenance identical to a sequential scan.
+// line number of its first line, so block parsers can report malformed-line
+// provenance as archive line numbers.
 type Block struct {
 	Data []byte
 	// FirstLine is the 1-based archive line number of the block's first line.
 	FirstLine int
 }
 
-// Blocks reads r as a sequence of byte blocks of roughly blockSize bytes,
-// each extended (or shrunk) to end on a line boundary so no line is ever
-// split across blocks. Every emitted block is freshly allocated and safe to
-// retain or hand to another goroutine. The final block is emitted even when
-// the input does not end in a newline. Emission stops without error when
-// emit returns false. blockSize < 1 selects DefaultBlockSize.
-func Blocks(r io.Reader, blockSize int, emit func(block []byte) bool) error {
-	return NumberedBlocks(r, blockSize, func(b Block) bool { return emit(b.Data) })
-}
-
-// NumberedBlocks is Blocks with line-number provenance: each emitted Block
-// carries the archive line number of its first line.
+// NumberedBlocks reads r as a sequence of byte blocks of roughly blockSize
+// bytes, each extended (or shrunk) to end on a line boundary so no line is
+// ever split across blocks, and each carrying the archive line number of its
+// first line. Every emitted block is freshly allocated and safe to retain or
+// hand to another goroutine. The final block is emitted even when the input
+// does not end in a newline. Emission stops without error when emit returns
+// false. blockSize < 1 selects DefaultBlockSize.
 func NumberedBlocks(r io.Reader, blockSize int, emit func(Block) bool) error {
-	if blockSize < 1 {
-		blockSize = DefaultBlockSize
-	}
-	var carry []byte
-	line := 1
-	buf := make([]byte, blockSize)
-	for {
-		n, err := r.Read(buf)
-		if n > 0 {
-			data := buf[:n]
-			if i := bytes.LastIndexByte(data, '\n'); i >= 0 {
-				block := make([]byte, 0, len(carry)+i+1)
-				block = append(block, carry...)
-				block = append(block, data[:i+1]...)
-				carry = append(carry[:0], data[i+1:]...)
-				first := line
-				line += bytes.Count(block, []byte("\n"))
-				if !emit(Block{Data: block, FirstLine: first}) {
-					return nil
-				}
-			} else {
-				carry = append(carry, data...)
-			}
-			if len(carry) > parse.AbsMaxLineBytes {
-				return bufio.ErrTooLong
-			}
-		}
-		switch err {
-		case nil:
-		case io.EOF:
-			if len(carry) > 0 {
-				emit(Block{Data: append([]byte(nil), carry...), FirstLine: line})
-			}
-			return nil
-		default:
-			return err
-		}
-	}
+	return splitBlocks(r, blockSize,
+		func(n int) *[]byte {
+			b := make([]byte, 0, n)
+			return &b
+		},
+		func(b Block, _ *[]byte) bool { return emit(b) })
 }
 
 // blockBufPool recycles block buffers for OrderedRecycledBlocks. Pooled
@@ -102,36 +65,36 @@ var blockBufPool = sync.Pool{
 	},
 }
 
-// pooledNumberedBlocks is NumberedBlocks with each Block.Data built inside a
-// buffer drawn from blockBufPool. emit receives the pool handle alongside the
-// block; ownership of the buffer passes to the emit callback, which must
-// return it to blockBufPool once the block bytes are no longer referenced.
-// Buffers never returned (early stop, error) are simply collected.
+// splitBlocks is the block splitter. Each block is built inside the buffer
+// getBuf returns for its length (a fresh one for NumberedBlocks, one drawn
+// from blockBufPool for OrderedRecycledBlocks); emit receives that handle
+// alongside the block and owns the buffer from then on.
 //
 //ldvet:pooled
-func pooledNumberedBlocks(r io.Reader, blockSize int, emit func(b Block, buf *[]byte) bool) error {
+func splitBlocks(r io.Reader, blockSize int, getBuf func(n int) *[]byte, emit func(b Block, buf *[]byte) bool) error {
 	if blockSize < 1 {
 		blockSize = DefaultBlockSize
 	}
 	var carry []byte
 	line := 1
+	flush := func(head, tail []byte) bool {
+		bp := getBuf(len(head) + len(tail))
+		block := append(append((*bp)[:0], head...), tail...)
+		*bp = block
+		first := line
+		line += bytes.Count(block, []byte("\n"))
+		return emit(Block{Data: block, FirstLine: first}, bp)
+	}
 	buf := make([]byte, blockSize)
 	for {
 		n, err := r.Read(buf)
 		if n > 0 {
 			data := buf[:n]
 			if i := bytes.LastIndexByte(data, '\n'); i >= 0 {
-				bp := blockBufPool.Get().(*[]byte)
-				block := (*bp)[:0]
-				block = append(block, carry...)
-				block = append(block, data[:i+1]...)
-				*bp = block
-				carry = append(carry[:0], data[i+1:]...)
-				first := line
-				line += bytes.Count(block, []byte("\n"))
-				if !emit(Block{Data: block, FirstLine: first}, bp) {
+				if !flush(carry, data[:i+1]) {
 					return nil
 				}
+				carry = append(carry[:0], data[i+1:]...)
 			} else {
 				carry = append(carry, data...)
 			}
@@ -143,10 +106,7 @@ func pooledNumberedBlocks(r io.Reader, blockSize int, emit func(b Block, buf *[]
 		case nil:
 		case io.EOF:
 			if len(carry) > 0 {
-				bp := blockBufPool.Get().(*[]byte)
-				block := append((*bp)[:0], carry...)
-				*bp = block
-				emit(Block{Data: block, FirstLine: line}, bp)
+				flush(carry, nil)
 			}
 			return nil
 		default:
@@ -155,13 +115,14 @@ func pooledNumberedBlocks(r io.Reader, blockSize int, emit func(b Block, buf *[]
 	}
 }
 
-// OrderedRecycledBlocks is OrderedNumberedBlocks with block-buffer recycling:
-// each block's backing buffer is drawn from an internal pool and returned to
-// it after consume finishes with the corresponding output. The contract this
-// adds over OrderedNumberedBlocks: neither apply's Out value nor consume may
-// retain any bytes of the block past consume's return — everything kept must
-// be copied (or interned) first. In exchange the steady-state ingestion path
-// stops allocating one fresh block per DefaultBlockSize of input.
+// OrderedRecycledBlocks is the ingestion engine: it reads r in line-aligned
+// numbered blocks and processes them with Ordered — apply on the worker
+// pool, consume in archive order. Each block's backing buffer is drawn from
+// an internal pool and returned to it after consume finishes with the
+// corresponding output, so neither apply's Out value nor consume may retain
+// any bytes of the block past consume's return — everything kept must be
+// copied (or interned) first. In exchange the steady-state ingestion path
+// does not allocate one fresh block per DefaultBlockSize of input.
 //
 //ldvet:pooled
 func OrderedRecycledBlocks[Out any](r io.Reader, blockSize, workers int, apply func(b Block) (Out, error), consume func(Out) error) error {
@@ -175,9 +136,9 @@ func OrderedRecycledBlocks[Out any](r io.Reader, blockSize, workers int, apply f
 	}
 	return Ordered(workers,
 		func(emit func(job) bool) error {
-			return pooledNumberedBlocks(r, blockSize, func(b Block, buf *[]byte) bool {
-				return emit(job{b: b, buf: buf})
-			})
+			return splitBlocks(r, blockSize,
+				func(int) *[]byte { return blockBufPool.Get().(*[]byte) },
+				func(b Block, buf *[]byte) bool { return emit(job{b: b, buf: buf}) })
 		},
 		func(j job) (recycled, error) {
 			out, err := apply(j.b)
@@ -185,9 +146,7 @@ func OrderedRecycledBlocks[Out any](r io.Reader, blockSize, workers int, apply f
 		},
 		func(rc recycled) error {
 			err := consume(rc.out)
-			if rc.buf != nil {
-				blockBufPool.Put(rc.buf)
-			}
+			blockBufPool.Put(rc.buf)
 			return err
 		})
 }
@@ -299,25 +258,6 @@ func Ordered[In, Out any](workers int, produce func(emit func(In) bool) error, a
 		return firstErr
 	}
 	return produceErr
-}
-
-// OrderedBlocks is the common composition: read r in line-aligned blocks and
-// process them with Ordered. It exists so every ingestion site shares one
-// tested fan-out shape.
-func OrderedBlocks[Out any](r io.Reader, blockSize, workers int, apply func(block []byte) (Out, error), consume func(Out) error) error {
-	return Ordered(workers,
-		func(emit func([]byte) bool) error { return Blocks(r, blockSize, emit) },
-		apply, consume)
-}
-
-// OrderedNumberedBlocks is OrderedBlocks with line-number provenance: apply
-// receives each block together with the archive line number of its first
-// line, so per-block malformed-line accounting can match a sequential scan
-// exactly.
-func OrderedNumberedBlocks[Out any](r io.Reader, blockSize, workers int, apply func(b Block) (Out, error), consume func(Out) error) error {
-	return Ordered(workers,
-		func(emit func(Block) bool) error { return NumberedBlocks(r, blockSize, emit) },
-		apply, consume)
 }
 
 // Ranges yields [lo,hi) index ranges of size at most step covering [0,n),

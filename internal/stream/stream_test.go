@@ -42,8 +42,8 @@ func TestBlocksReassembleInput(t *testing.T) {
 	input := sb.String()
 	for _, blockSize := range []int{1, 7, 64, 1 << 10, 1 << 20} {
 		var got bytes.Buffer
-		err := Blocks(&iotaReader{data: []byte(input), rng: rand.New(rand.NewSource(int64(blockSize)))}, blockSize,
-			func(b []byte) bool { got.Write(b); return true })
+		err := NumberedBlocks(&iotaReader{data: []byte(input), rng: rand.New(rand.NewSource(int64(blockSize)))}, blockSize,
+			func(b Block) bool { got.Write(b.Data); return true })
 		if err != nil {
 			t.Fatalf("blockSize %d: %v", blockSize, err)
 		}
@@ -55,9 +55,9 @@ func TestBlocksReassembleInput(t *testing.T) {
 
 func TestBlocksNoSplitLines(t *testing.T) {
 	input := strings.Repeat("aaaa\nbb\ncccccccc\n", 500)
-	err := Blocks(strings.NewReader(input), 32, func(b []byte) bool {
-		if len(b) == 0 || b[len(b)-1] != '\n' {
-			t.Fatalf("block does not end on a line boundary: %q", b)
+	err := NumberedBlocks(strings.NewReader(input), 32, func(b Block) bool {
+		if len(b.Data) == 0 || b.Data[len(b.Data)-1] != '\n' {
+			t.Fatalf("block does not end on a line boundary: %q", b.Data)
 		}
 		return true
 	})
@@ -68,8 +68,8 @@ func TestBlocksNoSplitLines(t *testing.T) {
 
 func TestBlocksFinalUnterminatedLine(t *testing.T) {
 	var blocks [][]byte
-	err := Blocks(strings.NewReader("a\nb\nno newline at end"), 4, func(b []byte) bool {
-		blocks = append(blocks, b)
+	err := NumberedBlocks(strings.NewReader("a\nb\nno newline at end"), 4, func(b Block) bool {
+		blocks = append(blocks, b.Data)
 		return true
 	})
 	if err != nil {
@@ -91,8 +91,8 @@ func TestBlocksOversizedLinePassesThrough(t *testing.T) {
 	long := strings.Repeat("x", MaxLineBytes+2)
 	input := "before\n" + long + "\nafter\n"
 	var all []byte
-	err := Blocks(strings.NewReader(input), 1<<16, func(b []byte) bool {
-		all = append(all, b...)
+	err := NumberedBlocks(strings.NewReader(input), 1<<16, func(b Block) bool {
+		all = append(all, b.Data...)
 		return true
 	})
 	if err != nil {
@@ -105,11 +105,11 @@ func TestBlocksOversizedLinePassesThrough(t *testing.T) {
 
 func TestBlocksTooLongLine(t *testing.T) {
 	// Beyond the absolute cap the input is not line-structured; both the
-	// block reader and the sequential parse.LineReader abort.
+	// block reader and parse.LineReader abort.
 	defer func(old int) { parse.AbsMaxLineBytes = old }(parse.AbsMaxLineBytes)
 	parse.AbsMaxLineBytes = 1 << 12
 	long := strings.Repeat("x", parse.AbsMaxLineBytes+2)
-	err := Blocks(strings.NewReader(long), 1<<8, func(b []byte) bool { return true })
+	err := NumberedBlocks(strings.NewReader(long), 1<<8, func(Block) bool { return true })
 	if !errors.Is(err, bufio.ErrTooLong) {
 		t.Fatalf("got %v, want bufio.ErrTooLong", err)
 	}

@@ -2,11 +2,8 @@ package syslogx
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 	"time"
-
-	"logdiver/internal/parse"
 )
 
 // fastDiffLines covers the acceptance surface the byte scanner must
@@ -110,34 +107,5 @@ func TestCheckLineBytesZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("CheckLineBytes allocates %.1f allocs/op on the fast path, want 0", n)
-	}
-}
-
-// TestBlockModesMatch pins the byte-backed block parser against per-line
-// CheckLine over a mixed block in lenient mode (the strict half is covered
-// by TestCheckLineBytesMatchesCheckLine since ParseBlockMode reports the
-// first CheckLineBytes error).
-func TestBlockModesMatch(t *testing.T) {
-	var b strings.Builder
-	for _, l := range fastDiffLines {
-		b.WriteString(l)
-		b.WriteByte('\n')
-	}
-	lines, nums, _, err := ParseBlockMode([]byte(b.String()), 1, parse.Lenient)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wantLines []Line
-	var wantNums []int
-	for i, l := range fastDiffLines {
-		ln, skip, perr := CheckLine(l)
-		if skip || perr != nil {
-			continue
-		}
-		wantLines = append(wantLines, ln)
-		wantNums = append(wantNums, i+1)
-	}
-	if !reflect.DeepEqual(lines, wantLines) || !reflect.DeepEqual(nums, wantNums) {
-		t.Errorf("block parse = %+v %v\nper-line   = %+v %v", lines, nums, wantLines, wantNums)
 	}
 }

@@ -27,7 +27,7 @@ var syslogErrorCases = []struct {
 const syslogGoodLine = "2013-04-03T12:34:57.000000-05:00 c0-0c0s0n1 kernel: machine check"
 
 // TestScannerModesErrorPaths drives every malformed-line class through the
-// sequential scanner in both modes: strict fails at the bad line with a
+// string scanner in both modes: strict fails at the bad line with a
 // typed, line-numbered error; lenient skips it, still yields the well-formed
 // line, and accounts the failure under the right kind with provenance.
 func TestScannerModesErrorPaths(t *testing.T) {
@@ -65,46 +65,6 @@ func TestScannerModesErrorPaths(t *testing.T) {
 			samples := st.Samples.All()
 			if len(samples) != 1 || samples[0].Line != 1 || samples[0].Kind != tc.kind {
 				t.Errorf("sample provenance %+v, want line 1 kind %v", samples, tc.kind)
-			}
-		})
-	}
-}
-
-// TestParseBlockModeMatchesScanner pins the parallel block parser to the
-// sequential scanner for every error class in both modes.
-func TestParseBlockModeMatchesScanner(t *testing.T) {
-	for _, tc := range syslogErrorCases {
-		t.Run(tc.name, func(t *testing.T) {
-			input := syslogGoodLine + "\n" + tc.line + "\n"
-
-			lines, nums, stats, err := ParseBlockMode([]byte(input), 1, parse.Lenient)
-			if err != nil {
-				t.Fatalf("lenient block failed: %v", err)
-			}
-			if len(lines) != 1 || len(nums) != 1 || nums[0] != 1 {
-				t.Errorf("lenient block: %d lines, nums %v", len(lines), nums)
-			}
-			if stats.Kinds.Count(tc.kind) != 1 {
-				t.Errorf("kind %v counted %d times, want 1", tc.kind, stats.Kinds.Count(tc.kind))
-			}
-			samples := stats.Samples.All()
-			if len(samples) != 1 || samples[0].Line != 2 {
-				t.Errorf("block sample %+v, want line 2", samples)
-			}
-
-			_, _, _, err = ParseBlockMode([]byte(input), 1, parse.Strict)
-			var perr *parse.Error
-			if !errors.As(err, &perr) {
-				t.Fatalf("strict block error %v is not a *parse.Error", err)
-			}
-			if perr.Kind != tc.kind || perr.Line != 2 {
-				t.Errorf("strict block error kind=%v line=%d, want kind=%v line=2", perr.Kind, perr.Line, tc.kind)
-			}
-
-			// A nonzero block offset shifts reported line numbers.
-			_, _, _, err = ParseBlockMode([]byte(input), 50, parse.Strict)
-			if !errors.As(err, &perr) || perr.Line != 51 {
-				t.Errorf("offset block error %v, want line 51", err)
 			}
 		})
 	}

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"logdiver/internal/parse"
-	"logdiver/internal/stream"
 )
 
 // Line is one parsed syslog record.
@@ -88,8 +87,9 @@ func Parse(s string) (Line, error) {
 }
 
 // CheckLine is the single authoritative per-line acceptance function of the
-// syslog format, shared by the sequential Scanner, the parallel block
-// parser and the robustness reconciler: blank lines are skipped silently
+// syslog format in string form, shared by the Scanner and the robustness
+// reconciler (CheckLineBytes is its ingestion twin, pinned to it by the
+// differential tests): blank lines are skipped silently
 // (skip == true), lines failing the shared encoding/oversize checks or the
 // format parse return a typed *parse.Error, and everything else yields the
 // parsed Line.
@@ -228,57 +228,6 @@ func (s *Scanner) Line() Line { return s.line }
 // LineNo returns the 1-based archive line number of the most recently
 // scanned line.
 func (s *Scanner) LineNo() int { return s.lineNo }
-
-// ParseBlock parses every line of a newline-separated block, applying the
-// exact per-line semantics of a lenient Scanner: blank (whitespace-only)
-// lines are skipped silently and unparseable lines are counted as
-// malformed rather than failing the block.
-func ParseBlock(block []byte) (lines []Line, malformed int) {
-	lines, _, stats, _ := ParseBlockMode(block, 1, parse.Lenient)
-	return lines, stats.Malformed()
-}
-
-// ParseBlockMode is the unit of work of the parallel ingestion path: it
-// parses every line of a block whose first line is archive line firstLine,
-// with the exact per-line semantics of a sequential Scanner in the same
-// mode. nums carries the archive line number of each returned Line (needed
-// by the apsys layer to report message-level provenance). In lenient mode
-// malformed lines are accounted in stats (with archive line numbers, so
-// concatenating per-block stats in block order reproduces a sequential
-// scan); in strict mode the first malformed line fails the block with its
-// typed error. CheckLine is pure, so blocks parse safely on concurrent
-// goroutines.
-func ParseBlockMode(block []byte, firstLine int, mode parse.Mode) (lines []Line, nums []int, stats parse.LineStats, err error) {
-	lines = make([]Line, 0, len(block)/64)
-	nums = make([]int, 0, len(block)/64)
-	no := firstLine - 1
-	var failed *parse.Error
-	stream.ForEachLine(block, func(raw []byte) {
-		no++
-		if failed != nil {
-			return
-		}
-		v, skip, perr := CheckLineBytes(raw)
-		if skip {
-			return
-		}
-		if perr != nil {
-			perr.Line = no
-			if mode == parse.Strict {
-				failed = perr
-				return
-			}
-			stats.Record(perr)
-			return
-		}
-		lines = append(lines, v.Materialize())
-		nums = append(nums, no)
-	})
-	if failed != nil {
-		return nil, nil, parse.LineStats{}, failed
-	}
-	return lines, nums, stats, nil
-}
 
 // Malformed returns the number of lines skipped as unparseable (lenient
 // mode).

@@ -29,7 +29,7 @@ var wlmErrorCases = []struct {
 const wlmGoodLine = "04/03/2013 12:00:01;E;9.bw;Exit_status=0 user=alice"
 
 // TestScannerModesErrorPaths drives every malformed-line class through the
-// sequential scanner in both modes: strict fails at the bad line with a
+// string scanner in both modes: strict fails at the bad line with a
 // typed, line-numbered error; lenient skips it, still yields the well-formed
 // record, and accounts the failure under the right kind with provenance.
 func TestScannerModesErrorPaths(t *testing.T) {
@@ -75,14 +75,15 @@ func TestScannerModesErrorPaths(t *testing.T) {
 	}
 }
 
-// TestParseBlockModeMatchesScanner pins the parallel block parser to the
-// sequential scanner for every error class in both modes.
-func TestParseBlockModeMatchesScanner(t *testing.T) {
+// TestScanBlockModeErrorPaths drives every malformed-line class through the
+// ingestion block parser in both modes, with the expectations
+// TestScannerModesErrorPaths holds the string scanner to.
+func TestScanBlockModeErrorPaths(t *testing.T) {
 	for _, tc := range wlmErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			input := wlmGoodLine + "\n" + tc.line + "\n"
 
-			recs, stats, err := ParseBlockMode([]byte(input), time.UTC, 1, parse.Lenient)
+			recs, stats, err := ScanBlockMode([]byte(input), time.UTC, 1, parse.Lenient)
 			if err != nil {
 				t.Fatalf("lenient block failed: %v", err)
 			}
@@ -94,7 +95,7 @@ func TestParseBlockModeMatchesScanner(t *testing.T) {
 				t.Errorf("block sample %+v, want line 2", samples)
 			}
 
-			_, _, err = ParseBlockMode([]byte(input), time.UTC, 1, parse.Strict)
+			_, _, err = ScanBlockMode([]byte(input), time.UTC, 1, parse.Strict)
 			var perr *parse.Error
 			if !errors.As(err, &perr) {
 				t.Fatalf("strict block error %v is not a *parse.Error", err)
@@ -104,7 +105,7 @@ func TestParseBlockModeMatchesScanner(t *testing.T) {
 			}
 
 			// A nonzero block offset shifts reported line numbers.
-			_, _, err = ParseBlockMode([]byte(input), time.UTC, 100, parse.Strict)
+			_, _, err = ScanBlockMode([]byte(input), time.UTC, 100, parse.Strict)
 			if !errors.As(err, &perr) || perr.Line != 101 {
 				t.Errorf("offset block error %v, want line 101", err)
 			}

@@ -416,9 +416,13 @@ func (a *Assembler) intern(b []byte) string {
 	return s
 }
 
-// ScanBlockMode is ParseBlockMode on the byte-view fast path: it parses a
-// block whose first line is archive line firstLine into ScanRecords with the
-// exact per-line semantics of a sequential Scanner in the same mode. The
+// ScanBlockMode is the unit of work of ingestion: it parses a block whose
+// first line is archive line firstLine into ScanRecords with the exact
+// per-line semantics of a Scanner in the same mode. In lenient mode
+// malformed lines are accounted in stats with their archive line numbers; in
+// strict mode the first malformed line fails the block with its typed error.
+// CheckLineBytes is pure, so blocks parse safely on concurrent goroutines;
+// concatenating results in block order reproduces a sequential scan. The
 // returned records hold views into block; callers must fold them (AddScan
 // copies what it retains) before the block's buffer is reused.
 //

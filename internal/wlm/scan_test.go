@@ -102,10 +102,12 @@ func TestCheckLineBytesMatchesCheckLine(t *testing.T) {
 	scanRecordsEqual(t, wlmGoodLine, nilRec, utcRec)
 }
 
-// TestScanBlockModeMatchesParseBlockMode pins the byte block parser to the
-// string block parser: same records, same lenient accounting, and the same
-// first-malformed-line strict error.
-func TestScanBlockModeMatchesParseBlockMode(t *testing.T) {
+// TestScanBlockModeMatchesScanner pins the ingestion block parser to the
+// string Scanner: same records, same lenient accounting, and the same
+// first-malformed-line strict error. The block starts at archive line 42;
+// the scanner gets 41 blank lines (skipped silently) in front so both count
+// the same line numbers.
+func TestScanBlockModeMatchesScanner(t *testing.T) {
 	var good, mixed strings.Builder
 	for _, l := range scanDiffLines {
 		good.WriteString(l)
@@ -118,6 +120,7 @@ func TestScanBlockModeMatchesParseBlockMode(t *testing.T) {
 	}
 	mixed.WriteString(wlmGoodLine) // no trailing newline: final fragment
 
+	const firstLine = 42
 	for _, tc := range []struct {
 		name  string
 		block string
@@ -129,10 +132,15 @@ func TestScanBlockModeMatchesParseBlockMode(t *testing.T) {
 		{"mixed lenient", mixed.String(), parse.Lenient},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			wantRecs, wantStats, wantErr := ParseBlockMode([]byte(tc.block), time.UTC, 42, tc.mode)
-			gotRecs, gotStats, gotErr := ScanBlockMode([]byte(tc.block), time.UTC, 42, tc.mode)
+			sc := NewScannerMode(strings.NewReader(strings.Repeat("\n", firstLine-1)+tc.block), time.UTC, tc.mode)
+			var wantRecs []Record
+			for sc.Scan() {
+				wantRecs = append(wantRecs, sc.Record())
+			}
+			wantStats, wantErr := sc.Stats(), sc.Err()
+			gotRecs, gotStats, gotErr := ScanBlockMode([]byte(tc.block), time.UTC, firstLine, tc.mode)
 			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("ScanBlockMode err = %v, ParseBlockMode err = %v", gotErr, wantErr)
+				t.Fatalf("ScanBlockMode err = %v, Scanner err = %v", gotErr, wantErr)
 			}
 			if wantErr != nil {
 				var wantPerr, gotPerr *parse.Error

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"logdiver/internal/parse"
-	"logdiver/internal/stream"
 )
 
 // EventType is the accounting record type letter.
@@ -118,8 +117,9 @@ func ParseRecord(s string, loc *time.Location) (Record, error) {
 }
 
 // CheckLine is the single authoritative per-line acceptance function of the
-// accounting format, shared by the sequential Scanner, the parallel block
-// parser and the robustness reconciler: blank lines are skipped silently
+// accounting format in string form, shared by the Scanner and the
+// robustness reconciler (CheckLineBytes is its ingestion twin, pinned to it
+// by the differential tests): blank lines are skipped silently
 // (skip == true), lines failing the shared encoding/oversize checks or
 // ParseRecord return a typed *parse.Error, and everything else yields the
 // parsed Record.
@@ -373,56 +373,6 @@ func (s *Scanner) Record() Record { return s.rec }
 // LineNo returns the 1-based archive line number of the most recently
 // scanned record.
 func (s *Scanner) LineNo() int { return s.lineNo }
-
-// ParseBlock parses every line of a newline-separated accounting block with
-// the exact per-line semantics of a lenient Scanner: blank lines are
-// skipped silently, unparseable lines are counted as malformed. Timestamps
-// are interpreted in loc (UTC if nil).
-func ParseBlock(block []byte, loc *time.Location) (recs []Record, malformed int) {
-	recs, stats, _ := ParseBlockMode(block, loc, 1, parse.Lenient)
-	return recs, stats.Malformed()
-}
-
-// ParseBlockMode is the unit of work of the parallel ingestion path: it
-// parses a block whose first line is archive line firstLine with the exact
-// per-line semantics of a sequential Scanner in the same mode. In lenient
-// mode malformed lines are accounted in stats with their archive line
-// numbers; in strict mode the first malformed line fails the block with its
-// typed error. CheckLine is pure, so blocks parse safely on concurrent
-// goroutines; concatenating results in block order reproduces a sequential
-// scan.
-func ParseBlockMode(block []byte, loc *time.Location, firstLine int, mode parse.Mode) (recs []Record, stats parse.LineStats, err error) {
-	if loc == nil {
-		loc = time.UTC
-	}
-	recs = make([]Record, 0, len(block)/96)
-	no := firstLine - 1
-	var failed *parse.Error
-	stream.ForEachLine(block, func(raw []byte) {
-		no++
-		if failed != nil {
-			return
-		}
-		rec, skip, perr := CheckLine(string(raw), loc)
-		if skip {
-			return
-		}
-		if perr != nil {
-			perr.Line = no
-			if mode == parse.Strict {
-				failed = perr
-				return
-			}
-			stats.Record(perr)
-			return
-		}
-		recs = append(recs, rec)
-	})
-	if failed != nil {
-		return nil, parse.LineStats{}, failed
-	}
-	return recs, stats, nil
-}
 
 // Malformed returns the number of skipped lines (lenient mode).
 func (s *Scanner) Malformed() int { return s.stats.Malformed() }
