@@ -38,9 +38,9 @@
 // error (transport failure, any other status, or a shed missing its
 // Retry-After hint).
 //
-// Against a daemon running in fleet mode (-fleet-config), the mix kinds
-// fleet and fleet_machine hit the merged /v1/fleet/* views and per-machine
-// shard views (-mix fleet=3,fleet_machine=2,...); preflight learns the
+// The mix kinds fleet and fleet_machine hit the merged /v1/fleet/* views
+// and per-machine shard views (-mix fleet=3,fleet_machine=2,...); every
+// daemon serves them (-data-dir is a fleet of one). Preflight learns the
 // shard machine names from the /v1/health fleet section.
 package main
 
@@ -147,8 +147,8 @@ func realMain() error {
 const defaultMix = "outcomes=3,scaling=2,mtti=1,categories=1,runs_list=2,runs_page=1,runs=1,cond=3,gzip=1"
 
 // fleetMix adds the scatter-gather plane to the default mix: merged fleet
-// views plus per-machine shard views. Use it against a daemon started with
-// -fleet-config (the fleet paths 404 on a single-machine daemon).
+// views plus per-machine shard views. It works against any daemon; behind
+// -data-dir the per-machine views all name the one shard.
 const fleetMix = defaultMix + ",fleet=3,fleet_machine=2"
 
 type mixEntry struct {
@@ -206,8 +206,7 @@ type plan struct {
 }
 
 // targets is what preflight learned about the server: real apids for run
-// drill-downs and, when the daemon serves a fleet, its shard machine names
-// for per-machine fleet views.
+// drill-downs and the daemon's shard machine names for per-machine views.
 type targets struct {
 	apids    []uint64
 	machines []string
@@ -262,8 +261,8 @@ func pickPlan(rng *rand.Rand, mix []mixEntry, total int, tg targets) plan {
 }
 
 // preflight waits for /v1/health to answer 200, learns the fleet's shard
-// machine names from the health body (empty for a single-machine daemon),
-// then learns a set of real apids from the first runs page so the mix can
+// machine names from the health body (one for a -data-dir daemon), then
+// learns a set of real apids from the first runs page so the mix can
 // exercise drill-downs.
 func preflight(client *http.Client, base string, wait time.Duration) (targets, error) {
 	var tg targets

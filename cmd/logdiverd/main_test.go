@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,7 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"logdiver/internal/core"
 	"logdiver/internal/gen"
+	"logdiver/internal/machine"
+	"logdiver/internal/serve"
+	"logdiver/internal/store"
 )
 
 // writeDataset generates one small-machine day of data and appends its
@@ -45,26 +50,38 @@ func writeDataset(t *testing.T, dir string, offsetDays int, seed int64) *gen.Dat
 	return ds
 }
 
+type restore struct {
+	Mode   string `json:"mode"`
+	Detail string `json:"detail"`
+	Epoch  uint64 `json:"epoch"`
+}
+
 type health struct {
-	Status  string `json:"status"`
-	Epoch   uint64 `json:"epoch"`
-	Runs    int    `json:"runs"`
-	Restore *struct {
-		Mode   string `json:"mode"`
-		Detail string `json:"detail"`
-		Epoch  uint64 `json:"epoch"`
-	} `json:"restore"`
-	Fleet *struct {
+	Status string `json:"status"`
+	Epoch  uint64 `json:"epoch"`
+	Runs   int    `json:"runs"`
+	Fleet  *struct {
 		FleetEpoch uint64 `json:"fleet_epoch"`
 		Partial    bool   `json:"partial"`
 		Shards     []struct {
-			Name   string `json:"name"`
-			Status string `json:"status"`
-			Epoch  uint64 `json:"epoch"`
-			Runs   int    `json:"runs"`
-			Error  string `json:"error"`
+			Name    string  `json:"name"`
+			Status  string  `json:"status"`
+			Epoch   uint64  `json:"epoch"`
+			Runs    int     `json:"runs"`
+			Error   string  `json:"error"`
+			Restore restore `json:"restore"`
 		} `json:"shards"`
 	} `json:"fleet"`
+}
+
+// soleRestore returns the boot provenance of a -data-dir daemon: the restore
+// object of its one shard row, which is named after the -machine profile.
+func soleRestore(t *testing.T, h health) restore {
+	t.Helper()
+	if h.Fleet == nil || len(h.Fleet.Shards) != 1 || h.Fleet.Shards[0].Name != "small" {
+		t.Fatalf("health fleet section %+v, want exactly the shard \"small\"", h.Fleet)
+	}
+	return h.Fleet.Shards[0].Restore
 }
 
 func getHealth(base string) (health, error) {
@@ -169,12 +186,12 @@ func TestDaemonEndToEnd(t *testing.T) {
 
 	// The archive grows; the daemon must notice and advance the epoch.
 	writeDataset(t, dir, 2, 32)
-	h2 := waitFor(t, base, "epoch advance", func(h health) bool {
-		return h.Epoch > firstEpoch
+	// (A poll may land between the three appends and advance the epoch on
+	// accounting lines alone, so wait for the runs, not just the epoch.)
+	firstRuns := h.Runs
+	waitFor(t, base, "epoch advance with new runs", func(h health) bool {
+		return h.Epoch > firstEpoch && h.Runs > firstRuns
 	})
-	if h2.Runs <= h.Runs {
-		t.Errorf("runs did not grow on append: %d -> %d", h.Runs, h2.Runs)
-	}
 
 	// Graceful shutdown on SIGTERM.
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
@@ -242,8 +259,8 @@ func TestDaemonWarmRestart(t *testing.T) {
 	h1 := waitFor(t, base, "first snapshot", func(h health) bool {
 		return h.Status == "ok" && h.Runs == len(ds1.Runs)
 	})
-	if h1.Restore == nil || h1.Restore.Mode != "cold" {
-		t.Fatalf("first life restore = %+v, want mode cold", h1.Restore)
+	if r := soleRestore(t, h1); r.Mode != "cold" {
+		t.Fatalf("first life restore = %+v, want mode cold", r)
 	}
 	stop()
 	if _, err := os.Stat(filepath.Join(stateDir, "state.ldv")); err != nil {
@@ -259,11 +276,12 @@ func TestDaemonWarmRestart(t *testing.T) {
 	h2 := waitFor(t, base2, "warm snapshot with growth", func(h health) bool {
 		return h.Status == "ok" && h.Runs > len(ds1.Runs)
 	})
-	if h2.Restore == nil || h2.Restore.Mode != "warm" {
-		t.Fatalf("second life restore = %+v, want mode warm", h2.Restore)
+	r2 := soleRestore(t, h2)
+	if r2.Mode != "warm" {
+		t.Fatalf("second life restore = %+v, want mode warm", r2)
 	}
-	if h2.Restore.Epoch != h1.Epoch {
-		t.Errorf("restored epoch %d, want the first life's last epoch %d", h2.Restore.Epoch, h1.Epoch)
+	if r2.Epoch != h1.Epoch {
+		t.Errorf("restored epoch %d, want the first life's last epoch %d", r2.Epoch, h1.Epoch)
 	}
 	if h2.Epoch <= h1.Epoch {
 		t.Errorf("epoch did not continue across restart: %d -> %d", h1.Epoch, h2.Epoch)
@@ -301,8 +319,8 @@ func TestDaemonRestoreFallback(t *testing.T) {
 		h := waitFor(t, base, "cold rebuild", func(h health) bool {
 			return h.Status == "ok" && h.Runs == len(ds.Runs)
 		})
-		if h.Restore == nil || h.Restore.Mode != "cold-fallback" || h.Restore.Detail == "" {
-			t.Fatalf("restore = %+v, want cold-fallback with a reason", h.Restore)
+		if r := soleRestore(t, h); r.Mode != "cold-fallback" || r.Detail == "" {
+			t.Fatalf("restore = %+v, want cold-fallback with a reason", r)
 		}
 	})
 
@@ -339,9 +357,158 @@ func TestDaemonRestoreFallback(t *testing.T) {
 	})
 }
 
+// fetch GETs url (with an optional If-None-Match) and returns status, ETag
+// and body.
+func fetch(t *testing.T, url, ifNoneMatch string) (int, string, string) {
+	t.Helper()
+	req, err := http.NewRequest("GET", url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ifNoneMatch != "" {
+		req.Header.Set("If-None-Match", ifNoneMatch)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header.Get("ETag"), string(body)
+}
+
+// TestDataDirMatchesBareSyncer pins what the deleted Syncer-only daemon
+// runtime served by what replaces it: the same archive ingested by a bare
+// store.Syncer behind serve.Config{Store} and by `logdiverd -data-dir` (a
+// one-shard fleet.Manager) answers every view with identical bytes; the
+// /v1/fleet/ family adds exactly the fleet object, and ?machine=<profile>
+// answers on both families under the shard's own entity tag.
+func TestDataDirMatchesBareSyncer(t *testing.T) {
+	dir := t.TempDir()
+	ds := writeDataset(t, dir, 0, 31)
+
+	top, err := machine.New(machine.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := store.New()
+	sy, err := store.NewSyncer(store.SyncerConfig{
+		Tailer: store.NewTailer(dir), Store: st, Topology: top, Location: time.UTC, Options: core.Options{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if installed, err := sy.Sync(); err != nil || !installed {
+		t.Fatalf("bare syncer: installed=%v err=%v", installed, err)
+	}
+	bare, err := serve.New(serve.Config{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := httptest.NewServer(bare)
+	defer ref.Close()
+
+	base, stop := bootDaemon(t, dir)
+	defer stop()
+	waitFor(t, base, "first snapshot", func(h health) bool {
+		return h.Status == "ok" && h.Runs == len(ds.Runs)
+	})
+
+	for _, path := range []string{
+		"/v1/outcomes", "/v1/scaling?class=xe", "/v1/scaling?class=xk", "/v1/mtti", "/v1/categories",
+		"/v1/runs", fmt.Sprintf("/v1/runs/%d", ds.Runs[len(ds.Runs)/2].ApID),
+	} {
+		wantCode, wantTag, want := fetch(t, ref.URL+path, "")
+		code, tag, got := fetch(t, base+path, "")
+		if code != http.StatusOK || code != wantCode || tag != wantTag || got != want {
+			t.Errorf("%s: daemon answered %d %s, bare syncer %d %s; bodies equal: %v\n%s",
+				path, code, tag, wantCode, wantTag, got == want, got)
+		}
+		if !strings.HasPrefix(path, "/v1/runs") {
+			// The fleet family: the same members, then the fleet object.
+			_, ftag, fleetBody := fetch(t, base+strings.Replace(path, "/v1/", "/v1/fleet/", 1), "")
+			const fleetObj = `,
+  "fleet": {
+    "partial": false,
+    "shards": [
+      {
+        "machine": "small",
+        "epoch": 1
+      }
+    ]
+  }
+}
+`
+			if wantFleet := strings.TrimSuffix(want, "\n}\n") + fleetObj; fleetBody != wantFleet || ftag != wantTag {
+				t.Errorf("fleet %s (%s):\n%s\nwant (%s):\n%s", path, ftag, fleetBody, wantTag, wantFleet)
+			}
+			// ?machine= on both families: the shard's own snapshot, which for
+			// a fleet of one holds the same numbers under the same epoch.
+			sep := "?"
+			if strings.Contains(path, "?") {
+				sep = "&"
+			}
+			for _, p := range []string{path, strings.Replace(path, "/v1/", "/v1/fleet/", 1)} {
+				url := base + p + sep + "machine=small"
+				code, tag, got := fetch(t, url, "")
+				if code != http.StatusOK || tag != `"small-1"` || got != want {
+					t.Errorf("%s: %d %s, want 200 \"small-1\" and the merged view's bytes\n%s", url, code, tag, got)
+				}
+				if code, _, body := fetch(t, url, tag); code != http.StatusNotModified || body != "" {
+					t.Errorf("%s revalidation: %d with %d body bytes, want empty 304", url, code, len(body))
+				}
+			}
+		}
+	}
+	if code, _, _ := fetch(t, base+"/v1/outcomes?machine=bluewaters", ""); code != http.StatusNotFound {
+		t.Errorf("unknown machine: status %d, want 404", code)
+	}
+}
+
+// TestDaemonSyncFailureDegrades pins the one policy decision of the single
+// topology: a sync error does not exit a -data-dir daemon. Its shard turns
+// failed, /v1/health turns degraded with the error in the shard row, the
+// last good snapshot keeps serving, and a later good round heals it.
+func TestDaemonSyncFailureDegrades(t *testing.T) {
+	dir := t.TempDir()
+	ds := writeDataset(t, dir, 0, 31)
+	base, stop := bootDaemon(t, dir)
+	defer stop()
+	waitFor(t, base, "first snapshot", func(h health) bool { return h.Status == "ok" && h.Runs == len(ds.Runs) })
+
+	// A directory where syslog.log was stats fine and fails to read.
+	syslog := filepath.Join(dir, store.SyslogFile)
+	if err := os.Rename(syslog, syslog+".aside"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(syslog, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	h := waitFor(t, base, "degraded health", func(h health) bool { return h.Status == "degraded" })
+	if sh := h.Fleet.Shards[0]; sh.Status != "failed" || sh.Error == "" || !h.Fleet.Partial || h.Runs != len(ds.Runs) {
+		t.Fatalf("degraded health: runs %d, fleet %+v", h.Runs, h.Fleet)
+	}
+	if code, _, body := fetch(t, base+"/v1/outcomes", ""); code != http.StatusOK {
+		t.Fatalf("outcomes while degraded: %d %s", code, body)
+	}
+
+	if err := os.Remove(syslog); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(syslog+".aside", syslog); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, base, "healed health", func(h health) bool {
+		return h.Status == "ok" && !h.Fleet.Partial && h.Fleet.Shards[0].Status == "ok"
+	})
+}
+
 func TestDaemonFlagValidation(t *testing.T) {
 	if err := run([]string{"-listen", "127.0.0.1:0"}, nil); err == nil {
-		t.Error("missing -data-dir accepted")
+		t.Error("neither -data-dir nor -fleet-config accepted")
 	}
 	if err := run([]string{"-data-dir", t.TempDir(), "-fleet-config", "fleet.conf"}, nil); err == nil {
 		t.Error("-data-dir with -fleet-config accepted")

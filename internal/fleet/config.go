@@ -1,5 +1,6 @@
-// Package fleet scales the online subsystem from one machine to a fleet:
-// one incremental pipeline + tailer/syncer per configured machine shard
+// Package fleet is the daemon's runtime, for one machine (a fleet of one
+// shard, which is what `logdiverd -data-dir` builds) or many: one
+// incremental pipeline + tailer/syncer per configured machine shard
 // (the informer-per-target idiom), each with its own epoch sequence and
 // persisted state, folded after every sync round into a single merged
 // snapshot (store.Merge) carrying the composite fleet epoch vector. The

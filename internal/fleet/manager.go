@@ -124,6 +124,8 @@ type shard struct {
 	statePath string
 	fp        persist.Fingerprint
 	restore   Restore
+	// fleetEpoch is the fleet epoch recorded in the restored state file.
+	fleetEpoch uint64
 
 	failed      bool
 	lastErr     string
@@ -144,9 +146,8 @@ type Manager struct {
 }
 
 // NewManager builds the per-shard runtimes, warm-restoring each shard that
-// has usable persisted state. Restore policy mirrors the single-machine
-// daemon: an unusable state file degrades that shard to a cold rebuild in
-// lenient mode and is a construction error in strict mode.
+// has usable persisted state: an unusable state file degrades that shard to
+// a cold rebuild in lenient mode and is a construction error in strict mode.
 func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if cfg.Config == nil || len(cfg.Config.Shards) == 0 {
 		return nil, fmt.Errorf("fleet: no shards configured")
@@ -183,22 +184,27 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		now:   now,
 		logf:  logf,
 	}
-	var epochSum uint64
+	var epochSum, seed uint64
 	for _, sc := range cfg.Config.Shards {
 		sh, err := newShard(sc, cfg.Options, rulesID, defaultTZ, now, logf)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: shard %q: %w", sc.Name, err)
 		}
 		epochSum += sh.restore.Epoch
+		seed = max(seed, sh.fleetEpoch)
 		m.shards = append(m.shards, sh)
 	}
-	// Seed the fleet epoch at the sum of the restored shard epochs. Each
-	// merged install advances some shard's epoch by at least one, so the
-	// fleet epoch (one per install) can never have exceeded that sum in a
-	// previous life of these state dirs — seeding here keeps fleet epochs,
-	// and therefore fleet ETags, monotonic across restarts.
-	if epochSum > 0 {
-		if err := m.fleet.Restore(epochSum); err != nil {
+	// Seed the fleet epoch so fleet ETags stay monotonic across restarts of
+	// these state dirs. The sum of the restored shard epochs is not enough
+	// on its own: a merged install triggered by a bare Partial flip
+	// advances the fleet epoch and no shard's, so every shard also persists
+	// the fleet epoch it last saw and the seed is the larger of the two
+	// (the sum still covers state files written before that field existed).
+	// The guarantee is as strong as the newest persisted shard state: a
+	// flip installed after the last persist (a shard still failed at
+	// shutdown is never persisted) is not remembered.
+	if seed = max(seed, epochSum); seed > 0 {
+		if err := m.fleet.Restore(seed); err != nil {
 			return nil, err
 		}
 	}
@@ -253,8 +259,7 @@ func newShard(sc ShardConfig, opts core.Options, rulesID, defaultTZ string, now 
 			Rules:     rulesID,
 			TimeZone:  tzName,
 		}
-		resume, sh.restore, err = loadShardState(sh.statePath, sh.fp, opts, sc.Name, logf)
-		if err != nil {
+		if resume, err = sh.loadState(opts, logf); err != nil {
 			return nil, err
 		}
 	}
@@ -295,34 +300,42 @@ func newShard(sc ShardConfig, opts core.Options, rulesID, defaultTZ string, now 
 // strictMode reports whether the fleet runs under the strict parse policy.
 func strictMode(opts core.Options) bool { return opts.ParseMode == parse.Strict }
 
-// loadShardState mirrors the daemon's state-loading policy for one shard.
-func loadShardState(path string, fp persist.Fingerprint, opts core.Options, name string, logf func(string, ...any)) (*store.SyncerState, Restore, error) {
-	ld, err := persist.Load(path)
+// loadState reads the shard's state file and decides its boot mode (left
+// in sh.restore). A missing file is a normal cold start. Any other failure —
+// structural corruption, version skew, a configuration fingerprint
+// mismatch — degrades to a cold rebuild in lenient mode and is an error
+// naming the file and the reason in strict mode. Whenever the file loads,
+// its epochs are kept even if the pipeline state is rejected: clients rely
+// on epochs never going backward across a restart of the same state dir.
+func (sh *shard) loadState(opts core.Options, logf func(string, ...any)) (*store.SyncerState, error) {
+	ld, err := persist.Load(sh.statePath)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, Restore{Mode: "cold", Detail: "no state file yet"}, nil
+		sh.restore = Restore{Mode: "cold", Detail: "no state file yet"}
+		return nil, nil
 	}
-	reject := func(reason error) (*store.SyncerState, Restore, error) {
-		if strictMode(opts) {
-			return nil, Restore{}, fmt.Errorf("state restore: %w (strict mode refuses to guess: delete the state file to rebuild cold)", reason)
+	if ld != nil {
+		sh.fleetEpoch = ld.FleetEpoch
+		if diff := ld.Fingerprint.Diff(sh.fp); diff != "" {
+			err = fmt.Errorf("%s: configuration changed since the state was written: %s", sh.statePath, diff)
 		}
-		logf("fleet: shard %s: state restore failed; rebuilding cold: %v", name, reason)
-		info := Restore{Mode: "cold-fallback", Detail: reason.Error()}
-		if ld != nil {
-			info.Epoch = ld.Epoch
-		}
-		return nil, info, nil
 	}
 	if err != nil {
-		return reject(err)
+		if strictMode(opts) {
+			return nil, fmt.Errorf("state restore: %w (strict mode refuses to guess: delete the state file to rebuild cold)", err)
+		}
+		logf("fleet: shard %s: state restore failed; rebuilding cold: %v", sh.cfg.Name, err)
+		sh.restore = Restore{Mode: "cold-fallback", Detail: err.Error()}
+		if ld != nil {
+			sh.restore.Epoch = ld.Epoch
+		}
+		return nil, nil
 	}
-	if diff := ld.Fingerprint.Diff(fp); diff != "" {
-		return reject(fmt.Errorf("%s: configuration changed since the state was written: %s", path, diff))
-	}
-	return ld.Syncer, Restore{Mode: "warm", Epoch: ld.Epoch, SavedAt: ld.SavedAt}, nil
+	sh.restore = Restore{Mode: "warm", Epoch: ld.Epoch, SavedAt: ld.SavedAt}
+	return ld.Syncer, nil
 }
 
 // FleetStore returns the store the merged fleet snapshots are installed
-// into; the serving layer reads it like any single-machine store.
+// into; it is the serving layer's store.
 func (m *Manager) FleetStore() *store.Store { return m.fleet }
 
 // View returns the latest published fleet view.
@@ -361,18 +374,20 @@ func (m *Manager) SyncRound(ctx context.Context) Round {
 	}
 	wg.Wait()
 	for i, sh := range m.shards {
-		if err := rounds[i].Err; err != nil {
-			sh.failed = true
-			sh.lastErr = err.Error()
-			continue
-		}
-		sh.failed = false
+		sh.failed = rounds[i].Err != nil
 		sh.lastErr = ""
+		if sh.failed {
+			sh.lastErr = rounds[i].Err.Error()
+		}
+	}
+	installed := m.publish()
+	// Persist after publishing, so the fleet epoch a shard records covers
+	// the merged install its own new epoch caused.
+	for i, sh := range m.shards {
 		if rounds[i].Installed {
 			m.persistShard(sh, false)
 		}
 	}
-	installed := m.publish()
 	m.fleet.MarkSync(m.now())
 	return Round{Shards: rounds, Installed: installed, FleetEpoch: m.fleet.Epoch()}
 }
@@ -446,6 +461,7 @@ func (m *Manager) persistShard(sh *shard, force bool) {
 		err = persist.Save(sh.statePath, &persist.State{
 			SavedAt:     m.now(),
 			Epoch:       sh.store.Epoch(),
+			FleetEpoch:  m.fleet.Epoch(),
 			Fingerprint: sh.fp,
 			Syncer:      sst,
 		})

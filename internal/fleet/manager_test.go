@@ -244,6 +244,71 @@ func TestManagerWarmRestart(t *testing.T) {
 	}
 }
 
+// TestManagerFleetEpochMonotonicAcrossPartialFlips pins the fleet ETag
+// contract across a restart: a merged install caused by a bare Partial flip
+// advances the fleet epoch and no shard's, so the restored shard epochs
+// alone under-count the fleet epochs already handed out. Every fleet epoch
+// must name one (vector, partial) state across both lives of the state dir.
+func TestManagerFleetEpochMonotonicAcrossPartialFlips(t *testing.T) {
+	machines := thinFleet(t, 1)
+	root := t.TempDir()
+	cfg := testFleet(t, root, machines, true)
+	mgr, err := NewManager(ManagerConfig{Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	seen := map[uint64]string{}
+	sync := func(m *Manager) *View {
+		t.Helper()
+		m.SyncRound(context.Background())
+		v := m.View()
+		if v.Merged == nil {
+			t.Fatal("no merged snapshot")
+		}
+		state := fmt.Sprintf("%+v partial=%v", v.Merged.Shards, v.Merged.Partial)
+		if prev, ok := seen[v.FleetEpoch]; ok && prev != state {
+			t.Fatalf("fleet epoch %d reused: was %s, now %s", v.FleetEpoch, prev, state)
+		}
+		seen[v.FleetEpoch] = state
+		return v
+	}
+
+	sync(mgr)
+	// Fail the shard (a directory where syslog.log was), then heal it by
+	// moving the file back: two Partial flips, at most one new shard epoch.
+	syslog := filepath.Join(root, machines[0].Name, store.SyslogFile)
+	if err := os.Rename(syslog, syslog+".aside"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(syslog, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if v := sync(mgr); !v.Partial {
+		t.Fatal("unreadable syslog did not degrade the fleet")
+	}
+	if err := os.Remove(syslog); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(syslog+".aside", syslog); err != nil {
+		t.Fatal(err)
+	}
+	before := sync(mgr)
+	if before.Partial || before.FleetEpoch <= before.Shards[0].Epoch {
+		t.Fatalf("healed fleet: partial=%v fleet epoch %d shard epoch %d, want a full fleet whose epoch outran its shard's",
+			before.Partial, before.FleetEpoch, before.Shards[0].Epoch)
+	}
+	mgr.PersistAll()
+
+	mgr2, err := NewManager(ManagerConfig{Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := sync(mgr2); after.FleetEpoch <= before.FleetEpoch {
+		t.Fatalf("fleet epoch went backward across the restart: %d -> %d", before.FleetEpoch, after.FleetEpoch)
+	}
+}
+
 func TestManagerStrictRefusesBadState(t *testing.T) {
 	machines := thinFleet(t, 1)
 	root := t.TempDir()

@@ -79,6 +79,11 @@ type State struct {
 	// Epoch is the last snapshot epoch published before saving. The
 	// restarted store continues the sequence from here.
 	Epoch uint64
+	// FleetEpoch is the merged-view epoch of the fleet manager that owned
+	// this shard when it saved; a restarted manager never seeds its fleet
+	// epoch below it. Zero in files written before the field existed (gob
+	// tolerates the absence).
+	FleetEpoch uint64
 	// Fingerprint identifies the configuration the state was built under.
 	Fingerprint Fingerprint
 	// Syncer is the full ingestion resume state.

@@ -35,16 +35,25 @@ const (
 	// limit) — the page every fresh traversal starts from. Other pages are
 	// rendered per request; they are bounded and comparatively rare.
 	viewRunsFirst
-	// The merged /v1/fleet/* views. In fleet mode the store's snapshots ARE
-	// merged fleet snapshots, so these cache alongside the plain views under
-	// the same epoch-vector-bearing snapshot pointer.
-	viewFleetOutcomes
-	viewFleetScalingXE
-	viewFleetScalingXK
-	viewFleetMTTI
-	viewFleetCategories
 	numViews
+	// numAggViews counts the aggregate views, which come first: the rows of
+	// aggViews.
+	numAggViews = viewRunsFirst
 )
+
+// renderView renders one cacheable view from snap. fleet selects the
+// /v1/fleet/ rendering of an aggregate view: the same body plus the fleet
+// object carrying snap's epoch vector.
+func renderView(view viewID, snap *store.Snapshot, fleet bool) []byte {
+	if view == viewRunsFirst {
+		return renderRunsFirst(snap)
+	}
+	var fm *fleetMeta
+	if fleet {
+		fm = &fleetMeta{Partial: snap.Partial, Shards: snap.EpochVector()}
+	}
+	return encodeJSON(aggViews[view].body(snap, fm))
+}
 
 // cacheControl is sent on every snapshot-derived response: any cache may
 // store it, but must revalidate with If-None-Match before reuse. Within an
@@ -63,9 +72,11 @@ type cachedView struct {
 
 // viewCaches holds every cacheable view rendered from exactly one snapshot.
 type viewCaches struct {
-	snap  *store.Snapshot
-	etag  string
-	views [numViews]cachedView
+	snap *store.Snapshot
+	etag string
+	// views holds each view's plain rendering at [0] and its /v1/fleet/
+	// rendering at [1], both from the same snapshot pointer.
+	views [numViews][2]cachedView
 	// whatif caches POST /v1/whatif reports, which are keyed by request
 	// material rather than a fixed view ID; see whatif.go.
 	whatif whatifCache
@@ -78,18 +89,41 @@ func newViewCaches(snap *store.Snapshot) *viewCaches {
 	}
 }
 
-// view returns the representations of v, rendering and compressing them on
-// first use. renders counts first-time renders for /metrics.
-func (c *viewCaches) view(v viewID, render func(*store.Snapshot) []byte, renders *atomic.Uint64) *cachedView {
-	cv := &c.views[v]
+// fill renders and compresses the view on first use. renders counts
+// first-time renders for /metrics.
+func (cv *cachedView) fill(render func() []byte, renders *atomic.Uint64) {
 	cv.once.Do(func() {
-		cv.body = render(c.snap)
+		cv.body = render()
 		cv.gz = gzipBytes(cv.body)
 		cv.bodyLen = strconv.Itoa(len(cv.body))
 		cv.gzLen = strconv.Itoa(len(cv.gz))
 		renders.Add(1)
 	})
-	return cv
+}
+
+// write sends the representation the request negotiated.
+func (cv *cachedView) write(w http.ResponseWriter, r *http.Request) {
+	h := w.Header()
+	if acceptsGzip(r) {
+		h.Set("Content-Encoding", "gzip")
+		h.Set("Content-Length", cv.gzLen)
+		_, _ = w.Write(cv.gz)
+		return
+	}
+	h.Set("Content-Length", cv.bodyLen)
+	_, _ = w.Write(cv.body)
+}
+
+// writeEncoded sends a body rendered for this one request, compressing it
+// when the request allows.
+func writeEncoded(w http.ResponseWriter, r *http.Request, body []byte) {
+	h := w.Header()
+	if acceptsGzip(r) {
+		body = gzipBytes(body)
+		h.Set("Content-Encoding", "gzip")
+	}
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body)
 }
 
 // gzipBytes compresses b at BestSpeed. The output is deterministic for a
@@ -193,50 +227,42 @@ func (s *Server) etagFor(snap *store.Snapshot) string {
 	return s.cacheFor(snap).etag
 }
 
-// serveView answers one cacheable endpoint from the handler's snapshot:
-// conditional 304 first, then pre-encoded cached bytes (with negotiated
-// gzip), or a direct render when caching is disabled. Cached and direct
-// bodies are byte-identical by construction.
-func (s *Server) serveView(w http.ResponseWriter, r *http.Request, snap *store.Snapshot, view viewID, render func(*store.Snapshot) []byte) {
+// notModified sets the validators every snapshot-derived response carries
+// and reports whether it answered the request with an empty 304.
+func (s *Server) notModified(w http.ResponseWriter, r *http.Request, etag string) bool {
 	h := w.Header()
-	var etag string
-	var c *viewCaches
-	if s.cfg.DisableCache {
-		etag = `"` + strconv.FormatUint(snap.Epoch, 10) + `"`
-	} else {
-		c = s.cacheFor(snap)
-		etag = c.etag
-	}
 	h.Set("ETag", etag)
 	h.Set("Cache-Control", cacheControl)
 	h.Set("Vary", "Accept-Encoding")
 	if etagMatch(r.Header.Get("If-None-Match"), etag) {
 		s.prom.notModified.Add(1)
 		w.WriteHeader(http.StatusNotModified)
-		return
+		return true
 	}
 	h.Set("Content-Type", "application/json")
-	if c == nil {
-		body := render(snap)
-		if acceptsGzip(r) {
-			gz := gzipBytes(body)
-			h.Set("Content-Encoding", "gzip")
-			h.Set("Content-Length", strconv.Itoa(len(gz)))
-			_, _ = w.Write(gz)
-			return
+	return false
+}
+
+// serveView answers one cacheable endpoint from the handler's snapshot:
+// conditional 304 first, then pre-encoded cached bytes (with negotiated
+// gzip), or a direct render when caching is disabled. Cached and direct
+// bodies are byte-identical by construction.
+func (s *Server) serveView(w http.ResponseWriter, r *http.Request, snap *store.Snapshot, view viewID, fleet bool) {
+	if s.cfg.DisableCache {
+		if !s.notModified(w, r, s.etagFor(snap)) {
+			writeEncoded(w, r, renderView(view, snap, fleet))
 		}
-		h.Set("Content-Length", strconv.Itoa(len(body)))
-		_, _ = w.Write(body)
 		return
 	}
-	cv := c.view(view, render, &s.prom.cacheRenders)
+	c := s.cacheFor(snap)
+	if s.notModified(w, r, c.etag) {
+		return
+	}
+	cv := &c.views[view][0]
+	if fleet {
+		cv = &c.views[view][1]
+	}
+	cv.fill(func() []byte { return renderView(view, snap, fleet) }, &s.prom.cacheRenders)
 	s.prom.cacheServed.Add(1)
-	if acceptsGzip(r) {
-		h.Set("Content-Encoding", "gzip")
-		h.Set("Content-Length", cv.gzLen)
-		_, _ = w.Write(cv.gz)
-		return
-	}
-	h.Set("Content-Length", cv.bodyLen)
-	_, _ = w.Write(cv.body)
+	cv.write(w, r)
 }

@@ -9,112 +9,43 @@ import (
 	"logdiver/internal/store"
 )
 
-// Fleet endpoints: the scatter-gather query plane. In fleet mode the
-// server's store IS the fleet store, so /v1/fleet/* merged views ride the
-// same per-epoch response cache as the single-machine endpoints — the
-// cached bytes are rendered from one merged snapshot pointer and carry its
-// composite epoch vector, which makes a mixed-epoch fleet response
-// impossible by construction. ?machine= narrows any fleet endpoint to one
-// shard's last good snapshot, rendered per request under its own
+// The fleet side of the query plane. The daemon always serves a
+// fleet.Manager — one shard for -data-dir, several for -fleet-config — and
+// the server's store IS the manager's merged store, so every view rides one
+// per-epoch response cache: the cached bytes are rendered from one merged
+// snapshot pointer and carry its composite epoch vector, which makes a
+// mixed-epoch response impossible by construction. /v1/fleet/<view> is
+// /v1/<view> plus the fleet object; ?machine= narrows either to one shard's
+// last good snapshot, rendered per request under its own
 // "<machine>-<epoch>" entity tag.
 
-// fleetMeta rides on every merged fleet response. The embedded epoch of the
-// response is the fleet epoch; Shards is the per-machine epoch vector the
-// merged snapshot was folded from.
+// noFleet is what a server built over a bare Store (tests, the benchmark's
+// batch phase) reports: no manager, so no shards.
+var noFleet = &fleet.View{}
+
+// fleetView returns the manager's latest published view.
+func (s *Server) fleetView() *fleet.View {
+	if s.cfg.Fleet == nil {
+		return noFleet
+	}
+	return s.cfg.Fleet.View()
+}
+
+// fleetMeta is the trailing fleet object of every /v1/fleet/<view>
+// response. The epoch of the response is the fleet epoch; Shards is the
+// per-machine epoch vector the merged snapshot was folded from.
 type fleetMeta struct {
 	Partial bool               `json:"partial"`
 	Shards  []store.ShardEpoch `json:"shards"`
 }
 
-func fleetMetaOf(snap *store.Snapshot) fleetMeta {
-	return fleetMeta{Partial: snap.Partial, Shards: snap.EpochVector()}
-}
-
-type fleetOutcomesResponse struct {
-	outcomesResponse
-	Fleet fleetMeta `json:"fleet"`
-}
-
-type fleetScalingResponse struct {
-	scalingResponse
-	Fleet fleetMeta `json:"fleet"`
-}
-
-type fleetMTTIResponse struct {
-	mttiResponse
-	Fleet fleetMeta `json:"fleet"`
-}
-
-type fleetCategoriesResponse struct {
-	categoriesResponse
-	Fleet fleetMeta `json:"fleet"`
-}
-
-func renderFleetOutcomes(snap *store.Snapshot) []byte {
-	return encodeJSON(fleetOutcomesResponse{outcomesBody(snap), fleetMetaOf(snap)})
-}
-
-func renderFleetScalingXE(snap *store.Snapshot) []byte {
-	return encodeJSON(fleetScalingResponse{scalingBody(snap, "xe", snap.ScalingXE), fleetMetaOf(snap)})
-}
-
-func renderFleetScalingXK(snap *store.Snapshot) []byte {
-	return encodeJSON(fleetScalingResponse{scalingBody(snap, "xk", snap.ScalingXK), fleetMetaOf(snap)})
-}
-
-func renderFleetMTTI(snap *store.Snapshot) []byte {
-	return encodeJSON(fleetMTTIResponse{mttiBody(snap), fleetMetaOf(snap)})
-}
-
-func renderFleetCategories(snap *store.Snapshot) []byte {
-	return encodeJSON(fleetCategoriesResponse{categoriesBody(snap), fleetMetaOf(snap)})
-}
-
-// fleetView dispatches one fleet endpoint: the ?machine= per-shard view
-// when the parameter is present, otherwise the cached merged view.
-func (s *Server) fleetView(w http.ResponseWriter, r *http.Request, view viewID, merged, shard func(*store.Snapshot) []byte) {
-	if m := r.URL.Query().Get("machine"); m != "" {
-		s.serveShardView(w, r, m, shard)
-		return
-	}
-	snap, ok := s.snapshot(w)
-	if !ok {
-		return
-	}
-	s.serveView(w, r, snap, view, merged)
-}
-
-func (s *Server) handleFleetOutcomes(w http.ResponseWriter, r *http.Request) {
-	s.fleetView(w, r, viewFleetOutcomes, renderFleetOutcomes, renderOutcomes)
-}
-
-func (s *Server) handleFleetScaling(w http.ResponseWriter, r *http.Request) {
-	switch class := r.URL.Query().Get("class"); class {
-	case "", "xe":
-		s.fleetView(w, r, viewFleetScalingXE, renderFleetScalingXE, renderScalingXE)
-	case "xk":
-		s.fleetView(w, r, viewFleetScalingXK, renderFleetScalingXK, renderScalingXK)
-	default:
-		s.writeErr(w, http.StatusBadRequest, fmt.Sprintf("unknown class %q: want xe or xk", class))
-	}
-}
-
-func (s *Server) handleFleetMTTI(w http.ResponseWriter, r *http.Request) {
-	s.fleetView(w, r, viewFleetMTTI, renderFleetMTTI, renderMTTI)
-}
-
-func (s *Server) handleFleetCategories(w http.ResponseWriter, r *http.Request) {
-	s.fleetView(w, r, viewFleetCategories, renderFleetCategories, renderCategories)
-}
-
-// serveShardView answers one fleet endpoint narrowed to a single shard. The
-// shard's last good snapshot is rendered per request (shard views are the
-// rare drill-down; the merged view is the hot path) under an entity tag
+// serveShardView answers one view narrowed to a single shard. The shard's
+// last good snapshot is rendered per request (shard views are the rare
+// drill-down; the merged view is the hot path) under an entity tag
 // combining the machine name with the shard epoch, so conditional requests
 // revalidate exactly like the cached endpoints do.
-func (s *Server) serveShardView(w http.ResponseWriter, r *http.Request, machine string, render func(*store.Snapshot) []byte) {
-	v := s.cfg.Fleet.View()
-	for _, st := range v.Shards {
+func (s *Server) serveShardView(w http.ResponseWriter, r *http.Request, machine string, view viewID) {
+	for _, st := range s.fleetView().Shards {
 		if st.Name != machine {
 			continue
 		}
@@ -123,27 +54,10 @@ func (s *Server) serveShardView(w http.ResponseWriter, r *http.Request, machine 
 				fmt.Sprintf("shard %q has no snapshot yet: ingestion warming up", machine))
 			return
 		}
-		h := w.Header()
 		etag := `"` + machine + "-" + strconv.FormatUint(st.Snap.Epoch, 10) + `"`
-		h.Set("ETag", etag)
-		h.Set("Cache-Control", cacheControl)
-		h.Set("Vary", "Accept-Encoding")
-		if etagMatch(r.Header.Get("If-None-Match"), etag) {
-			s.prom.notModified.Add(1)
-			w.WriteHeader(http.StatusNotModified)
-			return
+		if !s.notModified(w, r, etag) {
+			writeEncoded(w, r, renderView(view, st.Snap, false))
 		}
-		h.Set("Content-Type", "application/json")
-		body := render(st.Snap)
-		if acceptsGzip(r) {
-			gz := gzipBytes(body)
-			h.Set("Content-Encoding", "gzip")
-			h.Set("Content-Length", strconv.Itoa(len(gz)))
-			_, _ = w.Write(gz)
-			return
-		}
-		h.Set("Content-Length", strconv.Itoa(len(body)))
-		_, _ = w.Write(body)
 		return
 	}
 	s.writeErr(w, http.StatusNotFound, fmt.Sprintf("unknown machine %q", machine))
@@ -171,9 +85,8 @@ type fleetHealth struct {
 }
 
 // fleetHealthOf builds the health section from the manager's published
-// view; degraded reports whether any shard is down.
-func (s *Server) fleetHealthOf() (*fleetHealth, bool) {
-	v := s.cfg.Fleet.View()
+// view.
+func (s *Server) fleetHealthOf(v *fleet.View) *fleetHealth {
 	fh := &fleetHealth{FleetEpoch: v.FleetEpoch, Partial: v.Partial, Shards: make([]shardHealth, 0, len(v.Shards))}
 	now := s.cfg.Now()
 	for _, st := range v.Shards {
@@ -190,7 +103,7 @@ func (s *Server) fleetHealthOf() (*fleetHealth, bool) {
 		}
 		fh.Shards = append(fh.Shards, sh)
 	}
-	return fh, v.Partial
+	return fh
 }
 
 // ---- /metrics fleet gauges ----
@@ -198,14 +111,13 @@ func (s *Server) fleetHealthOf() (*fleetHealth, bool) {
 // fleetGauges builds the per-shard labeled gauge families and folds the
 // fleet-wide scalars into gauges.
 func (s *Server) fleetGauges(gauges map[string]float64) []gaugeFamily {
-	v := s.cfg.Fleet.View()
+	v := s.fleetView()
 	gauges["logdiver_fleet_shards"] = float64(len(v.Shards))
-	if v.Partial {
-		gauges["logdiver_fleet_partial"] = 1
-	} else {
-		gauges["logdiver_fleet_partial"] = 0
-	}
+	gauges["logdiver_fleet_partial"] = b2f(v.Partial)
 	gauges["logdiver_fleet_epoch"] = float64(v.FleetEpoch)
+	// 1 when every shard of this process warm-started from persisted state,
+	// 0 when any rebuilt cold (including fallback after a rejected file).
+	warm := len(v.Shards) > 0
 
 	epoch := gaugeFamily{
 		name:  "logdiver_shard_epoch",
@@ -230,11 +142,16 @@ func (s *Server) fleetGauges(gauges map[string]float64) []gaugeFamily {
 			lagS = now.Sub(st.LastSync).Seconds()
 		}
 		lag.samples = append(lag.samples, labeledGauge{st.Name, lagS})
-		var u float64
-		if st.Status == "ok" {
-			u = 1
-		}
-		up.samples = append(up.samples, labeledGauge{st.Name, u})
+		up.samples = append(up.samples, labeledGauge{st.Name, b2f(st.Status == "ok")})
+		warm = warm && st.Restore.Mode == "warm"
 	}
+	gauges["logdiver_warm_restart"] = b2f(warm)
 	return []gaugeFamily{epoch, lag, up}
+}
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }

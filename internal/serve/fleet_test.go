@@ -10,18 +10,20 @@ import (
 	"strings"
 	"testing"
 
+	"logdiver/internal/core"
 	"logdiver/internal/fleet"
 	"logdiver/internal/gen"
+	"logdiver/internal/parse"
 	"logdiver/internal/store"
 	"logdiver/internal/version"
 )
 
-// testFleetServer boots a 2-shard fleet manager over generated archives and
-// serves it; the returned root locates the shard archive dirs for
-// fault-injection tests.
-func testFleetServer(t *testing.T) (*fleet.Manager, *httptest.Server, string) {
+// newTestFleet lays out k generated shard archives and serves a manager
+// over them that has not synced yet; the returned root locates the shard
+// archive dirs for fault-injection tests.
+func newTestFleet(t *testing.T, k int, opts core.Options) (*fleet.Manager, *httptest.Server, string) {
 	t.Helper()
-	machines := gen.Fleet(2, 1, 17)
+	machines := gen.Fleet(k, 1, 17)
 	for i := range machines {
 		machines[i].Config.Workload.JobsPerDay = 60
 	}
@@ -42,11 +44,10 @@ func testFleetServer(t *testing.T) (*fleet.Manager, *httptest.Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := fleet.NewManager(fleet.ManagerConfig{Config: cfg})
+	mgr, err := fleet.NewManager(fleet.ManagerConfig{Config: cfg, Options: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr.SyncRound(t.Context())
 	srv, err := New(Config{Fleet: mgr, Version: version.Get()})
 	if err != nil {
 		t.Fatal(err)
@@ -56,16 +57,40 @@ func testFleetServer(t *testing.T) (*fleet.Manager, *httptest.Server, string) {
 	return mgr, ts, root
 }
 
+// testFleetServer serves a 2-shard fleet after its first sync round.
+func testFleetServer(t *testing.T) (*fleet.Manager, *httptest.Server, string) {
+	t.Helper()
+	mgr, ts, root := newTestFleet(t, 2, core.Options{})
+	mgr.SyncRound(t.Context())
+	return mgr, ts, root
+}
+
+// breakSyslog replaces a shard's syslog with a directory, which stats fine
+// but fails to read: the shard's next sync round errors.
+func breakSyslog(t *testing.T, root, machine string) {
+	t.Helper()
+	syslog := filepath.Join(root, machine, store.SyslogFile)
+	if err := os.Remove(syslog); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(syslog, 0o755); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFleetEndpointsMergedView(t *testing.T) {
 	mgr, ts, _ := testFleetServer(t)
 	v := mgr.View()
 
-	var out fleetOutcomesResponse
+	var out outcomesResponse
 	if code := getJSON(t, ts.URL+"/v1/fleet/outcomes", &out); code != http.StatusOK {
 		t.Fatalf("fleet outcomes status %d", code)
 	}
 	if out.Epoch != v.FleetEpoch {
 		t.Fatalf("fleet outcomes epoch %d, want fleet epoch %d", out.Epoch, v.FleetEpoch)
+	}
+	if out.Fleet == nil {
+		t.Fatal("fleet outcomes without the fleet object")
 	}
 	if out.Fleet.Partial {
 		t.Fatal("healthy fleet reported partial")
@@ -203,23 +228,16 @@ func TestFleetDegradedShardServes(t *testing.T) {
 	before := mgr.View()
 	victim := before.Shards[1].Name
 
-	// Replace the victim's syslog with a directory: the next poll fails,
-	// the shard degrades, and the fleet keeps serving its last good
-	// snapshot merged with the healthy shard.
-	syslog := filepath.Join(root, victim, store.SyslogFile)
-	if err := os.Remove(syslog); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Mkdir(syslog, 0o755); err != nil {
-		t.Fatal(err)
-	}
+	// The next poll fails, the shard degrades, and the fleet keeps serving
+	// its last good snapshot merged with the healthy shard.
+	breakSyslog(t, root, victim)
 	mgr.SyncRound(t.Context())
 
-	var out fleetOutcomesResponse
+	var out outcomesResponse
 	if code := getJSON(t, ts.URL+"/v1/fleet/outcomes", &out); code != http.StatusOK {
 		t.Fatalf("degraded fleet outcomes status %d", code)
 	}
-	if !out.Fleet.Partial {
+	if out.Fleet == nil || !out.Fleet.Partial {
 		t.Fatal("degraded fleet response not marked partial")
 	}
 	if len(out.Fleet.Shards) != 2 {
@@ -265,5 +283,121 @@ func TestFleetDegradedShardServes(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("degraded metrics missing %q", want)
 		}
+	}
+}
+
+// TestStrictPoisoningStaysFailed: a strict-mode parse failure after the
+// first snapshot poisons the shard's pipeline for good. Idle rounds after it
+// must not heal the shard: it stays failed, health stays degraded, the last
+// good snapshot keeps serving and the fleet epoch stops advancing.
+func TestStrictPoisoningStaysFailed(t *testing.T) {
+	mgr, ts, root := newTestFleet(t, 1, core.Options{ParseMode: parse.Strict})
+	name := mgr.Machines()[0]
+	// Generated syslogs carry a few malformed lines by design; strict mode
+	// needs a clean first round.
+	if err := os.WriteFile(filepath.Join(root, name, store.SyslogFile), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if r := mgr.SyncRound(t.Context()); r.Shards[0].Err != nil || !r.Installed {
+		t.Fatalf("clean strict round: %+v", r)
+	}
+
+	f, err := os.OpenFile(filepath.Join(root, name, store.AccountingFile), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("not an accounting record\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	poisoned := mgr.SyncRound(t.Context())
+	if poisoned.Shards[0].Err == nil {
+		t.Fatal("strict mode accepted a malformed line")
+	}
+
+	for i := range 3 {
+		r := mgr.SyncRound(t.Context()) // nothing new to read
+		if r.Shards[0].Err == nil || r.Shards[0].Err.Error() != poisoned.Shards[0].Err.Error() {
+			t.Fatalf("idle round %d: err %v, want the poisoning error %v", i, r.Shards[0].Err, poisoned.Shards[0].Err)
+		}
+		if r.Installed || r.FleetEpoch != poisoned.FleetEpoch {
+			t.Fatalf("idle round %d: fleet epoch %d (installed=%v), want it parked at %d", i, r.FleetEpoch, r.Installed, poisoned.FleetEpoch)
+		}
+		var h healthResponse
+		if code := getJSON(t, ts.URL+"/v1/health", &h); code != http.StatusOK {
+			t.Fatalf("idle round %d: health status %d", i, code)
+		}
+		if h.Status != "degraded" || !h.Fleet.Partial || h.Fleet.Shards[0].Status != "failed" ||
+			!strings.Contains(h.Fleet.Shards[0].Error, "line") {
+			t.Fatalf("idle round %d: health %q, fleet %+v", i, h.Status, h.Fleet)
+		}
+	}
+	var out outcomesResponse
+	if code := getJSON(t, ts.URL+"/v1/outcomes", &out); code != http.StatusOK || out.TotalRuns == 0 {
+		t.Fatalf("last good snapshot not served: status %d, %d runs", code, out.TotalRuns)
+	}
+}
+
+// TestHealthShowsFirstRoundFailures: a shard that fails its very first sync
+// round has no snapshot to fall back on, so /v1/health is the only place
+// that can say why. While no shard has installed anything the answer is the
+// 503 "starting" body and it must carry the shard rows; as soon as one shard
+// serves, the same rows ride the 200 "degraded" body.
+func TestHealthShowsFirstRoundFailures(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		shards     int
+		opts       core.Options
+		fail       func(t *testing.T, root, machine string)
+		failed     int
+		wantCode   int
+		wantStatus string
+	}{
+		{"one-shard-unreadable-archive", 1, core.Options{}, breakSyslog, 1,
+			http.StatusServiceUnavailable, "starting"},
+		{"one-shard-strict-malformed-first-line", 1, core.Options{ParseMode: parse.Strict},
+			func(t *testing.T, root, machine string) {
+				path := filepath.Join(root, machine, store.AccountingFile)
+				good, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, append([]byte("not an accounting record\n"), good...), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}, 1, http.StatusServiceUnavailable, "starting"},
+		{"three-shards-all-failed", 3, core.Options{}, breakSyslog, 3,
+			http.StatusServiceUnavailable, "starting"},
+		{"three-shards-two-failed", 3, core.Options{}, breakSyslog, 2,
+			http.StatusOK, "degraded"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mgr, ts, root := newTestFleet(t, tc.shards, tc.opts)
+			names := mgr.Machines()
+			for _, name := range names[:tc.failed] {
+				tc.fail(t, root, name)
+			}
+			mgr.SyncRound(t.Context())
+
+			var h healthResponse // a superset of the 503 body's fields
+			if code := getJSON(t, ts.URL+"/v1/health", &h); code != tc.wantCode {
+				t.Fatalf("status %d, want %d", code, tc.wantCode)
+			}
+			if h.Status != tc.wantStatus || h.Fleet == nil || !h.Fleet.Partial || len(h.Fleet.Shards) != tc.shards {
+				t.Fatalf("health: status=%q fleet=%+v", h.Status, h.Fleet)
+			}
+			for i, sh := range h.Fleet.Shards {
+				if sh.Name != names[i] || sh.Restore.Mode != "cold" {
+					t.Errorf("row %d: %+v", i, sh)
+				}
+				if i < tc.failed {
+					if sh.Status != "failed" || sh.Error == "" || sh.Epoch != 0 {
+						t.Errorf("failed shard row %+v, want status failed with the error and epoch 0", sh)
+					}
+				} else if sh.Status != "ok" || sh.Error != "" {
+					t.Errorf("healthy shard row %+v", sh)
+				}
+			}
+		})
 	}
 }

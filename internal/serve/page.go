@@ -161,21 +161,12 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		limit = min(n, MaxPageSize)
 	}
 	if after == 0 && limit == DefaultPageSize {
-		s.serveView(w, r, snap, viewRunsFirst, renderRunsFirst)
+		s.serveView(w, r, snap, viewRunsFirst, false)
 		return
 	}
 	// Dynamic page: same conditional semantics, streamed body, no gzip
 	// (the page bound keeps identity responses small enough).
-	etag := s.etagFor(snap)
-	h := w.Header()
-	h.Set("ETag", etag)
-	h.Set("Cache-Control", cacheControl)
-	h.Set("Vary", "Accept-Encoding")
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
-		s.prom.notModified.Add(1)
-		w.WriteHeader(http.StatusNotModified)
-		return
+	if !s.notModified(w, r, s.etagFor(snap)) {
+		_ = writeRunsPage(w, snap, after, limit)
 	}
-	h.Set("Content-Type", "application/json")
-	_ = writeRunsPage(w, snap, after, limit)
 }

@@ -20,8 +20,8 @@ type endpointStats struct {
 }
 
 // promMetrics is the hand-rolled, stdlib-only Prometheus registry. The
-// endpoint map is built once at server construction and never mutated, so
-// concurrent reads need no lock.
+// endpoint map is filled while the routes are mounted at server construction
+// and never mutated afterwards, so concurrent reads need no lock.
 type promMetrics struct {
 	endpoints map[string]*endpointStats
 	// Admission counters: every data-endpoint request is either admitted
@@ -47,12 +47,8 @@ type promMetrics struct {
 	whatifRenders atomic.Uint64
 }
 
-func newPromMetrics(endpoints []string) *promMetrics {
-	m := &promMetrics{endpoints: make(map[string]*endpointStats, len(endpoints))}
-	for _, e := range endpoints {
-		m.endpoints[e] = &endpointStats{}
-	}
-	return m
+func newPromMetrics() *promMetrics {
+	return &promMetrics{endpoints: make(map[string]*endpointStats)}
 }
 
 // observe records one finished request.
@@ -74,8 +70,8 @@ type labeledGauge struct {
 	value      float64
 }
 
-// gaugeFamily is a gauge with one label dimension (the fleet per-shard
-// gauges: one sample per machine). Samples render in the order given;
+// gaugeFamily is a gauge with one label dimension (the per-shard gauges:
+// one sample per machine). Samples render in the order given;
 // callers pass them pre-sorted.
 type gaugeFamily struct {
 	name, help, label string
@@ -84,8 +80,8 @@ type gaugeFamily struct {
 
 // render writes the Prometheus text exposition format. Gauges describing
 // the serving state (snapshot epoch, run count, ingestion lag) and the
-// labeled families (per-shard gauges in fleet mode) come from the caller so
-// the registry stays decoupled from the store.
+// labeled per-shard families come from the caller so the registry stays
+// decoupled from the store.
 func (m *promMetrics) render(w http.ResponseWriter, gauges map[string]float64, families []gaugeFamily) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var b strings.Builder
@@ -106,8 +102,8 @@ func (m *promMetrics) render(w http.ResponseWriter, gauges map[string]float64, f
 	for _, k := range keys {
 		fmt.Fprintf(&b, "logdiver_http_errors_total{endpoint=%q} %d\n", k, m.endpoints[k].errors.Load())
 	}
-	b.WriteString("# HELP logdiver_http_request_duration_seconds Total handler wall time, by endpoint.\n")
-	b.WriteString("# TYPE logdiver_http_request_duration_seconds counter\n")
+	b.WriteString("# HELP logdiver_http_request_duration_seconds Handler wall time, by endpoint.\n")
+	b.WriteString("# TYPE logdiver_http_request_duration_seconds summary\n")
 	for _, k := range keys {
 		fmt.Fprintf(&b, "logdiver_http_request_duration_seconds_sum{endpoint=%q} %g\n",
 			k, time.Duration(m.endpoints[k].durationNanos.Load()).Seconds())

@@ -38,42 +38,17 @@ const (
 	DefaultMaxBodyBytes = 4096
 )
 
-// RestoreInfo describes how the daemon's analysis state came to be at
-// boot. It is fixed at startup and reported verbatim by /v1/health and as
-// the logdiver_warm_restart gauge, so an operator can always tell whether
-// the numbers they are reading were carried over a restart or rebuilt.
-type RestoreInfo struct {
-	// Mode is "warm" (state restored from disk), "cold" (no usable prior
-	// state: persistence disabled or no state file yet), or
-	// "cold-fallback" (a state file existed but was rejected; Detail says
-	// why, and the history was re-ingested from the archives).
-	Mode string `json:"mode"`
-	// Detail elaborates: the rejection reason for cold-fallback, the
-	// absence reason for cold.
-	Detail string `json:"detail,omitempty"`
-	// Epoch is the snapshot epoch carried over from the state file (warm
-	// and, when the file loaded but its pipeline was rejected, cold-fallback).
-	Epoch uint64 `json:"epoch,omitempty"`
-	// SavedAt is when the restored state file was written (warm only).
-	SavedAt time.Time `json:"saved_at,omitempty"`
-}
-
 // Config wires a Server.
 type Config struct {
 	// Store supplies snapshots. Required unless Fleet is set, in which case
-	// it defaults to the fleet manager's merged store — the fleet's merged
-	// snapshots then flow through the same cache and ETag machinery as a
-	// single machine's.
+	// it defaults to the fleet manager's merged store.
 	Store *store.Store
-	// Fleet, when non-nil, puts the server in fleet mode: /v1/fleet/*
-	// endpoints are mounted, /v1/health grows a per-shard section and
-	// /metrics per-shard gauge families.
+	// Fleet is the manager whose shards ?machine=, the /v1/health shard
+	// rows and the per-shard /metrics gauges report. The daemon always sets
+	// it; a server over a bare Store has no shards.
 	Fleet *fleet.Manager
 	// Version is reported by /v1/health.
 	Version version.Info
-	// Restore, when non-nil, reports the boot provenance on /v1/health and
-	// /metrics.
-	Restore *RestoreInfo
 	// RequestTimeout bounds each request end to end (DefaultRequestTimeout
 	// when zero). Requests over budget get 503.
 	RequestTimeout time.Duration
@@ -123,14 +98,25 @@ type Server struct {
 	retryAfter string
 }
 
-// Endpoint keys used in metrics labels.
-var endpointKeys = []string{
-	"health", "outcomes", "scaling", "mtti", "categories", "runs", "runs_list", "whatif", "metrics",
-}
-
-// fleetEndpointKeys extends endpointKeys in fleet mode.
-var fleetEndpointKeys = []string{
-	"fleet_outcomes", "fleet_scaling", "fleet_mtti", "fleet_categories",
+// aggViews is the one table behind the aggregate views, indexed by viewID.
+// Each name is mounted at /v1/<name> and /v1/fleet/<name>; rows sharing a
+// name are adjacent and told apart by ?class= (the first is the default).
+// body builds the response; fm is the trailing fleet object, nil on the
+// plain /v1/<name> path.
+var aggViews = [numAggViews]struct {
+	name  string
+	class string
+	body  func(snap *store.Snapshot, fm *fleetMeta) any
+}{
+	viewOutcomes: {"outcomes", "", outcomesBody},
+	viewScalingXE: {"scaling", "xe", func(snap *store.Snapshot, fm *fleetMeta) any {
+		return scalingBody(snap, "xe", snap.ScalingXE, fm)
+	}},
+	viewScalingXK: {"scaling", "xk", func(snap *store.Snapshot, fm *fleetMeta) any {
+		return scalingBody(snap, "xk", snap.ScalingXK, fm)
+	}},
+	viewMTTI:       {"mtti", "", mttiBody},
+	viewCategories: {"categories", "", categoriesBody},
 }
 
 // New validates cfg and builds the route table.
@@ -156,13 +142,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	keys := endpointKeys
-	if cfg.Fleet != nil {
-		keys = append(append([]string{}, endpointKeys...), fleetEndpointKeys...)
-	}
 	s := &Server{
 		cfg:        cfg,
-		prom:       newPromMetrics(keys),
+		prom:       newPromMetrics(),
 		mux:        http.NewServeMux(),
 		retryAfter: strconv.Itoa(int(math.Ceil(cfg.RetryAfter.Seconds()))),
 	}
@@ -174,21 +156,57 @@ func New(cfg Config) (*Server, error) {
 		s.limiter = newClientLimiter(cfg.RateLimit, burst, cfg.MaxClients, cfg.Now)
 	}
 	s.route("GET /v1/health", "health", s.handleHealth)
-	s.routeFast("GET /v1/outcomes", "outcomes", s.handleOutcomes)
-	s.routeFast("GET /v1/scaling", "scaling", s.handleScaling)
-	s.routeFast("GET /v1/mtti", "mtti", s.handleMTTI)
-	s.routeFast("GET /v1/categories", "categories", s.handleCategories)
+	for v, av := range aggViews {
+		if v == 0 || av.name != aggViews[v-1].name {
+			s.routeFast("GET /v1/"+av.name, av.name, s.handleView(viewID(v), false))
+			s.routeFast("GET /v1/fleet/"+av.name, "fleet_"+av.name, s.handleView(viewID(v), true))
+		}
+	}
 	s.routeFast("GET /v1/runs", "runs_list", s.handleRuns)
 	s.route("GET /v1/runs/{apid}", "runs", s.handleRun)
 	s.route("POST /v1/whatif", "whatif", s.handleWhatif)
 	s.route("GET /metrics", "metrics", s.handleMetrics)
-	if cfg.Fleet != nil {
-		s.routeFast("GET /v1/fleet/outcomes", "fleet_outcomes", s.handleFleetOutcomes)
-		s.routeFast("GET /v1/fleet/scaling", "fleet_scaling", s.handleFleetScaling)
-		s.routeFast("GET /v1/fleet/mtti", "fleet_mtti", s.handleFleetMTTI)
-		s.routeFast("GET /v1/fleet/categories", "fleet_categories", s.handleFleetCategories)
-	}
 	return s, nil
+}
+
+// handleView serves the aggregate view whose first aggViews row is first, at
+// /v1/<name> or, with fleet set, at /v1/fleet/<name>: the cached merged view
+// (the fleet family's carries the fleet object), or one shard's own rendering
+// when ?machine= names it.
+func (s *Server) handleView(first viewID, fleet bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var class, machine string
+		if r.URL.RawQuery != "" { // the bare path is the hot one: parse nothing
+			q := r.URL.Query()
+			class, machine = q.Get("class"), q.Get("machine")
+		}
+		view, ok := classView(first, class)
+		if !ok {
+			s.writeErr(w, http.StatusBadRequest, fmt.Sprintf("unknown class %q: want xe or xk", class))
+			return
+		}
+		if machine != "" {
+			s.serveShardView(w, r, machine, view)
+			return
+		}
+		if snap, ok := s.snapshot(w); ok {
+			s.serveView(w, r, snap, view, fleet)
+		}
+	}
+}
+
+// classView resolves ?class= among the aggViews rows sharing first's name;
+// a name with one classless row ignores the parameter.
+func classView(first viewID, class string) (viewID, bool) {
+	if class == "" || aggViews[first].class == "" {
+		return first, true
+	}
+	for v := first; v < numAggViews && aggViews[v].name == aggViews[first].name; v++ {
+		if aggViews[v].class == class {
+			return v, true
+		}
+	}
+	return 0, false
 }
 
 // guard applies the request-size bounds and, for data endpoints (everything
@@ -236,8 +254,10 @@ func (s *Server) routeFast(pattern, key string, h http.HandlerFunc) {
 	s.instrument(pattern, key, s.guard(key, h))
 }
 
-// instrument mounts inner with the per-endpoint status/latency counters.
+// instrument mounts inner with the per-endpoint status/latency counters;
+// key is the endpoint's metrics label.
 func (s *Server) instrument(pattern, key string, inner http.Handler) {
+	s.prom.endpoints[key] = &endpointStats{}
 	s.mux.Handle(pattern, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w}
 		began := s.cfg.Now()
@@ -326,20 +346,27 @@ type healthResponse struct {
 	// malformed counters plus the pairing anomalies (duplicate starts,
 	// clamped runs, unmatched exits).
 	Parse []core.ArchiveHygiene `json:"parse"`
-	// Restore is the boot provenance (warm/cold/cold-fallback), when the
-	// daemon reports one.
-	Restore *RestoreInfo `json:"restore,omitempty"`
-	// Fleet reports per-shard health in fleet mode: the fleet epoch, the
-	// partial flag and one row per machine shard.
-	Fleet *fleetHealth `json:"fleet,omitempty"`
+	// Fleet reports the fleet epoch, the partial flag and one row per
+	// machine shard: status, epoch, lag, last error and boot provenance
+	// (warm/cold/cold-fallback).
+	Fleet *fleetHealth `json:"fleet"`
+}
+
+// startingResponse is the 503 body before the first snapshot. It carries
+// the shard rows so a shard failing its very first round (unreadable
+// archive, strict-mode malformed line) says why nothing is being served.
+type startingResponse struct {
+	Status  string       `json:"status"`
+	Version version.Info `json:"version"`
+	Fleet   *fleetHealth `json:"fleet"`
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	snap := s.cfg.Store.Current()
+	fv := s.fleetView()
 	if snap == nil {
-		s.writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status":  "starting",
-			"version": s.cfg.Version,
+		s.writeJSON(w, http.StatusServiceUnavailable, startingResponse{
+			Status: "starting", Version: s.cfg.Version, Fleet: s.fleetHealthOf(fv),
 		})
 		return
 	}
@@ -353,7 +380,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Version: s.cfg.Version,
 		Ingest:  snap.Ingest,
 		Parse:   snap.Result.Parse.Hygiene(),
-		Restore: s.cfg.Restore,
+		Fleet:   s.fleetHealthOf(fv),
+	}
+	if fv.Partial {
+		// Degraded, not down: merged responses still serve every healthy
+		// shard plus the failed shards' last good snapshots.
+		resp.Status = "degraded"
 	}
 	if !snap.Result.Start.IsZero() {
 		resp.Span = fmt.Sprintf("%s .. %s",
@@ -362,15 +394,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	if last, ok := s.cfg.Store.LastSync(); ok {
 		resp.IngestLagSeconds = s.cfg.Now().Sub(last).Seconds()
-	}
-	if s.cfg.Fleet != nil {
-		fh, degraded := s.fleetHealthOf()
-		resp.Fleet = fh
-		if degraded {
-			// Degraded, not down: merged responses still serve every healthy
-			// shard plus the failed shards' last good snapshots.
-			resp.Status = "degraded"
-		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -390,6 +413,7 @@ type outcomesResponse struct {
 	Outcomes                []outcomeRow `json:"outcomes"`
 	SystemFailureFraction   float64      `json:"system_failure_fraction"`
 	SystemNodeHoursFraction float64      `json:"system_node_hours_fraction"`
+	Fleet                   *fleetMeta   `json:"fleet,omitempty"`
 }
 
 // outcomeOrder fixes the row order of the E2 breakdown.
@@ -400,9 +424,10 @@ var outcomeOrder = []correlate.Outcome{
 	correlate.OutcomeSystemFailure,
 }
 
-func outcomesBody(snap *store.Snapshot) outcomesResponse {
+func outcomesBody(snap *store.Snapshot, fm *fleetMeta) any {
 	b := snap.Outcomes
 	resp := outcomesResponse{
+		Fleet:                   fm,
 		Epoch:                   snap.Epoch,
 		TotalRuns:               b.Total,
 		TotalNodeHours:          b.TotalNodeHours,
@@ -418,18 +443,6 @@ func outcomesBody(snap *store.Snapshot) outcomesResponse {
 		})
 	}
 	return resp
-}
-
-func renderOutcomes(snap *store.Snapshot) []byte {
-	return encodeJSON(outcomesBody(snap))
-}
-
-func (s *Server) handleOutcomes(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.snapshot(w)
-	if !ok {
-		return
-	}
-	s.serveView(w, r, snap, viewOutcomes, renderOutcomes)
 }
 
 // ---- /v1/scaling ----
@@ -449,10 +462,11 @@ type scalingResponse struct {
 	Epoch   uint64     `json:"epoch"`
 	Class   string     `json:"class"`
 	Buckets []scaleRow `json:"buckets"`
+	Fleet   *fleetMeta `json:"fleet,omitempty"`
 }
 
-func scalingBody(snap *store.Snapshot, class string, buckets []metrics.ScaleBucket) scalingResponse {
-	resp := scalingResponse{Epoch: snap.Epoch, Class: class, Buckets: make([]scaleRow, 0, len(buckets))}
+func scalingBody(snap *store.Snapshot, class string, buckets []metrics.ScaleBucket, fm *fleetMeta) any {
+	resp := scalingResponse{Epoch: snap.Epoch, Class: class, Buckets: make([]scaleRow, 0, len(buckets)), Fleet: fm}
 	for _, b := range buckets {
 		resp.Buckets = append(resp.Buckets, scaleRow{
 			Label:    b.Label(),
@@ -468,33 +482,6 @@ func scalingBody(snap *store.Snapshot, class string, buckets []metrics.ScaleBuck
 	return resp
 }
 
-func renderScaling(snap *store.Snapshot, class string, buckets []metrics.ScaleBucket) []byte {
-	return encodeJSON(scalingBody(snap, class, buckets))
-}
-
-func renderScalingXE(snap *store.Snapshot) []byte {
-	return renderScaling(snap, "xe", snap.ScalingXE)
-}
-
-func renderScalingXK(snap *store.Snapshot) []byte {
-	return renderScaling(snap, "xk", snap.ScalingXK)
-}
-
-func (s *Server) handleScaling(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.snapshot(w)
-	if !ok {
-		return
-	}
-	switch class := r.URL.Query().Get("class"); class {
-	case "", "xe":
-		s.serveView(w, r, snap, viewScalingXE, renderScalingXE)
-	case "xk":
-		s.serveView(w, r, snap, viewScalingXK, renderScalingXK)
-	default:
-		s.writeErr(w, http.StatusBadRequest, fmt.Sprintf("unknown class %q: want xe or xk", class))
-	}
-}
-
 // ---- /v1/mtti ----
 
 type mttiRow struct {
@@ -507,12 +494,13 @@ type mttiRow struct {
 }
 
 type mttiResponse struct {
-	Epoch   uint64    `json:"epoch"`
-	Buckets []mttiRow `json:"buckets"`
+	Epoch   uint64     `json:"epoch"`
+	Buckets []mttiRow  `json:"buckets"`
+	Fleet   *fleetMeta `json:"fleet,omitempty"`
 }
 
-func mttiBody(snap *store.Snapshot) mttiResponse {
-	resp := mttiResponse{Epoch: snap.Epoch, Buckets: make([]mttiRow, 0, len(snap.MTTI))}
+func mttiBody(snap *store.Snapshot, fm *fleetMeta) any {
+	resp := mttiResponse{Epoch: snap.Epoch, Buckets: make([]mttiRow, 0, len(snap.MTTI)), Fleet: fm}
 	for _, b := range snap.MTTI {
 		resp.Buckets = append(resp.Buckets, mttiRow{
 			Lo:            b.Lo,
@@ -524,18 +512,6 @@ func mttiBody(snap *store.Snapshot) mttiResponse {
 		})
 	}
 	return resp
-}
-
-func renderMTTI(snap *store.Snapshot) []byte {
-	return encodeJSON(mttiBody(snap))
-}
-
-func (s *Server) handleMTTI(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.snapshot(w)
-	if !ok {
-		return
-	}
-	s.serveView(w, r, snap, viewMTTI, renderMTTI)
 }
 
 // ---- /v1/categories ----
@@ -550,10 +526,11 @@ type categoryRow struct {
 type categoriesResponse struct {
 	Epoch      uint64        `json:"epoch"`
 	Categories []categoryRow `json:"categories"`
+	Fleet      *fleetMeta    `json:"fleet,omitempty"`
 }
 
-func categoriesBody(snap *store.Snapshot) categoriesResponse {
-	resp := categoriesResponse{Epoch: snap.Epoch, Categories: make([]categoryRow, 0, len(snap.Categories))}
+func categoriesBody(snap *store.Snapshot, fm *fleetMeta) any {
+	resp := categoriesResponse{Epoch: snap.Epoch, Categories: make([]categoryRow, 0, len(snap.Categories)), Fleet: fm}
 	for _, c := range snap.Categories {
 		resp.Categories = append(resp.Categories, categoryRow{
 			Group:         c.Group.String(),
@@ -563,18 +540,6 @@ func categoriesBody(snap *store.Snapshot) categoriesResponse {
 		})
 	}
 	return resp
-}
-
-func renderCategories(snap *store.Snapshot) []byte {
-	return encodeJSON(categoriesBody(snap))
-}
-
-func (s *Server) handleCategories(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.snapshot(w)
-	if !ok {
-		return
-	}
-	s.serveView(w, r, snap, viewCategories, renderCategories)
 }
 
 // ---- /v1/runs/{apid} ----
@@ -681,18 +646,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if last, ok := s.cfg.Store.LastSync(); ok {
 		gauges["logdiver_ingest_lag_seconds"] = s.cfg.Now().Sub(last).Seconds()
 	}
-	if s.cfg.Restore != nil {
-		// 1 when this process warm-started from persisted state, 0 when it
-		// rebuilt cold (including fallback after a rejected state file).
-		var warm float64
-		if s.cfg.Restore.Mode == "warm" {
-			warm = 1
-		}
-		gauges["logdiver_warm_restart"] = warm
-	}
-	var families []gaugeFamily
-	if s.cfg.Fleet != nil {
-		families = s.fleetGauges(gauges)
-	}
-	s.prom.render(w, gauges, families)
+	s.prom.render(w, gauges, s.fleetGauges(gauges))
 }

@@ -21,9 +21,9 @@ import (
 // seed. A report is a pure function of (snapshot, policies, seed), so
 // results cache per snapshot epoch exactly like the GET views: the entity
 // tag is "<epoch>-<request hash>" and revalidation within an epoch is a
-// bodyless 304. In fleet mode the snapshot is the merged fleet view, so
-// the simulation is automatically fleet-wide (the `partial` flag carries
-// through when a shard is degraded).
+// bodyless 304. The snapshot is the merged fleet view, so the simulation is
+// automatically fleet-wide (the `partial` flag carries through when a shard
+// is degraded).
 
 // whatifCacheMax bounds how many distinct (policies, seed) reports are
 // cached per epoch. Overflow requests are still answered — rendered
@@ -56,22 +56,15 @@ func (c *whatifCache) view(key string, render func() []byte, renders *atomic.Uin
 		c.entries[key] = cv
 	}
 	c.mu.Unlock()
-	cv.once.Do(func() {
-		body := render()
-		cv.body = body
-		cv.gz = gzipBytes(body)
-		cv.bodyLen = strconv.Itoa(len(body))
-		cv.gzLen = strconv.Itoa(len(cv.gz))
-		renders.Add(1)
-	})
+	cv.fill(render, renders)
 	return cv, true
 }
 
 // whatifResponse wraps the simulation report with the serving envelope.
 type whatifResponse struct {
 	Epoch uint64 `json:"epoch"`
-	// Partial is set in fleet mode when the merged snapshot is missing a
-	// failed shard's fresh data (degraded-but-serving).
+	// Partial is set when the merged snapshot is missing a failed shard's
+	// fresh data (degraded-but-serving).
 	Partial bool `json:"partial,omitempty"`
 	*whatif.Report
 }
@@ -129,14 +122,7 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 
 	spec := whatif.PoliciesString(policies)
 	key := whatifKey(spec, seed)
-	etag := whatifETag(snap, key)
-	h := w.Header()
-	h.Set("ETag", etag)
-	h.Set("Cache-Control", cacheControl)
-	h.Set("Vary", "Accept-Encoding")
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
-		s.prom.notModified.Add(1)
-		w.WriteHeader(http.StatusNotModified)
+	if s.notModified(w, r, whatifETag(snap, key)) {
 		return
 	}
 
@@ -150,30 +136,13 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		return encodeJSON(whatifResponse{Epoch: snap.Epoch, Partial: snap.Partial, Report: rep})
 	}
 
-	h.Set("Content-Type", "application/json")
 	if !s.cfg.DisableCache {
 		if cv, ok := s.cacheFor(snap).whatif.view(key, render, &s.prom.whatifRenders); ok {
 			s.prom.whatifServed.Add(1)
-			if acceptsGzip(r) {
-				h.Set("Content-Encoding", "gzip")
-				h.Set("Content-Length", cv.gzLen)
-				_, _ = w.Write(cv.gz)
-				return
-			}
-			h.Set("Content-Length", cv.bodyLen)
-			_, _ = w.Write(cv.body)
+			cv.write(w, r)
 			return
 		}
 	}
-	bodyOut := render()
 	s.prom.whatifRenders.Add(1)
-	if acceptsGzip(r) {
-		gz := gzipBytes(bodyOut)
-		h.Set("Content-Encoding", "gzip")
-		h.Set("Content-Length", strconv.Itoa(len(gz)))
-		_, _ = w.Write(gz)
-		return
-	}
-	h.Set("Content-Length", strconv.Itoa(len(bodyOut)))
-	_, _ = w.Write(bodyOut)
+	writeEncoded(w, r, render())
 }

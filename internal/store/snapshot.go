@@ -58,8 +58,8 @@ type Snapshot struct {
 	Ingest IngestStats
 
 	// Machine names the shard this snapshot was built from. Empty for
-	// merged (fleet) snapshots and for legacy single-machine callers that
-	// never set it; the Syncer stamps its configured shard name.
+	// merged (fleet) snapshots and for callers of Build that never set it;
+	// the Syncer stamps its configured shard name.
 	Machine string
 	// Shards is the fleet epoch vector of a merged snapshot: one
 	// {machine, epoch} pair per contributing shard, sorted by machine

@@ -22,8 +22,7 @@ type SyncerConfig struct {
 	Options core.Options
 	// Machine, when set, stamps every built snapshot with the shard name
 	// it was analyzed for. The fleet manager sets it so merged views can
-	// identify each contribution; the single-machine daemon leaves it
-	// empty.
+	// identify each contribution; a bare Syncer may leave it empty.
 	Machine string
 	// Resume, when non-nil, warm-starts the syncer from persisted state:
 	// the pipeline picks up its assemblers and attribution carry, the
@@ -92,13 +91,19 @@ func NewSyncer(cfg SyncerConfig) (*Syncer, error) {
 // Sync runs one ingestion round and reports whether a new snapshot was
 // installed. A poll that finds no new data is a no-op (the sync heartbeat
 // still advances) — except for the very first round, which installs an
-// empty snapshot so the API becomes ready even over empty archives.
+// empty snapshot so the API becomes ready even over empty archives. A
+// poisoned pipeline (strict-mode parse failure) fails every later round with
+// the poisoning error, idle ones included, and consumes no further input: the
+// failure stays visible until the process is restarted.
 func (s *Syncer) Sync() (installed bool, err error) {
 	defer func() {
 		// Heartbeat even on failed or empty rounds: ingestion lag measures
 		// the poll loop being alive, not data arriving.
 		s.store.MarkSync(s.now())
 	}()
+	if err := s.inc.Err(); err != nil {
+		return false, err
+	}
 	d, err := s.tail.Poll()
 	if err != nil {
 		return false, err
