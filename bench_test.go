@@ -14,6 +14,7 @@ import (
 	"logdiver"
 	"logdiver/internal/experiments"
 	"logdiver/internal/gen"
+	"logdiver/internal/raceflag"
 	"logdiver/internal/syslogx"
 )
 
@@ -265,7 +266,7 @@ var (
 // ingestFixture synthesizes a 30-day small-machine span with the benign
 // noise rate raised so the syslog archive is parse-dominated (several MB of
 // classified lines), which is what the ingestion block workers shard.
-func ingestFixture(b *testing.B) *ingestState {
+func ingestFixture(b testing.TB) *ingestState {
 	b.Helper()
 	ingestOnce.Do(func() {
 		cfg := logdiver.ScaledGeneratorConfig(30)
@@ -297,35 +298,55 @@ func ingestFixture(b *testing.B) *ingestState {
 	return &ingestBench
 }
 
+// analyzeIngest runs the raw-text pipeline once over the fixture.
+func analyzeIngest(t testing.TB, f *ingestState, parallelism int) {
+	res, err := logdiver.Analyze(logdiver.Archives{
+		Accounting: strings.NewReader(f.acc),
+		Apsys:      strings.NewReader(f.aps),
+		Syslog:     strings.NewReader(f.sys),
+	}, f.ds.Topology, logdiver.Options{Parallelism: parallelism})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Runs) != len(f.ds.Runs) {
+		t.Fatal("run count mismatch")
+	}
+}
+
 func benchAnalyze(b *testing.B, f *ingestState, parallelism int) {
-	b.Helper()
 	b.SetBytes(int64(len(f.acc) + len(f.aps) + len(f.sys)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := logdiver.Analyze(logdiver.Archives{
-			Accounting: strings.NewReader(f.acc),
-			Apsys:      strings.NewReader(f.aps),
-			Syslog:     strings.NewReader(f.sys),
-		}, f.ds.Topology, logdiver.Options{Parallelism: parallelism})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Runs) != len(f.ds.Runs) {
-			b.Fatal("run count mismatch")
-		}
+		analyzeIngest(b, f, parallelism)
 	}
 }
 
 // BenchmarkAnalyze measures the raw-text pipeline on a 30-day archive set
 // at one block worker per archive ("serial") and at GOMAXPROCS workers per
-// archive ("parallel") — the same code either way. The sub-benchmark names
-// are the keys of the gates committed in BENCH_ingest.json; cmd/benchgate
-// compares the two and fails CI when more workers do not pay off on a
-// multi-core runner (GOMAXPROCS >= 4).
+// archive ("parallel") — the same code either way. bench/ gates the wall
+// time (batch_p1_mbps, batch_mbps, layer core.parallel_speedup).
 func BenchmarkAnalyze(b *testing.B) {
 	f := ingestFixture(b)
 	b.Run("serial", func(b *testing.B) { benchAnalyze(b, f, 1) })
 	b.Run("parallel", func(b *testing.B) { benchAnalyze(b, f, 0) })
+}
+
+// TestAnalyzeAllocCeiling bounds what one worker per archive allocates over
+// the 30-day fixture (measured 151.6k): the line paths are allocation-free,
+// so the count scales with records retained, not with lines read, and a
+// per-line allocation creeping back in blows through it many times over.
+func TestAnalyzeAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates and analyzes the 30-day ingest fixture")
+	}
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const ceiling = 153625
+	f := ingestFixture(t)
+	if n := testing.AllocsPerRun(1, func() { analyzeIngest(t, f, 1) }); n > ceiling {
+		t.Errorf("Analyze at one worker per archive: %.0f allocs/op, ceiling %d", n, ceiling)
+	}
 }
 
 // BenchmarkSyslogParse measures raw line-parser throughput.

@@ -19,19 +19,11 @@
 // worker (seed+worker), open mode pre-generates the whole request schedule
 // from one RNG. Latencies vary run to run; the request sequence does not.
 //
-// Results are written as `go test -bench` formatted lines so benchgate can
-// record and gate them (BENCH_load.json):
-//
-//	BenchmarkLoadgen/p50          <ok>    <ns> ns/op
-//	BenchmarkLoadgen/p99          <ok>    <ns> ns/op
-//	BenchmarkLoadgen/p999         <ok>    <ns> ns/op
-//	BenchmarkLoadgen/shed_p99     <shed>  <ns> ns/op
-//	BenchmarkLoadgen/error_ppm    <total> <errors-per-million> ns/op
-//	BenchmarkLoadgen/throughput   <total> <mean-ns> ns/op <rps> MB/s
-//
-// The ns/op slot carries the metric being gated (latency ceilings and the
-// error rate gate through benchgate -max-ns); the throughput line carries
-// achieved requests/second in the MB/s slot, gated through -min-mbps.
+// The report is a few human-readable lines on stdout: totals and achieved
+// throughput, ok-latency percentiles, and the shed p99 when anything was
+// shed. The exit status is the verdict: nonzero when no request succeeded
+// or when more than one request in a thousand was an error. Latency and
+// throughput are reported, not judged; bench/ owns those gates.
 //
 // Responses classify as: ok (200, 304), shed (429 or 503 bearing
 // Retry-After — the server's honest overload answer, never an error), or
@@ -90,7 +82,6 @@ func realMain() error {
 		mixSpec  = flag.String("mix", defaultMix, "request mix, comma-separated kind=weight pairs")
 		timeout  = flag.Duration("timeout", 10*time.Second, "per-request timeout")
 		wait     = flag.Duration("wait", 10*time.Second, "max time to wait for the server to report healthy")
-		out      = flag.String("out", "-", "bench-format results path (- for stdout)")
 	)
 	flag.Parse()
 
@@ -122,22 +113,21 @@ func realMain() error {
 	default:
 		return fmt.Errorf("unknown -mode %q: want closed or open", cfg.mode)
 	}
+	writeSummary(os.Stdout, res)
 	if len(res.okLat) == 0 {
 		return fmt.Errorf("no request succeeded (%d errors of %d): is %s a logdiverd?",
 			res.errs, res.total, cfg.baseURL)
 	}
+	return verdict(res)
+}
 
-	w := io.Writer(os.Stdout)
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+// verdict fails a run whose error share exceeds one request in a thousand.
+// Sheds are the server's honest overload answer and never count.
+func verdict(r *results) error {
+	if r.errs*1000 > r.total {
+		return fmt.Errorf("%d errors in %d requests (%.2f%%): more than the 0.1%% a healthy run may have",
+			r.errs, r.total, 100*float64(r.errs)/float64(r.total))
 	}
-	writeBench(w, res)
-	writeSummary(os.Stderr, res)
 	return nil
 }
 
@@ -492,31 +482,6 @@ func percentile(sorted []time.Duration, q float64) time.Duration {
 		i = len(sorted) - 1
 	}
 	return sorted[i]
-}
-
-func mean(lats []time.Duration) time.Duration {
-	if len(lats) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, l := range lats {
-		sum += l
-	}
-	return sum / time.Duration(len(lats))
-}
-
-// writeBench renders the results as go-bench lines for benchgate.
-func writeBench(w io.Writer, r *results) {
-	ok := len(r.okLat)
-	fmt.Fprintf(w, "BenchmarkLoadgen/p50 %d %d ns/op\n", ok, percentile(r.okLat, 0.50).Nanoseconds())
-	fmt.Fprintf(w, "BenchmarkLoadgen/p99 %d %d ns/op\n", ok, percentile(r.okLat, 0.99).Nanoseconds())
-	fmt.Fprintf(w, "BenchmarkLoadgen/p999 %d %d ns/op\n", ok, percentile(r.okLat, 0.999).Nanoseconds())
-	fmt.Fprintf(w, "BenchmarkLoadgen/shed_p99 %d %d ns/op\n", len(r.shedLat), percentile(r.shedLat, 0.99).Nanoseconds())
-	ppm := float64(r.errs) / float64(r.total) * 1e6
-	fmt.Fprintf(w, "BenchmarkLoadgen/error_ppm %d %.0f ns/op\n", r.total, ppm)
-	rps := float64(r.total-r.errs) / r.elapsed.Seconds()
-	fmt.Fprintf(w, "BenchmarkLoadgen/throughput %d %d ns/op %.2f MB/s\n",
-		r.total, mean(r.okLat).Nanoseconds(), rps)
 }
 
 // writeSummary renders the human-readable report.

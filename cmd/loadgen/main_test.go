@@ -111,37 +111,16 @@ func TestPickPlanDeterministic(t *testing.T) {
 	}
 }
 
-// TestWriteBench pins the go-bench output contract benchgate parses.
-func TestWriteBench(t *testing.T) {
-	r := &results{
-		mode:    "closed",
-		total:   1000,
-		okLat:   []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond},
-		shedLat: []time.Duration{100 * time.Microsecond},
-		errs:    2,
-		elapsed: 2 * time.Second,
+// TestVerdict pins the one gate loadgen enforces itself: more than one
+// error per thousand requests fails the run, and sheds never count.
+func TestVerdict(t *testing.T) {
+	shed := make([]time.Duration, 900)
+	err := verdict(&results{total: 1000, okLat: make([]time.Duration, 98), shedLat: shed, errs: 2})
+	if err == nil || !strings.Contains(err.Error(), "2 errors in 1000 requests (0.20%)") {
+		t.Errorf("2 errors in 1000: err = %v, want one naming the share", err)
 	}
-	var b strings.Builder
-	writeBench(&b, r)
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("want 6 bench lines, got %d:\n%s", len(lines), b.String())
-	}
-	wantPrefixes := []string{
-		"BenchmarkLoadgen/p50 3 ",
-		"BenchmarkLoadgen/p99 3 ",
-		"BenchmarkLoadgen/p999 3 ",
-		"BenchmarkLoadgen/shed_p99 1 100000 ns/op",
-		"BenchmarkLoadgen/error_ppm 1000 2000 ns/op",
-		"BenchmarkLoadgen/throughput 1000 2000000 ns/op 499.00 MB/s",
-	}
-	for i, want := range wantPrefixes {
-		if !strings.HasPrefix(lines[i], want) {
-			t.Errorf("line %d = %q, want prefix %q", i, lines[i], want)
-		}
-		if !strings.Contains(lines[i], "ns/op") {
-			t.Errorf("line %d missing ns/op: %q", i, lines[i])
-		}
+	if err := verdict(&results{total: 1000, okLat: make([]time.Duration, 99), shedLat: shed, errs: 1}); err != nil {
+		t.Errorf("1 error in 1000 with 900 sheds: err = %v, want nil", err)
 	}
 }
 

@@ -63,7 +63,7 @@ func ParseMessageBytes(body []byte) (MessageView, *parse.Error) {
 		}
 		if eq := bytes.IndexByte(part, '='); eq >= 0 {
 			if eq == 0 {
-				return MessageView{}, parse.Errorf(parse.KindStructure, truncBody(body), "alps: empty key")
+				return MessageView{}, parse.Errorf(parse.KindStructure, parse.SampleText(body), "alps: empty key")
 			}
 			k, v := part[:eq], part[eq+1:]
 			switch {
@@ -97,7 +97,7 @@ func ParseMessageBytes(body []byte) (MessageView, *parse.Error) {
 	}
 	id, ok := parse.ParseUint64(apid)
 	if !ok {
-		return MessageView{}, parse.Errorf(parse.KindField, truncBody(body), "alps: bad apid %q", apid)
+		return MessageView{}, parse.Errorf(parse.KindField, parse.SampleText(body), "alps: bad apid %q", apid)
 	}
 	m.ApID = id
 	switch {
@@ -115,11 +115,11 @@ func ParseMessageBytes(body []byte) (MessageView, *parse.Error) {
 		}
 		nodes, err := ParseNIDListBytes(nodeList)
 		if err != nil {
-			return MessageView{}, parse.Errorf(parse.KindField, truncBody(body), "alps: bad node_list: %s", err.Error())
+			return MessageView{}, parse.Errorf(parse.KindField, parse.SampleText(body), "alps: bad node_list: %s", err.Error())
 		}
 		m.Nodes = nodes
 		if len(m.Nodes) != nn {
-			return MessageView{}, parse.Errorf(parse.KindStructure, truncBody(body), "alps: apid %d claims %d nodes but lists %d", id, nn, len(m.Nodes))
+			return MessageView{}, parse.Errorf(parse.KindStructure, parse.SampleText(body), "alps: apid %d claims %d nodes but lists %d", id, nn, len(m.Nodes))
 		}
 	case bytes.Equal(marker, markFinishing):
 		m.Kind = KindFinishing
@@ -171,16 +171,9 @@ func atoiView(v []byte, have bool) (int, bool) {
 // non-numeric field.
 func atoiErr(v []byte, have bool, key string, body []byte) *parse.Error {
 	if !have {
-		return parse.Errorf(parse.KindField, truncBody(body), "alps: missing field %q", key)
+		return parse.Errorf(parse.KindField, parse.SampleText(body), "alps: missing field %q", key)
 	}
-	return parse.Errorf(parse.KindField, truncBody(body), "alps: field %s=%q not a number", key, v)
-}
-
-func truncBody(b []byte) string {
-	if len(b) > parse.SampleTextBytes {
-		b = b[:parse.SampleTextBytes]
-	}
-	return string(b)
+	return parse.Errorf(parse.KindField, parse.SampleText(body), "alps: field %s=%q not a number", key, v)
 }
 
 // AddView folds one timestamped apsys message view into the assembler.

@@ -5,6 +5,7 @@ import (
 
 	"logdiver/internal/errlog"
 	"logdiver/internal/machine"
+	"logdiver/internal/raceflag"
 	"logdiver/internal/syslogx"
 	"logdiver/internal/taxonomy"
 )
@@ -16,7 +17,7 @@ import (
 // into the composition (interface conversions, escape-analysis regressions
 // at the call boundaries).
 func TestErrlogLineHotPathZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("sync.Pool drops items under the race detector; the fold-buffer pool misses and allocates")
 	}
 	top, err := machine.New(machine.Small())

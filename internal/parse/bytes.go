@@ -21,9 +21,9 @@ func Blank(b []byte) bool {
 	return len(bytes.TrimSpace(b)) == 0
 }
 
-// truncString converts at most SampleTextBytes of b to a string, for error
+// SampleText converts at most SampleTextBytes of b to a string, for error
 // text retention without materializing a whole oversized line.
-func truncString(b []byte) string {
+func SampleText(b []byte) string {
 	if len(b) > SampleTextBytes {
 		b = b[:SampleTextBytes]
 	}
@@ -38,13 +38,13 @@ func truncString(b []byte) string {
 //ldvet:hotpath
 func CheckLineBytes(b []byte) *Error {
 	if len(b) > MaxLineBytes {
-		return Errorf(KindOversize, truncString(b), "line exceeds %d bytes (%d)", MaxLineBytes, len(b))
+		return Errorf(KindOversize, SampleText(b), "line exceeds %d bytes (%d)", MaxLineBytes, len(b))
 	}
 	if bytes.IndexByte(b, 0) >= 0 {
-		return Errorf(KindEncoding, truncString(b), "NUL byte in line")
+		return Errorf(KindEncoding, SampleText(b), "NUL byte in line")
 	}
 	if !utf8.Valid(b) {
-		return Errorf(KindEncoding, truncString(b), "invalid UTF-8")
+		return Errorf(KindEncoding, SampleText(b), "invalid UTF-8")
 	}
 	return nil
 }
@@ -128,4 +128,43 @@ func ParseUint64(b []byte) (uint64, bool) {
 		n = n*10 + uint64(c-'0')
 	}
 	return n, true
+}
+
+// Digits2 reads a two-digit decimal field of a fixed-width timestamp.
+//
+//ldvet:hotpath
+func Digits2(a, b byte) (int, bool) {
+	if a < '0' || a > '9' || b < '0' || b > '9' {
+		return 0, false
+	}
+	return int(a-'0')*10 + int(b-'0'), true
+}
+
+// Digits reads a fixed-width, digits-only decimal field (a 4-digit year, a
+// 6-digit microsecond count): no sign, and the caller bounds the width.
+//
+//ldvet:hotpath
+func Digits(b []byte) (int, bool) {
+	n := 0
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, true
+}
+
+// DaysIn returns the day count of month m in year y (Gregorian).
+func DaysIn(m, y int) int {
+	switch m {
+	case 1, 3, 5, 7, 8, 10, 12:
+		return 31
+	case 4, 6, 9, 11:
+		return 30
+	}
+	if y%4 == 0 && (y%100 != 0 || y%400 == 0) {
+		return 29
+	}
+	return 28
 }

@@ -12,11 +12,10 @@ import (
 // BenchmarkRestore measures what a daemon restart costs with and without
 // durable state over the same archives: "cold" rebuilds the analysis from
 // the raw archives (the pre-persistence behavior), "warm" loads the state
-// file and resumes. cmd/benchgate gates warm strictly faster than cold
-// (BENCH_restore.json; -serial-name BenchmarkRestore/cold -parallel-name
-// BenchmarkRestore/warm -min-procs 1 — the speedup comes from skipping
-// re-ingestion, not from cores). Both paths end with an installed snapshot
-// covering every run, asserted each iteration.
+// file and resumes (the speedup comes from skipping re-ingestion, not from
+// cores). bench/ reports the same pair end to end as setup_s beside
+// warm_restart_s. Both paths end with an installed snapshot covering every
+// run, asserted each iteration.
 func BenchmarkRestore(b *testing.B) {
 	dir, stateDir := b.TempDir(), b.TempDir()
 	statePath := filepath.Join(stateDir, StateFile)

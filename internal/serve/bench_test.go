@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+
+	"logdiver/internal/raceflag"
 )
 
 // benchWriter is a minimal resettable ResponseWriter: the benchmark loop
@@ -38,108 +41,110 @@ func (w *benchWriter) reset() {
 	w.n = 0
 }
 
+// serveCase is one handler-direct request shape, shared by the benchmark
+// and the allocation ceilings below.
+type serveCase struct {
+	name, path string
+	gzip       bool // send Accept-Encoding: gzip
+	revalidate bool // send If-None-Match with the warm ETag; answers 304
+	// maxAllocs bounds one warm request (measured value in the trailing
+	// comment). The ceilings are what keeps the cached paths cached: a
+	// regression that re-renders or re-encodes per request multiplies them.
+	maxAllocs float64
+}
+
+var serveCases = []serveCase{
+	{name: "health", path: "/v1/health", maxAllocs: 25},                          // 20
+	{name: "outcomes", path: "/v1/outcomes", maxAllocs: 10},                      // 6
+	{name: "scaling", path: "/v1/scaling?class=xe", maxAllocs: 14},               // 9
+	{name: "mtti", path: "/v1/mtti", maxAllocs: 10},                              // 6
+	{name: "categories", path: "/v1/categories", maxAllocs: 10},                  // 6
+	{name: "runs", path: "/v1/runs/%d", maxAllocs: 40},                           // 29
+	{name: "runs_list", path: "/v1/runs", maxAllocs: 12},                         // 7
+	{name: "metrics", path: "/metrics", maxAllocs: 150},                          // 109
+	{name: "gzip", path: "/v1/outcomes", gzip: true, maxAllocs: 12},              // 8
+	{name: "not_modified", path: "/v1/outcomes", revalidate: true, maxAllocs: 8}, // 4
+}
+
+// serveFixture is a server over the realistic test snapshot.
+func serveFixture(t testing.TB) *Server {
+	t.Helper()
+	srv, err := New(Config{Store: testStore(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
+// replayer sends the case once through a real recorder — checking the
+// status, filling the view cache — and returns a function that replays the
+// request into a resettable writer, plus the size of the warm body. The
+// %d of the drill-down path is the first run's apid.
+func (c serveCase) replayer(t testing.TB, srv *Server) (replay func(), size int) {
+	t.Helper()
+	path := c.path
+	if strings.Contains(path, "%d") {
+		path = fmt.Sprintf(path, srv.cfg.Store.Current().Result.Runs[0].ApID)
+	}
+	newReq := func() *http.Request {
+		req := httptest.NewRequest("GET", path, nil)
+		if c.gzip {
+			req.Header.Set("Accept-Encoding", "gzip")
+		}
+		return req
+	}
+	warm := httptest.NewRecorder()
+	srv.ServeHTTP(warm, newReq())
+	if warm.Code != 200 || (c.gzip && warm.Header().Get("Content-Encoding") != "gzip") {
+		t.Fatalf("%s: warm status %d encoding %q", path, warm.Code, warm.Header().Get("Content-Encoding"))
+	}
+	req, want := newReq(), 200
+	if c.revalidate {
+		req.Header.Set("If-None-Match", warm.Header().Get("ETag"))
+		want = http.StatusNotModified
+	}
+	w := &benchWriter{h: make(http.Header, 8)}
+	return func() {
+		w.reset()
+		srv.ServeHTTP(w, req)
+		if w.code != want {
+			t.Fatalf("%s: status %d, want %d", path, w.code, want)
+		}
+	}, warm.Body.Len()
+}
+
 // BenchmarkServeQueries measures per-endpoint request cost against a
 // realistic snapshot, handler-direct (no network), one goroutine. SetBytes
-// reports response bytes on the wire, so the go-bench MB/s column is real
-// serving throughput. The CI bench gate tracks these in BENCH_serve.json,
-// including absolute min_mbps and max_allocs gates on the cached paths.
+// reports response bytes on the wire (compressed for gzip, none for the
+// 304), so the go-bench MB/s column is real serving throughput. bench/
+// gates the wall time end to end (query_rps, serve.query_p50_us/p99_us).
 func BenchmarkServeQueries(b *testing.B) {
-	st := testStore(b)
-	srv, err := New(Config{Store: st})
-	if err != nil {
-		b.Fatal(err)
-	}
-	apid := st.Current().Result.Runs[0].ApID
-	paths := []struct{ name, path string }{
-		{"health", "/v1/health"},
-		{"outcomes", "/v1/outcomes"},
-		{"scaling", "/v1/scaling?class=xe"},
-		{"mtti", "/v1/mtti"},
-		{"categories", "/v1/categories"},
-		{"runs", fmt.Sprintf("/v1/runs/%d", apid)},
-		{"runs_list", "/v1/runs"},
-		{"metrics", "/metrics"},
-	}
-	for _, p := range paths {
-		b.Run(p.name, func(b *testing.B) {
-			// One warm request through a real recorder: checks status,
-			// fills the view cache, and sizes the response for SetBytes.
-			warm := httptest.NewRecorder()
-			srv.ServeHTTP(warm, httptest.NewRequest("GET", p.path, nil))
-			if warm.Code != 200 {
-				b.Fatalf("%s: status %d", p.path, warm.Code)
+	srv := serveFixture(b)
+	for _, c := range serveCases {
+		b.Run(c.name, func(b *testing.B) {
+			replay, size := c.replayer(b, srv)
+			if !c.revalidate {
+				b.SetBytes(int64(size))
 			}
-			req := httptest.NewRequest("GET", p.path, nil)
-			w := &benchWriter{h: make(http.Header, 8)}
-			b.SetBytes(int64(warm.Body.Len()))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w.reset()
-				srv.ServeHTTP(w, req)
-				if w.code != 200 {
-					b.Fatalf("%s: status %d", p.path, w.code)
-				}
+				replay()
 			}
 		})
 	}
 }
 
-// BenchmarkServeQueriesGzip measures the cached gzip path: pre-compressed
-// bytes served to a client that accepts gzip. SetBytes counts compressed
-// bytes on the wire.
-func BenchmarkServeQueriesGzip(b *testing.B) {
-	st := testStore(b)
-	srv, err := New(Config{Store: st})
-	if err != nil {
-		b.Fatal(err)
+// TestServeAllocCeilings holds every served path to its allocation budget.
+func TestServeAllocCeilings(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	warmReq := httptest.NewRequest("GET", "/v1/outcomes", nil)
-	warmReq.Header.Set("Accept-Encoding", "gzip")
-	warm := httptest.NewRecorder()
-	srv.ServeHTTP(warm, warmReq)
-	if warm.Code != 200 || warm.Header().Get("Content-Encoding") != "gzip" {
-		b.Fatalf("warm: status %d encoding %q", warm.Code, warm.Header().Get("Content-Encoding"))
-	}
-	req := httptest.NewRequest("GET", "/v1/outcomes", nil)
-	req.Header.Set("Accept-Encoding", "gzip")
-	w := &benchWriter{h: make(http.Header, 8)}
-	b.SetBytes(int64(warm.Body.Len()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.reset()
-		srv.ServeHTTP(w, req)
-		if w.code != 200 {
-			b.Fatalf("status %d", w.code)
-		}
-	}
-}
-
-// BenchmarkServeNotModified measures the conditional-request path: a 304
-// costs header writes and a counter bump, no body.
-func BenchmarkServeNotModified(b *testing.B) {
-	st := testStore(b)
-	srv, err := New(Config{Store: st})
-	if err != nil {
-		b.Fatal(err)
-	}
-	warm := httptest.NewRecorder()
-	srv.ServeHTTP(warm, httptest.NewRequest("GET", "/v1/outcomes", nil))
-	etag := warm.Header().Get("ETag")
-	if warm.Code != 200 || etag == "" {
-		b.Fatalf("warm: status %d etag %q", warm.Code, etag)
-	}
-	req := httptest.NewRequest("GET", "/v1/outcomes", nil)
-	req.Header.Set("If-None-Match", etag)
-	w := &benchWriter{h: make(http.Header, 8)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.reset()
-		srv.ServeHTTP(w, req)
-		if w.code != http.StatusNotModified {
-			b.Fatalf("status %d, want 304", w.code)
+	srv := serveFixture(t)
+	for _, c := range serveCases {
+		replay, _ := c.replayer(t, srv)
+		if n := testing.AllocsPerRun(100, replay); n > c.maxAllocs {
+			t.Errorf("%s: %.0f allocs/op, ceiling %.0f", c.name, n, c.maxAllocs)
 		}
 	}
 }

@@ -78,6 +78,21 @@ func breakSyslog(t *testing.T, root, machine string) {
 	}
 }
 
+// appendLine appends to an existing archive file.
+func appendLine(t *testing.T, path, line string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(line); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFleetEndpointsMergedView(t *testing.T) {
 	mgr, ts, _ := testFleetServer(t)
 	v := mgr.View()
@@ -302,14 +317,7 @@ func TestStrictPoisoningStaysFailed(t *testing.T) {
 		t.Fatalf("clean strict round: %+v", r)
 	}
 
-	f, err := os.OpenFile(filepath.Join(root, name, store.AccountingFile), os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("not an accounting record\n"); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	appendLine(t, filepath.Join(root, name, store.AccountingFile), "not an accounting record\n")
 	poisoned := mgr.SyncRound(t.Context())
 	if poisoned.Shards[0].Err == nil {
 		t.Fatal("strict mode accepted a malformed line")

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -208,4 +209,58 @@ func TestCacheNoStaleEpoch(t *testing.T) {
 	if checked.Load() == 0 {
 		t.Fatal("no cache consistency checks executed")
 	}
+}
+
+// TestHealthReadsOneEpoch is the manager-backed sibling of
+// TestNoMixedEpochReads for /v1/health, the one body that reports both the
+// merged snapshot and the fleet view: every body must pair "epoch" with the
+// same "fleet.fleet_epoch", under concurrent sync rounds and — the last
+// step — with the fleet held where publish passes through: merged snapshot
+// installed, view not yet stored.
+func TestHealthReadsOneEpoch(t *testing.T) {
+	mgr, ts, root := testFleetServer(t)
+	check := func() bool {
+		rec := httptest.NewRecorder()
+		ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/health", nil))
+		var body struct {
+			Epoch uint64 `json:"epoch"`
+			Fleet struct {
+				FleetEpoch uint64 `json:"fleet_epoch"`
+			} `json:"fleet"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != 200 || err != nil {
+			t.Errorf("/v1/health: status %d, %v", rec.Code, err)
+		} else if body.Epoch != body.Fleet.FleetEpoch {
+			t.Errorf("/v1/health mixed epochs: epoch %d beside fleet_epoch %d", body.Epoch, body.Fleet.FleetEpoch)
+		}
+		return !t.Failed()
+	}
+
+	var (
+		stop atomic.Bool
+		wg   sync.WaitGroup
+	)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() && check() {
+			}
+		}()
+	}
+	// Any appended line advances its shard's epoch, hence the fleet's.
+	first := mgr.View().FleetEpoch
+	const rounds = 40
+	for i := 0; i < rounds; i++ {
+		appendLine(t, filepath.Join(root, mgr.Machines()[i%2], store.SyslogFile), "not a syslog line\n")
+		mgr.SyncRound(t.Context())
+	}
+	stop.Store(true)
+	wg.Wait()
+	if got := mgr.View().FleetEpoch; got != first+rounds {
+		t.Fatalf("fleet epoch %d after %d appending rounds from %d: the readers raced nothing", got, rounds, first)
+	}
+
+	mgr.FleetStore().Install(store.Merge(store.Zero(), mgr.View().Merged))
+	check()
 }

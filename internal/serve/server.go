@@ -362,8 +362,14 @@ type startingResponse struct {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	snap := s.cfg.Store.Current()
+	// One load decides the whole body: the manager installs the merged
+	// snapshot before it publishes the View, so reading the store beside
+	// the View could pair epoch N+1 with fleet_epoch N and stale shard rows.
 	fv := s.fleetView()
+	snap := fv.Merged
+	if s.cfg.Fleet == nil {
+		snap = s.cfg.Store.Current()
+	}
 	if snap == nil {
 		s.writeJSON(w, http.StatusServiceUnavailable, startingResponse{
 			Status: "starting", Version: s.cfg.Version, Fleet: s.fleetHealthOf(fv),

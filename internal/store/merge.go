@@ -8,8 +8,6 @@ import (
 	"logdiver/internal/core"
 	"logdiver/internal/correlate"
 	"logdiver/internal/errlog"
-	"logdiver/internal/machine"
-	"logdiver/internal/metrics"
 	"logdiver/internal/parse"
 	"logdiver/internal/wlm"
 )
@@ -224,67 +222,24 @@ func Merge(a, b *Snapshot) *Snapshot {
 	}
 
 	m := &Snapshot{
-		BuiltAt:    maxTime(a.BuiltAt, b.BuiltAt),
-		Result:     res,
-		Outcomes:   metrics.Outcomes(res.Runs),
-		Categories: metrics.ByCategory(res.Runs),
-		Ingest:     mergeIngest(a.Ingest, b.Ingest),
-		Shards:     vec,
-		Partial:    a.Partial || b.Partial,
-		NumNodes:   max(a.NumNodes, b.NumNodes),
-		NumXE:      max(a.NumXE, b.NumXE),
-		NumXK:      max(a.NumXK, b.NumXK),
-		spans:      spans,
-		runIndex:   make(map[uint64]int, nr),
+		BuiltAt:  maxTime(a.BuiltAt, b.BuiltAt),
+		Result:   res,
+		Ingest:   mergeIngest(a.Ingest, b.Ingest),
+		Shards:   vec,
+		Partial:  a.Partial || b.Partial,
+		NumNodes: max(a.NumNodes, b.NumNodes),
+		NumXE:    max(a.NumXE, b.NumXE),
+		NumXK:    max(a.NumXK, b.NumXK),
+		spans:    spans,
 	}
-	m.ScalingXE = rebucketScale(res.Runs, m.NumXE, machine.ClassXE)
-	m.ScalingXK = rebucketScale(res.Runs, m.NumXK, machine.ClassXK)
-	m.MTTI = rebucketMTTI(res.Runs, m.NumNodes)
-
-	// First occurrence in canonical order wins the drill-down index; a
-	// cross-shard apid collision (a misconfigured fleet) still counts every
-	// run in the aggregates, it just resolves /v1/runs/{apid} to one of
-	// them deterministically.
-	for i, r := range res.Runs {
-		if _, ok := m.runIndex[r.ApID]; !ok {
-			m.runIndex[r.ApID] = i
-		}
+	// The bucket bounds are sized to the union topology; for equal-topology
+	// shards they equal each shard's own. Both inputs came out of Build, so
+	// their extents already passed aggregate: an error here is a
+	// programming bug, not an input condition.
+	if err := m.aggregate(); err != nil {
+		panic(err)
 	}
-	m.apidsSorted = make([]uint64, 0, len(m.runIndex))
-	for apid := range m.runIndex {
-		m.apidsSorted = append(m.apidsSorted, apid)
-	}
-	slices.Sort(m.apidsSorted)
 	return m
-}
-
-// rebucketScale recomputes a failure-probability curve over the merged runs
-// with bounds sized to the union topology. For equal-topology shards the
-// bounds equal each shard's own, so the curve matches what a single-machine
-// Build would produce over the same runs.
-func rebucketScale(runs []correlate.AttributedRun, maxNodes int, class machine.NodeClass) []metrics.ScaleBucket {
-	if maxNodes <= 0 {
-		return nil
-	}
-	buckets, err := metrics.FailureProbabilityByScale(runs, metrics.GeometricBuckets(maxNodes), class)
-	if err != nil {
-		// GeometricBuckets(n>0) is ascending by construction; an error here
-		// is a programming bug, not an input condition.
-		panic("store: merge scaling: " + err.Error())
-	}
-	return buckets
-}
-
-// rebucketMTTI recomputes the MTTI-by-scale curve over the merged runs.
-func rebucketMTTI(runs []correlate.AttributedRun, maxNodes int) []metrics.MTTIBucket {
-	if maxNodes <= 0 {
-		return nil
-	}
-	buckets, err := metrics.MTTIByScale(runs, metrics.GeometricBuckets(maxNodes), 0)
-	if err != nil {
-		panic("store: merge mtti: " + err.Error())
-	}
-	return buckets
 }
 
 // mergeParse sums two hygiene reports. Per-kind counters add; the retained

@@ -13,6 +13,7 @@ import (
 	"logdiver/internal/gen"
 	"logdiver/internal/machine"
 	"logdiver/internal/metrics"
+	"logdiver/internal/raceflag"
 )
 
 // fleetFixture returns a small, fast fleet: k machines, one day each, with
@@ -278,17 +279,35 @@ func TestMergeLaws(t *testing.T) {
 	})
 }
 
-// BenchmarkMerge measures one pairwise fleet merge; BENCH_merge.json gates
-// its ns/op and allocs/op ceilings in CI.
+// mergePair is the two-shard input of BenchmarkMerge and the allocation
+// ceiling below.
+func mergePair(t testing.TB) (a, c *Snapshot) {
+	machines := fleetFixture(t, 2)
+	return scratchShard(t, machines[0], 1, 0, 1), scratchShard(t, machines[1], 1, 0, 1)
+}
+
+// BenchmarkMerge measures one pairwise fleet merge. Its wall time is gated
+// end to end by bench/ (epoch_advance_ms, layer store.merge_ms).
 func BenchmarkMerge(b *testing.B) {
-	machines := fleetFixture(b, 2)
-	a := scratchShard(b, machines[0], 1, 0, 1)
-	c := scratchShard(b, machines[1], 1, 0, 1)
+	a, c := mergePair(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if m := Merge(a, c); m.TotalRuns() == 0 {
 			b.Fatal("empty merge")
 		}
+	}
+}
+
+// TestMergeAllocCeiling: a merge allocates per output slice and per
+// aggregate, never per run. Measured 48.
+func TestMergeAllocCeiling(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const ceiling = 64
+	a, c := mergePair(t)
+	if n := testing.AllocsPerRun(20, func() { Merge(a, c) }); n > ceiling {
+		t.Errorf("Merge of two one-day shards: %.0f allocs/op, ceiling %d", n, ceiling)
 	}
 }

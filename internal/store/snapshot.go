@@ -105,34 +105,51 @@ func Build(res *core.Result, top *machine.Topology, ing IngestStats, at time.Tim
 		return nil, fmt.Errorf("store: nil topology")
 	}
 	s := &Snapshot{
-		BuiltAt:    at,
-		Result:     res,
-		Outcomes:   metrics.Outcomes(res.Runs),
-		Categories: metrics.ByCategory(res.Runs),
-		Ingest:     ing,
-		NumNodes:   top.NumNodes(),
-		NumXE:      top.NumXE(),
-		NumXK:      top.NumXK(),
-		runIndex:   make(map[uint64]int, len(res.Runs)),
+		BuiltAt:  at,
+		Result:   res,
+		Ingest:   ing,
+		NumNodes: top.NumNodes(),
+		NumXE:    top.NumXE(),
+		NumXK:    top.NumXK(),
 	}
+	if err := s.aggregate(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// aggregate derives every served view and the run index from Result.Runs
+// and the topology extents. Build and Merge both end here, so a merged
+// snapshot's aggregates are by construction what Build would compute over
+// the same run sequence.
+func (s *Snapshot) aggregate() error {
+	runs := s.Result.Runs
+	s.Outcomes = metrics.Outcomes(runs)
+	s.Categories = metrics.ByCategory(runs)
 	var err error
-	allBounds := metrics.GeometricBuckets(top.NumNodes())
-	if s.ScalingXE, err = metrics.FailureProbabilityByScale(res.Runs, metrics.GeometricBuckets(top.NumXE()), machine.ClassXE); err != nil {
-		return nil, fmt.Errorf("store: xe scaling: %w", err)
+	if s.ScalingXE, err = metrics.FailureProbabilityByScale(runs, metrics.GeometricBuckets(s.NumXE), machine.ClassXE); err != nil {
+		return fmt.Errorf("store: xe scaling: %w", err)
 	}
-	if s.ScalingXK, err = metrics.FailureProbabilityByScale(res.Runs, metrics.GeometricBuckets(top.NumXK()), machine.ClassXK); err != nil {
-		return nil, fmt.Errorf("store: xk scaling: %w", err)
+	if s.ScalingXK, err = metrics.FailureProbabilityByScale(runs, metrics.GeometricBuckets(s.NumXK), machine.ClassXK); err != nil {
+		return fmt.Errorf("store: xk scaling: %w", err)
 	}
-	if s.MTTI, err = metrics.MTTIByScale(res.Runs, allBounds, 0); err != nil {
-		return nil, fmt.Errorf("store: mtti: %w", err)
+	if s.MTTI, err = metrics.MTTIByScale(runs, metrics.GeometricBuckets(s.NumNodes), 0); err != nil {
+		return fmt.Errorf("store: mtti: %w", err)
 	}
-	s.apidsSorted = make([]uint64, len(res.Runs))
-	for i, r := range res.Runs {
-		s.runIndex[r.ApID] = i
-		s.apidsSorted[i] = r.ApID
+	// Walking backwards lets the first occurrence of an apid win the
+	// drill-down index with one map write per run. Apids repeat only in
+	// corrupted archives (lenient mode) or across the shards of a
+	// misconfigured fleet; every run still counts in the aggregates and in
+	// TotalRuns, and the listing and /v1/runs/{apid} resolve a repeated
+	// apid to its first run.
+	s.runIndex = make(map[uint64]int, len(runs))
+	s.apidsSorted = make([]uint64, len(runs))
+	for i := len(runs) - 1; i >= 0; i-- {
+		s.runIndex[runs[i].ApID] = i
+		s.apidsSorted[i] = runs[i].ApID
 	}
 	slices.Sort(s.apidsSorted)
-	return s, nil
+	return nil
 }
 
 // TotalRuns is the number of runs in the snapshot.

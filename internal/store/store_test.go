@@ -144,6 +144,56 @@ func TestTailerRotation(t *testing.T) {
 	}
 }
 
+// TestTailerPollAllOrNothing: a Poll that fails on the last archive must
+// not consume what it already read from the others — neither appended bytes
+// (with their held-back fragment) nor a rotation it detected. The broken
+// archive is a directory: it opens and stats fine but fails to read.
+func TestTailerPollAllOrNothing(t *testing.T) {
+	dir := t.TempDir()
+	acc, aps, sys := filepath.Join(dir, AccountingFile), filepath.Join(dir, ApsysFile), filepath.Join(dir, SyslogFile)
+	put := func(path, content string) { // rewrites in place: same inode
+		t.Helper()
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(acc, "a1\npart")
+	put(aps, "old one\nold two\n")
+	put(sys, "s1 one\ns1 two\n")
+	tl := NewTailer(dir)
+	if _, err := tl.Poll(); err != nil {
+		t.Fatal(err)
+	}
+
+	put(acc, "a1\npartial\na2\n") // grew: an append
+	put(aps, "new\n")             // shrank: a rotation
+	if err := os.Remove(sys); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(sys, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := tl.Poll(); err == nil || !d.Empty() {
+		t.Fatalf("poll over a directory archive: %+v, %v; want an error and no data", d, err)
+	}
+
+	if err := os.Remove(sys); err != nil {
+		t.Fatal(err)
+	}
+	put(sys, "s2\n") // shorter than what was consumed: a rotation
+	d, err := tl.Poll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := [3]string{string(d.Accounting), string(d.Apsys), string(d.Syslog)},
+		[3]string{"partial\na2\n", "new\n", "s2\n"}; got != want {
+		t.Errorf("after heal: %q, want %q", got, want)
+	}
+	if d, err := tl.Poll(); err != nil || !d.Empty() {
+		t.Errorf("second poll after heal: %+v, %v; want every byte exactly once", d, err)
+	}
+}
+
 func TestStoreEpochsAndHeartbeat(t *testing.T) {
 	st := New()
 	if st.Current() != nil {

@@ -71,12 +71,17 @@ func NewTailerPaths(accounting, apsys, syslog string) *Tailer {
 
 // Poll reads whatever every archive has grown since the previous Poll and
 // returns it as a line-aligned Delta. A Delta with no bytes means nothing
-// new arrived.
+// new arrived. Poll is all-or-nothing: when one archive fails to read, the
+// offsets, carries and file identities of the archives already read are
+// rolled back, so their bytes (and any rotation just detected) are
+// delivered by the next successful Poll instead of being lost.
 func (t *Tailer) Poll() (core.Delta, error) {
 	var d core.Delta
+	before := t.files
 	for i := range t.files {
 		b, err := t.files[i].read()
 		if err != nil {
+			t.files = before
 			return core.Delta{}, err
 		}
 		switch i {

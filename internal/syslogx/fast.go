@@ -70,7 +70,7 @@ func CheckLineBytes(b []byte) (v LineView, skip bool, perr *parse.Error) {
 		var err error
 		t, err = time.Parse(timeLayout, string(ts))
 		if err != nil {
-			return LineView{}, false, parse.Errorf(parse.KindTimestamp, truncLine(b), "bad timestamp: %s", err.Error())
+			return LineView{}, false, parse.Errorf(parse.KindTimestamp, parse.SampleText(b), "bad timestamp: %s", err.Error())
 		}
 	}
 	sp = bytes.IndexByte(rest, ' ')
@@ -96,14 +96,7 @@ func CheckLineBytes(b []byte) (v LineView, skip bool, perr *parse.Error) {
 // errBytes builds the typed error with the line text truncated exactly as
 // the string path's parse.Errorf would.
 func errBytes(kind parse.Kind, line []byte, reason string) *parse.Error {
-	return parse.Errorf(kind, truncLine(line), "%s", reason)
-}
-
-func truncLine(b []byte) string {
-	if len(b) > parse.SampleTextBytes {
-		b = b[:parse.SampleTextBytes]
-	}
-	return string(b)
+	return parse.Errorf(kind, parse.SampleText(line), "%s", reason)
 }
 
 // parseStampFast parses the canonical wire form of timeLayout —
@@ -121,67 +114,21 @@ func parseStampFast(b []byte) (time.Time, bool) {
 	if b[4] != '-' || b[7] != '-' || b[10] != 'T' || b[13] != ':' || b[16] != ':' || b[19] != '.' {
 		return time.Time{}, false
 	}
-	year, ok := digits4(b[0:4])
+	year, ok := parse.Digits(b[0:4])
 	if !ok {
 		return time.Time{}, false
 	}
-	mo, ok1 := digits2(b[5], b[6])
-	day, ok2 := digits2(b[8], b[9])
-	hour, ok3 := digits2(b[11], b[12])
-	min, ok4 := digits2(b[14], b[15])
-	sec, ok5 := digits2(b[17], b[18])
-	micro, ok6 := digits6(b[20:26])
+	mo, ok1 := parse.Digits2(b[5], b[6])
+	day, ok2 := parse.Digits2(b[8], b[9])
+	hour, ok3 := parse.Digits2(b[11], b[12])
+	min, ok4 := parse.Digits2(b[14], b[15])
+	sec, ok5 := parse.Digits2(b[17], b[18])
+	micro, ok6 := parse.Digits(b[20:26])
 	if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6) {
 		return time.Time{}, false
 	}
-	if mo < 1 || mo > 12 || day < 1 || day > daysIn(mo, year) || hour > 23 || min > 59 || sec > 59 {
+	if mo < 1 || mo > 12 || day < 1 || day > parse.DaysIn(mo, year) || hour > 23 || min > 59 || sec > 59 {
 		return time.Time{}, false
 	}
 	return time.Date(year, time.Month(mo), day, hour, min, sec, micro*1000, time.UTC), true
-}
-
-//ldvet:hotpath
-func digits2(a, b byte) (int, bool) {
-	if a < '0' || a > '9' || b < '0' || b > '9' {
-		return 0, false
-	}
-	return int(a-'0')*10 + int(b-'0'), true
-}
-
-//ldvet:hotpath
-func digits4(b []byte) (int, bool) {
-	n := 0
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, true
-}
-
-//ldvet:hotpath
-func digits6(b []byte) (int, bool) {
-	n := 0
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, true
-}
-
-// daysIn returns the day count of month m in year y (Gregorian).
-func daysIn(m, y int) int {
-	switch m {
-	case 1, 3, 5, 7, 8, 10, 12:
-		return 31
-	case 4, 6, 9, 11:
-		return 30
-	}
-	if y%4 == 0 && (y%100 != 0 || y%400 == 0) {
-		return 29
-	}
-	return 28
 }

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"regexp/syntax"
 	"testing"
+
+	"logdiver/internal/raceflag"
 )
 
 func parsed(t *testing.T, pattern string) *syntax.Regexp {
@@ -142,7 +144,7 @@ func TestDefaultRulesAllPrefiltered(t *testing.T) {
 // TestClassifyBytesZeroAlloc gates the classification fast path for both a
 // rule hit (ordered tier, no regexp) and an unclassified message.
 func TestClassifyBytesZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("sync.Pool drops items under the race detector; the fold-buffer pool misses and allocates")
 	}
 	cls := Default()

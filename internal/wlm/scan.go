@@ -96,11 +96,11 @@ func CheckLineBytes(b []byte, loc *time.Location) (r ScanRecord, skip bool, perr
 		var err error
 		t, err = time.ParseInLocation(stampLayout, string(ts), loc)
 		if err != nil {
-			return ScanRecord{}, false, parse.Errorf(parse.KindTimestamp, truncLine(b), "wlm: bad timestamp: %s", err.Error())
+			return ScanRecord{}, false, parse.Errorf(parse.KindTimestamp, parse.SampleText(b), "wlm: bad timestamp: %s", err.Error())
 		}
 	}
 	if len(typ) != 1 || !EventType(typ[0]).Valid() {
-		return ScanRecord{}, false, parse.Errorf(parse.KindStructure, truncLine(b), "wlm: bad record type %q", typ)
+		return ScanRecord{}, false, parse.Errorf(parse.KindStructure, parse.SampleText(b), "wlm: bad record type %q", typ)
 	}
 	if len(jobID) == 0 {
 		return ScanRecord{}, false, errLine(parse.KindStructure, b, "wlm: empty job id")
@@ -131,7 +131,7 @@ func CheckLineBytes(b []byte, loc *time.Location) (r ScanRecord, skip bool, perr
 		kv := fields[tok:i]
 		eq := bytes.IndexByte(kv, '=')
 		if eq < 0 {
-			return ScanRecord{}, false, parse.Errorf(parse.KindField, truncLine(b), "wlm: malformed field %q", kv)
+			return ScanRecord{}, false, parse.Errorf(parse.KindField, parse.SampleText(b), "wlm: malformed field %q", kv)
 		}
 		k, v := kv[:eq], kv[eq+1:]
 		switch {
@@ -235,14 +235,7 @@ func spaceAt(b []byte, i int) (bool, int) {
 }
 
 func errLine(kind parse.Kind, line []byte, reason string) *parse.Error {
-	return parse.Errorf(kind, truncLine(line), "%s", reason)
-}
-
-func truncLine(b []byte) string {
-	if len(b) > parse.SampleTextBytes {
-		b = b[:parse.SampleTextBytes]
-	}
-	return string(b)
+	return parse.Errorf(kind, parse.SampleText(line), "%s", reason)
 }
 
 // parseWalltimeBytes parses the HH:MM:SS convention with the exact
@@ -289,53 +282,19 @@ func parseStampFastWlm(b []byte, loc *time.Location) (time.Time, bool) {
 	if len(b) != 19 || b[2] != '/' || b[5] != '/' || b[10] != ' ' || b[13] != ':' || b[16] != ':' {
 		return time.Time{}, false
 	}
-	mo, ok1 := digits2(b[0], b[1])
-	day, ok2 := digits2(b[3], b[4])
-	year, ok3 := digits4(b[6:10])
-	hour, ok4 := digits2(b[11], b[12])
-	min, ok5 := digits2(b[14], b[15])
-	sec, ok6 := digits2(b[17], b[18])
+	mo, ok1 := parse.Digits2(b[0], b[1])
+	day, ok2 := parse.Digits2(b[3], b[4])
+	year, ok3 := parse.Digits(b[6:10])
+	hour, ok4 := parse.Digits2(b[11], b[12])
+	min, ok5 := parse.Digits2(b[14], b[15])
+	sec, ok6 := parse.Digits2(b[17], b[18])
 	if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6) {
 		return time.Time{}, false
 	}
-	if mo < 1 || mo > 12 || day < 1 || day > daysIn(mo, year) || hour > 23 || min > 59 || sec > 59 {
+	if mo < 1 || mo > 12 || day < 1 || day > parse.DaysIn(mo, year) || hour > 23 || min > 59 || sec > 59 {
 		return time.Time{}, false
 	}
 	return time.Date(year, time.Month(mo), day, hour, min, sec, 0, loc), true
-}
-
-//ldvet:hotpath
-func digits2(a, b byte) (int, bool) {
-	if a < '0' || a > '9' || b < '0' || b > '9' {
-		return 0, false
-	}
-	return int(a-'0')*10 + int(b-'0'), true
-}
-
-//ldvet:hotpath
-func digits4(b []byte) (int, bool) {
-	n := 0
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, true
-}
-
-// daysIn returns the day count of month m in year y (Gregorian).
-func daysIn(m, y int) int {
-	switch m {
-	case 1, 3, 5, 7, 8, 10, 12:
-		return 31
-	case 4, 6, 9, 11:
-		return 30
-	}
-	if y%4 == 0 && (y%100 != 0 || y%400 == 0) {
-		return 29
-	}
-	return 28
 }
 
 // AddScan folds one ScanRecord into the assembler with the exact semantics
