@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -25,7 +26,6 @@ func TestSeededFindings(t *testing.T) {
 	for dir, analyzer := range map[string]string{
 		"../../internal/ldvet/testdata/src/exhaustive":    "exhaustive",
 		"../../internal/ldvet/testdata/src/regexpcompile": "regexpcompile",
-		"../../internal/ldvet/testdata/src/pooledretain":  "pooledretain",
 		"../../internal/ldvet/testdata/src/hotalloc":      "hotalloc",
 	} {
 		var out, errOut strings.Builder
@@ -102,9 +102,14 @@ func TestAnalyzersList(t *testing.T) {
 	if code := run([]string{"-analyzers"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, want 0", code)
 	}
-	for _, name := range []string{"exhaustive", "regexpcompile", "pooledretain", "hotalloc", "suppress"} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("analyzer %s missing from listing:\n%s", name, out.String())
+	want := []string{"exhaustive", "hotalloc", "packagedoc", "regexpcompile", "suppress"}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		if name, _, ok := strings.Cut(line, "\t"); ok {
+			got = append(got, name)
 		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("analyzers listed = %q, want %q\n%s", got, want, out.String())
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"logdiver/internal/correlate"
 	"logdiver/internal/fleet"
 	"logdiver/internal/gen"
-	"logdiver/internal/machine"
 	"logdiver/internal/report"
 	"logdiver/internal/store"
 )
@@ -67,14 +66,7 @@ func analyzeFleet(confPath string, opts logdiver.Options, defaultTZ, format stri
 // directory. Missing archive files are treated as empty, matching the
 // daemon tailer's semantics for archives that have not appeared yet.
 func analyzeShard(sc fleet.ShardConfig, opts logdiver.Options, defaultTZ string) (*store.Snapshot, error) {
-	var mc machine.Config
-	switch sc.Machine {
-	case fleet.MachineSmall:
-		mc = machine.Small()
-	default:
-		mc = machine.BlueWaters()
-	}
-	top, err := machine.New(mc)
+	top, err := topologyFor(sc.Machine)
 	if err != nil {
 		return nil, err
 	}

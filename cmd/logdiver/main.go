@@ -9,7 +9,8 @@
 //	    [-rules site-rules.txt] [-parallelism N] [-parse-mode lenient|strict]
 //	logdiver analyze -fleet-config fleet.conf [-format ascii|md|csv] \
 //	    [-parallelism N] [-parse-mode lenient|strict] [-tz ZONE]
-//	logdiver coalesce -syslog sys.log [-temporal 5m] [-spatial 2m] [-top 25]
+//	logdiver coalesce -syslog sys.log [-machine bluewaters|small] \
+//	    [-temporal 5m] [-spatial 2m] [-top 25]
 //	logdiver avail -syslog sys.log [-machine bluewaters|small] [-top 5]
 //	logdiver lint-rules [-rules site-rules.txt] [-json]
 //	logdiver mutate -in sys.log -out sys.corrupt.log [-manifest m.json] \
@@ -98,6 +99,8 @@ import (
 	"logdiver"
 	"logdiver/internal/avail"
 	"logdiver/internal/coalesce"
+	"logdiver/internal/errlog"
+	"logdiver/internal/fleet"
 	"logdiver/internal/gen"
 	"logdiver/internal/metrics"
 	"logdiver/internal/mutate"
@@ -115,33 +118,41 @@ func main() {
 	}
 }
 
+// subcommands is the one list of what logdiver can do: run dispatches on
+// it and the usage line and the unknown-subcommand error are built from it.
+var subcommands = []struct {
+	name string
+	run  func(args []string) error
+}{
+	{"analyze", analyze},
+	{"avail", availCmd},
+	{"coalesce", coalesceCmd},
+	{"generate", generate},
+	{"lint-rules", lintRules},
+	{"mutate", mutateCmd},
+	{"simulate", simulate},
+	{"state", stateCmd},
+	{"version", func([]string) error { fmt.Println(version.Get()); return nil }},
+}
+
 func run(args []string) error {
+	names := make([]string, len(subcommands))
+	for i, sc := range subcommands {
+		names[i] = sc.name
+	}
 	if len(args) == 0 {
-		return fmt.Errorf("usage: logdiver <analyze|generate> [flags]")
+		return fmt.Errorf("usage: logdiver <%s> [flags]", strings.Join(names, "|"))
 	}
-	switch args[0] {
-	case "version", "-version", "--version":
-		fmt.Println(version.Get())
-		return nil
-	case "analyze":
-		return analyze(args[1:])
-	case "generate":
-		return generate(args[1:])
-	case "coalesce":
-		return coalesceCmd(args[1:])
-	case "avail":
-		return availCmd(args[1:])
-	case "lint-rules":
-		return lintRules(args[1:])
-	case "mutate":
-		return mutateCmd(args[1:])
-	case "simulate":
-		return simulate(args[1:])
-	case "state":
-		return stateCmd(args[1:])
-	default:
-		return fmt.Errorf("unknown subcommand %q (want analyze, avail, coalesce, generate, lint-rules, mutate, simulate or state)", args[0])
+	name := args[0]
+	if name == "-version" || name == "--version" {
+		name = "version"
 	}
+	for _, sc := range subcommands {
+		if sc.name == name {
+			return sc.run(args[1:])
+		}
+	}
+	return fmt.Errorf("unknown subcommand %q (want one of %s)", args[0], strings.Join(names, ", "))
 }
 
 func analyze(args []string) error {
@@ -263,20 +274,56 @@ func analyze(args []string) error {
 	return nil
 }
 
+// topologyFor builds the topology of the machine model a -machine flag value
+// (or a fleet shard's machine profile) names.
+func topologyFor(name string) (*logdiver.Topology, error) {
+	switch name {
+	case fleet.MachineBlueWaters:
+		return logdiver.NewTopology(logdiver.BlueWaters())
+	case fleet.MachineSmall:
+		return logdiver.NewTopology(logdiver.SmallMachine())
+	default:
+		return nil, fmt.Errorf("unknown machine %q", name)
+	}
+}
+
+// classifiedEvents scans a syslog archive with the built-in taxonomy and
+// returns its classified events, each attributed to its node in top; hosts
+// that are not node cnames (service hosts, the SMW) attribute system-wide.
+// Shared by coalesce and avail.
+func classifiedEvents(sysPath string, top *logdiver.Topology) ([]logdiver.Event, error) {
+	f, err := os.Open(sysPath)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+
+	cls := taxonomy.Default()
+	sc := syslogx.NewScanner(f)
+	var events []logdiver.Event
+	for sc.Scan() {
+		line := sc.Line()
+		cat, sev := cls.Classify(line.Message)
+		if cat == taxonomy.Unclassified {
+			continue
+		}
+		node := errlog.SystemWide
+		if id, err := top.LookupString(line.Host); err == nil {
+			node = id
+		}
+		events = append(events, logdiver.Event{
+			Time: line.Time, Node: node, Cname: line.Host,
+			Category: cat, Severity: sev, Message: line.Message,
+		})
+	}
+	return events, sc.Err()
+}
+
 // openArchives resolves the machine model and timezone and opens whichever
 // of the three archive paths are non-empty. The caller closes the returned
 // closers when the analysis is done. Shared by analyze and simulate.
 func openArchives(accPath, apsPath, sysPath, machineName, timezone string) (logdiver.Archives, *logdiver.Topology, []io.Closer, error) {
-	var mc logdiver.MachineConfig
-	switch machineName {
-	case "bluewaters":
-		mc = logdiver.BlueWaters()
-	case "small":
-		mc = logdiver.SmallMachine()
-	default:
-		return logdiver.Archives{}, nil, nil, fmt.Errorf("unknown machine %q", machineName)
-	}
-	top, err := logdiver.NewTopology(mc)
+	top, err := topologyFor(machineName)
 	if err != nil {
 		return logdiver.Archives{}, nil, nil, err
 	}
@@ -509,6 +556,7 @@ func coalesceCmd(args []string) error {
 	fs := flag.NewFlagSet("coalesce", flag.ContinueOnError)
 	var (
 		sysPath  = fs.String("syslog", "", "path to the syslog archive")
+		mc       = fs.String("machine", "bluewaters", "machine model: bluewaters or small")
 		temporal = fs.Duration("temporal", coalesce.DefaultTemporalWindow, "tupling window")
 		spatial  = fs.Duration("spatial", coalesce.DefaultSpatialWindow, "spatial merge window")
 		top      = fs.Int("top", 25, "print the N largest machine-level events")
@@ -519,27 +567,12 @@ func coalesceCmd(args []string) error {
 	if *sysPath == "" {
 		return fmt.Errorf("coalesce: -syslog is required")
 	}
-	f, err := os.Open(*sysPath)
+	topo, err := topologyFor(*mc)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-
-	cls := taxonomy.Default()
-	sc := syslogx.NewScanner(f)
-	var events []logdiver.Event
-	for sc.Scan() {
-		line := sc.Line()
-		cat, sev := cls.Classify(line.Message)
-		if cat == taxonomy.Unclassified {
-			continue
-		}
-		events = append(events, logdiver.Event{
-			Time: line.Time, Node: -1, Cname: line.Host,
-			Category: cat, Severity: sev, Message: line.Message,
-		})
-	}
-	if err := sc.Err(); err != nil {
+	events, err := classifiedEvents(*sysPath, topo)
+	if err != nil {
 		return err
 	}
 	_, groups, stats := coalesce.Pipeline(events, *temporal, *spatial)
@@ -574,55 +607,25 @@ func availCmd(args []string) error {
 	if *sysPath == "" {
 		return fmt.Errorf("avail: -syslog is required")
 	}
-	var cfg logdiver.MachineConfig
-	switch *mc {
-	case "bluewaters":
-		cfg = logdiver.BlueWaters()
-	case "small":
-		cfg = logdiver.SmallMachine()
-	default:
-		return fmt.Errorf("unknown machine %q", *mc)
-	}
-	top, err := logdiver.NewTopology(cfg)
+	top, err := topologyFor(*mc)
 	if err != nil {
 		return err
 	}
-	f, err := os.Open(*sysPath)
+	events, err := classifiedEvents(*sysPath, top)
 	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	cls := taxonomy.Default()
-	sc := syslogx.NewScanner(f)
-	var events []logdiver.Event
-	var first, last time.Time
-	for sc.Scan() {
-		line := sc.Line()
-		cat, sev := cls.Classify(line.Message)
-		if cat == taxonomy.Unclassified {
-			continue
-		}
-		node := logdiver.NodeID(-1)
-		if id, err := top.LookupString(line.Host); err == nil {
-			node = id
-		}
-		events = append(events, logdiver.Event{
-			Time: line.Time, Node: node, Cname: line.Host,
-			Category: cat, Severity: sev, Message: line.Message,
-		})
-		if first.IsZero() || line.Time.Before(first) {
-			first = line.Time
-		}
-		if line.Time.After(last) {
-			last = line.Time
-		}
-	}
-	if err := sc.Err(); err != nil {
 		return err
 	}
 	if len(events) == 0 {
 		return fmt.Errorf("avail: no classifiable events in %s", *sysPath)
+	}
+	first, last := events[0].Time, events[0].Time
+	for _, e := range events[1:] {
+		if e.Time.Before(first) {
+			first = e.Time
+		}
+		if e.Time.After(last) {
+			last = e.Time
+		}
 	}
 	downs, err := avail.Reconstruct(events, last)
 	if err != nil {

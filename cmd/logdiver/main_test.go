@@ -62,6 +62,22 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 }
 
+// TestUsageNamesEverySubcommand pins the usage line and the
+// unknown-subcommand error to the nine subcommands run dispatches on.
+func TestUsageNamesEverySubcommand(t *testing.T) {
+	names := []string{"analyze", "avail", "coalesce", "generate", "lint-rules", "mutate", "simulate", "state", "version"}
+	usage, unknown := run(nil), run([]string{"bogus"})
+	if usage == nil || unknown == nil {
+		t.Fatalf("run(nil) = %v, run(bogus) = %v; want errors", usage, unknown)
+	}
+	if want := "usage: logdiver <" + strings.Join(names, "|") + "> [flags]"; usage.Error() != want {
+		t.Errorf("usage = %q, want %q", usage, want)
+	}
+	if want := "(want one of " + strings.Join(names, ", ") + ")"; !strings.HasSuffix(unknown.Error(), want) {
+		t.Errorf("unknown-subcommand error = %q, want it to end %q", unknown, want)
+	}
+}
+
 func TestAnalyzeEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	writeArchive(t, dir)
@@ -164,6 +180,43 @@ func TestCoalesceSubcommand(t *testing.T) {
 	}
 	if err := run([]string{"coalesce", "-syslog", "/does/not/exist"}); err == nil {
 		t.Error("missing syslog file accepted")
+	}
+}
+
+// TestCoalesceMatchesAnalyze holds the coalesce subcommand to the pipeline:
+// over the same syslog and machine model its reduction chain must be the
+// one analyze reports. Tupling is keyed by node, so a subcommand that does
+// not resolve hosts to nodes collapses every node into one tuple stream.
+func TestCoalesceMatchesAnalyze(t *testing.T) {
+	dir := t.TempDir()
+	writeArchive(t, dir)
+	sysPath := filepath.Join(dir, "syslog.log")
+
+	archives, top, closers, err := openArchives("", "", sysPath, "small", "UTC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := logdiver.Analyze(archives, top, logdiver.Options{})
+	for _, c := range closers {
+		c.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Coalesce.Tuples == res.Coalesce.Groups {
+		t.Fatalf("fixture cannot tell per-node tupling from collapsed tupling: %s", res.Coalesce)
+	}
+
+	out := captureStdout(t, func() {
+		if err := run([]string{"coalesce", "-syslog", sysPath, "-machine", "small"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got, _, _ := strings.Cut(out, "\n"); got != res.Coalesce.String() {
+		t.Errorf("coalesce stats = %q, analyze reports %q", got, res.Coalesce)
+	}
+	if err := run([]string{"coalesce", "-syslog", sysPath, "-machine", "bogus"}); err == nil {
+		t.Error("bogus machine accepted")
 	}
 }
 

@@ -39,7 +39,6 @@ type MessageView struct {
 // with a nil error. It allocates only for the node list of a Starting
 // record and for error construction.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func ParseMessageBytes(body []byte) (MessageView, *parse.Error) {
 	var m MessageView
@@ -158,7 +157,6 @@ var (
 // atoiView parses a required numeric field view; ok is false when the field
 // is absent or non-numeric (use atoiErr for the matching typed error).
 //
-//ldvet:pooled
 //ldvet:hotpath
 func atoiView(v []byte, have bool) (int, bool) {
 	if !have {
@@ -180,7 +178,6 @@ func atoiErr(v []byte, have bool, key string, body []byte) *parse.Error {
 // Retained strings (user, job ID, command) are copied out of the caller's
 // buffer through the assembler's intern table.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func (a *Assembler) AddView(at time.Time, v MessageView) error {
 	switch v.Kind {
@@ -213,7 +210,6 @@ func (a *Assembler) AddView(at time.Time, v MessageView) error {
 
 // intern returns a canonical string for b, copying it at most once.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func (a *Assembler) intern(b []byte) string {
 	if len(b) == 0 {

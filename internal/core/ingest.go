@@ -165,7 +165,6 @@ var apsysTagBytes = []byte(alps.Tag)
 // aliases raw; callers must fold it (AddView copies what it retains) before
 // the buffer is reused.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func checkApsysLineBytes(raw []byte, no int) (at time.Time, v alps.MessageView, counted, haveMsg bool, perr *parse.Error) {
 	lv, skip, perr := syslogx.CheckLineBytes(raw)
@@ -204,7 +203,6 @@ type apsViewChunk struct {
 // parseApsysBlockBytes applies checkApsysLineBytes to every line of a
 // numbered block.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func parseApsysBlockBytes(b stream.Block, mode parse.Mode) (apsViewChunk, error) {
 	var c apsViewChunk
@@ -278,7 +276,6 @@ type sysChunk struct {
 // memoizes host resolution against top and must not be shared between
 // concurrent calls.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func parseSyslogBlock(b stream.Block, top *machine.Topology, cls *taxonomy.Classifier, hc *errlog.HostCache, mode parse.Mode) (sysChunk, error) {
 	var c sysChunk

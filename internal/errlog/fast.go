@@ -38,7 +38,6 @@ func NewHostCache() *HostCache {
 // that are not node cnames in the topology attribute to SystemWide. It allocates only the
 // first time a distinct host is seen.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func (h *HostCache) Resolve(host []byte, top *machine.Topology) (machine.NodeID, string) {
 	if e, ok := h.m[string(host)]; ok {
@@ -76,7 +75,6 @@ const flushBytes = 64 << 10
 
 // Append adds one event whose Message is supplied as a byte view.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func (b *EventBatch) Append(e Event, msg []byte) {
 	b.marks = append(b.marks, batchMark{idx: len(b.events), off: len(b.buf), n: len(msg)})

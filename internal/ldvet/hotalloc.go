@@ -114,7 +114,7 @@ func (ha *hotCheck) prepare(fd *ast.FuncDecl) {
 				return true
 			}
 			for i, lhs := range n.Lhs {
-				id, ok := unparen(lhs).(*ast.Ident)
+				id, ok := ast.Unparen(lhs).(*ast.Ident)
 				if !ok {
 					continue
 				}
@@ -122,7 +122,7 @@ func (ha *hotCheck) prepare(fd *ast.FuncDecl) {
 				if obj == nil || !isPlainSlice(obj.Type()) {
 					continue
 				}
-				if lit, ok := unparen(n.Rhs[i]).(*ast.CompositeLit); ok && len(lit.Elts) == 0 {
+				if lit, ok := ast.Unparen(n.Rhs[i]).(*ast.CompositeLit); ok && len(lit.Elts) == 0 {
 					ha.bareVar[obj] = true // x := []T{}
 				}
 			}
@@ -187,7 +187,7 @@ func (ha *hotCheck) check(fd *ast.FuncDecl) {
 			ha.checkCompositeLit(n)
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				if _, ok := unparen(n.X).(*ast.CompositeLit); ok && !ha.coldPath(n) {
+				if _, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok && !ha.coldPath(n) {
 					ha.flag(n, "&composite literal allocates on every call in a //ldvet:hotpath function; hoist it, reuse a buffer, or annotate //ldvet:allow hotpath-alloc")
 				}
 			}
@@ -219,7 +219,7 @@ func (ha *hotCheck) checkCall(call *ast.CallExpr) {
 		return
 	}
 	// Builtins: make, new, append.
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := info.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
 			case "make":
@@ -312,10 +312,10 @@ func (ha *hotCheck) checkAppend(call *ast.CallExpr) {
 	if len(call.Args) == 0 {
 		return
 	}
-	dst := unparen(call.Args[0])
+	dst := ast.Unparen(call.Args[0])
 	for {
 		if s, ok := dst.(*ast.SliceExpr); ok {
-			dst = unparen(s.X)
+			dst = ast.Unparen(s.X)
 			continue
 		}
 		break
@@ -383,7 +383,7 @@ func (ha *hotCheck) checkBoxing(call *ast.CallExpr) {
 // calleeFunc resolves the called *types.Func, or nil.
 func (ha *hotCheck) calleeFunc(call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		id = fun
 	case *ast.SelectorExpr:

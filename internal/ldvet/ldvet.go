@@ -53,7 +53,6 @@ type Pass struct {
 	Fset     *token.FileSet
 	Pkg      *Package
 
-	loader *Loader
 	state  *runState
 	report func(Diagnostic)
 }
@@ -65,17 +64,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// Dep returns the already-loaded module-local package with the given import
-// path, or nil. Analyzers use it to inspect the syntax (and markers) of a
-// dependency's declarations: the loader parses module-local imports from
-// source into the same FileSet, so positions resolve across packages.
-func (p *Pass) Dep(path string) *Package {
-	if p.loader == nil {
-		return nil
-	}
-	return p.loader.pkgs[path]
 }
 
 // Allowed reports whether a //ldvet:allow <what> suppression comment covers
@@ -166,7 +154,6 @@ func Run(l *Loader, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				Analyzer: a,
 				Fset:     fset,
 				Pkg:      pkg,
-				loader:   l,
 				state:    state,
 				report:   report,
 			}
@@ -196,7 +183,7 @@ func Run(l *Loader, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 
 // Analyzers returns all analyzers the multichecker runs.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Exhaustive, Hotalloc, PackageDoc, PooledRetain, RegexpCompile, Suppress}
+	return []*Analyzer{Exhaustive, Hotalloc, PackageDoc, RegexpCompile, Suppress}
 }
 
 // hasMarker reports whether a //ldvet:... marker comment containing the
@@ -216,4 +203,17 @@ func hasMarker(fset *token.FileSet, file *ast.File, pos token.Pos, marker string
 		}
 	}
 	return false
+}
+
+// funcHasMarker reports whether fd carries the marker in its doc comment or
+// on the line directly above the declaration.
+func funcHasMarker(fset *token.FileSet, file *ast.File, fd *ast.FuncDecl, marker string) bool {
+	if fd.Doc != nil {
+		for _, c := range fd.Doc.List {
+			if strings.Contains(c.Text, marker) {
+				return true
+			}
+		}
+	}
+	return hasMarker(fset, file, fd.Pos(), marker)
 }

@@ -30,10 +30,6 @@ func TestRegexpCompile(t *testing.T) {
 	checkWants(t, "regexpcompile", ldvet.RegexpCompile)
 }
 
-func TestPooledRetain(t *testing.T) {
-	checkWants(t, "pooledretain", ldvet.PooledRetain)
-}
-
 func TestHotalloc(t *testing.T) {
 	checkWants(t, "hotalloc", ldvet.Hotalloc)
 }

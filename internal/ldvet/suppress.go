@@ -31,7 +31,6 @@ var Suppress = &Analyzer{
 // every use of it is reported as unknown.
 var allowOwner = map[string]string{
 	"regexp-compile": RegexpCompile.Name,
-	"pooled-retain":  PooledRetain.Name,
 	"hotpath-alloc":  Hotalloc.Name,
 }
 

@@ -15,7 +15,6 @@ import (
 // Blank reports whether the line is empty or whitespace-only, matching
 // strings.TrimSpace(string(b)) == "".
 //
-//ldvet:pooled
 //ldvet:hotpath
 func Blank(b []byte) bool {
 	return len(bytes.TrimSpace(b)) == 0
@@ -34,7 +33,6 @@ func SampleText(b []byte) string {
 // MaxLineBytes, carry no NUL bytes, and be valid UTF-8. It allocates only
 // when building an error.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func CheckLineBytes(b []byte) *Error {
 	if len(b) > MaxLineBytes {
@@ -52,7 +50,6 @@ func CheckLineBytes(b []byte) *Error {
 // Atoi parses b with the exact acceptance of strconv.Atoi, without
 // allocating. ok is false on any input strconv.Atoi would reject.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func Atoi(b []byte) (int, bool) {
 	s := b
@@ -83,7 +80,6 @@ func Atoi(b []byte) (int, bool) {
 // ParseInt64 parses b with the exact acceptance of
 // strconv.ParseInt(string(b), 10, 64), without allocating.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func ParseInt64(b []byte) (int64, bool) {
 	s := b
@@ -112,7 +108,6 @@ func ParseInt64(b []byte) (int64, bool) {
 // ParseUint64 parses b with the exact acceptance of
 // strconv.ParseUint(string(b), 10, 64), without allocating.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func ParseUint64(b []byte) (uint64, bool) {
 	// 19 digits cannot overflow uint64.

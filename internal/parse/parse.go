@@ -344,7 +344,6 @@ func (l *LineReader) Next() (line string, lineNo int, ok bool) {
 // view into the reader's internal buffer and is only valid until the next
 // NextBytes (or Next) call. Callers that retain line content must copy it.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func (l *LineReader) NextBytes() (line []byte, lineNo int, ok bool) {
 	if l.err != nil || l.done {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"reflect"
@@ -80,5 +81,68 @@ func TestOrderedRecycledBlocksUnterminatedTail(t *testing.T) {
 	}
 	if want := []string{"one", "two", "three without newline"}; !reflect.DeepEqual(lines, want) {
 		t.Errorf("lines = %q, want %q", lines, want)
+	}
+}
+
+// keepViews runs input through OrderedRecycledBlocks with a consume that
+// breaks the contract on purpose: it keeps every block's bytes as a view.
+func keepViews(t *testing.T, input string, blockSize, workers int) (kept [][]byte) {
+	t.Helper()
+	err := OrderedRecycledBlocks(strings.NewReader(input), blockSize, workers,
+		func(b Block) ([]byte, error) { return b.Data, nil },
+		func(view []byte) error {
+			if !strings.Contains(input, string(view)) {
+				t.Errorf("block bytes already overwritten inside consume: %.40q", view)
+			}
+			kept = append(kept, view)
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kept
+}
+
+// TestRecycledBlocksArePoisoned is the self-test of the pooled-view oracle:
+// every differential and golden test in the module relies on a retained view
+// turning into garbage under go test, so a recycle that stops poisoning (or
+// poisons with a constant, or only up to len) must fail here.
+func TestRecycledBlocksArePoisoned(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&sb, "line %d: payload %d\n", i, i*i)
+	}
+	input := sb.String()
+
+	// Whatever the reuse order, each buffer's last event is a recycle, so
+	// after the call every kept view is one repeated byte across its whole
+	// capacity — block tails beyond len included.
+	for _, workers := range []int{1, 4} {
+		kept := keepViews(t, input, 512, workers)
+		if len(kept) < 8 {
+			t.Fatalf("workers=%d: only %d blocks, want a multi-block input", workers, len(kept))
+		}
+		for i, view := range kept {
+			full := view[:cap(view)]
+			if n := bytes.Count(full, full[:1]); n != len(full) {
+				t.Fatalf("workers=%d block %d: %d of %d bytes (cap, len %d) carry the fill byte %#x; a retained view survived its recycle",
+					workers, i, n, len(full), len(view), full[0])
+			}
+		}
+	}
+
+	// One block is one recycle: two runs must not leave the same garbage,
+	// or two runs of the same buggy engine would still compare equal. The
+	// second run may reuse the first one's buffer, so read each fill at once.
+	var fills [2]byte
+	for i := range fills {
+		kept := keepViews(t, input, len(input), 1)
+		if len(kept) != 1 {
+			t.Fatalf("single-block input split into %d blocks", len(kept))
+		}
+		fills[i] = kept[0][0]
+	}
+	if fills[0] == fills[1] {
+		t.Errorf("consecutive recycles used the same fill byte %#x", fills[0])
 	}
 }

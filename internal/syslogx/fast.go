@@ -49,7 +49,6 @@ func (v LineView) Materialize() Line {
 // format parse return a typed *parse.Error, and everything else yields the
 // parsed LineView. It allocates only on malformed or non-canonical input.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func CheckLineBytes(b []byte) (v LineView, skip bool, perr *parse.Error) {
 	if parse.Blank(b) {
@@ -105,7 +104,6 @@ func errBytes(kind parse.Kind, line []byte, reason string) *parse.Error {
 // offsets, which are rare and routed through time.Parse so Local-zone
 // resolution matches exactly).
 //
-//ldvet:pooled
 //ldvet:hotpath
 func parseStampFast(b []byte) (time.Time, bool) {
 	if len(b) != 27 || b[26] != 'Z' {

@@ -60,7 +60,6 @@ type prefilter struct {
 
 // match reports whether any branch passes against the folded message.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func (f *prefilter) match(folded []byte) bool {
 	for _, br := range f.branches {
@@ -87,7 +86,6 @@ func (f *prefilter) match(folded []byte) bool {
 // chainMatch reports whether the chain's literals appear in order, each
 // starting at or after the end of the previous one.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func chainMatch(chain [][]byte, folded []byte) bool {
 	pos := 0
@@ -468,7 +466,6 @@ type foldBuf struct{ b []byte }
 // rewritten to their ASCII folds so the prefilter cannot miss a message the
 // regexp would match. All other bytes pass through unchanged.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func appendFolded(dst, src []byte) []byte {
 	for i := 0; i < len(src); i++ {
@@ -495,11 +492,9 @@ func appendFolded(dst, src []byte) []byte {
 // ClassifyBytes is Classify over a byte view of the message; it does not
 // retain msg and does not allocate on the steady-state path.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func (c *Classifier) ClassifyBytes(msg []byte) (Category, Severity) {
 	fb := foldPool.Get().(*foldBuf)
-	//ldvet:allow pooled-retain — appendFolded copies msg into the fold buffer
 	fb.b = appendFolded(fb.b[:0], msg)
 	// Ordered-chain hits decide the match outright only on newline-free
 	// messages: ".*" gaps cannot cross a '\n', which ordered search ignores.

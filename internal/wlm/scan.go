@@ -62,7 +62,6 @@ type ScanRecord struct {
 // Timestamps are interpreted in loc (UTC if nil). It allocates only on
 // malformed or non-canonical input.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func CheckLineBytes(b []byte, loc *time.Location) (r ScanRecord, skip bool, perr *parse.Error) {
 	if loc == nil {
@@ -223,7 +222,6 @@ var (
 // spaceAt reports whether the byte sequence at b[i:] starts with a Unicode
 // space (the separator set of strings.Fields) and its encoded width.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func spaceAt(b []byte, i int) (bool, int) {
 	c := b[i]
@@ -241,7 +239,6 @@ func errLine(kind parse.Kind, line []byte, reason string) *parse.Error {
 // parseWalltimeBytes parses the HH:MM:SS convention with the exact
 // acceptance of ParseWalltime, without allocating.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func parseWalltimeBytes(b []byte) (time.Duration, bool) {
 	c1 := bytes.IndexByte(b, ':')
@@ -276,7 +273,6 @@ func parseWalltimeBytes(b []byte) (time.Duration, bool) {
 // 1-digit hours time.Parse tolerates) return ok == false and take the
 // time.ParseInLocation fallback, which is authoritative.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func parseStampFastWlm(b []byte, loc *time.Location) (time.Time, bool) {
 	if len(b) != 19 || b[2] != '/' || b[5] != '/' || b[10] != ' ' || b[13] != ':' || b[16] != ':' {
@@ -302,7 +298,6 @@ func parseStampFastWlm(b []byte, loc *time.Location) (time.Time, bool) {
 // copied out of the caller's buffer, the short per-job strings through the
 // assembler's intern table so repeated values share storage.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func (a *Assembler) AddScan(r ScanRecord) error {
 	if len(r.JobID) == 0 {
@@ -363,7 +358,6 @@ func (a *Assembler) AddScan(r ScanRecord) error {
 
 // intern returns a canonical string for b, copying it at most once.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func (a *Assembler) intern(b []byte) string {
 	if s, ok := a.interned[string(b)]; ok {
@@ -385,7 +379,6 @@ func (a *Assembler) intern(b []byte) string {
 // returned records hold views into block; callers must fold them (AddScan
 // copies what it retains) before the block's buffer is reused.
 //
-//ldvet:pooled
 //ldvet:hotpath
 func ScanBlockMode(block []byte, loc *time.Location, firstLine int, mode parse.Mode) (recs []ScanRecord, stats parse.LineStats, err error) {
 	if loc == nil {
