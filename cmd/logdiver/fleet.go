@@ -132,8 +132,8 @@ func renderFleetTables(w io.Writer, format string, results []shardResult, merged
 		b := r.snap.Outcomes
 		shards.AddRow(r.name,
 			report.Count(b.Total),
-			report.Count(len(r.snap.Result.Jobs)),
-			report.Count(len(r.snap.Result.Events)),
+			report.Count(r.snap.Result.NumJobs),
+			report.Count(r.snap.Result.NumEvents),
 			report.F1(b.TotalNodeHours),
 			report.Pct(b.SystemFailureFraction()))
 	}

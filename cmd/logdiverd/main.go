@@ -246,7 +246,7 @@ func run(args []string, onListen func(addr string)) error {
 					"epoch", round.FleetEpoch,
 					"shards", snap.EpochVector(),
 					"runs", len(snap.Result.Runs),
-					"events", len(snap.Result.Events),
+					"events", snap.Result.NumEvents,
 					"partial", snap.Partial,
 				)
 			}

@@ -63,7 +63,7 @@ func run() error {
 	}
 	snap := st.Current()
 	fmt.Printf("ingested day 1: epoch %d, %d runs, %d events\n",
-		snap.Epoch, len(snap.Result.Runs), len(snap.Result.Events))
+		snap.Epoch, len(snap.Result.Runs), snap.Result.NumEvents)
 
 	// Serve the latest snapshot on a loopback port.
 	srv, err := serve.New(serve.Config{Store: st, Version: version.Get()})

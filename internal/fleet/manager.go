@@ -392,14 +392,15 @@ func (m *Manager) SyncRound(ctx context.Context) Round {
 	return Round{Shards: rounds, Installed: installed, FleetEpoch: m.fleet.Epoch()}
 }
 
-// publish folds the shards' current snapshots into a merged snapshot
-// (installing it under a new fleet epoch only when the epoch vector or the
-// partial flag actually changed) and publishes the new View. It reports
-// whether a new merged snapshot was installed.
+// publish gathers the shards' current snapshots and publishes a new View.
+// Only when the epoch vector or the partial flag changed does it fold them
+// into a new merged snapshot — a copy of every run plus every aggregate —
+// and install it under a new fleet epoch; an idle poll re-publishes the
+// previous merged snapshot untouched. It reports whether a new merged
+// snapshot was installed.
 func (m *Manager) publish() bool {
-	prev := m.view.Load()
-	merged := store.Zero()
 	statuses := make([]ShardStatus, len(m.shards))
+	vector := make([]store.ShardEpoch, 0, len(m.shards))
 	partial := false
 	for i, sh := range m.shards {
 		snap := sh.store.Current()
@@ -416,7 +417,7 @@ func (m *Manager) publish() bool {
 		if snap != nil {
 			st.Epoch = snap.Epoch
 			st.Runs = snap.TotalRuns()
-			merged = store.Merge(merged, snap)
+			vector = append(vector, store.ShardEpoch{Machine: snap.Machine, Epoch: snap.Epoch})
 		} else {
 			st.Status = "waiting"
 			partial = true
@@ -430,17 +431,18 @@ func (m *Manager) publish() bool {
 
 	v := &View{Partial: partial, Shards: statuses}
 	installed := false
-	if len(merged.EpochVector()) > 0 {
-		merged.Partial = partial
-		if prev == nil || prev.Merged == nil ||
-			!slices.Equal(prev.Merged.Shards, merged.Shards) ||
-			prev.Merged.Partial != partial {
-			m.fleet.Install(merged)
-			installed = true
-			v.Merged = merged
-		} else {
-			v.Merged = prev.Merged
+	if prev := m.view.Load(); prev != nil && prev.Merged != nil &&
+		slices.Equal(prev.Merged.Shards, vector) && prev.Merged.Partial == partial {
+		v.Merged = prev.Merged
+	} else if len(vector) > 0 {
+		merged := store.Zero()
+		for _, st := range statuses {
+			merged = store.Merge(merged, st.Snap)
 		}
+		merged.Partial = partial
+		m.fleet.Install(merged)
+		installed = true
+		v.Merged = merged
 	}
 	v.FleetEpoch = m.fleet.Epoch()
 	m.view.Store(v)

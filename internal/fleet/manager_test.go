@@ -14,6 +14,7 @@ import (
 	"logdiver/internal/gen"
 	"logdiver/internal/machine"
 	"logdiver/internal/parse"
+	"logdiver/internal/raceflag"
 	"logdiver/internal/store"
 )
 
@@ -456,4 +457,40 @@ func TestManagerNoMixedEpochRead(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestManagerIdleRoundDoesNotMerge: a poll that finds no new bytes on any
+// shard must not fold the shards again — a merge copies every run and
+// recomputes every aggregate, and the daemon polls every -poll-interval. The
+// merged snapshot stays the same object and the round's allocations stay
+// under a fixed ceiling: per shard a poll and a status row, nothing per
+// merge and nothing per run. Measured 47 on three shards; the merges that
+// used to run on every idle round added 104.
+func TestManagerIdleRoundDoesNotMerge(t *testing.T) {
+	machines := thinFleet(t, 3)
+	mgr, err := NewManager(ManagerConfig{Config: testFleet(t, t.TempDir(), machines, false)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if r := mgr.SyncRound(ctx); !r.Installed {
+		t.Fatalf("first round installed nothing: %+v", r)
+	}
+	merged := mgr.View().Merged
+	if merged.TotalRuns() == 0 {
+		t.Fatal("fixture has no runs")
+	}
+	if r := mgr.SyncRound(ctx); r.Installed || mgr.View().Merged != merged {
+		t.Fatalf("idle round replaced the merged snapshot (installed=%v)", r.Installed)
+	}
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const ceiling = 80
+	if n := testing.AllocsPerRun(20, func() { mgr.SyncRound(ctx) }); n > ceiling {
+		t.Errorf("idle SyncRound on 3 shards: %.0f allocs/op, ceiling %d", n, ceiling)
+	}
+	if mgr.View().Merged != merged {
+		t.Fatal("idle rounds replaced the merged snapshot")
+	}
 }

@@ -72,9 +72,6 @@ func (ix *Index) nodeEvents(n machine.NodeID) []errlog.Event {
 // Len returns the total number of indexed events.
 func (ix *Index) Len() int { return ix.total }
 
-// SystemLen returns the number of system-wide events.
-func (ix *Index) SystemLen() int { return len(ix.system) }
-
 // Nodes returns the number of distinct nodes with at least one event.
 func (ix *Index) Nodes() int { return ix.nodeCount }
 
@@ -87,18 +84,6 @@ func sliceWindow(evs []errlog.Event, from, to time.Time) []errlog.Event {
 		return nil
 	}
 	return evs[lo:hi]
-}
-
-// NodeWindow returns the events on node with Time in [from, to], in time
-// order. The returned slice aliases the index and must not be modified.
-func (ix *Index) NodeWindow(node machine.NodeID, from, to time.Time) []errlog.Event {
-	return sliceWindow(ix.nodeEvents(node), from, to)
-}
-
-// SystemWindow returns the system-wide events with Time in [from, to].
-// The returned slice aliases the index and must not be modified.
-func (ix *Index) SystemWindow(from, to time.Time) []errlog.Event {
-	return sliceWindow(ix.system, from, to)
 }
 
 // Window collects all events relevant to an application run placed on the

@@ -38,9 +38,6 @@ func TestIndexCounts(t *testing.T) {
 	if ix.Len() != 4 {
 		t.Errorf("Len = %d, want 4", ix.Len())
 	}
-	if ix.SystemLen() != 1 {
-		t.Errorf("SystemLen = %d, want 1", ix.SystemLen())
-	}
 	if ix.Nodes() != 2 {
 		t.Errorf("Nodes = %d, want 2", ix.Nodes())
 	}
@@ -53,19 +50,20 @@ func TestNodeWindowBoundsInclusive(t *testing.T) {
 		ev(5, 30*time.Minute, taxonomy.NodeHeartbeat),
 	}
 	ix := NewIndex(events)
-	got := ix.NodeWindow(5, base.Add(10*time.Minute), base.Add(30*time.Minute))
+	node5 := []machine.NodeID{5}
+	got := ix.Window(node5, base.Add(10*time.Minute), base.Add(30*time.Minute))
 	if len(got) != 3 {
 		t.Errorf("inclusive window returned %d events, want 3", len(got))
 	}
-	got = ix.NodeWindow(5, base.Add(11*time.Minute), base.Add(29*time.Minute))
+	got = ix.Window(node5, base.Add(11*time.Minute), base.Add(29*time.Minute))
 	if len(got) != 1 {
 		t.Errorf("interior window returned %d events, want 1", len(got))
 	}
-	got = ix.NodeWindow(5, base.Add(31*time.Minute), base.Add(time.Hour))
+	got = ix.Window(node5, base.Add(31*time.Minute), base.Add(time.Hour))
 	if len(got) != 0 {
 		t.Errorf("empty window returned %d events", len(got))
 	}
-	if got := ix.NodeWindow(99, base, base.Add(time.Hour)); len(got) != 0 {
+	if got := ix.Window([]machine.NodeID{99}, base, base.Add(time.Hour)); len(got) != 0 {
 		t.Errorf("unknown node returned %d events", len(got))
 	}
 }

@@ -358,9 +358,6 @@ func (t *Topology) XENodes() []NodeID { return copyIDs(t.xe) }
 // XKNodes returns the IDs of all XK compute nodes.
 func (t *Topology) XKNodes() []NodeID { return copyIDs(t.xk) }
 
-// ServiceNodes returns the IDs of all service nodes.
-func (t *Topology) ServiceNodes() []NodeID { return copyIDs(t.service) }
-
 // NumXE and NumXK report partition sizes without copying.
 func (t *Topology) NumXE() int { return len(t.xe) }
 

@@ -216,31 +216,6 @@ func ByCategory(runs []correlate.AttributedRun) []CategoryShare {
 	return out
 }
 
-// ByGroup rolls the category breakdown up to taxonomy groups.
-func ByGroup(runs []correlate.AttributedRun) []CategoryShare {
-	byGroup := make(map[taxonomy.Group]*CategoryShare)
-	for _, s := range ByCategory(runs) {
-		g := byGroup[s.Group]
-		if g == nil {
-			g = &CategoryShare{Group: s.Group}
-			byGroup[s.Group] = g
-		}
-		g.Failures += s.Failures
-		g.NodeHoursLost += s.NodeHoursLost
-	}
-	out := make([]CategoryShare, 0, len(byGroup))
-	for _, s := range byGroup {
-		out = append(out, *s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Failures != out[j].Failures {
-			return out[i].Failures > out[j].Failures
-		}
-		return out[i].Group < out[j].Group
-	})
-	return out
-}
-
 // TimeBucket is one step of the production/lost node-hours timeline.
 type TimeBucket struct {
 	Start time.Time

@@ -136,6 +136,81 @@ func analyzeFiles(t testing.TB, dir string, ds *gen.Dataset, par int) *core.Resu
 	return res
 }
 
+// restoredResult is the restore oracle at the layer that owns the data: it
+// rebuilds the pipeline from the gob-round-tripped state with no Syncer and
+// no snapshot in between, appends what the restored tailer reads, and
+// returns the full Result — jobs, events, tuples and groups included. It
+// loads its own copy of the state so the Syncer's restore shares nothing
+// with it.
+func restoredResult(t testing.TB, dir, statePath string, ds *gen.Dataset, par int) *core.Result {
+	t.Helper()
+	loaded, err := Load(statePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := core.RestoreIncremental(ds.Topology, time.UTC, core.Options{Parallelism: par}, loaded.Syncer.Pipeline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := store.NewTailer(dir)
+	if err := tail.RestoreState(loaded.Syncer.Tailer); err != nil {
+		t.Fatal(err)
+	}
+	d, err := tail.Poll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc.Append(d); err != nil {
+		t.Fatal(err)
+	}
+	res, err := inc.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// checkSnapshot requires snap to hold everything a snapshot retains of
+// want — runs, both counts, reduction counters, hygiene, span — and the
+// five aggregates a from-scratch Build derives from it.
+func checkSnapshot(t testing.TB, snap *store.Snapshot, want *core.Result, ds *gen.Dataset) {
+	t.Helper()
+	if snap.Result.Parse != want.Parse {
+		t.Fatalf("ParseStats diverged:\n got %+v\nwant %+v", snap.Result.Parse, want.Parse)
+	}
+	retained := store.Retained{
+		Runs:      want.Runs,
+		NumJobs:   len(want.Jobs),
+		NumEvents: len(want.Events),
+		Coalesce:  want.Coalesce,
+		Parse:     want.Parse,
+		Start:     want.Start,
+		End:       want.End,
+	}
+	if !reflect.DeepEqual(snap.Result, retained) {
+		t.Fatalf("warm-restart snapshot diverged from from-scratch Analyze (%d vs %d runs, %d vs %d jobs, %d vs %d events)",
+			len(snap.Result.Runs), len(want.Runs), snap.Result.NumJobs, len(want.Jobs), snap.Result.NumEvents, len(want.Events))
+	}
+	ref, err := store.Build(want, ds.Topology, store.IngestStats{}, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []struct {
+		name      string
+		got, want any
+	}{
+		{"outcomes", snap.Outcomes, ref.Outcomes},
+		{"categories", snap.Categories, ref.Categories},
+		{"scaling_xe", snap.ScalingXE, ref.ScalingXE},
+		{"scaling_xk", snap.ScalingXK, ref.ScalingXK},
+		{"mtti", snap.MTTI, ref.MTTI},
+	} {
+		if !reflect.DeepEqual(v.got, v.want) {
+			t.Errorf("warm-restart %s diverged from a from-scratch Build", v.name)
+		}
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir, stateDir := t.TempDir(), t.TempDir()
 	statePath := filepath.Join(stateDir, StateFile)
@@ -180,8 +255,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 // TestDifferentialWarmRestart is the tentpole acceptance: persist after day
 // one, let the archive grow while "down", warm-restart, sync once — the
-// snapshot must equal a from-scratch Analyze over the full archives, field
-// for field, and the epoch must continue the persisted sequence. The
+// snapshot must hold what a from-scratch Analyze over the full archives
+// yields, the pipeline restored directly from the state file must reproduce
+// that Result field for field, and the epoch must continue the persisted
+// sequence. The
 // cross-parallelism cases pin that a state built at one worker count is
 // sound to restore under another (the fingerprint deliberately ignores it).
 func TestDifferentialWarmRestart(t *testing.T) {
@@ -236,12 +313,11 @@ func TestDifferentialWarmRestart(t *testing.T) {
 			}
 
 			want := analyzeFiles(t, dir, ds, tc.secondPar)
-			if snap.Result.Parse != want.Parse {
-				t.Fatalf("ParseStats diverged:\n got %+v\nwant %+v", snap.Result.Parse, want.Parse)
-			}
-			if !reflect.DeepEqual(snap.Result, want) {
-				t.Fatalf("warm-restart Result diverged from from-scratch Analyze (%d vs %d runs, %d vs %d events)",
-					len(snap.Result.Runs), len(want.Runs), len(snap.Result.Events), len(want.Events))
+			checkSnapshot(t, snap, want, ds)
+			if got := restoredResult(t, dir, statePath, ds, tc.secondPar); !reflect.DeepEqual(got, want) {
+				t.Fatalf("restored pipeline Result diverged from from-scratch Analyze (%d vs %d runs, %d vs %d jobs, %d vs %d events, %d vs %d tuples, %d vs %d groups)",
+					len(got.Runs), len(want.Runs), len(got.Jobs), len(want.Jobs), len(got.Events), len(want.Events),
+					len(got.Tuples), len(want.Tuples), len(got.Groups), len(want.Groups))
 			}
 		})
 	}
@@ -287,8 +363,9 @@ func TestWarmRestartNoGrowth(t *testing.T) {
 		t.Errorf("warm sync over unchanged archives re-attributed %d runs", snap.Ingest.Reattributed)
 	}
 	want := analyzeFiles(t, dir, ds, 0)
-	if !reflect.DeepEqual(snap.Result, want) {
-		t.Fatal("warm-restart Result diverged from from-scratch Analyze")
+	checkSnapshot(t, snap, want, ds)
+	if got := restoredResult(t, dir, statePath, ds, 0); !reflect.DeepEqual(got, want) {
+		t.Fatal("restored pipeline Result diverged from from-scratch Analyze")
 	}
 }
 

@@ -126,7 +126,7 @@ func (s *Server) fleetGauges(gauges map[string]float64) []gaugeFamily {
 	}
 	lag := gaugeFamily{
 		name:  "logdiver_shard_lag_seconds",
-		help:  "Seconds since each shard's last successful sync.",
+		help:  "Seconds since each shard's last poll, whether it succeeded, found nothing or failed.",
 		label: "machine",
 	}
 	up := gaugeFamily{

@@ -13,6 +13,7 @@ import (
 	"logdiver/internal/core"
 	"logdiver/internal/fleet"
 	"logdiver/internal/gen"
+	"logdiver/internal/machine"
 	"logdiver/internal/parse"
 	"logdiver/internal/store"
 	"logdiver/internal/version"
@@ -235,6 +236,53 @@ func TestFleetHealthAndMetrics(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestFleetHealthCountsMatchBatch: the snapshot keeps counts where the batch
+// Result keeps slices, so the merged /v1/health runs/jobs/events must equal
+// the summed lengths of a batch Analyze over each shard's archives.
+func TestFleetHealthCountsMatchBatch(t *testing.T) {
+	mgr, ts, root := newTestFleet(t, 3, core.Options{})
+	mgr.SyncRound(t.Context())
+
+	top, err := machine.New(machine.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs, jobs, events int
+	for _, name := range mgr.Machines() {
+		var a core.Archives
+		for file, dst := range map[string]*io.Reader{
+			store.AccountingFile: &a.Accounting, store.ApsysFile: &a.Apsys, store.SyslogFile: &a.Syslog,
+		} {
+			f, err := os.Open(filepath.Join(root, name, file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			*dst = f
+		}
+		res, err := core.Analyze(a, top, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs, jobs, events = runs+len(res.Runs), jobs+len(res.Jobs), events+len(res.Events)
+	}
+	if runs == 0 || jobs == 0 || events == 0 {
+		t.Fatalf("fixture too thin: %d runs, %d jobs, %d events", runs, jobs, events)
+	}
+
+	var h healthResponse
+	if code := getJSON(t, ts.URL+"/v1/health", &h); code != http.StatusOK {
+		t.Fatalf("health status %d", code)
+	}
+	if len(h.Fleet.Shards) != 3 {
+		t.Fatalf("health shard rows: %d", len(h.Fleet.Shards))
+	}
+	if h.Runs != runs || h.Jobs != jobs || h.Events != events {
+		t.Fatalf("health reports %d runs, %d jobs, %d events; batch analyses sum to %d, %d, %d",
+			h.Runs, h.Jobs, h.Events, runs, jobs, events)
 	}
 }
 

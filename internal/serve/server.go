@@ -381,8 +381,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Epoch:   snap.Epoch,
 		BuiltAt: snap.BuiltAt.UTC().Format(time.RFC3339),
 		Runs:    len(snap.Result.Runs),
-		Jobs:    len(snap.Result.Jobs),
-		Events:  len(snap.Result.Events),
+		Jobs:    snap.Result.NumJobs,
+		Events:  snap.Result.NumEvents,
 		Version: s.cfg.Version,
 		Ingest:  snap.Ingest,
 		Parse:   snap.Result.Parse.Hygiene(),

@@ -71,14 +71,3 @@ func WeibullCDF(shape, scale float64) func(float64) float64 {
 		return 1 - math.Exp(-math.Pow(x/scale, shape))
 	}
 }
-
-// LognormalCDF returns the CDF of a lognormal distribution with the given
-// mu and sigma.
-func LognormalCDF(mu, sigma float64) func(float64) float64 {
-	return func(x float64) float64 {
-		if x <= 0 {
-			return 0
-		}
-		return 0.5 * math.Erfc(-(math.Log(x)-mu)/(sigma*math.Sqrt2))
-	}
-}

@@ -104,13 +104,6 @@ func TestCDFHelpers(t *testing.T) {
 			t.Errorf("Weibull(1,1)(%v) = %v != Exp(1)(%v) = %v", x, wb(x), x, exp(x))
 		}
 	}
-	ln := LognormalCDF(0, 1)
-	if got := ln(1); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("LognormalCDF(0,1)(1) = %v, want 0.5 (median at e^mu)", got)
-	}
-	if ln(0) != 0 || ln(-3) != 0 {
-		t.Error("LognormalCDF not zero at/below origin")
-	}
 }
 
 func TestKSStatisticBounds(t *testing.T) {

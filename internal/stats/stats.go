@@ -1,16 +1,15 @@
 // Package stats provides the statistical machinery used by the resilience
-// analysis: empirical distributions and quantiles, binomial proportion
+// analysis: sample summaries with order statistics, binomial proportion
 // confidence intervals (Wilson score), maximum-likelihood fits for the
 // exponential, Weibull and lognormal families commonly used for
-// time-between-failures data, the Kaplan-Meier estimator for right-censored
-// interrupt times, and bootstrap confidence intervals.
+// time-between-failures data with a Kolmogorov-Smirnov distance to judge
+// them, and the Kaplan-Meier estimator for right-censored interrupt times.
 package stats
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -65,20 +64,6 @@ func Summarize(xs []float64) (Summary, error) {
 		P95:    quantileSorted(sorted, 0.95),
 		P99:    quantileSorted(sorted, 0.99),
 	}, nil
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile %v outside [0,1]", q)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q), nil
 }
 
 func quantileSorted(sorted []float64, q float64) float64 {
@@ -192,51 +177,6 @@ func (h *Histogram) Total() int {
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	return h.Min + (float64(i)+0.5)*h.Width
-}
-
-// ECDF is an empirical cumulative distribution function.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from xs. The input is copied.
-func NewECDF(xs []float64) (*ECDF, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return &ECDF{sorted: sorted}, nil
-}
-
-// At returns P(X <= x).
-func (e *ECDF) At(x float64) float64 {
-	i := sort.SearchFloat64s(e.sorted, x)
-	// Advance past ties so that At is right-continuous.
-	for i < len(e.sorted) && e.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Len returns the sample size.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
-// Points returns up to n evenly spaced (x, F(x)) pairs for plotting.
-func (e *ECDF) Points(n int) [][2]float64 {
-	if n <= 0 || len(e.sorted) == 0 {
-		return nil
-	}
-	if n > len(e.sorted) {
-		n = len(e.sorted)
-	}
-	out := make([][2]float64, 0, n)
-	for i := 0; i < n; i++ {
-		idx := i * (len(e.sorted) - 1) / max(n-1, 1)
-		x := e.sorted[idx]
-		out = append(out, [2]float64{x, float64(idx+1) / float64(len(e.sorted))})
-	}
-	return out
 }
 
 // ExpFit is a fitted exponential distribution.
@@ -416,52 +356,4 @@ func KaplanMeier(times []float64, events []bool) ([]KMPoint, error) {
 		atRisk -= d + c
 	}
 	return out, nil
-}
-
-// BootstrapCI computes a percentile bootstrap confidence interval for the
-// statistic f over sample xs using b resamples. The alpha parameter is the
-// two-sided error (0.05 for a 95% interval). The rng must not be nil.
-func BootstrapCI(xs []float64, f func([]float64) float64, b int, alpha float64, rng *rand.Rand) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	if b <= 1 {
-		return 0, 0, fmt.Errorf("stats: bootstrap needs b > 1, got %d", b)
-	}
-	if alpha <= 0 || alpha >= 1 {
-		return 0, 0, fmt.Errorf("stats: bootstrap alpha %v outside (0,1)", alpha)
-	}
-	if rng == nil {
-		return 0, 0, errors.New("stats: bootstrap needs a non-nil rng")
-	}
-	est := make([]float64, b)
-	resample := make([]float64, len(xs))
-	for i := 0; i < b; i++ {
-		for j := range resample {
-			resample[j] = xs[rng.Intn(len(xs))]
-		}
-		est[i] = f(resample)
-	}
-	sort.Float64s(est)
-	return quantileSorted(est, alpha/2), quantileSorted(est, 1-alpha/2), nil
-}
-
-// RateCI computes a two-sided confidence interval for a Poisson rate given
-// an event count over an exposure, using the normal approximation with a
-// floor of zero. For counts above ~30 the approximation error is negligible
-// relative to the field-data noise this package deals with.
-func RateCI(events int, exposure float64, z float64) (rate, lo, hi float64, err error) {
-	if exposure <= 0 {
-		return 0, 0, 0, fmt.Errorf("stats: rate CI needs exposure > 0, got %v", exposure)
-	}
-	if events < 0 {
-		return 0, 0, 0, fmt.Errorf("stats: rate CI needs events >= 0, got %d", events)
-	}
-	rate = float64(events) / exposure
-	half := z * math.Sqrt(float64(events)) / exposure
-	lo = rate - half
-	if lo < 0 {
-		lo = 0
-	}
-	return rate, lo, rate + half, nil
 }

@@ -51,6 +51,14 @@ func TestSummarizeDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// quantile is the interpolated order statistic Summarize reports, taken of
+// an unsorted sample.
+func quantile(xs []float64, q float64) float64 {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	return quantileSorted(sorted, q)
+}
+
 func TestQuantile(t *testing.T) {
 	xs := []float64{10, 20, 30, 40}
 	tests := []struct {
@@ -63,22 +71,9 @@ func TestQuantile(t *testing.T) {
 		{0.25, 17.5},
 	}
 	for _, tt := range tests {
-		got, err := Quantile(xs, tt.q)
-		if err != nil {
-			t.Fatal(err)
+		if got := quantile(xs, tt.q); !almostEqual(got, tt.want, 1e-12) {
+			t.Errorf("quantile(%v) = %v, want %v", tt.q, got, tt.want)
 		}
-		if !almostEqual(got, tt.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
-		}
-	}
-	if _, err := Quantile(xs, -0.1); err == nil {
-		t.Error("Quantile(-0.1) succeeded")
-	}
-	if _, err := Quantile(xs, 1.1); err == nil {
-		t.Error("Quantile(1.1) succeeded")
-	}
-	if _, err := Quantile(nil, 0.5); err != ErrEmpty {
-		t.Error("Quantile(nil) should return ErrEmpty")
 	}
 }
 
@@ -97,9 +92,7 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		if qa > qb {
 			qa, qb = qb, qa
 		}
-		va, err1 := Quantile(raw, qa)
-		vb, err2 := Quantile(raw, qb)
-		return err1 == nil && err2 == nil && va <= vb+1e-9
+		return quantile(raw, qa) <= quantile(raw, qb)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -206,62 +199,6 @@ func TestHistogramEdgeRounding(t *testing.T) {
 	}
 	if h.Total() != 1 {
 		t.Errorf("Total = %d, want 1", h.Total())
-	}
-}
-
-func TestECDF(t *testing.T) {
-	e, err := NewECDF([]float64{1, 2, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct {
-		x    float64
-		want float64
-	}{
-		{0.5, 0},
-		{1, 0.25},
-		{2, 0.75},
-		{2.5, 0.75},
-		{3, 1},
-		{99, 1},
-	}
-	for _, tt := range tests {
-		if got := e.At(tt.x); !almostEqual(got, tt.want, 1e-12) {
-			t.Errorf("At(%v) = %v, want %v", tt.x, got, tt.want)
-		}
-	}
-	if e.Len() != 4 {
-		t.Errorf("Len = %d, want 4", e.Len())
-	}
-	pts := e.Points(3)
-	if len(pts) != 3 {
-		t.Fatalf("Points(3) returned %d points", len(pts))
-	}
-	if pts[0][0] != 1 || pts[2][0] != 3 {
-		t.Errorf("Points endpoints = %v", pts)
-	}
-	if _, err := NewECDF(nil); err != ErrEmpty {
-		t.Error("NewECDF(nil) should return ErrEmpty")
-	}
-}
-
-func TestECDFMonotoneProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = rng.NormFloat64() * 10
-	}
-	e, err := NewECDF(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := -1.0
-	for x := -40.0; x <= 40; x += 0.5 {
-		v := e.At(x)
-		if v < prev {
-			t.Fatalf("ECDF decreased at %v: %v < %v", x, v, prev)
-		}
-		prev = v
 	}
 }
 
@@ -463,62 +400,6 @@ func TestKaplanMeierMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestBootstrapCIBracketsMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	xs := make([]float64, 2000)
-	for i := range xs {
-		xs[i] = 5 + rng.NormFloat64()
-	}
-	lo, hi, err := BootstrapCI(xs, Mean, 500, 0.05, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(lo < 5 && 5 < hi) {
-		t.Errorf("bootstrap CI [%v,%v] does not bracket 5", lo, hi)
-	}
-	if hi-lo > 0.3 {
-		t.Errorf("bootstrap CI [%v,%v] implausibly wide", lo, hi)
-	}
-}
-
-func TestBootstrapCIErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, _, err := BootstrapCI(nil, Mean, 100, 0.05, rng); err != ErrEmpty {
-		t.Error("empty sample should return ErrEmpty")
-	}
-	if _, _, err := BootstrapCI([]float64{1}, Mean, 1, 0.05, rng); err == nil {
-		t.Error("b=1 succeeded")
-	}
-	if _, _, err := BootstrapCI([]float64{1}, Mean, 100, 0, rng); err == nil {
-		t.Error("alpha=0 succeeded")
-	}
-	if _, _, err := BootstrapCI([]float64{1}, Mean, 100, 0.05, nil); err == nil {
-		t.Error("nil rng succeeded")
-	}
-}
-
-func TestRateCI(t *testing.T) {
-	rate, lo, hi, err := RateCI(100, 1000, 1.96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rate != 0.1 {
-		t.Errorf("rate = %v, want 0.1", rate)
-	}
-	if !(lo < rate && rate < hi) {
-		t.Errorf("interval [%v,%v] does not bracket %v", lo, hi, rate)
-	}
-	if _, lo, _, err := RateCI(0, 10, 1.96); err != nil || lo != 0 {
-		t.Errorf("RateCI(0,10) = lo %v err %v, want 0,nil", lo, err)
-	}
-	if _, _, _, err := RateCI(1, 0, 1.96); err == nil {
-		t.Error("zero exposure succeeded")
-	}
-	if _, _, _, err := RateCI(-1, 10, 1.96); err == nil {
-		t.Error("negative events succeeded")
 	}
 }
 

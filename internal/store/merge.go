@@ -4,12 +4,9 @@ import (
 	"slices"
 	"time"
 
-	"logdiver/internal/coalesce"
 	"logdiver/internal/core"
 	"logdiver/internal/correlate"
-	"logdiver/internal/errlog"
 	"logdiver/internal/parse"
-	"logdiver/internal/wlm"
 )
 
 // Snapshot merge: the fleet-scale building block. Each machine shard runs
@@ -19,17 +16,21 @@ import (
 //
 // The algebra is exact, not approximate: Merge is associative and
 // commutative with Zero as identity, byte-for-byte — including the
-// floating-point aggregates. That holds because a merged snapshot is a pure
-// function of the canonical run sequence: shard groups are interleaved by
-// machine name (each shard's own run order preserved within its group), and
-// every aggregate is recomputed from that sequence with the same metrics
-// code Build uses. Any merge tree over the same shard set therefore yields
-// the same sequence and the same bytes, which is what lets the scatter-
-// gather plane fold shards in arbitrary order and still serve views
-// identical to a from-scratch analysis of the combined input.
+// floating-point aggregates. That holds because a merged snapshot remembers
+// the unmerged snapshots it was folded from as a part list sorted by machine
+// name, and everything else in it is one fold over that list: the runs are
+// the parts' runs concatenated in list order (each shard's own run order
+// preserved), the counts, hygiene and ingest history are sums, and every
+// aggregate is recomputed from the concatenated runs with the same code
+// Build uses. Merging interleaves the arguments' part lists, so any merge
+// tree over the same shard set yields the same list and the same bytes,
+// which is what lets the scatter-gather plane fold shards in arbitrary
+// order and still serve views identical to a from-scratch analysis of the
+// combined input. The parts are immutable and the fleet view holds them
+// anyway; the list costs one pointer per shard.
 //
 // Merging two snapshots that contain the same machine name is a misuse;
-// the result is deterministic (left argument's group first) but the
+// the result is deterministic (left argument's part first) but the
 // algebraic laws are not guaranteed.
 
 // ShardEpoch is one component of a fleet epoch vector: the install epoch of
@@ -37,22 +38,6 @@ import (
 type ShardEpoch struct {
 	Machine string `json:"machine"`
 	Epoch   uint64 `json:"epoch"`
-}
-
-// shardSpans records how many runs/jobs/events each shard contributed to a
-// merged snapshot's concatenated Result slices, aligned with Shards.
-type shardSpans struct {
-	runs, jobs, events, tuples, groups []int
-}
-
-// shardGroup is one shard's contribution during a merge walk.
-type shardGroup struct {
-	se     ShardEpoch
-	runs   []correlate.AttributedRun
-	jobs   []wlm.Job
-	events []errlog.Event
-	tuples []coalesce.Tuple
-	groups []coalesce.Group
 }
 
 // EpochVector returns the snapshot's fleet epoch vector. For a merged
@@ -72,89 +57,37 @@ func (s *Snapshot) EpochVector() []ShardEpoch {
 // machine name and an epoch and contributes a vector entry when merged.
 func Zero() *Snapshot {
 	return &Snapshot{
-		Result:   &core.Result{},
 		Shards:   []ShardEpoch{},
 		runIndex: map[uint64]int{},
 	}
 }
 
-// isZero reports whether s is the Merge identity: nil, or an explicitly
-// empty epoch vector (only Zero constructs that).
-func isZero(s *Snapshot) bool {
-	return s == nil || (s.Shards != nil && len(s.Shards) == 0)
+// leaves returns the unmerged snapshots s stands for, sorted by machine
+// name: its part list when merged (empty for the identity), itself
+// otherwise. A nil snapshot is the identity.
+func (s *Snapshot) leaves() []*Snapshot {
+	switch {
+	case s == nil:
+		return nil
+	case s.Shards == nil:
+		return []*Snapshot{s}
+	}
+	return s.parts
 }
 
-// cloneMerged lifts s into canonical merged form without copying any bulk
-// data: a fresh top-level struct (so installing the result into a fleet
-// Store never mutates the shard's own snapshot) whose vector is s's epoch
-// vector and whose epoch is unassigned.
-func cloneMerged(s *Snapshot) *Snapshot {
-	c := *s
-	c.Epoch = 0
-	c.Machine = ""
-	c.Shards = slices.Clone(s.EpochVector())
-	if c.spans == nil {
-		c.spans = &shardSpans{
-			runs:   []int{len(s.Result.Runs)},
-			jobs:   []int{len(s.Result.Jobs)},
-			events: []int{len(s.Result.Events)},
-			tuples: []int{len(s.Result.Tuples)},
-			groups: []int{len(s.Result.Groups)},
-		}
-	}
-	return &c
-}
-
-// shardGroups slices the snapshot's Result into its per-shard groups, in
-// vector order.
-func (s *Snapshot) shardGroups() []shardGroup {
-	v := s.EpochVector()
-	if s.spans == nil {
-		return []shardGroup{{
-			se:     v[0],
-			runs:   s.Result.Runs,
-			jobs:   s.Result.Jobs,
-			events: s.Result.Events,
-			tuples: s.Result.Tuples,
-			groups: s.Result.Groups,
-		}}
-	}
-	out := make([]shardGroup, len(v))
-	var ro, jo, eo, to, go_ int
-	for i := range v {
-		nr, nj, ne := s.spans.runs[i], s.spans.jobs[i], s.spans.events[i]
-		nt, ng := s.spans.tuples[i], s.spans.groups[i]
-		out[i] = shardGroup{
-			se:     v[i],
-			runs:   s.Result.Runs[ro : ro+nr],
-			jobs:   s.Result.Jobs[jo : jo+nj],
-			events: s.Result.Events[eo : eo+ne],
-			tuples: s.Result.Tuples[to : to+nt],
-			groups: s.Result.Groups[go_ : go_+ng],
-		}
-		ro, jo, eo, to, go_ = ro+nr, jo+nj, eo+ne, to+nt, go_+ng
-	}
-	return out
-}
-
-// mergeGroups interleaves two ordered group lists by machine name. Groups
-// only ever reference the source snapshots' slices; no run is copied here.
+// interleave merges two part lists sorted by machine name, x first on a tie.
 //
 //ldvet:hotpath
-func mergeGroups(x, y []shardGroup) []shardGroup {
-	out := make([]shardGroup, 0, len(x)+len(y))
-	i, j := 0, 0
-	for i < len(x) && j < len(y) {
-		if x[i].se.Machine <= y[j].se.Machine {
-			out = append(out, x[i])
-			i++
+func interleave(x, y []*Snapshot) []*Snapshot {
+	out := make([]*Snapshot, 0, len(x)+len(y))
+	for len(x) > 0 && len(y) > 0 {
+		if x[0].Machine <= y[0].Machine {
+			out, x = append(out, x[0]), x[1:]
 		} else {
-			out = append(out, y[j])
-			j++
+			out, y = append(out, y[0]), y[1:]
 		}
 	}
-	out = append(out, x[i:]...)
-	return append(out, y[j:]...)
+	return append(append(out, x...), y...)
 }
 
 // Merge combines two snapshots into one fleet snapshot. It is associative
@@ -163,79 +96,58 @@ func mergeGroups(x, y []shardGroup) []shardGroup {
 // — never an alias of an argument — with Epoch zero until a fleet Store
 // installs it, and Partial the OR of the inputs' flags.
 func Merge(a, b *Snapshot) *Snapshot {
-	if isZero(a) {
-		if isZero(b) {
-			return Zero()
-		}
-		return cloneMerged(b)
+	x, y := a.leaves(), b.leaves()
+	if len(x) == 0 {
+		a, x, y = b, y, x
 	}
-	if isZero(b) {
-		return cloneMerged(a)
-	}
-
-	groups := mergeGroups(a.shardGroups(), b.shardGroups())
-	var nr, nj, ne, nt, ng int
-	for _, g := range groups {
-		nr += len(g.runs)
-		nj += len(g.jobs)
-		ne += len(g.events)
-		nt += len(g.tuples)
-		ng += len(g.groups)
-	}
-	ar, br := a.Result, b.Result
-	res := &core.Result{
-		Runs:   make([]correlate.AttributedRun, 0, nr),
-		Jobs:   make([]wlm.Job, 0, nj),
-		Events: make([]errlog.Event, 0, ne),
-		Tuples: make([]coalesce.Tuple, 0, nt),
-		Groups: make([]coalesce.Group, 0, ng),
-		Coalesce: coalesce.Stats{
-			Raw:     ar.Coalesce.Raw + br.Coalesce.Raw,
-			Deduped: ar.Coalesce.Deduped + br.Coalesce.Deduped,
-			Tuples:  ar.Coalesce.Tuples + br.Coalesce.Tuples,
-			Groups:  ar.Coalesce.Groups + br.Coalesce.Groups,
-		},
-		Parse: mergeParse(ar.Parse, br.Parse),
-		Start: minNonZero(ar.Start, br.Start),
-		End:   maxTime(ar.End, br.End),
-	}
-	spans := &shardSpans{
-		runs:   make([]int, 0, len(groups)),
-		jobs:   make([]int, 0, len(groups)),
-		events: make([]int, 0, len(groups)),
-		tuples: make([]int, 0, len(groups)),
-		groups: make([]int, 0, len(groups)),
-	}
-	vec := make([]ShardEpoch, 0, len(groups))
-	for _, g := range groups {
-		res.Runs = append(res.Runs, g.runs...)
-		res.Jobs = append(res.Jobs, g.jobs...)
-		res.Events = append(res.Events, g.events...)
-		res.Tuples = append(res.Tuples, g.tuples...)
-		res.Groups = append(res.Groups, g.groups...)
-		spans.runs = append(spans.runs, len(g.runs))
-		spans.jobs = append(spans.jobs, len(g.jobs))
-		spans.events = append(spans.events, len(g.events))
-		spans.tuples = append(spans.tuples, len(g.tuples))
-		spans.groups = append(spans.groups, len(g.groups))
-		vec = append(vec, g.se)
+	switch {
+	case len(x) == 0:
+		return Zero()
+	case len(y) == 0:
+		// One side is the identity: lift the other into merged form without
+		// copying a run. The fresh top-level struct keeps a fleet Store's
+		// Install from touching the shard's own snapshot.
+		c := *a
+		c.Epoch, c.Machine = 0, ""
+		c.Shards = slices.Clone(a.EpochVector())
+		c.parts = x
+		return &c
 	}
 
 	m := &Snapshot{
-		BuiltAt:  maxTime(a.BuiltAt, b.BuiltAt),
-		Result:   res,
-		Ingest:   mergeIngest(a.Ingest, b.Ingest),
-		Shards:   vec,
-		Partial:  a.Partial || b.Partial,
-		NumNodes: max(a.NumNodes, b.NumNodes),
-		NumXE:    max(a.NumXE, b.NumXE),
-		NumXK:    max(a.NumXK, b.NumXK),
-		spans:    spans,
+		Shards:  make([]ShardEpoch, 0, len(x)+len(y)),
+		Partial: a.Partial || b.Partial,
+		parts:   interleave(x, y),
+	}
+	nruns := 0
+	for _, p := range m.parts {
+		nruns += len(p.Result.Runs)
+	}
+	res := &m.Result
+	res.Runs = make([]correlate.AttributedRun, 0, nruns)
+	for _, p := range m.parts {
+		pr := &p.Result
+		m.Shards = append(m.Shards, ShardEpoch{Machine: p.Machine, Epoch: p.Epoch})
+		res.Runs = append(res.Runs, pr.Runs...)
+		res.NumJobs += pr.NumJobs
+		res.NumEvents += pr.NumEvents
+		res.Coalesce.Raw += pr.Coalesce.Raw
+		res.Coalesce.Deduped += pr.Coalesce.Deduped
+		res.Coalesce.Tuples += pr.Coalesce.Tuples
+		res.Coalesce.Groups += pr.Coalesce.Groups
+		res.Parse = mergeParse(res.Parse, pr.Parse)
+		res.Start = minNonZero(res.Start, pr.Start)
+		res.End = maxTime(res.End, pr.End)
+		m.BuiltAt = maxTime(m.BuiltAt, p.BuiltAt)
+		m.Ingest = mergeIngest(m.Ingest, p.Ingest)
+		m.NumNodes = max(m.NumNodes, p.NumNodes)
+		m.NumXE = max(m.NumXE, p.NumXE)
+		m.NumXK = max(m.NumXK, p.NumXK)
 	}
 	// The bucket bounds are sized to the union topology; for equal-topology
-	// shards they equal each shard's own. Both inputs came out of Build, so
-	// their extents already passed aggregate: an error here is a
-	// programming bug, not an input condition.
+	// shards they equal each shard's own. Every part came out of Build, so
+	// its extents already passed aggregate: an error here is a programming
+	// bug, not an input condition.
 	if err := m.aggregate(); err != nil {
 		panic(err)
 	}

@@ -1,5 +1,6 @@
 // Package store holds the serving state of the online subsystem: immutable,
-// epoch-versioned snapshots of the full pipeline output, installed by atomic
+// epoch-versioned snapshots of the served part of the pipeline output (the
+// attributed runs and their aggregates), installed by atomic
 // pointer swap so query handlers never block on — and never observe a torn
 // state from — the ingestion goroutine. The package also provides the
 // Tailer (chunked reading of growing, rotating archives) and the Syncer
@@ -11,6 +12,7 @@ import (
 	"slices"
 	"time"
 
+	"logdiver/internal/coalesce"
 	"logdiver/internal/core"
 	"logdiver/internal/correlate"
 	"logdiver/internal/machine"
@@ -33,6 +35,27 @@ type IngestStats struct {
 	BuildDuration time.Duration `json:"build_duration_ns"`
 }
 
+// Retained is the part of a pipeline Result a snapshot keeps: the runs every
+// served view derives from, plus the counts, hygiene and span /v1/health
+// reports. It has no field that could hold job records, events, tuples or
+// groups, so no snapshot — one per shard per epoch, plus the merged one —
+// can pin them in the heap.
+type Retained struct {
+	// Runs are the attributed application runs, in start order (per shard,
+	// shards in machine-name order, on a merged snapshot).
+	Runs []correlate.AttributedRun
+	// NumJobs and NumEvents count the assembled batch jobs and the
+	// deduplicated classified error events behind the runs.
+	NumJobs, NumEvents int
+	// Coalesce reports the raw-to-group reduction.
+	Coalesce coalesce.Stats
+	// Parse reports archive hygiene.
+	Parse core.ParseStats
+	// Start and End bound the observed activity (zero when there are no
+	// runs).
+	Start, End time.Time
+}
+
 // Snapshot is one immutable view of the analyzed archive state. All fields
 // are computed at build time; readers share the snapshot freely and must
 // not mutate it.
@@ -42,8 +65,9 @@ type Snapshot struct {
 	Epoch uint64
 	// BuiltAt is when the snapshot was materialized.
 	BuiltAt time.Time
-	// Result is the full pipeline output the views below derive from.
-	Result *core.Result
+	// Result is what the snapshot keeps of the pipeline output; the views
+	// below derive from its Runs.
+	Result Retained
 	// Outcomes is the E2 outcome breakdown over all runs.
 	Outcomes metrics.OutcomeBreakdown
 	// Categories is the per-category failure attribution (E7 shape).
@@ -78,11 +102,11 @@ type Snapshot struct {
 	// when two snapshots were built against different topologies.
 	NumNodes, NumXE, NumXK int
 
-	// spans records, aligned with Shards, how many runs/jobs/events each
-	// shard contributed to the concatenated Result slices. Nil on
-	// unmerged snapshots (the whole Result is one implicit span). Merge
-	// needs the boundaries to re-interleave shard groups canonically.
-	spans *shardSpans
+	// parts lists, aligned with Shards, the unmerged snapshots a merged
+	// snapshot was folded from. Nil on unmerged snapshots. Merge
+	// re-interleaves the parts of its arguments, so a merged snapshot is a
+	// function of its part set alone, whatever the merge tree.
+	parts []*Snapshot
 
 	// runIndex maps apid to Result.Runs index for the drill-down endpoint.
 	runIndex map[uint64]int
@@ -95,8 +119,9 @@ type Snapshot struct {
 	apidsSorted []uint64
 }
 
-// Build derives a Snapshot from a pipeline Result. The epoch is zero until
-// Store.Install assigns it.
+// Build derives a Snapshot from a pipeline Result, keeping res.Runs (shared,
+// not copied) and the lengths of res.Jobs and res.Events. The epoch is zero
+// until Store.Install assigns it.
 func Build(res *core.Result, top *machine.Topology, ing IngestStats, at time.Time) (*Snapshot, error) {
 	if res == nil {
 		return nil, fmt.Errorf("store: nil result")
@@ -105,8 +130,16 @@ func Build(res *core.Result, top *machine.Topology, ing IngestStats, at time.Tim
 		return nil, fmt.Errorf("store: nil topology")
 	}
 	s := &Snapshot{
-		BuiltAt:  at,
-		Result:   res,
+		BuiltAt: at,
+		Result: Retained{
+			Runs:      res.Runs,
+			NumJobs:   len(res.Jobs),
+			NumEvents: len(res.Events),
+			Coalesce:  res.Coalesce,
+			Parse:     res.Parse,
+			Start:     res.Start,
+			End:       res.End,
+		},
 		Ingest:   ing,
 		NumNodes: top.NumNodes(),
 		NumXE:    top.NumXE(),

@@ -2,14 +2,60 @@ package store
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"logdiver/internal/alps"
+	"logdiver/internal/coalesce"
 	"logdiver/internal/core"
 	"logdiver/internal/correlate"
+	"logdiver/internal/errlog"
 	"logdiver/internal/machine"
+	"logdiver/internal/wlm"
 )
+
+// TestSnapshotCannotRetainBulk walks every type reachable from Snapshot and
+// fails on anything that could hold more than one job record, event, tuple
+// or group per run: a slice, array, map or pointer of one, or an interface
+// or func (which could hide any of them). AttributedRun.Evidence, one event by
+// value, is the only way in.
+func TestSnapshotCannotRetainBulk(t *testing.T) {
+	bulk := map[reflect.Type]bool{
+		reflect.TypeOf(wlm.Job{}):        true,
+		reflect.TypeOf(errlog.Event{}):   true,
+		reflect.TypeOf(coalesce.Tuple{}): true,
+		reflect.TypeOf(coalesce.Group{}): true,
+	}
+	seen := map[reflect.Type]bool{}
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		switch ty.Kind() {
+		case reflect.Interface, reflect.Func, reflect.UnsafePointer:
+			t.Errorf("%s (%s) can hold anything", path, ty)
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		case reflect.Map:
+			walk(path+"[key]", ty.Key())
+			fallthrough
+		case reflect.Slice, reflect.Array, reflect.Pointer, reflect.Chan:
+			if bulk[ty.Elem()] {
+				t.Errorf("%s (%s) can retain pipeline bulk data", path, ty)
+			}
+			walk(path+"[]", ty.Elem())
+		}
+	}
+	walk("Snapshot", reflect.TypeOf(Snapshot{}))
+	if !seen[reflect.TypeOf(correlate.AttributedRun{})] || !seen[reflect.TypeOf(errlog.Event{})] {
+		t.Fatal("walk never reached the runs and their evidence: it checks nothing")
+	}
+}
 
 // pageSnapshot builds a snapshot over n runs whose apids are deliberately
 // NOT in slice order, so the pagination tests prove RunsPage sorts rather

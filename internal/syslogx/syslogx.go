@@ -137,24 +137,6 @@ func (w *Writer) Write(l Line) error {
 	return nil
 }
 
-// WriteRawLine emits s verbatim (plus a newline) without any validation.
-// It exists so archive generators can inject corrupted lines, which real
-// log archives always contain and parsers must tolerate.
-func (w *Writer) WriteRawLine(s string) error {
-	if w.err != nil {
-		return w.err
-	}
-	if _, err := w.w.WriteString(s); err != nil {
-		w.err = err
-		return err
-	}
-	if err := w.w.WriteByte('\n'); err != nil {
-		w.err = err
-		return err
-	}
-	return nil
-}
-
 // Count returns the number of well-formed lines written so far (raw lines
 // are not counted).
 func (w *Writer) Count() int { return w.n }
