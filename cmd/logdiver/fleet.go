@@ -52,14 +52,14 @@ func analyzeFleet(confPath string, opts logdiver.Options, defaultTZ, format stri
 	}
 	wg.Wait()
 
-	merged := store.Zero()
-	for _, r := range results {
+	snaps := make([]*store.Snapshot, len(results))
+	for i, r := range results {
 		if r.err != nil {
 			return fmt.Errorf("shard %q: %w", r.name, r.err)
 		}
-		merged = store.Merge(merged, r.snap)
+		snaps[i] = r.snap
 	}
-	return renderFleetTables(os.Stdout, format, results, merged)
+	return renderFleetTables(os.Stdout, format, results, store.Merge(snaps...))
 }
 
 // analyzeShard runs the full offline pipeline over one shard's archive

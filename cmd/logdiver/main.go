@@ -99,13 +99,11 @@ import (
 	"logdiver"
 	"logdiver/internal/avail"
 	"logdiver/internal/coalesce"
-	"logdiver/internal/errlog"
 	"logdiver/internal/fleet"
 	"logdiver/internal/gen"
 	"logdiver/internal/metrics"
 	"logdiver/internal/mutate"
 	"logdiver/internal/rulecheck"
-	"logdiver/internal/syslogx"
 	"logdiver/internal/taxonomy"
 	"logdiver/internal/version"
 	"logdiver/internal/whatif"
@@ -188,15 +186,11 @@ func analyze(args []string) error {
 		return fmt.Errorf("analyze: -apsys is required (application runs are the unit of analysis)")
 	}
 
-	archives, top, closers, err := openArchives(*accPath, *apsPath, *sysPath, *machine, *timezone)
+	archives, top, closeAll, err := openArchives(*accPath, *apsPath, *sysPath, *machine, *timezone)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		for _, c := range closers {
-			c.Close()
-		}
-	}()
+	defer closeAll()
 
 	opts := logdiver.Options{Parallelism: *par, ParseMode: parseMode}
 	if *rules != "" {
@@ -287,42 +281,25 @@ func topologyFor(name string) (*logdiver.Topology, error) {
 	}
 }
 
-// classifiedEvents scans a syslog archive with the built-in taxonomy and
-// returns its classified events, each attributed to its node in top; hosts
-// that are not node cnames (service hosts, the SMW) attribute system-wide.
-// Shared by coalesce and avail.
-func classifiedEvents(sysPath string, top *logdiver.Topology) ([]logdiver.Event, error) {
-	f, err := os.Open(sysPath)
+// analyzeSyslog runs the pipeline over a syslog archive alone: its Result
+// holds the classified, deduplicated events — each attributed to its node
+// in the machine's topology; hosts that are not node cnames (service hosts,
+// the SMW) attribute system-wide — and the pre-dedup count. Shared by
+// coalesce and avail.
+func analyzeSyslog(sysPath, machineName string) (*logdiver.Result, *logdiver.Topology, error) {
+	archives, top, closeAll, err := openArchives("", "", sysPath, machineName, "UTC")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer f.Close()
-
-	cls := taxonomy.Default()
-	sc := syslogx.NewScanner(f)
-	var events []logdiver.Event
-	for sc.Scan() {
-		line := sc.Line()
-		cat, sev := cls.Classify(line.Message)
-		if cat == taxonomy.Unclassified {
-			continue
-		}
-		node := errlog.SystemWide
-		if id, err := top.LookupString(line.Host); err == nil {
-			node = id
-		}
-		events = append(events, logdiver.Event{
-			Time: line.Time, Node: node, Cname: line.Host,
-			Category: cat, Severity: sev, Message: line.Message,
-		})
-	}
-	return events, sc.Err()
+	defer closeAll()
+	res, err := logdiver.Analyze(archives, top, logdiver.Options{})
+	return res, top, err
 }
 
 // openArchives resolves the machine model and timezone and opens whichever
-// of the three archive paths are non-empty. The caller closes the returned
-// closers when the analysis is done. Shared by analyze and simulate.
-func openArchives(accPath, apsPath, sysPath, machineName, timezone string) (logdiver.Archives, *logdiver.Topology, []io.Closer, error) {
+// of the three archive paths are non-empty. The caller calls closeAll when
+// the analysis is done. Shared by analyze, simulate, coalesce and avail.
+func openArchives(accPath, apsPath, sysPath, machineName, timezone string) (_ logdiver.Archives, _ *logdiver.Topology, closeAll func(), _ error) {
 	top, err := topologyFor(machineName)
 	if err != nil {
 		return logdiver.Archives{}, nil, nil, err
@@ -333,7 +310,12 @@ func openArchives(accPath, apsPath, sysPath, machineName, timezone string) (logd
 	}
 
 	archives := logdiver.Archives{Location: loc}
-	var closers []io.Closer
+	var files []*os.File
+	closeAll = func() {
+		for _, f := range files {
+			f.Close()
+		}
+	}
 	openInto := func(path string, dst *io.Reader) error {
 		if path == "" {
 			return nil
@@ -342,7 +324,7 @@ func openArchives(accPath, apsPath, sysPath, machineName, timezone string) (logd
 		if err != nil {
 			return err
 		}
-		closers = append(closers, f)
+		files = append(files, f)
 		*dst = f
 		return nil
 	}
@@ -355,13 +337,11 @@ func openArchives(accPath, apsPath, sysPath, machineName, timezone string) (logd
 		{sysPath, &archives.Syslog},
 	} {
 		if err := openInto(o.path, o.dst); err != nil {
-			for _, c := range closers {
-				c.Close()
-			}
+			closeAll()
 			return logdiver.Archives{}, nil, nil, err
 		}
 	}
-	return archives, top, closers, nil
+	return archives, top, closeAll, nil
 }
 
 // simulate replays an analyzed archive through the counterfactual resilience
@@ -435,15 +415,11 @@ func simulate(args []string) error {
 		policies = whatif.DefaultPolicies()
 	}
 
-	archives, top, closers, err := openArchives(*accPath, *apsPath, *sysPath, *machine, *timezone)
+	archives, top, closeAll, err := openArchives(*accPath, *apsPath, *sysPath, *machine, *timezone)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		for _, c := range closers {
-			c.Close()
-		}
-	}()
+	defer closeAll()
 	res, err := logdiver.Analyze(archives, top, logdiver.Options{Parallelism: *par, ParseMode: parseMode})
 	if err != nil {
 		return err
@@ -567,15 +543,12 @@ func coalesceCmd(args []string) error {
 	if *sysPath == "" {
 		return fmt.Errorf("coalesce: -syslog is required")
 	}
-	topo, err := topologyFor(*mc)
+	res, _, err := analyzeSyslog(*sysPath, *mc)
 	if err != nil {
 		return err
 	}
-	events, err := classifiedEvents(*sysPath, topo)
-	if err != nil {
-		return err
-	}
-	_, groups, stats := coalesce.Pipeline(events, *temporal, *spatial)
+	_, groups, stats := coalesce.Pipeline(res.Events, *temporal, *spatial)
+	stats.Raw = res.RawEvents
 	fmt.Printf("%s\n\n", stats)
 	// Largest groups by raw-event volume first.
 	sort.Slice(groups, func(i, j int) bool { return groups[i].Events > groups[j].Events })
@@ -607,26 +580,15 @@ func availCmd(args []string) error {
 	if *sysPath == "" {
 		return fmt.Errorf("avail: -syslog is required")
 	}
-	top, err := topologyFor(*mc)
+	res, top, err := analyzeSyslog(*sysPath, *mc)
 	if err != nil {
 		return err
 	}
-	events, err := classifiedEvents(*sysPath, top)
-	if err != nil {
-		return err
-	}
+	events := res.Events
 	if len(events) == 0 {
 		return fmt.Errorf("avail: no classifiable events in %s", *sysPath)
 	}
-	first, last := events[0].Time, events[0].Time
-	for _, e := range events[1:] {
-		if e.Time.Before(first) {
-			first = e.Time
-		}
-		if e.Time.After(last) {
-			last = e.Time
-		}
-	}
+	first, last := events[0].Time, events[len(events)-1].Time // Result.Events is in time order
 	downs, err := avail.Reconstruct(events, last)
 	if err != nil {
 		return err
@@ -732,8 +694,8 @@ func opNames() string {
 	return strings.Join(names, ",")
 }
 
-// generate delegates to the tracegen implementation by re-execing its logic
-// inline (same flags).
+// generate synthesizes the three raw archives plus ground truth; it is the
+// repository's only archive generator.
 func generate(args []string) error {
 	fs := flag.NewFlagSet("generate", flag.ContinueOnError)
 	var (

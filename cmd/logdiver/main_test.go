@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"logdiver"
+	"logdiver/internal/coalesce"
 )
 
 // writeArchive generates a tiny dataset and writes the four archive files
@@ -185,26 +186,26 @@ func TestCoalesceSubcommand(t *testing.T) {
 
 // TestCoalesceMatchesAnalyze holds the coalesce subcommand to the pipeline:
 // over the same syslog and machine model its reduction chain must be the
-// one analyze reports. Tupling is keyed by node, so a subcommand that does
+// one analyze's events give (the chain E10 renders). Tupling is keyed by node, so a subcommand that does
 // not resolve hosts to nodes collapses every node into one tuple stream.
 func TestCoalesceMatchesAnalyze(t *testing.T) {
 	dir := t.TempDir()
 	writeArchive(t, dir)
 	sysPath := filepath.Join(dir, "syslog.log")
 
-	archives, top, closers, err := openArchives("", "", sysPath, "small", "UTC")
+	archives, top, closeAll, err := openArchives("", "", sysPath, "small", "UTC")
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := logdiver.Analyze(archives, top, logdiver.Options{})
-	for _, c := range closers {
-		c.Close()
-	}
+	closeAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Coalesce.Tuples == res.Coalesce.Groups {
-		t.Fatalf("fixture cannot tell per-node tupling from collapsed tupling: %s", res.Coalesce)
+	_, _, want := coalesce.Pipeline(res.Events, coalesce.DefaultTemporalWindow, coalesce.DefaultSpatialWindow)
+	want.Raw = res.RawEvents
+	if want.Tuples == want.Groups {
+		t.Fatalf("fixture cannot tell per-node tupling from collapsed tupling: %s", want)
 	}
 
 	out := captureStdout(t, func() {
@@ -212,8 +213,8 @@ func TestCoalesceMatchesAnalyze(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got, _, _ := strings.Cut(out, "\n"); got != res.Coalesce.String() {
-		t.Errorf("coalesce stats = %q, analyze reports %q", got, res.Coalesce)
+	if got, _, _ := strings.Cut(out, "\n"); got != want.String() {
+		t.Errorf("coalesce stats = %q, analyze's events give %q", got, want)
 	}
 	if err := run([]string{"coalesce", "-syslog", sysPath, "-machine", "bogus"}); err == nil {
 		t.Error("bogus machine accepted")

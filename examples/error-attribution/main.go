@@ -11,6 +11,7 @@ import (
 	"os"
 
 	"logdiver"
+	"logdiver/internal/coalesce"
 )
 
 func main() {
@@ -85,7 +86,10 @@ func run() error {
 		return fmt.Errorf("no attributed system failures in %d days; increase -days", *days)
 	}
 
-	// Summarize the machine-level view the coalescer produced.
-	fmt.Printf("coalescing: %s\n", res.Coalesce)
+	// Summarize the machine-level view: coalesce the deduplicated events
+	// into episodes and machine-level groups.
+	_, _, stats := coalesce.Pipeline(res.Events, coalesce.DefaultTemporalWindow, coalesce.DefaultSpatialWindow)
+	stats.Raw = res.RawEvents
+	fmt.Printf("coalescing: %s\n", stats)
 	return nil
 }

@@ -5,7 +5,11 @@
 // the same category across nodes into machine-level events, e.g. one Lustre
 // outage observed by thousands of clients). Without these stages a single
 // fault storm would be counted as thousands of distinct causes and every
-// rate metric downstream would be inflated.
+// event-rate metric would be inflated.
+//
+// The pipeline (internal/core) runs only Dedup, which is all attribution
+// needs; the readers of tuples and groups — the tables E10, E14 and A3 and
+// `logdiver coalesce` — compute them through Pipeline.
 package coalesce
 
 import (
@@ -240,7 +244,9 @@ func (s Stats) String() string {
 }
 
 // Pipeline runs dedup, tupling and spatial coalescing with the given
-// windows and reports the intermediate products and reduction stats.
+// windows and reports the intermediate products and reduction stats. Over
+// already deduplicated events (a core.Result's) Stats.Raw equals Deduped;
+// such callers overwrite Raw with the Result's RawEvents.
 func Pipeline(events []errlog.Event, temporal, spatial time.Duration) ([]Tuple, []Group, Stats) {
 	deduped := Dedup(events)
 	tuples := Tuples(deduped, temporal)

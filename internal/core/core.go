@@ -1,6 +1,6 @@
 // Package core implements the LogDiver pipeline: ingesting the three raw
 // archives (workload accounting, ALPS application logs, syslog error logs),
-// classifying and coalescing error records, joining errors to application
+// classifying and deduplicating error records, joining errors to application
 // runs, and attributing every run's outcome. This is the orchestration layer
 // the study's measurements flow through; the statistical post-processing
 // lives in internal/metrics.
@@ -40,10 +40,6 @@ type Archives struct {
 type Options struct {
 	// Correlate configures the attribution join. Zero value: defaults.
 	Correlate correlate.Config
-	// TemporalWindow and SpatialWindow configure coalescing; zero values
-	// select the package defaults.
-	TemporalWindow time.Duration
-	SpatialWindow  time.Duration
 	// Classifier overrides the default taxonomy classifier. The classifier
 	// is shared by the ingestion workers and must be safe for concurrent
 	// use; taxonomy.Classifier is (see its doc), and custom implementations
@@ -72,12 +68,6 @@ func (o Options) withDefaults() Options {
 		o.Correlate = correlate.DefaultConfig()
 		o.Correlate.Jobs = jobs
 		o.Correlate.TemporalOnly = temporal
-	}
-	if o.TemporalWindow == 0 {
-		o.TemporalWindow = coalesce.DefaultTemporalWindow
-	}
-	if o.SpatialWindow == 0 {
-		o.SpatialWindow = coalesce.DefaultSpatialWindow
 	}
 	if o.Classifier == nil {
 		o.Classifier = taxonomy.Default()
@@ -219,12 +209,8 @@ type Result struct {
 	Runs []correlate.AttributedRun
 	// Events are the classified error events (deduplicated, time order).
 	Events []errlog.Event
-	// Tuples and Groups are the coalesced error episodes and
-	// machine-level events.
-	Tuples []coalesce.Tuple
-	Groups []coalesce.Group
-	// Coalesce reports the raw-to-group reduction.
-	Coalesce coalesce.Stats
+	// RawEvents counts the classified events before deduplication.
+	RawEvents int
 	// Parse reports archive hygiene.
 	Parse ParseStats
 	// Start and End bound the observed activity (earliest run start,
@@ -274,21 +260,13 @@ func finish(res *Result, runs []alps.AppRun, events []errlog.Event, top *machine
 	return res, nil
 }
 
-// preprocess fills the event-side fields of res — dedup, then coalescing
-// into tuples and groups — and returns the correlator for the join, built
-// over the deduplicated event stream and res.Jobs. Attribution uses the
-// deduplicated events; the tuples/groups feed the coalescing experiments.
+// preprocess fills the event-side fields of res by deduplicating events —
+// the only coalescing stage attribution uses (see package coalesce) — and
+// returns the correlator for the join, built over them and res.Jobs.
 func (res *Result) preprocess(events []errlog.Event, top *machine.Topology, opts Options) (*correlate.Correlator, error) {
 	deduped := coalesce.Dedup(events)
 	res.Events = deduped
-	res.Tuples = coalesce.Tuples(deduped, opts.TemporalWindow)
-	res.Groups = coalesce.Spatial(res.Tuples, opts.SpatialWindow)
-	res.Coalesce = coalesce.Stats{
-		Raw:     len(events),
-		Deduped: len(deduped),
-		Tuples:  len(res.Tuples),
-		Groups:  len(res.Groups),
-	}
+	res.RawEvents = len(events)
 
 	cfg := opts.Correlate
 	if cfg.Jobs == nil && len(res.Jobs) > 0 {

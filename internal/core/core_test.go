@@ -1,11 +1,14 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"logdiver/internal/coalesce"
 	"logdiver/internal/correlate"
+	"logdiver/internal/errlog"
 	"logdiver/internal/gen"
 	"logdiver/internal/machine"
 	"logdiver/internal/taxonomy"
@@ -88,14 +91,11 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 		t.Errorf("unclassified: %d", res.Parse.Unclassified)
 	}
 	// Dedup must remove the injected duplicates.
-	if res.Coalesce.Deduped != len(ds.Events) {
-		t.Errorf("deduped events: got %d, want %d", res.Coalesce.Deduped, len(ds.Events))
+	if len(res.Events) != len(ds.Events) {
+		t.Errorf("deduped events: got %d, want %d", len(res.Events), len(ds.Events))
 	}
-	if res.Coalesce.Raw <= res.Coalesce.Deduped {
+	if res.RawEvents <= len(res.Events) {
 		t.Error("raw events should exceed deduped (duplicates injected)")
-	}
-	if len(res.Tuples) == 0 || len(res.Groups) == 0 {
-		t.Error("coalescing produced nothing")
 	}
 	if res.Start.IsZero() || !res.End.After(res.Start) {
 		t.Errorf("span [%v,%v] broken", res.Start, res.End)
@@ -237,18 +237,50 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Classifier == nil {
 		t.Error("no default classifier")
 	}
-	if o.TemporalWindow == 0 || o.SpatialWindow == 0 {
-		t.Error("no default windows")
-	}
 	if o.Correlate.EvidenceWindow == 0 {
 		t.Error("no default correlate config")
 	}
 	// Explicit options survive.
-	custom := Options{
-		TemporalWindow: time.Minute,
-		Classifier:     taxonomy.NewClassifier(nil),
-	}.withDefaults()
-	if custom.TemporalWindow != time.Minute {
-		t.Error("explicit temporal window overridden")
+	cls := taxonomy.NewClassifier(nil)
+	if custom := (Options{Classifier: cls}).withDefaults(); custom.Classifier != cls {
+		t.Error("explicit classifier overridden")
+	}
+}
+
+// TestResultCarriesNoCoalescingProducts walks every type reachable from
+// Result: tuples and groups belong to the tables that read them
+// (coalesce.Pipeline over Result.Events), never to the pipeline output every
+// Analyze and every Incremental.Result round builds.
+func TestResultCarriesNoCoalescingProducts(t *testing.T) {
+	banned := map[reflect.Type]bool{
+		reflect.TypeOf(coalesce.Tuple{}): true,
+		reflect.TypeOf(coalesce.Group{}): true,
+		reflect.TypeOf(coalesce.Stats{}): true,
+	}
+	seen := map[reflect.Type]bool{}
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		if banned[ty] {
+			t.Errorf("%s holds a %s", path, ty)
+		}
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		case reflect.Map:
+			walk(path+"[key]", ty.Key())
+			fallthrough
+		case reflect.Slice, reflect.Array, reflect.Pointer, reflect.Chan:
+			walk(path+"[]", ty.Elem())
+		}
+	}
+	walk("Result", reflect.TypeOf(Result{}))
+	if !seen[reflect.TypeOf(errlog.Event{})] || !seen[reflect.TypeOf(correlate.AttributedRun{})] {
+		t.Fatal("walk never reached the events and runs: it checks nothing")
 	}
 }

@@ -203,9 +203,8 @@ func (inc *Incremental) Append(d Delta) (AppendStats, error) {
 }
 
 // Result materializes the full pipeline output over everything appended so
-// far. Coalescing and the event index are rebuilt over the whole event
-// stream (cheap, sort-bound), but only runs inside the affected window are
-// re-attributed; the rest keep the attribution of the previous Result. The
+// far. Dedup and the event index are rebuilt over the whole event stream
+// (sort-bound), but only runs inside the affected window are re-attributed; the rest keep the attribution of the previous Result. The
 // returned Result equals a from-scratch Analyze over the concatenated
 // input and shares no mutable state with the Incremental.
 func (inc *Incremental) Result() (*Result, error) {

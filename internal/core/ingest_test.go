@@ -59,8 +59,8 @@ func assertResultsEqual(t *testing.T, serial, parallel *Result, workers int) {
 	if serial.Parse != parallel.Parse {
 		t.Errorf("workers %d: ParseStats differ:\nserial   %+v\nparallel %+v", workers, serial.Parse, parallel.Parse)
 	}
-	if serial.Coalesce != parallel.Coalesce {
-		t.Errorf("workers %d: coalesce stats differ: %+v vs %+v", workers, serial.Coalesce, parallel.Coalesce)
+	if serial.RawEvents != parallel.RawEvents {
+		t.Errorf("workers %d: raw event counts differ: %d vs %d", workers, serial.RawEvents, parallel.RawEvents)
 	}
 	if len(serial.Jobs) != len(parallel.Jobs) {
 		t.Fatalf("workers %d: job counts differ: %d vs %d", workers, len(serial.Jobs), len(parallel.Jobs))

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"logdiver/internal/coalesce"
 	"logdiver/internal/core"
 	"logdiver/internal/correlate"
 	"logdiver/internal/report"
@@ -97,7 +98,8 @@ func E14BlastRadius(res *core.Result) *report.Table {
 	var worstKilled int
 	var worstGroup taxonomy.Group
 	var worstAt time.Time
-	for _, g := range res.Groups {
+	_, machineEvents, _ := coalesced(res, coalesce.DefaultTemporalWindow)
+	for _, g := range machineEvents {
 		if g.Severity < taxonomy.SevError || g.Category.Benign() {
 			continue
 		}

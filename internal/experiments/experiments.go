@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"logdiver/internal/alps"
+	"logdiver/internal/coalesce"
 	"logdiver/internal/core"
 	"logdiver/internal/correlate"
 	"logdiver/internal/gen"
@@ -362,6 +363,15 @@ func E9Detection(res *core.Result, truth map[uint64]gen.Truth) *report.Table {
 	return t
 }
 
+// coalesced runs the coalescing pipeline over res's (already deduplicated)
+// events at the given tupling window and the default spatial window, with
+// the raw count the Result kept.
+func coalesced(res *core.Result, temporal time.Duration) ([]coalesce.Tuple, []coalesce.Group, coalesce.Stats) {
+	tuples, groups, s := coalesce.Pipeline(res.Events, temporal, coalesce.DefaultSpatialWindow)
+	s.Raw = res.RawEvents
+	return tuples, groups, s
+}
+
 // E10Coalesce reports the preprocessing reduction chain.
 func E10Coalesce(res *core.Result) *report.Table {
 	t := &report.Table{
@@ -369,7 +379,7 @@ func E10Coalesce(res *core.Result) *report.Table {
 		Title:   "Log coalescing effectiveness",
 		Columns: []string{"stage", "records", "reduction vs raw"},
 	}
-	s := res.Coalesce
+	_, _, s := coalesced(res, coalesce.DefaultTemporalWindow)
 	ratio := func(n int) string {
 		if n == 0 || s.Raw == 0 {
 			return "n/a"

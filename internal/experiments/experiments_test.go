@@ -1,7 +1,11 @@
 package experiments
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +14,7 @@ import (
 	"logdiver/internal/correlate"
 	"logdiver/internal/gen"
 	"logdiver/internal/machine"
+	"logdiver/internal/report"
 )
 
 // fixture generates one small dataset and analysis shared by all tests.
@@ -474,9 +479,43 @@ func TestA3CoalesceSweep(t *testing.T) {
 		prev = n
 	}
 	// The zero window equals the deduplicated event count.
-	if got := parseCount(t, tbl.Rows[0][1]); got != f.res.Coalesce.Deduped {
-		t.Errorf("no-window tuples = %d, want %d", got, f.res.Coalesce.Deduped)
+	if got := parseCount(t, tbl.Rows[0][1]); got != len(f.res.Events) {
+		t.Errorf("no-window tuples = %d, want %d", got, len(f.res.Events))
 	}
 }
 
 var _ = correlate.OutcomeSuccess // keep import for future assertions
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
+
+// TestCoalesceTablesGolden pins E10, E14 and A3 — the three tables that run
+// the coalescing pipeline themselves — byte for byte. The golden was written
+// when core.Result still carried the tuples and groups, so it also pins that
+// computing them per table changed no number.
+func TestCoalesceTablesGolden(t *testing.T) {
+	f := getFixture(t)
+	var buf bytes.Buffer
+	for _, tbl := range []*report.Table{E10Coalesce(f.res), E14BlastRadius(f.res), A3Coalesce(f.res, nil)} {
+		if err := tbl.Render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		buf.WriteByte('\n')
+	}
+	golden := filepath.Join("testdata", "coalesce_e10_e14_a3.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("coalescing tables differ from %s\n--- got ---\n%s--- want ---\n%s", golden, buf.Bytes(), want)
+	}
+}

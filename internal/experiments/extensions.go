@@ -6,7 +6,6 @@ import (
 
 	"logdiver/internal/avail"
 	"logdiver/internal/checkpoint"
-	"logdiver/internal/coalesce"
 	"logdiver/internal/core"
 	"logdiver/internal/correlate"
 	"logdiver/internal/machine"
@@ -213,11 +212,10 @@ func A3Coalesce(res *core.Result, windows []time.Duration) *report.Table {
 		Columns: []string{"window", "tuples", "groups", "reduction vs raw"},
 	}
 	for _, w := range windows {
-		tuples := coalesce.Tuples(res.Events, w)
-		groups := coalesce.Spatial(tuples, coalesce.DefaultSpatialWindow)
+		tuples, groups, s := coalesced(res, w)
 		red := "n/a"
 		if len(groups) > 0 {
-			red = fmt.Sprintf("%.1fx", float64(res.Coalesce.Raw)/float64(len(groups)))
+			red = fmt.Sprintf("%.1fx", s.ReductionFactor())
 		}
 		label := w.String()
 		if w == 0 {

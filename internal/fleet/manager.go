@@ -393,13 +393,14 @@ func (m *Manager) SyncRound(ctx context.Context) Round {
 }
 
 // publish gathers the shards' current snapshots and publishes a new View.
-// Only when the epoch vector or the partial flag changed does it fold them
-// into a new merged snapshot — a copy of every run plus every aggregate —
-// and install it under a new fleet epoch; an idle poll re-publishes the
-// previous merged snapshot untouched. It reports whether a new merged
-// snapshot was installed.
+// Only when the epoch vector or the partial flag changed does it fold them,
+// with one Merge call, into a new merged snapshot — one copy of every run
+// plus one set of aggregates — and install it under a new fleet epoch; an
+// idle poll re-publishes the previous merged snapshot untouched. It reports
+// whether a new merged snapshot was installed.
 func (m *Manager) publish() bool {
 	statuses := make([]ShardStatus, len(m.shards))
+	snaps := make([]*store.Snapshot, 0, len(m.shards))
 	vector := make([]store.ShardEpoch, 0, len(m.shards))
 	partial := false
 	for i, sh := range m.shards {
@@ -417,6 +418,7 @@ func (m *Manager) publish() bool {
 		if snap != nil {
 			st.Epoch = snap.Epoch
 			st.Runs = snap.TotalRuns()
+			snaps = append(snaps, snap)
 			vector = append(vector, store.ShardEpoch{Machine: snap.Machine, Epoch: snap.Epoch})
 		} else {
 			st.Status = "waiting"
@@ -435,10 +437,7 @@ func (m *Manager) publish() bool {
 		slices.Equal(prev.Merged.Shards, vector) && prev.Merged.Partial == partial {
 		v.Merged = prev.Merged
 	} else if len(vector) > 0 {
-		merged := store.Zero()
-		for _, st := range statuses {
-			merged = store.Merge(merged, st.Snap)
-		}
+		merged := store.Merge(snaps...)
 		merged.Partial = partial
 		m.fleet.Install(merged)
 		installed = true

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"logdiver/internal/core"
+	"logdiver/internal/correlate"
 	"logdiver/internal/gen"
 	"logdiver/internal/machine"
 	"logdiver/internal/parse"
@@ -492,5 +495,53 @@ func TestManagerIdleRoundDoesNotMerge(t *testing.T) {
 	}
 	if mgr.View().Merged != merged {
 		t.Fatal("idle rounds replaced the merged snapshot")
+	}
+}
+
+// TestSyncRoundFoldsOnce: a round in which every shard advanced publishes
+// with one fold — one concatenation of the shards' runs plus one set of
+// aggregates — not a chain of pairwise merges whose intermediate snapshots
+// are thrown away (on four shards that chain copied 2 + 3 + 4 shard-loads of
+// runs). The shard half of the round is driven by hand so the publish half
+// can be measured alone; its allocated bytes must stay under one and a half
+// copies of the merged run slice (measured 1.23; the pairwise chain 2.82).
+func TestSyncRoundFoldsOnce(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	machines := thinFleet(t, 4)
+	root := t.TempDir()
+	mgr, err := NewManager(ManagerConfig{Config: testFleet(t, root, machines, false)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := mgr.SyncRound(context.Background()); !r.Installed {
+		t.Fatalf("first round installed nothing: %+v", r)
+	}
+	for i, m := range machines {
+		writeWindow(t, filepath.Join(root, m.Name), m, 1)
+		if installed, err := mgr.shards[i].sy.Sync(); err != nil || !installed {
+			t.Fatalf("shard %s did not advance: %v, %v", m.Name, installed, err)
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	installed := mgr.publish()
+	runtime.ReadMemStats(&after)
+
+	merged := mgr.View().Merged
+	if !installed || len(merged.Shards) != len(machines) {
+		t.Fatalf("publish: installed=%v vector=%+v", installed, merged.Shards)
+	}
+	for _, se := range merged.Shards {
+		if se.Epoch != 2 {
+			t.Fatalf("shard %s at epoch %d: not every shard advanced", se.Machine, se.Epoch)
+		}
+	}
+	oneCopy := uint64(merged.TotalRuns()) * uint64(unsafe.Sizeof(correlate.AttributedRun{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got > oneCopy*3/2 {
+		t.Errorf("publish over %d shards allocated %d bytes; one copy of the %d merged runs is %d: the shards were folded more than once",
+			len(machines), got, merged.TotalRuns(), oneCopy)
 	}
 }

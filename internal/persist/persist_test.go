@@ -171,7 +171,7 @@ func restoredResult(t testing.TB, dir, statePath string, ds *gen.Dataset, par in
 }
 
 // checkSnapshot requires snap to hold everything a snapshot retains of
-// want — runs, both counts, reduction counters, hygiene, span — and the
+// want — runs, both counts, hygiene, span — and the
 // five aggregates a from-scratch Build derives from it.
 func checkSnapshot(t testing.TB, snap *store.Snapshot, want *core.Result, ds *gen.Dataset) {
 	t.Helper()
@@ -182,7 +182,6 @@ func checkSnapshot(t testing.TB, snap *store.Snapshot, want *core.Result, ds *ge
 		Runs:      want.Runs,
 		NumJobs:   len(want.Jobs),
 		NumEvents: len(want.Events),
-		Coalesce:  want.Coalesce,
 		Parse:     want.Parse,
 		Start:     want.Start,
 		End:       want.End,
@@ -315,9 +314,9 @@ func TestDifferentialWarmRestart(t *testing.T) {
 			want := analyzeFiles(t, dir, ds, tc.secondPar)
 			checkSnapshot(t, snap, want, ds)
 			if got := restoredResult(t, dir, statePath, ds, tc.secondPar); !reflect.DeepEqual(got, want) {
-				t.Fatalf("restored pipeline Result diverged from from-scratch Analyze (%d vs %d runs, %d vs %d jobs, %d vs %d events, %d vs %d tuples, %d vs %d groups)",
+				t.Fatalf("restored pipeline Result diverged from from-scratch Analyze (%d vs %d runs, %d vs %d jobs, %d vs %d events, %d vs %d raw events)",
 					len(got.Runs), len(want.Runs), len(got.Jobs), len(want.Jobs), len(got.Events), len(want.Events),
-					len(got.Tuples), len(want.Tuples), len(got.Groups), len(want.Groups))
+					got.RawEvents, want.RawEvents)
 			}
 		})
 	}

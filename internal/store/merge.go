@@ -2,6 +2,7 @@ package store
 
 import (
 	"slices"
+	"strings"
 	"time"
 
 	"logdiver/internal/core"
@@ -11,7 +12,7 @@ import (
 
 // Snapshot merge: the fleet-scale building block. Each machine shard runs
 // its own incremental pipeline and publishes ordinary per-shard snapshots;
-// Merge folds any number of them (two at a time) into one fleet snapshot
+// Merge folds any number of them, in one call, into one fleet snapshot
 // carrying a composite epoch vector.
 //
 // The algebra is exact, not approximate: Merge is associative and
@@ -22,15 +23,16 @@ import (
 // the parts' runs concatenated in list order (each shard's own run order
 // preserved), the counts, hygiene and ingest history are sums, and every
 // aggregate is recomputed from the concatenated runs with the same code
-// Build uses. Merging interleaves the arguments' part lists, so any merge
-// tree over the same shard set yields the same list and the same bytes,
+// Build uses. Merge gathers its arguments' part lists and sorts them by
+// machine name, so any merge tree over the same shard set — one n-ary call
+// or any nesting of smaller ones — yields the same list and the same bytes,
 // which is what lets the scatter-gather plane fold shards in arbitrary
 // order and still serve views identical to a from-scratch analysis of the
 // combined input. The parts are immutable and the fleet view holds them
 // anyway; the list costs one pointer per shard.
 //
-// Merging two snapshots that contain the same machine name is a misuse;
-// the result is deterministic (left argument's part first) but the
+// Merging snapshots that contain the same machine name is a misuse; the
+// result is deterministic (the earlier argument's part first) but the
 // algebraic laws are not guaranteed.
 
 // ShardEpoch is one component of a fleet epoch vector: the install epoch of
@@ -75,49 +77,42 @@ func (s *Snapshot) leaves() []*Snapshot {
 	return s.parts
 }
 
-// interleave merges two part lists sorted by machine name, x first on a tie.
-//
-//ldvet:hotpath
-func interleave(x, y []*Snapshot) []*Snapshot {
-	out := make([]*Snapshot, 0, len(x)+len(y))
-	for len(x) > 0 && len(y) > 0 {
-		if x[0].Machine <= y[0].Machine {
-			out, x = append(out, x[0]), x[1:]
-		} else {
-			out, y = append(out, y[0]), y[1:]
+// Merge combines any number of snapshots into one fleet snapshot. It is
+// associative and commutative with Zero() as identity (see the package
+// comment above); nil arguments are treated as Zero, and Merge() is Zero().
+// The result is always a fresh snapshot — never an alias of an argument —
+// with Epoch zero until a fleet Store installs it, and Partial the OR of
+// the inputs' flags.
+func Merge(snaps ...*Snapshot) *Snapshot {
+	parts := make([]*Snapshot, 0, len(snaps))
+	var last *Snapshot // the last of the args arguments that are not the identity
+	args, partial := 0, false
+	for _, s := range snaps {
+		if l := s.leaves(); len(l) > 0 {
+			parts = append(parts, l...)
+			args, last = args+1, s
+			partial = partial || s.Partial
 		}
 	}
-	return append(append(out, x...), y...)
-}
-
-// Merge combines two snapshots into one fleet snapshot. It is associative
-// and commutative with Zero() as identity (see the package comment above);
-// nil arguments are treated as Zero. The result is always a fresh snapshot
-// — never an alias of an argument — with Epoch zero until a fleet Store
-// installs it, and Partial the OR of the inputs' flags.
-func Merge(a, b *Snapshot) *Snapshot {
-	x, y := a.leaves(), b.leaves()
-	if len(x) == 0 {
-		a, x, y = b, y, x
-	}
-	switch {
-	case len(x) == 0:
+	switch args {
+	case 0:
 		return Zero()
-	case len(y) == 0:
-		// One side is the identity: lift the other into merged form without
-		// copying a run. The fresh top-level struct keeps a fleet Store's
-		// Install from touching the shard's own snapshot.
-		c := *a
+	case 1:
+		// Every other argument is the identity: lift this one into merged
+		// form without copying a run. The fresh top-level struct keeps a
+		// fleet Store's Install from touching the shard's own snapshot.
+		c := *last
 		c.Epoch, c.Machine = 0, ""
-		c.Shards = slices.Clone(a.EpochVector())
-		c.parts = x
+		c.Shards = slices.Clone(last.EpochVector())
+		c.parts = parts
 		return &c
 	}
+	slices.SortStableFunc(parts, func(x, y *Snapshot) int { return strings.Compare(x.Machine, y.Machine) })
 
 	m := &Snapshot{
-		Shards:  make([]ShardEpoch, 0, len(x)+len(y)),
-		Partial: a.Partial || b.Partial,
-		parts:   interleave(x, y),
+		Shards:  make([]ShardEpoch, 0, len(parts)),
+		Partial: partial,
+		parts:   parts,
 	}
 	nruns := 0
 	for _, p := range m.parts {
@@ -131,10 +126,6 @@ func Merge(a, b *Snapshot) *Snapshot {
 		res.Runs = append(res.Runs, pr.Runs...)
 		res.NumJobs += pr.NumJobs
 		res.NumEvents += pr.NumEvents
-		res.Coalesce.Raw += pr.Coalesce.Raw
-		res.Coalesce.Deduped += pr.Coalesce.Deduped
-		res.Coalesce.Tuples += pr.Coalesce.Tuples
-		res.Coalesce.Groups += pr.Coalesce.Groups
 		res.Parse = mergeParse(res.Parse, pr.Parse)
 		res.Start = minNonZero(res.Start, pr.Start)
 		res.End = maxTime(res.End, pr.End)

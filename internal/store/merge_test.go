@@ -9,7 +9,6 @@ import (
 	"time"
 	"unsafe"
 
-	"logdiver/internal/coalesce"
 	"logdiver/internal/core"
 	"logdiver/internal/correlate"
 	"logdiver/internal/gen"
@@ -87,29 +86,24 @@ func scratchShard(t testing.TB, m gen.FleetMachine, windows int, par int, epoch 
 }
 
 // retainedSums is what a merged snapshot must retain besides the runs: the
-// sums of the batch Results' slice lengths and reduction counters.
+// sums of the batch Results' slice lengths.
 type retainedSums struct {
 	jobs, events int
-	coalesce     coalesce.Stats
 }
 
 func (r *retainedSums) add(res *core.Result) {
 	r.jobs += len(res.Jobs)
 	r.events += len(res.Events)
-	r.coalesce.Raw += res.Coalesce.Raw
-	r.coalesce.Deduped += res.Coalesce.Deduped
-	r.coalesce.Tuples += res.Coalesce.Tuples
-	r.coalesce.Groups += res.Coalesce.Groups
 }
 
 func (r retainedSums) check(t *testing.T, what string, s *Snapshot) {
 	t.Helper()
-	got := retainedSums{jobs: s.Result.NumJobs, events: s.Result.NumEvents, coalesce: s.Result.Coalesce}
+	got := retainedSums{jobs: s.Result.NumJobs, events: s.Result.NumEvents}
 	if got != r {
 		t.Errorf("%s retains %+v, batch results sum to %+v", what, got, r)
 	}
-	if r.events == 0 || r.coalesce.Groups == 0 {
-		t.Errorf("%s: fixture has no events or groups; the count assertions prove nothing", what)
+	if r.jobs == 0 || r.events == 0 {
+		t.Errorf("%s: fixture has no jobs or events; the count assertions prove nothing", what)
 	}
 }
 
@@ -174,13 +168,19 @@ func TestMergeOracle(t *testing.T) {
 		par := par
 		t.Run(map[int]string{1: "par1", 4: "par4"}[par], func(t *testing.T) {
 			t.Parallel()
-			// Scatter side: incremental shards folded left-to-right.
+			// Scatter side: incremental shards folded left-to-right, which
+			// must be what one n-ary call gives.
 			merged := Zero()
 			var vector []ShardEpoch
+			var shards []*Snapshot
 			for _, m := range machines {
 				snap := syncedShard(t, m, windows, par)
 				vector = append(vector, ShardEpoch{Machine: m.Name, Epoch: snap.Epoch})
+				shards = append(shards, snap)
 				merged = Merge(merged, snap)
+			}
+			if !reflect.DeepEqual(Merge(shards...), merged) {
+				t.Fatal("one n-ary merge differs from the pairwise left fold")
 			}
 
 			// Gather side: from-scratch per-machine analyses concatenated
@@ -257,15 +257,17 @@ func TestMergeOracle(t *testing.T) {
 
 // TestMergeLaws proves the algebra: associative, commutative, identity.
 func TestMergeLaws(t *testing.T) {
-	machines := fleetFixture(t, 3)
+	machines := fleetFixture(t, 4)
 	snaps := make([]*Snapshot, len(machines))
-	var sums retainedSums
+	var sums retainedSums // of the first three shards
 	for i, m := range machines {
 		res, top := scratchResult(t, m, 1, 1)
-		sums.add(res)
+		if i < 3 {
+			sums.add(res)
+		}
 		snaps[i] = buildShard(t, res, top, m.Name, uint64(i+1))
 	}
-	s0, s1, s2 := snaps[0], snaps[1], snaps[2]
+	s0, s1, s2, s3 := snaps[0], snaps[1], snaps[2], snaps[3]
 
 	t.Run("associative", func(t *testing.T) {
 		left := Merge(Merge(s0, s1), s2)
@@ -294,6 +296,60 @@ func TestMergeLaws(t *testing.T) {
 			}
 		}
 	})
+	t.Run("nary", func(t *testing.T) {
+		// One n-ary call is every pairwise tree, in every argument order,
+		// with identities anywhere in the list.
+		want3 := Merge(Merge(s0, s1), s2)
+		want4 := Merge(want3, s3)
+		if reflect.DeepEqual(want3, want4) {
+			t.Fatal("the fourth shard changed nothing; the 4-shard cases prove nothing")
+		}
+		permute(4, func(p []int) {
+			a, b, c, d := snaps[p[0]], snaps[p[1]], snaps[p[2]], snaps[p[3]]
+			for name, got := range map[string]*Snapshot{
+				"a,b,c,d":         Merge(a, b, c, d),
+				"0,a,b,nil,c,d,0": Merge(Zero(), a, b, nil, c, d, Zero()),
+				"((a+b)+c)+d":     Merge(Merge(Merge(a, b), c), d),
+				"(a+(b+c))+d":     Merge(Merge(a, Merge(b, c)), d),
+				"(a+b)+(c+d)":     Merge(Merge(a, b), Merge(c, d)),
+				"a+((b+c)+d)":     Merge(a, Merge(Merge(b, c), d)),
+				"a+(b+(c+d))":     Merge(a, Merge(b, Merge(c, d))),
+				"(a,b),c,d":       Merge(Merge(a, b), c, d),
+				"a,(b,c,d)":       Merge(a, Merge(b, c, d)),
+			} {
+				if !reflect.DeepEqual(got, want4) {
+					t.Errorf("4 shards, order %v, tree %s differs from ((s0+s1)+s2)+s3", p, name)
+				}
+			}
+		})
+		permute(3, func(p []int) {
+			a, b, c := snaps[p[0]], snaps[p[1]], snaps[p[2]]
+			for name, got := range map[string]*Snapshot{
+				"a,b,c":     Merge(a, b, c),
+				"nil,a,b,c": Merge(nil, a, b, c),
+				"(a,b),c":   Merge(Merge(a, b), c),
+				"a,(b,c)":   Merge(a, Merge(b, c)),
+			} {
+				if !reflect.DeepEqual(got, want3) {
+					t.Errorf("3 shards, order %v, tree %s differs from (s0+s1)+s2", p, name)
+				}
+				sums.check(t, name, got)
+			}
+		})
+		if !reflect.DeepEqual(Merge(), Zero()) {
+			t.Fatal("Merge() is not the identity")
+		}
+		// One non-identity argument among any number of identities is still
+		// lifted, not copied: a fleet of one shares its shard's runs.
+		s01 := Merge(s0, s1)
+		for i, c := range []struct{ got, src *Snapshot }{
+			{Merge(s0), s0}, {Merge(Zero(), s01), s01}, {Merge(nil, s01, Zero(), nil), s01},
+		} {
+			if unsafe.SliceData(c.got.Result.Runs) != unsafe.SliceData(c.src.Result.Runs) {
+				t.Fatalf("case %d: lifting a lone argument copied the runs", i)
+			}
+		}
+	})
 	t.Run("commutative", func(t *testing.T) {
 		for _, pair := range [][2]*Snapshot{{s0, s1}, {s1, s2}, {s0, s2}} {
 			ab := Merge(pair[0], pair[1])
@@ -319,7 +375,7 @@ func TestMergeLaws(t *testing.T) {
 				if !reflect.DeepEqual(m.Outcomes, s0.Outcomes) {
 					t.Fatalf("%s identity merge changed the outcomes", name)
 				}
-				if m.Result.NumJobs != s0.Result.NumJobs || m.Result.NumEvents != s0.Result.NumEvents || m.Result.Coalesce != s0.Result.Coalesce {
+				if m.Result.NumJobs != s0.Result.NumJobs || m.Result.NumEvents != s0.Result.NumEvents {
 					t.Fatalf("%s identity merge changed the counts", name)
 				}
 			}
@@ -363,6 +419,31 @@ func TestMergeLaws(t *testing.T) {
 	})
 }
 
+// permute calls f with every permutation of 0..n-1 (Heap's algorithm); f must
+// not keep p.
+func permute(n int, f func(p []int)) {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	var rec func(k int)
+	rec = func(k int) {
+		if k == 1 {
+			f(p)
+			return
+		}
+		for i := 0; i < k; i++ {
+			rec(k - 1)
+			if k%2 == 0 {
+				p[i], p[k-1] = p[k-1], p[i]
+			} else {
+				p[0], p[k-1] = p[k-1], p[0]
+			}
+		}
+	}
+	rec(n)
+}
+
 // mergePair is the two-shard input of BenchmarkMerge and the allocation
 // ceiling below.
 func mergePair(t testing.TB) (a, c *Snapshot) {
@@ -384,12 +465,12 @@ func BenchmarkMerge(b *testing.B) {
 }
 
 // TestMergeAllocCeiling: a merge allocates per output slice and per
-// aggregate, never per run. Measured 37.
+// aggregate, never per run. Measured 35.
 func TestMergeAllocCeiling(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const ceiling = 44
+	const ceiling = 36
 	a, c := mergePair(t)
 	if n := testing.AllocsPerRun(20, func() { Merge(a, c) }); n > ceiling {
 		t.Errorf("Merge of two one-day shards: %.0f allocs/op, ceiling %d", n, ceiling)

@@ -12,7 +12,6 @@ import (
 	"slices"
 	"time"
 
-	"logdiver/internal/coalesce"
 	"logdiver/internal/core"
 	"logdiver/internal/correlate"
 	"logdiver/internal/machine"
@@ -37,9 +36,9 @@ type IngestStats struct {
 
 // Retained is the part of a pipeline Result a snapshot keeps: the runs every
 // served view derives from, plus the counts, hygiene and span /v1/health
-// reports. It has no field that could hold job records, events, tuples or
-// groups, so no snapshot — one per shard per epoch, plus the merged one —
-// can pin them in the heap.
+// reports. It has no field that could hold job records or events, so no
+// snapshot — one per shard per epoch, plus the merged one — can pin them in
+// the heap.
 type Retained struct {
 	// Runs are the attributed application runs, in start order (per shard,
 	// shards in machine-name order, on a merged snapshot).
@@ -47,8 +46,6 @@ type Retained struct {
 	// NumJobs and NumEvents count the assembled batch jobs and the
 	// deduplicated classified error events behind the runs.
 	NumJobs, NumEvents int
-	// Coalesce reports the raw-to-group reduction.
-	Coalesce coalesce.Stats
 	// Parse reports archive hygiene.
 	Parse core.ParseStats
 	// Start and End bound the observed activity (zero when there are no
@@ -103,8 +100,8 @@ type Snapshot struct {
 	NumNodes, NumXE, NumXK int
 
 	// parts lists, aligned with Shards, the unmerged snapshots a merged
-	// snapshot was folded from. Nil on unmerged snapshots. Merge
-	// re-interleaves the parts of its arguments, so a merged snapshot is a
+	// snapshot was folded from. Nil on unmerged snapshots. Merge re-sorts
+	// the parts of its arguments by machine name, so a merged snapshot is a
 	// function of its part set alone, whatever the merge tree.
 	parts []*Snapshot
 
@@ -135,7 +132,6 @@ func Build(res *core.Result, top *machine.Topology, ing IngestStats, at time.Tim
 			Runs:      res.Runs,
 			NumJobs:   len(res.Jobs),
 			NumEvents: len(res.Events),
-			Coalesce:  res.Coalesce,
 			Parse:     res.Parse,
 			Start:     res.Start,
 			End:       res.End,

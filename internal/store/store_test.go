@@ -372,6 +372,50 @@ func TestSyncerLifecycle(t *testing.T) {
 	}
 }
 
+// TestBuildDurationCoversBuild pins what Ingest.BuildDuration measures: the
+// whole rebuild of a round, Build included. On a clock that steps once per
+// reading, the measured interval — from the round's first reading — must end
+// after the instant Build was entered (BuiltAt), and the state the syncer
+// would persist must carry the same figure.
+func TestBuildDurationCoversBuild(t *testing.T) {
+	dir := t.TempDir()
+	writeArchives(t, dir, smallDataset(t, 0, 21))
+	st := New()
+	clock := time.Date(2026, 8, 5, 0, 0, 0, 0, time.UTC)
+	var began time.Time
+	sy, err := NewSyncer(SyncerConfig{
+		Tailer:   NewTailer(dir),
+		Store:    st,
+		Topology: smallDataset(t, 0, 21).Topology,
+		Location: time.UTC,
+		Now: func() time.Time {
+			clock = clock.Add(time.Second)
+			if began.IsZero() {
+				began = clock
+			}
+			return clock
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if installed, err := sy.Sync(); err != nil || !installed {
+		t.Fatalf("sync: %v, %v", installed, err)
+	}
+	snap := st.Current()
+	if end := began.Add(snap.Ingest.BuildDuration); !end.After(snap.BuiltAt) {
+		t.Errorf("BuildDuration %s ends at %s, before Build started at %s: it omits the snapshot build",
+			snap.Ingest.BuildDuration, end.Format("15:04:05"), snap.BuiltAt.Format("15:04:05"))
+	}
+	sst, err := sy.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sst.Ingest != snap.Ingest {
+		t.Errorf("persisted ingest stats %+v differ from the served ones %+v", sst.Ingest, snap.Ingest)
+	}
+}
+
 func TestBuildValidation(t *testing.T) {
 	ds := smallDataset(t, 0, 21)
 	if _, err := Build(nil, ds.Topology, IngestStats{}, time.Time{}); err == nil {

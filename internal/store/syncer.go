@@ -127,11 +127,14 @@ func (s *Syncer) Sync() (installed bool, err error) {
 	s.ing.ApsysLines += ast.ApsysLines
 	s.ing.SyslogLines += ast.SyslogLines
 	s.ing.Reattributed = s.inc.Reattributed()
-	s.ing.BuildDuration = s.now().Sub(began)
 	snap, err := Build(res, s.top, s.ing, s.now())
 	if err != nil {
 		return false, err
 	}
+	// Stamped after Build so the duration covers the whole rebuild: append,
+	// re-attribution and the snapshot's aggregates.
+	s.ing.BuildDuration = s.now().Sub(began)
+	snap.Ingest.BuildDuration = s.ing.BuildDuration
 	snap.Machine = s.machine
 	s.store.Install(snap)
 	return true, nil
