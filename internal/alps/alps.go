@@ -12,8 +12,9 @@
 package alps
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -277,17 +278,44 @@ func (a *Assembler) finish(at time.Time, apid uint64, exitCode, signal int) erro
 	return nil
 }
 
-// Runs returns completed runs sorted by start time then apid. Runs still
+// ByStart returns the comparator of the output order of runs over completion
+// indices into done: (Start, ApID, completion index). The index makes the
+// order total — a corrupted archive can echo a Starting/Finishing pair, so
+// two runs may share start and apid — which is what lets the incremental
+// pipeline merge a sorted batch into a sorted carry and land on exactly the
+// order a from-scratch sort gives.
+func ByStart(done []AppRun) func(i, j int) int {
+	return func(i, j int) int {
+		a, b := &done[i], &done[j]
+		if c := a.Start.Compare(b.Start); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.ApID, b.ApID); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
+	}
+}
+
+// StartOrder returns the completion indices from, from+1, ... of done in
+// ByStart order: all runs for from 0, otherwise the sorted batch of the runs
+// completed since there were from of them.
+func StartOrder(done []AppRun, from int) []int {
+	order := make([]int, len(done)-from)
+	for k := range order {
+		order[k] = from + k
+	}
+	slices.SortFunc(order, ByStart(done))
+	return order
+}
+
+// Runs returns completed runs in output order (see ByStart). Runs still
 // open (no Finishing seen) are not included; see Open.
 func (a *Assembler) Runs() []AppRun {
 	out := make([]AppRun, len(a.done))
-	copy(out, a.done)
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Start.Equal(out[j].Start) {
-			return out[i].Start.Before(out[j].Start)
-		}
-		return out[i].ApID < out[j].ApID
-	})
+	for k, i := range StartOrder(a.done, 0) {
+		out[k] = a.done[i]
+	}
 	return out
 }
 

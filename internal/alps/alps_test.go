@@ -3,6 +3,7 @@ package alps
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -288,5 +289,44 @@ func TestAssemblerSortsRuns(t *testing.T) {
 		if runs[i-1].Start.After(runs[i].Start) {
 			t.Fatal("runs not sorted by start")
 		}
+	}
+}
+
+// TestRunsOrderIsTotal: runs that tie on start and apid — an echoed
+// Starting/Finishing pair in a corrupted archive — come out in completion
+// order, and ByStart says so.
+func TestRunsOrderIsTotal(t *testing.T) {
+	a := NewAssembler()
+	base := time.Date(2013, 4, 3, 0, 0, 0, 0, time.UTC)
+	add := func(apid uint64, start time.Time, exit int) {
+		t.Helper()
+		r := sampleRun()
+		r.ApID, r.Start, r.ExitCode = apid, start, exit
+		s, _ := ParseMessage(StartMessage(r))
+		if err := a.Add(start, s); err != nil {
+			t.Fatal(err)
+		}
+		e, _ := ParseMessage(ExitMessage(r))
+		if err := a.Add(start.Add(time.Hour), e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const echoes = 30 // more than an unstable sort's insertion-sort cutoff
+	for i := 0; i < echoes; i++ {
+		add(7, base.Add(time.Minute), i)
+		add(uint64(100+i), base.Add(time.Duration(i%3)*time.Minute), 0)
+	}
+	var exits []int
+	for _, r := range a.Runs() {
+		if r.ApID == 7 {
+			exits = append(exits, r.ExitCode)
+		}
+	}
+	if len(exits) != echoes || !slices.IsSorted(exits) {
+		t.Errorf("echoed runs in order %v, want completion order 0..%d", exits, echoes-1)
+	}
+	cmp := ByStart(a.Done())
+	if cmp(0, 2) >= 0 || cmp(2, 0) <= 0 || cmp(4, 4) != 0 {
+		t.Errorf("ByStart does not order two echoes of one run by completion index")
 	}
 }

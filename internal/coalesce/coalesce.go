@@ -13,8 +13,11 @@
 package coalesce
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"logdiver/internal/errlog"
@@ -50,38 +53,51 @@ type Tuple struct {
 	First errlog.Event
 }
 
-// Dedup removes exact duplicates: events with identical (Time, Node,
-// Category, Message). Log forwarders on real systems routinely duplicate
-// records. The input is not modified; output is sorted by time.
+// CompareEvents is the order Dedup sorts by: the duplicate key (Time, Node,
+// Category, Message), then Cname and Severity. Covering every field of an
+// Event makes the order total, so which of a group of duplicates survives —
+// the first — depends neither on the sort algorithm nor on how an online
+// pipeline cut the stream into rounds.
+func CompareEvents(a, b errlog.Event) int { return compareEvents(&a, &b) }
+
+// compareEvents is CompareEvents without copying the events.
+func compareEvents(a, b *errlog.Event) int {
+	if c := a.Time.Compare(b.Time); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Node, b.Node); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Category, b.Category); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Message, b.Message); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Cname, b.Cname); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Severity, b.Severity)
+}
+
+// Duplicate reports whether two events share the duplicate key: identical
+// (Time, Node, Category, Message).
+func Duplicate(a, b errlog.Event) bool {
+	return a.Time.Equal(b.Time) && a.Node == b.Node &&
+		a.Category == b.Category && a.Message == b.Message
+}
+
+// Dedup removes exact duplicates (see Duplicate), keeping the first of each
+// group in CompareEvents order. Log forwarders on real systems routinely
+// duplicate records. The input is not modified; output is in CompareEvents
+// order, hence sorted by time.
 func Dedup(events []errlog.Event) []errlog.Event {
 	if len(events) == 0 {
 		return nil
 	}
-	sorted := make([]errlog.Event, len(events))
-	copy(sorted, events)
-	sort.Slice(sorted, func(i, j int) bool {
-		a, b := sorted[i], sorted[j]
-		if !a.Time.Equal(b.Time) {
-			return a.Time.Before(b.Time)
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		if a.Category != b.Category {
-			return a.Category < b.Category
-		}
-		return a.Message < b.Message
-	})
-	out := sorted[:1]
-	for _, e := range sorted[1:] {
-		last := out[len(out)-1]
-		if e.Time.Equal(last.Time) && e.Node == last.Node &&
-			e.Category == last.Category && e.Message == last.Message {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
+	sorted := slices.Clone(events)
+	sort.Slice(sorted, func(i, j int) bool { return compareEvents(&sorted[i], &sorted[j]) < 0 })
+	return slices.CompactFunc(sorted, Duplicate)
 }
 
 // Tuples groups events into per-(node, category) episodes using the given

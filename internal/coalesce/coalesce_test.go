@@ -294,3 +294,44 @@ func TestSpatialConservationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDedupSurvivorIsFirstInTotalOrder: duplicates share (Time, Node,
+// Category, Message) but may differ in Cname and Severity — two service hosts
+// reporting the same machine-wide event. The survivor is the first in
+// CompareEvents order whatever the input order, and splitting the input,
+// deduplicating the halves and deduplicating their concatenation — what an
+// online pipeline's rounds amount to — keeps the same one.
+func TestDedupSurvivorIsFirstInTotalOrder(t *testing.T) {
+	var events []errlog.Event
+	for i := 0; i < 40; i++ { // enough that an unstable sort moves ties around
+		e := ev(int(errlog.SystemWide), time.Duration(i/8)*time.Minute, taxonomy.FilesystemUnavail, "ost0001 unavailable")
+		e.Cname = []string{"smw", "sdb", "boot", "mds"}[i%4]
+		if i%8 >= 4 {
+			e.Severity = taxonomy.SevCritical
+		}
+		events = append(events, e)
+	}
+	want := Dedup(events)
+	if len(want) != 5 {
+		t.Fatalf("Dedup kept %d events, want one per minute: 5", len(want))
+	}
+	for _, e := range want {
+		if e.Cname != "boot" || e.Severity != taxonomy.SevError {
+			t.Errorf("survivor at %s is %s/%v, want the first in total order: boot/%v", e.Time.Format("15:04"), e.Cname, e.Severity, taxonomy.SevError)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		rng.Shuffle(len(events), func(i, j int) { events[i], events[j] = events[j], events[i] })
+		cut := rng.Intn(len(events) + 1)
+		got := Dedup(append(Dedup(events[:cut]), Dedup(events[cut:])...))
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d survivors, want %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d cut %d: survivor %d is %+v, want %+v", trial, cut, i, got[i], want[i])
+			}
+		}
+	}
+}

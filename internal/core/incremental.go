@@ -6,32 +6,43 @@ package core
 // and apsys assemblers, whose half-open records span append boundaries, the
 // classified event stream, and the cumulative ParseStats with absolute line
 // provenance) and, on demand, materializes a *Result equal to what a
-// from-scratch Analyze over the concatenated input would produce — without
-// re-attributing the whole history.
+// from-scratch Analyze over the concatenated input would produce — for work
+// proportional to what was appended plus one copy of the runs, with no sort
+// and no re-attribution of history.
 //
-// The re-attribution window is the key: a run's attribution depends on the
-// event index only inside [End-EvidenceWindow, End+PostWindow] (Attribute
-// clamps the search to at most EvidenceWindow before the end), so an
-// appended event with timestamp t can only change runs whose End lies in
+// The re-attribution window: a run's attribution depends on the event index
+// only inside [End-EvidenceWindow, End+PostWindow] (Attribute clamps the
+// search to at most EvidenceWindow before the end), so an appended event with
+// timestamp t can only change runs whose End lies in
 // [t-PostWindow, t+EvidenceWindow]. Result therefore re-attributes exactly
-// (a) runs completed since the last snapshot, (b) runs whose End is at or
-// after minNewEventTime-(EvidenceWindow+PostWindow), and (c) runs whose
-// batch job saw new accounting records (walltime-kill detection reads the
-// job record). Everything older keeps its previous attribution.
-// TestIncrementalMatchesAnalyze asserts exact Result equality against the
-// batch pipeline after every append round.
+// (a) runs completed since the last Result, (b) runs whose End is at or after
+// minNewEventTime-(EvidenceWindow+PostWindow), and (c) runs whose batch job
+// saw new accounting records (walltime-kill detection reads the job record),
+// against an index of only the events those runs can see.
+//
+// The sorted carries: jobs, deduplicated events and the run order stay in
+// output order between rounds. Each order is total (wlm.CompareJobs,
+// coalesce.CompareEvents, alps.ByStart), so sorting only a round's own batch
+// and folding it in with mergeSorted lands on the very sequence a sort of
+// everything gives. The carries are derived, not persisted: a restored
+// pipeline sorts its job table once and starts with the other two empty, so
+// its first Result merges everything in.
+// TestIncrementalMatchesAnalyze and TestIncrementalSchedule assert exact
+// Result equality against the batch pipeline after every round.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"logdiver/internal/alps"
+	"logdiver/internal/coalesce"
 	"logdiver/internal/correlate"
 	"logdiver/internal/errlog"
+	"logdiver/internal/interval"
 	"logdiver/internal/machine"
 	"logdiver/internal/parse"
 	"logdiver/internal/wlm"
@@ -77,8 +88,17 @@ type Incremental struct {
 	lineBase [3]int
 
 	// attr mirrors alpsAsm.Done() (completion order) with the attribution
-	// of the last Result call; done[len(attr):] are not yet attributed.
+	// of the last Result call; done[len(attr):] are not yet attributed. No
+	// Result shares it, so re-attribution writes it in place.
 	attr []correlate.AttributedRun
+	// The sorted carries: order is the indices of attr in alps.ByStart order,
+	// jobs the assembled jobs, dedup the coalesce.Dedup of events[:folded].
+	// Returned Results share a clipped prefix of jobs and dedup, which are
+	// therefore extended or replaced, never written.
+	order  []int
+	jobs   []wlm.Job
+	dedup  []errlog.Event
+	folded int
 	// dirtyJobs are batch jobs with new accounting records since the last
 	// Result; minNew/haveNew track the earliest new event timestamp.
 	dirtyJobs map[string]struct{}
@@ -104,6 +124,7 @@ func NewIncremental(top *machine.Topology, loc *time.Location, opts Options) (*I
 		loc:       loc,
 		wlmAsm:    wlm.NewAssembler(),
 		alpsAsm:   alps.NewAssembler(),
+		jobs:      []wlm.Job{}, // non-nil when empty, like Assembler.Jobs
 		dirtyJobs: make(map[string]struct{}),
 	}
 	inc.alpsAsm.SetLenient(opts.ParseMode == parse.Lenient)
@@ -202,36 +223,97 @@ func (inc *Incremental) Append(d Delta) (AppendStats, error) {
 	return st, nil
 }
 
+// mergeSorted folds batch into carry, both sorted by the total order cmp;
+// where dup is non-nil, an element for which dup(previous, element) holds is
+// dropped. carry is never written: a batch that sorts after it extends it
+// (into spare capacity, which no holder of the old length can see), anything
+// else yields a fresh slice, copied at memmove speed outside the stretch the
+// batch interleaves with.
+func mergeSorted[T any](carry, batch []T, cmp func(a, b T) int, dup func(a, b T) bool) []T {
+	if len(carry) == 0 || len(batch) == 0 {
+		return append(carry, batch...)
+	}
+	lo, _ := slices.BinarySearchFunc(carry, batch[0], cmp)
+	out := carry
+	if lo < len(carry) {
+		out = append(make([]T, 0, len(carry)+len(batch)), carry[:lo]...)
+	}
+	put := func(x T) {
+		if dup == nil || len(out) == 0 || !dup(out[len(out)-1], x) {
+			out = append(out, x)
+		}
+	}
+	i := lo
+	for _, b := range batch {
+		for ; i < len(carry) && cmp(carry[i], b) <= 0; i++ {
+			put(carry[i])
+		}
+		put(b)
+	}
+	if i < len(carry) {
+		put(carry[i])
+		out = append(out, carry[i+1:]...)
+	}
+	return out
+}
+
+// foldJobs merges the current records of the dirty jobs — exactly the changed
+// set — into the job carry, after filtering out their stale copies (a job's
+// start time, hence its position, can change).
+func (inc *Incremental) foldJobs() {
+	batch := make([]wlm.Job, 0, len(inc.dirtyJobs))
+	for id := range inc.dirtyJobs {
+		if j, ok := inc.wlmAsm.Job(id); ok {
+			batch = append(batch, j)
+		}
+	}
+	slices.SortFunc(batch, wlm.CompareJobs)
+	carry := inc.jobs
+	if len(carry)+len(batch) > inc.wlmAsm.Len() { // some dirty job is already carried
+		carry = slices.DeleteFunc(slices.Clone(carry), func(j wlm.Job) bool {
+			_, dirty := inc.dirtyJobs[j.ID]
+			return dirty
+		})
+	}
+	inc.jobs = mergeSorted(carry, batch, wlm.CompareJobs, nil)
+}
+
 // Result materializes the full pipeline output over everything appended so
-// far. Dedup and the event index are rebuilt over the whole event stream
-// (sort-bound), but only runs inside the affected window are re-attributed; the rest keep the attribution of the previous Result. The
-// returned Result equals a from-scratch Analyze over the concatenated
-// input and shares no mutable state with the Incremental.
+// far by folding the changed jobs, the new events (sorted and deduplicated
+// among themselves first) and the newly completed runs into the sorted
+// carries. Only runs inside the affected window are re-attributed, against
+// an index of the events from the earliest such run's evidence horizon on;
+// the rest keep the attribution of the previous Result. The returned Result
+// equals a from-scratch Analyze over the concatenated input. It is never
+// written again; its Jobs and Events may share their backing arrays with
+// other Results, its Runs are its own.
 func (inc *Incremental) Result() (*Result, error) {
 	if inc.err != nil {
 		return nil, inc.err
 	}
-	res := &Result{Jobs: inc.wlmAsm.Jobs()}
-	res.Parse = inc.stats
-	res.Parse.setAssembler(inc.alpsAsm)
-
-	corr, err := res.preprocess(inc.events, inc.top, inc.opts)
-	if err != nil {
-		return nil, err
+	inc.foldJobs()
+	if fresh := inc.events[inc.folded:]; len(fresh) > 0 {
+		inc.dedup = mergeSorted(inc.dedup, coalesce.Dedup(fresh), coalesce.CompareEvents, coalesce.Duplicate)
+		inc.folded = len(inc.events)
 	}
+	res := &Result{
+		Jobs:      slices.Clip(inc.jobs),
+		Events:    slices.Clip(inc.dedup),
+		RawEvents: len(inc.events),
+		Parse:     inc.stats,
+	}
+	res.Parse.setAssembler(inc.alpsAsm)
 
 	var boundary time.Time
 	if inc.haveNew {
 		boundary = inc.minNew.Add(-(inc.opts.Correlate.EvidenceWindow + inc.opts.Correlate.PostWindow))
 	}
 	done := inc.alpsAsm.Done()
-	attr := make([]correlate.AttributedRun, len(done))
-	copy(attr, inc.attr)
-	var (
-		affIdx  []int
-		affRuns []alps.AppRun
-	)
-	for i, r := range done {
+	var affIdx []int
+	var affRuns []alps.AppRun
+	var minEnd time.Time // the earliest End among them
+	for i := range done {
+		r := &done[i]
 		redo := i >= len(inc.attr)
 		if !redo && inc.haveNew && !r.End.Before(boundary) {
 			redo = true
@@ -240,28 +322,48 @@ func (inc *Incremental) Result() (*Result, error) {
 			_, redo = inc.dirtyJobs[r.JobID]
 		}
 		if redo {
+			if len(affIdx) == 0 || r.End.Before(minEnd) {
+				minEnd = r.End
+			}
 			affIdx = append(affIdx, i)
-			affRuns = append(affRuns, r)
+			affRuns = append(affRuns, *r)
 		}
+	}
+	// The correlator sees what the affected runs can: their own jobs, and the
+	// events from the earliest evidence horizon among them on.
+	cfg := inc.opts.Correlate
+	if cfg.Jobs == nil {
+		cfg.Jobs = make(map[string]wlm.Job, len(affRuns))
+		for _, r := range affRuns {
+			if j, ok := inc.wlmAsm.Job(r.JobID); ok {
+				cfg.Jobs[r.JobID] = j
+			}
+		}
+	}
+	lo := len(inc.dedup)
+	if len(affRuns) > 0 {
+		lo, _ = slices.BinarySearchFunc(inc.dedup, minEnd.Add(-cfg.EvidenceWindow),
+			func(e errlog.Event, horizon time.Time) int { return e.Time.Compare(horizon) })
+	}
+	corr, err := correlate.New(interval.NewIndex(inc.dedup[lo:]), inc.top, cfg)
+	if err != nil {
+		return nil, err
 	}
 	newAttr := corr.AttributeAllParallel(affRuns, inc.opts.Parallelism)
+	inc.attr = slices.Grow(inc.attr, len(done)-len(inc.attr))[:len(done)]
 	for k, i := range affIdx {
-		attr[i] = newAttr[k]
+		inc.attr[i] = newAttr[k]
 	}
-	inc.attr = attr
 	inc.lastRedo = len(affIdx)
-	inc.dirtyJobs = make(map[string]struct{})
+	inc.dirtyJobs = make(map[string]struct{}) // not clear: a catch-up round's table would stay
 	inc.minNew, inc.haveNew = time.Time{}, false
 
-	// Same order as Assembler.Runs, which the batch path attributes in.
-	res.Runs = make([]correlate.AttributedRun, len(attr))
-	copy(res.Runs, attr)
-	sort.Slice(res.Runs, func(i, j int) bool {
-		if !res.Runs[i].Start.Equal(res.Runs[j].Start) {
-			return res.Runs[i].Start.Before(res.Runs[j].Start)
-		}
-		return res.Runs[i].ApID < res.Runs[j].ApID
-	})
+	// The same order as Assembler.Runs, which the batch path attributes in.
+	inc.order = mergeSorted(inc.order, alps.StartOrder(done, len(inc.order)), alps.ByStart(done), nil)
+	res.Runs = make([]correlate.AttributedRun, len(inc.order))
+	for k, i := range inc.order {
+		res.Runs[k] = inc.attr[i]
+	}
 	res.setSpan()
 	return res, nil
 }

@@ -1,0 +1,324 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"logdiver/internal/errlog"
+	"logdiver/internal/mutate"
+	"logdiver/internal/raceflag"
+	"logdiver/internal/wlm"
+)
+
+// The seeded schedule differential. One seed decides how the three archives
+// are cut into append rounds; every round's incremental Result must equal a
+// from-scratch Analyze over the bytes appended so far, and every Result
+// handed out on the way must still equal its twin when the schedule ends (a
+// later round that wrote into a backing array an earlier Result shares would
+// show there). The schedule always contains the shapes the sorted carries
+// have to survive:
+//
+//   - uneven cut points, different per archive, empty chunks included;
+//   - a round split into three rounds of one archive each;
+//   - an accounting-only round carrying the S record of a job whose E record
+//     (stripped of its start= field) arrived earlier: dirty jobs and no
+//     events, and the job moves from the zero-start front of Result.Jobs to
+//     its place;
+//   - a syslog-only round holding the oldest lines of the archive, which
+//     sort before every carried event: the merge cannot be an append;
+//   - the same lines once more, as a forwarder replays them: every event of
+//     the round duplicates a carried one;
+//   - a Result called twice with no append in between;
+//   - a State → RestoreIncremental hop, after which the carries are rebuilt.
+
+// scheduleStep is one round of a schedule.
+type scheduleStep struct {
+	note    string
+	d       Delta
+	idle    bool // call Result a second time without appending
+	restore bool // export and restore the pipeline before the append
+}
+
+// schedule is what buildSchedule derives from a seed, with the facts the
+// driver asserts its preconditions against.
+type schedule struct {
+	steps   []scheduleStep
+	lateJob string // the job whose S record trails its E record
+}
+
+// linesOf splits text into lines that keep their newline.
+func linesOf(text string) []string {
+	lines := strings.SplitAfter(text, "\n")
+	if n := len(lines); lines[n-1] == "" {
+		lines = lines[:n-1]
+	}
+	return lines
+}
+
+// cutLines returns the text of lines[lo:hi].
+func cutLines(lines []string, lo, hi int) []byte {
+	return []byte(strings.Join(lines[lo:hi], ""))
+}
+
+// buildSchedule cuts the test dataset's archives into rounds. The surgery is
+// done on the clean text; with mutated set the three main streams are then
+// corrupted (every operator but oversize) before they are cut.
+func buildSchedule(t *testing.T, seed int64, mutated bool) schedule {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	acc, aps, sys := testArchiveText(t)
+	streams := [3][]string{linesOf(acc), linesOf(aps), linesOf(sys)}
+
+	// The late S record: a job with one S and one E line.
+	sLine, eLine := map[string]int{}, map[string]int{}
+	for i, l := range streams[0] {
+		f := strings.SplitN(l, ";", 4)
+		if len(f) != 4 {
+			t.Fatalf("accounting line %d has %d fields", i+1, len(f))
+		}
+		switch f[1] {
+		case "S":
+			sLine[f[2]] = i
+		case "E":
+			eLine[f[2]] = i
+		}
+	}
+	var both []string
+	for id, s := range sLine {
+		if e, ok := eLine[id]; ok && s < e && strings.Contains(streams[0][e], " start=") {
+			both = append(both, id)
+		}
+	}
+	if len(both) == 0 {
+		t.Fatal("no job with an S and an E record in the test dataset")
+	}
+	sort.Strings(both)
+	sc := schedule{lateJob: both[rng.Intn(len(both))]}
+	s, e := sLine[sc.lateJob], eLine[sc.lateJob]
+	el := streams[0][e]
+	at := strings.Index(el, " start=")
+	end := at + 1 + strings.IndexAny(el[at+1:], " \n")
+	streams[0][e] = el[:at] + el[end:]
+	lateS := []byte(streams[0][s])
+	streams[0] = append(streams[0][:s:s], streams[0][s+1:]...)
+	e-- // the E line moved up by one
+
+	// The old syslog chunk: the head of the archive.
+	nOld := max(1, len(streams[2])/20)
+	oldSys := cutLines(streams[2], 0, nOld)
+	streams[2] = streams[2][nOld:]
+
+	if mutated {
+		var ops []mutate.Op
+		for _, op := range mutate.AllOps() {
+			if op != mutate.OpOversize {
+				ops = append(ops, op)
+			}
+		}
+		for i := range streams {
+			out, _ := mutate.Apply([]byte(strings.Join(streams[i], "")), mutate.Config{
+				Seed: seed + int64(i), Budget: 0.005, MaxPerOp: 4, Ops: ops,
+			})
+			if n := len(out); n > 0 && out[n-1] != '\n' {
+				out = append(out, '\n') // later rounds append after this stream
+			}
+			streams[i] = linesOf(string(out))
+		}
+		e = min(e, len(streams[0])-1) // only the round it decides matters below
+	}
+
+	// Uneven cuts, different per archive; equal cut points give empty chunks.
+	rounds := 4 + rng.Intn(3)
+	var cuts [3][]int
+	for i := range streams {
+		cuts[i] = []int{0}
+		for r := 1; r < rounds; r++ {
+			cuts[i] = append(cuts[i], rng.Intn(len(streams[i])+1))
+		}
+		cuts[i] = append(cuts[i], len(streams[i]))
+		sort.Ints(cuts[i])
+	}
+	eRound := sort.SearchInts(cuts[0][1:], e+1) // the round whose chunk holds line e
+	split := rng.Intn(rounds)                   // this round goes one archive at a time
+	lateAfter := eRound + rng.Intn(rounds-eRound)
+	oldAfter := rounds - 1 - rng.Intn(2)
+	for r := 0; r < rounds; r++ {
+		d := Delta{
+			Accounting: cutLines(streams[0], cuts[0][r], cuts[0][r+1]),
+			Apsys:      cutLines(streams[1], cuts[1][r], cuts[1][r+1]),
+			Syslog:     cutLines(streams[2], cuts[2][r], cuts[2][r+1]),
+		}
+		if r == split {
+			one := []scheduleStep{
+				{note: fmt.Sprintf("round %d accounting only", r), d: Delta{Accounting: d.Accounting}},
+				{note: fmt.Sprintf("round %d apsys only", r), d: Delta{Apsys: d.Apsys}},
+				{note: fmt.Sprintf("round %d syslog only", r), d: Delta{Syslog: d.Syslog}},
+			}
+			rng.Shuffle(len(one), func(i, j int) { one[i], one[j] = one[j], one[i] })
+			sc.steps = append(sc.steps, one...)
+		} else {
+			sc.steps = append(sc.steps, scheduleStep{note: fmt.Sprintf("round %d", r), d: d})
+		}
+		if r == lateAfter {
+			sc.steps = append(sc.steps, scheduleStep{note: "late S record", d: Delta{Accounting: lateS}})
+		}
+		if r == oldAfter {
+			sc.steps = append(sc.steps,
+				scheduleStep{note: "old syslog chunk", d: Delta{Syslog: oldSys}},
+				scheduleStep{note: "old syslog chunk replayed", d: Delta{Syslog: oldSys}})
+		}
+	}
+	sc.steps[rng.Intn(len(sc.steps))].idle = true
+	sc.steps[1+rng.Intn(len(sc.steps)-1)].restore = true
+	return sc
+}
+
+// runSchedule drives one schedule and fails t on the first divergence.
+func runSchedule(t *testing.T, seed int64, mutated bool, parallelism int) {
+	t.Helper()
+	sc := buildSchedule(t, seed, mutated)
+	top := testDataset(t).Topology
+	opts := Options{Parallelism: parallelism}
+	inc, err := NewIncremental(top, time.UTC, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type twin struct {
+		note      string
+		got, want *Result
+	}
+	var (
+		kept []twin
+		pfx  [3]bytes.Buffer
+		prev *Result
+	)
+	for i, st := range sc.steps {
+		if st.restore {
+			state, err := inc.State()
+			if err != nil {
+				t.Fatalf("step %d (%s): state: %v", i, st.note, err)
+			}
+			if inc, err = RestoreIncremental(top, time.UTC, opts, state); err != nil {
+				t.Fatalf("step %d (%s): restore: %v", i, st.note, err)
+			}
+		}
+		pfx[0].Write(st.d.Accounting)
+		pfx[1].Write(st.d.Apsys)
+		pfx[2].Write(st.d.Syslog)
+		if _, err := inc.Append(st.d); err != nil {
+			t.Fatalf("step %d (%s): append: %v", i, st.note, err)
+		}
+		got, err := inc.Result()
+		if err != nil {
+			t.Fatalf("step %d (%s): result: %v", i, st.note, err)
+		}
+		want, err := Analyze(Archives{
+			Accounting: bytes.NewReader(pfx[0].Bytes()),
+			Apsys:      bytes.NewReader(pfx[1].Bytes()),
+			Syslog:     bytes.NewReader(pfx[2].Bytes()),
+			Location:   time.UTC,
+		}, top, opts)
+		if err != nil {
+			t.Fatalf("step %d (%s): analyze: %v", i, st.note, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Logf("seed %d mutated %v parallelism %d, step %d (%s)", seed, mutated, parallelism, i, st.note)
+			diffResult(t, i, got, want)
+		}
+		kept = append(kept, twin{st.note, got, want})
+		if st.idle {
+			again, err := inc.Result()
+			if err != nil {
+				t.Fatalf("step %d (%s): idle result: %v", i, st.note, err)
+			}
+			if n := inc.Reattributed(); n != 0 {
+				t.Errorf("step %d (%s): idle Result re-attributed %d runs", i, st.note, n)
+			}
+			if !reflect.DeepEqual(again, want) {
+				diffResult(t, i, again, want)
+			}
+			kept = append(kept, twin{st.note + ", idle", again, want})
+		}
+
+		// On clean input the two special rounds must have done what they are
+		// in the schedule for.
+		if !mutated && st.note == "late S record" {
+			before, after := jobNamed(prev, sc.lateJob), jobNamed(got, sc.lateJob)
+			if before < 0 || after < 0 || !prev.Jobs[before].StartedAt.IsZero() || got.Jobs[after].StartedAt.IsZero() || after <= before {
+				t.Errorf("step %d: job %s at %d before and %d after its late S record: it did not move", i, sc.lateJob, before, after)
+			}
+		}
+		if !mutated && st.note == "old syslog chunk" {
+			if len(prev.Events) == 0 || !got.Events[0].Time.Before(prev.Events[0].Time) {
+				t.Errorf("step %d: the old syslog chunk is not older than every carried event", i)
+			}
+		}
+		if !mutated && st.note == "old syslog chunk replayed" {
+			if got.RawEvents <= prev.RawEvents || len(got.Events) != len(prev.Events) {
+				t.Errorf("step %d: the replayed chunk took events from %d raw, %d kept to %d raw, %d kept: not all duplicates",
+					i, prev.RawEvents, len(prev.Events), got.RawEvents, len(got.Events))
+			}
+		}
+		prev = got
+	}
+	// A holder that appends to its own Result must not reach another one's.
+	for _, k := range kept {
+		_ = append(k.got.Jobs, wlm.Job{ID: "scribble"})
+		_ = append(k.got.Events, errlog.Event{Message: "scribble"})
+	}
+	for i, k := range kept {
+		if !reflect.DeepEqual(k.got, k.want) {
+			t.Errorf("seed %d mutated %v parallelism %d: Result %d (%s) changed after it was returned", seed, mutated, parallelism, i, k.note)
+		}
+	}
+}
+
+// jobNamed returns the index of the job in res.Jobs, -1 when absent.
+func jobNamed(res *Result, id string) int {
+	if res == nil {
+		return -1
+	}
+	for i := range res.Jobs {
+		if res.Jobs[i].ID == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestIncrementalSchedule runs the schedule differential over a few seeds,
+// on clean and on corrupted (lenient) input, at one and at four workers.
+func TestIncrementalSchedule(t *testing.T) {
+	seeds := int64(4)
+	if testing.Short() || raceflag.Enabled {
+		seeds = 2 // every schedule is some ten full analyses
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		for _, mutated := range []bool{false, true} {
+			for _, par := range []int{1, 4} {
+				t.Run(fmt.Sprintf("seed=%d/mutated=%v/parallelism=%d", seed, mutated, par), func(t *testing.T) {
+					runSchedule(t, seed, mutated, par)
+				})
+			}
+		}
+	}
+}
+
+// FuzzIncrementalSchedule lets the fuzzer pick the seed of the same driver.
+func FuzzIncrementalSchedule(f *testing.F) {
+	f.Add(int64(1), false, false)
+	f.Add(int64(2), true, true)
+	f.Fuzz(func(t *testing.T, seed int64, mutated, wide bool) {
+		parallelism := 1
+		if wide {
+			parallelism = 4
+		}
+		runSchedule(t, seed, mutated, parallelism)
+	})
+}

@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -112,6 +113,8 @@ func RestoreIncremental(top *machine.Topology, loc *time.Location, opts Options,
 	}
 	alpsAsm.SetLenient(inc.opts.ParseMode == parse.Lenient)
 	inc.wlmAsm = wlmAsm
+	inc.jobs = slices.Clone(st.Jobs) // State wrote them sorted: this sort is one pass
+	slices.SortFunc(inc.jobs, wlm.CompareJobs)
 	inc.alpsAsm = alpsAsm
 	inc.events = append([]errlog.Event(nil), st.Events...)
 	inc.stats = st.Stats

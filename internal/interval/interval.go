@@ -7,6 +7,7 @@
 package interval
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -26,11 +27,21 @@ type Index struct {
 	total     int
 }
 
+// byTime orders events by timestamp alone; ties keep their input order.
+func byTime(a, b errlog.Event) int { return a.Time.Compare(b.Time) }
+
 // NewIndex builds an index over events. The input slice is not retained;
-// events are grouped by node and each group is sorted by time.
+// events are grouped by node and each group is in time order, events of the
+// same instant in input order. That makes the evidence a search returns among
+// same-instant matches a function of the input order — for the pipeline, the
+// order coalesce.Dedup leaves — and the same whether the index covers the
+// whole stream or only a suffix of it. Time-sorted input (what Dedup returns)
+// is grouped without sorting again.
 func NewIndex(events []errlog.Event) *Index {
-	ix := &Index{all: make([]errlog.Event, len(events))}
-	copy(ix.all, events)
+	ix := &Index{all: slices.Clone(events)}
+	if !slices.IsSortedFunc(ix.all, byTime) {
+		slices.SortStableFunc(ix.all, byTime)
+	}
 	var maxNode machine.NodeID = -1
 	for _, e := range events {
 		if !e.IsSystemWide() && e.Node > maxNode {
@@ -38,7 +49,7 @@ func NewIndex(events []errlog.Event) *Index {
 		}
 	}
 	ix.perNode = make([][]errlog.Event, maxNode+1)
-	for _, e := range events {
+	for _, e := range ix.all {
 		if e.IsSystemWide() {
 			ix.system = append(ix.system, e)
 		} else {
@@ -48,14 +59,6 @@ func NewIndex(events []errlog.Event) *Index {
 			ix.perNode[e.Node] = append(ix.perNode[e.Node], e)
 		}
 		ix.total++
-	}
-	byTime := func(evs []errlog.Event) {
-		sort.Slice(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
-	}
-	byTime(ix.all)
-	byTime(ix.system)
-	for _, evs := range ix.perNode {
-		byTime(evs)
 	}
 	return ix
 }
@@ -100,7 +103,7 @@ func (ix *Index) Window(nodes []machine.NodeID, from, to time.Time) []errlog.Eve
 	if evs := sliceWindow(ix.system, from, to); len(evs) > 0 {
 		out = append(out, evs...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
+	slices.SortStableFunc(out, byTime)
 	return out
 }
 

@@ -2,6 +2,7 @@ package interval
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -190,5 +191,52 @@ func TestWindowAgainstBruteForce(t *testing.T) {
 		if len(got) != want {
 			t.Fatalf("trial %d: Window returned %d events, brute force %d", trial, len(got), want)
 		}
+	}
+}
+
+// TestEvidenceAmongSameInstantEventsIsFirstInInputOrder: when several
+// matching events on a node carry the same timestamp, the one a search
+// returns is the first in the index's input order — for the pipeline, dedup
+// order — and an index over a suffix of the stream returns the same one as
+// the index over all of it. Sorting by time alone with an unstable sort used
+// to leave that to the sort's whims.
+func TestEvidenceAmongSameInstantEventsIsFirstInInputOrder(t *testing.T) {
+	var events []errlog.Event
+	for i := 0; i < 30; i++ { // an older stretch the suffix index leaves out
+		events = append(events, ev(7, time.Duration(i)*time.Second, taxonomy.HardwareMemoryCE))
+	}
+	cut := len(events)
+	const burst = 40 // enough that pdqsort would not leave ties alone
+	cats := []taxonomy.Category{taxonomy.NodeHeartbeat, taxonomy.KernelPanic, taxonomy.HardwareMemoryUE, taxonomy.FilesystemLBUG}
+	for i := 0; i < burst; i++ {
+		e := ev(7, time.Hour, cats[i%len(cats)])
+		e.Message = string(rune('a' + i))
+		events = append(events, e)
+		s := sysEv(time.Hour, cats[i%len(cats)])
+		s.Message = string(rune('a' + i))
+		events = append(events, s)
+	}
+	events = append(events, ev(7, 2*time.Hour, taxonomy.NodeHeartbeat))
+	firstNode, firstSys := events[cut], events[cut+1]
+
+	keep := func(e errlog.Event) bool { return e.Category != taxonomy.HardwareMemoryCE }
+	from, to := base.Add(30*time.Minute), base.Add(90*time.Minute)
+	for name, ix := range map[string]*Index{"full": NewIndex(events), "suffix": NewIndex(events[cut:])} {
+		if got, ok := ix.FirstInWindow([]machine.NodeID{7}, from, to, keep); !ok || got != firstNode {
+			t.Errorf("%s index: node evidence %+v, want the first same-instant event %+v", name, got, firstNode)
+		}
+		if got, ok := ix.FirstInWindow([]machine.NodeID{8}, from, to, keep); !ok || got != firstSys {
+			t.Errorf("%s index: system-wide evidence %+v, want %+v", name, got, firstSys)
+		}
+		if got, ok := ix.FirstAnywhere(from, to, keep); !ok || got != firstNode {
+			t.Errorf("%s index: temporal-only evidence %+v, want %+v", name, got, firstNode)
+		}
+	}
+
+	// Unsorted input takes the stable-sort path: ties keep input order there
+	// too.
+	rev := append(slices.Clone(events[cut:]), events[:cut]...)
+	if got, ok := NewIndex(rev).FirstInWindow([]machine.NodeID{7}, from, to, keep); !ok || got != firstNode {
+		t.Errorf("unsorted input: evidence %+v, want %+v", got, firstNode)
 	}
 }

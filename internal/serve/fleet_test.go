@@ -217,6 +217,16 @@ func TestFleetHealthAndMetrics(t *testing.T) {
 			t.Fatalf("shard row %+v", sh)
 		}
 	}
+	// The ingest block says where the rounds went: both pipeline stages are
+	// there by name, summed over the shards, and nest inside the build.
+	var raw struct {
+		Ingest map[string]int64 `json:"ingest"`
+	}
+	getJSON(t, ts.URL+"/v1/health", &raw)
+	a, r, b := raw.Ingest["append_duration_ns"], raw.Ingest["result_duration_ns"], raw.Ingest["build_duration_ns"]
+	if a <= 0 || r <= 0 || a+r > b {
+		t.Errorf("health ingest block %v: want 0 < append_duration_ns + result_duration_ns <= build_duration_ns", raw.Ingest)
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

@@ -58,10 +58,7 @@ func (s *Snapshot) EpochVector() []ShardEpoch {
 // (a real machine whose archives held no runs yet): that one carries a
 // machine name and an epoch and contributes a vector entry when merged.
 func Zero() *Snapshot {
-	return &Snapshot{
-		Shards:   []ShardEpoch{},
-		runIndex: map[uint64]int{},
-	}
+	return &Snapshot{Shards: []ShardEpoch{}}
 }
 
 // leaves returns the unmerged snapshots s stands for, sorted by machine
@@ -189,6 +186,8 @@ func mergeIngest(a, b IngestStats) IngestStats {
 		SyslogLines:     a.SyslogLines + b.SyslogLines,
 		Reattributed:    a.Reattributed + b.Reattributed,
 		BuildDuration:   a.BuildDuration + b.BuildDuration,
+		AppendDuration:  a.AppendDuration + b.AppendDuration,
+		ResultDuration:  a.ResultDuration + b.ResultDuration,
 	}
 }
 

@@ -8,6 +8,7 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -30,8 +31,13 @@ type IngestStats struct {
 	// Reattributed is the number of runs the snapshot's build round
 	// re-attributed (the windowed-reattribution cost of the round).
 	Reattributed int `json:"reattributed"`
-	// BuildDuration is the wall-clock cost of the snapshot rebuild.
-	BuildDuration time.Duration `json:"build_duration_ns"`
+	// BuildDuration is the wall-clock cost of the round, from the first
+	// appended byte to the built snapshot. AppendDuration (parsing and folding
+	// the new bytes) and ResultDuration (re-attribution and the sorted merges)
+	// are the stages inside it; the rest is the snapshot's aggregates.
+	BuildDuration  time.Duration `json:"build_duration_ns"`
+	AppendDuration time.Duration `json:"append_duration_ns"`
+	ResultDuration time.Duration `json:"result_duration_ns"`
 }
 
 // Retained is the part of a pipeline Result a snapshot keeps: the runs every
@@ -105,16 +111,24 @@ type Snapshot struct {
 	// function of its part set alone, whatever the merge tree.
 	parts []*Snapshot
 
-	// runIndex maps apid to Result.Runs index for the drill-down endpoint.
-	runIndex map[uint64]int
-	// apidsSorted holds every run apid in ascending order. It backs the
-	// paginated /v1/runs listing: apids are assigned at submission and never
+	// byApID lists every run as an (apid, index into Result.Runs) pair in
+	// ascending (apid, index) order, so a binary search for an apid lands on
+	// its first run: the drill-down index. It also backs the paginated
+	// /v1/runs listing: apids are assigned at submission and never
 	// renumbered by re-attribution, so this ordering is stable across
 	// epochs — a client paging through runs while the epoch advances sees
 	// each run at most once per traversal, plus any newly ingested runs
 	// whose apids sort after its cursor.
-	apidsSorted []uint64
+	byApID []apidRef
 }
+
+// apidRef is one entry of Snapshot.byApID.
+type apidRef struct {
+	apid uint64
+	run  int
+}
+
+func (p apidRef) compareApID(apid uint64) int { return cmp.Compare(p.apid, apid) }
 
 // Build derives a Snapshot from a pipeline Result, keeping res.Runs (shared,
 // not copied) and the lengths of res.Jobs and res.Events. The epoch is zero
@@ -165,24 +179,43 @@ func (s *Snapshot) aggregate() error {
 	if s.MTTI, err = metrics.MTTIByScale(runs, metrics.GeometricBuckets(s.NumNodes), 0); err != nil {
 		return fmt.Errorf("store: mtti: %w", err)
 	}
-	// Walking backwards lets the first occurrence of an apid win the
-	// drill-down index with one map write per run. Apids repeat only in
-	// corrupted archives (lenient mode) or across the shards of a
-	// misconfigured fleet; every run still counts in the aggregates and in
-	// TotalRuns, and the listing and /v1/runs/{apid} resolve a repeated
-	// apid to its first run.
-	s.runIndex = make(map[uint64]int, len(runs))
-	s.apidsSorted = make([]uint64, len(runs))
-	for i := len(runs) - 1; i >= 0; i-- {
-		s.runIndex[runs[i].ApID] = i
-		s.apidsSorted[i] = runs[i].ApID
+	// Apids repeat only in corrupted archives (lenient mode) or across the
+	// shards of a misconfigured fleet; every run still counts in the
+	// aggregates and in TotalRuns, and the listing and /v1/runs/{apid}
+	// resolve a repeated apid to its first run.
+	refs, spare := make([]apidRef, len(runs)), make([]apidRef, len(runs))
+	var differ uint64 // the bits in which any two apids differ
+	for i := range runs {
+		refs[i] = apidRef{runs[i].ApID, i}
+		differ |= runs[i].ApID ^ runs[0].ApID
 	}
-	slices.Sort(s.apidsSorted)
+	// Stable byte-wise radix sort on apid, least significant byte first, over
+	// the bytes that differ: refs start in index order, so ties end up in it.
+	for shift := 0; shift < 64; shift += 8 {
+		if byte(differ>>shift) == 0 {
+			continue
+		}
+		var next [256]int
+		for _, p := range refs {
+			next[byte(p.apid>>shift)]++
+		}
+		at := 0
+		for b, n := range next {
+			next[b], at = at, at+n
+		}
+		for _, p := range refs {
+			b := byte(p.apid >> shift)
+			spare[next[b]] = p
+			next[b]++
+		}
+		refs, spare = spare, refs
+	}
+	s.byApID = refs
 	return nil
 }
 
 // TotalRuns is the number of runs in the snapshot.
-func (s *Snapshot) TotalRuns() int { return len(s.apidsSorted) }
+func (s *Snapshot) TotalRuns() int { return len(s.byApID) }
 
 // RunsPage returns up to limit runs whose apid is strictly greater than
 // afterApID, in ascending apid order, plus the apid of the last returned run
@@ -197,23 +230,27 @@ func (s *Snapshot) RunsPage(afterApID uint64, limit int) (runs []correlate.Attri
 		return nil, 0
 	}
 	// First apid strictly greater than the cursor.
-	i, _ := slices.BinarySearch(s.apidsSorted, afterApID+1)
-	end := min(i+limit, len(s.apidsSorted))
+	i, _ := slices.BinarySearchFunc(s.byApID, afterApID+1, apidRef.compareApID)
+	end := min(i+limit, len(s.byApID))
 	if i >= end {
 		return nil, 0
 	}
 	runs = make([]correlate.AttributedRun, 0, end-i)
-	for _, apid := range s.apidsSorted[i:end] {
-		runs = append(runs, s.Result.Runs[s.runIndex[apid]])
+	first := s.byApID[i] // a page starts at the first pair of its apid
+	for _, p := range s.byApID[i:end] {
+		if p.apid != first.apid {
+			first = p
+		}
+		runs = append(runs, s.Result.Runs[first.run])
 	}
-	return runs, s.apidsSorted[end-1]
+	return runs, s.byApID[end-1].apid
 }
 
 // Run returns the attributed run with the given apid, if present.
 func (s *Snapshot) Run(apid uint64) (correlate.AttributedRun, bool) {
-	i, ok := s.runIndex[apid]
+	i, ok := slices.BinarySearchFunc(s.byApID, apid, apidRef.compareApID)
 	if !ok {
 		return correlate.AttributedRun{}, false
 	}
-	return s.Result.Runs[i], true
+	return s.Result.Runs[s.byApID[i].run], true
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -159,5 +160,48 @@ func TestRunsPage(t *testing.T) {
 	}
 	if len(seen) != 20 {
 		t.Fatalf("traversal saw %d runs, want 20", len(seen))
+	}
+}
+
+// TestRepeatedApIDs pins what a snapshot does with an apid that occurs more
+// than once (corrupted archives in lenient mode; the same apid on two shards
+// of a fleet): every run counts, the drill-down resolves the apid to its
+// first run in Result.Runs order, and the listing shows that first run once
+// per occurrence — the behaviour of the map-backed index this one replaced.
+func TestRepeatedApIDs(t *testing.T) {
+	apids := []uint64{50, 30, 50, 90, 30, 50, 10}
+	snap := pageSnapshot(t, apids)
+	if snap.TotalRuns() != len(apids) {
+		t.Fatalf("TotalRuns %d, want %d", snap.TotalRuns(), len(apids))
+	}
+	firstOf := map[uint64]int{}
+	for i := len(apids) - 1; i >= 0; i-- {
+		firstOf[apids[i]] = i
+	}
+	for apid, i := range firstOf {
+		got, ok := snap.Run(apid)
+		if !ok || !got.Start.Equal(snap.Result.Runs[i].Start) {
+			t.Errorf("Run(%d) = run starting %s, %v; want its first run, index %d", apid, got.Start.Format("15:04"), ok, i)
+		}
+	}
+	if _, ok := snap.Run(40); ok {
+		t.Error("Run(40) resolved an apid no run has")
+	}
+	wantOrder := []uint64{10, 30, 30, 50, 50, 50, 90}
+	for limit := 1; limit <= len(apids); limit++ {
+		var got []uint64
+		// Page through with the documented cursor. A page that ends inside a
+		// group of equal apids makes the next one skip the rest of the group,
+		// so only the full listing shows every occurrence.
+		runs, _ := snap.RunsPage(0, limit)
+		for k, r := range runs {
+			got = append(got, r.ApID)
+			if want := snap.Result.Runs[firstOf[r.ApID]]; !r.Start.Equal(want.Start) {
+				t.Errorf("limit %d entry %d: apid %d listed as the run starting %s, want its first run", limit, k, r.ApID, r.Start.Format("15:04"))
+			}
+		}
+		if !slices.Equal(got, wantOrder[:limit]) {
+			t.Errorf("limit %d: listing %v, want %v", limit, got, wantOrder[:limit])
+		}
 	}
 }

@@ -375,8 +375,9 @@ func TestSyncerLifecycle(t *testing.T) {
 // TestBuildDurationCoversBuild pins what Ingest.BuildDuration measures: the
 // whole rebuild of a round, Build included. On a clock that steps once per
 // reading, the measured interval — from the round's first reading — must end
-// after the instant Build was entered (BuiltAt), and the state the syncer
-// would persist must carry the same figure.
+// after the instant Build was entered (BuiltAt), the append and result
+// stages must both be measured and nest inside it, and the state the syncer
+// would persist must carry the same figures.
 func TestBuildDurationCoversBuild(t *testing.T) {
 	dir := t.TempDir()
 	writeArchives(t, dir, smallDataset(t, 0, 21))
@@ -406,6 +407,13 @@ func TestBuildDurationCoversBuild(t *testing.T) {
 	if end := began.Add(snap.Ingest.BuildDuration); !end.After(snap.BuiltAt) {
 		t.Errorf("BuildDuration %s ends at %s, before Build started at %s: it omits the snapshot build",
 			snap.Ingest.BuildDuration, end.Format("15:04:05"), snap.BuiltAt.Format("15:04:05"))
+	}
+	if a, r, b := snap.Ingest.AppendDuration, snap.Ingest.ResultDuration, snap.Ingest.BuildDuration; a <= 0 || r <= 0 || a+r >= b {
+		t.Errorf("append %s + result %s do not nest strictly inside build %s", a, r, b)
+	}
+	if end := began.Add(snap.Ingest.AppendDuration + snap.Ingest.ResultDuration); end.After(snap.BuiltAt) {
+		t.Errorf("append + result end at %s, after Build started at %s: they overlap the snapshot build",
+			end.Format("15:04:05"), snap.BuiltAt.Format("15:04:05"))
 	}
 	sst, err := sy.ExportState()
 	if err != nil {

@@ -116,10 +116,12 @@ func (s *Syncer) Sync() (installed bool, err error) {
 	if err != nil {
 		return false, err
 	}
+	appended := s.now()
 	res, err := s.inc.Result()
 	if err != nil {
 		return false, err
 	}
+	s.ing.AppendDuration, s.ing.ResultDuration = appended.Sub(began), s.now().Sub(appended)
 	if !d.Empty() {
 		s.ing.Rounds++
 	}

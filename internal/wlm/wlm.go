@@ -249,19 +249,35 @@ func (a *Assembler) Add(r Record) error {
 	return a.AddScan(scanFromRecord(r))
 }
 
-// Jobs returns the assembled jobs sorted by start time then ID.
+// CompareJobs is the output order of jobs: start time, then ID. IDs are
+// unique per assembler, so the order is total.
+func CompareJobs(a, b Job) int { return compareJobs(&a, &b) }
+
+// compareJobs is CompareJobs without copying the jobs.
+func compareJobs(a, b *Job) int {
+	if c := a.StartedAt.Compare(b.StartedAt); c != 0 {
+		return c
+	}
+	return strings.Compare(a.ID, b.ID)
+}
+
+// Jobs returns the assembled jobs in CompareJobs order.
 func (a *Assembler) Jobs() []Job {
 	out := make([]Job, 0, len(a.jobs))
 	for _, j := range a.jobs {
 		out = append(out, *j)
 	}
-	sort.Slice(out, func(i, k int) bool {
-		if !out[i].StartedAt.Equal(out[k].StartedAt) {
-			return out[i].StartedAt.Before(out[k].StartedAt)
-		}
-		return out[i].ID < out[k].ID
-	})
+	sort.Slice(out, func(i, k int) bool { return compareJobs(&out[i], &out[k]) < 0 })
 	return out
+}
+
+// Job returns the assembled job with the given ID, if any record named it.
+func (a *Assembler) Job(id string) (Job, bool) {
+	j := a.jobs[id]
+	if j == nil {
+		return Job{}, false
+	}
+	return *j, true
 }
 
 // Len returns the number of distinct jobs seen.

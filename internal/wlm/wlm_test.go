@@ -268,3 +268,29 @@ func TestEndRecordSignalConvention(t *testing.T) {
 		t.Errorf("ExitStatus = %d, want 265", st)
 	}
 }
+
+// TestAssemblerJobLookup: Job returns the current record of one job — what
+// Jobs would list for it — and reports a job no record named as absent.
+func TestAssemblerJobLookup(t *testing.T) {
+	a := NewAssembler()
+	j := sampleJob()
+	if err := a.Add(StartRecord(j)); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := a.Job(j.ID)
+	if !ok || got != a.Jobs()[0] {
+		t.Errorf("Job(%q) = %+v, %v; want %+v", j.ID, got, ok, a.Jobs()[0])
+	}
+	if err := a.Add(EndRecord(j)); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := a.Job(j.ID); got != a.Jobs()[0] || got.EndedAt.IsZero() {
+		t.Errorf("Job after the E record = %+v, want the updated %+v", got, a.Jobs()[0])
+	}
+	if _, ok := a.Job("nope.bw"); ok {
+		t.Error("Job found a job no record named")
+	}
+	if CompareJobs(Job{ID: "b"}, Job{ID: "a"}) <= 0 || CompareJobs(Job{ID: "z"}, Job{ID: "a", StartedAt: j.StartedAt}) >= 0 {
+		t.Error("CompareJobs does not order by start time, then ID")
+	}
+}
