@@ -375,6 +375,29 @@ func TestLintRulesShadowedFile(t *testing.T) {
 	}
 }
 
+// TestLintRulesGapInsideGroup: a ".*" at the edge of a group belongs to the
+// chain it is in. The extractor used to glue `lustre(.*timeout)` into the
+// single literal "lustretimeout", and lint-rules rejected the rule as
+// prefilter-unsound instead of the extractor being right.
+func TestLintRulesGapInsideGroup(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "site.rules")
+	if err := os.WriteFile(path, []byte("grouped-gap FS_TIMEOUT WARN (?i)lustre(.*timeout)\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	out := captureStdout(t, func() {
+		err = run([]string{"lint-rules", "-rules", path})
+	})
+	if err != nil {
+		t.Errorf("lint-rules rejected the rule file: %v", err)
+	}
+	for _, check := range []string{"[prefilter-unsound]", "[regexp-on-hot-path]"} {
+		if strings.Contains(out, check) {
+			t.Errorf("lint output has a %s finding:\n%s", check, out)
+		}
+	}
+}
+
 func TestLintRulesJSON(t *testing.T) {
 	var err error
 	out := captureStdout(t, func() {

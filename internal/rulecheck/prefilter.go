@@ -6,33 +6,36 @@ import (
 	"math/rand"
 	"regexp"
 	"regexp/syntax"
+	"strconv"
 	"strings"
 	"unicode"
 
 	"logdiver/internal/taxonomy"
 )
 
-// Prefilter soundness: the classifier extracts a literal prefilter from
-// each rule's regexp syntax tree (internal/taxonomy) and skips the regexp
-// whenever the filter rejects a message — and for tier-1 ordered chains a
-// filter HIT classifies the message outright, with no regexp call at all.
-// Both shortcuts rest on invariants a future rule or extractor edit can
-// silently break:
+// Prefilter soundness: the classifier extracts a literal filter from each
+// rule's regexp syntax tree (internal/taxonomy) and never runs the regexp
+// of a rule whose filter the message's one scan did not pass — and when the
+// filter is an exact ordered-chain decomposition a filter HIT classifies
+// the message outright, with no regexp call at all. Both shortcuts rest on
+// invariants a future rule or extractor edit can silently break:
 //
 //   - necessity: every string the regexp accepts must pass the filter
 //     (otherwise the classifier drops messages the rule should match);
 //   - ordered sufficiency: every newline-free string an ordered filter
-//     accepts must match the regexp (otherwise tier-1 misclassifies).
+//     accepts must match the regexp (otherwise an exact hit misclassifies).
 //
 // VerifyPrefilter proves both directions differentially: witnesses
 // synthesized from the rule's own syntax tree plus a seeded randomized
 // mutation corpus for necessity, and chain-derived probes for ordered
 // sufficiency. checkPrefilters runs it over a whole rule set as the
 // "prefilter-unsound" lint check, so `logdiver lint-rules` and the CI lint
-// job catch a desynchronized filter before it ships.
+// job catch a desynchronized filter before it ships. checkHotPath reports,
+// as "regexp-on-hot-path", each rule the extractor could not make exact:
+// its regexp is what the per-line path then pays for.
 
 // prefilterFillers separate chain literals in ordered-sufficiency probes.
-// All are newline-free: the tier-1 exactness claim only covers newline-free
+// All are newline-free: the exactness claim only covers newline-free
 // messages (ClassifyBytes demotes chain hits to prefilters otherwise).
 var prefilterFillers = []string{"", " ", "x", " 0xdeadbeef ", "\t..zz9 "}
 
@@ -52,6 +55,40 @@ func checkPrefilters(rules []taxonomy.LocatedRule, maxWitnesses int, add func(Fi
 			})
 		}
 	}
+}
+
+// checkHotPath reports the rules whose regexp still runs during
+// classification because the extractor could not make their filter exact.
+func checkHotPath(rules []taxonomy.LocatedRule, add func(Finding)) {
+	for i, r := range rules {
+		pf := taxonomy.ExtractPrefilter(r.Pattern.String())
+		if pf != nil && pf.Ordered() {
+			continue
+		}
+		add(Finding{
+			Check: "regexp-on-hot-path", Severity: Warn,
+			Rule: r.Name, Index: i, Line: r.Line,
+			Message: "regexp runs on " + admitted(pf) + " that no earlier rule decided; only a (?i) pattern built from" +
+				" literals, .* gaps, alternations, x? and small punctuation classes is decided by the literal scan alone",
+		})
+	}
+}
+
+// admitted describes the messages a non-exact filter lets through to the
+// regexp: all of them without a filter, else those containing every literal
+// of some branch.
+func admitted(pf *taxonomy.Prefilter) string {
+	if pf == nil {
+		return "every message"
+	}
+	var alts []string
+	for _, br := range pf.Branches() {
+		for i, l := range br {
+			br[i] = strconv.Quote(l)
+		}
+		alts = append(alts, strings.Join(br, " and "))
+	}
+	return "every message containing " + strings.Join(alts, ", or ")
 }
 
 // VerifyPrefilter cross-checks a literal prefilter against the compiled

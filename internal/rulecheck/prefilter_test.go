@@ -57,12 +57,12 @@ func TestPrefilterDetectsMissingLiteral(t *testing.T) {
 }
 
 // TestPrefilterDetectsWeakOrderedChain desynchronizes in the other
-// direction: an ordered (tier-1, regexp-skipping) chain that accepts
+// direction: an ordered (exact, regexp-skipping) chain that accepts
 // strings the pattern rejects must fail the exactness check.
 func TestPrefilterDetectsWeakOrderedChain(t *testing.T) {
 	re := regexp.MustCompile(`machine check exception`)
 	// The chain only demands "machine": "machine" alone passes the filter
-	// but does not match the pattern, so a tier-1 hit would misclassify.
+	// but does not match the pattern, so an exact hit would misclassify.
 	pf := taxonomy.NewPrefilter([][]string{{"machine"}}, true)
 	msg := VerifyPrefilter(re, pf, 8)
 	if msg == "" {
@@ -87,7 +87,7 @@ func TestPrefilterDetectsCaseFoldGap(t *testing.T) {
 	}
 }
 
-// TestPrefilterUnorderedSkipsSufficiency confirms tier-2 (unordered DNF)
+// TestPrefilterUnorderedSkipsSufficiency confirms admitting (unordered DNF)
 // filters are only held to necessity: an over-broad unordered filter is
 // legal because the regexp still runs after a filter hit.
 func TestPrefilterUnorderedSkipsSufficiency(t *testing.T) {

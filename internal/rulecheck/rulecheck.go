@@ -29,9 +29,13 @@
 //     engines where these patterns blow up (warning)
 //   - prefilter-unsound: the literal prefilter the classifier extracts from
 //     the rule's regexp has desynchronized from the regexp itself — it
-//     rejects a string the regexp matches, or (tier-1 ordered chains) it
+//     rejects a string the regexp matches, or (exact ordered chains) it
 //     accepts a newline-free string the regexp rejects — verified
 //     differentially with synthesized witnesses and seeded mutations (error)
+//   - regexp-on-hot-path: the rule's pattern is not an exact literal-chain
+//     decomposition, so classification runs its regexp on every message
+//     containing the filter's literals — or, with no filter at all, on
+//     every message (warning)
 //
 // Findings carry the rule name, the rule-file line when known, a
 // machine-readable check identifier and a severity, so they can be rendered
@@ -148,6 +152,7 @@ func Check(rules []taxonomy.LocatedRule, opts Options) []Finding {
 	checkCoverage(rules, add)
 	checkSeverities(rules, add)
 	checkPrefilters(rules, opts.MaxWitnesses, add)
+	checkHotPath(rules, add)
 
 	if len(fs) == 0 {
 		return nil

@@ -229,6 +229,23 @@ func TestChecksTableDriven(t *testing.T) {
 			},
 			check: "superlinear",
 		},
+		{
+			name: "regexp-on-hot-path positive",
+			rules: []taxonomy.LocatedRule{
+				mk("exact", `(?i)timed? ?out.*(ost|mdt)[0-9a-f]*.*lost`, taxonomy.FilesystemTimeout, taxonomy.SevWarning),
+				mk("cased", `kernel panic`, taxonomy.KernelPanic, taxonomy.SevCritical),
+				mk("counted", `(?i)err[0-9]+ on lnet`, taxonomy.SoftwareOS, taxonomy.SevError),
+				mk("unfiltered", `[0-9]{4}`, taxonomy.SoftwareOS, taxonomy.SevError),
+			},
+			check: "regexp-on-hot-path", wantRules: []string{"cased", "counted", "unfiltered"}, wantSev: rulecheck.Warn,
+		},
+		{
+			name: "regexp-on-hot-path negative",
+			rules: []taxonomy.LocatedRule{
+				mk("exact", `(?i)(blade|l0c?) (controller )?fault|double[- ]bit`, taxonomy.HardwareBlade, taxonomy.SevCritical),
+			},
+			check: "regexp-on-hot-path",
+		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -330,6 +347,9 @@ func TestShadowedRuleFile(t *testing.T) {
 		{"shadow-structural", "panic-lit", 7, rulecheck.Error, "panic-or-oops", 5},
 		{"severity-mismatch", "recovered-crit", 8, rulecheck.Error, "", 0},
 		{"superlinear", "lockup-nest", 9, rulecheck.Warn, "", 0},
+		{"regexp-on-hot-path", "panic-lit", 7, rulecheck.Warn, "", 0},
+		{"regexp-on-hot-path", "lockup-nest", 9, rulecheck.Warn, "", 0},
+		{"regexp-on-hot-path", "catchall", 12, rulecheck.Warn, "", 0},
 		{"dup-name", "dup-pair", 11, rulecheck.Error, "dup-pair", 10},
 		{"empty-match", "catchall", 12, rulecheck.Error, "", 0},
 	}

@@ -2,6 +2,7 @@ package taxonomy_test
 
 import (
 	"bytes"
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -63,7 +64,7 @@ func FuzzReadRules(f *testing.F) {
 //   - Necessity: whenever the compiled regexp matches a message, the
 //     extracted filter must pass it too — a filter that rejects a matching
 //     message silently misroutes that message to Unclassified.
-//   - Tier-1 exactness: an ordered-chain hit on a newline-free message is
+//   - Exactness: an ordered-chain hit on a newline-free message is
 //     trusted as a match without running the regexp, so an ordered filter
 //     passing a message the regexp rejects is equally unsound.
 //
@@ -84,6 +85,16 @@ func FuzzLiteralAnchors(f *testing.F) {
 		{`(?i)emergency power off`, "EMERGENCY POWER OFFK"},
 		{`seg(fault|v) at 0x[0-9a-f]+`, "segv at 0xdeadbeef"},
 		{`a{2,5}b?c`, "aaac"},
+		// A gap at the edge of a group or next to an empty alternative, each
+		// with a message only the gapped chain matches.
+		{`(?i)lustre(.*timeout)`, "Lustre: request timeout"},
+		{`(?i)a(.*b)`, "a-b"},
+		{`(?i)(a.*)b`, "a-b"},
+		{`(?i)foo(.*bar|baz)`, "foo bar"},
+		{`(?i)a.*(b)?c`, "a-c"},
+		{`(?i)timed? ?out`, "timedxout"},
+		{`(?i)double[- ]bit`, "double_bit"},
+		{`(?i)ost[0-9a-f]*.*down`, "ost00fz is\ndown"},
 	}
 	for _, s := range seeds {
 		f.Add(s.pattern, []byte(s.msg))
@@ -105,6 +116,64 @@ func FuzzLiteralAnchors(f *testing.F) {
 			pf.Match(msg) && !re.Match(msg) {
 			t.Fatalf("ordered prefilter not exact: filter %v passes %q but pattern %q rejects it",
 				pf.Branches(), msg, pattern)
+		}
+	})
+}
+
+// manyRules renders n one-literal rules, so the automaton carries n
+// distinct literals that share prefixes ("lit0001x", "lit0002x", ...).
+func manyRules(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "r%d SW_OS ERROR (?i)lit%04dx.*(fail|error)\n", i, i)
+	}
+	return b.String()
+}
+
+// FuzzClassifyBytes is the oracle for the automaton itself: a classifier
+// built from a fuzzer-chosen rule file must classify every message exactly
+// as the regexp-only reference does. The seeds aim at what an Aho–Corasick
+// build gets wrong: literals that are prefixes, suffixes and infixes of one
+// another, the same literal in several rules, a literal repeated inside one
+// chain, more literals than fit one or four set words, rules without a
+// filter between rules with one, and no rules at all.
+func FuzzClassifyBytes(f *testing.F) {
+	var builtin strings.Builder
+	if err := taxonomy.WriteRules(&builtin, taxonomy.Default().Rules()); err != nil {
+		f.Fatal(err)
+	}
+	nested := "whole HW_CPU CRIT (?i)fault\nhead HW_CPU ERROR (?i)fa.*x\ntail HW_CPU WARN (?i)ult.*y\nmid HW_CPU INFO (?i)aul\n"
+	seeds := []struct{ rules, msg string }{
+		{builtin.String(), "Lustre: request x99 timed out after 100s, resending"},
+		{builtin.String(), "Machine Check Exception:\nuncorrected DRAM error"},
+		{nested, "defaULT y"},
+		{nested, "fa ult x"},
+		{"first SW_OS ERROR (?i)alps.*error\nsecond SW_ALPS ERROR (?i)apsched.*error|alps\n", "ALPS said: error"},
+		{"twice SW_OS ERROR (?i)aa.*a\n", "aaa"},
+		{"twice SW_OS ERROR (?i)aa.*a\n", "aa"},
+		{"thrice SW_OS ERROR (?i)ab.*ab.*ab\n", "ababab"},
+		{"cased KERNEL_PANIC CRIT kernel panic\nany SW_OS INFO [0-9]{3}\nexact SW_ALPS ERROR (?i)apinit.*fail\n", "apinit 12 FAIL 345"},
+		{"dnf FS_TIMEOUT WARN (?i)(timeout|slow)[0-9]+ on (ost|mdt)\n", "ost: SLOW7 on OST"},
+		{"folds SW_OS ERROR (?i)kernel.*signal\n", "\u212aernel \u017fignal"},
+		{manyRules(70), "LIT0069X did not FAIL"},
+		{manyRules(70), "lit0069 error"},
+		{manyRules(300), "lit0007x lit0299x error"},
+		{"", "anything"},
+	}
+	for _, s := range seeds {
+		f.Add(s.rules, []byte(s.msg))
+	}
+	f.Fuzz(func(t *testing.T, rulesText string, msg []byte) {
+		rules, err := taxonomy.ReadRules(strings.NewReader(rulesText))
+		if err != nil {
+			return
+		}
+		cls := taxonomy.NewClassifier(rules)
+		wantCat, wantSev := cls.Classify(string(msg))
+		gotCat, gotSev := cls.ClassifyBytes(msg)
+		if gotCat != wantCat || gotSev != wantSev {
+			t.Fatalf("ClassifyBytes(%q) = (%v, %v), Classify = (%v, %v) under rules:\n%s",
+				msg, gotCat, gotSev, wantCat, wantSev, rulesText)
 		}
 	})
 }

@@ -1,102 +1,80 @@
-// Literal prefilters for classification: before running a rule's regexp,
-// decide cheaply whether the message can possibly match by scanning for the
-// rule's required literals with bytes.Index over a case-folded copy. The
-// literals are extracted from the compiled pattern's syntax tree, so they
-// are sound by construction: a rule is skipped only when the regexp provably
-// cannot match.
+// Literal filters for classification. ClassifyBytes never walks the rule
+// list: NewClassifier compiles the literals of every rule's filter into one
+// automaton (scan.go), a message is scanned once, and the scan itself
+// reports which rules' filters passed. What a pass means depends on how the
+// filter was extracted from the rule's syntax tree:
 //
-// Extraction has two tiers:
+//   - Exact (ordered chains). When the pattern decomposes into an
+//     alternation of literal chains — literals joined by ".*" gaps, e.g.
+//     `machine check.*(cache|tlb)` — the unanchored regexp matches a
+//     newline-free message iff some chain's literals appear in order,
+//     non-overlapping, in the case-folded text. A chain hit then decides
+//     the rule with no regexp call. A message containing '\n' (".*" cannot
+//     cross it) demotes the hit to a prefilter and the regexp confirms.
+//     The decomposition distributes concatenation over alternation, where
+//     an alternative may be: a literal; `x?` (x or nothing); a small class
+//     of caseless ASCII characters such as `[- ]` (one single-character
+//     literal each); a group or alternation of these. A class star beside
+//     a gap (`[0-9a-f]*.*`) adds nothing to the gap and is dropped.
+//     Because an alternative can be EMPTY, "was there a gap between these
+//     two literals" is not a property of the concatenation but of each
+//     chain: in `a.*(b)?c` the chain without b still has its gap, and in
+//     `a(.*b|c)` only one of the two chains has one. So a chain under
+//     construction carries its own gap-before / gap-after flags, and two
+//     literals glue into one search string only when neither side has one.
 //
-//  1. Ordered chains. When the pattern decomposes into an alternation of
-//     literal chains — literals joined by ".*" gaps, e.g.
-//     `machine check.*(cache|tlb)` — the decomposition is EXACT: the
-//     unanchored regexp matches iff some chain's literals appear in order
-//     (case-folded), so a chain hit classifies the message with no regexp
-//     call at all. The only caveat is a message containing '\n' (".*"
-//     cannot cross it); those fall back to the regexp, with the chain hit
-//     demoted to a prefilter.
+//   - Admitting (unordered DNF). Otherwise the tree is folded into
+//     branches of literals that must ALL appear for the pattern to match
+//     (one branch per alternation arm): a literal requires itself; a
+//     concatenation AND-combines its children (cross product, capped); an
+//     alternation unions its branches and fails if any branch yields none;
+//     x+ and min>=1 repeats require whatever x requires; optional forms
+//     require nothing. A covered branch only admits the rule — the regexp
+//     remains the confirmation step.
 //
-//  2. Unordered DNF. Otherwise the tree is folded into branches of
-//     literals that must ALL appear for the pattern to match (one branch
-//     per alternation arm): a literal requires itself; a concatenation
-//     AND-combines its children (cross product, capped); an alternation
-//     unions its branches and fails if any branch yields none; x+ and
-//     min>=1 repeats require whatever x requires; optional forms require
-//     nothing. A branch hit here only admits the rule — the regexp remains
-//     the confirmation step.
-//
-// Rules whose tree yields no usable filter (or any non-ASCII literal)
-// simply run their regexp unconditionally, so external rule files degrade
-// to the unfiltered behavior instead of misclassifying.
+// Rules whose tree yields no usable filter (or any non-ASCII literal) run
+// their regexp on every message, so external rule files degrade to the
+// unfiltered behavior instead of misclassifying; `logdiver lint-rules`
+// names every rule that still runs a regexp (regexp-on-hot-path).
 
 package taxonomy
 
 import (
 	"bytes"
+	"math/bits"
 	"regexp/syntax"
 	"strings"
-	"sync"
 	"unicode"
 )
 
-// maxBranches bounds the per-rule chain/branch count; wider alternations
-// are not selective enough to be worth scanning.
+// maxChains bounds the chains of an exact decomposition. The automaton
+// evaluates every chain in the same pass, so the cap only keeps cross
+// products of optional pieces from exploding; the widest built-in rule
+// (blade-fault, 4x2x3) needs 24.
+const maxChains = 32
+
+// maxBranches bounds the branches of an unordered filter; a wider
+// alternation admits the regexp too often to be worth extracting.
 const maxBranches = 12
 
-// maxBranchLits bounds the literals per unordered branch; beyond that the
-// extra bytes.Contains scans cost more than the regexp calls they save.
+// maxBranchLits bounds the literals per unordered branch (the longest are
+// kept); the scan tracks a branch's coverage in one word.
 const maxBranchLits = 4
 
+// maxClassSingles bounds the character classes the exact tier expands into
+// one alternative per member.
+const maxClassSingles = 4
+
 // prefilter is one rule's literal filter: either an exact ordered-chain
-// decomposition or an unordered required-literal DNF.
+// decomposition or an unordered required-literal DNF. Literals are
+// lowercase ASCII, matched against case-folded text.
 type prefilter struct {
-	branches [][][]byte
-	// ordered marks branches as ordered chains (tier 1): a branch passes
-	// when its literals appear in order, and a pass IS a match for
-	// newline-free messages. Unordered branches (tier 2) pass on
-	// containment of all literals and only admit the rule's regexp.
+	branches [][]string
+	// ordered marks branches as ordered chains: a branch passes when its
+	// literals appear in order, and a pass IS a match for newline-free
+	// messages. Unordered branches pass when all their literals appear and
+	// only admit the rule's regexp.
 	ordered bool
-}
-
-// match reports whether any branch passes against the folded message.
-//
-//ldvet:hotpath
-func (f *prefilter) match(folded []byte) bool {
-	for _, br := range f.branches {
-		if f.ordered {
-			if chainMatch(br, folded) {
-				return true
-			}
-			continue
-		}
-		all := true
-		for _, lit := range br {
-			if !bytes.Contains(folded, lit) {
-				all = false
-				break
-			}
-		}
-		if all {
-			return true
-		}
-	}
-	return false
-}
-
-// chainMatch reports whether the chain's literals appear in order, each
-// starting at or after the end of the previous one.
-//
-//ldvet:hotpath
-func chainMatch(chain [][]byte, folded []byte) bool {
-	pos := 0
-	for _, lit := range chain {
-		i := bytes.Index(folded[pos:], lit)
-		if i < 0 {
-			return false
-		}
-		pos += i + len(lit)
-	}
-	return true
 }
 
 // litString renders a literal node as a lowercase ASCII string. ok is false
@@ -128,61 +106,106 @@ func isGap(re *syntax.Regexp) bool {
 		(re.Sub[0].Op == syntax.OpAnyCharNotNL || re.Sub[0].Op == syntax.OpAnyChar)
 }
 
+// besideGap reports whether subs[i], a character-class star, touches a gap
+// directly or through other class stars. On a newline-free message the gap
+// already matches anything the star could, so C*.* and .*C* are the gap.
+func besideGap(subs []*syntax.Regexp, i int) bool {
+	if subs[i].Op != syntax.OpStar || subs[i].Sub[0].Op != syntax.OpCharClass {
+		return false
+	}
+	for _, d := range [2]int{-1, 1} {
+		j := i + d
+		for j >= 0 && j < len(subs) && subs[j].Op == syntax.OpStar && subs[j].Sub[0].Op == syntax.OpCharClass {
+			j += d
+		}
+		if j >= 0 && j < len(subs) && isGap(subs[j]) {
+			return true
+		}
+	}
+	return false
+}
+
+// chain is one alternative of an exact decomposition under construction:
+// literals separated by gaps, plus whether a gap precedes the first and
+// follows the last. A chain without literals is the empty alternative (or a
+// bare gap) and has both flags equal.
+type chain struct {
+	lits                []string
+	gapBefore, gapAfter bool
+}
+
+// then concatenates s onto p. Across a gap the literals join as-is; without
+// one, the boundary literals are contiguous in any match and merge into a
+// single search string.
+func (p chain) then(s chain) chain {
+	out := chain{
+		gapBefore: p.gapBefore || (len(p.lits) == 0 && s.gapBefore),
+		gapAfter:  s.gapAfter || (len(s.lits) == 0 && p.gapAfter),
+	}
+	out.lits = append(append(make([]string, 0, len(p.lits)+len(s.lits)), p.lits...), s.lits...)
+	if n := len(p.lits); n > 0 && len(s.lits) > 0 && !p.gapAfter && !s.gapBefore {
+		out.lits[n-1] += s.lits[0]
+		out.lits = append(out.lits[:n], out.lits[n+1:]...)
+	}
+	return out
+}
+
 // orderedChains decomposes a pattern into an alternation of literal chains,
-// ok == false when the pattern has any other structure. Each chain is a
-// sequence of literals separated by ".*" gaps; adjacent literals (no gap)
-// are glued into one.
-func orderedChains(re *syntax.Regexp) (chains [][]string, ok bool) {
+// ok == false when the pattern has any other structure or would need more
+// than maxChains of them.
+func orderedChains(re *syntax.Regexp) (chains []chain, ok bool) {
 	switch re.Op {
 	case syntax.OpLiteral:
 		l, ok := litString(re)
-		if !ok {
-			return nil, false
+		return []chain{{lits: []string{l}}}, ok
+	case syntax.OpEmptyMatch:
+		return []chain{{}}, true
+	case syntax.OpStar:
+		return []chain{{gapBefore: true, gapAfter: true}}, isGap(re)
+	case syntax.OpQuest:
+		chains, ok = orderedChains(re.Sub[0])
+		return append(chains, chain{}), ok && len(chains) < maxChains
+	case syntax.OpCharClass:
+		// re.Rune holds [lo, hi] pairs. Only caseless ASCII members: a
+		// letter would need its other case, which folding already covers
+		// for literals but not for a class the parser may have widened.
+		for i := 0; i+1 < len(re.Rune); i += 2 {
+			for r := re.Rune[i]; r <= re.Rune[i+1]; r++ {
+				if r >= 0x80 || unicode.IsLetter(r) || len(chains) == maxClassSingles {
+					return nil, false
+				}
+				chains = append(chains, chain{lits: []string{string(r)}})
+			}
 		}
-		return [][]string{{l}}, true
+		return chains, len(chains) > 0
 	case syntax.OpConcat:
-		acc := [][]string{{}}
-		gap := false
-		for _, sub := range re.Sub {
-			if isGap(sub) {
-				gap = true
+		chains = []chain{{}}
+		for i, sub := range re.Sub {
+			if besideGap(re.Sub, i) {
 				continue
 			}
 			sc, ok := orderedChains(sub)
-			if !ok {
+			if !ok || len(chains)*len(sc) > maxChains {
 				return nil, false
 			}
-			if len(acc)*len(sc) > maxBranches {
-				return nil, false
-			}
-			next := make([][]string, 0, len(acc)*len(sc))
-			for _, p := range acc {
+			next := make([]chain, 0, len(chains)*len(sc))
+			for _, p := range chains {
 				for _, s := range sc {
-					next = append(next, glueChains(p, s, gap))
+					next = append(next, p.then(s))
 				}
 			}
-			acc = next
-			gap = false
+			chains = next
 		}
-		for _, c := range acc {
-			if len(c) == 0 {
-				return nil, false // no literal at all (e.g. pure ".*")
-			}
-		}
-		return acc, true
+		return chains, true
 	case syntax.OpAlternate:
-		var union [][]string
 		for _, sub := range re.Sub {
 			sc, ok := orderedChains(sub)
 			if !ok {
 				return nil, false
 			}
-			union = append(union, sc...)
+			chains = append(chains, sc...)
 		}
-		if len(union) == 0 || len(union) > maxBranches {
-			return nil, false
-		}
-		return union, true
+		return chains, len(chains) > 0 && len(chains) <= maxChains
 	case syntax.OpCapture:
 		return orderedChains(re.Sub[0])
 	default:
@@ -190,20 +213,22 @@ func orderedChains(re *syntax.Regexp) (chains [][]string, ok bool) {
 	}
 }
 
-// glueChains concatenates chain s onto chain p: across a gap the chains
-// join as-is; without one, the boundary literals are contiguous in any
-// match and merge into a single search string.
-func glueChains(p, s []string, gap bool) []string {
-	if len(p) == 0 {
-		return s
+// exactFilter returns the pattern's exact decomposition as a filter, nil
+// when there is none. A chain without a literal (`.*`, `(x)?`) matches
+// every message; such a pattern has no literal filter at all.
+func exactFilter(re *syntax.Regexp) *prefilter {
+	chains, ok := orderedChains(re)
+	if !ok {
+		return nil
 	}
-	out := make([]string, 0, len(p)+len(s))
-	out = append(out, p...)
-	if gap || len(s) == 0 {
-		return append(out, s...)
+	f := &prefilter{ordered: true}
+	for _, c := range chains {
+		if len(c.lits) == 0 {
+			return nil
+		}
+		f.branches = append(f.branches, c.lits)
 	}
-	out[len(out)-1] += s[0]
-	return append(out, s[1:]...)
+	return f
 }
 
 // literalDNF walks a parsed pattern and returns its required-literal DNF:
@@ -359,49 +384,24 @@ func filterOf(pattern string) *prefilter {
 		return nil
 	}
 	re = re.Simplify()
-	dnf, ordered := orderedChains(re)
-	if !ordered {
-		var ok bool
-		dnf, ok = literalDNF(re)
-		if !ok {
-			return nil
-		}
+	if f := exactFilter(re); f != nil {
+		return f
 	}
-	f := &prefilter{branches: make([][][]byte, len(dnf)), ordered: ordered}
-	for i, br := range dnf {
-		f.branches[i] = make([][]byte, len(br))
-		for j, l := range br {
-			f.branches[i][j] = []byte(l)
-		}
-	}
-	return f
-}
-
-// LiteralAnchors reports the extracted anchor literals of a pattern: the
-// union of its filter branches, of which at least one literal must appear
-// in any matching message, or nil when no sound filter exists (the rule
-// cannot be prefiltered). Exported for rule linting: a rule without anchors
-// forces the regexp slow path on every message.
-func LiteralAnchors(pattern string) []string {
-	f := filterOf(pattern)
-	if f == nil {
+	dnf, ok := literalDNF(re)
+	if !ok {
 		return nil
 	}
-	var out []string
-	for _, br := range f.branches {
-		for _, l := range br {
-			out = append(out, string(l))
-		}
-	}
-	return out
+	return &prefilter{branches: dnf}
 }
 
 // Prefilter is the exported view of one rule's literal prefilter, for
 // soundness cross-checking (internal/rulecheck) and fuzzing. It evaluates
-// with exactly the code the classifier hot path runs, so a verifier
-// exercising it proves something about classification itself.
+// with exactly the code the classifier hot path runs — a one-rule automaton
+// and the same scan — so a verifier exercising it proves something about
+// classification itself.
 type Prefilter struct {
 	f prefilter
+	m *matcher
 }
 
 // ExtractPrefilter extracts the literal prefilter the classifier would use
@@ -412,28 +412,21 @@ func ExtractPrefilter(pattern string) *Prefilter {
 	if f == nil {
 		return nil
 	}
-	return &Prefilter{f: *f}
+	return &Prefilter{f: *f, m: newMatcher([]*prefilter{f})}
 }
 
 // NewPrefilter builds a prefilter from explicit branches, bypassing
 // extraction. It exists so verifier tests can construct a deliberately
 // desynchronized filter and prove the soundness check rejects it; the
-// classifier itself only ever uses ExtractPrefilter.
+// classifier itself only ever uses extracted filters.
 func NewPrefilter(branches [][]string, ordered bool) *Prefilter {
-	p := &Prefilter{f: prefilter{ordered: ordered}}
-	p.f.branches = make([][][]byte, len(branches))
-	for i, br := range branches {
-		p.f.branches[i] = make([][]byte, len(br))
-		for j, l := range br {
-			p.f.branches[i][j] = []byte(l)
-		}
-	}
-	return p
+	f := prefilter{branches: branches, ordered: ordered}
+	return &Prefilter{f: f, m: newMatcher([]*prefilter{&f})}
 }
 
-// Ordered reports whether the filter is a tier-1 ordered-chain
+// Ordered reports whether the filter is an exact ordered-chain
 // decomposition: a branch hit classifies a newline-free message outright,
-// with no regexp call. Unordered (tier-2) filters only admit the regexp.
+// with no regexp call. Unordered filters only admit the regexp.
 func (p *Prefilter) Ordered() bool { return p.f.ordered }
 
 // Branches returns the filter's literal branches (ordered chains or
@@ -441,79 +434,45 @@ func (p *Prefilter) Ordered() bool { return p.f.ordered }
 func (p *Prefilter) Branches() [][]string {
 	out := make([][]string, len(p.f.branches))
 	for i, br := range p.f.branches {
-		out[i] = make([]string, len(br))
-		for j, l := range br {
-			out[i][j] = string(l)
-		}
+		out[i] = append([]string(nil), br...)
 	}
 	return out
 }
 
-// Match reports whether the filter passes on msg, applying the same
-// case-folding the classifier applies before its branch scan.
+// Match reports whether the filter passes on msg.
 func (p *Prefilter) Match(msg []byte) bool {
-	return p.f.match(appendFolded(nil, msg))
-}
-
-// foldPool holds reusable scratch buffers for case-folding messages.
-var foldPool = sync.Pool{New: func() any { return new(foldBuf) }}
-
-type foldBuf struct{ b []byte }
-
-// appendFolded lowercases ASCII letters of src into dst. The two non-ASCII
-// runes that case-fold onto ASCII under (?i) — U+212A KELVIN SIGN (folds
-// with 'k') and U+017F LATIN SMALL LETTER LONG S (folds with 's') — are
-// rewritten to their ASCII folds so the prefilter cannot miss a message the
-// regexp would match. All other bytes pass through unchanged.
-//
-//ldvet:hotpath
-func appendFolded(dst, src []byte) []byte {
-	for i := 0; i < len(src); i++ {
-		c := src[i]
-		switch {
-		case c < 0x80:
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			dst = append(dst, c)
-		case c == 0xe2 && i+2 < len(src) && src[i+1] == 0x84 && src[i+2] == 0xaa:
-			dst = append(dst, 'k') // U+212A
-			i += 2
-		case c == 0xc5 && i+1 < len(src) && src[i+1] == 0xbf:
-			dst = append(dst, 's') // U+017F
-			i++
-		default:
-			dst = append(dst, c)
-		}
-	}
-	return dst
+	sc := p.m.scan(msg)
+	ok := sc.hit[0]&1 != 0
+	sc.release()
+	return ok
 }
 
 // ClassifyBytes is Classify over a byte view of the message; it does not
-// retain msg and does not allocate on the steady-state path.
+// retain msg and does not allocate on the steady-state path. One scan
+// reports every rule whose filter passed; those, and the rules without a
+// filter, are then decided in rule order — first match wins.
 //
 //ldvet:hotpath
 func (c *Classifier) ClassifyBytes(msg []byte) (Category, Severity) {
-	fb := foldPool.Get().(*foldBuf)
-	fb.b = appendFolded(fb.b[:0], msg)
+	sc := c.m.scan(msg)
 	// Ordered-chain hits decide the match outright only on newline-free
-	// messages: ".*" gaps cannot cross a '\n', which ordered search ignores.
-	exact := bytes.IndexByte(fb.b, '\n') < 0
-	for i := range c.rules {
-		if f := c.filters[i]; f != nil {
-			if !f.match(fb.b) {
-				continue
-			}
-			if f.ordered && exact {
-				foldPool.Put(fb)
-				return c.rules[i].Category, c.rules[i].Severity
-			}
+	// messages: ".*" gaps cannot cross a '\n', which the scan ignores.
+	exact := bytes.IndexByte(msg, '\n') < 0
+	cat, sev := Unclassified, SevInfo
+decide:
+	for w, unfiltered := range c.m.unfiltered {
+		decided := sc.hit[w] & c.m.ordered[w]
+		if !exact {
+			decided = 0
 		}
-		if c.rules[i].Pattern.Match(msg) {
-			foldPool.Put(fb)
-			return c.rules[i].Category, c.rules[i].Severity
+		for cand := sc.hit[w] | unfiltered; cand != 0; cand &= cand - 1 {
+			r := &c.rules[w<<6+bits.TrailingZeros64(cand)]
+			if decided&cand&-cand != 0 || r.Pattern.Match(msg) {
+				cat, sev = r.Category, r.Severity
+				break decide
+			}
 		}
 	}
-	foldPool.Put(fb)
-	return Unclassified, SevInfo
+	sc.release()
+	return cat, sev
 }

@@ -31,6 +31,19 @@ func classifyDiffCorpus() []string {
 		"Kernel panic - not syncing: Fatal exception in interrupt on c2-1c0s4n2",
 		"user application wrote something weird",
 		"",
+		// Every optional variant of the rules that became exact, and the
+		// near misses one character away from each.
+		"Lustre: request x99 timeout", "Lustre: request x99 time out",
+		"Lustre: request x99 timedout", "Lustre: request x99 timed out",
+		"Lustre: request x99 timedxout", "Lustre: request x99 timed  out",
+		"request timed out on lustre", "request timeout on lustre",
+		"GPU 3: double bit error", "GPU 3: double-bit error",
+		"GPU 3: double bit ecc error", "GPU 3: double-bit ECC error",
+		"GPU 3: double_bit error", "GPU 3: doublebit error", "GPU 3: double bit ecc  error",
+		"blade controller fault", "l0 fault", "l0c failure", "L0C controller unresponsive",
+		"mezzanine controller  fault", "l0cc fault", "l0controller fault",
+		"OST0012-osc unavailable", "mdt inactive", "ost00fz went quiet, now unavailable",
+		"ost0012 unavail", "unavailable ost0012",
 	)
 	out := make([]string, 0, len(base)*5)
 	for _, m := range base {

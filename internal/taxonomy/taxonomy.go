@@ -223,25 +223,23 @@ type Rule struct {
 // A Classifier is safe for concurrent use by multiple goroutines: Classify
 // only reads the rule list, and regexp.Regexp is documented as goroutine-
 // safe. The parallel ingestion workers in internal/core share one instance.
-// Clone exists for callers that prefer fully disjoint per-worker state (the
-// regexp machine cache is shared per-pattern; cloning recompiles patterns so
-// nothing at all is shared).
 type Classifier struct {
 	rules []Rule
-	// filters holds the per-rule literal prefilters (see prefilter.go):
-	// filters[i] == nil means rule i cannot be prefiltered and its regexp
-	// always runs. Computed once at construction; read-only afterwards.
-	filters []*prefilter
+	// m is the one automaton compiled from every rule's literal filter
+	// (see prefilter.go, scan.go). Built once at construction; read-only
+	// afterwards.
+	m *matcher
 }
 
 // NewClassifier builds a classifier from rules. The rule slice is copied.
 func NewClassifier(rules []Rule) *Classifier {
 	c := &Classifier{rules: make([]Rule, len(rules))}
 	copy(c.rules, rules)
-	c.filters = make([]*prefilter, len(c.rules))
+	filters := make([]*prefilter, len(c.rules))
 	for i := range c.rules {
-		c.filters[i] = filterOf(c.rules[i].Pattern.String())
+		filters[i] = filterOf(c.rules[i].Pattern.String())
 	}
+	c.m = newMatcher(filters)
 	return c
 }
 
@@ -259,21 +257,6 @@ func (c *Classifier) Classify(msg string) (Category, Severity) {
 		}
 	}
 	return Unclassified, SevInfo
-}
-
-// Clone returns a deep copy of the classifier with freshly compiled
-// patterns, sharing no state (not even regexp internals) with the receiver.
-// Use it to give each worker goroutine a fully private classifier;
-// classification behavior is identical because compilation is
-// deterministic.
-func (c *Classifier) Clone() *Classifier {
-	rules := make([]Rule, len(c.rules))
-	copy(rules, c.rules)
-	for i := range rules {
-		//ldvet:allow regexp-compile — recompiling is the point of Clone
-		rules[i].Pattern = regexp.MustCompile(rules[i].Pattern.String())
-	}
-	return NewClassifier(rules)
 }
 
 // Rules returns a copy of the classifier's rule list.
