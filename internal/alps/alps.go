@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"logdiver/internal/machine"
-	"logdiver/internal/parse"
 )
 
 // Tag is the syslog program tag under which apsys logs application events.
@@ -99,112 +98,6 @@ const (
 	KindFinishing
 )
 
-// Message is one parsed apsys message body.
-type Message struct {
-	Kind     MessageKind
-	ApID     uint64
-	User     string
-	JobID    string
-	Cmd      string
-	Width    int
-	Nodes    []machine.NodeID
-	ExitCode int
-	Signal   int
-	NodeCnt  int
-}
-
-// ParseMessage parses an apsys message body. Bodies that are valid apsys
-// output but not Starting/Finishing records (e.g. error chatter) yield
-// KindUnknown with a nil error so callers can skip them cheaply.
-//
-// ParseMessage is a pure function and safe to call from concurrent
-// goroutines. It is the string-form reference of ParseMessageBytes, which
-// ingestion uses; the differential tests pin the two to each other.
-func ParseMessage(body string) (Message, error) {
-	var m Message
-	fields, err := splitFields(body)
-	if err != nil {
-		return m, err
-	}
-	apidStr, ok := fields["apid"]
-	if !ok {
-		return m, nil // apsys chatter without an apid: not a placement record
-	}
-	apid, err := strconv.ParseUint(apidStr, 10, 64)
-	if err != nil {
-		return m, parse.Errorf(parse.KindField, body, "alps: bad apid %q", apidStr)
-	}
-	m.ApID = apid
-	switch {
-	case fields["_marker"] == "Starting":
-		m.Kind = KindStarting
-		m.User = fields["user"]
-		m.JobID = fields["batch_id"]
-		m.Cmd = fields["cmd"]
-		if m.Width, err = atoiField(fields, "width", body); err != nil {
-			return m, err
-		}
-		numNodes, err := atoiField(fields, "num_nodes", body)
-		if err != nil {
-			return m, err
-		}
-		m.Nodes, err = ParseNIDList(fields["node_list"])
-		if err != nil {
-			return m, parse.Errorf(parse.KindField, body, "alps: bad node_list: %s", err.Error())
-		}
-		if len(m.Nodes) != numNodes {
-			return m, parse.Errorf(parse.KindStructure, body, "alps: apid %d claims %d nodes but lists %d", apid, numNodes, len(m.Nodes))
-		}
-	case fields["_marker"] == "Finishing":
-		m.Kind = KindFinishing
-		if m.ExitCode, err = atoiField(fields, "exit_code", body); err != nil {
-			return m, err
-		}
-		if m.Signal, err = atoiField(fields, "signal", body); err != nil {
-			return m, err
-		}
-		if m.NodeCnt, err = atoiField(fields, "node_cnt", body); err != nil {
-			return m, err
-		}
-	default:
-		m.Kind = KindUnknown
-	}
-	return m, nil
-}
-
-// splitFields parses "k=v, k=v, Marker, k=v" bodies. Bare words (no '=')
-// are collected under the "_marker" pseudo-key; the last one wins.
-func splitFields(body string) (map[string]string, error) {
-	fields := make(map[string]string, 8)
-	for _, part := range strings.Split(body, ", ") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if k, v, ok := strings.Cut(part, "="); ok {
-			if k == "" {
-				return nil, parse.Errorf(parse.KindStructure, body, "alps: empty key")
-			}
-			fields[k] = v
-		} else {
-			fields["_marker"] = part
-		}
-	}
-	return fields, nil
-}
-
-func atoiField(fields map[string]string, key, body string) (int, error) {
-	v, ok := fields[key]
-	if !ok {
-		return 0, parse.Errorf(parse.KindField, body, "alps: missing field %q", key)
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, parse.Errorf(parse.KindField, body, "alps: field %s=%q not a number", key, v)
-	}
-	return n, nil
-}
-
 // Assembler pairs Starting/Finishing messages into AppRun records.
 type Assembler struct {
 	open       map[uint64]AppRun
@@ -233,24 +126,6 @@ func NewAssembler() *Assembler {
 // duplicate writer buffers and skew clocks; lenient ingestion must
 // tolerate both.
 func (a *Assembler) SetLenient(on bool) { a.lenient = on }
-
-// Add folds one timestamped apsys message into the assembler. It delegates
-// to AddView (the byte-view entry point ingestion uses) so the assembler has
-// one fold implementation.
-func (a *Assembler) Add(at time.Time, m Message) error {
-	return a.AddView(at, MessageView{
-		Kind:     m.Kind,
-		ApID:     m.ApID,
-		User:     []byte(m.User),
-		JobID:    []byte(m.JobID),
-		Cmd:      []byte(m.Cmd),
-		Width:    m.Width,
-		Nodes:    m.Nodes,
-		ExitCode: m.ExitCode,
-		Signal:   m.Signal,
-		NodeCnt:  m.NodeCnt,
-	})
-}
 
 // finish closes the open run for apid.
 func (a *Assembler) finish(at time.Time, apid uint64, exitCode, signal int) error {

@@ -53,7 +53,7 @@ func TestParseNIDList(t *testing.T) {
 }
 
 func TestParseNIDListErrors(t *testing.T) {
-	bad := []string{"x", "3-1", "1,,2", "-5", "1-", "2,1", "1,1", "0-99999999"}
+	bad := []string{"x", "3-1", "1,,2", "-5", "1-", "2,1", "1,1", "0-99999999", "2147483648", "0-2147483648"}
 	for _, s := range bad {
 		if _, err := ParseNIDList(s); err == nil {
 			t.Errorf("ParseNIDList(%q) succeeded, want error", s)

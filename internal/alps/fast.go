@@ -1,10 +1,10 @@
-// Byte-oriented fast path of the apsys message parser. ParseMessageBytes
-// applies the exact semantics of ParseMessage over a byte view — same field
-// handling (", "-separated segments, first-'=' key/value cut, last-wins on
-// duplicate keys and markers, empty-key rejection) and same error kinds,
-// reasons and ordering — without building a field map. The string
-// implementation stays as the reference; the differential tests in
-// fast_test.go pin the two to each other.
+// Byte-oriented apsys message parser, the one ingestion runs.
+// ParseMessageBytes parses a body from a byte view — ", "-separated
+// segments, first-'=' key/value cut, last-wins on duplicate keys and
+// markers, empty-key rejection — without building a field map. The string
+// reference it is pinned to (ParseMessage, ParseNIDList, Assembler.Add)
+// lives in reference_test.go, where the differential tests and fuzzers
+// compare the two.
 
 package alps
 
@@ -34,17 +34,18 @@ type MessageView struct {
 	NodeCnt  int
 }
 
-// ParseMessageBytes parses an apsys message body from a byte view with the
-// exact semantics of ParseMessage. Bodies without an apid yield KindUnknown
-// with a nil error. It allocates only for the node list of a Starting
-// record and for error construction.
+// ParseMessageBytes parses an apsys message body from a byte view. Bodies
+// that are valid apsys output but not Starting/Finishing records (e.g. error
+// chatter without an apid) yield KindUnknown with a nil error so callers can
+// skip them cheaply. It is pure and safe to call from concurrent
+// goroutines. It allocates only for the node list of a Starting record and
+// for error construction.
 //
 //ldvet:hotpath
 func ParseMessageBytes(body []byte) (MessageView, *parse.Error) {
 	var m MessageView
 	// Walk the ", "-separated segments, retaining the LAST occurrence of
-	// each known key and of the bare-word marker (the field map in
-	// ParseMessage is last-wins).
+	// each known key and of the bare-word marker.
 	var apid, user, batchID, cmd, width, numNodes, nodeList, exitCode, signal, nodeCnt, marker []byte
 	var haveApid, haveWidth, haveNumNodes, haveExit, haveSignal, haveNodeCnt bool
 	for start := 0; start <= len(body); {
@@ -165,8 +166,8 @@ func atoiView(v []byte, have bool) (int, bool) {
 	return parse.Atoi(v)
 }
 
-// atoiErr builds the same error atoiField would for a missing or
-// non-numeric field.
+// atoiErr builds the typed error of a missing or non-numeric required
+// field.
 func atoiErr(v []byte, have bool, key string, body []byte) *parse.Error {
 	if !have {
 		return parse.Errorf(parse.KindField, parse.SampleText(body), "alps: missing field %q", key)

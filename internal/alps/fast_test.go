@@ -26,6 +26,13 @@ var fastDiffBodies = []string{
 	"apid=1, Finishing, exit_code=0, signal=0, node_cnt=-1",
 	"",
 	",, ,",
+	// The bodies of internal/core's apsys block tables.
+	"apid=101, Starting, user=bob, batch_id=10.bw, cmd=b.out, width=64, num_nodes=3, node_list=7-8,12",
+	"apid=bad, Starting",
+	"apid=102, Starting, user=c, batch_id=1.bw, cmd=c, width=1, num_nodes=2, node_list=5",
+	"apid=103, Finishing, exit_code=x, signal=0, node_cnt=1",
+	"=v, Starting",
+	"some chatter without an apid",
 }
 
 // viewToMessage converts a MessageView to the map-parser's Message type for
@@ -78,6 +85,7 @@ func TestParseNIDListBytesMatchesParseNIDList(t *testing.T) {
 	lists := []string{
 		"0", "0-3", "0-3,7,9-11", "100-102,200", " 1 , 2 ", "3-1", "x", "1-", "-1", "", ",",
 		"1,1,1", "0-70000", "18446744073709551615",
+		"2147483647", "2147483646-2147483647", "2147483648", "7000000000", "5-2147483648",
 	}
 	for _, s := range lists {
 		want, wantErr := ParseNIDList(s)

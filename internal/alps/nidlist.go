@@ -3,6 +3,7 @@ package alps
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,45 +58,15 @@ func FormatNIDList(ids []machine.NodeID) string {
 // gigabytes of allocation before validation fails.
 const maxNIDListLen = 1 << 22
 
-// ParseNIDList parses the compact range notation produced by FormatNIDList.
-// It returns node IDs in ascending order. An empty string yields nil.
-func ParseNIDList(s string) ([]machine.NodeID, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []machine.NodeID
-	for _, part := range strings.Split(s, ",") {
-		loStr, hiStr, isRange := strings.Cut(part, "-")
-		lo, err := strconv.Atoi(loStr)
-		if err != nil || lo < 0 {
-			return nil, fmt.Errorf("alps: bad nid %q in list %q", part, s)
-		}
-		hi := lo
-		if isRange {
-			hi, err = strconv.Atoi(hiStr)
-			if err != nil || hi < lo {
-				return nil, fmt.Errorf("alps: bad nid range %q in list %q", part, s)
-			}
-		}
-		if hi-lo >= maxNIDListLen || len(out)+(hi-lo+1) > maxNIDListLen {
-			return nil, fmt.Errorf("alps: nid list %q implausibly large", s)
-		}
-		for id := lo; id <= hi; id++ {
-			out = append(out, machine.NodeID(id))
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		if out[i] <= out[i-1] {
-			return nil, fmt.Errorf("alps: nid list %q not strictly ascending", s)
-		}
-	}
-	return out, nil
-}
+// maxNID is the largest ID a machine.NodeID holds; a larger one is malformed
+// rather than wrapped to a negative node.
+const maxNID = math.MaxInt32
 
-// ParseNIDListBytes is ParseNIDList over a byte view, with identical
-// acceptance and error text. It makes exactly one allocation (the result
-// slice, sized by a counting pre-pass) on valid input, allocating
-// otherwise only to build errors.
+// ParseNIDListBytes parses the compact range notation produced by
+// FormatNIDList from a byte view. It returns node IDs in ascending order; an
+// empty list yields nil. It makes exactly one allocation (the result slice,
+// sized by a counting pre-pass) on valid input, allocating otherwise only to
+// build errors.
 func ParseNIDListBytes(s []byte) ([]machine.NodeID, error) {
 	if len(s) == 0 {
 		return nil, nil
@@ -120,8 +91,9 @@ func ParseNIDListBytes(s []byte) ([]machine.NodeID, error) {
 		part, next := nidPart(s, start)
 		start = next
 		lo, hi, _ := nidRange(part, s)
-		for id := lo; id <= hi; id++ {
-			out = append(out, id)
+		// int, not NodeID: the increment past hi must not wrap at maxNID.
+		for id := int(lo); id <= int(hi); id++ {
+			out = append(out, machine.NodeID(id))
 		}
 	}
 	for i := 1; i < len(out); i++ {
@@ -141,8 +113,7 @@ func nidPart(s []byte, start int) (part []byte, next int) {
 	return s[start:], len(s) + 1
 }
 
-// nidRange parses one "lo" or "lo-hi" part with the exact acceptance and
-// error text of the ParseNIDList body.
+// nidRange parses one "lo" or "lo-hi" part of list.
 func nidRange(part, list []byte) (lo, hi machine.NodeID, err error) {
 	loB, hiB := part, []byte(nil)
 	isRange := false
@@ -150,13 +121,13 @@ func nidRange(part, list []byte) (lo, hi machine.NodeID, err error) {
 		loB, hiB, isRange = part[:i], part[i+1:], true
 	}
 	l, ok := parse.Atoi(loB)
-	if !ok || l < 0 {
+	if !ok || l < 0 || l > maxNID {
 		return 0, 0, fmt.Errorf("alps: bad nid %q in list %q", part, list)
 	}
 	h := l
 	if isRange {
 		h, ok = parse.Atoi(hiB)
-		if !ok || h < l {
+		if !ok || h < l || h > maxNID {
 			return 0, 0, fmt.Errorf("alps: bad nid range %q in list %q", part, list)
 		}
 	}

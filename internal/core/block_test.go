@@ -1,13 +1,12 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
-	"io"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"logdiver/internal/alps"
 	"logdiver/internal/errlog"
@@ -19,38 +18,62 @@ import (
 )
 
 // The block parsers ingestion runs (parseSyslogBlock, parseApsysBlockBytes)
-// are pinned here to references composed from the string-form parsers —
-// syslogx.Scanner / syslogx.CheckLine, alps.ParseMessage, taxonomy.Classify
-// and the uncached topology lookup. The fuzz targets in fuzz_test.go reuse
-// the same references on arbitrary input.
+// are pinned here to references that feed the same per-line functions —
+// syslogx.CheckLineBytes and taxonomy.ClassifyBytes, checkApsysLineBytes —
+// from a plain bufio.Scanner loop, with the uncached topology lookup. What
+// they pin is what core owns: the block split, line numbering, the stats
+// merge, the strict stop and the host cache; the table tests below also pin
+// what checkApsysLineBytes counts. The byte parsers themselves are pinned to
+// their string references in their own packages. The fuzz targets in
+// fuzz_test.go reuse the same references on arbitrary input.
 
-// atLine prefixes data with firstLine-1 blank lines, which every string
-// scanner skips silently, so a reference scan numbers its lines like a block
-// whose first line is archive line firstLine.
-func atLine(data []byte, firstLine int) io.Reader {
-	return io.MultiReader(strings.NewReader(strings.Repeat("\n", firstLine-1)), bytes.NewReader(data))
+// forEachLine calls fn with every line of data and its archive line number,
+// numbering from firstLine; bufio.Scanner's ScanLines is the line split
+// stream.ForEachLine is pinned to.
+func forEachLine(data []byte, firstLine int, fn func(raw []byte, no int) error) error {
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	sc.Buffer(nil, parse.AbsMaxLineBytes)
+	for no := firstLine; sc.Scan(); no++ {
+		if err := fn(sc.Bytes(), no); err != nil {
+			return err
+		}
+	}
+	return sc.Err()
 }
 
-// refSyslogBlock is the string-path reference of parseSyslogBlock.
+// refSyslogBlock is the line-loop reference of parseSyslogBlock.
 func refSyslogBlock(data []byte, firstLine int, top *machine.Topology, cls *taxonomy.Classifier, mode parse.Mode) (sysChunk, error) {
-	sc := syslogx.NewScannerMode(atLine(data, firstLine), mode)
 	var c sysChunk
-	for sc.Scan() {
-		l := sc.Line()
+	err := forEachLine(data, firstLine, func(raw []byte, no int) error {
+		l, skip, perr := syslogx.CheckLineBytes(raw)
+		switch {
+		case skip:
+			return nil
+		case perr != nil:
+			perr.Line = no
+			if mode == parse.Strict {
+				return perr
+			}
+			c.stats.Record(perr)
+			return nil
+		}
 		c.lines++
-		cat, sev := cls.Classify(l.Message)
+		cat, sev := cls.ClassifyBytes(l.Msg)
 		if cat == taxonomy.Unclassified {
 			c.unclassified++
-			continue
+			return nil
 		}
 		node := errlog.SystemWide
-		if id, err := top.LookupString(l.Host); err == nil {
+		if id, err := top.LookupString(string(l.Host)); err == nil {
 			node = id
 		}
-		c.events = append(c.events, errlog.Event{Time: l.Time, Node: node, Cname: l.Host, Category: cat, Severity: sev, Message: l.Message})
+		c.events = append(c.events, errlog.Event{Time: l.Time, Node: node, Cname: string(l.Host), Category: cat, Severity: sev, Message: string(l.Msg)})
+		return nil
+	})
+	if err != nil {
+		return sysChunk{}, err
 	}
-	c.stats = sc.Stats()
-	return c, sc.Err()
+	return c, nil
 }
 
 // apsysFold is what one apsys block contributes to the pipeline: the
@@ -75,66 +98,34 @@ func foldOf(lines int, stats parse.LineStats, asm *alps.Assembler) apsysFold {
 	return apsysFold{lines: lines, stats: stats, runs: runs, open: asm.Open(), unmatched: asm.Unmatched(), duplicates: asm.Duplicates()}
 }
 
-// refApsysLine is the string-path reference for one apsys archive line: the
-// syslog layer (blank lines skip, malformed lines fail uncounted), then
-// alps.ParseMessage for lines with the apsys tag (malformed messages fail
-// counted). msg is non-nil when the line carries a message for the
-// assembler, stamped at.
-func refApsysLine(text string, no int) (at time.Time, msg *alps.Message, counted bool, perr *parse.Error) {
-	line, skip, perr := syslogx.CheckLine(text)
-	switch {
-	case skip:
-		return time.Time{}, nil, false, nil
-	case perr != nil:
-		perr.Line = no
-		return time.Time{}, nil, false, perr
-	case line.Tag != alps.Tag:
-		return time.Time{}, nil, true, nil
-	}
-	m, err := alps.ParseMessage(line.Message)
-	if err != nil {
-		if !errors.As(err, &perr) {
-			panic("alps.ParseMessage returned an untyped error: " + err.Error())
-		}
-		perr.Line = no
-		return time.Time{}, nil, true, perr
-	}
-	return line.Time, &m, true, nil
-}
-
-// refApsysBlock is the string-path reference of parseApsysBlockBytes followed
+// refApsysBlock is the line-loop reference of parseApsysBlockBytes followed
 // by the assembler fold of ingestApsys.
 func refApsysBlock(data []byte, firstLine int, mode parse.Mode) (apsysFold, error) {
-	lr := parse.NewLineReader(atLine(data, firstLine))
 	asm := alps.NewAssembler()
 	asm.SetLenient(true)
 	var (
 		lines int
 		stats parse.LineStats
 	)
-	for {
-		text, no, ok := lr.Next()
-		if !ok {
-			break
-		}
-		at, msg, counted, perr := refApsysLine(text, no)
+	err := forEachLine(data, firstLine, func(raw []byte, no int) error {
+		at, msg, counted, ok, perr := checkApsysLineBytes(raw, no)
 		if counted {
 			lines++
 		}
-		if perr != nil {
-			if mode == parse.Strict {
-				return apsysFold{}, perr
-			}
+		switch {
+		case perr != nil && mode == parse.Strict:
+			return perr
+		case perr != nil:
 			stats.Record(perr)
-			continue
+		case ok:
+			return asm.AddView(at, msg)
 		}
-		if msg != nil {
-			if err := asm.Add(at, *msg); err != nil {
-				return apsysFold{}, err
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		return apsysFold{}, err
 	}
-	return foldOf(lines, stats, asm), lr.Err()
+	return foldOf(lines, stats, asm), nil
 }
 
 // gotApsysBlock runs the production block parser and folds its views.
@@ -223,7 +214,7 @@ var syslogGoodLines = []string{
 }
 
 // TestParseSyslogBlockMatchesScanner pins the syslog block parser to the
-// string Scanner for every error class in both modes — the bad line's kind
+// bufio.Scanner reference for every error class in both modes — the bad line's kind
 // and archive line number, with and without a block offset — and over one
 // mixed block ending in an unterminated fragment.
 func TestParseSyslogBlockMatchesScanner(t *testing.T) {
@@ -305,11 +296,11 @@ var apsysBadMessages = []string{
 	"2013-04-03T12:00:10.000000Z nid00005 apsys: =v, Starting",
 }
 
-// TestParseApsysBlockMatchesStringParsers pins the apsys block parser to the
-// string parsers over a clean block and one mixing both error layers, in
-// both modes, with and without a block offset. Both blocks end in an
-// unterminated fragment.
-func TestParseApsysBlockMatchesStringParsers(t *testing.T) {
+// TestParseApsysBlockMatchesLineParsers pins the apsys block parser to the
+// bufio.Scanner reference over checkApsysLineBytes, over a clean block and
+// one mixing both error layers, in both modes, with and without a block
+// offset. Both blocks end in an unterminated fragment.
+func TestParseApsysBlockMatchesLineParsers(t *testing.T) {
 	clean := strings.Join(apsysGoodLines, "\n")
 	var b strings.Builder
 	for _, tc := range syslogErrorCases {
@@ -335,7 +326,7 @@ func TestParseApsysBlockMatchesStringParsers(t *testing.T) {
 				t.Fatalf("lenient reference failed: %v", err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("firstLine %d: block diverges from the string parsers:\n block     %+v\n reference %+v", firstLine, got, want)
+				t.Errorf("firstLine %d: block diverges from the reference:\n block     %+v\n reference %+v", firstLine, got, want)
 			}
 			wantMalformed := 0
 			if input == mixed {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,7 +12,6 @@ import (
 	"logdiver/internal/stream"
 	"logdiver/internal/syslogx"
 	"logdiver/internal/taxonomy"
-	"logdiver/internal/wlm"
 )
 
 // fuzzInputCap keeps individual fuzz executions fast; the parsers' large-line
@@ -39,21 +37,6 @@ func mutateSeeds(clean []byte) [][]byte {
 		}
 	}
 	return seeds
-}
-
-func cleanAccounting(n int) []byte {
-	var b strings.Builder
-	base := time.Date(2013, 4, 3, 12, 0, 0, 0, time.UTC)
-	for i := 0; i < n; i++ {
-		rec := wlm.Record{
-			Time: base.Add(time.Duration(i) * time.Minute), Type: wlm.EventEnd,
-			JobID:  "9.bw",
-			Fields: map[string]string{"Exit_status": "0", "user": "alice"},
-		}
-		b.WriteString(wlm.FormatRecord(rec))
-		b.WriteByte('\n')
-	}
-	return []byte(b.String())
 }
 
 func cleanSyslog(n int) []byte {
@@ -83,63 +66,10 @@ func cleanApsys(n int) []byte {
 	return []byte(b.String())
 }
 
-// FuzzParseAccounting pins the accounting block parser ingestion runs to the
-// string Scanner on arbitrary archives: identical assembled jobs, identical
-// malformed-line accounting, identical strict-mode failure.
-func FuzzParseAccounting(f *testing.F) {
-	for _, seed := range mutateSeeds(cleanAccounting(12)) {
-		f.Add(seed)
-	}
-	f.Add([]byte("04/03/2013 12:00:00;E;9.bw;garbage\n\n;;;\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > fuzzInputCap {
-			return
-		}
-		sc := wlm.NewScannerMode(bytes.NewReader(data), time.UTC, parse.Lenient)
-		ref, asm := wlm.NewAssembler(), wlm.NewAssembler()
-		var scanned int
-		for sc.Scan() {
-			scanned++
-			if err := ref.Add(sc.Record()); err != nil {
-				t.Fatalf("reference assembler: %v", err)
-			}
-		}
-		if err := sc.Err(); err != nil {
-			t.Fatalf("lenient scanner failed: %v", err)
-		}
-		recs, stats, err := wlm.ScanBlockMode(data, time.UTC, 1, parse.Lenient)
-		if err != nil {
-			t.Fatalf("lenient block failed: %v", err)
-		}
-		if len(recs) != scanned {
-			t.Fatalf("block parsed %d records, scanner %d", len(recs), scanned)
-		}
-		for _, rec := range recs {
-			if err := asm.AddScan(rec); err != nil {
-				t.Fatalf("block assembler: %v", err)
-			}
-		}
-		if got, want := asm.Jobs(), ref.Jobs(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("assembled jobs diverge:\n block   %+v\n scanner %+v", got, want)
-		}
-		if stats != sc.Stats() {
-			t.Fatalf("stats diverge:\n block   %+v\n scanner %+v", stats, sc.Stats())
-		}
-
-		strictSc := wlm.NewScannerMode(bytes.NewReader(data), time.UTC, parse.Strict)
-		for strictSc.Scan() {
-		}
-		_, _, blockErr := wlm.ScanBlockMode(data, time.UTC, 1, parse.Strict)
-		sameStrictError(t, blockErr, strictSc.Err())
-		if blockErr == nil && stats.Malformed() != 0 {
-			t.Fatalf("strict passed but lenient counted %d malformed", stats.Malformed())
-		}
-	})
-}
-
-// FuzzParseSyslog pins the syslog block parser ingestion runs to the string
-// Scanner, string classifier and uncached topology lookup on arbitrary
-// archives.
+// FuzzParseSyslog pins the syslog block parser ingestion runs to its
+// bufio.Scanner reference (same per-line parser and classifier, uncached
+// topology lookup) on arbitrary archives. The accounting block parser's
+// counterpart, FuzzParseAccounting, lives in internal/wlm beside it.
 func FuzzParseSyslog(f *testing.F) {
 	for _, seed := range mutateSeeds(cleanSyslog(12)) {
 		f.Add(seed)
@@ -157,7 +87,7 @@ func FuzzParseSyslog(f *testing.F) {
 		}
 		want, err := refSyslogBlock(data, 1, top, cls, parse.Lenient)
 		if err != nil {
-			t.Fatalf("lenient scanner failed: %v", err)
+			t.Fatalf("lenient reference failed: %v", err)
 		}
 		sameSysChunk(t, got, want)
 
@@ -167,8 +97,8 @@ func FuzzParseSyslog(f *testing.F) {
 	})
 }
 
-// FuzzParseApsys pins the apsys block parser ingestion runs to the string
-// parsers (syslogx.CheckLine, alps.ParseMessage) on arbitrary archives:
+// FuzzParseApsys pins the apsys block parser ingestion runs to its
+// bufio.Scanner reference over checkApsysLineBytes on arbitrary archives:
 // identical line counts, malformed-line accounting, paired runs and
 // strict-mode failure.
 func FuzzParseApsys(f *testing.F) {
@@ -189,7 +119,7 @@ func FuzzParseApsys(f *testing.F) {
 			t.Fatalf("lenient reference failed: %v", err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("block diverges from the string parsers:\n block     %+v\n reference %+v", got, want)
+			t.Fatalf("block diverges from the reference:\n block     %+v\n reference %+v", got, want)
 		}
 
 		_, blockErr := gotApsysBlock(data, 1, parse.Strict)

@@ -132,7 +132,7 @@ func NewIncremental(top *machine.Topology, loc *time.Location, opts Options) (*I
 }
 
 // countLines counts the lines in b, treating a final unterminated fragment
-// as one line (matching parse.LineReader).
+// as one line (matching stream.ForEachLine).
 func countLines(b []byte) int {
 	n := bytes.Count(b, []byte("\n"))
 	if len(b) > 0 && b[len(b)-1] != '\n' {

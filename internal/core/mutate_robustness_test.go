@@ -49,11 +49,11 @@ func archivesOf(acc, aps, sys string) Archives {
 	}
 }
 
-// Per-archive line checkers: the string-form acceptance functions the
-// pipeline's byte parsers are pinned to, exposed as one closure shape for
-// the reference scan and the manifest reconciliation below.
+// Per-archive line checkers: the per-line acceptance functions ingestion
+// runs, exposed as one closure shape for the reference scan and the
+// manifest reconciliation below.
 func accCheck(line string, no int) *parse.Error {
-	_, skip, perr := wlm.CheckLine(line, time.UTC)
+	_, skip, perr := wlm.CheckLineBytes([]byte(line), time.UTC)
 	if skip || perr == nil {
 		return nil
 	}
@@ -62,12 +62,12 @@ func accCheck(line string, no int) *parse.Error {
 }
 
 func apsCheck(line string, no int) *parse.Error {
-	_, _, _, perr := refApsysLine(line, no)
+	_, _, _, _, perr := checkApsysLineBytes([]byte(line), no)
 	return perr
 }
 
 func sysCheck(line string, no int) *parse.Error {
-	_, skip, perr := syslogx.CheckLine(line)
+	_, skip, perr := syslogx.CheckLineBytes([]byte(line))
 	if skip || perr == nil {
 		return nil
 	}
@@ -76,21 +76,19 @@ func sysCheck(line string, no int) *parse.Error {
 }
 
 // referenceStats independently re-derives an archive's malformed-line
-// accounting with a plain sequential scan over the authoritative per-line
-// checker — no Scanner, no block machinery — to serve as the oracle the
-// pipeline's ParseStats must match exactly.
+// accounting with a plain sequential bufio.Scanner loop over the per-line
+// checker — no block machinery — to serve as the oracle the pipeline's
+// ParseStats must match exactly.
 func referenceStats(text, archive string, check func(string, int) *parse.Error) parse.LineStats {
 	var st parse.LineStats
-	lr := parse.NewLineReader(strings.NewReader(text))
-	for {
-		line, no, ok := lr.Next()
-		if !ok {
-			break
-		}
-		if perr := check(line, no); perr != nil {
+	// The callback never fails, and only a line past parse.AbsMaxLineBytes
+	// fails the scan; the pipeline then fails too, before this is compared.
+	_ = forEachLine([]byte(text), 1, func(raw []byte, no int) error {
+		if perr := check(string(raw), no); perr != nil {
 			st.Record(perr)
 		}
-	}
+		return nil
+	})
 	st.SetArchive(archive)
 	return st
 }

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -133,8 +135,9 @@ func E14BlastRadius(res *core.Result) *report.Table {
 	for grp := range byGroup {
 		groups = append(groups, grp)
 	}
-	sort.Slice(groups, func(i, j int) bool {
-		return byGroup[groups[i]].totalKilled > byGroup[groups[j]].totalKilled
+	// Most kills first; the group name breaks ties, since map order is random.
+	slices.SortFunc(groups, func(a, b taxonomy.Group) int {
+		return cmp.Or(cmp.Compare(byGroup[b].totalKilled, byGroup[a].totalKilled), cmp.Compare(a.String(), b.String()))
 	})
 	for _, grp := range groups {
 		a := byGroup[grp]

@@ -10,11 +10,14 @@ import (
 	"testing"
 	"time"
 
+	"logdiver/internal/alps"
 	"logdiver/internal/core"
 	"logdiver/internal/correlate"
+	"logdiver/internal/errlog"
 	"logdiver/internal/gen"
 	"logdiver/internal/machine"
 	"logdiver/internal/report"
+	"logdiver/internal/taxonomy"
 )
 
 // fixture generates one small dataset and analysis shared by all tests.
@@ -517,5 +520,69 @@ func TestCoalesceTablesGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("coalescing tables differ from %s\n--- got ---\n%s--- want ---\n%s", golden, buf.Bytes(), want)
+	}
+}
+
+// tieFixture is a Result built to contain the ties E14 and E17 must break
+// by name: FILESYSTEM and INTERCONNECT each kill one run, HARDWARE, NODE and
+// GPU none; fourteen codes burn one node-hour each, so E17's cut at twelve
+// rows falls inside a tie.
+func tieFixture() *core.Result {
+	base := time.Date(2013, 4, 3, 0, 0, 0, 0, time.UTC)
+	res := &core.Result{}
+	for i, e := range []struct {
+		node machine.NodeID
+		cat  taxonomy.Category
+		sev  taxonomy.Severity
+	}{
+		{errlog.SystemWide, taxonomy.FilesystemLBUG, taxonomy.SevCritical},
+		{3, taxonomy.InterconnectLink, taxonomy.SevError},
+		{5, taxonomy.HardwareMemoryUE, taxonomy.SevCritical},
+		{6, taxonomy.NodeHeartbeat, taxonomy.SevCritical},
+		{7, taxonomy.GPUMemoryDBE, taxonomy.SevCritical},
+	} {
+		res.Events = append(res.Events, errlog.Event{
+			Time: base.Add(time.Duration(2*i+1) * time.Hour), Node: e.node,
+			Category: e.cat, Severity: e.sev,
+		})
+	}
+	res.RawEvents = len(res.Events)
+	for i := 0; i < 14; i++ {
+		r := correlate.AttributedRun{AppRun: alps.AppRun{
+			ApID: uint64(i + 1), Cmd: fmt.Sprintf("app%02d", i),
+			Nodes: []machine.NodeID{machine.NodeID(20 + i)},
+			Start: base.Add(time.Duration(i) * time.Minute),
+		}, Outcome: correlate.OutcomeSuccess}
+		r.End = r.Start.Add(time.Hour)
+		if i < 2 { // killed by the first two events
+			r.End = res.Events[i].Time.Add(time.Minute)
+			r.Start = r.End.Add(-time.Hour)
+			r.Outcome, r.Cause = correlate.OutcomeSystemFailure, res.Events[i].Category
+		}
+		res.Runs = append(res.Runs, r)
+	}
+	return res
+}
+
+// TestE14E17OrderDeterministic renders E14 and E17 over tieFixture 32 times:
+// the rows come from maps, and Go randomises map iteration, so any sort that
+// does not end on a unique key shows up as output that differs between
+// renders.
+func TestE14E17OrderDeterministic(t *testing.T) {
+	res := tieFixture()
+	render := func() string {
+		var buf bytes.Buffer
+		for _, tbl := range []*report.Table{E14BlastRadius(res), E17Applications(res)} {
+			if err := tbl.Render(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.String()
+	}
+	first := render()
+	for i := 1; i < 32; i++ {
+		if got := render(); got != first {
+			t.Fatalf("render %d differs from the first:\n--- first ---\n%s--- now ---\n%s", i, first, got)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"logdiver/internal/core"
@@ -104,8 +106,10 @@ func E17Applications(res *core.Result) *report.Table {
 	for c := range byCmd {
 		cmds = append(cmds, c)
 	}
-	sort.Slice(cmds, func(i, j int) bool {
-		return byCmd[cmds[i]].nodeHours > byCmd[cmds[j]].nodeHours
+	// Most node-hours first; the command name breaks ties, since map order is
+	// random and the table keeps only the first 12 rows.
+	slices.SortFunc(cmds, func(a, b string) int {
+		return cmp.Or(cmp.Compare(byCmd[b].nodeHours, byCmd[a].nodeHours), cmp.Compare(a, b))
 	})
 	t := &report.Table{
 		ID:      "E17",

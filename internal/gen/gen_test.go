@@ -10,6 +10,8 @@ import (
 	"logdiver/internal/alps"
 	"logdiver/internal/correlate"
 	"logdiver/internal/machine"
+	"logdiver/internal/parse"
+	"logdiver/internal/stream"
 	"logdiver/internal/syslogx"
 	"logdiver/internal/taxonomy"
 	"logdiver/internal/wlm"
@@ -270,7 +272,7 @@ func TestGenerateEventsClassifiable(t *testing.T) {
 		if i%7 != 0 { // sample for speed
 			continue
 		}
-		got, sev := cls.Classify(e.Message)
+		got, sev := cls.ClassifyBytes([]byte(e.Message))
 		if got != e.Category {
 			t.Fatalf("event %d message %q classifies to %v, tagged %v", i, e.Message, got, e.Category)
 		}
@@ -280,21 +282,27 @@ func TestGenerateEventsClassifiable(t *testing.T) {
 	}
 }
 
+// The archive round trips read each archive back through the byte parsers
+// ingestion runs.
+
 func TestWriteAccountingRoundTrip(t *testing.T) {
 	ds := generateTest(t, 2)
 	var buf strings.Builder
 	if err := ds.WriteAccounting(&buf); err != nil {
 		t.Fatal(err)
 	}
-	sc := wlm.NewScanner(strings.NewReader(buf.String()), time.UTC)
+	recs, stats, err := wlm.ScanBlockMode([]byte(buf.String()), time.UTC, 1, parse.Lenient)
+	if err != nil {
+		t.Fatal(err)
+	}
 	asm := wlm.NewAssembler()
-	for sc.Scan() {
-		if err := asm.Add(sc.Record()); err != nil {
+	for _, r := range recs {
+		if err := asm.AddScan(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if sc.Malformed() != 0 {
-		t.Errorf("accounting archive has %d malformed lines", sc.Malformed())
+	if stats.Malformed() != 0 {
+		t.Errorf("accounting archive has %d malformed lines", stats.Malformed())
 	}
 	if asm.Len() != len(ds.Jobs) {
 		t.Errorf("recovered %d jobs, want %d", asm.Len(), len(ds.Jobs))
@@ -322,23 +330,30 @@ func TestWriteApsysRoundTrip(t *testing.T) {
 	if err := ds.WriteApsys(&buf); err != nil {
 		t.Fatal(err)
 	}
-	sc := syslogx.NewScanner(strings.NewReader(buf.String()))
 	asm := alps.NewAssembler()
-	for sc.Scan() {
-		line := sc.Line()
-		if line.Tag != alps.Tag {
+	var malformed int
+	stream.ForEachLine([]byte(buf.String()), func(raw []byte) {
+		line, skip, perr := syslogx.CheckLineBytes(raw)
+		if skip {
+			return
+		}
+		if perr != nil {
+			malformed++
+			return
+		}
+		if string(line.Tag) != alps.Tag {
 			t.Fatalf("unexpected tag %q in apsys archive", line.Tag)
 		}
-		m, err := alps.ParseMessage(line.Message)
+		m, err := alps.ParseMessageBytes(line.Msg)
 		if err != nil {
-			t.Fatalf("parse %q: %v", line.Message, err)
+			t.Fatalf("parse %q: %v", line.Msg, err)
 		}
-		if err := asm.Add(line.Time, m); err != nil {
+		if err := asm.AddView(line.Time, m); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if sc.Malformed() != 0 {
-		t.Errorf("apsys archive has %d malformed lines", sc.Malformed())
+	})
+	if malformed != 0 {
+		t.Errorf("apsys archive has %d malformed lines", malformed)
 	}
 	runs := asm.Runs()
 	if len(runs) != len(ds.Runs) {
@@ -362,16 +377,21 @@ func TestWriteErrorLogRoundTrip(t *testing.T) {
 	if err := ds.WriteErrorLog(&buf); err != nil {
 		t.Fatal(err)
 	}
-	sc := syslogx.NewScanner(strings.NewReader(buf.String()))
 	cls := taxonomy.Default()
-	var parsed, unclassified int
-	for sc.Scan() {
-		parsed++
-		cat, _ := cls.Classify(sc.Line().Message)
-		if cat == taxonomy.Unclassified {
-			unclassified++
+	var parsed, unclassified, malformed int
+	stream.ForEachLine([]byte(buf.String()), func(raw []byte) {
+		line, skip, perr := syslogx.CheckLineBytes(raw)
+		switch {
+		case skip:
+		case perr != nil:
+			malformed++
+		default:
+			parsed++
+			if cat, _ := cls.ClassifyBytes(line.Msg); cat == taxonomy.Unclassified {
+				unclassified++
+			}
 		}
-	}
+	})
 	// Parsed count: every event, plus duplicates, minus nothing.
 	if parsed < len(ds.Events) {
 		t.Errorf("parsed %d lines < %d events", parsed, len(ds.Events))
@@ -379,7 +399,7 @@ func TestWriteErrorLogRoundTrip(t *testing.T) {
 	if unclassified != 0 {
 		t.Errorf("%d parsed lines did not classify", unclassified)
 	}
-	if ds.Config.Rates.MalformedPerDay > 0 && sc.Malformed() == 0 {
+	if ds.Config.Rates.MalformedPerDay > 0 && malformed == 0 {
 		t.Error("no malformed lines injected")
 	}
 }

@@ -107,25 +107,6 @@ func (ix *Index) Window(nodes []machine.NodeID, from, to time.Time) []errlog.Eve
 	return out
 }
 
-// AnyInWindow reports whether any event matching keep occurs on the given
-// nodes (or system-wide) during [from, to]. It short-circuits on the first
-// match, making it much cheaper than Window for yes/no attribution checks.
-func (ix *Index) AnyInWindow(nodes []machine.NodeID, from, to time.Time, keep func(errlog.Event) bool) (errlog.Event, bool) {
-	for _, n := range nodes {
-		for _, e := range sliceWindow(ix.nodeEvents(n), from, to) {
-			if keep(e) {
-				return e, true
-			}
-		}
-	}
-	for _, e := range sliceWindow(ix.system, from, to) {
-		if keep(e) {
-			return e, true
-		}
-	}
-	return errlog.Event{}, false
-}
-
 // FirstAnywhere returns the earliest event matching keep anywhere on the
 // machine during [from, to], ignoring placement. This serves the
 // temporal-only attribution baseline.

@@ -92,34 +92,6 @@ func TestWindowMergesNodeAndSystem(t *testing.T) {
 	}
 }
 
-func TestAnyInWindowShortCircuit(t *testing.T) {
-	events := []errlog.Event{
-		ev(1, 10*time.Minute, taxonomy.HardwareMemoryCE),
-		ev(1, 20*time.Minute, taxonomy.HardwareMemoryUE),
-	}
-	ix := NewIndex(events)
-	onlyCritical := func(e errlog.Event) bool { return e.Severity >= taxonomy.SevCritical && !e.Category.Benign() }
-	got, ok := ix.AnyInWindow([]machine.NodeID{1}, base, base.Add(time.Hour), onlyCritical)
-	if !ok {
-		t.Fatal("AnyInWindow found nothing")
-	}
-	if got.Category != taxonomy.HardwareMemoryUE {
-		t.Errorf("got %v, want HardwareMemoryUE", got.Category)
-	}
-	_, ok = ix.AnyInWindow([]machine.NodeID{2}, base, base.Add(time.Hour), onlyCritical)
-	if ok {
-		t.Error("AnyInWindow matched on wrong node")
-	}
-}
-
-func TestAnyInWindowSystemWide(t *testing.T) {
-	ix := NewIndex([]errlog.Event{sysEv(time.Minute, taxonomy.FilesystemLBUG)})
-	_, ok := ix.AnyInWindow(nil, base, base.Add(time.Hour), func(errlog.Event) bool { return true })
-	if !ok {
-		t.Error("system-wide event not visible with empty node set")
-	}
-}
-
 func TestFirstInWindowPicksEarliest(t *testing.T) {
 	events := []errlog.Event{
 		ev(1, 40*time.Minute, taxonomy.HardwareMemoryUE),

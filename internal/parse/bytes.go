@@ -1,8 +1,7 @@
-// Byte-oriented counterparts of the per-line acceptance checks and numeric
-// field parsing, used by the zero-allocation ingestion hot path. The string
-// forms (CheckLine, strconv) remain the reference implementations; the
-// differential tests in bytes_test.go pin the byte forms to them so the two
-// cannot drift.
+// Byte-view per-line acceptance checks and numeric field parsing, used by
+// the zero-allocation ingestion hot path. Their references are strconv and
+// the string CheckLine in reference_test.go; the differential tests in
+// bytes_test.go pin the byte forms to them so the two cannot drift.
 
 package parse
 
@@ -29,9 +28,10 @@ func SampleText(b []byte) string {
 	return string(b)
 }
 
-// CheckLineBytes is CheckLine over a byte view: the line must fit
-// MaxLineBytes, carry no NUL bytes, and be valid UTF-8. It allocates only
-// when building an error.
+// CheckLineBytes applies the format-independent acceptance checks every
+// parser shares: the line must fit MaxLineBytes, carry no NUL bytes, and be
+// valid UTF-8. It returns nil when the line passes and allocates only when
+// building an error.
 //
 //ldvet:hotpath
 func CheckLineBytes(b []byte) *Error {

@@ -1,18 +1,15 @@
 // Package parse defines the shared vocabulary of corruption-tolerant
 // ingestion: the strict/lenient parse mode, the typed malformed-line error
 // every format parser reports, per-kind malformed counters with first-N
-// provenance samples, and a line reader that tolerates oversized lines
-// instead of aborting the scan. The format parsers (internal/wlm,
-// internal/alps, internal/syslogx) produce these types; internal/core
-// aggregates them into ParseStats and threads the mode through ingestion.
+// provenance samples, and the byte-view helpers the format parsers share
+// (bytes.go). The format parsers (internal/wlm, internal/alps,
+// internal/syslogx) produce these types; internal/core aggregates them into
+// ParseStats and threads the mode through ingestion.
 package parse
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"strings"
-	"unicode/utf8"
 )
 
 // Mode selects the malformed-input policy of the ingestion pipeline.
@@ -101,8 +98,8 @@ const MaxLineBytes = 1 << 20
 
 // AbsMaxLineBytes is the hard abort threshold: a "line" this long means the
 // input is not line-structured at all (or the reader is walking a binary
-// blob), and both modes fail the scan with bufio.ErrTooLong. A variable so
-// tests can exercise the abort path without 64 MiB fixtures.
+// blob), and both modes fail the block read with bufio.ErrTooLong. A
+// variable so tests can exercise the abort path without 64 MiB fixtures.
 var AbsMaxLineBytes = 64 << 20
 
 // SampleTextBytes caps the offending-line text retained in errors and
@@ -118,7 +115,7 @@ func Truncate(s string) string {
 }
 
 // Error is the typed malformed-line error shared by every format parser.
-// Parsers fill Kind, Reason and Text; the scanners add Line; the core
+// Parsers fill Kind, Reason and Text; the block parsers add Line; the core
 // pipeline stamps Archive before surfacing it in strict mode.
 type Error struct {
 	// Archive names the log source ("accounting", "apsys", "syslog");
@@ -154,22 +151,6 @@ func (e *Error) Error() string {
 // Errorf builds an *Error of the given kind with a formatted reason.
 func Errorf(kind Kind, text, format string, args ...any) *Error {
 	return &Error{Kind: kind, Reason: fmt.Sprintf(format, args...), Text: Truncate(text)}
-}
-
-// CheckLine applies the format-independent acceptance checks every parser
-// shares: the line must fit MaxLineBytes, carry no NUL bytes, and be valid
-// UTF-8. Returns nil when the line passes.
-func CheckLine(text string) *Error {
-	if len(text) > MaxLineBytes {
-		return Errorf(KindOversize, text, "line exceeds %d bytes (%d)", MaxLineBytes, len(text))
-	}
-	if strings.IndexByte(text, 0) >= 0 {
-		return Errorf(KindEncoding, text, "NUL byte in line")
-	}
-	if !utf8.ValidString(text) {
-		return Errorf(KindEncoding, text, "invalid UTF-8")
-	}
-	return nil
 }
 
 // KindCounts is the per-kind malformed-line breakdown of one archive.
@@ -279,10 +260,9 @@ func (s *SampleSet) All() []Sample {
 }
 
 // LineStats is the malformed-line accounting of one archive: per-kind
-// counters plus first-N provenance samples. The string scanners and the
-// block parsers produce identical LineStats for identical input —
-// the per-block stats travel with each block and merge on the single
-// consumer goroutine in archive order.
+// counters plus first-N provenance samples. The per-block stats travel with
+// each block and merge on the single consumer goroutine in archive order, so
+// an archive's LineStats do not depend on how it was split into blocks.
 type LineStats struct {
 	Kinds   KindCounts
 	Samples SampleSet
@@ -309,102 +289,3 @@ func (s *LineStats) SetArchive(name string) {
 		s.Samples.Samples[i].Archive = name
 	}
 }
-
-// LineReader yields lines from r with their 1-based line numbers. Unlike
-// bufio.Scanner it does not abort on long lines: lines up to AbsMaxLineBytes
-// are returned whole (the parsers flag those beyond MaxLineBytes as
-// KindOversize); only beyond AbsMaxLineBytes does the scan fail with
-// bufio.ErrTooLong. Semantics otherwise match bufio.ScanLines: '\n'
-// terminates a line, one trailing '\r' is stripped, and a final
-// unterminated line is still yielded.
-type LineReader struct {
-	r      *bufio.Reader
-	spill  []byte // reused accumulator for lines spanning buffer boundaries
-	lineNo int
-	err    error
-	done   bool
-}
-
-// NewLineReader wraps r.
-func NewLineReader(r io.Reader) *LineReader {
-	return &LineReader{r: bufio.NewReaderSize(r, 1<<16)}
-}
-
-// Next returns the next line (without its terminator) and its 1-based line
-// number. ok is false at end of input or on error; check Err.
-func (l *LineReader) Next() (line string, lineNo int, ok bool) {
-	b, no, ok := l.NextBytes()
-	if !ok {
-		return "", 0, false
-	}
-	return string(b), no, true
-}
-
-// NextBytes is the zero-allocation form of Next: the returned slice is a
-// view into the reader's internal buffer and is only valid until the next
-// NextBytes (or Next) call. Callers that retain line content must copy it.
-//
-//ldvet:hotpath
-func (l *LineReader) NextBytes() (line []byte, lineNo int, ok bool) {
-	if l.err != nil || l.done {
-		return nil, 0, false
-	}
-	frag, err := l.r.ReadSlice('\n')
-	if err == nil {
-		if len(frag) > AbsMaxLineBytes {
-			l.err = bufio.ErrTooLong
-			return nil, 0, false
-		}
-		l.lineNo++
-		return trimEOL(frag), l.lineNo, true
-	}
-	return l.nextSlow(frag, err)
-}
-
-// nextSlow handles the uncommon cases of NextBytes: lines spanning the
-// buffered reader's internal buffer (accumulated into the reused spill
-// buffer), end of input, and read errors.
-func (l *LineReader) nextSlow(frag []byte, err error) (line []byte, lineNo int, ok bool) {
-	l.spill = append(l.spill[:0], frag...)
-	for {
-		if len(l.spill) > AbsMaxLineBytes {
-			l.err = bufio.ErrTooLong
-			return nil, 0, false
-		}
-		switch err {
-		case nil:
-			l.lineNo++
-			return trimEOL(l.spill), l.lineNo, true
-		case bufio.ErrBufferFull:
-			// Keep accumulating.
-		case io.EOF:
-			if len(l.spill) == 0 {
-				l.done = true
-				return nil, 0, false
-			}
-			l.done = true
-			l.lineNo++
-			return trimEOL(l.spill), l.lineNo, true
-		default:
-			l.err = err
-			return nil, 0, false
-		}
-		frag, err = l.r.ReadSlice('\n')
-		l.spill = append(l.spill, frag...)
-	}
-}
-
-// trimEOL strips one trailing '\n' and then one trailing '\r', matching
-// bufio.ScanLines.
-func trimEOL(b []byte) []byte {
-	if n := len(b); n > 0 && b[n-1] == '\n' {
-		b = b[:n-1]
-	}
-	if n := len(b); n > 0 && b[n-1] == '\r' {
-		b = b[:n-1]
-	}
-	return b
-}
-
-// Err returns the first read error, if any.
-func (l *LineReader) Err() error { return l.err }

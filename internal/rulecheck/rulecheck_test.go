@@ -403,7 +403,7 @@ func TestNewValidatedClassifier(t *testing.T) {
 	if len(findingsOf(fs, "severity-mismatch")) == 0 {
 		t.Error("warnings were not returned alongside the classifier")
 	}
-	if cat, _ := cls.Classify("kernel panic - not syncing"); cat != taxonomy.KernelPanic {
+	if cat, _ := cls.ClassifyBytes([]byte("kernel panic - not syncing")); cat != taxonomy.KernelPanic {
 		t.Errorf("classifier misclassifies: got %v", cat)
 	}
 

@@ -130,55 +130,6 @@ func Wilson(successes, trials int, z float64) (Proportion, error) {
 	return Proportion{Successes: successes, Trials: trials, P: p, Lo: lo, Hi: hi}, nil
 }
 
-// Histogram is a fixed-width binned count of a sample.
-type Histogram struct {
-	Min, Max float64
-	Width    float64
-	Counts   []int
-	// Underflow and Overflow count samples outside [Min, Max).
-	Underflow, Overflow int
-}
-
-// NewHistogram bins xs into n equal-width bins spanning [min, max).
-func NewHistogram(xs []float64, min, max float64, n int) (*Histogram, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs n > 0, got %d", n)
-	}
-	if !(max > min) {
-		return nil, fmt.Errorf("stats: histogram range [%v,%v) is empty", min, max)
-	}
-	h := &Histogram{Min: min, Max: max, Width: (max - min) / float64(n), Counts: make([]int, n)}
-	for _, x := range xs {
-		switch {
-		case x < min:
-			h.Underflow++
-		case x >= max:
-			h.Overflow++
-		default:
-			i := int((x - min) / h.Width)
-			if i >= n { // guard against rounding at the upper edge
-				i = n - 1
-			}
-			h.Counts[i]++
-		}
-	}
-	return h, nil
-}
-
-// Total returns the number of in-range samples.
-func (h *Histogram) Total() int {
-	var t int
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Min + (float64(i)+0.5)*h.Width
-}
-
 // ExpFit is a fitted exponential distribution.
 type ExpFit struct {
 	// Rate is the MLE lambda = 1/mean.

@@ -157,51 +157,6 @@ func TestWilsonBracketsProperty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{-1, 0, 0.5, 1, 2.5, 9.99, 10, 42}, 0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Underflow != 1 {
-		t.Errorf("Underflow = %d, want 1", h.Underflow)
-	}
-	if h.Overflow != 2 {
-		t.Errorf("Overflow = %d, want 2", h.Overflow)
-	}
-	if h.Total() != 5 {
-		t.Errorf("Total = %d, want 5", h.Total())
-	}
-	if h.Counts[0] != 2 { // 0 and 0.5
-		t.Errorf("Counts[0] = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[9] != 1 { // 9.99
-		t.Errorf("Counts[9] = %d, want 1", h.Counts[9])
-	}
-	if got := h.BinCenter(0); !almostEqual(got, 0.5, 1e-12) {
-		t.Errorf("BinCenter(0) = %v, want 0.5", got)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(nil, 0, 10, 0); err == nil {
-		t.Error("n=0 succeeded")
-	}
-	if _, err := NewHistogram(nil, 10, 10, 4); err == nil {
-		t.Error("empty range succeeded")
-	}
-}
-
-func TestHistogramEdgeRounding(t *testing.T) {
-	// Values extremely close to the upper edge must not index out of range.
-	h, err := NewHistogram([]float64{math.Nextafter(10, 0)}, 0, 10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Total() != 1 {
-		t.Errorf("Total = %d, want 1", h.Total())
-	}
-}
-
 func TestFitExponentialRecoversRate(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const lambda = 0.25

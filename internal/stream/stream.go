@@ -29,8 +29,7 @@ const DefaultBlockSize = 256 << 10
 // reader whole — the parsers account them as oversize-malformed — so lenient
 // ingestion can skip-and-count an oversized line instead of aborting the
 // archive. Only a line beyond parse.AbsMaxLineBytes (input that is not
-// line-structured at all) fails the read with bufio.ErrTooLong, matching
-// parse.LineReader.
+// line-structured at all) fails the read with bufio.ErrTooLong.
 const MaxLineBytes = parse.MaxLineBytes
 
 // Block is one line-aligned chunk of an archive together with the 1-based

@@ -104,8 +104,8 @@ func TestBlocksOversizedLinePassesThrough(t *testing.T) {
 }
 
 func TestBlocksTooLongLine(t *testing.T) {
-	// Beyond the absolute cap the input is not line-structured; both the
-	// block reader and parse.LineReader abort.
+	// Beyond the absolute cap the input is not line-structured; the block
+	// reader aborts.
 	defer func(old int) { parse.AbsMaxLineBytes = old }(parse.AbsMaxLineBytes)
 	parse.AbsMaxLineBytes = 1 << 12
 	long := strings.Repeat("x", parse.AbsMaxLineBytes+2)

@@ -1,16 +1,15 @@
-// Byte-oriented fast path of the syslog line parser. CheckLineBytes applies
-// the exact per-line semantics of CheckLine over a byte view without
-// materializing strings; the string implementation (Parse/CheckLine) stays
-// as the reference, and the differential tests in fast_test.go pin the two
-// to each other. Timestamps in the canonical wire form take a manual
-// fixed-width parse; any deviation falls back to time.Parse, so acceptance
-// and error text are authoritative in all cases.
+// Byte-oriented syslog line parser, the one ingestion runs. CheckLineBytes
+// parses a line from a byte view without materializing strings; the string
+// reference it is pinned to (Parse, CheckLine) lives in reference_test.go,
+// where the differential tests and FuzzParse compare the two. Timestamps in
+// the canonical wire form take a manual fixed-width parse; any deviation
+// falls back to time.Parse, so acceptance and error text are authoritative in
+// all cases.
 
 package syslogx
 
 import (
 	"bytes"
-	"strings"
 	"time"
 
 	"logdiver/internal/parse"
@@ -18,36 +17,18 @@ import (
 
 // LineView is one parsed syslog record as byte views into the caller's
 // buffer. Views are valid only as long as the underlying buffer; callers
-// that retain fields must copy them (see Materialize).
+// that retain fields must copy them.
 type LineView struct {
 	Time time.Time
 	// Host, Tag and Msg alias the input line.
 	Host, Tag, Msg []byte
 }
 
-// Materialize copies the view into a Line with one string allocation
-// backing all three fields.
-func (v LineView) Materialize() Line {
-	var sb strings.Builder
-	sb.Grow(len(v.Host) + len(v.Tag) + len(v.Msg))
-	sb.Write(v.Host)
-	sb.Write(v.Tag)
-	sb.Write(v.Msg)
-	s := sb.String()
-	hostEnd := len(v.Host)
-	tagEnd := hostEnd + len(v.Tag)
-	return Line{
-		Time:    v.Time,
-		Host:    s[:hostEnd],
-		Tag:     s[hostEnd:tagEnd],
-		Message: s[tagEnd:],
-	}
-}
-
-// CheckLineBytes is CheckLine over a byte view: blank lines are skipped
-// (skip == true), lines failing the shared encoding/oversize checks or the
-// format parse return a typed *parse.Error, and everything else yields the
-// parsed LineView. It allocates only on malformed or non-canonical input.
+// CheckLineBytes is the per-line acceptance function of the syslog format:
+// blank lines are skipped (skip == true), lines failing the shared
+// encoding/oversize checks or the format parse return a typed *parse.Error,
+// and everything else yields the parsed LineView. It allocates only on
+// malformed or non-canonical input.
 //
 //ldvet:hotpath
 func CheckLineBytes(b []byte) (v LineView, skip bool, perr *parse.Error) {
@@ -92,8 +73,8 @@ func CheckLineBytes(b []byte) (v LineView, skip bool, perr *parse.Error) {
 	return LineView{Time: t, Host: host, Tag: tag, Msg: msg}, false, nil
 }
 
-// errBytes builds the typed error with the line text truncated exactly as
-// the string path's parse.Errorf would.
+// errBytes builds the typed error with the line text truncated to
+// parse.SampleTextBytes.
 func errBytes(kind parse.Kind, line []byte, reason string) *parse.Error {
 	return parse.Errorf(kind, parse.SampleText(line), "%s", reason)
 }

@@ -1,6 +1,7 @@
 package syslogx
 
 import (
+	"bufio"
 	"errors"
 	"strings"
 	"testing"
@@ -26,8 +27,32 @@ var syslogErrorCases = []struct {
 
 const syslogGoodLine = "2013-04-03T12:34:57.000000-05:00 c0-0c0s0n1 kernel: machine check"
 
+// scan is the per-line loop ingestion runs over a syslog archive, in test
+// form: a bufio.Scanner feeding CheckLineBytes, lines numbered from 1, the
+// first malformed line failing the scan (strict) or each one accounted in
+// stats (lenient). Accepted lines are returned as owned copies.
+func scan(text string, mode parse.Mode) (lines []Line, stats parse.LineStats, err error) {
+	sc := bufio.NewScanner(strings.NewReader(text))
+	sc.Buffer(nil, parse.AbsMaxLineBytes)
+	for no := 1; sc.Scan(); no++ {
+		v, skip, perr := CheckLineBytes(sc.Bytes())
+		switch {
+		case skip:
+		case perr != nil:
+			perr.Line = no
+			if mode == parse.Strict {
+				return nil, parse.LineStats{}, perr
+			}
+			stats.Record(perr)
+		default:
+			lines = append(lines, lineOf(v))
+		}
+	}
+	return lines, stats, sc.Err()
+}
+
 // TestScannerModesErrorPaths drives every malformed-line class through the
-// string scanner in both modes: strict fails at the bad line with a
+// CheckLineBytes scan in both modes: strict fails at the bad line with a
 // typed, line-numbered error; lenient skips it, still yields the well-formed
 // line, and accounts the failure under the right kind with provenance.
 func TestScannerModesErrorPaths(t *testing.T) {
@@ -35,30 +60,22 @@ func TestScannerModesErrorPaths(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			input := tc.line + "\n" + syslogGoodLine + "\n"
 
-			strict := NewScannerMode(strings.NewReader(input), parse.Strict)
-			if strict.Scan() {
-				t.Fatal("strict mode scanned past the malformed line")
-			}
+			_, _, err := scan(input, parse.Strict)
 			var perr *parse.Error
-			if !errors.As(strict.Err(), &perr) {
-				t.Fatalf("strict error %v is not a *parse.Error", strict.Err())
+			if !errors.As(err, &perr) {
+				t.Fatalf("strict error %v is not a *parse.Error", err)
 			}
 			if perr.Kind != tc.kind || perr.Line != 1 {
 				t.Errorf("strict error kind=%v line=%d, want kind=%v line=1", perr.Kind, perr.Line, tc.kind)
 			}
 
-			lenient := NewScannerMode(strings.NewReader(input), parse.Lenient)
-			var lines int
-			for lenient.Scan() {
-				lines++
-			}
-			if err := lenient.Err(); err != nil {
+			lines, st, err := scan(input, parse.Lenient)
+			if err != nil {
 				t.Fatalf("lenient mode failed: %v", err)
 			}
-			if lines != 1 {
-				t.Errorf("lenient mode yielded %d lines, want 1", lines)
+			if len(lines) != 1 {
+				t.Errorf("lenient mode yielded %d lines, want 1", len(lines))
 			}
-			st := lenient.Stats()
 			if got := st.Kinds.Count(tc.kind); got != 1 {
 				t.Errorf("kind %v counted %d times, want 1", tc.kind, got)
 			}

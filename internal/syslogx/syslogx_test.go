@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"logdiver/internal/parse"
 )
 
 func mustTime(t *testing.T, s string) time.Time {
@@ -69,9 +71,9 @@ func TestParseRejectsMalformed(t *testing.T) {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", s)
 		} else {
-			var pe *ParseError
+			var pe *parse.Error
 			if !errors.As(err, &pe) {
-				t.Errorf("Parse(%q) error %T, want *ParseError", s, err)
+				t.Errorf("Parse(%q) error %T, want *parse.Error", s, err)
 			}
 		}
 	}
@@ -79,9 +81,9 @@ func TestParseRejectsMalformed(t *testing.T) {
 
 func TestParseErrorMessage(t *testing.T) {
 	_, err := Parse("garbage")
-	var pe *ParseError
+	var pe *parse.Error
 	if !errors.As(err, &pe) {
-		t.Fatalf("want *ParseError, got %T", err)
+		t.Fatalf("want *parse.Error, got %T", err)
 	}
 	if !strings.Contains(pe.Error(), "garbage") {
 		t.Errorf("error %q does not include offending line", pe.Error())
@@ -124,46 +126,31 @@ func TestParsePropertyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriterScannerStream: lines rendered by Format stream back through the
+// CheckLineBytes scan.
 func TestWriterScannerStream(t *testing.T) {
 	var buf strings.Builder
-	w := NewWriter(&buf)
 	base := time.Date(2013, 4, 3, 12, 0, 0, 0, time.UTC)
 	const n = 100
 	for i := 0; i < n; i++ {
-		err := w.Write(Line{
+		buf.WriteString(Format(Line{
 			Time:    base.Add(time.Duration(i) * time.Second),
 			Host:    "c0-0c0s0n1",
 			Tag:     "kernel",
 			Message: "event " + strings.Repeat("x", i%7),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		}) + "\n")
 	}
-	if err := w.Flush(); err != nil {
+	lines, stats, err := scan(buf.String(), parse.Strict)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Count() != n {
-		t.Errorf("Count = %d, want %d", w.Count(), n)
+	if len(lines) != n {
+		t.Fatalf("scanned %d lines, want %d", len(lines), n)
 	}
-
-	sc := NewScanner(strings.NewReader(buf.String()))
-	var got int
-	var last Line
-	for sc.Scan() {
-		got++
-		last = sc.Line()
+	if stats.Malformed() != 0 {
+		t.Errorf("Malformed = %d, want 0", stats.Malformed())
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if got != n {
-		t.Errorf("scanned %d lines, want %d", got, n)
-	}
-	if sc.Malformed() != 0 {
-		t.Errorf("Malformed = %d, want 0", sc.Malformed())
-	}
-	if wantTime := base.Add((n - 1) * time.Second); !last.Time.Equal(wantTime) {
+	if last, wantTime := lines[n-1], base.Add((n-1)*time.Second); !last.Time.Equal(wantTime) {
 		t.Errorf("last line time %v, want %v", last.Time, wantTime)
 	}
 }
@@ -181,16 +168,15 @@ func TestScannerSkipsNoise(t *testing.T) {
 		"another bad one",
 		good,
 	}, "\n")
-	sc := NewScanner(strings.NewReader(input))
-	var got int
-	for sc.Scan() {
-		got++
+	lines, stats, err := scan(input, parse.Lenient)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got != 2 {
-		t.Errorf("scanned %d lines, want 2", got)
+	if len(lines) != 2 {
+		t.Errorf("scanned %d lines, want 2", len(lines))
 	}
-	if sc.Malformed() != 2 {
-		t.Errorf("Malformed = %d, want 2 (blank lines are not malformed)", sc.Malformed())
+	if stats.Malformed() != 2 {
+		t.Errorf("Malformed = %d, want 2 (blank lines are not malformed)", stats.Malformed())
 	}
 }
 
@@ -200,41 +186,11 @@ func TestScannerLongLines(t *testing.T) {
 		Host: "c0-0c0s0n1", Tag: "kernel",
 		Message: strings.Repeat("a", 200000),
 	})
-	sc := NewScanner(strings.NewReader(long))
-	if !sc.Scan() {
-		t.Fatalf("Scan failed on long line: %v", sc.Err())
+	lines, _, err := scan(long, parse.Strict)
+	if err != nil || len(lines) != 1 {
+		t.Fatalf("scan of a long line: %d lines, %v", len(lines), err)
 	}
-	if len(sc.Line().Message) != 200000 {
-		t.Errorf("message truncated to %d bytes", len(sc.Line().Message))
-	}
-}
-
-type failingWriter struct{ fail bool }
-
-func (f *failingWriter) Write(p []byte) (int, error) {
-	if f.fail {
-		return 0, errors.New("disk full")
-	}
-	return len(p), nil
-}
-
-func TestWriterSticksOnError(t *testing.T) {
-	fw := &failingWriter{}
-	w := NewWriter(fw)
-	line := Line{Time: time.Now(), Host: "smw", Tag: "t", Message: strings.Repeat("x", 1<<17)}
-	fw.fail = true
-	err1 := w.Write(line) // large write forces a flush through the buffer
-	if err1 == nil {
-		// The bufio buffer may have absorbed it; force the error out.
-		err1 = w.Flush()
-	}
-	if err1 == nil {
-		t.Fatal("expected write error")
-	}
-	if err2 := w.Write(line); err2 == nil {
-		t.Error("write after error succeeded")
-	}
-	if err3 := w.Flush(); err3 == nil {
-		t.Error("flush after error succeeded")
+	if len(lines[0].Message) != 200000 {
+		t.Errorf("message truncated to %d bytes", len(lines[0].Message))
 	}
 }

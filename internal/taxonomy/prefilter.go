@@ -447,10 +447,11 @@ func (p *Prefilter) Match(msg []byte) bool {
 	return ok
 }
 
-// ClassifyBytes is Classify over a byte view of the message; it does not
-// retain msg and does not allocate on the steady-state path. One scan
-// reports every rule whose filter passed; those, and the rules without a
-// filter, are then decided in rule order — first match wins.
+// ClassifyBytes returns the category and severity of the first rule whose
+// pattern matches msg; unmatched messages return (Unclassified, SevInfo). It
+// does not retain msg and does not allocate on the steady-state path. One
+// scan reports every rule whose filter passed; those, and the rules without
+// a filter, are then decided in rule order — first match wins.
 //
 //ldvet:hotpath
 func (c *Classifier) ClassifyBytes(msg []byte) (Category, Severity) {

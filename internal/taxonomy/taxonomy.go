@@ -218,11 +218,15 @@ type Rule struct {
 	Severity Severity
 }
 
-// Classifier applies an ordered rule list to raw message text.
+// Classifier applies an ordered rule list to raw message text: ClassifyBytes
+// (prefilter.go) returns the category and severity of the first rule whose
+// pattern matches. Its regexp-only reference, Classify, lives in
+// reference_test.go.
 //
-// A Classifier is safe for concurrent use by multiple goroutines: Classify
-// only reads the rule list, and regexp.Regexp is documented as goroutine-
-// safe. The parallel ingestion workers in internal/core share one instance.
+// A Classifier is safe for concurrent use by multiple goroutines:
+// ClassifyBytes only reads the rule list and the automaton, takes its scratch
+// from a pool, and regexp.Regexp is documented as goroutine-safe. The
+// parallel ingestion workers in internal/core share one instance.
 type Classifier struct {
 	rules []Rule
 	// m is the one automaton compiled from every rule's literal filter
@@ -246,17 +250,6 @@ func NewClassifier(rules []Rule) *Classifier {
 // Default returns the classifier with the built-in Cray-style rule set.
 func Default() *Classifier {
 	return NewClassifier(defaultRules())
-}
-
-// Classify returns the category and severity of msg. Unmatched messages
-// return (Unclassified, SevInfo).
-func (c *Classifier) Classify(msg string) (Category, Severity) {
-	for i := range c.rules {
-		if c.rules[i].Pattern.MatchString(msg) {
-			return c.rules[i].Category, c.rules[i].Severity
-		}
-	}
-	return Unclassified, SevInfo
 }
 
 // Rules returns a copy of the classifier's rule list.

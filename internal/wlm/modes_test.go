@@ -29,38 +29,32 @@ var wlmErrorCases = []struct {
 const wlmGoodLine = "04/03/2013 12:00:01;E;9.bw;Exit_status=0 user=alice"
 
 // TestScannerModesErrorPaths drives every malformed-line class through the
-// string scanner in both modes: strict fails at the bad line with a
-// typed, line-numbered error; lenient skips it, still yields the well-formed
-// record, and accounts the failure under the right kind with provenance.
+// reference scan (refScan over the string CheckLine) in both modes: strict
+// fails at the bad line with a typed, line-numbered error; lenient skips it,
+// still yields the well-formed record, and accounts the failure under the
+// right kind with provenance. It pins the oracle the block parser is
+// compared with.
 func TestScannerModesErrorPaths(t *testing.T) {
 	for _, tc := range wlmErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			input := tc.line + "\n" + wlmGoodLine + "\n"
 
-			strict := NewScannerMode(strings.NewReader(input), time.UTC, parse.Strict)
-			if strict.Scan() {
-				t.Fatal("strict mode scanned past the malformed line")
-			}
+			_, _, err := refScan(input, time.UTC, 1, parse.Strict)
 			var perr *parse.Error
-			if !errors.As(strict.Err(), &perr) {
-				t.Fatalf("strict error %v is not a *parse.Error", strict.Err())
+			if !errors.As(err, &perr) {
+				t.Fatalf("strict error %v is not a *parse.Error", err)
 			}
 			if perr.Kind != tc.kind || perr.Line != 1 {
 				t.Errorf("strict error kind=%v line=%d, want kind=%v line=1", perr.Kind, perr.Line, tc.kind)
 			}
 
-			lenient := NewScannerMode(strings.NewReader(input), time.UTC, parse.Lenient)
-			var recs int
-			for lenient.Scan() {
-				recs++
-			}
-			if err := lenient.Err(); err != nil {
+			recs, st, err := refScan(input, time.UTC, 1, parse.Lenient)
+			if err != nil {
 				t.Fatalf("lenient mode failed: %v", err)
 			}
-			if recs != 1 {
-				t.Errorf("lenient mode yielded %d records, want 1", recs)
+			if len(recs) != 1 {
+				t.Errorf("lenient mode yielded %d records, want 1", len(recs))
 			}
-			st := lenient.Stats()
 			if got := st.Kinds.Count(tc.kind); got != 1 {
 				t.Errorf("kind %v counted %d times, want 1", tc.kind, got)
 			}
@@ -77,7 +71,7 @@ func TestScannerModesErrorPaths(t *testing.T) {
 
 // TestScanBlockModeErrorPaths drives every malformed-line class through the
 // ingestion block parser in both modes, with the expectations
-// TestScannerModesErrorPaths holds the string scanner to.
+// TestScannerModesErrorPaths holds the reference scan to.
 func TestScanBlockModeErrorPaths(t *testing.T) {
 	for _, tc := range wlmErrorCases {
 		t.Run(tc.name, func(t *testing.T) {

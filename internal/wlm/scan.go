@@ -1,17 +1,15 @@
-// Byte-oriented fast path of the accounting parser. CheckLineBytes applies
-// the exact per-line semantics of CheckLine over a byte view, producing a
-// compact ScanRecord of field views instead of a map-backed Record;
-// Assembler.AddScan folds it with the exact semantics of Add. The map
-// implementation (ParseRecord/CheckLine/Add) stays as the reference — Add
-// delegates to AddScan so the two assembler paths cannot drift, and the
-// differential tests in scan_test.go pin the parsers to each other.
+// Byte-oriented accounting parser, the one ingestion runs. CheckLineBytes
+// parses a line from a byte view into a compact ScanRecord of field views
+// instead of a map-backed Record; Assembler.AddScan folds it. The string
+// reference it is pinned to (ParseRecord, CheckLine, Assembler.Add) lives in
+// reference_test.go, where the differential tests and fuzzers compare the
+// two.
 
 package wlm
 
 import (
 	"bytes"
 	"fmt"
-	"strconv"
 	"time"
 	"unicode"
 	"unicode/utf8"
@@ -56,11 +54,11 @@ type ScanRecord struct {
 	Has                           FieldSet
 }
 
-// CheckLineBytes is CheckLine over a byte view: blank lines are skipped,
-// malformed lines return a typed *parse.Error with the same kind and reason
-// as the string path, and everything else yields the parsed ScanRecord.
-// Timestamps are interpreted in loc (UTC if nil). It allocates only on
-// malformed or non-canonical input.
+// CheckLineBytes is the per-line acceptance function of the accounting
+// format: blank lines are skipped, lines failing the shared encoding/oversize
+// checks or the format parse return a typed *parse.Error, and everything else
+// yields the parsed ScanRecord. Timestamps are interpreted in loc (UTC if
+// nil). It allocates only on malformed or non-canonical input.
 //
 //ldvet:hotpath
 func CheckLineBytes(b []byte, loc *time.Location) (r ScanRecord, skip bool, perr *parse.Error) {
@@ -293,10 +291,12 @@ func parseStampFastWlm(b []byte, loc *time.Location) (time.Time, bool) {
 	return time.Date(year, time.Month(mo), day, hour, min, sec, 0, loc), true
 }
 
-// AddScan folds one ScanRecord into the assembler with the exact semantics
-// of Add. Retained strings (job ID on first sight; user/account/queue) are
-// copied out of the caller's buffer, the short per-job strings through the
-// assembler's intern table so repeated values share storage.
+// AddScan folds one ScanRecord into the assembler. Unparseable field values
+// were already dropped by CheckLineBytes rather than treated as errors: field
+// sets vary across WLM versions. Retained strings (job ID on first sight;
+// user/account/queue) are copied out of the caller's buffer, the short
+// per-job strings through the assembler's intern table so repeated values
+// share storage.
 //
 //ldvet:hotpath
 func (a *Assembler) AddScan(r ScanRecord) error {
@@ -370,8 +370,8 @@ func (a *Assembler) intern(b []byte) string {
 }
 
 // ScanBlockMode is the unit of work of ingestion: it parses a block whose
-// first line is archive line firstLine into ScanRecords with the exact
-// per-line semantics of a Scanner in the same mode. In lenient mode
+// first line is archive line firstLine into ScanRecords, applying
+// CheckLineBytes to every line. In lenient mode
 // malformed lines are accounted in stats with their archive line numbers; in
 // strict mode the first malformed line fails the block with its typed error.
 // CheckLineBytes is pure, so blocks parse safely on concurrent goroutines;
@@ -411,50 +411,4 @@ func ScanBlockMode(block []byte, loc *time.Location, firstLine int, mode parse.M
 		return nil, parse.LineStats{}, failed
 	}
 	return recs, stats, nil
-}
-
-// scanFromRecord converts a map-backed Record into the ScanRecord AddScan
-// consumes, applying the same non-empty/parseable field policy Add used to
-// apply inline. It exists so Add can delegate to AddScan.
-func scanFromRecord(r Record) ScanRecord {
-	s := ScanRecord{Time: r.Time, Type: r.Type, JobID: []byte(r.JobID)}
-	setStr := func(dst *[]byte, key string, bit FieldSet) {
-		if v, ok := r.Fields[key]; ok && v != "" {
-			*dst, s.Has = []byte(v), s.Has|bit
-		}
-	}
-	setStr(&s.User, "user", HasUser)
-	setStr(&s.Account, "account", HasAccount)
-	setStr(&s.Queue, "queue", HasQueue)
-	setTime := func(dst *time.Time, key string, bit FieldSet) {
-		if v, ok := r.Fields[key]; ok {
-			if sec, err := strconv.ParseInt(v, 10, 64); err == nil {
-				*dst, s.Has = time.Unix(sec, 0).UTC(), s.Has|bit
-			}
-		}
-	}
-	setTime(&s.CreatedAt, "ctime", HasCtime)
-	setTime(&s.StartedAt, "start", HasStart)
-	setTime(&s.EndedAt, "end", HasEnd)
-	if v, ok := r.Fields["Resource_List.nodect"]; ok {
-		if n, err := strconv.Atoi(v); err == nil {
-			s.Nodes, s.Has = n, s.Has|HasNodect
-		}
-	}
-	if v, ok := r.Fields["Resource_List.walltime"]; ok {
-		if d, err := ParseWalltime(v); err == nil {
-			s.Walltime, s.Has = d, s.Has|HasWalltime
-		}
-	}
-	if v, ok := r.Fields["resources_used.walltime"]; ok {
-		if d, err := ParseWalltime(v); err == nil {
-			s.UsedWalltime, s.Has = d, s.Has|HasUsedWalltime
-		}
-	}
-	if v, ok := r.Fields["Exit_status"]; ok {
-		if n, err := strconv.Atoi(v); err == nil {
-			s.ExitStatus, s.Has = n, s.Has|HasExitStatus
-		}
-	}
-	return s
 }

@@ -103,10 +103,9 @@ func TestCheckLineBytesMatchesCheckLine(t *testing.T) {
 }
 
 // TestScanBlockModeMatchesScanner pins the ingestion block parser to the
-// string Scanner: same records, same lenient accounting, and the same
-// first-malformed-line strict error. The block starts at archive line 42;
-// the scanner gets 41 blank lines (skipped silently) in front so both count
-// the same line numbers.
+// reference scan (a bufio.Scanner over CheckLine): same records, same
+// lenient accounting, and the same first-malformed-line strict error. The
+// block starts at archive line 42.
 func TestScanBlockModeMatchesScanner(t *testing.T) {
 	var good, mixed strings.Builder
 	for _, l := range scanDiffLines {
@@ -132,15 +131,10 @@ func TestScanBlockModeMatchesScanner(t *testing.T) {
 		{"mixed lenient", mixed.String(), parse.Lenient},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sc := NewScannerMode(strings.NewReader(strings.Repeat("\n", firstLine-1)+tc.block), time.UTC, tc.mode)
-			var wantRecs []Record
-			for sc.Scan() {
-				wantRecs = append(wantRecs, sc.Record())
-			}
-			wantStats, wantErr := sc.Stats(), sc.Err()
+			wantRecs, wantStats, wantErr := refScan(tc.block, time.UTC, firstLine, tc.mode)
 			gotRecs, gotStats, gotErr := ScanBlockMode([]byte(tc.block), time.UTC, firstLine, tc.mode)
 			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("ScanBlockMode err = %v, Scanner err = %v", gotErr, wantErr)
+				t.Fatalf("ScanBlockMode err = %v, reference err = %v", gotErr, wantErr)
 			}
 			if wantErr != nil {
 				var wantPerr, gotPerr *parse.Error

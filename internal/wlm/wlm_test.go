@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"logdiver/internal/parse"
 )
 
 func sampleJob() Job {
@@ -201,54 +203,45 @@ func TestAssemblerSortsJobs(t *testing.T) {
 	}
 }
 
+// TestWriterScannerRoundTrip: records rendered by FormatRecord, one per
+// line, scan back through ScanBlockMode as well-formed E records.
 func TestWriterScannerRoundTrip(t *testing.T) {
 	var buf strings.Builder
-	w := NewWriter(&buf)
 	const n = 50
 	for i := 0; i < n; i++ {
 		j := sampleJob()
 		j.ID = strings.Repeat("1", 1+i%3) + ".bw"
 		j.StartedAt = j.StartedAt.Add(time.Duration(i) * time.Minute)
-		if err := w.Write(EndRecord(j)); err != nil {
-			t.Fatal(err)
-		}
+		buf.WriteString(FormatRecord(EndRecord(j)) + "\n")
 	}
-	if err := w.Flush(); err != nil {
+	recs, stats, err := ScanBlockMode([]byte(buf.String()), time.UTC, 1, parse.Strict)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Count() != n {
-		t.Errorf("Count = %d, want %d", w.Count(), n)
+	if len(recs) != n {
+		t.Errorf("scanned %d, want %d", len(recs), n)
 	}
-
-	sc := NewScanner(strings.NewReader(buf.String()), time.UTC)
-	var got int
-	for sc.Scan() {
-		got++
-		if sc.Record().Type != EventEnd {
-			t.Errorf("record %d type %c, want E", got, sc.Record().Type)
+	for i, r := range recs {
+		if r.Type != EventEnd {
+			t.Errorf("record %d type %c, want E", i, r.Type)
 		}
 	}
-	if sc.Err() != nil {
-		t.Fatal(sc.Err())
-	}
-	if got != n {
-		t.Errorf("scanned %d, want %d", got, n)
-	}
-	if sc.Malformed() != 0 {
-		t.Errorf("Malformed = %d", sc.Malformed())
+	if stats.Malformed() != 0 {
+		t.Errorf("Malformed = %d", stats.Malformed())
 	}
 }
 
+// TestScannerSkipsNoise: lenient scanning skips malformed lines and counts
+// them; blank lines are skipped without counting.
 func TestScannerSkipsNoise(t *testing.T) {
 	good := FormatRecord(EndRecord(sampleJob()))
 	input := "junk\n" + good + "\n\nmore junk\n" + good + "\n"
-	sc := NewScanner(strings.NewReader(input), time.UTC)
-	var got int
-	for sc.Scan() {
-		got++
+	recs, stats, err := ScanBlockMode([]byte(input), time.UTC, 1, parse.Lenient)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got != 2 || sc.Malformed() != 2 {
-		t.Errorf("got %d records, %d malformed; want 2, 2", got, sc.Malformed())
+	if len(recs) != 2 || stats.Malformed() != 2 {
+		t.Errorf("got %d records, %d malformed; want 2, 2", len(recs), stats.Malformed())
 	}
 }
 
