@@ -40,8 +40,6 @@ type MessageView struct {
 // skip them cheaply. It is pure and safe to call from concurrent
 // goroutines. It allocates only for the node list of a Starting record and
 // for error construction.
-//
-//ldvet:hotpath
 func ParseMessageBytes(body []byte) (MessageView, *parse.Error) {
 	var m MessageView
 	// Walk the ", "-separated segments, retaining the LAST occurrence of
@@ -157,8 +155,6 @@ var (
 
 // atoiView parses a required numeric field view; ok is false when the field
 // is absent or non-numeric (use atoiErr for the matching typed error).
-//
-//ldvet:hotpath
 func atoiView(v []byte, have bool) (int, bool) {
 	if !have {
 		return 0, false
@@ -178,8 +174,6 @@ func atoiErr(v []byte, have bool, key string, body []byte) *parse.Error {
 // AddView folds one timestamped apsys message view into the assembler.
 // Retained strings (user, job ID, command) are copied out of the caller's
 // buffer through the assembler's intern table.
-//
-//ldvet:hotpath
 func (a *Assembler) AddView(at time.Time, v MessageView) error {
 	switch v.Kind {
 	case KindStarting:
@@ -210,8 +204,6 @@ func (a *Assembler) AddView(at time.Time, v MessageView) error {
 }
 
 // intern returns a canonical string for b, copying it at most once.
-//
-//ldvet:hotpath
 func (a *Assembler) intern(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -219,7 +211,6 @@ func (a *Assembler) intern(b []byte) string {
 	if s, ok := a.interned[string(b)]; ok {
 		return s
 	}
-	//ldvet:allow hotpath-alloc — first-sight copy into the intern cache
 	s := string(b)
 	a.interned[s] = s
 	return s

@@ -142,14 +142,35 @@ func TestAddViewMatchesAdd(t *testing.T) {
 }
 
 // TestParseMessageBytesZeroAllocFinishing gates the steady-state line path:
-// a Finishing record (no node list to build) must parse without allocating.
+// a Finishing record (no node list to build), apsys chatter without an apid
+// and a record with an unknown marker and an empty segment must parse and
+// fold into a lenient assembler without allocating, and so must a repeated
+// Starting, which the assembler counts and drops.
 func TestParseMessageBytesZeroAllocFinishing(t *testing.T) {
-	body := []byte("apid=456789, Finishing, exit_code=0, signal=0, node_cnt=2")
-	if n := testing.AllocsPerRun(200, func() {
-		if _, perr := ParseMessageBytes(body); perr != nil {
-			t.Fatal("well-formed body rejected")
+	at := time.Date(2013, 4, 3, 12, 0, 0, 0, time.UTC)
+	asm := NewAssembler()
+	asm.SetLenient(true)
+	start, _ := ParseMessageBytes([]byte("apid=7, Starting, user=u, batch_id=j, cmd=c, width=1, num_nodes=1, node_list=3"))
+	if n := testing.AllocsPerRun(200, func() { // the warm-up call opens the run
+		if asm.AddView(at, start) != nil || asm.intern(nil) != "" || asm.intern(start.User) != "u" {
+			t.Fatal("repeated Starting rejected")
 		}
 	}); n != 0 {
-		t.Errorf("ParseMessageBytes allocates %.1f allocs/op on Finishing records, want 0", n)
+		t.Errorf("a repeated Starting allocates %.1f allocs/op, want 0", n)
+	}
+	for _, body := range []string{
+		"apid=456789, Finishing, exit_code=0, signal=0, node_cnt=2",
+		"apsys: error: exit processing timeout, forcing cleanup",
+		"apid=9, Recap, , something=else",
+	} {
+		b := []byte(body)
+		if n := testing.AllocsPerRun(200, func() {
+			v, perr := ParseMessageBytes(b)
+			if perr != nil || asm.AddView(at, v) != nil {
+				t.Fatalf("well-formed body %q rejected", body)
+			}
+		}); n != 0 {
+			t.Errorf("ParseMessageBytes+AddView(%q) allocates %.1f allocs/op, want 0", body, n)
+		}
 	}
 }

@@ -164,8 +164,6 @@ var apsysTagBytes = []byte(alps.Tag)
 // returned error carries the archive line number no. The returned view
 // aliases raw; callers must fold it (AddView copies what it retains) before
 // the buffer is reused.
-//
-//ldvet:hotpath
 func checkApsysLineBytes(raw []byte, no int) (at time.Time, v alps.MessageView, counted, haveMsg bool, perr *parse.Error) {
 	lv, skip, perr := syslogx.CheckLineBytes(raw)
 	if skip {
@@ -202,8 +200,6 @@ type apsViewChunk struct {
 
 // parseApsysBlockBytes applies checkApsysLineBytes to every line of a
 // numbered block.
-//
-//ldvet:hotpath
 func parseApsysBlockBytes(b stream.Block, mode parse.Mode) (apsViewChunk, error) {
 	var c apsViewChunk
 	no := b.FirstLine - 1
@@ -275,8 +271,6 @@ type sysChunk struct {
 // parseSyslogBlock parses and classifies every line of a numbered block. hc
 // memoizes host resolution against top and must not be shared between
 // concurrent calls.
-//
-//ldvet:hotpath
 func parseSyslogBlock(b stream.Block, top *machine.Topology, cls *taxonomy.Classifier, hc *errlog.HostCache, mode parse.Mode) (sysChunk, error) {
 	var c sysChunk
 	var batch errlog.EventBatch

@@ -42,6 +42,8 @@ const (
 	// OutcomeSystemFailure: abnormal exit with supporting system-error
 	// evidence in the node-time window.
 	OutcomeSystemFailure
+
+	numOutcomes // sentinel; keep last
 )
 
 // String returns the outcome mnemonic.

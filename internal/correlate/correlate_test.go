@@ -1,6 +1,7 @@
 package correlate
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -304,6 +305,11 @@ func TestOutcomeString(t *testing.T) {
 	for _, tt := range tests {
 		if got := tt.give.String(); got != tt.want {
 			t.Errorf("%d.String() = %q, want %q", tt.give, got, tt.want)
+		}
+	}
+	for o := OutcomeSuccess; o < numOutcomes; o++ {
+		if got := o.String(); strings.HasPrefix(got, "OUTCOME(") {
+			t.Errorf("outcome %d has no mnemonic: %q", int(o), got)
 		}
 	}
 }

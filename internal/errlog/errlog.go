@@ -45,7 +45,6 @@ func (e Event) IsSystemWide() bool { return e.Node == SystemWide }
 // from multiple goroutines. (Render, by contrast, consumes an *rand.Rand
 // and must stay on one goroutine per rng.)
 func Tag(cat taxonomy.Category) string {
-	//ldvet:exhaustive
 	switch cat.Group() {
 	case taxonomy.GroupUnknown:
 		return "kernel"
@@ -74,7 +73,6 @@ func Render(cat taxonomy.Category, cname string, rng *rand.Rand) string {
 	pick := func(variants ...string) string {
 		return variants[rng.Intn(len(variants))]
 	}
-	//ldvet:exhaustive
 	switch cat {
 	case taxonomy.Unclassified:
 		return "unclassified event of unknown origin"

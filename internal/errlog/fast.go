@@ -37,13 +37,10 @@ func NewHostCache() *HostCache {
 // field, with the semantics of an uncached Topology.LookupString: hosts
 // that are not node cnames in the topology attribute to SystemWide. It allocates only the
 // first time a distinct host is seen.
-//
-//ldvet:hotpath
 func (h *HostCache) Resolve(host []byte, top *machine.Topology) (machine.NodeID, string) {
 	if e, ok := h.m[string(host)]; ok {
 		return e.node, e.cname
 	}
-	//ldvet:allow hotpath-alloc — first-sight host copy, amortized by the cache
 	s := string(host)
 	node := SystemWide
 	if id, err := top.LookupString(s); err == nil {
@@ -74,8 +71,6 @@ type batchMark struct {
 const flushBytes = 64 << 10
 
 // Append adds one event whose Message is supplied as a byte view.
-//
-//ldvet:hotpath
 func (b *EventBatch) Append(e Event, msg []byte) {
 	b.marks = append(b.marks, batchMark{idx: len(b.events), off: len(b.buf), n: len(msg)})
 	b.events = append(b.events, e)

@@ -84,8 +84,16 @@ func TestE2Outcomes(t *testing.T) {
 	if err := tbl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 4 {
-		t.Errorf("rows = %d, want 4 outcomes", len(tbl.Rows))
+	// One row per outcome, enumerated up to String's fallback (correlate's
+	// TestOutcomeString pins that String names every member).
+	i := 0
+	for o := correlate.OutcomeSuccess; !strings.HasPrefix(o.String(), "OUTCOME("); o, i = o+1, i+1 {
+		if i >= len(tbl.Rows) || tbl.Rows[i][0] != o.String() {
+			t.Errorf("row %d is not outcome %v", i, o)
+		}
+	}
+	if i != len(tbl.Rows) {
+		t.Errorf("rows = %d, want one per outcome (%d)", len(tbl.Rows), i)
 	}
 	if len(tbl.Notes) != 2 {
 		t.Errorf("notes = %d, want anchor comparisons", len(tbl.Notes))

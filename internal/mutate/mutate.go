@@ -57,7 +57,6 @@ const (
 
 // String names the operator as recorded in Manifest entries.
 func (o Op) String() string {
-	//ldvet:exhaustive
 	switch o {
 	case OpDuplicate:
 		return "duplicate"
@@ -260,7 +259,6 @@ func Apply(input []byte, cfg Config) ([]byte, *Manifest) {
 // applyOne applies a single mutation of operator o to a freshly chosen
 // victim, returning false when no eligible victim remains.
 func (e *engine) applyOne(o Op) bool {
-	//ldvet:exhaustive
 	switch o {
 	case OpDuplicate:
 		return e.duplicate()

@@ -297,6 +297,9 @@ func TestCorruptingAndLinesAffected(t *testing.T) {
 
 func TestOpFromString(t *testing.T) {
 	for _, o := range AllOps() {
+		if o.String() == "unknown" {
+			t.Errorf("op %d has no name", int(o))
+		}
 		got, ok := OpFromString(o.String())
 		if !ok || got != o {
 			t.Errorf("OpFromString(%q) = %v, %v", o.String(), got, ok)
@@ -304,5 +307,18 @@ func TestOpFromString(t *testing.T) {
 	}
 	if _, ok := OpFromString("nope"); ok {
 		t.Error("OpFromString accepted unknown name")
+	}
+}
+
+// TestEveryOpApplies: applyOne's switch keeps a safe default, so an operator
+// it forgets would silently mutate nothing. Each operator alone must record
+// at least one mutation of its own on input every operator accepts.
+func TestEveryOpApplies(t *testing.T) {
+	in := accountingInput(20)
+	for _, o := range AllOps() {
+		_, m := Apply(in, Config{Seed: 1, Ops: []Op{o}, MaxPerOp: 1})
+		if n := m.CountByOp()[o.String()]; n < 1 {
+			t.Errorf("Apply with only %v recorded %d %v mutations, want >= 1", o, n, o)
+		}
 	}
 }

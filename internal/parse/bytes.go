@@ -13,8 +13,6 @@ import (
 
 // Blank reports whether the line is empty or whitespace-only, matching
 // strings.TrimSpace(string(b)) == "".
-//
-//ldvet:hotpath
 func Blank(b []byte) bool {
 	return len(bytes.TrimSpace(b)) == 0
 }
@@ -32,8 +30,6 @@ func SampleText(b []byte) string {
 // parser shares: the line must fit MaxLineBytes, carry no NUL bytes, and be
 // valid UTF-8. It returns nil when the line passes and allocates only when
 // building an error.
-//
-//ldvet:hotpath
 func CheckLineBytes(b []byte) *Error {
 	if len(b) > MaxLineBytes {
 		return Errorf(KindOversize, SampleText(b), "line exceeds %d bytes (%d)", MaxLineBytes, len(b))
@@ -49,8 +45,6 @@ func CheckLineBytes(b []byte) *Error {
 
 // Atoi parses b with the exact acceptance of strconv.Atoi, without
 // allocating. ok is false on any input strconv.Atoi would reject.
-//
-//ldvet:hotpath
 func Atoi(b []byte) (int, bool) {
 	s := b
 	neg := false
@@ -79,8 +73,6 @@ func Atoi(b []byte) (int, bool) {
 
 // ParseInt64 parses b with the exact acceptance of
 // strconv.ParseInt(string(b), 10, 64), without allocating.
-//
-//ldvet:hotpath
 func ParseInt64(b []byte) (int64, bool) {
 	s := b
 	neg := false
@@ -107,8 +99,6 @@ func ParseInt64(b []byte) (int64, bool) {
 
 // ParseUint64 parses b with the exact acceptance of
 // strconv.ParseUint(string(b), 10, 64), without allocating.
-//
-//ldvet:hotpath
 func ParseUint64(b []byte) (uint64, bool) {
 	// 19 digits cannot overflow uint64.
 	if len(b) == 0 || len(b) > 19 {
@@ -126,8 +116,6 @@ func ParseUint64(b []byte) (uint64, bool) {
 }
 
 // Digits2 reads a two-digit decimal field of a fixed-width timestamp.
-//
-//ldvet:hotpath
 func Digits2(a, b byte) (int, bool) {
 	if a < '0' || a > '9' || b < '0' || b > '9' {
 		return 0, false
@@ -137,8 +125,6 @@ func Digits2(a, b byte) (int, bool) {
 
 // Digits reads a fixed-width, digits-only decimal field (a 4-digit year, a
 // 6-digit microsecond count): no sign, and the caller bounds the width.
-//
-//ldvet:hotpath
 func Digits(b []byte) (int, bool) {
 	n := 0
 	for _, c := range b {

@@ -100,16 +100,33 @@ func TestCheckLineBytesMatchesCheckLine(t *testing.T) {
 }
 
 // TestNumericParsersZeroAlloc gates the steady-state hot path: parsing a
-// well-formed in-range number must not allocate.
+// well-formed in-range number, or rejecting a non-numeric one (the parsers
+// drop an unparseable field, they do not fail the line), must not allocate.
 func TestNumericParsersZeroAlloc(t *testing.T) {
 	in := []byte("1365000000")
 	neg := []byte("-265")
+	bad := []byte("12a")
 	if n := testing.AllocsPerRun(200, func() {
 		Atoi(in)
 		Atoi(neg)
 		ParseInt64(in)
 		ParseInt64(neg)
 		ParseUint64(in)
+		if _, ok := Atoi(bad); ok {
+			t.Fatal("Atoi accepted 12a")
+		}
+		if _, ok := ParseInt64(bad); ok {
+			t.Fatal("ParseInt64 accepted 12a")
+		}
+		if _, ok := ParseUint64(bad); ok {
+			t.Fatal("ParseUint64 accepted 12a")
+		}
+		if _, ok := Digits2('1', 'x'); ok {
+			t.Fatal("Digits2 accepted 1x")
+		}
+		if _, ok := Digits(bad); ok {
+			t.Fatal("Digits accepted 12a")
+		}
 	}); n != 0 {
 		t.Errorf("numeric fast paths allocate %.1f allocs/op, want 0", n)
 	}

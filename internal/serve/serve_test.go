@@ -173,8 +173,16 @@ func TestOutcomesEndpoint(t *testing.T) {
 	if o.Epoch != 1 || o.TotalRuns == 0 {
 		t.Fatalf("outcomes: %+v", o)
 	}
-	if len(o.Outcomes) != 4 {
-		t.Fatalf("want 4 outcome rows, got %d", len(o.Outcomes))
+	// One row per outcome, enumerated up to String's fallback (correlate's
+	// TestOutcomeString pins that String names every member).
+	i := 0
+	for oc := correlate.OutcomeSuccess; !strings.HasPrefix(oc.String(), "OUTCOME("); oc, i = oc+1, i+1 {
+		if i >= len(o.Outcomes) || o.Outcomes[i].Outcome != oc.String() {
+			t.Errorf("outcome row %d is not %v", i, oc)
+		}
+	}
+	if i != len(o.Outcomes) {
+		t.Fatalf("want %d outcome rows, got %d", i, len(o.Outcomes))
 	}
 	var sum int
 	for _, row := range o.Outcomes {

@@ -146,8 +146,6 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 // malformed-line samples are per-shard provenance and are dropped from the
 // merged view (fetch a ?machine= view to see them), which keeps the merge
 // independent of fold order.
-//
-//ldvet:hotpath
 func mergeParse(a, b core.ParseStats) core.ParseStats {
 	return core.ParseStats{
 		AccountingRecords:   a.AccountingRecords + b.AccountingRecords,
@@ -167,7 +165,6 @@ func mergeParse(a, b core.ParseStats) core.ParseStats {
 	}
 }
 
-//ldvet:hotpath
 func mergeDetail(a, b parse.LineStats) parse.LineStats {
 	k := a.Kinds
 	k.Merge(b.Kinds)
@@ -176,8 +173,6 @@ func mergeDetail(a, b parse.LineStats) parse.LineStats {
 
 // mergeIngest sums ingestion history: the merged snapshot's build cost is
 // the total cost of building its parts.
-//
-//ldvet:hotpath
 func mergeIngest(a, b IngestStats) IngestStats {
 	return IngestStats{
 		Rounds:          a.Rounds + b.Rounds,

@@ -174,8 +174,6 @@ func OrderedRecycledBlocks[Out any](r io.Reader, blockSize, workers int, apply f
 // bufio.ScanLines: lines are terminated by '\n', one trailing '\r' is
 // stripped, and a final unterminated line is still yielded. Empty lines are
 // yielded too; skipping them is caller policy.
-//
-//ldvet:hotpath
 func ForEachLine(block []byte, fn func(line []byte)) {
 	for len(block) > 0 {
 		var line []byte

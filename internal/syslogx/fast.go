@@ -29,8 +29,6 @@ type LineView struct {
 // encoding/oversize checks or the format parse return a typed *parse.Error,
 // and everything else yields the parsed LineView. It allocates only on
 // malformed or non-canonical input.
-//
-//ldvet:hotpath
 func CheckLineBytes(b []byte) (v LineView, skip bool, perr *parse.Error) {
 	if parse.Blank(b) {
 		return LineView{}, true, nil
@@ -84,8 +82,6 @@ func errBytes(kind parse.Kind, line []byte, reason string) *parse.Error {
 // allocating. ok is false for anything else (including numeric zone
 // offsets, which are rare and routed through time.Parse so Local-zone
 // resolution matches exactly).
-//
-//ldvet:hotpath
 func parseStampFast(b []byte) (time.Time, bool) {
 	if len(b) != 27 || b[26] != 'Z' {
 		return time.Time{}, false

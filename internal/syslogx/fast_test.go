@@ -99,16 +99,26 @@ func TestParseStampFastAgreesWithLayout(t *testing.T) {
 	}
 }
 
-// TestCheckLineBytesZeroAlloc gates the per-line fast path: a canonical
-// Zulu-stamped line must scan without allocating.
+// TestCheckLineBytesZeroAlloc gates the per-line fast path: every accepting
+// branch — a tag with a body, a tag with none — and the blank-line skip must
+// scan a canonical Zulu-stamped line without allocating.
 func TestCheckLineBytesZeroAlloc(t *testing.T) {
-	line := []byte("2013-04-03T12:34:56.123456Z c0-0c0s0n1 kernel: machine check exception")
-	if n := testing.AllocsPerRun(200, func() {
-		_, skip, perr := CheckLineBytes(line)
-		if skip || perr != nil {
-			t.Fatal("canonical line rejected")
+	for _, tc := range []struct {
+		line string
+		skip bool
+	}{
+		{"2013-04-03T12:34:56.123456Z c0-0c0s0n1 kernel: machine check exception", false},
+		{"2013-04-03T12:34:56.123456Z host tag:", false},
+		{"  ", true},
+	} {
+		line := []byte(tc.line)
+		if n := testing.AllocsPerRun(200, func() {
+			_, skip, perr := CheckLineBytes(line)
+			if skip != tc.skip || perr != nil {
+				t.Fatalf("CheckLineBytes(%q) = skip %v, err %v; want skip %v", tc.line, skip, perr, tc.skip)
+			}
+		}); n != 0 {
+			t.Errorf("CheckLineBytes(%q) allocates %.1f allocs/op on the fast path, want 0", tc.line, n)
 		}
-	}); n != 0 {
-		t.Errorf("CheckLineBytes allocates %.1f allocs/op on the fast path, want 0", n)
 	}
 }

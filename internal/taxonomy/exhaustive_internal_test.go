@@ -1,6 +1,7 @@
 package taxonomy
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -8,9 +9,9 @@ import (
 // TestCategoryTablesExhaustive pins the add-a-category checklist: anyone
 // inserting a new leaf before numCategories must also extend categoryNames
 // (and therefore ParseCategory, which iterates it) and assign the leaf to a
-// top-level group. The static half of this guarantee — switch statements
-// over Category staying exhaustive — is enforced by cmd/ldvet; this is the
-// dynamic half for the map-driven lookups a switch analyzer cannot see.
+// top-level group. The tests below do the same for Severity and Group: every
+// switch over these enums keeps a safe default, so a member a table forgets
+// fails here rather than nowhere.
 func TestCategoryTablesExhaustive(t *testing.T) {
 	if len(categoryNames) != int(numCategories) {
 		t.Errorf("categoryNames has %d entries, want %d (one per category incl. Unclassified)",
@@ -40,9 +41,10 @@ func TestCategoryTablesExhaustive(t *testing.T) {
 	}
 }
 
-// TestSeverityTablesExhaustive is the same guarantee for Severity.
+// TestSeverityTablesExhaustive is the same guarantee for Severity: every
+// member up to numSeverities has a mnemonic that ParseSeverity reads back.
 func TestSeverityTablesExhaustive(t *testing.T) {
-	for _, s := range []Severity{SevInfo, SevWarning, SevError, SevCritical} {
+	for s := SevInfo; s < numSeverities; s++ {
 		name := s.String()
 		if strings.HasPrefix(name, "SEVERITY(") {
 			t.Errorf("severity %d has no mnemonic", int(s))
@@ -51,6 +53,29 @@ func TestSeverityTablesExhaustive(t *testing.T) {
 		back, ok := ParseSeverity(name)
 		if !ok || back != s {
 			t.Errorf("ParseSeverity(%q) = (%v,%v), want (%v,true)", name, back, ok, s)
+		}
+	}
+}
+
+// TestGroupTablesExhaustive: every group up to numGroups has a name, Groups
+// lists every group but GroupUnknown in declaration order, and each listed
+// group holds at least one category.
+func TestGroupTablesExhaustive(t *testing.T) {
+	var want []Group
+	for g := GroupUnknown; g < numGroups; g++ {
+		if strings.HasPrefix(g.String(), "GROUP(") {
+			t.Errorf("group %d has no name in groupNames", int(g))
+		}
+		if g != GroupUnknown {
+			want = append(want, g)
+		}
+	}
+	if got := Groups(); !slices.Equal(got, want) {
+		t.Errorf("Groups() = %v, want %v", got, want)
+	}
+	for _, g := range want {
+		if !slices.ContainsFunc(Categories(), func(c Category) bool { return c.Group() == g }) {
+			t.Errorf("group %v has no category", g)
 		}
 	}
 }

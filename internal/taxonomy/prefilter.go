@@ -452,8 +452,6 @@ func (p *Prefilter) Match(msg []byte) bool {
 // does not retain msg and does not allocate on the steady-state path. One
 // scan reports every rule whose filter passed; those, and the rules without
 // a filter, are then decided in rule order — first match wins.
-//
-//ldvet:hotpath
 func (c *Classifier) ClassifyBytes(msg []byte) (Category, Severity) {
 	sc := c.m.scan(msg)
 	// Ordered-chain hits decide the match outright only on newline-free

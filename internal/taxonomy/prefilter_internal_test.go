@@ -172,7 +172,8 @@ func TestDefaultRulesAllPrefiltered(t *testing.T) {
 
 // TestClassifyBytesZeroAlloc gates the classification path: the scan and
 // the verdict allocate nothing — on a rule hit, on an unclassified message,
-// and under a rule set an order of magnitude larger than the built-in one —
+// on the non-ASCII runes the scan folds, and under a rule set an order of
+// magnitude larger than the built-in one —
 // and where a regexp has to confirm (a message with '\n', a rule whose
 // filter is not exact) ClassifyBytes adds nothing to what the regexp call
 // itself allocates.
@@ -199,6 +200,8 @@ func TestClassifyBytesZeroAlloc(t *testing.T) {
 		{"200 rules, miss", NewClassifier(many), "unit200 reported an error", nil},
 		{"newline", Default(), "Lustre: request x99 timed out\nresending", defaultRules()[12].Pattern},
 		{"admitting filter", NewClassifier([]Rule{admitting}), "ERR42 on LNet", admitting.Pattern},
+		{"admitting filter, literal seen twice", NewClassifier([]Rule{admitting}), "ERR42 on LNet after err7", admitting.Pattern},
+		{"folded runes", Default(), "Machine Chec\u212a Exception: corrected DRAM error on \u017focket \u00e9", nil},
 	}
 	for _, tt := range tests {
 		msg := []byte(tt.msg)

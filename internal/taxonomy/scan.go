@@ -205,8 +205,6 @@ func (sc *scratch) release() {
 // fold in the class map, the two non-ASCII runes that (?i) folds onto ASCII
 // — U+212A KELVIN SIGN with 'k', U+017F LONG S with 's' — are read as those
 // letters, so a filter cannot miss a message the regexp would match.
-//
-//ldvet:hotpath
 func (m *matcher) scan(msg []byte) *scratch {
 	sc := m.acquire()
 	next, class, firstOut, s := m.next, &m.class, m.firstOut, uint32(0)
@@ -234,8 +232,6 @@ func (m *matcher) scan(msg []byte) *scratch {
 // next one and only if it starts at or after the previous literal's end;
 // literals arrive in order of their end, so the first one taken is the
 // leftmost, which is what makes the greedy match exact.
-//
-//ldvet:hotpath
 func (m *matcher) advance(s uint32, end int32, sc *scratch) {
 	o := (s - m.firstOut) / m.stride
 	for _, u := range m.uses[m.outStart[o]:m.outStart[o+1]] {

@@ -118,6 +118,8 @@ const (
 	GroupFilesystem
 	GroupNode
 	GroupSoftware
+
+	numGroups // sentinel; keep last
 )
 
 var groupNames = map[Group]string{
@@ -145,7 +147,6 @@ func Groups() []Group {
 
 // Group returns the top-level class of the category.
 func (c Category) Group() Group {
-	//ldvet:exhaustive
 	switch c {
 	case Unclassified:
 		return GroupUnknown
@@ -178,11 +179,12 @@ const (
 	SevWarning
 	SevError
 	SevCritical
+
+	numSeverities // sentinel; keep last
 )
 
 // String returns the severity mnemonic.
 func (s Severity) String() string {
-	//ldvet:exhaustive
 	switch s {
 	case SevInfo:
 		return "INFO"
@@ -265,7 +267,6 @@ func (c *Classifier) Rules() []Rule {
 // come first.
 func defaultRules() []Rule {
 	mk := func(name, pat string, cat Category, sev Severity) Rule {
-		//ldvet:allow regexp-compile — runs once at package init via DefaultClassifier
 		return Rule{Name: name, Pattern: regexp.MustCompile(pat), Category: cat, Severity: sev}
 	}
 	return []Rule{

@@ -150,12 +150,27 @@ func TestClassifierRulesCopied(t *testing.T) {
 	}
 }
 
+// TestTagCoversAllGroups: Tag is a function of the group, so every category
+// of a group logs under one non-empty tag. Tag's "kernel" default is a
+// designed fallback, not a missing case; TestGroupTablesExhaustive is what
+// fails when a group is added.
 func TestTagCoversAllGroups(t *testing.T) {
 	seen := map[string]bool{}
-	for _, c := range taxonomy.Categories() {
-		tag := errlog.Tag(c)
+	for _, g := range taxonomy.Groups() {
+		tag := ""
+		for _, c := range taxonomy.Categories() {
+			if c.Group() != g {
+				continue
+			}
+			if tag == "" {
+				tag = errlog.Tag(c)
+			}
+			if got := errlog.Tag(c); got != tag {
+				t.Errorf("Tag(%v) = %q, want the %v group's tag %q", c, got, g, tag)
+			}
+		}
 		if tag == "" {
-			t.Errorf("Tag(%v) is empty", c)
+			t.Errorf("group %v has no category, or an empty tag", g)
 		}
 		seen[tag] = true
 	}

@@ -3,6 +3,7 @@ package whatif
 import (
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -122,6 +123,18 @@ func TestNoopByteIdentical(t *testing.T) {
 	if bl.BankedNodeHours != 0 || bl.CheckpointOverheadNodeHours != 0 || bl.RestartOverheadNodeHours != 0 ||
 		bl.RunsRecovered != 0 || bl.RunsDetected != 0 || bl.RetriesAttempted != 0 {
 		t.Errorf("baseline has policy machinery engaged: %+v", bl)
+	}
+}
+
+// TestOutcomeLabelsCoverEveryOutcome: the per-policy accumulators index a
+// correlate outcome by its value, below idxRecovered, so every outcome needs
+// a row of its own there. Outcomes are enumerated up to String's fallback;
+// correlate's TestOutcomeString pins that String names every member.
+func TestOutcomeLabelsCoverEveryOutcome(t *testing.T) {
+	for o := correlate.OutcomeSuccess; !strings.HasPrefix(o.String(), "OUTCOME("); o++ {
+		if i := int(o) - 1; int(o) >= idxRecovered || outcomeLabels[i].idx != int(o) || outcomeLabels[i].label != o.String() {
+			t.Errorf("outcome %v has no row of its own below idxRecovered %d", o, idxRecovered)
+		}
 	}
 }
 

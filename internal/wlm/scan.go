@@ -59,8 +59,6 @@ type ScanRecord struct {
 // checks or the format parse return a typed *parse.Error, and everything else
 // yields the parsed ScanRecord. Timestamps are interpreted in loc (UTC if
 // nil). It allocates only on malformed or non-canonical input.
-//
-//ldvet:hotpath
 func CheckLineBytes(b []byte, loc *time.Location) (r ScanRecord, skip bool, perr *parse.Error) {
 	if loc == nil {
 		loc = time.UTC
@@ -219,8 +217,6 @@ var (
 
 // spaceAt reports whether the byte sequence at b[i:] starts with a Unicode
 // space (the separator set of strings.Fields) and its encoded width.
-//
-//ldvet:hotpath
 func spaceAt(b []byte, i int) (bool, int) {
 	c := b[i]
 	if c < utf8.RuneSelf {
@@ -236,8 +232,6 @@ func errLine(kind parse.Kind, line []byte, reason string) *parse.Error {
 
 // parseWalltimeBytes parses the HH:MM:SS convention with the exact
 // acceptance of ParseWalltime, without allocating.
-//
-//ldvet:hotpath
 func parseWalltimeBytes(b []byte) (time.Duration, bool) {
 	c1 := bytes.IndexByte(b, ':')
 	if c1 < 0 {
@@ -270,8 +264,6 @@ func parseWalltimeBytes(b []byte) (time.Duration, bool) {
 // ("01/02/2006 15:04:05") without allocating. Deviations (including the
 // 1-digit hours time.Parse tolerates) return ok == false and take the
 // time.ParseInLocation fallback, which is authoritative.
-//
-//ldvet:hotpath
 func parseStampFastWlm(b []byte, loc *time.Location) (time.Time, bool) {
 	if len(b) != 19 || b[2] != '/' || b[5] != '/' || b[10] != ' ' || b[13] != ':' || b[16] != ':' {
 		return time.Time{}, false
@@ -297,15 +289,12 @@ func parseStampFastWlm(b []byte, loc *time.Location) (time.Time, bool) {
 // user/account/queue) are copied out of the caller's buffer, the short
 // per-job strings through the assembler's intern table so repeated values
 // share storage.
-//
-//ldvet:hotpath
 func (a *Assembler) AddScan(r ScanRecord) error {
 	if len(r.JobID) == 0 {
 		return fmt.Errorf("wlm: record with empty job id")
 	}
 	j := a.jobs[string(r.JobID)]
 	if j == nil {
-		//ldvet:allow hotpath-alloc — one allocation per job, amortized across its records
 		j = &Job{ID: string(r.JobID)}
 		a.jobs[j.ID] = j
 	}
@@ -357,13 +346,10 @@ func (a *Assembler) AddScan(r ScanRecord) error {
 }
 
 // intern returns a canonical string for b, copying it at most once.
-//
-//ldvet:hotpath
 func (a *Assembler) intern(b []byte) string {
 	if s, ok := a.interned[string(b)]; ok {
 		return s
 	}
-	//ldvet:allow hotpath-alloc — first-sight copy into the intern cache
 	s := string(b)
 	a.interned[s] = s
 	return s
@@ -378,8 +364,6 @@ func (a *Assembler) intern(b []byte) string {
 // concatenating results in block order reproduces a sequential scan. The
 // returned records hold views into block; callers must fold them (AddScan
 // copies what it retains) before the block's buffer is reused.
-//
-//ldvet:hotpath
 func ScanBlockMode(block []byte, loc *time.Location, firstLine int, mode parse.Mode) (recs []ScanRecord, stats parse.LineStats, err error) {
 	if loc == nil {
 		loc = time.UTC

@@ -184,15 +184,30 @@ func TestAddScanMatchesAdd(t *testing.T) {
 }
 
 // TestCheckLineBytesZeroAlloc gates the per-line fast path: scanning a
-// canonical well-formed record must not allocate.
+// canonical record and folding it into an assembler that has seen its job
+// must not allocate, on every accepting branch — each record type, a Unicode
+// field separator, unparseable numerics and walltimes (dropped, not errors),
+// the nil location — and on the blank-line skip.
 func TestCheckLineBytesZeroAlloc(t *testing.T) {
-	line := []byte("04/03/2013 12:00:00;S;123.bw;user=bob account=acct queue=debug Resource_List.nodect=128 Resource_List.walltime=12:00:00 ctime=1364995000 start=1364996000")
-	if n := testing.AllocsPerRun(200, func() {
-		_, skip, perr := CheckLineBytes(line, time.UTC)
-		if skip || perr != nil {
-			t.Fatal("canonical line rejected")
+	lines := []string{
+		"04/03/2013 12:00:00;S;123.bw;user=bob account=acct queue=debug Resource_List.nodect=128 Resource_List.walltime=12:00:00 ctime=1364995000 start=1364996000",
+		"04/03/2013 13:00:00;E;123.bw;user=bob\u00a0resources_used.walltime=02:30:15 Exit_status=265",
+		"04/03/2013 13:00:00;A;123.bw;Resource_List.nodect=x ctime=x start=x end=x Exit_status=x",
+		"04/03/2013 13:00:00;Q;123.bw;Resource_List.walltime=12 resources_used.walltime=12:00",
+		"04/03/2013 13:00:00;D;123.bw;Resource_List.walltime=1:2:3:4 resources_used.walltime=x:00:00",
+		"04/03/2013 13:00:00;E;124.bw;Resource_List.walltime=1:60:00 resources_used.walltime=1:00:60",
+		"   ",
+	}
+	asm := NewAssembler() // AllocsPerRun's warm-up call is each job's first sight
+	for _, line := range lines {
+		b, blank := []byte(line), parse.Blank([]byte(line))
+		if n := testing.AllocsPerRun(200, func() {
+			r, skip, perr := CheckLineBytes(b, nil)
+			if skip != blank || perr != nil || (!skip && asm.AddScan(r) != nil) {
+				t.Fatalf("CheckLineBytes(%q) = skip %v, err %v", line, skip, perr)
+			}
+		}); n != 0 {
+			t.Errorf("CheckLineBytes+AddScan(%q) allocates %.1f allocs/op, want 0", line, n)
 		}
-	}); n != 0 {
-		t.Errorf("CheckLineBytes allocates %.1f allocs/op on the fast path, want 0", n)
 	}
 }
