@@ -1,12 +1,22 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"logdiver"
 	"logdiver/internal/fleet"
+	"logdiver/internal/persist"
+	"logdiver/internal/report"
+	"logdiver/internal/rulecheck"
+	"logdiver/internal/store"
 )
 
 // runCapture runs the CLI with stdout redirected to a buffer file.
@@ -102,12 +112,225 @@ func TestAnalyzeFleetConfig(t *testing.T) {
 			t.Errorf("fleet report missing %q", want)
 		}
 	}
+}
 
-	// All three formats render.
-	for _, format := range []string{"ascii", "csv"} {
-		if _, err := runCapture(t, []string{"analyze", "-fleet-config", filepath.Join(out, "fleet.conf"), "-format", format}); err != nil {
-			t.Fatalf("format %s: %v", format, err)
+// referenceFleet is the batch path analyze -fleet-config ran before it ran
+// the daemon's runtime, kept as that runtime's oracle: every shard's archive
+// directory through logdiver.Analyze (a missing archive reads as empty; the
+// fixtures set no tz, so UTC) and store.Build, stamped with the shard's name,
+// the snapshots folded by store.Merge. The error of a failing shard names it.
+func referenceFleet(confPath string, opts logdiver.Options) ([]fleet.ShardStatus, *store.Snapshot, error) {
+	cfg, err := fleet.LoadConfig(confPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	var shards []fleet.ShardStatus
+	var snaps []*store.Snapshot
+	for _, sc := range cfg.Shards {
+		snap, err := referenceShard(sc, opts)
+		if err != nil {
+			return nil, nil, fmt.Errorf("shard %q: %w", sc.Name, err)
 		}
+		shards = append(shards, fleet.ShardStatus{Name: sc.Name, Snap: snap})
+		snaps = append(snaps, snap)
+	}
+	return shards, store.Merge(snaps...), nil
+}
+
+func referenceShard(sc fleet.ShardConfig, opts logdiver.Options) (*store.Snapshot, error) {
+	top, err := fleet.Topology(sc.Machine)
+	if err != nil {
+		return nil, err
+	}
+	archives := logdiver.Archives{Location: time.UTC}
+	for _, a := range []struct {
+		name string
+		dst  *io.Reader
+	}{
+		{store.AccountingFile, &archives.Accounting},
+		{store.ApsysFile, &archives.Apsys},
+		{store.SyslogFile, &archives.Syslog},
+	} {
+		b, err := os.ReadFile(filepath.Join(sc.ArchiveDir, a.name))
+		if err != nil && !os.IsNotExist(err) {
+			return nil, err
+		}
+		if err == nil {
+			*a.dst = bytes.NewReader(b)
+		}
+	}
+	res, err := logdiver.Analyze(archives, top, opts)
+	if err != nil {
+		return nil, err
+	}
+	snap, err := store.Build(res, top, store.IngestStats{Rounds: 1}, time.Now())
+	if err != nil {
+		return nil, err
+	}
+	snap.Machine = sc.Name
+	return snap, nil
+}
+
+// matchReference checks that analyze -fleet-config conf, with flags, prints
+// referenceFleet's F1-F3 under opts byte for byte in every format, and
+// returns what it printed in csv.
+func matchReference(t *testing.T, name, conf string, flags []string, opts logdiver.Options) string {
+	t.Helper()
+	shards, merged, err := referenceFleet(conf, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got string
+	for _, format := range []string{"ascii", "md", "csv"} {
+		var want strings.Builder
+		if err := report.Write(&want, format, fleetTables(shards, merged)); err != nil {
+			t.Fatal(err)
+		}
+		got, err = runCapture(t, append([]string{"analyze", "-fleet-config", conf, "-format", format}, flags...))
+		if err != nil {
+			t.Fatalf("%s %s: %v", name, format, err)
+		}
+		if got != want.String() {
+			t.Errorf("%s %s: analyze -fleet-config printed\n%s\nthe reference prints\n%s", name, format, got, want.String())
+		}
+	}
+	return got
+}
+
+// tear removes the newline that ends a file, leaving its last line
+// unterminated, as a crash or a copy of a live log does.
+func tear(t *testing.T, path string) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(b, []byte("\n")) {
+		t.Fatalf("%s does not end in a newline", path)
+	}
+	if err := os.WriteFile(path, b[:len(b)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAnalyzeFleetMatchesReference holds analyze -fleet-config, which runs a
+// fleet.Manager, to referenceFleet: F1-F3 byte for byte in every format,
+// with the built-in taxonomy, with a -rules file (which the command once
+// ignored under -fleet-config) and with a shard whose archives end in an
+// unterminated line; and in strict mode over a fleet with one malformed
+// line, terminated or not, the same error, naming the shard.
+func TestAnalyzeFleetMatchesReference(t *testing.T) {
+	out := t.TempDir()
+	if err := run([]string{"generate", "-fleet", "3", "-days", "1", "-seed", "9", "-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	conf := filepath.Join(out, "fleet.conf")
+	rulePath := filepath.Join(out, "site.rules")
+	if err := os.WriteFile(rulePath, []byte("hb NODE_HEARTBEAT CRIT (?i)heartbeat fault\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	siteRules, _, err := rulecheck.LoadClassifier(rulePath, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	builtin := matchReference(t, "builtin", conf, nil, logdiver.Options{})
+	withRules := matchReference(t, "rules", conf, []string{"-rules", rulePath, "-validate-rules=false"},
+		logdiver.Options{Classifier: siteRules})
+	if withRules == builtin {
+		t.Error("the -rules file changed nothing: the fixture cannot tell it was applied")
+	}
+
+	// A live tail holds an unterminated last line back for its writer; a
+	// batch analysis reads it, as logdiver.Analyze does.
+	for _, name := range []string{store.AccountingFile, store.ApsysFile, store.SyslogFile} {
+		tear(t, filepath.Join(out, "m02", name))
+	}
+	matchReference(t, "torn", conf, nil, logdiver.Options{})
+
+	// Strict mode: the generated syslogs carry malformed lines by design, so
+	// drop them and corrupt one line of one shard's accounting archive.
+	for _, m := range []string{"m00", "m01", "m02"} {
+		if err := os.Remove(filepath.Join(out, m, store.SyslogFile)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := runCapture(t, []string{"analyze", "-fleet-config", conf, "-parse-mode", "strict"}); err != nil {
+		t.Fatalf("strict analysis of the clean fleet: %v", err)
+	}
+	acc := filepath.Join(out, "m01", store.AccountingFile)
+	b, err := os.ReadFile(acc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(acc, append(b, "not an accounting record\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, last := range []string{"terminated", "torn"} {
+		if last == "torn" {
+			tear(t, acc)
+		}
+		_, _, wantErr := referenceFleet(conf, logdiver.Options{ParseMode: logdiver.ParseStrict})
+		_, gotErr := runCapture(t, []string{"analyze", "-fleet-config", conf, "-parse-mode", "strict"})
+		if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() || !strings.Contains(gotErr.Error(), `shard "m01"`) {
+			t.Errorf("strict analysis with a malformed %s last m01 line: err %v, reference %v; want the same error naming shard m01", last, gotErr, wantErr)
+		}
+	}
+}
+
+// TestAnalyzeFleetRejectsRules: under -fleet-config a -rules file goes
+// through the same linter gate as in a single-archive analysis.
+func TestAnalyzeFleetRejectsRules(t *testing.T) {
+	out := t.TempDir()
+	if err := run([]string{"generate", "-fleet", "2", "-days", "1", "-seed", "9", "-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := runCapture(t, []string{"analyze", "-fleet-config", filepath.Join(out, "fleet.conf"), "-rules", shadowedRules})
+	if err == nil || !strings.Contains(err.Error(), "rulecheck") {
+		t.Errorf("analyze -fleet-config accepted a rule set with error findings (err=%v)", err)
+	}
+}
+
+// TestAnalyzeFleetIgnoresStateDirs: generate writes a fleet.conf whose
+// shards name state dirs, the ones a daemon on the same file uses. A batch
+// analysis reads none of them — in strict mode an unusable state file would
+// be a startup error — and creates nothing there.
+func TestAnalyzeFleetIgnoresStateDirs(t *testing.T) {
+	out := t.TempDir()
+	if err := run([]string{"generate", "-fleet", "2", "-days", "1", "-seed", "9", "-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []string{"m00", "m01"} {
+		if err := os.Remove(filepath.Join(out, m, store.SyslogFile)); err != nil { // malformed by design
+			t.Fatal(err)
+		}
+	}
+	stateRoot := filepath.Join(out, "state")
+	planted := filepath.Join(stateRoot, "m00", persist.StateFile)
+	if err := os.MkdirAll(filepath.Dir(planted), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(planted, []byte("not a state file"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runCapture(t, []string{"analyze", "-fleet-config", filepath.Join(out, "fleet.conf"), "-parse-mode", "strict"}); err != nil {
+		t.Fatalf("analysis read a shard's state: %v", err)
+	}
+	var files []string
+	err := filepath.WalkDir(stateRoot, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			files = append(files, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 || files[0] != planted {
+		t.Errorf("state tree after analysis: %v, want only the planted %s", files, planted)
+	}
+	if b, err := os.ReadFile(planted); err != nil || string(b) != "not a state file" {
+		t.Errorf("planted state file changed: %q, %v", b, err)
 	}
 }
 

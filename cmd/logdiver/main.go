@@ -8,7 +8,7 @@
 //	    [-truth truth.jsonl] [-machine bluewaters|small] [-format ascii|md|csv]
 //	    [-rules site-rules.txt] [-parallelism N] [-parse-mode lenient|strict]
 //	logdiver analyze -fleet-config fleet.conf [-format ascii|md|csv] \
-//	    [-parallelism N] [-parse-mode lenient|strict] [-tz ZONE]
+//	    [-rules site-rules.txt] [-parallelism N] [-parse-mode lenient|strict] [-tz ZONE]
 //	logdiver coalesce -syslog sys.log [-machine bluewaters|small] \
 //	    [-temporal 5m] [-spatial 2m] [-top 25]
 //	logdiver avail -syslog sys.log [-machine bluewaters|small] [-top 5]
@@ -53,9 +53,10 @@
 // production windows, which the serving smoke tests append to a live
 // logdiverd data directory.
 //
-// analyze -fleet-config runs the offline pipeline over every shard of a
-// fleet config (one archive directory per machine), folds the per-machine
-// snapshots with the exact store merge, and prints the fleet tables (F1-F3).
+// analyze -fleet-config runs logdiverd's runtime (internal/fleet) over every
+// shard of a fleet config (one archive directory per machine) until the
+// archives are drained, without reading or writing the shards' state, and
+// prints the fleet tables (F1-F3) of its merged view.
 // generate -fleet K lays out a K-machine small-profile fleet under -out —
 // one archive subdirectory per machine plus a ready-to-run fleet.conf —
 // while -fleet-window W appends production window W to the existing shard
@@ -92,9 +93,8 @@ import (
 	"io"
 	"os"
 	"sort"
-	"time"
-
 	"strings"
+	"time"
 
 	"logdiver"
 	"logdiver/internal/avail"
@@ -103,6 +103,7 @@ import (
 	"logdiver/internal/gen"
 	"logdiver/internal/metrics"
 	"logdiver/internal/mutate"
+	"logdiver/internal/report"
 	"logdiver/internal/rulecheck"
 	"logdiver/internal/taxonomy"
 	"logdiver/internal/version"
@@ -176,14 +177,21 @@ func analyze(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *fleetCfg != "" {
-		if *accPath != "" || *apsPath != "" || *sysPath != "" || *truth != "" {
-			return fmt.Errorf("analyze: -fleet-config is mutually exclusive with -accounting/-apsys/-syslog/-truth")
-		}
-		return analyzeFleet(*fleetCfg, logdiver.Options{Parallelism: *par, ParseMode: parseMode}, *timezone, *format)
+	if *fleetCfg != "" && (*accPath != "" || *apsPath != "" || *sysPath != "" || *truth != "") {
+		return fmt.Errorf("analyze: -fleet-config is mutually exclusive with -accounting/-apsys/-syslog/-truth")
 	}
-	if *apsPath == "" {
+	if *fleetCfg == "" && *apsPath == "" {
 		return fmt.Errorf("analyze: -apsys is required (application runs are the unit of analysis)")
+	}
+	cls, _, err := rulecheck.LoadClassifier(*rules, *validate, func(fd rulecheck.Finding) {
+		fmt.Fprintf(os.Stderr, "logdiver: %s: %s\n", *rules, fd)
+	})
+	if err != nil {
+		return err
+	}
+	opts := logdiver.Options{Parallelism: *par, ParseMode: parseMode, Classifier: cls}
+	if *fleetCfg != "" {
+		return analyzeFleet(*fleetCfg, opts, *timezone, *format)
 	}
 
 	archives, top, closeAll, err := openArchives(*accPath, *apsPath, *sysPath, *machine, *timezone)
@@ -191,31 +199,6 @@ func analyze(args []string) error {
 		return err
 	}
 	defer closeAll()
-
-	opts := logdiver.Options{Parallelism: *par, ParseMode: parseMode}
-	if *rules != "" {
-		f, err := os.Open(*rules)
-		if err != nil {
-			return err
-		}
-		parsed, err := taxonomy.ReadRuleFile(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		if *validate {
-			cls, findings, err := rulecheck.NewValidatedClassifier(parsed, rulecheck.Options{})
-			for _, fd := range findings {
-				fmt.Fprintf(os.Stderr, "logdiver: %s: %s\n", *rules, fd)
-			}
-			if err != nil {
-				return fmt.Errorf("%s: %w (rerun with -validate-rules=false to override)", *rules, err)
-			}
-			opts.Classifier = cls
-		} else {
-			opts.Classifier = taxonomy.NewClassifier(taxonomy.Rules(parsed))
-		}
-	}
 	res, err := logdiver.Analyze(archives, top, opts)
 	if err != nil {
 		return err
@@ -247,38 +230,7 @@ func analyze(args []string) error {
 	if err != nil {
 		return err
 	}
-	for _, tbl := range tables {
-		var renderErr error
-		switch *format {
-		case "ascii":
-			renderErr = tbl.Render(os.Stdout)
-			fmt.Println()
-		case "md":
-			renderErr = tbl.RenderMarkdown(os.Stdout)
-		case "csv":
-			fmt.Printf("# %s: %s\n", tbl.ID, tbl.Title)
-			renderErr = tbl.RenderCSV(os.Stdout)
-		default:
-			return fmt.Errorf("unknown format %q", *format)
-		}
-		if renderErr != nil {
-			return renderErr
-		}
-	}
-	return nil
-}
-
-// topologyFor builds the topology of the machine model a -machine flag value
-// (or a fleet shard's machine profile) names.
-func topologyFor(name string) (*logdiver.Topology, error) {
-	switch name {
-	case fleet.MachineBlueWaters:
-		return logdiver.NewTopology(logdiver.BlueWaters())
-	case fleet.MachineSmall:
-		return logdiver.NewTopology(logdiver.SmallMachine())
-	default:
-		return nil, fmt.Errorf("unknown machine %q", name)
-	}
+	return report.Write(os.Stdout, *format, tables)
 }
 
 // analyzeSyslog runs the pipeline over a syslog archive alone: its Result
@@ -300,7 +252,7 @@ func analyzeSyslog(sysPath, machineName string) (*logdiver.Result, *logdiver.Top
 // of the three archive paths are non-empty. The caller calls closeAll when
 // the analysis is done. Shared by analyze, simulate, coalesce and avail.
 func openArchives(accPath, apsPath, sysPath, machineName, timezone string) (_ logdiver.Archives, _ *logdiver.Topology, closeAll func(), _ error) {
-	top, err := topologyFor(machineName)
+	top, err := fleet.Topology(machineName)
 	if err != nil {
 		return logdiver.Archives{}, nil, nil, err
 	}
@@ -442,25 +394,7 @@ func simulate(args []string) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
 	}
-	for _, tbl := range rep.Tables() {
-		var renderErr error
-		switch *format {
-		case "ascii":
-			renderErr = tbl.Render(os.Stdout)
-			fmt.Println()
-		case "md":
-			renderErr = tbl.RenderMarkdown(os.Stdout)
-		case "csv":
-			fmt.Printf("# %s: %s\n", tbl.ID, tbl.Title)
-			renderErr = tbl.RenderCSV(os.Stdout)
-		default:
-			return fmt.Errorf("unknown format %q", *format)
-		}
-		if renderErr != nil {
-			return renderErr
-		}
-	}
-	return nil
+	return report.Write(os.Stdout, *format, rep.Tables())
 }
 
 // lintRules runs the semantic rule-set linter over a rule file, or over
@@ -547,8 +481,7 @@ func coalesceCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	_, groups, stats := coalesce.Pipeline(res.Events, *temporal, *spatial)
-	stats.Raw = res.RawEvents
+	_, groups, stats := coalesce.Pipeline(res.Events, res.RawEvents, *temporal, *spatial)
 	fmt.Printf("%s\n\n", stats)
 	// Largest groups by raw-event volume first.
 	sort.Slice(groups, func(i, j int) bool { return groups[i].Events > groups[j].Events })
@@ -740,30 +673,7 @@ func generate(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		return err
-	}
-	write := func(name string, fn func(io.Writer) error) error {
-		f, err := os.Create(*out + "/" + name)
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write("accounting.log", func(w io.Writer) error { return ds.WriteAccounting(w) }); err != nil {
-		return err
-	}
-	if err := write("apsys.log", func(w io.Writer) error { return ds.WriteApsys(w) }); err != nil {
-		return err
-	}
-	if err := write("syslog.log", func(w io.Writer) error { return ds.WriteErrorLog(w) }); err != nil {
-		return err
-	}
-	if err := write("truth.jsonl", func(w io.Writer) error { return ds.WriteTruth(w) }); err != nil {
+	if err := ds.WriteDir(*out); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d jobs / %d runs / %d events to %s\n",

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -202,8 +204,7 @@ func TestCoalesceMatchesAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, want := coalesce.Pipeline(res.Events, coalesce.DefaultTemporalWindow, coalesce.DefaultSpatialWindow)
-	want.Raw = res.RawEvents
+	_, _, want := coalesce.Pipeline(res.Events, res.RawEvents, coalesce.DefaultTemporalWindow, coalesce.DefaultSpatialWindow)
 	if want.Tuples == want.Groups {
 		t.Fatalf("fixture cannot tell per-node tupling from collapsed tupling: %s", want)
 	}
@@ -313,6 +314,72 @@ func TestGenerateSubcommand(t *testing.T) {
 		if st.Size() == 0 {
 			t.Errorf("%s is empty", name)
 		}
+	}
+}
+
+// TestGenerateAnalyzeMatchesInMemory: `generate` followed by `analyze -truth
+// -format md` over its directory prints exactly the tables
+// logdiver.Experiments renders over the same dataset analyzed from
+// in-memory archives — the one-shot regeneration the two commands replace.
+func TestGenerateAnalyzeMatchesInMemory(t *testing.T) {
+	for _, tc := range []struct {
+		machine string
+		days    int
+		cfg     func(days int) logdiver.GeneratorConfig
+	}{
+		{"small", 3, logdiver.SmallGeneratorConfig},
+		{"bluewaters", 1, logdiver.ScaledGeneratorConfig},
+	} {
+		t.Run(tc.machine, func(t *testing.T) {
+			dir := t.TempDir()
+			days := strconv.Itoa(tc.days)
+			if err := run([]string{"generate", "-machine", tc.machine, "-days", days, "-seed", "7", "-out", dir}); err != nil {
+				t.Fatal(err)
+			}
+			got := captureStdout(t, func() {
+				if err := run([]string{"analyze", "-machine", tc.machine, "-format", "md",
+					"-accounting", filepath.Join(dir, "accounting.log"),
+					"-apsys", filepath.Join(dir, "apsys.log"),
+					"-syslog", filepath.Join(dir, "syslog.log"),
+					"-truth", filepath.Join(dir, "truth.jsonl"),
+				}); err != nil {
+					t.Fatal(err)
+				}
+			})
+
+			cfg := tc.cfg(tc.days)
+			cfg.Seed = 7
+			ds, err := logdiver.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var acc, aps, sys bytes.Buffer
+			for _, w := range []error{ds.WriteAccounting(&acc), ds.WriteApsys(&aps), ds.WriteErrorLog(&sys)} {
+				if w != nil {
+					t.Fatal(w)
+				}
+			}
+			res, err := logdiver.Analyze(logdiver.Archives{Accounting: &acc, Apsys: &aps, Syslog: &sys}, ds.Topology, logdiver.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables, err := logdiver.Experiments(res, ds.Topology, ds.Truth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want strings.Builder
+			for _, tbl := range tables {
+				if err := tbl.RenderMarkdown(&want); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !strings.Contains(got, "### E9:") || !strings.Contains(got, "### A2:") {
+				t.Fatalf("analyze -truth printed no truth tables:\n%s", got)
+			}
+			if got != want.String() {
+				t.Errorf("generate + analyze printed\n%s\nin-memory Experiments renders\n%s", got, want.String())
+			}
+		})
 	}
 }
 

@@ -55,7 +55,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -71,7 +70,6 @@ import (
 	"logdiver/internal/persist"
 	"logdiver/internal/rulecheck"
 	"logdiver/internal/serve"
-	"logdiver/internal/taxonomy"
 	"logdiver/internal/version"
 )
 
@@ -100,7 +98,6 @@ func run(args []string, onListen func(addr string)) error {
 		validate    = fs.Bool("validate-rules", true, "lint -rules files and reject rule sets with error-severity findings")
 		timezone    = fs.String("tz", "UTC", "accounting timestamp zone")
 		reqTimeout  = fs.Duration("request-timeout", serve.DefaultRequestTimeout, "per-request deadline for query endpoints")
-		cache       = fs.Bool("cache", true, "serve query responses from the per-epoch pre-encoded cache")
 		rateLimit   = fs.Float64("rate-limit", 0, "per-client requests/second on the data endpoints (0 = no rate limiting; excess gets 429 + Retry-After)")
 		rateBurst   = fs.Int("rate-burst", 0, "rate-limit token-bucket burst (0 = 2x the rate)")
 		maxInflight = fs.Int("max-inflight", 0, "bound on concurrently executing data-endpoint requests (0 = unbounded; excess gets immediate 503 + Retry-After)")
@@ -136,30 +133,15 @@ func run(args []string, onListen func(addr string)) error {
 	if err != nil {
 		return err
 	}
-	opts := logdiver.Options{Parallelism: *par, ParseMode: parseMode}
+	cls, rawRules, err := rulecheck.LoadClassifier(*rules, *validate, func(fd rulecheck.Finding) {
+		logger.Warn("rule finding", "file", *rules, "finding", fd.String())
+	})
+	if err != nil {
+		return err
+	}
 	rulesID := persist.RulesBuiltin
 	if *rules != "" {
-		raw, err := os.ReadFile(*rules)
-		if err != nil {
-			return err
-		}
-		rulesID = persist.HashRules(raw)
-		parsed, err := taxonomy.ReadRuleFile(bytes.NewReader(raw))
-		if err != nil {
-			return err
-		}
-		if *validate {
-			cls, findings, err := rulecheck.NewValidatedClassifier(parsed, rulecheck.Options{})
-			for _, fd := range findings {
-				logger.Warn("rule finding", "file", *rules, "finding", fd.String())
-			}
-			if err != nil {
-				return fmt.Errorf("%s: %w (rerun with -validate-rules=false to override)", *rules, err)
-			}
-			opts.Classifier = cls
-		} else {
-			opts.Classifier = taxonomy.NewClassifier(taxonomy.Rules(parsed))
-		}
+		rulesID = persist.HashRules(rawRules)
 	}
 
 	// One topology: -data-dir is a fleet of one, named after its profile.
@@ -173,7 +155,7 @@ func run(args []string, onListen func(addr string)) error {
 	}
 	mgr, err := fleet.NewManager(fleet.ManagerConfig{
 		Config:          fcfg,
-		Options:         opts,
+		Options:         logdiver.Options{Parallelism: *par, ParseMode: parseMode, Classifier: cls},
 		TimeZone:        *timezone,
 		RulesID:         rulesID,
 		SyncConcurrency: *fleetConc,
@@ -189,7 +171,6 @@ func run(args []string, onListen func(addr string)) error {
 		Fleet:          mgr,
 		Version:        version.Get(),
 		RequestTimeout: *reqTimeout,
-		DisableCache:   !*cache,
 		RateLimit:      *rateLimit,
 		RateBurst:      *rateBurst,
 		MaxInFlight:    *maxInflight,

@@ -21,7 +21,7 @@ import (
 )
 
 // writeDataset generates one small-machine day of data and appends its
-// archives to the conventional file names under dir.
+// archive directory to dir.
 func writeDataset(t *testing.T, dir string, offsetDays int, seed int64) *gen.Dataset {
 	t.Helper()
 	cfg := gen.Small(1)
@@ -32,21 +32,9 @@ func writeDataset(t *testing.T, dir string, offsetDays int, seed int64) *gen.Dat
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendTo := func(name string, write func(io.Writer) error) {
-		f, err := os.OpenFile(filepath.Join(dir, name), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := write(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
+	if err := ds.AppendDir(dir); err != nil {
+		t.Fatal(err)
 	}
-	appendTo("accounting.log", ds.WriteAccounting)
-	appendTo("apsys.log", ds.WriteApsys)
-	appendTo("syslog.log", ds.WriteErrorLog)
 	return ds
 }
 
@@ -596,39 +584,6 @@ func TestDaemonServeKnobs(t *testing.T) {
 	}
 }
 
-// TestDaemonCacheDisabled boots with -cache=false and checks the responses
-// still carry the full conditional-request surface (ETag, 304) — the cache
-// is a cost optimization, never a semantic change.
-func TestDaemonCacheDisabled(t *testing.T) {
-	dir := t.TempDir()
-	writeDataset(t, dir, 0, 31)
-	base, stop := bootDaemon(t, dir, "-cache=false")
-	defer stop()
-	waitFor(t, base, "first snapshot", func(h health) bool { return h.Status == "ok" && h.Runs > 0 })
-
-	resp, err := http.Get(base + "/v1/outcomes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body1, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	etag := resp.Header.Get("ETag")
-	if resp.StatusCode != http.StatusOK || etag == "" || !json.Valid(body1) {
-		t.Fatalf("uncached outcomes: status %d etag %q", resp.StatusCode, etag)
-	}
-	req, _ := http.NewRequest("GET", base+"/v1/outcomes", nil)
-	req.Header.Set("If-None-Match", etag)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotModified {
-		t.Fatalf("uncached conditional: status %d, want 304", resp.StatusCode)
-	}
-}
-
 // TestDaemonFleetEndToEnd boots the daemon in fleet mode over two shard
 // archive dirs: readiness with a full shard section, merged and per-machine
 // fleet endpoints, a single-shard append advancing only that shard's epoch,
@@ -724,19 +679,9 @@ func TestDaemonFleetEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendTo := func(name string, write func(io.Writer) error) {
-		f, err := os.OpenFile(filepath.Join(root, grown.Name, name), os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := write(f); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
+	if err := ds.AppendDir(filepath.Join(root, grown.Name)); err != nil {
+		t.Fatal(err)
 	}
-	appendTo("accounting.log", ds.WriteAccounting)
-	appendTo("apsys.log", ds.WriteApsys)
-	appendTo("syslog.log", ds.WriteErrorLog)
 	h2 := waitFor(t, base, "single-shard epoch advance", func(h health) bool {
 		return h.Fleet != nil && h.Fleet.Shards[1].Epoch > before[1]
 	})

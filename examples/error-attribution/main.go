@@ -88,8 +88,7 @@ func run() error {
 
 	// Summarize the machine-level view: coalesce the deduplicated events
 	// into episodes and machine-level groups.
-	_, _, stats := coalesce.Pipeline(res.Events, coalesce.DefaultTemporalWindow, coalesce.DefaultSpatialWindow)
-	stats.Raw = res.RawEvents
+	_, _, stats := coalesce.Pipeline(res.Events, res.RawEvents, coalesce.DefaultTemporalWindow, coalesce.DefaultSpatialWindow)
 	fmt.Printf("coalescing: %s\n", stats)
 	return nil
 }

@@ -25,6 +25,9 @@ import (
 // Tag is the syslog program tag under which apsys logs application events.
 const Tag = "apsys"
 
+// ArchiveFile is the apsys archive's name inside an archive directory.
+const ArchiveFile = "apsys.log"
+
 // AppRun is one aprun-launched application execution: the study's unit of
 // analysis.
 type AppRun struct {

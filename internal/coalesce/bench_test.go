@@ -76,11 +76,11 @@ func BenchmarkSpatial(b *testing.B) {
 }
 
 func BenchmarkPipeline(b *testing.B) {
-	events := benchEvents(50000)
+	events := Dedup(benchEvents(50000))
 	b.SetBytes(int64(len(events)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, stats := Pipeline(events, DefaultTemporalWindow, DefaultSpatialWindow)
+		_, _, stats := Pipeline(events, len(events), DefaultTemporalWindow, DefaultSpatialWindow)
 		if stats.Groups == 0 {
 			b.Fatal("no groups")
 		}

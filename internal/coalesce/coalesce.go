@@ -259,16 +259,15 @@ func (s Stats) String() string {
 		s.Raw, s.Deduped, s.Tuples, s.Groups, s.ReductionFactor())
 }
 
-// Pipeline runs dedup, tupling and spatial coalescing with the given
-// windows and reports the intermediate products and reduction stats. Over
-// already deduplicated events (a core.Result's) Stats.Raw equals Deduped;
-// such callers overwrite Raw with the Result's RawEvents.
-func Pipeline(events []errlog.Event, temporal, spatial time.Duration) ([]Tuple, []Group, Stats) {
-	deduped := Dedup(events)
+// Pipeline runs tupling and spatial coalescing with the given windows over
+// events already deduplicated (as Dedup returns them, and as a core.Result
+// holds them) and reports the products and the reduction stats; raw is the
+// event count before deduplication (a Result's RawEvents).
+func Pipeline(deduped []errlog.Event, raw int, temporal, spatial time.Duration) ([]Tuple, []Group, Stats) {
 	tuples := Tuples(deduped, temporal)
 	groups := Spatial(tuples, spatial)
 	return tuples, groups, Stats{
-		Raw:     len(events),
+		Raw:     raw,
 		Deduped: len(deduped),
 		Tuples:  len(tuples),
 		Groups:  len(groups),

@@ -196,7 +196,7 @@ func TestPipelineStats(t *testing.T) {
 	for i := 0; i < 20; i++ { // one burst on another node
 		events = append(events, ev(2, time.Duration(i)*10*time.Second, taxonomy.HardwareMemoryCE, "burst"))
 	}
-	_, groups, stats := Pipeline(events, DefaultTemporalWindow, DefaultSpatialWindow)
+	_, groups, stats := Pipeline(Dedup(events), len(events), DefaultTemporalWindow, DefaultSpatialWindow)
 	if stats.Raw != 120 {
 		t.Errorf("Raw = %d", stats.Raw)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"logdiver/internal/coalesce"
 	"logdiver/internal/parse"
 )
 
@@ -177,6 +178,46 @@ func TestIncrementalSingleShot(t *testing.T) {
 	}
 	if !reflect.DeepEqual(again, want) {
 		t.Error("idle Result diverged")
+	}
+}
+
+// TestResultEventsAreDeduplicated pins what coalesce.Pipeline's callers
+// assume when they hand it Result.Events: Analyze and every round's
+// Incremental.Result hold the events already deduplicated and in Dedup's
+// order, so Dedup over them is the identity.
+func TestResultEventsAreDeduplicated(t *testing.T) {
+	acc, aps, sys := testArchiveText(t)
+	ds := testDataset(t)
+	check := func(label string, res *Result) {
+		t.Helper()
+		if got := coalesce.Dedup(res.Events); !reflect.DeepEqual(got, res.Events) {
+			t.Errorf("%s: Dedup(Result.Events) changed %d events into %d", label, len(res.Events), len(got))
+		}
+	}
+	res, err := Analyze(archivesFor(t, ds), ds.Topology, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RawEvents <= len(res.Events) {
+		t.Fatalf("fixture has no duplicate events (%d raw, %d kept)", res.RawEvents, len(res.Events))
+	}
+	check("Analyze", res)
+
+	inc, err := NewIncremental(ds.Topology, time.UTC, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 3
+	accC, apsC, sysC := splitChunks(acc, rounds), splitChunks(aps, rounds), splitChunks(sys, rounds)
+	for r := 0; r < rounds; r++ {
+		if _, err := inc.Append(Delta{Accounting: accC[r], Apsys: apsC[r], Syslog: sysC[r]}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := inc.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("Incremental.Result round %d", r), res)
 	}
 }
 

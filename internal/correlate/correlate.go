@@ -46,6 +46,15 @@ const (
 	numOutcomes // sentinel; keep last
 )
 
+// Outcomes returns every outcome once, in declaration order — the row order
+// of every outcome breakdown (E2, F2, /v1/outcomes).
+func Outcomes() (all [numOutcomes - 1]Outcome) {
+	for i := range all {
+		all[i] = OutcomeSuccess + Outcome(i)
+	}
+	return all
+}
+
 // String returns the outcome mnemonic.
 func (o Outcome) String() string {
 	switch o {

@@ -312,6 +312,10 @@ func TestOutcomeString(t *testing.T) {
 			t.Errorf("outcome %d has no mnemonic: %q", int(o), got)
 		}
 	}
+	// Outcomes is the breakdowns' row order: success first, system last.
+	if got, want := Outcomes(), [...]Outcome{OutcomeSuccess, OutcomeUserFailure, OutcomeWalltime, OutcomeSystemFailure}; got != want {
+		t.Errorf("Outcomes() = %v, want %v", got, want)
+	}
 }
 
 func TestQualifying(t *testing.T) {

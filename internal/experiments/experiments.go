@@ -135,11 +135,7 @@ func E2Outcomes(res *core.Result) *report.Table {
 		Title:   "Application outcome breakdown",
 		Columns: []string{"outcome", "runs", "share of runs", "node-hours", "share of node-hours"},
 	}
-	order := []correlate.Outcome{
-		correlate.OutcomeSuccess, correlate.OutcomeUserFailure,
-		correlate.OutcomeWalltime, correlate.OutcomeSystemFailure,
-	}
-	for _, o := range order {
+	for _, o := range correlate.Outcomes() {
 		runsShare, nhShare := 0.0, 0.0
 		if b.Total > 0 {
 			runsShare = float64(b.Counts[o]) / float64(b.Total)
@@ -364,12 +360,9 @@ func E9Detection(res *core.Result, truth map[uint64]gen.Truth) *report.Table {
 }
 
 // coalesced runs the coalescing pipeline over res's (already deduplicated)
-// events at the given tupling window and the default spatial window, with
-// the raw count the Result kept.
+// events at the given tupling window and the default spatial window.
 func coalesced(res *core.Result, temporal time.Duration) ([]coalesce.Tuple, []coalesce.Group, coalesce.Stats) {
-	tuples, groups, s := coalesce.Pipeline(res.Events, temporal, coalesce.DefaultSpatialWindow)
-	s.Raw = res.RawEvents
-	return tuples, groups, s
+	return coalesce.Pipeline(res.Events, res.RawEvents, temporal, coalesce.DefaultSpatialWindow)
 }
 
 // E10Coalesce reports the preprocessing reduction chain.

@@ -15,6 +15,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"logdiver/internal/machine"
 )
 
 // Shard machine profiles understood by the config parser, mirroring the
@@ -23,6 +25,19 @@ const (
 	MachineBlueWaters = "bluewaters"
 	MachineSmall      = "small"
 )
+
+// Topology builds the topology a machine profile names: the one mapping
+// behind every -machine flag and every shard's machine key.
+func Topology(profile string) (*machine.Topology, error) {
+	switch profile {
+	case MachineBlueWaters:
+		return machine.New(machine.BlueWaters())
+	case MachineSmall:
+		return machine.New(machine.Small())
+	default:
+		return nil, fmt.Errorf("unknown machine profile %q (want %s or %s)", profile, MachineBlueWaters, MachineSmall)
+	}
+}
 
 // ShardConfig declares one machine shard.
 type ShardConfig struct {

@@ -218,16 +218,7 @@ func newShard(sc ShardConfig, opts core.Options, rulesID, defaultTZ string, now 
 	if profile == "" {
 		profile = MachineBlueWaters
 	}
-	var mc machine.Config
-	switch profile {
-	case MachineBlueWaters:
-		mc = machine.BlueWaters()
-	case MachineSmall:
-		mc = machine.Small()
-	default:
-		return nil, fmt.Errorf("unknown machine profile %q", profile)
-	}
-	top, err := machine.New(mc)
+	top, err := Topology(profile)
 	if err != nil {
 		return nil, err
 	}
@@ -356,6 +347,26 @@ func (m *Manager) Machines() []string {
 // sequence; a shard whose round fails is marked failed and keeps serving
 // its last good snapshot until a later round succeeds.
 func (m *Manager) SyncRound(ctx context.Context) Round {
+	return m.syncRound(ctx, (*store.Syncer).Sync)
+}
+
+// Drain is a batch analysis's one round: every shard ingests its archives
+// to their end, unterminated last lines included (store.Syncer.SyncAll),
+// and the fleet installs one merged snapshot. The first failing shard's
+// error, naming it, is returned. It is the Manager's last round: the shards
+// keep their snapshots but release their pipelines, so a later round fails
+// and their state cannot be persisted.
+func (m *Manager) Drain(ctx context.Context) error {
+	for _, sr := range m.syncRound(ctx, (*store.Syncer).SyncAll).Shards {
+		if sr.Err != nil {
+			return fmt.Errorf("shard %q: %w", sr.Name, sr.Err)
+		}
+	}
+	return nil
+}
+
+// syncRound runs a round in which every shard's syncer runs syncShard.
+func (m *Manager) syncRound(ctx context.Context, syncShard func(*store.Syncer) (bool, error)) Round {
 	var wg sync.WaitGroup
 	rounds := make([]ShardRound, len(m.shards))
 	for i, sh := range m.shards {
@@ -368,7 +379,7 @@ func (m *Manager) SyncRound(ctx context.Context) Round {
 			defer wg.Done()
 			m.sem <- struct{}{}
 			defer func() { <-m.sem }()
-			installed, err := sh.sy.Sync()
+			installed, err := syncShard(sh.sy)
 			rounds[i] = ShardRound{Name: sh.cfg.Name, Installed: installed, Epoch: sh.store.Epoch(), Err: err}
 		}(i, sh)
 	}

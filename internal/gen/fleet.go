@@ -2,9 +2,14 @@ package gen
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
+
+	"logdiver/internal/alps"
+	"logdiver/internal/syslogx"
+	"logdiver/internal/wlm"
 )
 
 // Fleet fixtures: the multi-machine analogue of Small. A fleet is K small
@@ -71,36 +76,46 @@ func (m FleetMachine) Window(w int) Config {
 	return cfg
 }
 
-// WriteDir writes the dataset's four conventional files (accounting.log,
-// apsys.log, syslog.log, truth.jsonl) into dir, creating the directory if
-// needed. The file names match what the store Tailer and the daemon expect
-// of an archive directory.
-func (d *Dataset) WriteDir(dir string) error {
+// TruthFile is the ground-truth sidecar's name inside an archive directory,
+// beside the three archives.
+const TruthFile = "truth.jsonl"
+
+// WriteDir writes the dataset's archive directory — the three archives under
+// the names the store Tailer and the daemon expect, plus TruthFile —
+// creating dir if needed and replacing files already there.
+func (d *Dataset) WriteDir(dir string) error { return d.writeDir(dir, os.O_TRUNC) }
+
+// AppendDir appends the dataset's four files to those already in dir (a
+// later production window growing an archive directory), creating any that
+// are missing.
+func (d *Dataset) AppendDir(dir string) error { return d.writeDir(dir, os.O_APPEND) }
+
+// writeDir writes the four files of an archive directory, opening each with
+// mode (os.O_TRUNC or os.O_APPEND).
+func (d *Dataset) writeDir(dir string, mode int) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("gen: %w", err)
 	}
-	write := func(name string, emit func(w *os.File) error) error {
-		f, err := os.Create(filepath.Join(dir, name))
+	for _, file := range []struct {
+		name string
+		emit func(io.Writer) error
+	}{
+		{wlm.ArchiveFile, d.WriteAccounting},
+		{alps.ArchiveFile, d.WriteApsys},
+		{syslogx.ArchiveFile, d.WriteErrorLog},
+		{TruthFile, d.WriteTruth},
+	} {
+		f, err := os.OpenFile(filepath.Join(dir, file.name), os.O_CREATE|os.O_WRONLY|mode, 0o644)
 		if err != nil {
 			return fmt.Errorf("gen: %w", err)
 		}
-		if err := emit(f); err != nil {
+		if err := file.emit(f); err != nil {
 			f.Close()
-			return fmt.Errorf("gen: write %s: %w", name, err)
+			return fmt.Errorf("gen: write %s: %w", file.name, err)
 		}
 		if err := f.Close(); err != nil {
-			return fmt.Errorf("gen: close %s: %w", name, err)
+			return fmt.Errorf("gen: close %s: %w", file.name, err)
 		}
-		return nil
 	}
-	if err := write("accounting.log", func(w *os.File) error { return d.WriteAccounting(w) }); err != nil {
-		return err
-	}
-	if err := write("apsys.log", func(w *os.File) error { return d.WriteApsys(w) }); err != nil {
-		return err
-	}
-	if err := write("syslog.log", func(w *os.File) error { return d.WriteErrorLog(w) }); err != nil {
-		return err
-	}
-	return write("truth.jsonl", func(w *os.File) error { return d.WriteTruth(w) })
+	return nil
 }

@@ -149,6 +149,34 @@ func (t *Table) RenderMarkdown(w io.Writer) error {
 	return err
 }
 
+// Write renders tables one after another in a CLI output format: "ascii"
+// (Render, then a blank line), "md" (RenderMarkdown) or "csv" (RenderCSV
+// under a "# <ID>: <Title>" line).
+func Write(w io.Writer, format string, tables []*Table) error {
+	if format != "ascii" && format != "md" && format != "csv" {
+		return fmt.Errorf("unknown format %q", format)
+	}
+	for _, t := range tables {
+		var err error
+		switch format {
+		case "ascii":
+			if err = t.Render(w); err == nil {
+				_, err = io.WriteString(w, "\n")
+			}
+		case "md":
+			err = t.RenderMarkdown(w)
+		case "csv":
+			if _, err = fmt.Fprintf(w, "# %s: %s\n", t.ID, t.Title); err == nil {
+				err = t.RenderCSV(w)
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Fmt helpers shared by the experiments.
 
 // Pct formats a ratio as a percentage with two decimals.

@@ -113,6 +113,42 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestWrite pins each CLI format as its renderer plus the framing between
+// tables, and rejects an unknown format before writing anything.
+func TestWrite(t *testing.T) {
+	one, two := sample(), sample()
+	two.ID = "E3"
+	framed := func(frame func(*Table, *strings.Builder) error) string {
+		var b strings.Builder
+		for _, tbl := range []*Table{one, two} {
+			if err := frame(tbl, &b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.String()
+	}
+	for format, want := range map[string]string{
+		"ascii": framed(func(tbl *Table, b *strings.Builder) error { err := tbl.Render(b); b.WriteString("\n"); return err }),
+		"md":    framed(func(tbl *Table, b *strings.Builder) error { return tbl.RenderMarkdown(b) }),
+		"csv": framed(func(tbl *Table, b *strings.Builder) error {
+			b.WriteString("# " + tbl.ID + ": " + tbl.Title + "\n")
+			return tbl.RenderCSV(b)
+		}),
+	} {
+		var b strings.Builder
+		if err := Write(&b, format, []*Table{one, two}); err != nil {
+			t.Fatalf("%s: %v", format, err)
+		}
+		if b.String() != want {
+			t.Errorf("%s:\n%s\nwant:\n%s", format, b.String(), want)
+		}
+	}
+	var b strings.Builder
+	if err := Write(&b, "xml", []*Table{one}); err == nil || b.Len() != 0 {
+		t.Errorf("unknown format: err %v, wrote %q", err, b.String())
+	}
+}
+
 func TestCount(t *testing.T) {
 	tests := []struct {
 		give int

@@ -43,7 +43,9 @@
 package rulecheck
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"sort"
 
 	"logdiver/internal/taxonomy"
@@ -290,4 +292,35 @@ func NewValidatedClassifier(rules []taxonomy.LocatedRule, opts Options) (*taxono
 		return nil, fs, fmt.Errorf("rulecheck: rule set rejected with %d error finding(s); first: %s", nerr, first)
 	}
 	return taxonomy.NewClassifier(taxonomy.Rules(rules)), fs, nil
+}
+
+// LoadClassifier builds the classifier of a -rules file, the one loader
+// behind both binaries. An empty path means the built-in taxonomy: nil
+// classifier, nil bytes. With validate set the rule set passes through
+// NewValidatedClassifier: warn receives every finding, and a rejection names
+// the file and the override. The file's bytes are returned for the caller
+// that fingerprints the rule set.
+func LoadClassifier(path string, validate bool, warn func(Finding)) (*taxonomy.Classifier, []byte, error) {
+	if path == "" {
+		return nil, nil, nil
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	parsed, err := taxonomy.ReadRuleFile(bytes.NewReader(raw))
+	if err != nil {
+		return nil, nil, err
+	}
+	if !validate {
+		return taxonomy.NewClassifier(taxonomy.Rules(parsed)), raw, nil
+	}
+	cls, findings, err := NewValidatedClassifier(parsed, Options{})
+	for _, f := range findings {
+		warn(f)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w (rerun with -validate-rules=false to override)", path, err)
+	}
+	return cls, raw, nil
 }

@@ -420,3 +420,35 @@ func TestNewValidatedClassifier(t *testing.T) {
 		t.Errorf("rejection diagnostic not actionable: %v", err)
 	}
 }
+
+func TestLoadClassifier(t *testing.T) {
+	noWarn := func(f rulecheck.Finding) { t.Errorf("unexpected finding %s", f) }
+	if cls, raw, err := rulecheck.LoadClassifier("", true, noWarn); cls != nil || raw != nil || err != nil {
+		t.Errorf("empty path = %v, %q, %v; want the built-in taxonomy (all nil)", cls, raw, err)
+	}
+
+	const path = "testdata/shadowed.rules"
+	var warned int
+	_, _, err := rulecheck.LoadClassifier(path, true, func(rulecheck.Finding) { warned++ })
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "-validate-rules=false") {
+		t.Errorf("validated load of %s: err = %v, want a rejection naming the file and the override", path, err)
+	}
+	if warned == 0 {
+		t.Error("rejected rule set reported no findings")
+	}
+
+	cls, raw, err := rulecheck.LoadClassifier(path, false, noWarn)
+	if err != nil || cls == nil {
+		t.Fatalf("unvalidated load: %v, %v", cls, err)
+	}
+	if want, _ := os.ReadFile(path); string(raw) != string(want) {
+		t.Error("returned bytes are not the file's")
+	}
+	if cat, _ := cls.ClassifyBytes([]byte("Machine Check event")); cat != taxonomy.HardwareMemoryUE {
+		t.Errorf("classifier misclassifies: got %v", cat)
+	}
+
+	if _, _, err := rulecheck.LoadClassifier(path+".missing", true, noWarn); err == nil {
+		t.Error("missing rule file accepted")
+	}
+}

@@ -26,7 +26,7 @@ import (
 // /metrics are exempt — they are the probes an operator needs most when the
 // server is busy shedding.
 
-// Admission defaults for Config knobs left zero.
+// Admission bounds.
 const (
 	// DefaultMaxClients bounds the rate limiter's per-client tracking map.
 	DefaultMaxClients = 10000
@@ -58,9 +58,6 @@ type bucket struct {
 func newClientLimiter(rate float64, burst, maxClients int, now func() time.Time) *clientLimiter {
 	if burst < 1 {
 		burst = 1
-	}
-	if maxClients <= 0 {
-		maxClients = DefaultMaxClients
 	}
 	return &clientLimiter{
 		rate:    rate,

@@ -41,7 +41,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 // rate, and the Retry-After computation, all against an injected clock.
 func TestClientLimiter(t *testing.T) {
 	clk := newFakeClock()
-	l := newClientLimiter(1, 3, 0, clk.Now)
+	l := newClientLimiter(1, 3, DefaultMaxClients, clk.Now)
 
 	// The full burst is available immediately; the next request is denied
 	// with a one-second wait (rate 1/s, zero tokens).
@@ -90,7 +90,7 @@ func TestClientLimiter(t *testing.T) {
 // configured rate: at 0.2 req/s an empty bucket needs 5 seconds.
 func TestClientLimiterRetryAfterScales(t *testing.T) {
 	clk := newFakeClock()
-	l := newClientLimiter(0.2, 1, 0, clk.Now)
+	l := newClientLimiter(0.2, 1, DefaultMaxClients, clk.Now)
 	if ok, _ := l.allow("a"); !ok {
 		t.Fatal("first request denied")
 	}

@@ -127,8 +127,8 @@ func writeEncoded(w http.ResponseWriter, r *http.Request, body []byte) {
 }
 
 // gzipBytes compresses b at BestSpeed. The output is deterministic for a
-// given input (no timestamp is written), which the cached-versus-uncached
-// differential tests rely on.
+// given input (no timestamp is written), which the cache differential tests
+// rely on.
 func gzipBytes(b []byte) []byte {
 	var buf bytes.Buffer
 	zw, _ := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
@@ -218,14 +218,9 @@ func acceptsGzip(r *http.Request) bool {
 	return false
 }
 
-// etagFor is the entity tag of every response derived from snap. With
-// caching on it comes precomputed from the snapshot's view cache.
-func (s *Server) etagFor(snap *store.Snapshot) string {
-	if s.cfg.DisableCache {
-		return `"` + strconv.FormatUint(snap.Epoch, 10) + `"`
-	}
-	return s.cacheFor(snap).etag
-}
+// etagFor is the entity tag of every response derived from snap,
+// precomputed in the snapshot's view cache.
+func (s *Server) etagFor(snap *store.Snapshot) string { return s.cacheFor(snap).etag }
 
 // notModified sets the validators every snapshot-derived response carries
 // and reports whether it answered the request with an empty 304.
@@ -245,15 +240,8 @@ func (s *Server) notModified(w http.ResponseWriter, r *http.Request, etag string
 
 // serveView answers one cacheable endpoint from the handler's snapshot:
 // conditional 304 first, then pre-encoded cached bytes (with negotiated
-// gzip), or a direct render when caching is disabled. Cached and direct
-// bodies are byte-identical by construction.
+// gzip).
 func (s *Server) serveView(w http.ResponseWriter, r *http.Request, snap *store.Snapshot, view viewID, fleet bool) {
-	if s.cfg.DisableCache {
-		if !s.notModified(w, r, s.etagFor(snap)) {
-			writeEncoded(w, r, renderView(view, snap, fleet))
-		}
-		return
-	}
 	c := s.cacheFor(snap)
 	if s.notModified(w, r, c.etag) {
 		return

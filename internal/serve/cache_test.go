@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -165,56 +164,42 @@ func TestCachingConformance(t *testing.T) {
 	}
 }
 
-// TestCachedBytesDifferential pins the tentpole invariant: with caching on,
-// every cacheable response is byte-for-byte identical to the uncached
-// rendering — at epoch N, and again at epoch N+1 after an install, for both
-// identity and gzip representations. The run drill-down joins in because it
-// shares the conditional-request machinery.
+// TestCachedBytesDifferential pins the cache's invariant: every cached
+// view's bytes, identity and gzip, are exactly a direct render of the
+// handler's snapshot (renderView, gzipBytes) on both the plain and the
+// /v1/fleet/ path — at epoch N, and again at epoch N+1 after an install.
 func TestCachedBytesDifferential(t *testing.T) {
 	st := testStore(t)
-	cached := newTestServer(t, st, Config{})
-	uncached := newTestServer(t, st, Config{DisableCache: true})
-
-	apid := st.Current().Result.Runs[0].ApID
-	paths := append([]string{fmt.Sprintf("/v1/runs/%d", apid)}, cacheablePaths...)
-
-	// A mid-list cursor page, derived from the default page's next_cursor.
-	first := get(t, cached, "/v1/runs", nil)
-	var page struct {
-		NextCursor string `json:"next_cursor"`
+	srv := newTestServer(t, st, Config{})
+	paths := map[string]viewID{
+		"outcomes": viewOutcomes, "scaling?class=xe": viewScalingXE, "scaling?class=xk": viewScalingXK,
+		"mtti": viewMTTI, "categories": viewCategories, "runs": viewRunsFirst,
 	}
-	if err := json.Unmarshal(first.Body.Bytes(), &page); err != nil {
-		t.Fatal(err)
-	}
-	if page.NextCursor != "" {
-		paths = append(paths, "/v1/runs?cursor="+page.NextCursor+"&limit=13")
-	}
-
 	check := func(epochLabel string) {
 		t.Helper()
-		for _, path := range paths {
-			c := get(t, cached, path, nil)
-			u := get(t, uncached, path, nil)
-			if c.Code != 200 || u.Code != 200 {
-				t.Fatalf("%s %s: status cached %d uncached %d", epochLabel, path, c.Code, u.Code)
-			}
-			if !bytes.Equal(c.Body.Bytes(), u.Body.Bytes()) {
-				t.Errorf("%s %s: cached and uncached bodies differ (%d vs %d bytes)",
-					epochLabel, path, c.Body.Len(), u.Body.Len())
-			}
-			cz := get(t, cached, path, map[string]string{"Accept-Encoding": "gzip"})
-			uz := get(t, uncached, path, map[string]string{"Accept-Encoding": "gzip"})
-			if !bytes.Equal(cz.Body.Bytes(), uz.Body.Bytes()) {
-				t.Errorf("%s %s: cached and uncached gzip bodies differ", epochLabel, path)
-			}
-			if c.Header().Get("ETag") != u.Header().Get("ETag") {
-				t.Errorf("%s %s: ETags differ: %q vs %q", epochLabel, path,
-					c.Header().Get("ETag"), u.Header().Get("ETag"))
-			}
-			// Repeat read from the cache stays stable.
-			again := get(t, cached, path, nil)
-			if !bytes.Equal(c.Body.Bytes(), again.Body.Bytes()) {
-				t.Errorf("%s %s: cached body unstable across reads", epochLabel, path)
+		snap := st.Current()
+		for name, view := range paths {
+			for _, fleet := range []bool{false, true} {
+				path := "/v1/" + name
+				if fleet {
+					if view == viewRunsFirst {
+						continue // /v1/runs has no fleet family
+					}
+					path = "/v1/fleet/" + name
+				}
+				want := renderView(view, snap, fleet)
+				c := get(t, srv, path, nil)
+				if c.Code != 200 || !bytes.Equal(c.Body.Bytes(), want) {
+					t.Errorf("%s %s: status %d, cached body (%d bytes) is not the direct render (%d bytes)",
+						epochLabel, path, c.Code, c.Body.Len(), len(want))
+				}
+				if tag, wantTag := c.Header().Get("ETag"), fmt.Sprintf(`"%d"`, snap.Epoch); tag != wantTag {
+					t.Errorf("%s %s: ETag %q, want %q", epochLabel, path, tag, wantTag)
+				}
+				cz := get(t, srv, path, map[string]string{"Accept-Encoding": "gzip"})
+				if !bytes.Equal(cz.Body.Bytes(), gzipBytes(want)) {
+					t.Errorf("%s %s: cached gzip body is not gzipBytes of the direct render", epochLabel, path)
+				}
 			}
 		}
 	}

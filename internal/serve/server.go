@@ -25,8 +25,10 @@ import (
 	"logdiver/internal/version"
 )
 
-// Defaults for Config knobs left zero.
+// Request bounds.
 const (
+	// DefaultRequestTimeout is the per-request deadline when
+	// Config.RequestTimeout is zero.
 	DefaultRequestTimeout = 10 * time.Second
 	// DefaultMaxQueryBytes bounds the raw query string; longer requests
 	// are rejected with 414 before any handler work.
@@ -52,13 +54,6 @@ type Config struct {
 	// RequestTimeout bounds each request end to end (DefaultRequestTimeout
 	// when zero). Requests over budget get 503.
 	RequestTimeout time.Duration
-	// MaxQueryBytes and MaxBodyBytes bound request size (defaults above).
-	MaxQueryBytes int
-	MaxBodyBytes  int64
-	// DisableCache turns the per-epoch response cache off: every request
-	// renders its view from the snapshot. Responses stay byte-identical to
-	// cached ones; only the cost per request changes.
-	DisableCache bool
 	// RateLimit admits at most this many requests per second per client on
 	// the data endpoints (token bucket; excess gets 429 + Retry-After).
 	// Zero or negative disables per-client rate limiting.
@@ -66,9 +61,6 @@ type Config struct {
 	// RateBurst is the token-bucket burst capacity (min 1; defaults to
 	// 2*RateLimit rounded up when zero).
 	RateBurst int
-	// MaxClients bounds the rate limiter's tracking map
-	// (DefaultMaxClients when zero).
-	MaxClients int
 	// MaxInFlight bounds concurrently executing data-endpoint requests;
 	// excess requests are shed immediately with 503 + Retry-After. Zero or
 	// negative disables the bound.
@@ -130,12 +122,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = DefaultRequestTimeout
 	}
-	if cfg.MaxQueryBytes <= 0 {
-		cfg.MaxQueryBytes = DefaultMaxQueryBytes
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = DefaultMaxBodyBytes
-	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = DefaultRetryAfter
 	}
@@ -153,7 +139,7 @@ func New(cfg Config) (*Server, error) {
 		if burst <= 0 {
 			burst = int(math.Ceil(2 * cfg.RateLimit))
 		}
-		s.limiter = newClientLimiter(cfg.RateLimit, burst, cfg.MaxClients, cfg.Now)
+		s.limiter = newClientLimiter(cfg.RateLimit, burst, DefaultMaxClients, cfg.Now)
 	}
 	s.route("GET /v1/health", "health", s.handleHealth)
 	for v, av := range aggViews {
@@ -215,7 +201,7 @@ func classView(first viewID, class string) (viewID, bool) {
 func (s *Server) guard(key string, h http.HandlerFunc) http.HandlerFunc {
 	admitted := key != "health" && key != "metrics"
 	return func(w http.ResponseWriter, r *http.Request) {
-		if len(r.URL.RawQuery) > s.cfg.MaxQueryBytes {
+		if len(r.URL.RawQuery) > DefaultMaxQueryBytes {
 			s.writeErr(w, http.StatusRequestURITooLong, "query string too long")
 			return
 		}
@@ -226,7 +212,7 @@ func (s *Server) guard(key string, h http.HandlerFunc) http.HandlerFunc {
 			defer s.release()
 		}
 		if r.Body != nil && r.Body != http.NoBody {
-			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+			r.Body = http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes)
 		}
 		h(w, r)
 	}
@@ -422,26 +408,19 @@ type outcomesResponse struct {
 	Fleet                   *fleetMeta   `json:"fleet,omitempty"`
 }
 
-// outcomeOrder fixes the row order of the E2 breakdown.
-var outcomeOrder = []correlate.Outcome{
-	correlate.OutcomeSuccess,
-	correlate.OutcomeUserFailure,
-	correlate.OutcomeWalltime,
-	correlate.OutcomeSystemFailure,
-}
-
 func outcomesBody(snap *store.Snapshot, fm *fleetMeta) any {
 	b := snap.Outcomes
+	order := correlate.Outcomes()
 	resp := outcomesResponse{
 		Fleet:                   fm,
 		Epoch:                   snap.Epoch,
 		TotalRuns:               b.Total,
 		TotalNodeHours:          b.TotalNodeHours,
-		Outcomes:                make([]outcomeRow, 0, len(outcomeOrder)),
+		Outcomes:                make([]outcomeRow, 0, len(order)),
 		SystemFailureFraction:   b.SystemFailureFraction(),
 		SystemNodeHoursFraction: b.SystemNodeHoursFraction(),
 	}
-	for _, o := range outcomeOrder {
+	for _, o := range order {
 		resp.Outcomes = append(resp.Outcomes, outcomeRow{
 			Outcome:   o.String(),
 			Runs:      b.Counts[o],

@@ -136,12 +136,10 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		return encodeJSON(whatifResponse{Epoch: snap.Epoch, Partial: snap.Partial, Report: rep})
 	}
 
-	if !s.cfg.DisableCache {
-		if cv, ok := s.cacheFor(snap).whatif.view(key, render, &s.prom.whatifRenders); ok {
-			s.prom.whatifServed.Add(1)
-			cv.write(w, r)
-			return
-		}
+	if cv, ok := s.cacheFor(snap).whatif.view(key, render, &s.prom.whatifRenders); ok {
+		s.prom.whatifServed.Add(1)
+		cv.write(w, r)
+		return
 	}
 	s.prom.whatifRenders.Add(1)
 	writeEncoded(w, r, render())

@@ -211,46 +211,50 @@ func TestWhatifErrors(t *testing.T) {
 }
 
 // TestWhatifCachedBytesDifferential pins that the per-epoch report cache
-// never changes response bytes: cached and uncached servers agree for both
-// representations, at epoch N and after an epoch advance.
+// never changes response bytes: a cached report, identity and gzip, is
+// exactly whatif.Simulate over the handler's snapshot in the serving
+// envelope — at epoch N and after an epoch advance.
 func TestWhatifCachedBytesDifferential(t *testing.T) {
 	st := testStore(t)
-	cached := newTestServer(t, st, Config{})
-	uncached := newTestServer(t, st, Config{DisableCache: true})
+	srv := newTestServer(t, st, Config{})
+	policies, err := whatif.ParsePolicies(testPolicyConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	check := func(label string) {
 		t.Helper()
-		for _, seed := range []string{"1", "2"} {
-			path := "/v1/whatif?seed=" + seed
-			c := post(t, cached, path, testPolicyConfig, nil)
-			u := post(t, uncached, path, testPolicyConfig, nil)
-			if c.Code != 200 || u.Code != 200 {
-				t.Fatalf("%s seed %s: status cached %d uncached %d", label, seed, c.Code, u.Code)
+		snap := st.Current()
+		for _, seed := range []int64{1, 2} {
+			path := fmt.Sprintf("/v1/whatif?seed=%d", seed)
+			rep, err := whatif.Simulate(whatif.Input{Runs: snap.Result.Runs, MTTI: snap.MTTI}, policies, whatif.Options{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !bytes.Equal(c.Body.Bytes(), u.Body.Bytes()) {
-				t.Errorf("%s seed %s: cached and uncached bodies differ", label, seed)
-			}
-			if c.Header().Get("ETag") != u.Header().Get("ETag") {
-				t.Errorf("%s seed %s: ETags differ: %q vs %q", label, seed,
-					c.Header().Get("ETag"), u.Header().Get("ETag"))
-			}
-			cz := post(t, cached, path, testPolicyConfig, map[string]string{"Accept-Encoding": "gzip"})
-			uz := post(t, uncached, path, testPolicyConfig, map[string]string{"Accept-Encoding": "gzip"})
-			if !bytes.Equal(cz.Body.Bytes(), uz.Body.Bytes()) {
-				t.Errorf("%s seed %s: cached and uncached gzip bodies differ", label, seed)
+			want := encodeJSON(whatifResponse{Epoch: snap.Epoch, Partial: snap.Partial, Report: rep})
+			// Twice: the render that fills the cache, then the cached bytes.
+			for _, pass := range []string{"first", "repeat"} {
+				c := post(t, srv, path, testPolicyConfig, nil)
+				if c.Code != 200 || !bytes.Equal(c.Body.Bytes(), want) {
+					t.Errorf("%s seed %d %s: status %d, body is not the direct simulation", label, seed, pass, c.Code)
+				}
+				cz := post(t, srv, path, testPolicyConfig, map[string]string{"Accept-Encoding": "gzip"})
+				if !bytes.Equal(cz.Body.Bytes(), gzipBytes(want)) {
+					t.Errorf("%s seed %d %s: gzip body is not gzipBytes of the direct simulation", label, seed, pass)
+				}
 			}
 		}
 	}
 
 	check("epoch N")
-	old := post(t, cached, "/v1/whatif?seed=1", testPolicyConfig, nil)
+	old := post(t, srv, "/v1/whatif?seed=1", testPolicyConfig, nil)
 	snap := *st.Current()
 	st.Install(&snap) // same data, next epoch
 	check("epoch N+1")
 
 	// The old epoch's tag no longer validates and the new tag carries the
 	// new epoch.
-	r := post(t, cached, "/v1/whatif?seed=1", testPolicyConfig,
+	r := post(t, srv, "/v1/whatif?seed=1", testPolicyConfig,
 		map[string]string{"If-None-Match": old.Header().Get("ETag")})
 	if r.Code != 200 {
 		t.Fatalf("stale conditional after epoch advance: status %d, want 200", r.Code)

@@ -81,9 +81,12 @@ type SyncerState struct {
 }
 
 // ExportState captures the syncer for persistence. It must be called from
-// the ingestion goroutine (between Sync rounds); a poisoned pipeline
-// returns its error.
+// the ingestion goroutine (between Sync rounds); a poisoned or drained
+// pipeline returns its error.
 func (s *Syncer) ExportState() (*SyncerState, error) {
+	if s.inc == nil {
+		return nil, errDrained
+	}
 	pst, err := s.inc.State()
 	if err != nil {
 		return nil, err

@@ -1,8 +1,11 @@
 package store
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -115,6 +118,22 @@ func TestTailerAppendAndPartialLines(t *testing.T) {
 	}
 	if got, want := string(d.Syslog), "partial done\nnext\n"; got != want {
 		t.Errorf("after completion: %q, want %q", got, want)
+	}
+
+	// At the end of input, rest releases the held-back fragment as the last
+	// line, once.
+	if err := os.WriteFile(filepath.Join(dir, AccountingFile), []byte("whole\ntorn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if d, err = tl.Poll(); err != nil || string(d.Accounting) != "whole\n" {
+		t.Fatalf("poll before rest: %q, %v", d.Accounting, err)
+	}
+	d = tl.rest()
+	if string(d.Accounting) != "torn\n" || d.Apsys != nil || d.Syslog != nil {
+		t.Errorf("rest: %+v, want only the accounting fragment, newline-terminated", d)
+	}
+	if d = tl.rest(); !d.Empty() {
+		t.Errorf("second rest: %+v, want nothing", d)
 	}
 }
 
@@ -369,6 +388,63 @@ func TestSyncerLifecycle(t *testing.T) {
 	}
 	if _, ok := s3.Run(0xdeadbeef); ok {
 		t.Fatal("bogus apid resolved")
+	}
+}
+
+// TestSyncAllReadsToTheEnd: SyncAll reads archives larger than one poll and
+// their unterminated last lines, and its one snapshot equals a from-scratch
+// Analyze of the files.
+func TestSyncAllReadsToTheEnd(t *testing.T) {
+	dir := t.TempDir()
+	// Blank lines ahead of the records push them past the first poll.
+	if err := os.WriteFile(filepath.Join(dir, SyslogFile), bytes.Repeat([]byte("\n"), drainPollBytes), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ds := smallDataset(t, 0, 21)
+	writeArchives(t, dir, ds)
+	files := core.Archives{Location: time.UTC}
+	for _, a := range []struct {
+		name string
+		dst  *io.Reader
+	}{{AccountingFile, &files.Accounting}, {ApsysFile, &files.Apsys}, {SyslogFile, &files.Syslog}} {
+		path := filepath.Join(dir, a.name)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = b[:len(b)-1] // tear the last line
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		*a.dst = bytes.NewReader(b)
+	}
+	want, err := core.Analyze(files, ds.Topology, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st := New()
+	sy, err := NewSyncer(SyncerConfig{Tailer: NewTailer(dir), Store: st, Topology: ds.Topology, Location: time.UTC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if installed, err := sy.SyncAll(); err != nil || !installed {
+		t.Fatalf("SyncAll: %v, %v", installed, err)
+	}
+	snap := st.Current()
+	if !reflect.DeepEqual(snap.Result.Runs, want.Runs) || snap.Result.NumJobs != len(want.Jobs) || snap.Result.NumEvents != len(want.Events) {
+		t.Errorf("SyncAll snapshot: %d runs, %d jobs, %d events; Analyze: %d, %d, %d",
+			len(snap.Result.Runs), snap.Result.NumJobs, snap.Result.NumEvents, len(want.Runs), len(want.Jobs), len(want.Events))
+	}
+	if snap.Ingest.Rounds != 1 || snap.Epoch != 1 {
+		t.Errorf("SyncAll installed epoch %d after %d rounds, want one of each", snap.Epoch, snap.Ingest.Rounds)
+	}
+	// The pipeline is released: nothing can sync or persist it again.
+	if _, err := sy.Sync(); err == nil {
+		t.Error("Sync after SyncAll succeeded")
+	}
+	if _, err := sy.ExportState(); err == nil {
+		t.Error("ExportState after SyncAll succeeded")
 	}
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -95,26 +96,63 @@ func NewSyncer(cfg SyncerConfig) (*Syncer, error) {
 // poisoned pipeline (strict-mode parse failure) fails every later round with
 // the poisoning error, idle ones included, and consumes no further input: the
 // failure stays visible until the process is restarted.
-func (s *Syncer) Sync() (installed bool, err error) {
+func (s *Syncer) Sync() (installed bool, err error) { return s.sync(false) }
+
+// SyncAll is a batch read's one round: it appends everything the archives
+// hold — poll after small poll until one finds nothing, then the
+// unterminated last lines a poll holds back — and installs one snapshot over
+// it all. It is the syncer's last round: a live tail never calls it, since
+// bytes that arrive after a released last line would be read as a line of
+// their own. Once it succeeds, the pipeline, which only later rounds would
+// need, is released — a batch analysis of many shards keeps their
+// snapshots, not their pipelines — and every later round or ExportState
+// fails.
+func (s *Syncer) SyncAll() (installed bool, err error) { return s.sync(true) }
+
+// errDrained fails every round and ExportState after a successful SyncAll.
+var errDrained = errors.New("store: the syncer has drained its archives")
+
+// sync runs Sync's round, or SyncAll's when all is set.
+func (s *Syncer) sync(all bool) (installed bool, err error) {
 	defer func() {
 		// Heartbeat even on failed or empty rounds: ingestion lag measures
 		// the poll loop being alive, not data arriving.
 		s.store.MarkSync(s.now())
 	}()
+	if s.inc == nil {
+		return false, errDrained
+	}
 	if err := s.inc.Err(); err != nil {
 		return false, err
 	}
-	d, err := s.tail.Poll()
-	if err != nil {
-		return false, err
+	limit := int64(maxPollBytes)
+	if all {
+		limit = drainPollBytes
 	}
-	if d.Empty() && s.store.Current() != nil {
-		return false, nil
-	}
-	began := s.now()
-	ast, err := s.inc.Append(d)
-	if err != nil {
-		return false, err
+	began, data := time.Time{}, false
+	for more := true; more; {
+		d, err := s.tail.poll(limit)
+		if err != nil {
+			return false, err
+		}
+		more = all && !d.Empty()
+		switch {
+		case all && !more:
+			d = s.tail.rest()
+		case d.Empty() && s.store.Current() != nil:
+			return false, nil
+		}
+		if began.IsZero() {
+			began = s.now()
+		}
+		ast, err := s.inc.Append(d)
+		if err != nil {
+			return false, err
+		}
+		data = data || !d.Empty()
+		s.ing.AccountingLines += ast.AccountingLines
+		s.ing.ApsysLines += ast.ApsysLines
+		s.ing.SyslogLines += ast.SyslogLines
 	}
 	appended := s.now()
 	res, err := s.inc.Result()
@@ -122,12 +160,9 @@ func (s *Syncer) Sync() (installed bool, err error) {
 		return false, err
 	}
 	s.ing.AppendDuration, s.ing.ResultDuration = appended.Sub(began), s.now().Sub(appended)
-	if !d.Empty() {
+	if data {
 		s.ing.Rounds++
 	}
-	s.ing.AccountingLines += ast.AccountingLines
-	s.ing.ApsysLines += ast.ApsysLines
-	s.ing.SyslogLines += ast.SyslogLines
 	s.ing.Reattributed = s.inc.Reattributed()
 	snap, err := Build(res, s.top, s.ing, s.now())
 	if err != nil {
@@ -139,5 +174,8 @@ func (s *Syncer) Sync() (installed bool, err error) {
 	snap.Ingest.BuildDuration = s.ing.BuildDuration
 	snap.Machine = s.machine
 	s.store.Install(snap)
+	if all {
+		s.inc = nil
+	}
 	return true, nil
 }

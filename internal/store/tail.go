@@ -8,20 +8,29 @@ import (
 	"os"
 	"path/filepath"
 
+	"logdiver/internal/alps"
 	"logdiver/internal/core"
+	"logdiver/internal/syslogx"
+	"logdiver/internal/wlm"
 )
 
-// Archive file names a Tailer expects inside its data directory — the same
-// names `logdiver generate` writes.
+// Archive file names a Tailer expects inside its data directory: each
+// format's own name, which is what gen.Dataset.WriteDir (and so `logdiver
+// generate`) writes.
 const (
-	AccountingFile = "accounting.log"
-	ApsysFile      = "apsys.log"
-	SyslogFile     = "syslog.log"
+	AccountingFile = wlm.ArchiveFile
+	ApsysFile      = alps.ArchiveFile
+	SyslogFile     = syslogx.ArchiveFile
 )
 
 // maxPollBytes bounds how much one Poll reads per archive, so a huge
 // backlog is ingested in bounded-memory rounds instead of one giant slurp.
 const maxPollBytes = 64 << 20
+
+// drainPollBytes bounds the polls of Syncer.SyncAll. It builds one
+// snapshot after all of them, so there is no per-round rebuild for a large
+// read to amortize, and a small one keeps few bytes in memory at once.
+const drainPollBytes = 16 << 20
 
 // tailFile is the per-archive tail state.
 type tailFile struct {
@@ -52,20 +61,10 @@ type Tailer struct {
 
 // NewTailer tails the conventional archive names under dir.
 func NewTailer(dir string) *Tailer {
-	return NewTailerPaths(
-		filepath.Join(dir, AccountingFile),
-		filepath.Join(dir, ApsysFile),
-		filepath.Join(dir, SyslogFile),
-	)
-}
-
-// NewTailerPaths tails explicit archive paths. An empty path disables that
-// archive.
-func NewTailerPaths(accounting, apsys, syslog string) *Tailer {
 	return &Tailer{files: [3]tailFile{
-		{path: accounting},
-		{path: apsys},
-		{path: syslog},
+		{path: filepath.Join(dir, AccountingFile)},
+		{path: filepath.Join(dir, ApsysFile)},
+		{path: filepath.Join(dir, SyslogFile)},
 	}}
 }
 
@@ -76,10 +75,15 @@ func NewTailerPaths(accounting, apsys, syslog string) *Tailer {
 // rolled back, so their bytes (and any rotation just detected) are
 // delivered by the next successful Poll instead of being lost.
 func (t *Tailer) Poll() (core.Delta, error) {
+	return t.poll(maxPollBytes)
+}
+
+// poll is Poll reading at most limit bytes per archive.
+func (t *Tailer) poll(limit int64) (core.Delta, error) {
 	var d core.Delta
 	before := t.files
 	for i := range t.files {
-		b, err := t.files[i].read()
+		b, err := t.files[i].read(limit)
 		if err != nil {
 			t.files = before
 			return core.Delta{}, err
@@ -96,11 +100,24 @@ func (t *Tailer) Poll() (core.Delta, error) {
 	return d, nil
 }
 
-// read returns the new complete lines of one archive.
-func (f *tailFile) read() ([]byte, error) {
-	if f.path == "" {
-		return nil, nil
+// rest returns, newline-terminated, the trailing partial line poll holds
+// back in each archive, and stops holding it. At the end of input no writer
+// will complete such a fragment (a torn or copied log ends without a
+// newline), so it is the archive's last line. Only Syncer.SyncAll, a batch
+// read, calls it.
+func (t *Tailer) rest() core.Delta {
+	var d core.Delta
+	for i, dst := range []*[]byte{&d.Accounting, &d.Apsys, &d.Syslog} {
+		if f := &t.files[i]; len(f.carry) > 0 {
+			*dst, f.carry = append(f.carry, '\n'), nil
+		}
 	}
+	return d
+}
+
+// read returns the new complete lines of one archive, reading at most limit
+// bytes.
+func (f *tailFile) read(limit int64) ([]byte, error) {
 	fh, err := os.Open(f.path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil // not written yet (or rotated away mid-switch)
@@ -135,10 +152,7 @@ func (f *tailFile) read() ([]byte, error) {
 	if _, err := fh.Seek(f.offset, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("store: tail %s: %w", f.path, err)
 	}
-	want := fi.Size() - f.offset
-	if want > maxPollBytes {
-		want = maxPollBytes
-	}
+	want := min(fi.Size()-f.offset, limit)
 	buf := make([]byte, want)
 	n, err := io.ReadFull(fh, buf)
 	if err != nil && err != io.ErrUnexpectedEOF {

@@ -26,6 +26,9 @@ type Line struct {
 	Message string
 }
 
+// ArchiveFile is the system error log's name inside an archive directory.
+const ArchiveFile = "syslog.log"
+
 // timeLayout is RFC 3339 with microseconds, as written by LLM.
 const timeLayout = "2006-01-02T15:04:05.000000Z07:00"
 

@@ -89,7 +89,7 @@ type Report struct {
 //	W1  counterfactual outcome shift per policy
 //	W2  node-hour economics per policy
 //	W3  recovery by scale bucket per policy
-func (r *Report) Tables() []report.Table {
+func (r *Report) Tables() []*report.Table {
 	w1 := report.Table{
 		ID:      "W1",
 		Title:   "Counterfactual outcome shift vs measured baseline",
@@ -143,5 +143,5 @@ func (r *Report) Tables() []report.Table {
 				report.F1(b.LostNodeHours), report.F1(b.SavedNodeHours))
 		}
 	}
-	return []report.Table{w1, w2, w3}
+	return []*report.Table{&w1, &w2, &w3}
 }

@@ -17,6 +17,9 @@ import (
 	"time"
 )
 
+// ArchiveFile is the accounting log's name inside an archive directory.
+const ArchiveFile = "accounting.log"
+
 // EventType is the accounting record type letter.
 type EventType byte
 
