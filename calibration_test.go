@@ -33,7 +33,7 @@ func probeP(t *testing.T, runs []logdiver.AttributedRun, class logdiver.NodeClas
 	t.Helper()
 	var n, f int
 	for _, r := range runs {
-		if r.Class != class || len(r.Nodes) < lo || len(r.Nodes) >= hi {
+		if r.Class != class || r.NumNodes() < lo || r.NumNodes() >= hi {
 			continue
 		}
 		n++
@@ -119,7 +119,7 @@ func TestCalibrationAnchors(t *testing.T) {
 		// XK failure mix.
 		var xkFull []logdiver.AttributedRun
 		for _, r := range res.Runs {
-			if r.Class == logdiver.ClassXK && len(r.Nodes) >= 3000 {
+			if r.Class == logdiver.ClassXK && r.NumNodes() >= 3000 {
 				xkFull = append(xkFull, r)
 			}
 		}

@@ -136,10 +136,10 @@ func testSnapshotServer(t *testing.T, cfg serve.Config) *httptest.Server {
 	for i := range runs {
 		runs[i] = correlate.AttributedRun{
 			AppRun: alps.AppRun{
-				ApID:  uint64(i + 1),
-				Nodes: []machine.NodeID{machine.NodeID(i % 8)},
-				Start: base.Add(time.Duration(i) * time.Minute),
-				End:   base.Add(time.Duration(i+1) * time.Minute),
+				ApID:      uint64(i + 1),
+				Placement: machine.Placement{{Lo: machine.NodeID(i % 8), Hi: machine.NodeID(i % 8)}},
+				Start:     base.Add(time.Duration(i) * time.Minute),
+				End:       base.Add(time.Duration(i+1) * time.Minute),
 			},
 			Class:   machine.ClassXE,
 			Outcome: correlate.OutcomeSuccess,

@@ -53,7 +53,7 @@ func run() error {
 		}
 		shown++
 		fmt.Printf("apid %d  (%s, job %s, user %s)\n", r.ApID, r.Cmd, r.JobID, r.User)
-		fmt.Printf("  placement : %d %s nodes\n", len(r.Nodes), r.Class)
+		fmt.Printf("  placement : %d %s nodes\n", r.NumNodes(), r.Class)
 		fmt.Printf("  lifetime  : %s -> %s (%s)\n",
 			r.Start.Format("2006-01-02 15:04:05"),
 			r.End.Format("15:04:05"), r.Duration().Round(1e9))

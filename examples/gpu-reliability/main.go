@@ -52,7 +52,7 @@ func run() error {
 	for _, p := range populations {
 		var subset []logdiver.AttributedRun
 		for _, r := range res.Runs {
-			if r.Class == p.class && len(r.Nodes) >= p.minSize {
+			if r.Class == p.class && r.NumNodes() >= p.minSize {
 				subset = append(subset, r)
 			}
 		}

@@ -41,8 +41,8 @@ type AppRun struct {
 	Cmd string
 	// Width is the number of processing elements (PEs, i.e. ranks).
 	Width int
-	// Nodes is the placement, ascending.
-	Nodes []machine.NodeID
+	// Placement is the set of nodes the run was placed on.
+	Placement machine.Placement
 	// Start and End bound the execution.
 	Start, End time.Time
 	// ExitCode is the application exit code (0 on success); meaningless
@@ -55,11 +55,6 @@ type AppRun struct {
 // Duration returns the run's wall-clock duration.
 func (r AppRun) Duration() time.Duration { return r.End.Sub(r.Start) }
 
-// NodeHours returns the node-hours consumed by the run.
-func (r AppRun) NodeHours() float64 {
-	return float64(len(r.Nodes)) * r.Duration().Hours()
-}
-
 // Failed reports whether the run terminated abnormally (nonzero exit code
 // or fatal signal).
 func (r AppRun) Failed() bool { return r.ExitCode != 0 || r.Signal != 0 }
@@ -67,7 +62,7 @@ func (r AppRun) Failed() bool { return r.ExitCode != 0 || r.Signal != 0 }
 // StartMessage renders the apsys "Starting" message body for r.
 func StartMessage(r AppRun) string {
 	var b strings.Builder
-	b.Grow(96 + len(r.Nodes)*4)
+	b.Grow(96 + len(r.Placement)*12)
 	b.WriteString("apid=")
 	b.WriteString(strconv.FormatUint(r.ApID, 10))
 	b.WriteString(", Starting, user=")
@@ -79,16 +74,16 @@ func StartMessage(r AppRun) string {
 	b.WriteString(", width=")
 	b.WriteString(strconv.Itoa(r.Width))
 	b.WriteString(", num_nodes=")
-	b.WriteString(strconv.Itoa(len(r.Nodes)))
+	b.WriteString(strconv.Itoa(r.Placement.Len()))
 	b.WriteString(", node_list=")
-	b.WriteString(FormatNIDList(r.Nodes))
+	writeNIDList(&b, r.Placement)
 	return b.String()
 }
 
 // ExitMessage renders the apsys "Finishing" message body for r.
 func ExitMessage(r AppRun) string {
 	return fmt.Sprintf("apid=%d, Finishing, exit_code=%d, signal=%d, node_cnt=%d",
-		r.ApID, r.ExitCode, r.Signal, len(r.Nodes))
+		r.ApID, r.ExitCode, r.Signal, r.Placement.Len())
 }
 
 // MessageKind discriminates the two apsys record kinds.

@@ -93,16 +93,16 @@ func TestNIDListPropertyRoundTrip(t *testing.T) {
 
 func sampleRun() AppRun {
 	return AppRun{
-		ApID:     456789,
-		JobID:    "123456.bw",
-		User:     "alice",
-		Cmd:      "vasp",
-		Width:    2048,
-		Nodes:    ids(100, 101, 102, 103, 200),
-		Start:    time.Date(2013, 4, 3, 12, 0, 0, 0, time.UTC),
-		End:      time.Date(2013, 4, 3, 14, 0, 0, 0, time.UTC),
-		ExitCode: 0,
-		Signal:   0,
+		ApID:      456789,
+		JobID:     "123456.bw",
+		User:      "alice",
+		Cmd:       "vasp",
+		Width:     2048,
+		Placement: machine.PlacementOf(ids(100, 101, 102, 103, 200)),
+		Start:     time.Date(2013, 4, 3, 12, 0, 0, 0, time.UTC),
+		End:       time.Date(2013, 4, 3, 14, 0, 0, 0, time.UTC),
+		ExitCode:  0,
+		Signal:    0,
 	}
 }
 
@@ -118,8 +118,8 @@ func TestStartMessageRoundTrip(t *testing.T) {
 	if m.ApID != r.ApID || m.User != r.User || m.JobID != r.JobID || m.Cmd != r.Cmd || m.Width != r.Width {
 		t.Errorf("header: got %+v", m)
 	}
-	if !reflect.DeepEqual(m.Nodes, r.Nodes) {
-		t.Errorf("Nodes = %v, want %v", m.Nodes, r.Nodes)
+	if !reflect.DeepEqual(m.Nodes, r.Placement.Nodes()) {
+		t.Errorf("Nodes = %v, want %v", m.Nodes, r.Placement)
 	}
 }
 
@@ -134,7 +134,7 @@ func TestExitMessageRoundTrip(t *testing.T) {
 	if m.Kind != KindFinishing {
 		t.Fatalf("Kind = %v, want Finishing", m.Kind)
 	}
-	if m.ApID != r.ApID || m.ExitCode != 139 || m.Signal != 11 || m.NodeCnt != len(r.Nodes) {
+	if m.ApID != r.ApID || m.ExitCode != 139 || m.Signal != 11 || m.NodeCnt != r.Placement.Len() {
 		t.Errorf("got %+v", m)
 	}
 }
@@ -170,9 +170,6 @@ func TestRunDerivedQuantities(t *testing.T) {
 	r := sampleRun()
 	if got := r.Duration(); got != 2*time.Hour {
 		t.Errorf("Duration = %v", got)
-	}
-	if got := r.NodeHours(); got != 10 {
-		t.Errorf("NodeHours = %v, want 10", got)
 	}
 	if r.Failed() {
 		t.Error("clean exit marked failed")
@@ -216,8 +213,8 @@ func TestAssemblerPairsRuns(t *testing.T) {
 	if got.ApID != r.ApID || !got.Start.Equal(r.Start) || !got.End.Equal(r.End) {
 		t.Errorf("got %+v, want %+v", got, r)
 	}
-	if !reflect.DeepEqual(got.Nodes, r.Nodes) {
-		t.Errorf("Nodes = %v", got.Nodes)
+	if !reflect.DeepEqual(got.Placement, r.Placement) || got.Placement.Len() != 5 {
+		t.Errorf("Placement = %v (%d nodes)", got.Placement, got.Placement.Len())
 	}
 	if a.Open() != 0 {
 		t.Errorf("Open = %d after pairing", a.Open())

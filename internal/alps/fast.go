@@ -19,27 +19,27 @@ import (
 
 // MessageView is one parsed apsys message body with byte views into the
 // caller's buffer (User, JobID, Cmd). Views are valid only as long as the
-// underlying buffer; AddView copies what it retains. Nodes is freshly
-// allocated and owned by the receiver.
+// underlying buffer; AddView copies what it retains. Placement is freshly
+// allocated and owned by the receiver, which may keep it.
 type MessageView struct {
-	Kind     MessageKind
-	ApID     uint64
-	User     []byte
-	JobID    []byte
-	Cmd      []byte
-	Width    int
-	Nodes    []machine.NodeID
-	ExitCode int
-	Signal   int
-	NodeCnt  int
+	Kind      MessageKind
+	ApID      uint64
+	User      []byte
+	JobID     []byte
+	Cmd       []byte
+	Width     int
+	Placement machine.Placement
+	ExitCode  int
+	Signal    int
+	NodeCnt   int
 }
 
 // ParseMessageBytes parses an apsys message body from a byte view. Bodies
 // that are valid apsys output but not Starting/Finishing records (e.g. error
 // chatter without an apid) yield KindUnknown with a nil error so callers can
 // skip them cheaply. It is pure and safe to call from concurrent
-// goroutines. It allocates only for the node list of a Starting record and
-// for error construction.
+// goroutines. It allocates only for the placement of a Starting record, one
+// slice of its ranges, and for error construction.
 func ParseMessageBytes(body []byte) (MessageView, *parse.Error) {
 	var m MessageView
 	// Walk the ", "-separated segments, retaining the LAST occurrence of
@@ -111,13 +111,13 @@ func ParseMessageBytes(body []byte) (MessageView, *parse.Error) {
 		if !ok {
 			return MessageView{}, atoiErr(numNodes, haveNumNodes, "num_nodes", body)
 		}
-		nodes, err := ParseNIDListBytes(nodeList)
+		p, err := ParseNIDRangesBytes(nodeList)
 		if err != nil {
 			return MessageView{}, parse.Errorf(parse.KindField, parse.SampleText(body), "alps: bad node_list: %s", err.Error())
 		}
-		m.Nodes = nodes
-		if len(m.Nodes) != nn {
-			return MessageView{}, parse.Errorf(parse.KindStructure, parse.SampleText(body), "alps: apid %d claims %d nodes but lists %d", id, nn, len(m.Nodes))
+		m.Placement = p
+		if n := p.Len(); n != nn {
+			return MessageView{}, parse.Errorf(parse.KindStructure, parse.SampleText(body), "alps: apid %d claims %d nodes but lists %d", id, nn, n)
 		}
 	case bytes.Equal(marker, markFinishing):
 		m.Kind = KindFinishing
@@ -185,13 +185,13 @@ func (a *Assembler) AddView(at time.Time, v MessageView) error {
 			return fmt.Errorf("alps: duplicate Starting for apid %d", v.ApID)
 		}
 		a.open[v.ApID] = AppRun{
-			ApID:  v.ApID,
-			JobID: a.intern(v.JobID),
-			User:  a.intern(v.User),
-			Cmd:   a.intern(v.Cmd),
-			Width: v.Width,
-			Nodes: v.Nodes,
-			Start: at,
+			ApID:      v.ApID,
+			JobID:     a.intern(v.JobID),
+			User:      a.intern(v.User),
+			Cmd:       a.intern(v.Cmd),
+			Width:     v.Width,
+			Placement: v.Placement,
+			Start:     at,
 		}
 	case KindFinishing:
 		return a.finish(at, v.ApID, v.ExitCode, v.Signal)

@@ -45,7 +45,7 @@ func viewToMessage(v MessageView) Message {
 		JobID:    string(v.JobID),
 		Cmd:      string(v.Cmd),
 		Width:    v.Width,
-		Nodes:    v.Nodes,
+		Nodes:    v.Placement.Nodes(),
 		ExitCode: v.ExitCode,
 		Signal:   v.Signal,
 		NodeCnt:  v.NodeCnt,

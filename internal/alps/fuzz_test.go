@@ -54,41 +54,49 @@ func afterFirst(line, sep string) string {
 	return line
 }
 
-// FuzzParseNIDList pins the byte node-list parser ingestion runs to the
-// string reference — same acceptance, error text and IDs — and checks that
-// accepted lists round-trip through FormatNIDList.
+// FuzzParseNIDList pins the range parser ingestion runs to the string
+// reference: the same acceptance and error text, ranges that expand to
+// exactly the reference's IDs and are canonical (ascending, adjacent parts
+// coalesced), and ranges that StartMessage's writer renders as FormatNIDList
+// renders the list and that parse back to themselves.
 func FuzzParseNIDList(f *testing.F) {
 	for _, seed := range []string{
-		"", "5", "1-3", "1-3,7,9-10", "0-0", "3-1", "x", "1,,2", "9999999-0",
+		"", "5", "1-3", "1-3,4", "1,2,3", "1-3,7,9-10", "0-0", "3-1", "x", "1,,2", "2,1", "1-3,3",
+		"2147483646,2147483647", "9999999-0",
 	} {
 		f.Add(seed)
 	}
-	for _, line := range apsysSeedLines() {
-		f.Add(afterFirst(line, "node_list="))
+	for _, line := range append(apsysSeedLines(), fastDiffBodies...) {
+		if _, list, ok := strings.Cut(line, "node_list="); ok {
+			list, _, _ = strings.Cut(list, ", ")
+			f.Add(list)
+		}
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		ids, err := ParseNIDList(s)
-		got, gotErr := ParseNIDListBytes([]byte(s))
+		p, gotErr := ParseNIDRangesBytes([]byte(s))
 		if (gotErr == nil) != (err == nil) || (err != nil && gotErr.Error() != err.Error()) {
-			t.Fatalf("ParseNIDListBytes(%q) err = %v, ParseNIDList %v", s, gotErr, err)
-		}
-		if !reflect.DeepEqual(got, ids) {
-			t.Fatalf("ParseNIDListBytes(%q) = %v, ParseNIDList %v", s, got, ids)
+			t.Fatalf("ParseNIDRangesBytes(%q) err = %v, ParseNIDList %v", s, gotErr, err)
 		}
 		if err != nil {
 			return
 		}
-		back, err := ParseNIDList(FormatNIDList(ids))
-		if err != nil {
-			t.Fatalf("accepted %q but reformatted list failed: %v", s, err)
+		if got := p.Nodes(); p.Len() != len(ids) || len(ids) > 0 && !reflect.DeepEqual(got, ids) {
+			t.Fatalf("ParseNIDRangesBytes(%q) = %v, expands to %v; ParseNIDList %v", s, p, got, ids)
 		}
-		if len(back) != len(ids) {
-			t.Fatalf("round trip length %d != %d for %q", len(back), len(ids), s)
-		}
-		for i := range ids {
-			if back[i] != ids[i] {
-				t.Fatalf("round trip element %d: %d != %d for %q", i, back[i], ids[i], s)
+		for k, r := range p {
+			if r.Lo > r.Hi || k > 0 && int(r.Lo) <= int(p[k-1].Hi)+1 {
+				t.Fatalf("ParseNIDRangesBytes(%q) = %v: range %d not canonical", s, p, k)
 			}
+		}
+		var b strings.Builder
+		writeNIDList(&b, p)
+		if want := FormatNIDList(ids); b.String() != want {
+			t.Fatalf("ranges of %q render as %q, FormatNIDList %q", s, b.String(), want)
+		}
+		back, err := ParseNIDRangesBytes([]byte(b.String()))
+		if err != nil || !reflect.DeepEqual(back, p) {
+			t.Fatalf("ranges of %q rendered as %q parse back to %v, %v", s, b.String(), back, err)
 		}
 	})
 }

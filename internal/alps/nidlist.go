@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -12,67 +11,45 @@ import (
 	"logdiver/internal/parse"
 )
 
-// FormatNIDList renders a node-ID set in the compact range notation ALPS
-// uses in its logs, e.g. "12-27,100,102-110". The input need not be sorted;
-// duplicates are collapsed. An empty input renders as "".
-func FormatNIDList(ids []machine.NodeID) string {
-	if len(ids) == 0 {
-		return ""
-	}
-	sorted := make([]machine.NodeID, len(ids))
-	copy(sorted, ids)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-
-	var b strings.Builder
-	b.Grow(len(sorted) * 4)
-	writeRange := func(lo, hi machine.NodeID) {
-		if b.Len() > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(int(lo)))
-		if hi > lo {
-			b.WriteByte('-')
-			b.WriteString(strconv.Itoa(int(hi)))
-		}
-	}
-	lo := sorted[0]
-	hi := sorted[0]
-	for _, id := range sorted[1:] {
-		switch {
-		case id == hi || id == hi+1:
-			if id == hi+1 {
-				hi = id
-			}
-		default:
-			writeRange(lo, hi)
-			lo, hi = id, id
-		}
-	}
-	writeRange(lo, hi)
-	return b.String()
-}
-
 // maxNIDListLen bounds the total node count a single list may expand to.
 // The largest real machines have tens of thousands of nodes; the cap exists
-// so adversarial inputs (many maximal ranges in one list) cannot force
-// gigabytes of allocation before validation fails.
+// so adversarial inputs (many maximal ranges in one list) cannot claim
+// gigabytes of nodes, and so a placement's node count fits an int32.
 const maxNIDListLen = 1 << 22
 
 // maxNID is the largest ID a machine.NodeID holds; a larger one is malformed
 // rather than wrapped to a negative node.
 const maxNID = math.MaxInt32
 
-// ParseNIDListBytes parses the compact range notation produced by
-// FormatNIDList from a byte view. It returns node IDs in ascending order; an
-// empty list yields nil. It makes exactly one allocation (the result slice,
-// sized by a counting pre-pass) on valid input, allocating otherwise only to
+// writeNIDList renders a placement in the compact range notation ALPS uses
+// in its logs, e.g. "12-27,100,102-110"; an empty placement renders as "".
+func writeNIDList(b *strings.Builder, p machine.Placement) {
+	for i, r := range p {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.Itoa(int(r.Lo)))
+		if r.Hi > r.Lo {
+			b.WriteByte('-')
+			b.WriteString(strconv.Itoa(int(r.Hi)))
+		}
+	}
+}
+
+// ParseNIDRangesBytes parses the compact range notation from a byte view
+// straight to a placement, never expanding it. Every part must be a NID or
+// an ascending "lo-hi" range of NIDs, parts must be strictly ascending and
+// the list must hold at most maxNIDListLen nodes; adjacent parts coalesce, so
+// the placement is canonical. An empty list yields nil. It makes exactly one
+// allocation (the range slice) on valid input, allocating otherwise only to
 // build errors.
-func ParseNIDListBytes(s []byte) ([]machine.NodeID, error) {
+func ParseNIDRangesBytes(s []byte) (machine.Placement, error) {
 	if len(s) == 0 {
 		return nil, nil
 	}
-	// Pass 1: validate every range and count the total expansion.
+	out := make(machine.Placement, 0, bytes.Count(s, []byte{','})+1)
 	total := 0
+	ascending := true
 	for start := 0; start <= len(s); {
 		part, next := nidPart(s, start)
 		start = next
@@ -84,24 +61,31 @@ func ParseNIDListBytes(s []byte) ([]machine.NodeID, error) {
 			return nil, fmt.Errorf("alps: nid list %q implausibly large", s)
 		}
 		total += int(hi-lo) + 1
-	}
-	// Pass 2: fill.
-	out := make([]machine.NodeID, 0, total)
-	for start := 0; start <= len(s); {
-		part, next := nidPart(s, start)
-		start = next
-		lo, hi, _ := nidRange(part, s)
-		// int, not NodeID: the increment past hi must not wrap at maxNID.
-		for id := int(lo); id <= int(hi); id++ {
-			out = append(out, machine.NodeID(id))
+		// An out-of-order part is reported only once every part has been
+		// validated: a malformed or oversized part takes precedence.
+		switch k := len(out) - 1; {
+		case k >= 0 && lo <= out[k].Hi:
+			ascending = false
+		case k >= 0 && lo == out[k].Hi+1:
+			out[k].Hi = hi
+		default:
+			out = append(out, machine.NodeRange{Lo: lo, Hi: hi})
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		if out[i] <= out[i-1] {
-			return nil, fmt.Errorf("alps: nid list %q not strictly ascending", s)
-		}
+	if !ascending {
+		return nil, fmt.Errorf("alps: nid list %q not strictly ascending", s)
 	}
 	return out, nil
+}
+
+// ParseNIDListBytes is ParseNIDRangesBytes expanded: the node IDs of the
+// list in ascending order, nil for an empty list.
+func ParseNIDListBytes(s []byte) ([]machine.NodeID, error) {
+	p, err := ParseNIDRangesBytes(s)
+	if err != nil || p == nil {
+		return nil, err
+	}
+	return p.Nodes(), nil
 }
 
 // nidPart returns the comma-separated part starting at start and the next

@@ -1,13 +1,15 @@
 package alps
 
-// The string-form reference of the apsys message and node-list parsers. No
-// product code calls it: it is the independent, map-backed implementation
-// ParseMessageBytes and ParseNIDListBytes are pinned to
+// The string-form reference of the apsys message and node-list parsers and
+// of the node-list writer. No product code calls it: it is the independent,
+// map-backed and list-expanding implementation ParseMessageBytes,
+// ParseNIDListBytes, ParseNIDRangesBytes and StartMessage are pinned to
 // (TestParseMessageBytesMatchesParseMessage, FuzzParseMessage,
 // TestParseNIDListBytesMatchesParseNIDList, FuzzParseNIDList).
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -123,17 +125,57 @@ func atoiField(fields map[string]string, key, body string) (int, error) {
 // one fold implementation.
 func (a *Assembler) Add(at time.Time, m Message) error {
 	return a.AddView(at, MessageView{
-		Kind:     m.Kind,
-		ApID:     m.ApID,
-		User:     []byte(m.User),
-		JobID:    []byte(m.JobID),
-		Cmd:      []byte(m.Cmd),
-		Width:    m.Width,
-		Nodes:    m.Nodes,
-		ExitCode: m.ExitCode,
-		Signal:   m.Signal,
-		NodeCnt:  m.NodeCnt,
+		Kind:      m.Kind,
+		ApID:      m.ApID,
+		User:      []byte(m.User),
+		JobID:     []byte(m.JobID),
+		Cmd:       []byte(m.Cmd),
+		Width:     m.Width,
+		Placement: machine.PlacementOf(m.Nodes),
+		ExitCode:  m.ExitCode,
+		Signal:    m.Signal,
+		NodeCnt:   m.NodeCnt,
 	})
+}
+
+// FormatNIDList renders a node-ID set in the compact range notation ALPS
+// uses in its logs, e.g. "12-27,100,102-110". The input need not be sorted;
+// duplicates are collapsed. An empty input renders as "".
+func FormatNIDList(ids []machine.NodeID) string {
+	if len(ids) == 0 {
+		return ""
+	}
+	sorted := make([]machine.NodeID, len(ids))
+	copy(sorted, ids)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+
+	var b strings.Builder
+	b.Grow(len(sorted) * 4)
+	writeRange := func(lo, hi machine.NodeID) {
+		if b.Len() > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.Itoa(int(lo)))
+		if hi > lo {
+			b.WriteByte('-')
+			b.WriteString(strconv.Itoa(int(hi)))
+		}
+	}
+	lo := sorted[0]
+	hi := sorted[0]
+	for _, id := range sorted[1:] {
+		switch {
+		case id == hi || id == hi+1:
+			if id == hi+1 {
+				hi = id
+			}
+		default:
+			writeRange(lo, hi)
+			lo, hi = id, id
+		}
+	}
+	writeRange(lo, hi)
+	return b.String()
 }
 
 // ParseNIDList parses the compact range notation produced by FormatNIDList.

@@ -25,7 +25,7 @@ type AssemblerState struct {
 }
 
 // State exports the assembler for persistence. The returned state shares no
-// mutable memory with the assembler: AppRun node slices are not copied (they
+// mutable memory with the assembler: AppRun placements are not copied (they
 // are never mutated after Add), but the containers are fresh.
 func (a *Assembler) State() AssemblerState {
 	st := AssemblerState{

@@ -41,7 +41,9 @@ type IncrementalState struct {
 	// accounting, apsys, syslog; it keeps restored provenance absolute.
 	LineBase [3]int
 	// Attr is the attribution of the last Result call, mirroring
-	// Alps.Done's completion order (len(Attr) <= len(Alps.Done)).
+	// Alps.Done's completion order (len(Attr) <= len(Alps.Done)). Its runs
+	// are zero: each Attr[i].AppRun is Alps.Done[i], which restore puts
+	// back, so a run is serialized once and its placement held once.
 	Attr []correlate.AttributedRun
 	// DirtyJobs, MinNew and HaveNew carry the re-attribution window of
 	// appends not yet folded into a Result (normally empty: the daemon
@@ -67,10 +69,14 @@ func (inc *Incremental) State() (*IncrementalState, error) {
 		Events:   append([]errlog.Event(nil), inc.events...),
 		Stats:    inc.stats,
 		LineBase: inc.lineBase,
-		Attr:     append([]correlate.AttributedRun(nil), inc.attr...),
+		Attr:     make([]correlate.AttributedRun, len(inc.attr)),
 		MinNew:   inc.minNew,
 		HaveNew:  inc.haveNew,
 		LastRedo: inc.lastRedo,
+	}
+	for i, r := range inc.attr {
+		r.AppRun = alps.AppRun{}
+		st.Attr[i] = r
 	}
 	if len(inc.dirtyJobs) > 0 {
 		st.DirtyJobs = make([]string, 0, len(inc.dirtyJobs))
@@ -119,7 +125,12 @@ func RestoreIncremental(top *machine.Topology, loc *time.Location, opts Options,
 	inc.events = append([]errlog.Event(nil), st.Events...)
 	inc.stats = st.Stats
 	inc.lineBase = st.LineBase
-	inc.attr = append([]correlate.AttributedRun(nil), st.Attr...)
+	done := alpsAsm.Done()
+	inc.attr = make([]correlate.AttributedRun, len(st.Attr))
+	for i, r := range st.Attr {
+		r.AppRun = done[i]
+		inc.attr[i] = r
+	}
 	for _, id := range st.DirtyJobs {
 		inc.dirtyJobs[id] = struct{}{}
 	}

@@ -83,8 +83,19 @@ type AttributedRun struct {
 	Cause taxonomy.Category
 	// Evidence is the earliest qualifying event for system failures.
 	Evidence errlog.Event
+	// Nodes is the placement's node count, taken at attribution like Class:
+	// every reader after the join needs the count, not the ranges.
+	Nodes int32
 	// HasEvidence reports whether Evidence is populated.
 	HasEvidence bool
+}
+
+// NumNodes returns the number of nodes the run was placed on.
+func (r *AttributedRun) NumNodes() int { return int(r.Nodes) }
+
+// NodeHours returns the node-hours consumed by the run.
+func (r *AttributedRun) NodeHours() float64 {
+	return float64(r.Nodes) * r.Duration().Hours()
 }
 
 // Config tunes the attribution join.
@@ -122,17 +133,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// Qualifying reports whether an event can explain an application failure:
-// non-benign category with severity at least SevError.
-func Qualifying(e errlog.Event) bool {
-	return !e.Category.Benign() && e.Severity >= taxonomy.SevError
-}
-
 // Correlator attributes run outcomes against an event index.
 type Correlator struct {
-	ix      *interval.Index
-	classes []machine.NodeClass
-	cfg     Config
+	ix  *interval.Index
+	top *machine.Topology
+	cfg Config
 }
 
 // New builds a Correlator. The topology provides node classes for XE/XK
@@ -147,23 +152,7 @@ func New(ix *interval.Index, top *machine.Topology, cfg Config) (*Correlator, er
 	if cfg.PostWindow < 0 || cfg.EvidenceWindow < 0 {
 		return nil, fmt.Errorf("correlate: negative window")
 	}
-	classes := make([]machine.NodeClass, top.NumNodes())
-	for i := range classes {
-		classes[i] = top.MustNode(machine.NodeID(i)).Class
-	}
-	return &Correlator{ix: ix, classes: classes, cfg: cfg}, nil
-}
-
-// classOf labels a placement: any XK node makes the run hybrid.
-func (c *Correlator) classOf(nodes []machine.NodeID) machine.NodeClass {
-	class := machine.ClassXE
-	for _, n := range nodes {
-		if int(n) >= 0 && int(n) < len(c.classes) && c.classes[n] == machine.ClassXK {
-			class = machine.ClassXK
-			break
-		}
-	}
-	return class
+	return &Correlator{ix: ix, top: top, cfg: cfg}, nil
 }
 
 // isWalltimeKill reports whether the run's death looks like a batch
@@ -186,9 +175,9 @@ func (c *Correlator) isWalltimeKill(run alps.AppRun) bool {
 
 // Attribute classifies one run.
 func (c *Correlator) Attribute(run alps.AppRun) AttributedRun {
-	out := AttributedRun{
-		AppRun: run,
-		Class:  c.classOf(run.Nodes),
+	out := AttributedRun{AppRun: run, Class: machine.ClassXE, Nodes: int32(run.Placement.Len())}
+	if c.top.AnyXK(run.Placement) { // any XK node makes the run hybrid
+		out.Class = machine.ClassXK
 	}
 	if !run.Failed() {
 		out.Outcome = OutcomeSuccess
@@ -200,22 +189,17 @@ func (c *Correlator) Attribute(run alps.AppRun) AttributedRun {
 		from = run.Start
 	}
 	to := run.End.Add(c.cfg.PostWindow)
+	// The index holds only qualifying events (interval.Qualifying).
+	quiesce := out.NumNodes() >= c.cfg.QuiesceMinNodes
 	keep := func(e errlog.Event) bool {
-		if !Qualifying(e) {
-			return false
-		}
-		if e.IsSystemWide() && e.Category.Group() == taxonomy.GroupInterconnect &&
-			len(run.Nodes) < c.cfg.QuiesceMinNodes {
-			return false
-		}
-		return true
+		return quiesce || !e.IsSystemWide() || e.Category.Group() != taxonomy.GroupInterconnect
 	}
 	var ev errlog.Event
 	var ok bool
 	if c.cfg.TemporalOnly {
 		ev, ok = c.ix.FirstAnywhere(from, to, keep)
 	} else {
-		ev, ok = c.ix.FirstInWindow(run.Nodes, from, to, keep)
+		ev, ok = c.ix.FirstInWindow(run.Placement, from, to, keep)
 	}
 	if ok {
 		out.Outcome = OutcomeSystemFailure

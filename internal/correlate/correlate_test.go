@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"logdiver/internal/alps"
 	"logdiver/internal/errlog"
@@ -26,16 +27,16 @@ func testTopology(t *testing.T) *machine.Topology {
 
 func run(nodes []machine.NodeID, start time.Time, dur time.Duration, exit, sig int) alps.AppRun {
 	return alps.AppRun{
-		ApID:     1,
-		JobID:    "1.bw",
-		User:     "u",
-		Cmd:      "app",
-		Width:    len(nodes) * 16,
-		Nodes:    nodes,
-		Start:    start,
-		End:      start.Add(dur),
-		ExitCode: exit,
-		Signal:   sig,
+		ApID:      1,
+		JobID:     "1.bw",
+		User:      "u",
+		Cmd:       "app",
+		Width:     len(nodes) * 16,
+		Start:     start,
+		End:       start.Add(dur),
+		ExitCode:  exit,
+		Signal:    sig,
+		Placement: machine.PlacementOf(nodes),
 	}
 }
 
@@ -95,6 +96,14 @@ func TestSystemFailureOnNodeOverlap(t *testing.T) {
 	}
 	if !got.HasEvidence || !got.Evidence.Time.Equal(at) {
 		t.Errorf("Evidence = %+v", got.Evidence)
+	}
+}
+
+func TestNodeCountTakenAtAttribution(t *testing.T) {
+	c := newCorrelator(t, nil, DefaultConfig())
+	got := c.Attribute(run([]machine.NodeID{3, 4, 5, 9}, base, 2*time.Hour, 0, 0))
+	if got.NumNodes() != 4 || got.NodeHours() != 8 {
+		t.Errorf("NumNodes = %d, NodeHours = %v; want 4, 8", got.NumNodes(), got.NodeHours())
 	}
 }
 
@@ -169,7 +178,7 @@ func TestQuiesceGatedBySize(t *testing.T) {
 	// A large run is vulnerable to quiesce.
 	big := make([]machine.NodeID, DefaultConfig().QuiesceMinNodes)
 	for i := range big {
-		big[i] = machine.NodeID(i % 1500)
+		big[i] = machine.NodeID(i) // beyond the small machine: only the count matters
 	}
 	large := c.Attribute(run(big, base, time.Hour, 0, 9))
 	if large.Outcome != OutcomeSystemFailure || large.Cause != taxonomy.InterconnectRouting {
@@ -332,8 +341,17 @@ func TestQualifying(t *testing.T) {
 	}
 	for _, tt := range tests {
 		e := errlog.Event{Category: tt.cat, Severity: tt.sev}
-		if got := Qualifying(e); got != tt.want {
+		if got := interval.Qualifying(e); got != tt.want {
 			t.Errorf("Qualifying(%v,%v) = %v, want %v", tt.cat, tt.sev, got, tt.want)
 		}
+	}
+}
+
+// TestAttributedRunSize pins the per-run record every Result, snapshot and
+// what-if input holds a copy of: carrying a placement must not grow it past
+// the 264 bytes an expanded node list took.
+func TestAttributedRunSize(t *testing.T) {
+	if n := unsafe.Sizeof(AttributedRun{}); n > 264 {
+		t.Errorf("AttributedRun is %d bytes, want at most 264", n)
 	}
 }

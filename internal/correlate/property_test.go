@@ -52,12 +52,12 @@ func randomScenario(seed int64) ([]errlog.Event, []alps.AppRun) {
 			sig = 1 + rng.Intn(31)
 		}
 		runs[i] = alps.AppRun{
-			ApID:     uint64(i + 1),
-			Nodes:    nodes,
-			Start:    start,
-			End:      start.Add(time.Duration(1+rng.Intn(86400)) * time.Second),
-			ExitCode: exit,
-			Signal:   sig,
+			ApID:      uint64(i + 1),
+			Placement: machine.PlacementOf(nodes),
+			Start:     start,
+			End:       start.Add(time.Duration(1+rng.Intn(86400)) * time.Second),
+			ExitCode:  exit,
+			Signal:    sig,
 		}
 	}
 	return events, runs
@@ -96,7 +96,7 @@ func TestAttributionInvariantsProperty(t *testing.T) {
 			}
 			if r.HasEvidence {
 				// Evidence must be qualifying and inside the window.
-				if !Qualifying(r.Evidence) {
+				if !interval.Qualifying(r.Evidence) {
 					return false
 				}
 				from := r.End.Add(-DefaultConfig().EvidenceWindow)
@@ -110,7 +110,7 @@ func TestAttributionInvariantsProperty(t *testing.T) {
 				// Node-scoped evidence must be on the placement.
 				if !r.Evidence.IsSystemWide() {
 					onPlacement := false
-					for _, n := range r.Nodes {
+					for _, n := range r.Placement.Nodes() {
 						if n == r.Evidence.Node {
 							onPlacement = true
 							break

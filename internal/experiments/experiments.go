@@ -71,7 +71,7 @@ type ProbeResult struct {
 func ReadProbe(runs []correlate.AttributedRun, p Probe) (ProbeResult, error) {
 	out := ProbeResult{Probe: p}
 	for _, r := range runs {
-		if r.Class != p.Class || len(r.Nodes) < p.Lo || len(r.Nodes) >= p.Hi {
+		if r.Class != p.Class || r.NumNodes() < p.Lo || r.NumNodes() >= p.Hi {
 			continue
 		}
 		out.Runs++
@@ -344,7 +344,7 @@ func E9Detection(res *core.Result, truth map[uint64]gen.Truth) *report.Table {
 	for _, p := range populations {
 		var filtered []correlate.AttributedRun
 		for _, r := range res.Runs {
-			if r.Class == p.class && len(r.Nodes) >= p.minNds {
+			if r.Class == p.class && r.NumNodes() >= p.minNds {
 				filtered = append(filtered, r)
 			}
 		}

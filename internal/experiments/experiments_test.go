@@ -558,8 +558,8 @@ func tieFixture() *core.Result {
 	for i := 0; i < 14; i++ {
 		r := correlate.AttributedRun{AppRun: alps.AppRun{
 			ApID: uint64(i + 1), Cmd: fmt.Sprintf("app%02d", i),
-			Nodes: []machine.NodeID{machine.NodeID(20 + i)},
-			Start: base.Add(time.Duration(i) * time.Minute),
+			Placement: machine.Placement{{Lo: machine.NodeID(20 + i), Hi: machine.NodeID(20 + i)}},
+			Start:     base.Add(time.Duration(i) * time.Minute),
 		}, Outcome: correlate.OutcomeSuccess}
 		r.End = r.Start.Add(time.Hour)
 		if i < 2 { // killed by the first two events

@@ -42,7 +42,7 @@ func E16Survival(res *core.Result) (*report.Table, error) {
 		var events []bool
 		var interrupts int
 		for _, r := range res.Runs {
-			n := len(r.Nodes)
+			n := r.NumNodes()
 			if n < c.lo || n >= c.hi {
 				continue
 			}

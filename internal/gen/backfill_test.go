@@ -25,7 +25,7 @@ func backfillConfig(backfill bool, seed int64) Config {
 func totalNodeHours(ds *Dataset) float64 {
 	var nh float64
 	for _, r := range ds.Runs {
-		nh += r.NodeHours()
+		nh += float64(r.Placement.Len()) * r.Duration().Hours()
 	}
 	return nh
 }
@@ -118,7 +118,7 @@ func TestBackfillDoesNotStarveCapabilityJobs(t *testing.T) {
 	}
 	var fullScale int
 	for _, r := range ds.Runs {
-		if len(r.Nodes) == 900 {
+		if r.Placement.Len() == 900 {
 			fullScale++
 		}
 	}
@@ -134,7 +134,7 @@ func TestBackfillPreservesPlacementExclusivity(t *testing.T) {
 	}
 	busyUntil := make(map[machine.NodeID]int64)
 	for _, r := range ds.Runs { // sorted by start
-		for _, n := range r.Nodes {
+		for _, n := range r.Placement.Nodes() {
 			if until, ok := busyUntil[n]; ok && r.Start.UnixNano() < until {
 				t.Fatalf("node %d double-booked under backfill", n)
 			}

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -124,15 +125,15 @@ func TestGenerateRunInvariants(t *testing.T) {
 		if !r.End.After(r.Start) {
 			t.Fatalf("run %d has End %v <= Start %v", r.ApID, r.End, r.Start)
 		}
-		if len(r.Nodes) == 0 {
+		if len(r.Placement) == 0 {
 			t.Fatalf("run %d has no nodes", r.ApID)
 		}
 		if r.Start.Before(ds.Start) {
 			t.Fatalf("run %d starts before span", r.ApID)
 		}
 		// Placement is class-homogeneous and within the topology.
-		class := ds.Topology.MustNode(r.Nodes[0]).Class
-		for _, n := range r.Nodes {
+		class := ds.Topology.MustNode(r.Placement[0].Lo).Class
+		for _, n := range r.Placement.Nodes() {
 			node, err := ds.Topology.Node(n)
 			if err != nil {
 				t.Fatalf("run %d references bad node: %v", r.ApID, err)
@@ -160,7 +161,7 @@ func TestGeneratePlacementExclusive(t *testing.T) {
 	busyUntil := make(map[machine.NodeID]time.Time)
 	owner := make(map[machine.NodeID]uint64)
 	for _, r := range ds.Runs { // sorted by start
-		for _, n := range r.Nodes {
+		for _, n := range r.Placement.Nodes() {
 			if until, ok := busyUntil[n]; ok && r.Start.Before(until) {
 				t.Fatalf("node %d shared by runs %d and %d", n, owner[n], r.ApID)
 			}
@@ -240,7 +241,7 @@ func TestGenerateDeterminism(t *testing.T) {
 	for i := range a.Runs {
 		x, y := a.Runs[i], b.Runs[i]
 		if x.ApID != y.ApID || !x.Start.Equal(y.Start) || !x.End.Equal(y.End) ||
-			x.ExitCode != y.ExitCode || x.Signal != y.Signal || len(x.Nodes) != len(y.Nodes) {
+			x.ExitCode != y.ExitCode || x.Signal != y.Signal || !reflect.DeepEqual(x.Placement, y.Placement) {
 			t.Fatalf("run %d differs across identical seeds", i)
 		}
 	}
@@ -365,8 +366,8 @@ func TestWriteApsysRoundTrip(t *testing.T) {
 		if got.ApID != want.ApID || got.ExitCode != want.ExitCode || got.Signal != want.Signal {
 			t.Fatalf("run %d mismatch: got %+v want %+v", i, got, want)
 		}
-		if len(got.Nodes) != len(want.Nodes) {
-			t.Fatalf("run %d node count %d != %d", i, len(got.Nodes), len(want.Nodes))
+		if !reflect.DeepEqual(got.Placement, want.Placement) {
+			t.Fatalf("run %d placement %v != %v", i, got.Placement, want.Placement)
 		}
 	}
 }

@@ -79,10 +79,12 @@ type simEvent struct {
 }
 
 type runningJob struct {
-	plan    plannedJob
-	nodes   []machine.NodeID
-	started time.Time
-	done    time.Time
+	plan  plannedJob
+	nodes []machine.NodeID
+	// placement is nodes as ranges, shared by every run of the job.
+	placement machine.Placement
+	started   time.Time
+	done      time.Time
 }
 
 // eventHeap is a min-heap on (at, seq).
@@ -278,7 +280,7 @@ func (s *sim) startJob(p plannedJob, pool *allocator, now time.Time) bool {
 	if nodes == nil {
 		return false
 	}
-	job := &runningJob{plan: p, nodes: nodes, started: now}
+	job := &runningJob{plan: p, nodes: nodes, placement: machine.PlacementOf(nodes), started: now}
 	job.done = s.executeJob(job)
 	s.push(job.done, evJobDone, job)
 	return true
@@ -481,12 +483,12 @@ func (s *sim) resolveRun(job *runningJob, start time.Time, natural time.Duration
 	apid := s.nextApID + 1
 	s.nextApID = apid
 	run := alps.AppRun{
-		ApID:  apid,
-		JobID: "", // stamped by executeJob once the job ID is assigned
-		Cmd:   job.plan.cmd.name,
-		Width: n * (8 + 8*s.rng.Intn(3)),
-		Nodes: nodes,
-		Start: start, End: end,
+		ApID:      apid,
+		JobID:     "", // stamped by executeJob once the job ID is assigned
+		Cmd:       job.plan.cmd.name,
+		Width:     n * (8 + 8*s.rng.Intn(3)),
+		Placement: job.placement,
+		Start:     start, End: end,
 		ExitCode: exitCode, Signal: signal,
 	}
 	return run, truth

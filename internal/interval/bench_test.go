@@ -10,7 +10,7 @@ import (
 	"logdiver/internal/taxonomy"
 )
 
-func benchIndex(nEvents int) (*Index, []machine.NodeID, time.Time) {
+func benchIndex(nEvents int) (*Index, machine.Placement, time.Time) {
 	rng := rand.New(rand.NewSource(7))
 	start := time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC)
 	events := make([]errlog.Event, nEvents)
@@ -30,7 +30,7 @@ func benchIndex(nEvents int) (*Index, []machine.NodeID, time.Time) {
 	for i := range placement {
 		placement[i] = machine.NodeID(rng.Intn(27648))
 	}
-	return NewIndex(events), placement, start
+	return NewIndex(events), machine.PlacementOf(placement), start
 }
 
 func BenchmarkIndexBuild(b *testing.B) {
@@ -39,8 +39,10 @@ func BenchmarkIndexBuild(b *testing.B) {
 	events := make([]errlog.Event, 100000)
 	for i := range events {
 		events[i] = errlog.Event{
-			Time: start.Add(time.Duration(rng.Intn(100*86400)) * time.Second),
-			Node: machine.NodeID(rng.Intn(27648)),
+			Time:     start.Add(time.Duration(rng.Intn(100*86400)) * time.Second),
+			Node:     machine.NodeID(rng.Intn(27648)),
+			Category: taxonomy.NodeHeartbeat,
+			Severity: taxonomy.SevCritical,
 		}
 	}
 	b.ReportAllocs()
@@ -64,15 +66,6 @@ func BenchmarkFirstInWindow(b *testing.B) {
 		}
 	}
 	_ = hits
-}
-
-func BenchmarkWindow(b *testing.B) {
-	ix, placement, start := benchIndex(100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		from := start.Add(time.Duration(i%86400) * time.Second)
-		_ = ix.Window(placement, from, from.Add(time.Hour))
-	}
 }
 
 func BenchmarkFirstAnywhere(b *testing.B) {

@@ -28,19 +28,21 @@ func sysEv(offset time.Duration, cat taxonomy.Category) errlog.Event {
 	return e
 }
 
+// nodes is the placement of the given node IDs.
+func nodes(ids ...machine.NodeID) machine.Placement { return machine.PlacementOf(ids) }
+
+func keepAll(errlog.Event) bool { return true }
+
 func TestIndexCounts(t *testing.T) {
 	events := []errlog.Event{
 		ev(1, time.Minute, taxonomy.HardwareMemoryUE),
-		ev(1, 2*time.Minute, taxonomy.HardwareMemoryCE),
+		ev(1, 2*time.Minute, taxonomy.HardwareMemoryCE), // benign: never evidence
 		ev(2, time.Hour, taxonomy.NodeHeartbeat),
 		sysEv(30*time.Minute, taxonomy.FilesystemLBUG),
 	}
-	ix := NewIndex(events)
-	if ix.Len() != 4 {
-		t.Errorf("Len = %d, want 4", ix.Len())
-	}
-	if ix.Nodes() != 2 {
-		t.Errorf("Nodes = %d, want 2", ix.Nodes())
+	events[2].Severity = taxonomy.SevWarning // below SevError: never evidence
+	if ix := NewIndex(events); ix.Len() != 2 {
+		t.Errorf("Len = %d, want the 2 qualifying events", ix.Len())
 	}
 }
 
@@ -51,21 +53,22 @@ func TestNodeWindowBoundsInclusive(t *testing.T) {
 		ev(5, 30*time.Minute, taxonomy.NodeHeartbeat),
 	}
 	ix := NewIndex(events)
-	node5 := []machine.NodeID{5}
-	got := ix.Window(node5, base.Add(10*time.Minute), base.Add(30*time.Minute))
-	if len(got) != 3 {
-		t.Errorf("inclusive window returned %d events, want 3", len(got))
+	node5 := nodes(5)
+	last := func(e errlog.Event) bool { return e.Time.Equal(base.Add(30 * time.Minute)) }
+	if got, ok := ix.FirstInWindow(node5, base.Add(10*time.Minute), base.Add(30*time.Minute), keepAll); !ok || got != events[0] {
+		t.Errorf("inclusive window: first %+v, %v; want the event at its start", got, ok)
 	}
-	got = ix.Window(node5, base.Add(11*time.Minute), base.Add(29*time.Minute))
-	if len(got) != 1 {
-		t.Errorf("interior window returned %d events, want 1", len(got))
+	if _, ok := ix.FirstInWindow(node5, base.Add(10*time.Minute), base.Add(30*time.Minute), last); !ok {
+		t.Error("inclusive window misses the event at its end")
 	}
-	got = ix.Window(node5, base.Add(31*time.Minute), base.Add(time.Hour))
-	if len(got) != 0 {
-		t.Errorf("empty window returned %d events", len(got))
+	if got, ok := ix.FirstInWindow(node5, base.Add(11*time.Minute), base.Add(29*time.Minute), keepAll); !ok || got != events[1] {
+		t.Errorf("interior window: first %+v, %v; want the middle event", got, ok)
 	}
-	if got := ix.Window([]machine.NodeID{99}, base, base.Add(time.Hour)); len(got) != 0 {
-		t.Errorf("unknown node returned %d events", len(got))
+	if _, ok := ix.FirstInWindow(node5, base.Add(31*time.Minute), base.Add(time.Hour), keepAll); ok {
+		t.Error("window past every event found one")
+	}
+	if _, ok := ix.FirstInWindow(nodes(99), base, base.Add(time.Hour), keepAll); ok {
+		t.Error("a placement without events found one")
 	}
 }
 
@@ -78,17 +81,13 @@ func TestWindowMergesNodeAndSystem(t *testing.T) {
 		sysEv(2*time.Hour, taxonomy.FilesystemLBUG), // out of window
 	}
 	ix := NewIndex(events)
-	got := ix.Window([]machine.NodeID{1, 2}, base, base.Add(time.Hour))
-	if len(got) != 3 {
-		t.Fatalf("Window returned %d events, want 3", len(got))
+	got, ok := ix.FirstInWindow(nodes(1, 2), base, base.Add(time.Hour), keepAll)
+	if !ok || got.Category != taxonomy.InterconnectRouting {
+		t.Errorf("first event %v, want the system-wide routing event", got.Category)
 	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Time.Before(got[i-1].Time) {
-			t.Error("Window result not time-ordered")
-		}
-	}
-	if got[0].Category != taxonomy.InterconnectRouting {
-		t.Errorf("first event %v, want system-wide routing event", got[0].Category)
+	noSys := func(e errlog.Event) bool { return !e.IsSystemWide() }
+	if got, _ := ix.FirstInWindow(nodes(1, 2), base, base.Add(time.Hour), noSys); got.Category != taxonomy.HardwareMemoryUE {
+		t.Errorf("first node event %v, want node 1's, not node 3's", got.Category)
 	}
 }
 
@@ -99,8 +98,7 @@ func TestFirstInWindowPicksEarliest(t *testing.T) {
 		sysEv(25*time.Minute, taxonomy.FilesystemLBUG),
 	}
 	ix := NewIndex(events)
-	got, ok := ix.FirstInWindow([]machine.NodeID{1, 2}, base, base.Add(time.Hour),
-		func(errlog.Event) bool { return true })
+	got, ok := ix.FirstInWindow(nodes(1, 2), base, base.Add(time.Hour), keepAll)
 	if !ok {
 		t.Fatal("found nothing")
 	}
@@ -108,7 +106,7 @@ func TestFirstInWindowPicksEarliest(t *testing.T) {
 		t.Errorf("earliest = %v, want NodeHeartbeat", got.Category)
 	}
 	// With a filter that excludes the heartbeat, the system event wins.
-	got, ok = ix.FirstInWindow([]machine.NodeID{1, 2}, base, base.Add(time.Hour),
+	got, ok = ix.FirstInWindow(nodes(1, 2), base, base.Add(time.Hour),
 		func(e errlog.Event) bool { return e.Category != taxonomy.NodeHeartbeat })
 	if !ok || got.Category != taxonomy.FilesystemLBUG {
 		t.Errorf("filtered earliest = %v ok=%v, want FilesystemLBUG", got.Category, ok)
@@ -117,21 +115,42 @@ func TestFirstInWindowPicksEarliest(t *testing.T) {
 
 func TestFirstInWindowEmpty(t *testing.T) {
 	ix := NewIndex(nil)
-	if _, ok := ix.FirstInWindow([]machine.NodeID{1}, base, base.Add(time.Hour),
-		func(errlog.Event) bool { return true }); ok {
+	if _, ok := ix.FirstInWindow(nodes(1), base, base.Add(time.Hour), keepAll); ok {
 		t.Error("empty index returned an event")
 	}
 }
 
+// bruteFirst is the search done by a straight scan of events in input order:
+// the earliest match wins; at one instant a node event beats a system-wide
+// one, a lower node ID a higher one, and an earlier event a later one.
+func bruteFirst(events []errlog.Event, on func(machine.NodeID) bool, from, to time.Time, keep func(errlog.Event) bool) (errlog.Event, bool) {
+	var best errlog.Event
+	found := false
+	for _, e := range events {
+		if e.Time.Before(from) || e.Time.After(to) || !Qualifying(e) || !keep(e) || !e.IsSystemWide() && !on(e.Node) {
+			continue
+		}
+		beats := !found || e.Time.Before(best.Time)
+		if found && e.Time.Equal(best.Time) && !e.IsSystemWide() {
+			beats = best.IsSystemWide() || e.Node < best.Node
+		}
+		if beats {
+			best, found = e, true
+		}
+	}
+	return best, found
+}
+
 // TestWindowAgainstBruteForce cross-checks the index against a straight
-// linear scan on randomized inputs.
+// linear scan on randomized inputs dense in same-instant ties.
 func TestWindowAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const nEvents = 3000
+	cats := []taxonomy.Category{taxonomy.NodeHeartbeat, taxonomy.KernelPanic, taxonomy.HardwareMemoryCE, taxonomy.InterconnectRouting}
 	events := make([]errlog.Event, 0, nEvents)
 	for i := 0; i < nEvents; i++ {
-		node := rng.Intn(40)
-		e := ev(node, time.Duration(rng.Intn(100000))*time.Second, taxonomy.NodeHeartbeat)
+		e := ev(rng.Intn(40), time.Duration(rng.Intn(2000))*time.Minute, cats[rng.Intn(len(cats))])
+		e.Message = string(rune('a' + i%26))
 		if rng.Intn(20) == 0 {
 			e.Node = errlog.SystemWide
 		}
@@ -139,29 +158,31 @@ func TestWindowAgainstBruteForce(t *testing.T) {
 	}
 	ix := NewIndex(events)
 
-	for trial := 0; trial < 50; trial++ {
-		nodeSet := map[machine.NodeID]bool{}
-		var nodes []machine.NodeID
-		for len(nodes) < 5 {
-			n := machine.NodeID(rng.Intn(40))
-			if !nodeSet[n] {
-				nodeSet[n] = true
-				nodes = append(nodes, n)
-			}
+	for trial := 0; trial < 500; trial++ {
+		var ids []machine.NodeID
+		for len(ids) < 1+rng.Intn(12) {
+			ids = append(ids, machine.NodeID(rng.Intn(40)))
 		}
-		from := base.Add(time.Duration(rng.Intn(50000)) * time.Second)
-		to := from.Add(time.Duration(rng.Intn(50000)) * time.Second)
+		p := nodes(ids...)
+		from := base.Add(time.Duration(rng.Intn(2000)) * time.Minute)
+		to := from.Add(time.Duration(rng.Intn(120)) * time.Minute)
+		keep := func(e errlog.Event) bool { return e.Category != cats[trial%len(cats)] }
 
-		var want int
+		want, wantOK := bruteFirst(events, p.Contains, from, to, keep)
+		if got, ok := ix.FirstInWindow(p, from, to, keep); ok != wantOK || got != want {
+			t.Fatalf("trial %d: FirstInWindow = %+v, %v; brute force %+v, %v", trial, got, ok, want, wantOK)
+		}
+		// FirstAnywhere ignores placement: the first match in time order.
+		var first errlog.Event
+		firstOK := false
 		for _, e := range events {
 			in := !e.Time.Before(from) && !e.Time.After(to)
-			if in && (e.Node == errlog.SystemWide || nodeSet[e.Node]) {
-				want++
+			if in && Qualifying(e) && keep(e) && (!firstOK || e.Time.Before(first.Time)) {
+				first, firstOK = e, true
 			}
 		}
-		got := ix.Window(nodes, from, to)
-		if len(got) != want {
-			t.Fatalf("trial %d: Window returned %d events, brute force %d", trial, len(got), want)
+		if got, ok := ix.FirstAnywhere(from, to, keep); ok != firstOK || got != first {
+			t.Fatalf("trial %d: FirstAnywhere = %+v, %v; brute force %+v, %v", trial, got, ok, first, firstOK)
 		}
 	}
 }
@@ -194,10 +215,10 @@ func TestEvidenceAmongSameInstantEventsIsFirstInInputOrder(t *testing.T) {
 	keep := func(e errlog.Event) bool { return e.Category != taxonomy.HardwareMemoryCE }
 	from, to := base.Add(30*time.Minute), base.Add(90*time.Minute)
 	for name, ix := range map[string]*Index{"full": NewIndex(events), "suffix": NewIndex(events[cut:])} {
-		if got, ok := ix.FirstInWindow([]machine.NodeID{7}, from, to, keep); !ok || got != firstNode {
+		if got, ok := ix.FirstInWindow(nodes(7), from, to, keep); !ok || got != firstNode {
 			t.Errorf("%s index: node evidence %+v, want the first same-instant event %+v", name, got, firstNode)
 		}
-		if got, ok := ix.FirstInWindow([]machine.NodeID{8}, from, to, keep); !ok || got != firstSys {
+		if got, ok := ix.FirstInWindow(nodes(8), from, to, keep); !ok || got != firstSys {
 			t.Errorf("%s index: system-wide evidence %+v, want %+v", name, got, firstSys)
 		}
 		if got, ok := ix.FirstAnywhere(from, to, keep); !ok || got != firstNode {
@@ -208,7 +229,7 @@ func TestEvidenceAmongSameInstantEventsIsFirstInInputOrder(t *testing.T) {
 	// Unsorted input takes the stable-sort path: ties keep input order there
 	// too.
 	rev := append(slices.Clone(events[cut:]), events[:cut]...)
-	if got, ok := NewIndex(rev).FirstInWindow([]machine.NodeID{7}, from, to, keep); !ok || got != firstNode {
+	if got, ok := NewIndex(rev).FirstInWindow(nodes(7), from, to, keep); !ok || got != firstNode {
 		t.Errorf("unsorted input: evidence %+v, want %+v", got, firstNode)
 	}
 }

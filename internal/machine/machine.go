@@ -206,8 +206,11 @@ type Topology struct {
 	xe      []NodeID
 	xk      []NodeID
 	service []NodeID
-	blades  int
-	geminis int
+	// xkBefore[i] is the number of XK nodes with an ID below i, so a range
+	// holds an XK node iff the count differs across it (see AnyXK).
+	xkBefore []int32
+	blades   int
+	geminis  int
 }
 
 // New builds the topology for cfg. It validates the configuration and
@@ -246,6 +249,13 @@ func New(cfg Config) (*Topology, error) {
 				serviceSlots = 0
 			}
 			t.addCabinet(col, row, cabIdx, class, serviceSlots)
+		}
+	}
+	t.xkBefore = make([]int32, len(t.nodes)+1)
+	for i, n := range t.nodes {
+		t.xkBefore[i+1] = t.xkBefore[i]
+		if n.Class == ClassXK {
+			t.xkBefore[i+1]++
 		}
 	}
 	return t, nil

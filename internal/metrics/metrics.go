@@ -107,11 +107,12 @@ func FailureProbabilityByScale(runs []correlate.AttributedRun, bounds []int, cla
 	for i := range buckets {
 		buckets[i] = ScaleBucket{Lo: bounds[i], Hi: bounds[i+1]}
 	}
-	for _, r := range runs {
+	for k := range runs {
+		r := &runs[k]
 		if classFilter != 0 && r.Class != classFilter {
 			continue
 		}
-		n := len(r.Nodes)
+		n := r.NumNodes()
 		i := sort.SearchInts(bounds, n+1) - 1
 		if i < 0 || i >= len(buckets) {
 			continue
@@ -156,11 +157,12 @@ func MTTIByScale(runs []correlate.AttributedRun, bounds []int, classFilter machi
 	for i := range buckets {
 		buckets[i] = MTTIBucket{Lo: bounds[i], Hi: bounds[i+1]}
 	}
-	for _, r := range runs {
+	for k := range runs {
+		r := &runs[k]
 		if classFilter != 0 && r.Class != classFilter {
 			continue
 		}
-		i := sort.SearchInts(bounds, len(r.Nodes)+1) - 1
+		i := sort.SearchInts(bounds, r.NumNodes()+1) - 1
 		if i < 0 || i >= len(buckets) {
 			continue
 		}
@@ -390,11 +392,12 @@ func DurationSamples(runs []correlate.AttributedRun, classFilter machine.NodeCla
 // SizeSamples extracts placement sizes, optionally filtered by class.
 func SizeSamples(runs []correlate.AttributedRun, classFilter machine.NodeClass) []float64 {
 	out := make([]float64, 0, len(runs))
-	for _, r := range runs {
+	for k := range runs {
+		r := &runs[k]
 		if classFilter != 0 && r.Class != classFilter {
 			continue
 		}
-		out = append(out, float64(len(r.Nodes)))
+		out = append(out, float64(r.NumNodes()))
 	}
 	return out
 }

@@ -14,20 +14,16 @@ import (
 var base = time.Date(2013, 4, 3, 0, 0, 0, 0, time.UTC)
 
 func mkRun(apid uint64, nNodes int, dur time.Duration, class machine.NodeClass, outcome correlate.Outcome, cause taxonomy.Category) correlate.AttributedRun {
-	nodes := make([]machine.NodeID, nNodes)
-	for i := range nodes {
-		nodes[i] = machine.NodeID(i)
-	}
 	return correlate.AttributedRun{
 		AppRun: alps.AppRun{
 			ApID:  apid,
-			Nodes: nodes,
 			Start: base,
 			End:   base.Add(dur),
 		},
 		Class:   class,
 		Outcome: outcome,
 		Cause:   cause,
+		Nodes:   int32(nNodes),
 	}
 }
 

@@ -57,8 +57,10 @@ import (
 
 // Version is the current state-file format version. Any change to the
 // payload schema that gob cannot bridge bumps it; Load rejects other
-// versions with a *VersionError rather than guessing.
-const Version uint32 = 1
+// versions with a *VersionError rather than guessing. Version 2 holds
+// placements as node ranges and each run once (version 1 held expanded node
+// lists, and every attributed run a second time).
+const Version uint32 = 2
 
 // StateFile is the conventional file name inside a daemon's -state-dir.
 const StateFile = "state.ldv"

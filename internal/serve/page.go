@@ -118,7 +118,7 @@ func makeRunListRow(run *correlate.AttributedRun) runListRow {
 		JobID:     run.JobID,
 		User:      run.User,
 		Class:     run.Class.String(),
-		Nodes:     len(run.Nodes),
+		Nodes:     run.NumNodes(),
 		Width:     run.Width,
 		Start:     run.Start.UTC().Format(time.RFC3339),
 		End:       run.End.UTC().Format(time.RFC3339),

@@ -276,8 +276,8 @@ func TestRunEndpoint(t *testing.T) {
 	if code := getJSON(t, url, &r); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if r.ApID != want.ApID || r.JobID != want.JobID || r.Nodes != len(want.Nodes) {
-		t.Fatalf("run: got %+v, want apid=%d job=%s nodes=%d", r, want.ApID, want.JobID, len(want.Nodes))
+	if r.ApID != want.ApID || r.JobID != want.JobID || r.Nodes != want.NumNodes() {
+		t.Fatalf("run: got %+v, want apid=%d job=%s nodes=%d", r, want.ApID, want.JobID, want.NumNodes())
 	}
 	if r.Outcome != want.Outcome.String() {
 		t.Errorf("outcome %q, want %q", r.Outcome, want.Outcome)
@@ -424,10 +424,10 @@ func syntheticSnapshot(t testing.TB, top *machine.Topology, n int) *store.Snapsh
 	for i := range runs {
 		runs[i] = correlate.AttributedRun{
 			AppRun: alps.AppRun{
-				ApID:  uint64(i + 1),
-				Nodes: []machine.NodeID{machine.NodeID(i % 8)},
-				Start: base.Add(time.Duration(i) * time.Minute),
-				End:   base.Add(time.Duration(i+1) * time.Minute),
+				ApID:      uint64(i + 1),
+				Placement: machine.Placement{{Lo: machine.NodeID(i % 8), Hi: machine.NodeID(i % 8)}},
+				Start:     base.Add(time.Duration(i) * time.Minute),
+				End:       base.Add(time.Duration(i+1) * time.Minute),
 			},
 			Class:   machine.ClassXE,
 			Outcome: correlate.OutcomeSuccess,

@@ -589,7 +589,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		User:      run.User,
 		Cmd:       run.Cmd,
 		Width:     run.Width,
-		Nodes:     len(run.Nodes),
+		Nodes:     run.NumNodes(),
 		Class:     run.Class.String(),
 		Start:     run.Start.UTC().Format(time.RFC3339),
 		End:       run.End.UTC().Format(time.RFC3339),

@@ -72,10 +72,10 @@ func pageSnapshot(t *testing.T, apids []uint64) *Snapshot {
 	for i, apid := range apids {
 		runs[i] = correlate.AttributedRun{
 			AppRun: alps.AppRun{
-				ApID:  apid,
-				Nodes: []machine.NodeID{machine.NodeID(i % 8)},
-				Start: base.Add(time.Duration(i) * time.Minute),
-				End:   base.Add(time.Duration(i+1) * time.Minute),
+				ApID:      apid,
+				Placement: machine.Placement{{Lo: machine.NodeID(i % 8), Hi: machine.NodeID(i % 8)}},
+				Start:     base.Add(time.Duration(i) * time.Minute),
+				End:       base.Add(time.Duration(i+1) * time.Minute),
 			},
 			Class:   machine.ClassXE,
 			Outcome: correlate.OutcomeSuccess,

@@ -208,7 +208,7 @@ func intervalHours(pol Policy, m float64) (float64, error) {
 // The no-op policy takes none of these branches and reproduces the
 // measured accounting bit for bit.
 func simulateRun(r *correlate.AttributedRun, pol Policy, seed int64, mtti mttiTable) runDelta {
-	n := len(r.Nodes)
+	n := r.NumNodes()
 	nf := float64(n)
 	dHours := r.Duration().Hours()
 	nh := r.NodeHours()
