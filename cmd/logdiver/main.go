@@ -411,7 +411,7 @@ func lintRules(args []string) error {
 		return err
 	}
 
-	var located []taxonomy.LocatedRule
+	ruleSet := taxonomy.Default().Rules()
 	source := "builtin rules"
 	if *rules != "" {
 		source = *rules
@@ -419,16 +419,14 @@ func lintRules(args []string) error {
 		if err != nil {
 			return err
 		}
-		located, err = taxonomy.ReadRuleFile(f)
+		ruleSet, err = taxonomy.ReadRuleFile(f)
 		f.Close()
 		if err != nil {
 			return err
 		}
-	} else {
-		located = taxonomy.Locate(taxonomy.Default().Rules())
 	}
 
-	findings := rulecheck.Check(located, rulecheck.Options{})
+	findings := rulecheck.Check(ruleSet)
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -454,9 +452,9 @@ func lintRules(args []string) error {
 	}
 	if nerr > 0 {
 		return fmt.Errorf("lint-rules: %s: %d error(s), %d warning(s) in %d rules",
-			source, nerr, nwarn, len(located))
+			source, nerr, nwarn, len(ruleSet))
 	}
-	fmt.Fprintf(os.Stderr, "lint-rules: %s: %d rules clean (%d warning(s))\n", source, len(located), nwarn)
+	fmt.Fprintf(os.Stderr, "lint-rules: %s: %d rules clean (%d warning(s))\n", source, len(ruleSet), nwarn)
 	return nil
 }
 

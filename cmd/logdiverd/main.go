@@ -8,7 +8,7 @@
 //	logdiverd -fleet-config fleet.conf
 //	    [-listen :8080] [-poll-interval 2s] [-parallelism N]
 //	    [-parse-mode lenient|strict] [-rules site-rules.txt] [-tz UTC]
-//	    [-request-timeout 10s] [-state-interval 1m] [-fleet-sync-concurrency 4]
+//	    [-request-timeout 10s] [-state-interval 1m]
 //	logdiverd -version
 //
 // There is one runtime: a fleet.Manager running one incremental pipeline
@@ -89,7 +89,6 @@ func run(args []string, onListen func(addr string)) error {
 		listen      = fs.String("listen", ":8080", "HTTP listen address")
 		dataDir     = fs.String("data-dir", "", "directory with accounting.log, apsys.log, syslog.log: shorthand for a one-shard fleet named after -machine")
 		fleetConf   = fs.String("fleet-config", "", "fleet config file with one [shard NAME] section per machine (mutually exclusive with -data-dir)")
-		fleetConc   = fs.Int("fleet-sync-concurrency", 4, "how many shards ingest concurrently during a sync round")
 		poll        = fs.Duration("poll-interval", 2*time.Second, "archive poll interval")
 		machineName = fs.String("machine", "bluewaters", "machine model of the -data-dir shard, and its name: bluewaters or small")
 		par         = fs.Int("parallelism", 0, "ingestion workers per archive and attribution workers (0 = GOMAXPROCS)")
@@ -154,12 +153,11 @@ func run(args []string, onListen func(addr string)) error {
 		}
 	}
 	mgr, err := fleet.NewManager(fleet.ManagerConfig{
-		Config:          fcfg,
-		Options:         logdiver.Options{Parallelism: *par, ParseMode: parseMode, Classifier: cls},
-		TimeZone:        *timezone,
-		RulesID:         rulesID,
-		SyncConcurrency: *fleetConc,
-		StateInterval:   *stateEvery,
+		Config:        fcfg,
+		Options:       logdiver.Options{Parallelism: *par, ParseMode: parseMode, Classifier: cls},
+		TimeZone:      *timezone,
+		RulesID:       rulesID,
+		StateInterval: *stateEvery,
 		Logf: func(format string, args ...any) {
 			logger.Warn(fmt.Sprintf(format, args...))
 		},

@@ -43,9 +43,6 @@ type ManagerConfig struct {
 	// RulesID is the classifier-rules identity recorded in per-shard state
 	// fingerprints (persist.RulesBuiltin when empty).
 	RulesID string
-	// SyncConcurrency bounds how many shards ingest at once during a sync
-	// round; <= 0 selects 4.
-	SyncConcurrency int
 	// StateInterval is the minimum interval between periodic per-shard
 	// state persists; <= 0 selects one minute.
 	StateInterval time.Duration
@@ -132,6 +129,10 @@ type shard struct {
 	lastPersist time.Time
 }
 
+// syncConcurrency bounds how many shards ingest at once during a sync
+// round.
+const syncConcurrency = 4
+
 // Manager runs one incremental pipeline per configured shard and folds the
 // results into a single fleet view after every round. One goroutine drives
 // SyncRound/PersistAll; any number of readers call View and FleetStore.
@@ -160,10 +161,6 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	conc := cfg.SyncConcurrency
-	if conc <= 0 {
-		conc = 4
-	}
 	every := cfg.StateInterval
 	if every <= 0 {
 		every = time.Minute
@@ -179,7 +176,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 
 	m := &Manager{
 		fleet: store.New(),
-		sem:   make(chan struct{}, conc),
+		sem:   make(chan struct{}, syncConcurrency),
 		every: every,
 		now:   now,
 		logf:  logf,

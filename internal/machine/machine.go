@@ -205,7 +205,6 @@ type Topology struct {
 	byCname map[Cname]NodeID
 	xe      []NodeID
 	xk      []NodeID
-	service []NodeID
 	// xkBefore[i] is the number of XK nodes with an ID below i, so a range
 	// holds an XK node iff the count differs across it (see AnyXK).
 	xkBefore []int32
@@ -289,8 +288,6 @@ func (t *Topology) addCabinet(col, row, cabIdx int, class NodeClass, serviceSlot
 					t.xe = append(t.xe, id)
 				case ClassXK:
 					t.xk = append(t.xk, id)
-				case ClassService:
-					t.service = append(t.service, id)
 				}
 			}
 		}
@@ -374,9 +371,6 @@ func (t *Topology) NumXE() int { return len(t.xe) }
 // NumXK reports the number of XK compute nodes.
 func (t *Topology) NumXK() int { return len(t.xk) }
 
-// NumService reports the number of service nodes.
-func (t *Topology) NumService() int { return len(t.service) }
-
 // BladeNodes returns the four node IDs on a blade.
 func (t *Topology) BladeNodes(b BladeID) ([]NodeID, error) {
 	if int(b) < 0 || int(b) >= t.blades {
@@ -397,15 +391,6 @@ func (t *Topology) GeminiNodes(g GeminiID) ([]NodeID, error) {
 	}
 	base := NodeID(int(g) * NodesPerGemini)
 	return []NodeID{base, base + 1}, nil
-}
-
-// CabinetOf returns the linear cabinet index of a node.
-func (t *Topology) CabinetOf(id NodeID) (int, error) {
-	n, err := t.Node(id)
-	if err != nil {
-		return 0, err
-	}
-	return n.Cname.Col*t.cfg.Rows + n.Cname.Row, nil
 }
 
 // Config returns the configuration the topology was built from.

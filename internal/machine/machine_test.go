@@ -85,10 +85,16 @@ func TestBlueWatersShape(t *testing.T) {
 	if top.NumXK() < 4224 {
 		t.Errorf("NumXK = %d, want >= 4224", top.NumXK())
 	}
-	if top.NumService() == 0 {
-		t.Error("NumService = 0, want > 0")
+	service := 0
+	for id := 0; id < top.NumNodes(); id++ {
+		if top.MustNode(NodeID(id)).Class == ClassService {
+			service++
+		}
 	}
-	if got, want := top.NumXE()+top.NumXK()+top.NumService(), top.NumNodes(); got != want {
+	if service == 0 {
+		t.Error("no service nodes, want > 0")
+	}
+	if got, want := top.NumXE()+top.NumXK()+service, top.NumNodes(); got != want {
 		t.Errorf("partition sizes sum to %d, want %d", got, want)
 	}
 	if got, want := top.NumGeminis(), top.NumNodes()/NodesPerGemini; got != want {
@@ -194,28 +200,6 @@ func TestBladeAndGeminiBounds(t *testing.T) {
 	}
 }
 
-func TestCabinetOf(t *testing.T) {
-	top, err := New(Small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := top.Config()
-	for i := 0; i < top.NumNodes(); i += 7 {
-		id := NodeID(i)
-		cab, err := top.CabinetOf(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := top.MustNode(id)
-		if want := n.Cname.Col*cfg.Rows + n.Cname.Row; cab != want {
-			t.Fatalf("CabinetOf(%d) = %d, want %d", id, cab, want)
-		}
-	}
-	if _, err := top.CabinetOf(-1); err == nil {
-		t.Error("CabinetOf(-1) succeeded")
-	}
-}
-
 func TestXKNodesLiveInXKCabinets(t *testing.T) {
 	top, err := New(Small())
 	if err != nil {
@@ -224,21 +208,17 @@ func TestXKNodesLiveInXKCabinets(t *testing.T) {
 	cfg := top.Config()
 	cabinets := cfg.Cols * cfg.Rows
 	xkStart := cabinets - cfg.XKCabinets
+	cabinetOf := func(id NodeID) int {
+		n := top.MustNode(id)
+		return n.Cname.Col*cfg.Rows + n.Cname.Row
+	}
 	for _, id := range top.XKNodes() {
-		cab, err := top.CabinetOf(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cab < xkStart {
+		if cab := cabinetOf(id); cab < xkStart {
 			t.Fatalf("XK node %d in cabinet %d, before XK range start %d", id, cab, xkStart)
 		}
 	}
 	for _, id := range top.XENodes() {
-		cab, err := top.CabinetOf(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cab >= xkStart {
+		if cab := cabinetOf(id); cab >= xkStart {
 			t.Fatalf("XE node %d in cabinet %d, inside XK range", id, cab)
 		}
 	}

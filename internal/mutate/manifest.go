@@ -2,7 +2,6 @@ package mutate
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -41,15 +40,6 @@ type Manifest struct {
 	Mutations   []Mutation `json:"mutations"`
 }
 
-// CountByOp tallies mutations per operator name.
-func (m *Manifest) CountByOp() map[string]int {
-	out := make(map[string]int)
-	for _, mu := range m.Mutations {
-		out[mu.Op]++
-	}
-	return out
-}
-
 // LinesAffected sums the affected-line counts over all mutations.
 func (m *Manifest) LinesAffected() int {
 	n := 0
@@ -75,13 +65,4 @@ func (m *Manifest) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m)
-}
-
-// ReadManifest deserializes a manifest written by WriteJSON.
-func ReadManifest(r io.Reader) (*Manifest, error) {
-	var m Manifest
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return nil, fmt.Errorf("mutate: bad manifest: %w", err)
-	}
-	return &m, nil
 }

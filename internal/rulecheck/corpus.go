@@ -7,32 +7,22 @@ import (
 	"logdiver/internal/taxonomy"
 )
 
-// Sample is one reference message with the category that produced it.
-type Sample struct {
-	Message  string
-	Category taxonomy.Category
-}
-
-// DefaultCorpus renders the internal/errlog message templates — the same
+// defaultCorpus renders the internal/errlog message templates — the same
 // Cray-style shapes the synthesizer emits and the study's tables are
-// attributed from — into a deterministic reference corpus, perCategory
+// attributed from — into a deterministic reference corpus, corpusPerCategory
 // variants per taxonomy category. The differential-firing checks run every
 // rule set against this corpus: the built-in rules must classify all of it,
 // and site rule files are warned when an earlier rule steals all of a later
 // rule's matches on these known shapes.
-func DefaultCorpus(perCategory int) []Sample {
-	if perCategory <= 0 {
-		perCategory = corpusPerCategory
-	}
+func defaultCorpus() []string {
 	// Deterministic by construction: fixed seed, fixed component names,
 	// categories in declaration order.
 	rng := rand.New(rand.NewSource(1))
 	cnames := []string{"c0-0c0s0n0", "c11-7c1s5n3", "c23-15c2s7n1"}
-	var out []Sample
+	var out []string
 	for _, cat := range taxonomy.Categories() {
-		for i := 0; i < perCategory; i++ {
-			msg := errlog.Render(cat, cnames[i%len(cnames)], rng)
-			out = append(out, Sample{Message: msg, Category: cat})
+		for i := 0; i < corpusPerCategory; i++ {
+			out = append(out, errlog.Render(cat, cnames[i%len(cnames)], rng))
 		}
 	}
 	return out

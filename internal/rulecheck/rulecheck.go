@@ -27,11 +27,6 @@
 //   - superlinear: nested unbounded quantifiers; Go's RE2 engine stays
 //     linear, but site rule files are routinely reused with backtracking
 //     engines where these patterns blow up (warning)
-//   - prefilter-unsound: the literal prefilter the classifier extracts from
-//     the rule's regexp has desynchronized from the regexp itself — it
-//     rejects a string the regexp matches, or (exact ordered chains) it
-//     accepts a newline-free string the regexp rejects — verified
-//     differentially with synthesized witnesses and seeded mutations (error)
 //   - regexp-on-hot-path: the rule's pattern is not an exact literal-chain
 //     decomposition, so classification runs its regexp on every message
 //     containing the filter's literals — or, with no filter at all, on
@@ -114,31 +109,24 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: [%s] %s", f.Severity, loc, f.Check, f.Message)
 }
 
-// Options configures a lint run.
-type Options struct {
-	// Corpus is the reference message corpus for differential-firing
-	// checks. Nil means DefaultCorpus(corpusPerCategory); set NoCorpus to
-	// skip corpus checks entirely.
-	Corpus   []Sample
-	NoCorpus bool
-	// MaxWitnesses bounds the number of strings synthesized per rule for
-	// the witness-based shadow check (default 8).
-	MaxWitnesses int
-}
-
-const corpusPerCategory = 4
+const (
+	// corpusPerCategory is how many errlog renderings per category the
+	// reference corpus holds.
+	corpusPerCategory = 4
+	// maxWitnesses bounds the strings synthesized per rule for the
+	// witness-based shadow check.
+	maxWitnesses = 8
+)
 
 // Check lints an ordered rule set and returns its findings, sorted by rule
 // position. A clean rule set returns nil.
-func Check(rules []taxonomy.LocatedRule, opts Options) []Finding {
-	if opts.MaxWitnesses <= 0 {
-		opts.MaxWitnesses = 8
-	}
-	corpus := opts.Corpus
-	if corpus == nil && !opts.NoCorpus {
-		corpus = DefaultCorpus(corpusPerCategory)
-	}
+func Check(rules []taxonomy.Rule) []Finding {
+	return check(rules, defaultCorpus())
+}
 
+// check is Check against a given reference corpus; an empty one skips the
+// corpus checks.
+func check(rules []taxonomy.Rule, corpus []string) []Finding {
 	var fs []Finding
 	add := func(f Finding) { fs = append(fs, f) }
 	at := func(i int) (string, int) {
@@ -150,10 +138,9 @@ func Check(rules []taxonomy.LocatedRule, opts Options) []Finding {
 
 	checkNames(rules, add)
 	infos := analyzeRules(rules, add)
-	checkShadowing(rules, infos, corpus, opts.MaxWitnesses, add, at)
+	checkShadowing(rules, infos, corpus, add, at)
 	checkCoverage(rules, add)
 	checkSeverities(rules, add)
-	checkPrefilters(rules, opts.MaxWitnesses, add)
 	checkHotPath(rules, add)
 
 	if len(fs) == 0 {
@@ -176,18 +163,8 @@ func Check(rules []taxonomy.LocatedRule, opts Options) []Finding {
 	return fs
 }
 
-// HasErrors reports whether any finding is Error severity.
-func HasErrors(fs []Finding) bool {
-	for _, f := range fs {
-		if f.Severity == Error {
-			return true
-		}
-	}
-	return false
-}
-
 // checkNames flags names that break the rule-file format and duplicates.
-func checkNames(rules []taxonomy.LocatedRule, add func(Finding)) {
+func checkNames(rules []taxonomy.Rule, add func(Finding)) {
 	first := make(map[string]int, len(rules))
 	for i, r := range rules {
 		if err := taxonomy.CheckName(r.Name); err != nil {
@@ -213,7 +190,7 @@ func checkNames(rules []taxonomy.LocatedRule, add func(Finding)) {
 }
 
 // checkCoverage flags taxonomy categories no rule classifies.
-func checkCoverage(rules []taxonomy.LocatedRule, add func(Finding)) {
+func checkCoverage(rules []taxonomy.Rule, add func(Finding)) {
 	covered := make(map[taxonomy.Category]bool, len(rules))
 	for _, r := range rules {
 		covered[r.Category] = true
@@ -244,7 +221,7 @@ var fatalCategories = map[taxonomy.Category]bool{
 
 // checkSeverities flags category/severity gradings that corrupt
 // attribution in either direction.
-func checkSeverities(rules []taxonomy.LocatedRule, add func(Finding)) {
+func checkSeverities(rules []taxonomy.Rule, add func(Finding)) {
 	for i, r := range rules {
 		switch {
 		case r.Category.Benign() && r.Severity >= taxonomy.SevError:
@@ -265,41 +242,20 @@ func checkSeverities(rules []taxonomy.LocatedRule, add func(Finding)) {
 	}
 }
 
-func describePos(r taxonomy.LocatedRule) string {
+func describePos(r taxonomy.Rule) string {
 	if r.Line > 0 {
 		return fmt.Sprintf("line %d", r.Line)
 	}
 	return fmt.Sprintf("rule %q", r.Name)
 }
 
-// NewValidatedClassifier lints the rule set and builds a classifier from
-// it. Rule sets with error-severity findings are rejected; the returned
-// findings (including warnings on success) let callers surface the full
-// diagnosis either way.
-func NewValidatedClassifier(rules []taxonomy.LocatedRule, opts Options) (*taxonomy.Classifier, []Finding, error) {
-	fs := Check(rules, opts)
-	var nerr int
-	var first string
-	for _, f := range fs {
-		if f.Severity == Error {
-			if nerr == 0 {
-				first = f.String()
-			}
-			nerr++
-		}
-	}
-	if nerr > 0 {
-		return nil, fs, fmt.Errorf("rulecheck: rule set rejected with %d error finding(s); first: %s", nerr, first)
-	}
-	return taxonomy.NewClassifier(taxonomy.Rules(rules)), fs, nil
-}
-
 // LoadClassifier builds the classifier of a -rules file, the one loader
 // behind both binaries. An empty path means the built-in taxonomy: nil
-// classifier, nil bytes. With validate set the rule set passes through
-// NewValidatedClassifier: warn receives every finding, and a rejection names
-// the file and the override. The file's bytes are returned for the caller
-// that fingerprints the rule set.
+// classifier, nil bytes. With validate set the rule set is linted first:
+// warn receives every finding, and a set with error-severity findings is
+// rejected with an error naming the file, the first error and the override.
+// The file's bytes are returned for the caller that fingerprints the rule
+// set.
 func LoadClassifier(path string, validate bool, warn func(Finding)) (*taxonomy.Classifier, []byte, error) {
 	if path == "" {
 		return nil, nil, nil
@@ -308,19 +264,26 @@ func LoadClassifier(path string, validate bool, warn func(Finding)) (*taxonomy.C
 	if err != nil {
 		return nil, nil, err
 	}
-	parsed, err := taxonomy.ReadRuleFile(bytes.NewReader(raw))
+	rules, err := taxonomy.ReadRuleFile(bytes.NewReader(raw))
 	if err != nil {
 		return nil, nil, err
 	}
-	if !validate {
-		return taxonomy.NewClassifier(taxonomy.Rules(parsed)), raw, nil
+	if validate {
+		var nerr int
+		var first string
+		for _, f := range Check(rules) {
+			warn(f)
+			if f.Severity == Error {
+				if nerr == 0 {
+					first = f.String()
+				}
+				nerr++
+			}
+		}
+		if nerr > 0 {
+			return nil, nil, fmt.Errorf("%s: rulecheck: rule set rejected with %d error finding(s); first: %s (rerun with -validate-rules=false to override)",
+				path, nerr, first)
+		}
 	}
-	cls, findings, err := NewValidatedClassifier(parsed, Options{})
-	for _, f := range findings {
-		warn(f)
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w (rerun with -validate-rules=false to override)", path, err)
-	}
-	return cls, raw, nil
+	return taxonomy.NewClassifier(rules), raw, nil
 }

@@ -2,6 +2,7 @@ package rulecheck_test
 
 import (
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -10,11 +11,9 @@ import (
 	"logdiver/internal/taxonomy"
 )
 
-// mk builds an in-memory located rule (Line 0).
-func mk(name, pat string, cat taxonomy.Category, sev taxonomy.Severity) taxonomy.LocatedRule {
-	return taxonomy.LocatedRule{Rule: taxonomy.Rule{
-		Name: name, Pattern: regexp.MustCompile(pat), Category: cat, Severity: sev,
-	}}
+// mk builds an in-memory rule (Line 0).
+func mk(name, pat string, cat taxonomy.Category, sev taxonomy.Severity) taxonomy.Rule {
+	return taxonomy.Rule{Name: name, Pattern: regexp.MustCompile(pat), Category: cat, Severity: sev}
 }
 
 // findingsOf filters the findings produced for rules down to one check id.
@@ -35,8 +34,8 @@ func TestChecksTableDriven(t *testing.T) {
 	ueMsg := "Machine Check Exception: uncorrected DRAM error on c0-0c0s0n0 bank 1"
 	tests := []struct {
 		name   string
-		rules  []taxonomy.LocatedRule
-		corpus []rulecheck.Sample
+		rules  []taxonomy.Rule
+		corpus []string
 		check  string // check id under test
 		// wantRules are the rule names expected to be flagged by check, in
 		// order; empty means the check must not fire at all.
@@ -48,7 +47,7 @@ func TestChecksTableDriven(t *testing.T) {
 	}{
 		{
 			name: "bad-name positive",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				mk("has space", `x`, taxonomy.KernelPanic, taxonomy.SevCritical),
 				mk("ok", `y`, taxonomy.KernelPanic, taxonomy.SevCritical),
 			},
@@ -56,14 +55,14 @@ func TestChecksTableDriven(t *testing.T) {
 		},
 		{
 			name: "bad-name negative",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				mk("CRIT-watcher.v2", `x`, taxonomy.KernelPanic, taxonomy.SevCritical),
 			},
 			check: "bad-name",
 		},
 		{
 			name: "dup-name positive",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				mk("same", `aaa`, taxonomy.KernelPanic, taxonomy.SevCritical),
 				mk("same", `bbb`, taxonomy.SoftwareOS, taxonomy.SevError),
 			},
@@ -72,7 +71,7 @@ func TestChecksTableDriven(t *testing.T) {
 		},
 		{
 			name: "dup-name negative",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				mk("a", `aaa`, taxonomy.KernelPanic, taxonomy.SevCritical),
 				mk("b", `bbb`, taxonomy.SoftwareOS, taxonomy.SevError),
 			},
@@ -80,7 +79,7 @@ func TestChecksTableDriven(t *testing.T) {
 		},
 		{
 			name: "empty-match universal positive",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				mk("catchall", `.*`, taxonomy.SoftwareOS, taxonomy.SevInfo),
 				mk("optional", `(error)?`, taxonomy.SoftwareOS, taxonomy.SevInfo),
 				mk("nonempty-universal", `.+`, taxonomy.SoftwareOS, taxonomy.SevInfo),
@@ -91,21 +90,21 @@ func TestChecksTableDriven(t *testing.T) {
 		},
 		{
 			name: "empty-match anchored is warn only",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				mk("anchored-empty", `^(panic)?$`, taxonomy.KernelPanic, taxonomy.SevCritical),
 			},
 			check: "empty-match", wantRules: []string{"anchored-empty"}, wantSev: rulecheck.Warn,
 		},
 		{
 			name: "empty-match negative",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				mk("plain", `kernel panic`, taxonomy.KernelPanic, taxonomy.SevCritical),
 			},
 			check: "empty-match",
 		},
 		{
 			name: "shadow-structural identical pattern",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				mk("first", `(?i)machine check`, taxonomy.HardwareMemoryUE, taxonomy.SevCritical),
 				mk("second", `(?i)machine check`, taxonomy.HardwareMemoryCE, taxonomy.SevWarning),
 			},
@@ -114,7 +113,7 @@ func TestChecksTableDriven(t *testing.T) {
 		},
 		{
 			name: "shadow-structural alternation branch",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				mk("both", `(?i)kernel panic|oops:`, taxonomy.KernelPanic, taxonomy.SevCritical),
 				mk("branch", `(?i)kernel panic`, taxonomy.KernelPanic, taxonomy.SevCritical),
 			},
@@ -123,7 +122,7 @@ func TestChecksTableDriven(t *testing.T) {
 		},
 		{
 			name: "shadow-structural literal containment",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				mk("broad", `(?i)kernel panic`, taxonomy.KernelPanic, taxonomy.SevCritical),
 				mk("literal", `kernel panic - not syncing`, taxonomy.KernelPanic, taxonomy.SevCritical),
 			},
@@ -132,7 +131,7 @@ func TestChecksTableDriven(t *testing.T) {
 		},
 		{
 			name: "shadow-structural respects anchors",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				// \b invalidates substring closure: "xkernel panicx" is
 				// matched by the literal but not by the anchored rule, so
 				// the literal is NOT contained and must not be flagged.
@@ -143,7 +142,7 @@ func TestChecksTableDriven(t *testing.T) {
 		},
 		{
 			name: "shadow-structural negative disjoint",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				mk("a", `voltage fault`, taxonomy.HardwarePower, taxonomy.SevCritical),
 				mk("b", `kernel panic`, taxonomy.KernelPanic, taxonomy.SevCritical),
 			},
@@ -151,65 +150,65 @@ func TestChecksTableDriven(t *testing.T) {
 		},
 		{
 			name: "shadow-differential corpus plus witnesses",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				mk("broad", `(?i)machine check`, taxonomy.HardwareMemoryUE, taxonomy.SevCritical),
 				mk("narrow", `(?i)machine check exception.*uncorrected`, taxonomy.HardwareMemoryUE, taxonomy.SevCritical),
 			},
-			corpus: []rulecheck.Sample{{Message: ueMsg, Category: taxonomy.HardwareMemoryUE}},
+			corpus: []string{ueMsg},
 			check:  "shadow-differential", wantRules: []string{"narrow"}, wantSev: rulecheck.Error,
 			wantRelated: "broad",
 		},
 		{
 			name: "shadow-witness only",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				// narrow is kept non-literal so the structural containment
 				// check cannot prove the shadowing; only its synthesized
 				// witnesses reveal it.
 				mk("broad", `zzz`, taxonomy.SoftwareOS, taxonomy.SevError),
 				mk("narrow", `zzz(qqq|www)`, taxonomy.SoftwareOS, taxonomy.SevError),
 			},
-			corpus: []rulecheck.Sample{{Message: ueMsg, Category: taxonomy.HardwareMemoryUE}},
+			corpus: []string{ueMsg},
 			check:  "shadow-witness", wantRules: []string{"narrow"}, wantSev: rulecheck.Warn,
 			wantRelated: "broad",
 		},
 		{
 			name: "shadow-corpus only",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				mk("dram", `(?i)uncorrected DRAM`, taxonomy.HardwareMemoryUE, taxonomy.SevCritical),
 				// Witness "machine check exception: uncorrected" is NOT
 				// matched by "dram", so only the corpus shows the shadowing.
 				mk("mce", `(?i)machine check exception: uncorrected`, taxonomy.HardwareMemoryUE, taxonomy.SevCritical),
 			},
-			corpus: []rulecheck.Sample{{Message: ueMsg, Category: taxonomy.HardwareMemoryUE}},
+			corpus: []string{ueMsg},
 			check:  "shadow-corpus", wantRules: []string{"mce"}, wantSev: rulecheck.Warn,
 			wantRelated: "dram",
 		},
 		{
 			name: "shadow differential negative: rule fires first on corpus",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				mk("other", `voltage fault`, taxonomy.HardwarePower, taxonomy.SevCritical),
 				mk("mce", `(?i)machine check`, taxonomy.HardwareMemoryUE, taxonomy.SevCritical),
 			},
-			corpus: []rulecheck.Sample{{Message: ueMsg, Category: taxonomy.HardwareMemoryUE}},
+			corpus: []string{ueMsg},
 			check:  "shadow-corpus",
 		},
 		{
 			name: "severity-mismatch benign at CRIT",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				mk("recovered", `node returned to service`, taxonomy.NodeRecovered, taxonomy.SevCritical),
 			},
 			check: "severity-mismatch", wantRules: []string{"recovered"}, wantSev: rulecheck.Error,
 		},
 		{
 			name: "severity-mismatch fatal at INFO",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				mk("quiet-panic", `kernel panic`, taxonomy.KernelPanic, taxonomy.SevInfo),
 			},
 			check: "severity-mismatch", wantRules: []string{"quiet-panic"}, wantSev: rulecheck.Warn,
 		},
 		{
 			name: "severity-mismatch negative",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				mk("recovered", `node returned to service`, taxonomy.NodeRecovered, taxonomy.SevInfo),
 				mk("panic", `kernel panic`, taxonomy.KernelPanic, taxonomy.SevCritical),
 			},
@@ -217,21 +216,21 @@ func TestChecksTableDriven(t *testing.T) {
 		},
 		{
 			name: "superlinear positive",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				mk("nested", `(?i)(lockup+)+`, taxonomy.SoftwareOS, taxonomy.SevError),
 			},
 			check: "superlinear", wantRules: []string{"nested"}, wantSev: rulecheck.Warn,
 		},
 		{
 			name: "superlinear negative sequential quantifiers",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				mk("seq", `a+b+c*`, taxonomy.SoftwareOS, taxonomy.SevError),
 			},
 			check: "superlinear",
 		},
 		{
 			name: "regexp-on-hot-path positive",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				mk("exact", `(?i)timed? ?out.*(ost|mdt)[0-9a-f]*.*lost`, taxonomy.FilesystemTimeout, taxonomy.SevWarning),
 				mk("cased", `kernel panic`, taxonomy.KernelPanic, taxonomy.SevCritical),
 				mk("counted", `(?i)err[0-9]+ on lnet`, taxonomy.SoftwareOS, taxonomy.SevError),
@@ -241,7 +240,7 @@ func TestChecksTableDriven(t *testing.T) {
 		},
 		{
 			name: "regexp-on-hot-path negative",
-			rules: []taxonomy.LocatedRule{
+			rules: []taxonomy.Rule{
 				mk("exact", `(?i)(blade|l0c?) (controller )?fault|double[- ]bit`, taxonomy.HardwareBlade, taxonomy.SevCritical),
 			},
 			check: "regexp-on-hot-path",
@@ -249,11 +248,7 @@ func TestChecksTableDriven(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			opts := rulecheck.Options{Corpus: tt.corpus}
-			if tt.corpus == nil {
-				opts.NoCorpus = true
-			}
-			fs := rulecheck.Check(tt.rules, opts)
+			fs := rulecheck.CheckCorpus(tt.rules, tt.corpus)
 			got := findingsOf(fs, tt.check)
 			if len(tt.wantRules) == 0 {
 				if len(got) != 0 {
@@ -281,9 +276,9 @@ func TestChecksTableDriven(t *testing.T) {
 
 // TestCoverageGap needs its own table since the finding is rule-set-level.
 func TestCoverageGap(t *testing.T) {
-	fs := rulecheck.Check([]taxonomy.LocatedRule{
+	fs := rulecheck.CheckCorpus([]taxonomy.Rule{
 		mk("only-panic", `kernel panic`, taxonomy.KernelPanic, taxonomy.SevCritical),
-	}, rulecheck.Options{NoCorpus: true})
+	}, nil)
 	gaps := findingsOf(fs, "coverage-gap")
 	// Every category except KernelPanic is uncovered.
 	if want := len(taxonomy.Categories()) - 1; len(gaps) != want {
@@ -302,7 +297,7 @@ func TestCoverageGap(t *testing.T) {
 		t.Error("no coverage-gap finding mentions GPU_DBE")
 	}
 	// Negative: the built-in set covers everything.
-	full := rulecheck.Check(taxonomy.Locate(taxonomy.Default().Rules()), rulecheck.Options{NoCorpus: true})
+	full := rulecheck.CheckCorpus(taxonomy.Default().Rules(), nil)
 	if gaps := findingsOf(full, "coverage-gap"); len(gaps) != 0 {
 		t.Errorf("built-in set reported coverage gaps: %v", gaps)
 	}
@@ -312,7 +307,7 @@ func TestCoverageGap(t *testing.T) {
 // path: the shipped rule set must stay free of all findings, including
 // warnings, under the full corpus-backed analysis.
 func TestBuiltinRulesClean(t *testing.T) {
-	fs := rulecheck.Check(taxonomy.Locate(taxonomy.Default().Rules()), rulecheck.Options{})
+	fs := rulecheck.Check(taxonomy.Default().Rules())
 	for _, f := range fs {
 		t.Errorf("built-in rule set: %s", f)
 	}
@@ -331,7 +326,7 @@ func TestShadowedRuleFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := rulecheck.Check(rules, rulecheck.Options{})
+	fs := rulecheck.Check(rules)
 
 	type want struct {
 		check       string
@@ -375,9 +370,6 @@ func TestShadowedRuleFile(t *testing.T) {
 			t.Errorf("expected finding %s on rule %q did not fire; got:\n%s", w.check, w.rule, renderAll(fs))
 		}
 	}
-	if !rulecheck.HasErrors(fs) {
-		t.Error("HasErrors = false for a rule set with error findings")
-	}
 }
 
 func renderAll(fs []rulecheck.Finding) string {
@@ -388,50 +380,41 @@ func renderAll(fs []rulecheck.Finding) string {
 	return b.String()
 }
 
-func TestNewValidatedClassifier(t *testing.T) {
-	// A warn-only rule set builds, returning its findings.
-	warnOnly := []taxonomy.LocatedRule{
-		mk("quiet-panic", `kernel panic`, taxonomy.KernelPanic, taxonomy.SevInfo),
-	}
-	cls, fs, err := rulecheck.NewValidatedClassifier(warnOnly, rulecheck.Options{NoCorpus: true})
-	if err != nil {
-		t.Fatalf("warn-only set rejected: %v", err)
-	}
-	if cls == nil {
-		t.Fatal("nil classifier for accepted set")
-	}
-	if len(findingsOf(fs, "severity-mismatch")) == 0 {
-		t.Error("warnings were not returned alongside the classifier")
-	}
-	if cat, _ := cls.ClassifyBytes([]byte("kernel panic - not syncing")); cat != taxonomy.KernelPanic {
-		t.Errorf("classifier misclassifies: got %v", cat)
-	}
-
-	// An error finding rejects the set with a diagnostic naming it.
-	bad := []taxonomy.LocatedRule{
-		mk("catchall", `.*`, taxonomy.SoftwareOS, taxonomy.SevInfo),
-		mk("dead", `kernel panic`, taxonomy.KernelPanic, taxonomy.SevCritical),
-	}
-	_, _, err = rulecheck.NewValidatedClassifier(bad, rulecheck.Options{NoCorpus: true})
-	if err == nil {
-		t.Fatal("error-severity set accepted")
-	}
-	if !strings.Contains(err.Error(), "empty-match") || !strings.Contains(err.Error(), "catchall") {
-		t.Errorf("rejection diagnostic not actionable: %v", err)
-	}
-}
-
 func TestLoadClassifier(t *testing.T) {
 	noWarn := func(f rulecheck.Finding) { t.Errorf("unexpected finding %s", f) }
 	if cls, raw, err := rulecheck.LoadClassifier("", true, noWarn); cls != nil || raw != nil || err != nil {
 		t.Errorf("empty path = %v, %q, %v; want the built-in taxonomy (all nil)", cls, raw, err)
 	}
 
+	// A warn-only rule set builds, and its warnings reach the caller.
+	quiet := filepath.Join(t.TempDir(), "quiet.rules")
+	if err := os.WriteFile(quiet, []byte("quiet-panic KERNEL_PANIC INFO kernel panic\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var warnings []rulecheck.Finding
+	cls, _, err := rulecheck.LoadClassifier(quiet, true, func(f rulecheck.Finding) { warnings = append(warnings, f) })
+	if err != nil || cls == nil {
+		t.Fatalf("warn-only set: %v, %v; want it accepted", cls, err)
+	}
+	if len(findingsOf(warnings, "severity-mismatch")) == 0 {
+		t.Errorf("warnings = %v, want the severity-mismatch warning", warnings)
+	}
+	if cat, _ := cls.ClassifyBytes([]byte("kernel panic - not syncing")); cat != taxonomy.KernelPanic {
+		t.Errorf("classifier misclassifies: got %v", cat)
+	}
+
+	// An error finding rejects the set, naming the file, the first error
+	// and the override.
 	const path = "testdata/shadowed.rules"
 	var warned int
-	_, _, err := rulecheck.LoadClassifier(path, true, func(rulecheck.Finding) { warned++ })
-	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "-validate-rules=false") {
-		t.Errorf("validated load of %s: err = %v, want a rejection naming the file and the override", path, err)
+	_, _, err = rulecheck.LoadClassifier(path, true, func(rulecheck.Finding) { warned++ })
+	if err == nil {
+		t.Fatalf("validated load of %s accepted", path)
+	}
+	for _, want := range []string{path, "6 error finding(s)", `[shadow-structural]`, `"mce-dup"`, "-validate-rules=false"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("validated load of %s: err = %v, want it to name %s", path, err, want)
+		}
 	}
 	if warned == 0 {
 		t.Error("rejected rule set reported no findings")

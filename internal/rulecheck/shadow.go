@@ -17,7 +17,7 @@ type ruleInfo struct {
 
 // analyzeRules runs the single-rule regex checks (empty-match/universal,
 // superlinear) and returns the cached analysis for the shadowing passes.
-func analyzeRules(rules []taxonomy.LocatedRule, add func(Finding)) []ruleInfo {
+func analyzeRules(rules []taxonomy.Rule, add func(Finding)) []ruleInfo {
 	infos := make([]ruleInfo, len(rules))
 	for i, r := range rules {
 		if r.Pattern == nil {
@@ -77,7 +77,7 @@ func analyzeRules(rules []taxonomy.LocatedRule, add func(Finding)) []ruleInfo {
 // checkShadowing reports rules that can never fire under first-match-wins
 // ordering, combining structural containment proofs with differential
 // evidence (synthesized witnesses and the reference corpus).
-func checkShadowing(rules []taxonomy.LocatedRule, infos []ruleInfo, corpus []Sample, maxWitnesses int, add func(Finding), at func(int) (string, int)) {
+func checkShadowing(rules []taxonomy.Rule, infos []ruleInfo, corpus []string, add func(Finding), at func(int) (string, int)) {
 	type evidence struct {
 		witnessBy int // earlier rule most often capturing the witnesses, -1 if none
 		witnessN  int
@@ -153,12 +153,12 @@ func checkShadowing(rules []taxonomy.LocatedRule, infos []ruleInfo, corpus []Sam
 		// but never first.
 		matched, neverFirst := 0, 0
 		counts := map[int]int{}
-		for _, s := range corpus {
-			if !rules[j].Pattern.MatchString(s.Message) {
+		for _, msg := range corpus {
+			if !rules[j].Pattern.MatchString(msg) {
 				continue
 			}
 			matched++
-			if i := firstMatch(s.Message, j); i >= 0 {
+			if i := firstMatch(msg, j); i >= 0 {
 				neverFirst++
 				counts[i]++
 			}
@@ -213,7 +213,7 @@ func argmax(counts map[int]int) int {
 // structurallyContains reports how (if at all) the language of the later
 // rule's pattern is provably contained in the earlier rule's. It returns a
 // human-readable phrase for the containment proof, or "".
-func structurallyContains(early taxonomy.LocatedRule, earlyInfo ruleInfo, late taxonomy.LocatedRule, lateInfo ruleInfo) string {
+func structurallyContains(early taxonomy.Rule, earlyInfo ruleInfo, late taxonomy.Rule, lateInfo ruleInfo) string {
 	es, ls := earlyInfo.tree.String(), lateInfo.tree.String()
 	if es == ls {
 		return "its pattern is identical to"

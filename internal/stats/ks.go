@@ -31,25 +31,6 @@ func KSStatistic(xs []float64, cdf func(float64) float64) (float64, error) {
 	return d, nil
 }
 
-// KSCritical returns the approximate critical value of the KS statistic at
-// significance alpha for sample size n (valid for n >= ~35; conservative
-// below). Supported alphas: 0.10, 0.05, 0.01; others fall back to 0.05.
-func KSCritical(n int, alpha float64) float64 {
-	if n <= 0 {
-		return math.Inf(1)
-	}
-	var c float64
-	switch {
-	case alpha <= 0.01:
-		c = 1.628
-	case alpha <= 0.05:
-		c = 1.358
-	default:
-		c = 1.224
-	}
-	return c / math.Sqrt(float64(n))
-}
-
 // ExpCDF returns the CDF of an exponential distribution with the given
 // rate.
 func ExpCDF(rate float64) func(float64) float64 {

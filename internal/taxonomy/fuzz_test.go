@@ -1,9 +1,7 @@
 package taxonomy_test
 
 import (
-	"bytes"
 	"fmt"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -11,7 +9,7 @@ import (
 )
 
 // FuzzReadRules checks the rule-file parser never panics, and that every
-// accepted rule set survives a WriteRules→ReadRules round trip: parsed
+// accepted rule set survives a WriteRules→ReadRuleFile round trip: parsed
 // names can never contain whitespace or a leading '#', so the writer must
 // accept them, and the re-parsed rules must be identical. This pins the
 // round-trip contract the two functions share.
@@ -32,7 +30,7 @@ func FuzzReadRules(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		rules, err := taxonomy.ReadRules(strings.NewReader(s))
+		rules, err := taxonomy.ReadRuleFile(strings.NewReader(s))
 		if err != nil {
 			return
 		}
@@ -40,7 +38,7 @@ func FuzzReadRules(f *testing.F) {
 		if err := taxonomy.WriteRules(&buf, rules); err != nil {
 			t.Fatalf("accepted rules from %q but WriteRules failed: %v", s, err)
 		}
-		back, err := taxonomy.ReadRules(strings.NewReader(buf.String()))
+		back, err := taxonomy.ReadRuleFile(strings.NewReader(buf.String()))
 		if err != nil {
 			t.Fatalf("round trip of %q failed to parse: %v\nwritten: %q", s, err, buf.String())
 		}
@@ -58,68 +56,6 @@ func FuzzReadRules(f *testing.F) {
 	})
 }
 
-// FuzzLiteralAnchors throws random patterns and messages at the prefilter
-// extractor and checks the two invariants the classifier relies on:
-//
-//   - Necessity: whenever the compiled regexp matches a message, the
-//     extracted filter must pass it too — a filter that rejects a matching
-//     message silently misroutes that message to Unclassified.
-//   - Exactness: an ordered-chain hit on a newline-free message is
-//     trusted as a match without running the regexp, so an ordered filter
-//     passing a message the regexp rejects is equally unsound.
-//
-// internal/rulecheck proves the same properties analytically for the
-// shipped rules; this target searches for extractor bugs on arbitrary
-// patterns.
-func FuzzLiteralAnchors(f *testing.F) {
-	seeds := []struct {
-		pattern, msg string
-	}{
-		{`machine check exception`, "Machine Check Exception on nid 1"},
-		{`(?i)lustre(fs)? (error|timeout)`, "LustreFS TIMEOUT: recovery"},
-		{`kernel panic - not syncing`, "Kernel panic - not syncing: fatal"},
-		{`L[0-3] cache error`, "L2 cache error detected"},
-		{`ec_node_(failed|halt)`, "event ec_node_halt received"},
-		{`ap(kill|sys) .* exit`, "apsys x exit"},
-		{`nmi .* received`, "nmi\nreceived"},
-		{`(?i)emergency power off`, "EMERGENCY POWER OFFK"},
-		{`seg(fault|v) at 0x[0-9a-f]+`, "segv at 0xdeadbeef"},
-		{`a{2,5}b?c`, "aaac"},
-		// A gap at the edge of a group or next to an empty alternative, each
-		// with a message only the gapped chain matches.
-		{`(?i)lustre(.*timeout)`, "Lustre: request timeout"},
-		{`(?i)a(.*b)`, "a-b"},
-		{`(?i)(a.*)b`, "a-b"},
-		{`(?i)foo(.*bar|baz)`, "foo bar"},
-		{`(?i)a.*(b)?c`, "a-c"},
-		{`(?i)timed? ?out`, "timedxout"},
-		{`(?i)double[- ]bit`, "double_bit"},
-		{`(?i)ost[0-9a-f]*.*down`, "ost00fz is\ndown"},
-	}
-	for _, s := range seeds {
-		f.Add(s.pattern, []byte(s.msg))
-	}
-	f.Fuzz(func(t *testing.T, pattern string, msg []byte) {
-		re, err := regexp.Compile(pattern)
-		if err != nil {
-			return
-		}
-		pf := taxonomy.ExtractPrefilter(pattern)
-		if pf == nil {
-			return // no filter extracted: the regexp always runs, nothing to verify
-		}
-		if re.Match(msg) && !pf.Match(msg) {
-			t.Fatalf("prefilter not necessary: pattern %q matches %q but filter %v rejects it",
-				pattern, msg, pf.Branches())
-		}
-		if pf.Ordered() && bytes.IndexByte(msg, '\n') < 0 &&
-			pf.Match(msg) && !re.Match(msg) {
-			t.Fatalf("ordered prefilter not exact: filter %v passes %q but pattern %q rejects it",
-				pf.Branches(), msg, pattern)
-		}
-	})
-}
-
 // manyRules renders n one-literal rules, so the automaton carries n
 // distinct literals that share prefixes ("lit0001x", "lit0002x", ...).
 func manyRules(n int) string {
@@ -130,13 +66,19 @@ func manyRules(n int) string {
 	return b.String()
 }
 
-// FuzzClassifyBytes is the oracle for the automaton itself: a classifier
-// built from a fuzzer-chosen rule file must classify every message exactly
-// as the regexp-only reference does. The seeds aim at what an Aho–Corasick
-// build gets wrong: literals that are prefixes, suffixes and infixes of one
+// FuzzClassifyBytes is the oracle for the automaton and for the literal
+// filters it is built from: a classifier built from a fuzzer-chosen rule
+// file must classify every message exactly as the regexp-only reference
+// does. Under a single rule that holds the extractor to both directions of
+// soundness: a filter that rejects a message its regexp matches, and an
+// exact chain that passes a newline-free message its regexp rejects, each
+// change the verdict. The rule-set seeds aim at what an Aho–Corasick build
+// gets wrong: literals that are prefixes, suffixes and infixes of one
 // another, the same literal in several rules, a literal repeated inside one
 // chain, more literals than fit one or four set words, rules without a
-// filter between rules with one, and no rules at all.
+// filter between rules with one, and no rules at all. The one-rule seeds
+// aim at the extractor: gaps, optional pieces, small classes, case folding
+// and newlines.
 func FuzzClassifyBytes(f *testing.F) {
 	var builtin strings.Builder
 	if err := taxonomy.WriteRules(&builtin, taxonomy.Default().Rules()); err != nil {
@@ -163,8 +105,32 @@ func FuzzClassifyBytes(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s.rules, []byte(s.msg))
 	}
+	for _, s := range []struct{ pattern, msg string }{
+		{`machine check exception`, "Machine Check Exception on nid 1"},
+		{`(?i)lustre(fs)? (error|timeout)`, "LustreFS TIMEOUT: recovery"},
+		{`kernel panic - not syncing`, "Kernel panic - not syncing: fatal"},
+		{`L[0-3] cache error`, "L2 cache error detected"},
+		{`ec_node_(failed|halt)`, "event ec_node_halt received"},
+		{`ap(kill|sys) .* exit`, "apsys x exit"},
+		{`nmi .* received`, "nmi\nreceived"},
+		{`(?i)emergency power off`, "EMERGENCY POWER OFF\u212a"},
+		{`seg(fault|v) at 0x[0-9a-f]+`, "segv at 0xdeadbeef"},
+		{`a{2,5}b?c`, "aaac"},
+		// A gap at the edge of a group or next to an empty alternative, each
+		// with a message only the gapped chain matches.
+		{`(?i)lustre(.*timeout)`, "Lustre: request timeout"},
+		{`(?i)a(.*b)`, "a-b"},
+		{`(?i)(a.*)b`, "a-b"},
+		{`(?i)foo(.*bar|baz)`, "foo bar"},
+		{`(?i)a.*(b)?c`, "a-c"},
+		{`(?i)timed? ?out`, "timedxout"},
+		{`(?i)double[- ]bit`, "double_bit"},
+		{`(?i)ost[0-9a-f]*.*down`, "ost00fz is\ndown"},
+	} {
+		f.Add("r SW_OS ERROR "+s.pattern+"\n", []byte(s.msg))
+	}
 	f.Fuzz(func(t *testing.T, rulesText string, msg []byte) {
-		rules, err := taxonomy.ReadRules(strings.NewReader(rulesText))
+		rules, err := taxonomy.ReadRuleFile(strings.NewReader(rulesText))
 		if err != nil {
 			return
 		}

@@ -394,57 +394,18 @@ func filterOf(pattern string) *prefilter {
 	return &prefilter{branches: dnf}
 }
 
-// Prefilter is the exported view of one rule's literal prefilter, for
-// soundness cross-checking (internal/rulecheck) and fuzzing. It evaluates
-// with exactly the code the classifier hot path runs — a one-rule automaton
-// and the same scan — so a verifier exercising it proves something about
-// classification itself.
-type Prefilter struct {
-	f prefilter
-	m *matcher
-}
-
-// ExtractPrefilter extracts the literal prefilter the classifier would use
-// for pattern, or nil when the pattern yields no sound filter (the rule's
-// regexp always runs, so there is nothing to verify).
-func ExtractPrefilter(pattern string) *Prefilter {
+// LiteralFilter returns the literal filter the classifier extracts from
+// pattern: its branches of lowercase ASCII literals, and whether they are
+// exact ordered chains (a chain hit decides a newline-free message with no
+// regexp call) or unordered required-literal sets that only admit the
+// regexp. branches is nil when the pattern yields no filter and its regexp
+// runs on every message.
+func LiteralFilter(pattern string) (branches [][]string, exact bool) {
 	f := filterOf(pattern)
 	if f == nil {
-		return nil
+		return nil, false
 	}
-	return &Prefilter{f: *f, m: newMatcher([]*prefilter{f})}
-}
-
-// NewPrefilter builds a prefilter from explicit branches, bypassing
-// extraction. It exists so verifier tests can construct a deliberately
-// desynchronized filter and prove the soundness check rejects it; the
-// classifier itself only ever uses extracted filters.
-func NewPrefilter(branches [][]string, ordered bool) *Prefilter {
-	f := prefilter{branches: branches, ordered: ordered}
-	return &Prefilter{f: f, m: newMatcher([]*prefilter{&f})}
-}
-
-// Ordered reports whether the filter is an exact ordered-chain
-// decomposition: a branch hit classifies a newline-free message outright,
-// with no regexp call. Unordered filters only admit the regexp.
-func (p *Prefilter) Ordered() bool { return p.f.ordered }
-
-// Branches returns the filter's literal branches (ordered chains or
-// unordered required-literal sets, per Ordered).
-func (p *Prefilter) Branches() [][]string {
-	out := make([][]string, len(p.f.branches))
-	for i, br := range p.f.branches {
-		out[i] = append([]string(nil), br...)
-	}
-	return out
-}
-
-// Match reports whether the filter passes on msg.
-func (p *Prefilter) Match(msg []byte) bool {
-	sc := p.m.scan(msg)
-	ok := sc.hit[0]&1 != 0
-	sc.release()
-	return ok
+	return f.branches, f.ordered
 }
 
 // ClassifyBytes returns the category and severity of the first rule whose

@@ -2,6 +2,7 @@ package taxonomy
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"regexp"
@@ -22,8 +23,8 @@ import (
 //
 // Because the first three fields are whitespace-delimited, a rule name must
 // not contain whitespace (and must not start with '#', which would turn the
-// line into a comment). ReadRules can never produce such a name; WriteRules
-// rejects them so that every written rule set parses back to the same rules.
+// line into a comment); CheckName holds both the reader and the linter to
+// that.
 
 // ParseSeverity resolves a severity mnemonic produced by Severity.String.
 func ParseSeverity(s string) (Severity, bool) {
@@ -41,41 +42,13 @@ func ParseSeverity(s string) (Severity, bool) {
 	}
 }
 
-// LocatedRule is a Rule together with the 1-based line of the rule file it
-// was parsed from. Rules built in memory (the built-in set, programmatic
-// sets) have Line 0; diagnostics fall back to the rule's position in the
-// list.
-type LocatedRule struct {
-	Rule
-	Line int
-}
-
-// Locate wraps an in-memory rule list as LocatedRules with no file
-// positions (Line 0).
-func Locate(rules []Rule) []LocatedRule {
-	out := make([]LocatedRule, len(rules))
-	for i, r := range rules {
-		out[i].Rule = r
-	}
-	return out
-}
-
-// Rules strips the positions off a located rule list.
-func Rules(located []LocatedRule) []Rule {
-	out := make([]Rule, len(located))
-	for i, lr := range located {
-		out[i] = lr.Rule
-	}
-	return out
-}
-
 // ReadRuleFile parses a rule file, keeping the source line of every rule so
 // that lint diagnostics can point back into the file. It fails on the first
 // malformed line with a line-numbered error.
-func ReadRuleFile(r io.Reader) ([]LocatedRule, error) {
+func ReadRuleFile(r io.Reader) ([]Rule, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var rules []LocatedRule
+	var rules []Rule
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -104,8 +77,8 @@ func ReadRuleFile(r io.Reader) ([]LocatedRule, error) {
 		}
 		name := head[0]
 		// The field splitter only breaks on space and tab, so a name could
-		// still smuggle in other whitespace (\v, \r, U+00A0, ...) that the
-		// writer could not round-trip; hold both sides to the same contract.
+		// still smuggle in other whitespace (\v, \r, U+00A0, ...) that a
+		// written rule file could not round-trip; reject it.
 		if err := CheckName(name); err != nil {
 			return nil, fmt.Errorf("taxonomy: rule file line %d: %w", lineNo, err)
 		}
@@ -121,12 +94,11 @@ func ReadRuleFile(r io.Reader) ([]LocatedRule, error) {
 		if err != nil {
 			return nil, fmt.Errorf("taxonomy: rule file line %d: bad regex: %w", lineNo, err)
 		}
-		rules = append(rules, LocatedRule{
-			Rule: Rule{Name: name, Pattern: re, Category: cat, Severity: sev},
-			Line: lineNo,
-		})
+		rules = append(rules, Rule{Name: name, Pattern: re, Category: cat, Severity: sev, Line: lineNo})
 	}
-	if err := sc.Err(); err != nil {
+	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
+		return nil, fmt.Errorf("taxonomy: rule file line %d: longer than 1 MiB", lineNo+1)
+	} else if err != nil {
 		return nil, fmt.Errorf("taxonomy: rule file: %w", err)
 	}
 	if len(rules) == 0 {
@@ -135,21 +107,10 @@ func ReadRuleFile(r io.Reader) ([]LocatedRule, error) {
 	return rules, nil
 }
 
-// ReadRules parses a rule file. It fails on the first malformed line with
-// a line-numbered error. Use ReadRuleFile to keep source positions.
-func ReadRules(r io.Reader) ([]Rule, error) {
-	located, err := ReadRuleFile(r)
-	if err != nil {
-		return nil, err
-	}
-	return Rules(located), nil
-}
-
 // CheckName reports why name cannot be used as a rule name in the rule-file
 // format, or nil if it can. Whitespace inside a name would shift the
-// CATEGORY/SEVERITY/regex fields on the written line; a leading '#' would
-// turn the whole line into a comment. Both silently corrupt a
-// WriteRules→ReadRules round trip, so they are rejected up front.
+// CATEGORY/SEVERITY/regex fields on a written line; a leading '#' would
+// turn the whole line into a comment.
 func CheckName(name string) error {
 	if name == "" {
 		return fmt.Errorf("empty rule name")
@@ -161,44 +122,4 @@ func CheckName(name string) error {
 		return fmt.Errorf("rule name %q contains whitespace (the rule-file format is whitespace-delimited)", name)
 	}
 	return nil
-}
-
-// WriteRules renders rules in the rule-file format, one per line. It
-// guarantees the output parses back to the same rules: names that cannot
-// survive the round trip (whitespace, leading '#'), nil or empty patterns,
-// and patterns containing a newline are rejected with an error instead of
-// being written corrupted. Use a '\n' escape inside the pattern where a
-// literal newline is meant.
-func WriteRules(w io.Writer, rules []Rule) error {
-	bw := bufio.NewWriter(w)
-	for i, r := range rules {
-		name := r.Name
-		if name == "" {
-			name = "unnamed"
-		}
-		if err := CheckName(name); err != nil {
-			return fmt.Errorf("taxonomy: rule %d: %w", i, err)
-		}
-		if r.Pattern == nil {
-			return fmt.Errorf("taxonomy: rule %d (%s): nil pattern", i, name)
-		}
-		pat := r.Pattern.String()
-		if pat == "" {
-			return fmt.Errorf("taxonomy: rule %d (%s): empty pattern cannot be written (and would match every message)", i, name)
-		}
-		// Interior '\r' survives the line scanner; only '\n' breaks the
-		// one-rule-per-line invariant (edge whitespace, including '\r', is
-		// caught by the TrimSpace check below).
-		if strings.Contains(pat, "\n") {
-			return fmt.Errorf("taxonomy: rule %d (%s): pattern contains a literal newline; use a \\n escape", i, name)
-		}
-		if pat != strings.TrimSpace(pat) {
-			return fmt.Errorf("taxonomy: rule %d (%s): pattern has leading/trailing whitespace, which the rule-file parser strips; use [ ] or \\s", i, name)
-		}
-		if _, err := fmt.Fprintf(bw, "%s %s %s %s\n",
-			name, r.Category, r.Severity, pat); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

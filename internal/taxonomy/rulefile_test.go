@@ -15,7 +15,7 @@ func TestReadRulesBasic(t *testing.T) {
 gpu-thermal GPU_BUS CRIT (?i)gpu thermal shutdown
 raid-fault FS_UNAVAIL ERROR raid array degraded
 `
-	rules, err := taxonomy.ReadRules(strings.NewReader(input))
+	rules, err := taxonomy.ReadRuleFile(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestReadRulesSeverityTokenInName(t *testing.T) {
 	// A rule whose NAME contains a severity/category token must still
 	// split correctly.
 	input := "CRIT-watcher KERNEL_PANIC CRIT panic pattern here\n"
-	rules, err := taxonomy.ReadRules(strings.NewReader(input))
+	rules, err := taxonomy.ReadRuleFile(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestReadRulesSeverityTokenInName(t *testing.T) {
 
 func TestReadRulesRegexWithSpaces(t *testing.T) {
 	input := "r1 KERNEL_PANIC CRIT kernel panic - not syncing\n"
-	rules, err := taxonomy.ReadRules(strings.NewReader(input))
+	rules, err := taxonomy.ReadRuleFile(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,17 +61,20 @@ func TestReadRulesRegexWithSpaces(t *testing.T) {
 }
 
 func TestReadRulesErrors(t *testing.T) {
-	bad := []string{
-		"too few fields\n",
-		"r1 NOT_A_CATEGORY CRIT x\n",
-		"r1 KERNEL_PANIC LOUD x\n",
-		"r1 KERNEL_PANIC CRIT [unclosed\n",
-		"",          // empty file
-		"# only\n ", // comments only
+	bad := []struct{ input, want string }{
+		{"too few fields\n", "line 1: want 'name CATEGORY SEVERITY regex'"},
+		{"r1 NOT_A_CATEGORY CRIT x\n", "line 1: unknown category"},
+		{"r1 KERNEL_PANIC LOUD x\n", "line 1: unknown severity"},
+		{"# c\nr1 KERNEL_PANIC CRIT [unclosed\n", "line 2: bad regex"},
+		{"", "contains no rules"},
+		{"# only\n ", "contains no rules"},
+		{"r1 KERNEL_PANIC CRIT x\n\nr3 KERNEL_PANIC CRIT " + strings.Repeat("x", 1<<20) + "\n",
+			"line 3: longer than 1 MiB"},
 	}
-	for _, input := range bad {
-		if _, err := taxonomy.ReadRules(strings.NewReader(input)); err == nil {
-			t.Errorf("ReadRules(%q) succeeded, want error", input)
+	for _, tt := range bad {
+		_, err := taxonomy.ReadRuleFile(strings.NewReader(tt.input))
+		if err == nil || !strings.Contains(err.Error(), tt.want) {
+			t.Errorf("ReadRuleFile(%.40q) = %v, want an error containing %q", tt.input, err, tt.want)
 		}
 	}
 }
@@ -82,7 +85,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := taxonomy.WriteRules(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	back, err := taxonomy.ReadRules(strings.NewReader(buf.String()))
+	back, err := taxonomy.ReadRuleFile(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +212,7 @@ func TestWriteReadPropertyRoundTrip(t *testing.T) {
 			}
 			continue
 		}
-		back, err := taxonomy.ReadRules(strings.NewReader(buf.String()))
+		back, err := taxonomy.ReadRuleFile(strings.NewReader(buf.String()))
 		if err != nil {
 			t.Fatalf("trial %d: written set does not parse: %v\n%s", trial, err, buf.String())
 		}

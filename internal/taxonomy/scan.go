@@ -98,9 +98,8 @@ func newMatcher(filters []*prefilter) *matcher {
 		}
 		out[s] = append(out[s], usesOf[l]...)
 	}
-	// Literals are lowercase and the text is matched folded: an uppercase
-	// byte takes its lowercase column only now, so a literal that was built
-	// with one (NewPrefilter can) keeps a column no message byte maps to.
+	// Extracted literals are lowercase and the text is matched folded, so
+	// 'A'..'Z' read as 'a'..'z'.
 	for c := 'A'; c <= 'Z'; c++ {
 		m.class[c] = m.class[c+'a'-'A']
 	}

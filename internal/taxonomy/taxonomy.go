@@ -218,6 +218,9 @@ type Rule struct {
 	Pattern  *regexp.Regexp
 	Category Category
 	Severity Severity
+	// Line is the 1-based rule-file line the rule was read from, so lint
+	// diagnostics can point back into the file; 0 for rules built in memory.
+	Line int
 }
 
 // Classifier applies an ordered rule list to raw message text: ClassifyBytes

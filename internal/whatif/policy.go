@@ -15,7 +15,6 @@ package whatif
 import (
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -363,15 +362,4 @@ func LoadPolicies(path string) ([]Policy, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return pols, nil
-}
-
-// SortedNames returns the policy names in sorted order (for stable error
-// messages and cache keys over sets).
-func SortedNames(pols []Policy) []string {
-	names := make([]string, len(pols))
-	for i, p := range pols {
-		names[i] = p.Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -148,10 +148,3 @@ func TestLoadPolicies(t *testing.T) {
 		t.Errorf("bad-file error %v should name the path", err)
 	}
 }
-
-func TestSortedNames(t *testing.T) {
-	names := SortedNames([]Policy{{Name: "z"}, {Name: "a"}, {Name: "m"}})
-	if !reflect.DeepEqual(names, []string{"a", "m", "z"}) {
-		t.Errorf("got %v", names)
-	}
-}
