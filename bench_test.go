@@ -50,11 +50,7 @@ func benchFixture(b *testing.B) *benchState {
 		if err != nil {
 			panic(err)
 		}
-		res, err := logdiver.AnalyzeDataset(ds, logdiver.Options{})
-		if err != nil {
-			panic(err)
-		}
-		bench = benchState{ds: ds, res: res}
+		bench = benchState{ds: ds, res: analyzeDataset(b, ds)}
 	})
 	return &bench
 }
@@ -203,22 +199,6 @@ func BenchmarkGenerate(b *testing.B) {
 		runs += len(ds.Runs)
 	}
 	b.ReportMetric(float64(runs)/float64(b.N), "runs/op")
-}
-
-// BenchmarkAnalyzeDataset measures the full in-memory pipeline.
-func BenchmarkAnalyzeDataset(b *testing.B) {
-	f := benchFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := logdiver.AnalyzeDataset(f.ds, logdiver.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Runs) != len(f.ds.Runs) {
-			b.Fatal("run count mismatch")
-		}
-	}
-	b.ReportMetric(float64(len(f.ds.Runs)), "runs/op")
 }
 
 // BenchmarkAnalyzeArchives measures the text-parsing pipeline end to end.

@@ -3,9 +3,9 @@ package logdiver_test
 // Calibration acceptance test: the headline claim of this reproduction is
 // that the analysis pipeline, run over synthesized raw logs on the full
 // Blue Waters topology, *measures* the paper's anchored numbers. This test
-// generates ~100 days of production (a fifth of the paper's span) and
-// asserts every anchor within generous statistical bands. It takes on the
-// order of a minute; skip with -short.
+// generates ~100 days of production (a fifth of the paper's span), writes
+// the three archives, analyzes their bytes and asserts every anchor within
+// generous statistical bands. It takes several seconds; skip with -short.
 
 import (
 	"testing"
@@ -22,11 +22,7 @@ func fullDataset(t *testing.T) (*logdiver.Dataset, *logdiver.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := logdiver.AnalyzeDataset(ds, logdiver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ds, res
+	return ds, analyzeDataset(t, ds)
 }
 
 func probeP(t *testing.T, runs []logdiver.AttributedRun, class logdiver.NodeClass, lo, hi int) (float64, int) {
@@ -55,6 +51,8 @@ func TestCalibrationAnchors(t *testing.T) {
 
 	t.Run("headline fractions", func(t *testing.T) {
 		b := logdiver.Outcomes(res.Runs)
+		t.Logf("%d runs: system-failure fraction %.6f, lost node-hours fraction %.6f",
+			b.Total, b.SystemFailureFraction(), b.SystemNodeHoursFraction())
 		if got := b.SystemFailureFraction(); got < 0.008 || got > 0.024 {
 			t.Errorf("system-failure fraction = %.4f, want near anchor %.4f (band [0.008,0.024])",
 				got, logdiver.AnchorSystemFraction)
@@ -68,6 +66,7 @@ func TestCalibrationAnchors(t *testing.T) {
 	t.Run("XE scaling curve", func(t *testing.T) {
 		pMid, nMid := probeP(t, res.Runs, logdiver.ClassXE, 9000, 11000)
 		pFull, nFull := probeP(t, res.Runs, logdiver.ClassXE, 19000, 23000)
+		t.Logf("P(XE ~10k) %.6f over %d runs, P(XE full) %.6f over %d runs", pMid, nMid, pFull, nFull)
 		if nMid < 50 || nFull < 50 {
 			t.Fatalf("too few probe runs: mid=%d full=%d", nMid, nFull)
 		}
@@ -93,6 +92,7 @@ func TestCalibrationAnchors(t *testing.T) {
 	t.Run("XK scaling curve", func(t *testing.T) {
 		pMid, nMid := probeP(t, res.Runs, logdiver.ClassXK, 1800, 2200)
 		pFull, nFull := probeP(t, res.Runs, logdiver.ClassXK, 4000, 4300)
+		t.Logf("P(XK ~2k) %.6f over %d runs, P(XK full) %.6f over %d runs", pMid, nMid, pFull, nFull)
 		if nMid < 30 || nFull < 30 {
 			t.Fatalf("too few probe runs: mid=%d full=%d", nMid, nFull)
 		}
@@ -110,7 +110,7 @@ func TestCalibrationAnchors(t *testing.T) {
 	})
 
 	t.Run("hybrid detection gap", func(t *testing.T) {
-		truth := logdiver.TrueSystemFailures(ds)
+		truth := trueSystemFailures(ds)
 		xe := logdiver.DetectionCoverage(res.Runs, truth, logdiver.ClassXE)
 		if xe.Rate() < 0.9 {
 			t.Errorf("XE detection coverage = %.3f, want >= 0.9 (CPU errors are logged)", xe.Rate())
@@ -124,6 +124,7 @@ func TestCalibrationAnchors(t *testing.T) {
 			}
 		}
 		xk := logdiver.DetectionCoverage(xkFull, truth, logdiver.ClassXK)
+		t.Logf("coverage XE %.6f %+v, full-scale XK %.6f %+v", xe.Rate(), xe, xk.Rate(), xk)
 		if xk.TrueSystem < 20 {
 			t.Fatalf("too few full-scale XK system failures: %d", xk.TrueSystem)
 		}
@@ -154,7 +155,9 @@ func TestCalibrationAnchors(t *testing.T) {
 		if trueSys == 0 || attributed == 0 {
 			t.Fatal("no system failures to evaluate")
 		}
-		if prec := float64(correct) / float64(attributed); prec < 0.8 {
+		prec := float64(correct) / float64(attributed)
+		t.Logf("precision %.6f (%d of %d attributed; %d truly system)", prec, correct, attributed, trueSys)
+		if prec < 0.8 {
 			t.Errorf("attribution precision = %.3f, want >= 0.8", prec)
 		}
 	})

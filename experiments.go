@@ -27,18 +27,3 @@ const (
 func Experiments(res *Result, top *Topology, truth map[uint64]Truth) ([]*Table, error) {
 	return experiments.All(res, top, truth)
 }
-
-// ExperimentE2 regenerates only the headline outcome table.
-func ExperimentE2(res *Result) *Table { return experiments.E2Outcomes(res) }
-
-// ExperimentE4 regenerates the XE failure-probability-versus-scale curve.
-func ExperimentE4(res *Result) (*Table, error) { return experiments.E4ScalingXE(res) }
-
-// ExperimentE5 regenerates the XK failure-probability-versus-scale curve.
-func ExperimentE5(res *Result) (*Table, error) { return experiments.E5ScalingXK(res) }
-
-// ExperimentE9 regenerates the detection-coverage comparison (requires
-// ground truth).
-func ExperimentE9(res *Result, truth map[uint64]Truth) *Table {
-	return experiments.E9Detection(res, truth)
-}

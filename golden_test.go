@@ -22,24 +22,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 // the diff.
 func TestExperimentTablesGolden(t *testing.T) {
 	ds := smallDataset(t, 2, 6)
-	var acc, aps, sys strings.Builder
-	if err := ds.WriteAccounting(&acc); err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.WriteApsys(&aps); err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.WriteErrorLog(&sys); err != nil {
-		t.Fatal(err)
-	}
-	res, err := logdiver.Analyze(logdiver.Archives{
-		Accounting: strings.NewReader(acc.String()),
-		Apsys:      strings.NewReader(aps.String()),
-		Syslog:     strings.NewReader(sys.String()),
-	}, ds.Topology, logdiver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := analyzeDataset(t, ds)
 	tables, err := logdiver.Experiments(res, ds.Topology, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -7,11 +7,11 @@
 // checkpoint, given the MTTI the study measured at each scale.
 //
 // The package is pure arithmetic over a Params triple (MTTI, checkpoint
-// cost, restart cost), all in hours. Two layers build on it: the whatif
-// counterfactual simulator uses DalyInterval to place checkpoints when
-// replaying the measured run stream under a policy, and PlanByScale in
-// internal/whatif (driving examples/checkpoint-planning) uses BuildPlan to
-// turn a by-scale MTTI table into per-scale interval recommendations.
+// cost, restart cost), all in hours. Two layers build on it: experiment
+// E13 uses BuildPlan to turn the by-scale MTTI table into per-scale
+// interval recommendations, and the whatif counterfactual simulator uses
+// DalyInterval to place checkpoints when replaying the measured run stream
+// under a policy (its W3 table prints the interval per scale bucket).
 // Keeping both on this one implementation is what makes the planning
 // numbers and the simulated charges agree.
 package checkpoint
@@ -117,8 +117,8 @@ func Efficiency(p Params, tau float64) (float64, error) {
 
 // Plan summarizes the checkpoint policy implied by a measured MTTI: both
 // optimal intervals, the modeled efficiency at the Daly interval, and the
-// unprotected survival probability for a reference-length run. It is the
-// unit PlanByScale emits per scale bucket.
+// unprotected survival probability for a reference-length run: one row of
+// experiment E13.
 type Plan struct {
 	Params
 	// YoungHours and DalyHours are the two optimal intervals.

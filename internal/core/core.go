@@ -38,8 +38,6 @@ type Archives struct {
 
 // Options tunes the pipeline. The zero value selects the study defaults.
 type Options struct {
-	// Correlate configures the attribution join. Zero value: defaults.
-	Correlate correlate.Config
 	// Classifier overrides the default taxonomy classifier. The classifier
 	// is shared by the ingestion workers and must be safe for concurrent
 	// use; taxonomy.Classifier is (see its doc), and custom implementations
@@ -62,13 +60,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Correlate.EvidenceWindow == 0 && o.Correlate.PostWindow == 0 {
-		jobs := o.Correlate.Jobs
-		temporal := o.Correlate.TemporalOnly
-		o.Correlate = correlate.DefaultConfig()
-		o.Correlate.Jobs = jobs
-		o.Correlate.TemporalOnly = temporal
-	}
 	if o.Classifier == nil {
 		o.Classifier = taxonomy.Default()
 	}
@@ -218,10 +209,10 @@ type Result struct {
 	Start, End time.Time
 }
 
-// Analyze runs the full pipeline over raw archives. The three archives are
-// read concurrently through the block engine in ingest.go, each with
-// Options.Parallelism block workers; the Result is identical at every
-// worker count and block size.
+// Analyze runs the full pipeline over raw archives: ingestion followed by
+// AnalyzeParsed. The three archives are read concurrently through the block
+// engine in ingest.go, each with Options.Parallelism block workers; the
+// Result is identical at every worker count and block size.
 func Analyze(a Archives, top *machine.Topology, opts Options) (*Result, error) {
 	if top == nil {
 		return nil, fmt.Errorf("core: nil topology")
@@ -234,48 +225,39 @@ func Analyze(a Archives, top *machine.Topology, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	res, err := AnalyzeParsed(wlmAsm.Jobs(), alpsAsm.Runs(), events, top, opts)
+	if err != nil {
+		return nil, err
+	}
 	stats.setAssembler(alpsAsm)
-	res := &Result{Jobs: wlmAsm.Jobs(), Parse: stats}
-	return finish(res, alpsAsm.Runs(), events, top, opts)
+	res.Parse = stats
+	return res, nil
 }
 
-// AnalyzeParsed runs the pipeline over already-parsed inputs (the in-memory
-// path used by experiments that skip archive serialization).
+// AnalyzeParsed is the post-ingest stage of Analyze: it deduplicates the
+// classified events (the only coalescing stage attribution uses, see package
+// coalesce), indexes them by node and time, and attributes every run against
+// that index and the jobs' accounting records. Its only caller outside tests
+// is Analyze; it is exported so the benchmark can time the stage on its own.
 func AnalyzeParsed(jobs []wlm.Job, runs []alps.AppRun, events []errlog.Event, top *machine.Topology, opts Options) (*Result, error) {
 	if top == nil {
 		return nil, fmt.Errorf("core: nil topology")
 	}
 	opts = opts.withDefaults()
-	res := &Result{Jobs: jobs}
-	return finish(res, runs, events, top, opts)
-}
-
-func finish(res *Result, runs []alps.AppRun, events []errlog.Event, top *machine.Topology, opts Options) (*Result, error) {
-	corr, err := res.preprocess(events, top, opts)
+	deduped := coalesce.Dedup(events)
+	res := &Result{Jobs: jobs, Events: deduped, RawEvents: len(events)}
+	cfg := correlate.DefaultConfig()
+	cfg.Jobs = make(map[string]wlm.Job, len(jobs))
+	for _, j := range jobs {
+		cfg.Jobs[j.ID] = j
+	}
+	corr, err := correlate.New(interval.NewIndex(deduped), top, cfg)
 	if err != nil {
 		return nil, err
 	}
 	res.Runs = corr.AttributeAllParallel(runs, opts.Parallelism)
 	res.setSpan()
 	return res, nil
-}
-
-// preprocess fills the event-side fields of res by deduplicating events —
-// the only coalescing stage attribution uses (see package coalesce) — and
-// returns the correlator for the join, built over them and res.Jobs.
-func (res *Result) preprocess(events []errlog.Event, top *machine.Topology, opts Options) (*correlate.Correlator, error) {
-	deduped := coalesce.Dedup(events)
-	res.Events = deduped
-	res.RawEvents = len(events)
-
-	cfg := opts.Correlate
-	if cfg.Jobs == nil && len(res.Jobs) > 0 {
-		cfg.Jobs = make(map[string]wlm.Job, len(res.Jobs))
-		for _, j := range res.Jobs {
-			cfg.Jobs[j.ID] = j
-		}
-	}
-	return correlate.New(interval.NewIndex(deduped), top, cfg)
 }
 
 // setSpan derives Start and End from the attributed runs.

@@ -147,7 +147,7 @@ func TestAnalyzeMatchesInMemoryPath(t *testing.T) {
 
 func TestAnalyzeAttributionAgainstTruth(t *testing.T) {
 	ds := testDataset(t)
-	res, err := AnalyzeParsed(ds.Jobs, ds.Runs, ds.Events, ds.Topology, Options{})
+	res, err := Analyze(archivesFor(t, ds), ds.Topology, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +237,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Classifier == nil {
 		t.Error("no default classifier")
 	}
-	if o.Correlate.EvidenceWindow == 0 {
-		t.Error("no default correlate config")
+	if o.Parallelism <= 0 {
+		t.Errorf("default parallelism = %d, want GOMAXPROCS", o.Parallelism)
 	}
 	// Explicit options survive.
 	cls := taxonomy.NewClassifier(nil)

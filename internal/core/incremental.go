@@ -304,9 +304,10 @@ func (inc *Incremental) Result() (*Result, error) {
 	}
 	res.Parse.setAssembler(inc.alpsAsm)
 
+	cfg := correlate.DefaultConfig()
 	var boundary time.Time
 	if inc.haveNew {
-		boundary = inc.minNew.Add(-(inc.opts.Correlate.EvidenceWindow + inc.opts.Correlate.PostWindow))
+		boundary = inc.minNew.Add(-(cfg.EvidenceWindow + cfg.PostWindow))
 	}
 	done := inc.alpsAsm.Done()
 	var affIdx []int
@@ -331,13 +332,10 @@ func (inc *Incremental) Result() (*Result, error) {
 	}
 	// The correlator sees what the affected runs can: their own jobs, and the
 	// events from the earliest evidence horizon among them on.
-	cfg := inc.opts.Correlate
-	if cfg.Jobs == nil {
-		cfg.Jobs = make(map[string]wlm.Job, len(affRuns))
-		for _, r := range affRuns {
-			if j, ok := inc.wlmAsm.Job(r.JobID); ok {
-				cfg.Jobs[r.JobID] = j
-			}
+	cfg.Jobs = make(map[string]wlm.Job, len(affRuns))
+	for _, r := range affRuns {
+		if j, ok := inc.wlmAsm.Job(r.JobID); ok {
+			cfg.Jobs[r.JobID] = j
 		}
 	}
 	lo := len(inc.dedup)

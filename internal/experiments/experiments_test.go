@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -52,12 +53,23 @@ func getFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.AnalyzeParsed(ds.Jobs, ds.Runs, ds.Events, ds.Topology, core.Options{})
+	res, err := core.Analyze(archivesFor(t, ds), ds.Topology, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cached = &fixture{ds: ds, res: res}
 	return cached
+}
+
+// archivesFor serializes a dataset into the three raw archives core.Analyze
+// reads, so the fixture is analyzed from bytes like any real archive.
+func archivesFor(t testing.TB, ds *gen.Dataset) core.Archives {
+	t.Helper()
+	var acc, aps, sys bytes.Buffer
+	if err := errors.Join(ds.WriteAccounting(&acc), ds.WriteApsys(&aps), ds.WriteErrorLog(&sys)); err != nil {
+		t.Fatal(err)
+	}
+	return core.Archives{Accounting: &acc, Apsys: &aps, Syslog: &sys}
 }
 
 func TestE1Workload(t *testing.T) {
@@ -505,6 +517,12 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 // computing them per table changed no number.
 func TestCoalesceTablesGolden(t *testing.T) {
 	f := getFixture(t)
+	// Precondition: the fixture must exercise every stage E10 reports. A
+	// fixture whose raw count equals its deduplicated count pins a dedup
+	// stage that never removed a line.
+	if raw, deduped := f.res.RawEvents, len(f.res.Events); raw <= deduped {
+		t.Fatalf("precondition: %d raw classified events, %d after dedup; the fixture never exercises dedup", raw, deduped)
+	}
 	var buf bytes.Buffer
 	for _, tbl := range []*report.Table{E10Coalesce(f.res), E14BlastRadius(f.res), A3Coalesce(f.res, nil)} {
 		if err := tbl.Render(&buf); err != nil {

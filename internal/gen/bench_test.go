@@ -6,16 +6,10 @@ import (
 	"logdiver/internal/machine"
 )
 
-func benchGenConfig(backfill bool) Config {
-	cfg := testConfig(1)
-	cfg.Workload.Backfill = backfill
-	return cfg
-}
-
 // BenchmarkGenerateDay measures synthesizer throughput for one production
 // day on the small machine.
 func BenchmarkGenerateDay(b *testing.B) {
-	cfg := benchGenConfig(false)
+	cfg := testConfig(1)
 	b.ReportAllocs()
 	var runs int
 	b.ResetTimer()
@@ -28,18 +22,6 @@ func BenchmarkGenerateDay(b *testing.B) {
 		runs += len(ds.Runs)
 	}
 	b.ReportMetric(float64(runs)/float64(b.N), "runs/op")
-}
-
-// BenchmarkGenerateDayBackfill measures the backfill scheduling path.
-func BenchmarkGenerateDayBackfill(b *testing.B) {
-	cfg := benchGenConfig(true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
-		if _, err := Generate(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkAllocator measures the placement allocator under steady churn:

@@ -153,13 +153,6 @@ type Workload struct {
 	// full-scale capability sizes.
 	FullScaleKneeXE int
 	FullScaleKneeXK int
-	// Backfill lets jobs behind a blocked queue head start when they fit,
-	// raising utilization at the cost of delaying full-machine drains.
-	// To prevent capability-job starvation, backfill is suspended once
-	// the head has waited longer than BackfillHeadWaitLimit (default 4h
-	// when zero).
-	Backfill              bool
-	BackfillHeadWaitLimit time.Duration
 }
 
 // DefaultWorkload returns the workload used in the experiments.
@@ -236,8 +229,9 @@ func Scaled(days int) Config {
 	return cfg
 }
 
-// Small returns a configuration sized for examples, smoke tests and CI:
-// the 1,536-node small machine with a workload rescaled to fit it. A few
+// Small returns a configuration sized for smoke tests, CI and the
+// benchmark: the 1,536-node small machine with a workload rescaled to fit
+// it (`logdiver generate -machine small`). A few
 // days generate and analyze in seconds while still exercising the full
 // pipeline, including capability-scale runs at the machine's knee.
 func Small(days int) Config {

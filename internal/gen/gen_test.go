@@ -171,6 +171,38 @@ func TestGeneratePlacementExclusive(t *testing.T) {
 	}
 }
 
+// TestFIFOHoldsBehindBlockedHead pins the scheduling discipline: jobs start
+// from the head of the queue only, so a head that does not fit holds every
+// later job, even one that would (a capability job gets its drain).
+func TestFIFOHoldsBehindBlockedHead(t *testing.T) {
+	cfg := testConfig(1)
+	top, err := machine.New(cfg.Machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &sim{
+		cfg:   cfg,
+		top:   top,
+		rng:   rand.New(rand.NewSource(1)),
+		bg:    &faults{nodeFatal: map[machine.NodeID][]fatal{}},
+		xe:    newAllocator(top.XENodes()),
+		xk:    newAllocator(top.XKNodes()),
+		truth: make(map[uint64]Truth),
+		end:   cfg.Start.Add(24 * time.Hour),
+	}
+	if s.xe.alloc(s.xe.cap-400) == nil { // a 900-node job cannot fit
+		t.Fatal("setup alloc failed")
+	}
+	job := func(size int) plannedJob {
+		return plannedJob{class: machine.ClassXE, size: size, runs: []time.Duration{30 * time.Minute},
+			user: "u", account: "a", queue: "normal", walltime: 2 * time.Hour, cmd: cmdProfiles[0]}
+	}
+	left := s.tryStartQueue([]plannedJob{job(100), job(900), job(100)}, s.xe, cfg.Start)
+	if len(left) != 2 || left[0].size != 900 {
+		t.Errorf("queue after start = %d jobs, want the blocked 900-node head and the job behind it", len(left))
+	}
+}
+
 func TestGenerateJobInvariants(t *testing.T) {
 	ds := generateTest(t, 3)
 	seen := make(map[string]bool, len(ds.Jobs))

@@ -56,7 +56,6 @@ type plannedJob struct {
 	queue      string
 	walltime   time.Duration
 	capability bool
-	queuedAt   time.Time
 	cmd        cmdProfile
 }
 
@@ -200,13 +199,13 @@ func (s *sim) run() {
 		ev := heap.Pop(&s.heap).(simEvent)
 		switch ev.kind {
 		case evArrivalOrdinary:
-			s.enqueue(s.planOrdinary(ev.at), ev.at)
+			s.enqueue(s.planOrdinary(ev.at))
 			s.nextArrival(ev.at, evArrivalOrdinary, w.JobsPerDay)
 		case evArrivalCapXE:
-			s.enqueue(s.planCapability(machine.ClassXE), ev.at)
+			s.enqueue(s.planCapability(machine.ClassXE))
 			s.nextArrival(ev.at, evArrivalCapXE, w.XECapabilityJobsPerDay)
 		case evArrivalCapXK:
-			s.enqueue(s.planCapability(machine.ClassXK), ev.at)
+			s.enqueue(s.planCapability(machine.ClassXK))
 			s.nextArrival(ev.at, evArrivalCapXK, w.XKCapabilityJobsPerDay)
 		case evJobDone:
 			s.finishJob(ev.job)
@@ -215,9 +214,8 @@ func (s *sim) run() {
 	}
 }
 
-func (s *sim) enqueue(p plannedJob, at time.Time) {
+func (s *sim) enqueue(p plannedJob) {
 	p.walltime = s.walltimeFor(p)
-	p.queuedAt = at
 	if p.class == machine.ClassXK {
 		s.queueXK = append(s.queueXK, p)
 	} else {
@@ -225,11 +223,8 @@ func (s *sim) enqueue(p plannedJob, at time.Time) {
 	}
 }
 
-// tryStart starts queued jobs per partition. The default discipline is
-// strict FIFO: a blocked head drains the partition (capability jobs get
-// their full-machine window). With Workload.Backfill, later jobs that fit
-// may jump the blocked head until the head has waited past the starvation
-// limit, after which the drain discipline resumes.
+// tryStart starts queued jobs per partition in strict FIFO order: a blocked
+// head drains the partition (capability jobs get their full-machine window).
 func (s *sim) tryStart(now time.Time) {
 	if now.After(s.end) {
 		return
@@ -239,36 +234,10 @@ func (s *sim) tryStart(now time.Time) {
 }
 
 func (s *sim) tryStartQueue(q []plannedJob, pool *allocator, now time.Time) []plannedJob {
-	i := 0
-	headBlocked := false
-	for i < len(q) {
-		if !headBlocked || s.backfillAllowed(q[0], now) {
-			if s.startJob(q[i], pool, now) {
-				q = append(q[:i], q[i+1:]...)
-				continue
-			}
-		}
-		if i == 0 {
-			headBlocked = true
-		}
-		if !s.cfg.Workload.Backfill {
-			break
-		}
-		i++
+	for len(q) > 0 && s.startJob(q[0], pool, now) {
+		q = q[1:]
 	}
 	return q
-}
-
-// backfillAllowed reports whether jobs may still jump the blocked head.
-func (s *sim) backfillAllowed(head plannedJob, now time.Time) bool {
-	if !s.cfg.Workload.Backfill {
-		return false
-	}
-	limit := s.cfg.Workload.BackfillHeadWaitLimit
-	if limit <= 0 {
-		limit = 4 * time.Hour
-	}
-	return now.Sub(head.queuedAt) <= limit
 }
 
 func (s *sim) startJob(p plannedJob, pool *allocator, now time.Time) bool {

@@ -9,7 +9,6 @@ import (
 
 	"logdiver/internal/correlate"
 	"logdiver/internal/metrics"
-	"logdiver/internal/scenario"
 )
 
 // The scenario suite follows the hypothesis-harness discipline: every
@@ -33,21 +32,21 @@ func requireInterrupts(f *fixture) error {
 func TestHypothesisRetryLimitMonotone(t *testing.T) {
 	f := getFixture(t)
 	limits := []int{0, 1, 2, 4}
-	recovered := map[scenario.Case]int{}
-	attempts := map[scenario.Case]int{}
+	recovered := map[hypothesisCase]int{}
+	attempts := map[hypothesisCase]int{}
 	values := make([]string, len(limits))
 	for i, l := range limits {
 		values[i] = strconv.Itoa(l)
 	}
-	scenario.Run(t, scenario.Hypothesis{
+	runHypothesis(t, hypothesis{
 		Name:      "retry-limit-monotone",
 		Dimension: "retry-limit",
 		Values:    values,
 		Seeds:     scenarioSeeds,
-		Precondition: func(c scenario.Case) error {
+		Precondition: func(c hypothesisCase) error {
 			return requireInterrupts(f)
 		},
-		Check: func(c scenario.Case) error {
+		Check: func(c hypothesisCase) error {
 			rep := mustSimulate(t, f.input, []Policy{retryPolicy("p", limits[c.Index])}, Options{Seed: c.Seed})
 			p := rep.Policies[0]
 			recovered[c] = p.RunsRecovered
@@ -58,7 +57,7 @@ func TestHypothesisRetryLimitMonotone(t *testing.T) {
 				}
 				return nil
 			}
-			prev := scenario.Case{Value: values[c.Index-1], Index: c.Index - 1, Seed: c.Seed}
+			prev := hypothesisCase{Value: values[c.Index-1], Index: c.Index - 1, Seed: c.Seed}
 			if p.RunsRecovered < recovered[prev] {
 				return fmt.Errorf("limit %d recovered %d < limit %d recovered %d",
 					limits[c.Index], p.RunsRecovered, limits[c.Index-1], recovered[prev])
@@ -92,17 +91,17 @@ func TestHypothesisCheckpointingReducesLoss(t *testing.T) {
 		}
 		return p
 	}
-	lost := map[scenario.Case]float64{}
-	recovered := map[scenario.Case]int{}
-	scenario.Run(t, scenario.Hypothesis{
+	lost := map[hypothesisCase]float64{}
+	recovered := map[hypothesisCase]int{}
+	runHypothesis(t, hypothesis{
 		Name:      "checkpointing-reduces-loss",
 		Dimension: "checkpoint",
 		Values:    kinds,
 		Seeds:     scenarioSeeds,
-		Precondition: func(c scenario.Case) error {
+		Precondition: func(c hypothesisCase) error {
 			return requireInterrupts(f)
 		},
-		Check: func(c scenario.Case) error {
+		Check: func(c hypothesisCase) error {
 			rep := mustSimulate(t, f.input, []Policy{policyFor(c.Value)}, Options{Seed: c.Seed})
 			p := rep.Policies[0]
 			lost[c] = p.LostNodeHours
@@ -110,7 +109,7 @@ func TestHypothesisCheckpointingReducesLoss(t *testing.T) {
 			if c.Index == 0 {
 				return nil
 			}
-			none := scenario.Case{Value: "none", Index: 0, Seed: c.Seed}
+			none := hypothesisCase{Value: "none", Index: 0, Seed: c.Seed}
 			if p.LostNodeHours > lost[none] {
 				return fmt.Errorf("%s lost %v > none lost %v", c.Value, p.LostNodeHours, lost[none])
 			}
@@ -128,19 +127,19 @@ func TestHypothesisCheckpointingReducesLoss(t *testing.T) {
 func TestHypothesisDetectFractionMonotone(t *testing.T) {
 	f := getFixture(t)
 	fractions := []string{"0", "0.5", "1"}
-	detected := map[scenario.Case]int{}
-	scenario.Run(t, scenario.Hypothesis{
+	detected := map[hypothesisCase]int{}
+	runHypothesis(t, hypothesis{
 		Name:      "detect-fraction-monotone",
 		Dimension: "detect-fraction",
 		Values:    fractions,
 		Seeds:     scenarioSeeds,
-		Precondition: func(c scenario.Case) error {
+		Precondition: func(c hypothesisCase) error {
 			if n := SilentCandidates(f.res.Runs); n < 10 {
 				return fmt.Errorf("fixture has %d XK USER candidates; need >= 10", n)
 			}
 			return nil
 		},
-		Check: func(c scenario.Case) error {
+		Check: func(c hypothesisCase) error {
 			frac, err := strconv.ParseFloat(c.Value, 64)
 			if err != nil {
 				return err
@@ -159,7 +158,7 @@ func TestHypothesisDetectFractionMonotone(t *testing.T) {
 				}
 			}
 			if c.Index > 0 {
-				prev := scenario.Case{Value: fractions[c.Index-1], Index: c.Index - 1, Seed: c.Seed}
+				prev := hypothesisCase{Value: fractions[c.Index-1], Index: c.Index - 1, Seed: c.Seed}
 				if p.RunsDetected < detected[prev] {
 					return fmt.Errorf("fraction %s detected %d < fraction %s detected %d",
 						c.Value, p.RunsDetected, fractions[c.Index-1], detected[prev])
@@ -176,18 +175,18 @@ func TestHypothesisParallelismInvariant(t *testing.T) {
 	f := getFixture(t)
 	pols := DefaultPolicies()
 	baseline := map[int64][]byte{}
-	scenario.Run(t, scenario.Hypothesis{
+	runHypothesis(t, hypothesis{
 		Name:      "parallelism-invariant",
 		Dimension: "parallelism",
 		Values:    []string{"1", "4"},
 		Seeds:     scenarioSeeds,
-		Precondition: func(c scenario.Case) error {
+		Precondition: func(c hypothesisCase) error {
 			if len(f.input.Runs) < 100 {
 				return fmt.Errorf("fixture has %d runs; need >= 100 to exercise chunking", len(f.input.Runs))
 			}
 			return nil
 		},
-		Check: func(c scenario.Case) error {
+		Check: func(c hypothesisCase) error {
 			par, err := strconv.Atoi(c.Value)
 			if err != nil {
 				return err

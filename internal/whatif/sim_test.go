@@ -1,7 +1,9 @@
 package whatif
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -41,7 +43,7 @@ func getFixture(t testing.TB) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.AnalyzeParsed(ds.Jobs, ds.Runs, ds.Events, ds.Topology, core.Options{})
+	res, err := core.Analyze(archivesFor(t, ds), ds.Topology, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,6 +53,17 @@ func getFixture(t testing.TB) *fixture {
 	}
 	cached = &fixture{ds: ds, res: res, input: Input{Runs: res.Runs, MTTI: mtti}}
 	return cached
+}
+
+// archivesFor serializes a dataset into the three raw archives core.Analyze
+// reads, so the fixture is analyzed from bytes like any real archive.
+func archivesFor(t testing.TB, ds *gen.Dataset) core.Archives {
+	t.Helper()
+	var acc, aps, sys bytes.Buffer
+	if err := errors.Join(ds.WriteAccounting(&acc), ds.WriteApsys(&aps), ds.WriteErrorLog(&sys)); err != nil {
+		t.Fatal(err)
+	}
+	return core.Archives{Accounting: &acc, Apsys: &aps, Syslog: &sys}
 }
 
 // mustSimulate runs one simulation or fails the test.
@@ -289,36 +302,6 @@ func TestRecoveryAccounting(t *testing.T) {
 		p.CheckpointOverheadNodeHours + p.RestartOverheadNodeHours
 	if rel := math.Abs(sum-p.ConsumedNodeHours) / p.ConsumedNodeHours; rel > 1e-9 {
 		t.Errorf("conservation violated: sinks sum %v vs consumed %v (rel %v)", sum, p.ConsumedNodeHours, rel)
-	}
-}
-
-// TestPlanByScaleMatchesSimulatorTau pins the no-drift guarantee: the
-// interval PlanByScale advertises per bucket is exactly the interval the
-// simulator applies there.
-func TestPlanByScaleMatchesSimulatorTau(t *testing.T) {
-	f := getFixture(t)
-	pol := retryPolicy("daly", 2)
-	plans, err := PlanByScale(f.input.MTTI, pol, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := mustSimulate(t, f.input, []Policy{pol}, Options{Seed: 1})
-	rows := rep.Policies[0].ByScale
-	if len(plans) != len(rows) {
-		t.Fatalf("plan buckets %d != report buckets %d", len(plans), len(rows))
-	}
-	var checked int
-	for i, plan := range plans {
-		if plan.Interrupts == 0 {
-			continue
-		}
-		checked++
-		if got, want := rows[i].TauHours, plan.Plan.DalyHours; got != want {
-			t.Errorf("bucket %s: simulator tau %v != plan Daly %v", plan.Label, got, want)
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no buckets with interrupts; fixture too quiet")
 	}
 }
 

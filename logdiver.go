@@ -17,30 +17,30 @@
 //   - an experiment harness regenerating every table and figure of the
 //     study's evaluation.
 //
-// Quick start:
+// Quick start: synthesize a week of production, write it out as the three
+// raw archives, and analyze those bytes (the `logdiver generate` and
+// `logdiver analyze` commands do the same through files):
 //
-//	cfg := logdiver.ScaledGeneratorConfig(7) // one week of production
-//	ds, err := logdiver.Generate(cfg)
+//	ds, err := logdiver.Generate(logdiver.ScaledGeneratorConfig(7))
 //	// handle err
-//	res, err := logdiver.AnalyzeDataset(ds, logdiver.Options{})
+//	var acc, aps, sys bytes.Buffer
+//	err = errors.Join(ds.WriteAccounting(&acc), ds.WriteApsys(&aps), ds.WriteErrorLog(&sys))
+//	// handle err
+//	res, err := logdiver.Analyze(logdiver.Archives{Accounting: &acc, Apsys: &aps, Syslog: &sys},
+//		ds.Topology, logdiver.Options{})
 //	// handle err
 //	b := logdiver.Outcomes(res.Runs)
 //	fmt.Printf("system-failure fraction: %.2f%%\n", 100*b.SystemFailureFraction())
-//
-// The same pipeline consumes real text archives through Analyze, which
-// reads Torque accounting, apsys and syslog streams.
 package logdiver
 
 import (
 	"logdiver/internal/core"
 	"logdiver/internal/correlate"
-	"logdiver/internal/errlog"
 	"logdiver/internal/gen"
 	"logdiver/internal/machine"
 	"logdiver/internal/metrics"
 	"logdiver/internal/parse"
 	"logdiver/internal/report"
-	"logdiver/internal/taxonomy"
 )
 
 // Re-exported types. Aliases keep the public surface in one place while the
@@ -52,8 +52,6 @@ type (
 	Topology = machine.Topology
 	// NodeClass distinguishes XE (CPU), XK (hybrid) and service nodes.
 	NodeClass = machine.NodeClass
-	// NodeID is a dense machine-wide node index.
-	NodeID = machine.NodeID
 
 	// GeneratorConfig configures the field-data synthesizer.
 	GeneratorConfig = gen.Config
@@ -68,8 +66,6 @@ type (
 	Options = core.Options
 	// Result is the pipeline output.
 	Result = core.Result
-	// ParseStats reports archive hygiene.
-	ParseStats = core.ParseStats
 	// ParseMode selects the malformed-input policy (Options.ParseMode).
 	ParseMode = parse.Mode
 	// ParseError is the typed malformed-line error strict parsing surfaces,
@@ -78,17 +74,6 @@ type (
 
 	// AttributedRun is an application run with its outcome attribution.
 	AttributedRun = correlate.AttributedRun
-	// Outcome classifies how a run ended.
-	Outcome = correlate.Outcome
-	// CorrelateConfig tunes the attribution join.
-	CorrelateConfig = correlate.Config
-
-	// Event is one classified error event.
-	Event = errlog.Event
-	// Category is an error-taxonomy leaf.
-	Category = taxonomy.Category
-	// Severity grades event disruptiveness.
-	Severity = taxonomy.Severity
 
 	// OutcomeBreakdown aggregates runs by outcome.
 	OutcomeBreakdown = metrics.OutcomeBreakdown
@@ -103,44 +88,25 @@ type (
 
 // Node classes.
 const (
-	ClassXE      = machine.ClassXE
-	ClassXK      = machine.ClassXK
-	ClassService = machine.ClassService
+	ClassXE = machine.ClassXE
+	ClassXK = machine.ClassXK
 )
 
-// Outcomes.
-const (
-	OutcomeSuccess       = correlate.OutcomeSuccess
-	OutcomeUserFailure   = correlate.OutcomeUserFailure
-	OutcomeWalltime      = correlate.OutcomeWalltime
-	OutcomeSystemFailure = correlate.OutcomeSystemFailure
-)
+// OutcomeSystemFailure is the outcome of a run that died of a system
+// problem: the population the study's headline numbers count.
+const OutcomeSystemFailure = correlate.OutcomeSystemFailure
 
-// Parse modes. ParseLenient (the Options zero value) skips malformed lines
-// while accounting them in ParseStats; ParseStrict fails Analyze on the
-// first malformed line with a *ParseError naming archive and line.
-const (
-	ParseLenient = parse.Lenient
-	ParseStrict  = parse.Strict
-)
+// ParseStrict fails Analyze on the first malformed line with a *ParseError
+// naming archive and line. The Options zero value is lenient: malformed
+// lines are skipped and accounted in Result.Parse.
+const ParseStrict = parse.Strict
 
 // ParseModeFromString parses the -parse-mode flag vocabulary ("lenient",
 // "strict"; the empty string means lenient).
 func ParseModeFromString(s string) (ParseMode, error) { return parse.ModeFromString(s) }
 
-// BlueWaters returns the measured system's machine configuration: 288
-// cabinets, 22,636 usable XE nodes and 4,224 XK hybrid nodes.
-func BlueWaters() MachineConfig { return machine.BlueWaters() }
-
-// SmallMachine returns a 1,536-node configuration for tests and examples.
+// SmallMachine returns a 1,536-node configuration for tests and smoke runs.
 func SmallMachine() MachineConfig { return machine.Small() }
-
-// NewTopology builds the node-level topology for a machine configuration.
-func NewTopology(cfg MachineConfig) (*Topology, error) { return machine.New(cfg) }
-
-// DefaultGeneratorConfig returns the full 518-day Blue Waters-shaped
-// synthesizer configuration used for the headline experiments.
-func DefaultGeneratorConfig() GeneratorConfig { return gen.Default() }
 
 // ScaledGeneratorConfig returns the default configuration scaled to the
 // given number of production days.
@@ -148,8 +114,8 @@ func ScaledGeneratorConfig(days int) GeneratorConfig { return gen.Scaled(days) }
 
 // SmallGeneratorConfig returns a configuration for the small 1,536-node
 // machine with a workload rescaled to fit it: the setup used by the
-// examples, the serving smoke tests and CI, where a few days generate and
-// analyze in seconds.
+// serving smoke tests and CI, where a few days generate and analyze in
+// seconds.
 func SmallGeneratorConfig(days int) GeneratorConfig { return gen.Small(days) }
 
 // Generate synthesizes a dataset: workload, fault timeline, logs and truth.
@@ -158,12 +124,6 @@ func Generate(cfg GeneratorConfig) (*Dataset, error) { return gen.Generate(cfg) 
 // Analyze runs the pipeline over raw text archives.
 func Analyze(a Archives, top *Topology, opts Options) (*Result, error) {
 	return core.Analyze(a, top, opts)
-}
-
-// AnalyzeDataset runs the pipeline over an in-memory dataset, skipping
-// serialization. Attribution is identical to the text path (tested).
-func AnalyzeDataset(ds *Dataset, opts Options) (*Result, error) {
-	return core.AnalyzeParsed(ds.Jobs, ds.Runs, ds.Events, ds.Topology, opts)
 }
 
 // Outcomes aggregates attributed runs by outcome: the headline breakdown.
@@ -183,14 +143,4 @@ func GeometricBuckets(max int) []int { return metrics.GeometricBuckets(max) }
 // class (0 accepts every class). truth maps apid to "truly system-caused".
 func DetectionCoverage(runs []AttributedRun, truth map[uint64]bool, classFilter NodeClass) Coverage {
 	return metrics.DetectionCoverage(runs, truth, classFilter)
-}
-
-// TrueSystemFailures projects a dataset's ground truth onto the boolean
-// form DetectionCoverage consumes.
-func TrueSystemFailures(ds *Dataset) map[uint64]bool {
-	out := make(map[uint64]bool, len(ds.Truth))
-	for id, tr := range ds.Truth {
-		out[id] = tr.Outcome == OutcomeSystemFailure
-	}
-	return out
 }
