@@ -17,6 +17,7 @@ import (
 	"logdiver/internal/fleet"
 	"logdiver/internal/gen"
 	"logdiver/internal/machine"
+	"logdiver/internal/metrics"
 	"logdiver/internal/serve"
 	"logdiver/internal/store"
 )
@@ -145,7 +146,7 @@ func testSnapshotServer(t *testing.T, cfg serve.Config) *httptest.Server {
 			Outcome: correlate.OutcomeSuccess,
 		}
 	}
-	snap, err := store.Build(&core.Result{Runs: runs}, top, store.IngestStats{}, base)
+	snap, err := store.Build(&core.Result{Runs: runs, Agg: metrics.Fold(runs)}, top, store.IngestStats{}, base)
 	if err != nil {
 		t.Fatal(err)
 	}

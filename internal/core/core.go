@@ -19,6 +19,7 @@ import (
 	"logdiver/internal/errlog"
 	"logdiver/internal/interval"
 	"logdiver/internal/machine"
+	"logdiver/internal/metrics"
 	"logdiver/internal/parse"
 	"logdiver/internal/taxonomy"
 	"logdiver/internal/wlm"
@@ -198,6 +199,8 @@ type Result struct {
 	Jobs []wlm.Job
 	// Runs are the attributed application runs, in start order.
 	Runs []correlate.AttributedRun
+	// Agg is the exact aggregate of Runs, which every served view renders.
+	Agg metrics.Aggregate
 	// Events are the classified error events (deduplicated, time order).
 	Events []errlog.Event
 	// RawEvents counts the classified events before deduplication.
@@ -256,19 +259,26 @@ func AnalyzeParsed(jobs []wlm.Job, runs []alps.AppRun, events []errlog.Event, to
 		return nil, err
 	}
 	res.Runs = corr.AttributeAllParallel(runs, opts.Parallelism)
-	res.setSpan()
+	res.Agg = metrics.Fold(res.Runs)
+	var sp span
+	for i := range res.Runs {
+		sp.cover(&res.Runs[i].AppRun)
+	}
+	res.Start, res.End = sp.start, sp.end
 	return res, nil
 }
 
-// setSpan derives Start and End from the attributed runs.
-func (res *Result) setSpan() {
-	for _, r := range res.Runs {
-		if res.Start.IsZero() || r.Start.Before(res.Start) {
-			res.Start = r.Start
-		}
-		if r.End.After(res.End) {
-			res.End = r.End
-		}
+// span bounds the observed activity: the earliest nonzero run start and the
+// latest run end. Both are order-free, so the incremental pipeline covers
+// only its newly completed runs (re-attribution moves neither).
+type span struct{ start, end time.Time }
+
+func (s *span) cover(r *alps.AppRun) {
+	if !r.Start.IsZero() && (s.start.IsZero() || r.Start.Before(s.start)) {
+		s.start = r.Start
+	}
+	if r.End.After(s.end) {
+		s.end = r.End
 	}
 }
 

@@ -44,6 +44,7 @@ import (
 	"logdiver/internal/errlog"
 	"logdiver/internal/interval"
 	"logdiver/internal/machine"
+	"logdiver/internal/metrics"
 	"logdiver/internal/parse"
 	"logdiver/internal/wlm"
 )
@@ -106,6 +107,9 @@ type Incremental struct {
 	haveNew   bool
 	// lastRedo is the number of runs the last Result re-attributed.
 	lastRedo int
+	// agg and span summarize attr; each Result gets a clone of agg.
+	agg  metrics.Aggregate
+	span span
 
 	err error
 }
@@ -348,9 +352,18 @@ func (inc *Incremental) Result() (*Result, error) {
 		return nil, err
 	}
 	newAttr := corr.AttributeAllParallel(affRuns, inc.opts.Parallelism)
-	inc.attr = slices.Grow(inc.attr, len(done)-len(inc.attr))[:len(done)]
+	// The aggregate takes −old +new for exactly the re-attributed runs and
+	// +new for the newly completed ones, which alone can widen the span.
+	carried := len(inc.attr)
+	inc.attr = slices.Grow(inc.attr, len(done)-carried)[:len(done)]
 	for k, i := range affIdx {
+		if i < carried {
+			inc.agg.Sub(&inc.attr[i])
+		} else {
+			inc.span.cover(&done[i])
+		}
 		inc.attr[i] = newAttr[k]
+		inc.agg.Add(&inc.attr[i])
 	}
 	inc.lastRedo = len(affIdx)
 	inc.dirtyJobs = make(map[string]struct{}) // not clear: a catch-up round's table would stay
@@ -362,7 +375,8 @@ func (inc *Incremental) Result() (*Result, error) {
 	for k, i := range inc.order {
 		res.Runs[k] = inc.attr[i]
 	}
-	res.setSpan()
+	res.Agg = inc.agg.Clone()
+	res.Start, res.End = inc.span.start, inc.span.end
 	return res, nil
 }
 

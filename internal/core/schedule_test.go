@@ -10,7 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"logdiver/internal/correlate"
 	"logdiver/internal/errlog"
+	"logdiver/internal/machine"
+	"logdiver/internal/metrics"
 	"logdiver/internal/mutate"
 	"logdiver/internal/raceflag"
 	"logdiver/internal/wlm"
@@ -231,6 +234,7 @@ func runSchedule(t *testing.T, seed int64, mutated bool, parallelism int) {
 			t.Logf("seed %d mutated %v parallelism %d, step %d (%s)", seed, mutated, parallelism, i, st.note)
 			diffResult(t, i, got, want)
 		}
+		checkConservation(t, fmt.Sprintf("step %d (%s)", i, st.note), got, top)
 		kept = append(kept, twin{st.note, got, want})
 		if st.idle {
 			again, err := inc.Result()
@@ -243,6 +247,7 @@ func runSchedule(t *testing.T, seed int64, mutated bool, parallelism int) {
 			if !reflect.DeepEqual(again, want) {
 				diffResult(t, i, again, want)
 			}
+			checkConservation(t, fmt.Sprintf("step %d (%s), idle", i, st.note), again, top)
 			kept = append(kept, twin{st.note + ", idle", again, want})
 		}
 
@@ -276,6 +281,58 @@ func runSchedule(t *testing.T, seed int64, mutated bool, parallelism int) {
 		if !reflect.DeepEqual(k.got, k.want) {
 			t.Errorf("seed %d mutated %v parallelism %d: Result %d (%s) changed after it was returned", seed, mutated, parallelism, i, k.note)
 		}
+	}
+}
+
+// checkConservation asserts the conservation laws of a Result's carried
+// aggregate: it passes its exact-integer Check (outcome counts and node
+// times sum to the totals, causes to the system failures, size rows to
+// both) and equals a fresh fold of the runs; rendered, the outcome counts
+// sum to the runs, the XE and XK scaling buckets over the topology's
+// extents sum to the class totals, which together are every run, and the
+// category failures sum to the system failures.
+func checkConservation(t *testing.T, what string, res *Result, top *machine.Topology) {
+	t.Helper()
+	if err := res.Agg.Check(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if !reflect.DeepEqual(res.Agg, metrics.Fold(res.Runs)) {
+		t.Fatalf("%s: carried aggregate differs from a fold of the %d runs", what, len(res.Runs))
+	}
+	o := res.Agg.Outcomes()
+	counted := 0
+	for _, n := range o.Counts {
+		counted += n
+	}
+	if o.Total != len(res.Runs) || counted != o.Total {
+		t.Fatalf("%s: %d runs, outcome total %d, counts sum to %d", what, len(res.Runs), o.Total, counted)
+	}
+	classRuns := map[machine.NodeClass]int{}
+	for i := range res.Runs {
+		classRuns[res.Runs[i].Class]++
+	}
+	for class, extent := range map[machine.NodeClass]int{machine.ClassXE: top.NumXE(), machine.ClassXK: top.NumXK()} {
+		buckets, err := res.Agg.Scaling(metrics.GeometricBuckets(extent), class)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, b := range buckets {
+			n += b.Runs
+		}
+		if n != classRuns[class] {
+			t.Fatalf("%s: %v scaling buckets hold %d runs, the class has %d", what, class, n, classRuns[class])
+		}
+	}
+	if classRuns[machine.ClassXE]+classRuns[machine.ClassXK] != len(res.Runs) {
+		t.Fatalf("%s: XE %d + XK %d runs of %d", what, classRuns[machine.ClassXE], classRuns[machine.ClassXK], len(res.Runs))
+	}
+	failures := 0
+	for _, c := range res.Agg.Categories() {
+		failures += c.Failures
+	}
+	if failures != o.Counts[correlate.OutcomeSystemFailure] {
+		t.Fatalf("%s: categories hold %d failures, %d system failures", what, failures, o.Counts[correlate.OutcomeSystemFailure])
 	}
 }
 

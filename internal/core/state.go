@@ -18,6 +18,7 @@ import (
 	"logdiver/internal/correlate"
 	"logdiver/internal/errlog"
 	"logdiver/internal/machine"
+	"logdiver/internal/metrics"
 	"logdiver/internal/parse"
 	"logdiver/internal/wlm"
 )
@@ -128,9 +129,15 @@ func RestoreIncremental(top *machine.Topology, loc *time.Location, opts Options,
 	done := alpsAsm.Done()
 	inc.attr = make([]correlate.AttributedRun, len(st.Attr))
 	for i, r := range st.Attr {
+		if r.Outcome < correlate.OutcomeSuccess || r.Outcome > correlate.OutcomeSystemFailure {
+			return nil, fmt.Errorf("core: restore: run %d has outcome %v", i, r.Outcome)
+		}
 		r.AppRun = done[i]
 		inc.attr[i] = r
+		inc.span.cover(&done[i])
 	}
+	// The aggregate and the span are derived, not persisted: refold them.
+	inc.agg = metrics.Fold(inc.attr)
 	for _, id := range st.DirtyJobs {
 		inc.dirtyJobs[id] = struct{}{}
 	}

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"logdiver/internal/correlate"
 )
 
 // TestRestoreSharesPlacements: after State, a gob round trip (what the state
@@ -59,5 +61,37 @@ func TestRestoreSharesPlacements(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Runs, want.Runs) {
 		t.Error("the restored pipeline's runs differ from the original's")
+	}
+}
+
+// TestRestoreRejectsUnknownOutcome: the restored aggregate is refolded from
+// the attribution, whose outcomes index its rows, so a state whose
+// attribution names no outcome is refused like any other structural
+// corruption instead of surfacing as a panic in the fold.
+func TestRestoreRejectsUnknownOutcome(t *testing.T) {
+	top := testDataset(t).Topology
+	acc, aps, sys := testArchiveText(t)
+	inc, err := NewIncremental(top, time.UTC, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc.Append(Delta{Accounting: []byte(acc), Apsys: []byte(aps), Syslog: []byte(sys)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc.Result(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := inc.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreIncremental(top, time.UTC, Options{}, st); err != nil {
+		t.Fatalf("the untouched state does not restore: %v", err)
+	}
+	for _, o := range []correlate.Outcome{0, correlate.OutcomeSystemFailure + 1} {
+		st.Attr[len(st.Attr)/2].Outcome = o
+		if _, err := RestoreIncremental(top, time.UTC, Options{}, st); err == nil {
+			t.Errorf("a run with outcome %v restored", o)
+		}
 	}
 }

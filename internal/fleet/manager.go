@@ -403,7 +403,8 @@ func (m *Manager) syncRound(ctx context.Context, syncShard func(*store.Syncer) (
 // publish gathers the shards' current snapshots and publishes a new View.
 // Only when the epoch vector or the partial flag changed does it fold them,
 // with one Merge call, into a new merged snapshot — one copy of every run
-// plus one set of aggregates — and install it under a new fleet epoch; an
+// plus the sum of the shards' aggregates, timed into Ingest.MergeDuration —
+// and install it under a new fleet epoch; an
 // idle poll re-publishes the previous merged snapshot untouched. It reports
 // whether a new merged snapshot was installed.
 func (m *Manager) publish() bool {
@@ -445,7 +446,9 @@ func (m *Manager) publish() bool {
 		slices.Equal(prev.Merged.Shards, vector) && prev.Merged.Partial == partial {
 		v.Merged = prev.Merged
 	} else if len(vector) > 0 {
+		began := m.now()
 		merged := store.Merge(snaps...)
+		merged.Ingest.MergeDuration = m.now().Sub(began)
 		merged.Partial = partial
 		m.fleet.Install(merged)
 		installed = true

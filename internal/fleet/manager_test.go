@@ -545,3 +545,69 @@ func TestSyncRoundFoldsOnce(t *testing.T) {
 			len(machines), got, merged.TotalRuns(), oneCopy)
 	}
 }
+
+// TestMergeDurationCoversMerge pins what Ingest.MergeDuration measures: the
+// fold publish makes, stamped on the merged snapshot alone. On a clock that
+// steps once per reading, publish must read it twice around the merge, both
+// times before the new merged snapshot is installed; the shards' own
+// snapshots — in a one-shard fleet the merged snapshot is a lift of one —
+// must keep a zero, and an idle round must keep the merged snapshot and its
+// figure.
+func TestMergeDurationCoversMerge(t *testing.T) {
+	for _, k := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
+			machines := thinFleet(t, k)
+			root := t.TempDir()
+			clock := time.Date(2026, 8, 5, 0, 0, 0, 0, time.UTC)
+			var (
+				mu       sync.Mutex // shards sync, and read the clock, concurrently
+				mgr      *Manager
+				readings []uint64 // the fleet epoch at each reading
+			)
+			mgr, err := NewManager(ManagerConfig{
+				Config: testFleet(t, root, machines, false),
+				Now: func() time.Time {
+					mu.Lock()
+					defer mu.Unlock()
+					clock = clock.Add(time.Second)
+					if mgr != nil {
+						readings = append(readings, mgr.fleet.Epoch())
+					}
+					return clock
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := mgr.SyncRound(context.Background()); !r.Installed {
+				t.Fatalf("first round installed nothing: %+v", r)
+			}
+			for i, m := range machines {
+				writeWindow(t, filepath.Join(root, m.Name), m, 1)
+				if installed, err := mgr.shards[i].sy.Sync(); err != nil || !installed {
+					t.Fatalf("shard %s did not advance: %v, %v", m.Name, installed, err)
+				}
+			}
+			epoch := mgr.fleet.Epoch()
+			readings = nil
+			if !mgr.publish() {
+				t.Fatal("publish installed nothing after every shard advanced")
+			}
+			merged := mgr.View().Merged
+			if len(readings) != 2 || readings[0] != epoch || readings[1] != epoch {
+				t.Errorf("publish read the clock at fleet epochs %v; want twice, both before installing epoch %d", readings, epoch+1)
+			}
+			if got := merged.Ingest.MergeDuration; got != time.Second {
+				t.Errorf("merged MergeDuration %s, want the one step between publish's two readings", got)
+			}
+			for _, sh := range mgr.shards {
+				if d := sh.store.Current().Ingest.MergeDuration; d != 0 {
+					t.Errorf("shard %s snapshot carries MergeDuration %s", sh.cfg.Name, d)
+				}
+			}
+			if r := mgr.SyncRound(context.Background()); r.Installed || mgr.View().Merged != merged || merged.Ingest.MergeDuration != time.Second {
+				t.Errorf("idle round: installed=%v, merged MergeDuration %s", r.Installed, mgr.View().Merged.Ingest.MergeDuration)
+			}
+		})
+	}
+}

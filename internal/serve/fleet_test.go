@@ -227,6 +227,10 @@ func TestFleetHealthAndMetrics(t *testing.T) {
 	if a <= 0 || r <= 0 || a+r > b {
 		t.Errorf("health ingest block %v: want 0 < append_duration_ns + result_duration_ns <= build_duration_ns", raw.Ingest)
 	}
+	// The fleet merge is timed on the merged snapshot the block reports.
+	if m, ok := raw.Ingest["merge_duration_ns"]; !ok || m <= 0 {
+		t.Errorf("health ingest block %v: want merge_duration_ns > 0", raw.Ingest)
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"logdiver/internal/correlate"
 	"logdiver/internal/gen"
 	"logdiver/internal/machine"
+	"logdiver/internal/metrics"
 	"logdiver/internal/store"
 	"logdiver/internal/version"
 )
@@ -433,7 +434,7 @@ func syntheticSnapshot(t testing.TB, top *machine.Topology, n int) *store.Snapsh
 			Outcome: correlate.OutcomeSuccess,
 		}
 	}
-	res := &core.Result{Runs: runs}
+	res := &core.Result{Runs: runs, Agg: metrics.Fold(runs)}
 	snap, err := store.Build(res, top, store.IngestStats{}, base)
 	if err != nil {
 		t.Fatal(err)

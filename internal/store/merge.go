@@ -17,19 +17,24 @@ import (
 //
 // The algebra is exact, not approximate: Merge is associative and
 // commutative with Zero as identity, byte-for-byte — including the
-// floating-point aggregates. That holds because a merged snapshot remembers
-// the unmerged snapshots it was folded from as a part list sorted by machine
-// name, and everything else in it is one fold over that list: the runs are
-// the parts' runs concatenated in list order (each shard's own run order
-// preserved), the counts, hygiene and ingest history are sums, and every
-// aggregate is recomputed from the concatenated runs with the same code
-// Build uses. Merge gathers its arguments' part lists and sorts them by
-// machine name, so any merge tree over the same shard set — one n-ary call
-// or any nesting of smaller ones — yields the same list and the same bytes,
-// which is what lets the scatter-gather plane fold shards in arbitrary
-// order and still serve views identical to a from-scratch analysis of the
-// combined input. The parts are immutable and the fleet view holds them
-// anyway; the list costs one pointer per shard.
+// floating-point views. Two things make that hold. A merged snapshot
+// remembers the unmerged snapshots it was folded from as a part list sorted
+// by machine name, and everything order-dependent in it is one fold over
+// that list: the runs are the parts' runs concatenated in list order (each
+// shard's own run order preserved), and the apid index is the parts' sorted
+// indexes merged, with run offsets, into the order sorting the concatenation
+// would give. And every aggregate is an exact integer sum: the counts,
+// hygiene and ingest history add, and so does each part's
+// metrics.Aggregate, whose integer counts and nanoseconds have no summation
+// order to depend on; the views render from the summed aggregate with the
+// same code Build uses, so a merge costs the concatenation plus the index
+// merge, never a walk over the runs. Merge gathers its arguments' part lists
+// and sorts them by machine name, so any merge tree over the same shard set
+// — one n-ary call or any nesting of smaller ones — yields the same list and
+// the same bytes, which is what lets the scatter-gather plane fold shards in
+// arbitrary order and still serve views identical to a from-scratch analysis
+// of the combined input. The parts are immutable and the fleet view holds
+// them anyway; the list costs one pointer per shard.
 //
 // Merging snapshots that contain the same machine name is a misuse; the
 // result is deterministic (the earlier argument's part first) but the
@@ -110,6 +115,7 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 		Shards:  make([]ShardEpoch, 0, len(parts)),
 		Partial: partial,
 		parts:   parts,
+		byApID:  mergeIndexes(parts),
 	}
 	nruns := 0
 	for _, p := range m.parts {
@@ -131,15 +137,70 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 		m.NumNodes = max(m.NumNodes, p.NumNodes)
 		m.NumXE = max(m.NumXE, p.NumXE)
 		m.NumXK = max(m.NumXK, p.NumXK)
+		m.agg.Merge(&p.agg)
 	}
 	// The bucket bounds are sized to the union topology; for equal-topology
 	// shards they equal each shard's own. Every part came out of Build, so
-	// its extents already passed aggregate: an error here is a programming
+	// its extents already passed render: an error here is a programming
 	// bug, not an input condition.
-	if err := m.aggregate(); err != nil {
+	if err := m.render(); err != nil {
 		panic(err)
 	}
 	return m
+}
+
+// mergeIndexes merges the parts' apid indexes into the index of their
+// concatenated runs. A part's run indices shift by the runs of the parts
+// before it, so each part's index is one sorted segment; adjacent segments
+// are merged pairwise, the left one first on equal apids, until one is left.
+// That is the (apid, index) order sorting the concatenation would give.
+func mergeIndexes(parts []*Snapshot) []apidRef {
+	n := 0
+	for _, p := range parts {
+		n += len(p.byApID)
+	}
+	refs, spare := make([]apidRef, 0, n), make([]apidRef, n)
+	bounds := make([]int, 0, 16) // segment i is refs[bounds[i]:bounds[i+1]]
+	off := 0
+	for _, p := range parts {
+		bounds = append(bounds, len(refs))
+		for _, r := range p.byApID {
+			refs = append(refs, apidRef{r.apid, r.run + off})
+		}
+		off += len(p.Result.Runs)
+	}
+	bounds = append(bounds, n)
+	for len(bounds) > 2 {
+		k := len(bounds) - 1 // segments
+		for j := 0; 2*j < k; j++ {
+			lo, mid := bounds[2*j], bounds[2*j+1]
+			hi := mid
+			if 2*j+2 <= k {
+				hi = bounds[2*j+2]
+			}
+			mergeRefs(spare[lo:hi], refs[lo:mid], refs[mid:hi])
+			bounds[j] = lo
+		}
+		bounds[(k+1)/2] = n
+		bounds = bounds[:(k+1)/2+1]
+		refs, spare = spare, refs
+	}
+	return refs
+}
+
+// mergeRefs merges the sorted a and b into dst, a first on equal apids.
+func mergeRefs(dst, a, b []apidRef) {
+	k := 0
+	for len(a) > 0 && len(b) > 0 {
+		if b[0].apid < a[0].apid {
+			dst[k], b = b[0], b[1:]
+		} else {
+			dst[k], a = a[0], a[1:]
+		}
+		k++
+	}
+	k += copy(dst[k:], a)
+	copy(dst[k:], b)
 }
 
 // mergeParse sums two hygiene reports. Per-kind counters add; the retained

@@ -38,6 +38,10 @@ type IngestStats struct {
 	BuildDuration  time.Duration `json:"build_duration_ns"`
 	AppendDuration time.Duration `json:"append_duration_ns"`
 	ResultDuration time.Duration `json:"result_duration_ns"`
+	// MergeDuration is the wall-clock cost of the fleet merge that produced
+	// a merged snapshot: the fleet manager stamps it there and nowhere else,
+	// so it is zero on every shard's own snapshot and is not summed.
+	MergeDuration time.Duration `json:"merge_duration_ns"`
 }
 
 // Retained is the part of a pipeline Result a snapshot keeps: the runs every
@@ -69,7 +73,7 @@ type Snapshot struct {
 	// BuiltAt is when the snapshot was materialized.
 	BuiltAt time.Time
 	// Result is what the snapshot keeps of the pipeline output; the views
-	// below derive from its Runs.
+	// below render from agg, the exact aggregate of its Runs.
 	Result Retained
 	// Outcomes is the E2 outcome breakdown over all runs.
 	Outcomes metrics.OutcomeBreakdown
@@ -83,6 +87,11 @@ type Snapshot struct {
 	MTTI []metrics.MTTIBucket
 	// Ingest describes how the data got here.
 	Ingest IngestStats
+
+	// agg is the exact aggregate of Result.Runs every view above renders
+	// from: the Result's own for a shard, the sum of the parts' on a merged
+	// snapshot.
+	agg metrics.Aggregate
 
 	// Machine names the shard this snapshot was built from. Empty for
 	// merged (fleet) snapshots and for callers of Build that never set it;
@@ -130,15 +139,19 @@ type apidRef struct {
 
 func (p apidRef) compareApID(apid uint64) int { return cmp.Compare(p.apid, apid) }
 
-// Build derives a Snapshot from a pipeline Result, keeping res.Runs (shared,
-// not copied) and the lengths of res.Jobs and res.Events. The epoch is zero
-// until Store.Install assigns it.
+// Build derives a Snapshot from a pipeline Result, keeping res.Runs and
+// res.Agg (shared, not copied) and the lengths of res.Jobs and res.Events.
+// The views render from res.Agg, which must be the aggregate of res.Runs.
+// The epoch is zero until Store.Install assigns it.
 func Build(res *core.Result, top *machine.Topology, ing IngestStats, at time.Time) (*Snapshot, error) {
 	if res == nil {
 		return nil, fmt.Errorf("store: nil result")
 	}
 	if top == nil {
 		return nil, fmt.Errorf("store: nil topology")
+	}
+	if n := res.Agg.Runs(); n != len(res.Runs) {
+		return nil, fmt.Errorf("store: result aggregate covers %d runs, the result has %d", n, len(res.Runs))
 	}
 	s := &Snapshot{
 		BuiltAt: at,
@@ -154,35 +167,41 @@ func Build(res *core.Result, top *machine.Topology, ing IngestStats, at time.Tim
 		NumNodes: top.NumNodes(),
 		NumXE:    top.NumXE(),
 		NumXK:    top.NumXK(),
+		agg:      res.Agg,
+		byApID:   indexApIDs(res.Runs),
 	}
-	if err := s.aggregate(); err != nil {
+	if err := s.render(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// aggregate derives every served view and the run index from Result.Runs
-// and the topology extents. Build and Merge both end here, so a merged
-// snapshot's aggregates are by construction what Build would compute over
-// the same run sequence.
-func (s *Snapshot) aggregate() error {
-	runs := s.Result.Runs
-	s.Outcomes = metrics.Outcomes(runs)
-	s.Categories = metrics.ByCategory(runs)
+// render derives every served view from the aggregate and the topology
+// extents. Build and Merge both end here, so a merged snapshot's views are
+// by construction what Build would render over the same runs.
+func (s *Snapshot) render() error {
+	s.Outcomes = s.agg.Outcomes()
+	s.Categories = s.agg.Categories()
 	var err error
-	if s.ScalingXE, err = metrics.FailureProbabilityByScale(runs, metrics.GeometricBuckets(s.NumXE), machine.ClassXE); err != nil {
+	if s.ScalingXE, err = s.agg.Scaling(metrics.GeometricBuckets(s.NumXE), machine.ClassXE); err != nil {
 		return fmt.Errorf("store: xe scaling: %w", err)
 	}
-	if s.ScalingXK, err = metrics.FailureProbabilityByScale(runs, metrics.GeometricBuckets(s.NumXK), machine.ClassXK); err != nil {
+	if s.ScalingXK, err = s.agg.Scaling(metrics.GeometricBuckets(s.NumXK), machine.ClassXK); err != nil {
 		return fmt.Errorf("store: xk scaling: %w", err)
 	}
-	if s.MTTI, err = metrics.MTTIByScale(runs, metrics.GeometricBuckets(s.NumNodes), 0); err != nil {
+	if s.MTTI, err = s.agg.MTTI(metrics.GeometricBuckets(s.NumNodes), 0); err != nil {
 		return fmt.Errorf("store: mtti: %w", err)
 	}
-	// Apids repeat only in corrupted archives (lenient mode) or across the
-	// shards of a misconfigured fleet; every run still counts in the
-	// aggregates and in TotalRuns, and the listing and /v1/runs/{apid}
-	// resolve a repeated apid to its first run.
+	return nil
+}
+
+// indexApIDs returns the byApID index of runs.
+//
+// Apids repeat only in corrupted archives (lenient mode) or across the
+// shards of a misconfigured fleet; every run still counts in the aggregates
+// and in TotalRuns, and the listing and /v1/runs/{apid} resolve a repeated
+// apid to its first run.
+func indexApIDs(runs []correlate.AttributedRun) []apidRef {
 	refs, spare := make([]apidRef, len(runs)), make([]apidRef, len(runs))
 	var differ uint64 // the bits in which any two apids differ
 	for i := range runs {
@@ -210,8 +229,7 @@ func (s *Snapshot) aggregate() error {
 		}
 		refs, spare = spare, refs
 	}
-	s.byApID = refs
-	return nil
+	return refs
 }
 
 // TotalRuns is the number of runs in the snapshot.

@@ -13,6 +13,7 @@ import (
 	"logdiver/internal/correlate"
 	"logdiver/internal/errlog"
 	"logdiver/internal/machine"
+	"logdiver/internal/metrics"
 	"logdiver/internal/wlm"
 )
 
@@ -81,7 +82,7 @@ func pageSnapshot(t *testing.T, apids []uint64) *Snapshot {
 			Outcome: correlate.OutcomeSuccess,
 		}
 	}
-	snap, err := Build(&core.Result{Runs: runs}, top, IngestStats{}, base)
+	snap, err := Build(&core.Result{Runs: runs, Agg: metrics.Fold(runs)}, top, IngestStats{}, base)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/gob"
 	"io"
 	"os"
 	"path/filepath"
@@ -507,5 +508,32 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, err := Build(&core.Result{}, nil, IngestStats{}, time.Time{}); err == nil {
 		t.Error("Build accepted nil topology")
+	}
+}
+
+// TestIngestStatsReadsOlderStates: the shard state persists IngestStats by
+// gob; a file written before MergeDuration existed must still decode, every
+// older figure intact and MergeDuration zero.
+func TestIngestStatsReadsOlderStates(t *testing.T) {
+	type olderIngestStats struct { // IngestStats before MergeDuration
+		Rounds                                   int
+		AccountingLines, ApsysLines, SyslogLines int
+		Reattributed                             int
+		BuildDuration, AppendDuration            time.Duration
+		ResultDuration                           time.Duration
+	}
+	old := olderIngestStats{1, 2, 3, 4, 5, 6 * time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	var got IngestStats
+	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	want := IngestStats{Rounds: 1, AccountingLines: 2, ApsysLines: 3, SyslogLines: 4, Reattributed: 5,
+		BuildDuration: 6 * time.Millisecond, AppendDuration: 2 * time.Millisecond, ResultDuration: 3 * time.Millisecond}
+	if got != want {
+		t.Errorf("older ingest stats decode as %+v, want %+v", got, want)
 	}
 }

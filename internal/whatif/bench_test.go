@@ -37,8 +37,8 @@ func BenchmarkSimulateRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := simulateRun(&runs[i%len(runs)], pol, 1, mtti)
-		if d.nh < 0 {
-			b.Fatal("negative node-hours")
+		if d.consumedExtra < 0 {
+			b.Fatal("negative consumed node-hours")
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"logdiver/internal/alps"
 	"logdiver/internal/core"
 	"logdiver/internal/correlate"
 	"logdiver/internal/gen"
@@ -137,6 +138,85 @@ func TestNoopByteIdentical(t *testing.T) {
 		bl.RunsRecovered != 0 || bl.RunsDetected != 0 || bl.RetriesAttempted != 0 {
 		t.Errorf("baseline has policy machinery engaged: %+v", bl)
 	}
+}
+
+// TestMeasuredEqualsNoopReplay pins the report's measured rows to the no-op
+// replay, byte for byte, on a hand-made stream with every outcome whose
+// node-hours sum to different floats in different orders: the rows agree
+// because both are one exact accumulation, not because the fold happens to
+// add in the order the measured breakdown does. The stream is replayed
+// forward and reversed, at one and at three workers.
+func TestMeasuredEqualsNoopReplay(t *testing.T) {
+	base := time.Date(2013, 4, 3, 0, 0, 0, 0, time.UTC)
+	var runs []correlate.AttributedRun
+	for k, o := range correlate.Outcomes() {
+		for i := 0; i < 9; i++ {
+			dur := time.Duration(1+i*i*37+k) * 1234567891 * time.Nanosecond
+			runs = append(runs, correlate.AttributedRun{
+				AppRun:  alps.AppRun{ApID: uint64(len(runs) + 1), Start: base, End: base.Add(dur)},
+				Class:   machine.ClassXE,
+				Outcome: o,
+				Nodes:   int32(1 + (i*7+k)%13),
+			})
+		}
+	}
+	// Precondition: the float sums depend on the order for some outcome.
+	orderMatters := false
+	for _, o := range correlate.Outcomes() {
+		var fwd, rev float64
+		for i := range runs {
+			if runs[i].Outcome == o {
+				fwd += runs[i].NodeHours()
+			}
+			if r := &runs[len(runs)-1-i]; r.Outcome == o {
+				rev += r.NodeHours()
+			}
+		}
+		orderMatters = orderMatters || fwd != rev
+	}
+	if !orderMatters {
+		t.Fatal("no outcome's float node-hours depend on the summation order; the fixture proves nothing")
+	}
+	reversed := make([]correlate.AttributedRun, len(runs))
+	for i := range runs {
+		reversed[len(runs)-1-i] = runs[i]
+	}
+	var first []byte
+	for _, stream := range [][]correlate.AttributedRun{runs, reversed} {
+		mtti, err := metrics.MTTIByScale(stream, metrics.GeometricBuckets(16), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 3} {
+			rep := mustSimulate(t, Input{Runs: stream, MTTI: mtti}, []Policy{{Name: "noop"}}, Options{Seed: 3, Parallelism: par})
+			measured := mustJSONBytes(t, rep.Measured)
+			for name, rows := range map[string][]OutcomeRow{"baseline": rep.Baseline.Outcomes, "noop": rep.Policies[0].Outcomes} {
+				if got := mustJSONBytes(t, rows); !bytes.Equal(got, measured) {
+					t.Errorf("parallelism %d: %s rows differ from measured:\n got %s\nwant %s", par, name, got, measured)
+				}
+			}
+			for _, row := range rep.Measured[:4] {
+				if row.Runs != 9 {
+					t.Fatalf("measured row %+v: the fixture has 9 runs of every outcome", row)
+				}
+			}
+			if first == nil {
+				first = measured
+			} else if !bytes.Equal(measured, first) {
+				t.Errorf("measured rows depend on the run order:\n%s\n%s", measured, first)
+			}
+		}
+	}
+}
+
+// mustJSONBytes marshals v for byte comparisons.
+func mustJSONBytes(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestOutcomeLabelsCoverEveryOutcome: the per-policy accumulators index a
