@@ -96,7 +96,7 @@ func run(args []string, onListen func(addr string)) error {
 		rules       = fs.String("rules", "", "optional classifier rule file (replaces the built-in taxonomy rules)")
 		validate    = fs.Bool("validate-rules", true, "lint -rules files and reject rule sets with error-severity findings")
 		timezone    = fs.String("tz", "UTC", "accounting timestamp zone")
-		reqTimeout  = fs.Duration("request-timeout", serve.DefaultRequestTimeout, "per-request deadline for query endpoints")
+		reqTimeout  = fs.Duration("request-timeout", serve.DefaultRequestTimeout, "per-request deadline for POST /v1/whatif")
 		rateLimit   = fs.Float64("rate-limit", 0, "per-client requests/second on the data endpoints (0 = no rate limiting; excess gets 429 + Retry-After)")
 		rateBurst   = fs.Int("rate-burst", 0, "rate-limit token-bucket burst (0 = 2x the rate)")
 		maxInflight = fs.Int("max-inflight", 0, "bound on concurrently executing data-endpoint requests (0 = unbounded; excess gets immediate 503 + Retry-After)")

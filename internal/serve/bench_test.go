@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -47,6 +48,7 @@ type serveCase struct {
 	name, path string
 	gzip       bool // send Accept-Encoding: gzip
 	revalidate bool // send If-None-Match with the warm ETag; answers 304
+	nextPage   bool // request the page after the first: path's next_cursor
 	// maxAllocs bounds one warm request (measured value in the trailing
 	// comment). The ceilings are what keeps the cached paths cached: a
 	// regression that re-renders or re-encodes per request multiplies them.
@@ -54,16 +56,17 @@ type serveCase struct {
 }
 
 var serveCases = []serveCase{
-	{name: "health", path: "/v1/health", maxAllocs: 25},                          // 20
-	{name: "outcomes", path: "/v1/outcomes", maxAllocs: 10},                      // 6
-	{name: "scaling", path: "/v1/scaling?class=xe", maxAllocs: 14},               // 9
-	{name: "mtti", path: "/v1/mtti", maxAllocs: 10},                              // 6
-	{name: "categories", path: "/v1/categories", maxAllocs: 10},                  // 6
-	{name: "runs", path: "/v1/runs/%d", maxAllocs: 40},                           // 29
-	{name: "runs_list", path: "/v1/runs", maxAllocs: 12},                         // 7
-	{name: "metrics", path: "/metrics", maxAllocs: 150},                          // 109
-	{name: "gzip", path: "/v1/outcomes", gzip: true, maxAllocs: 12},              // 8
-	{name: "not_modified", path: "/v1/outcomes", revalidate: true, maxAllocs: 8}, // 4
+	{name: "health", path: "/v1/health", maxAllocs: 25},                            // 20
+	{name: "outcomes", path: "/v1/outcomes", maxAllocs: 10},                        // 6
+	{name: "scaling", path: "/v1/scaling?class=xe", maxAllocs: 14},                 // 9
+	{name: "mtti", path: "/v1/mtti", maxAllocs: 10},                                // 6
+	{name: "categories", path: "/v1/categories", maxAllocs: 10},                    // 6
+	{name: "runs", path: "/v1/runs/%d", maxAllocs: 22},                             // 17
+	{name: "runs_list", path: "/v1/runs", maxAllocs: 12},                           // 7
+	{name: "runs_page", path: "/v1/runs?limit=200", nextPage: true, maxAllocs: 18}, // 11
+	{name: "metrics", path: "/metrics", maxAllocs: 150},                            // 109
+	{name: "gzip", path: "/v1/outcomes", gzip: true, maxAllocs: 12},                // 8
+	{name: "not_modified", path: "/v1/outcomes", revalidate: true, maxAllocs: 8},   // 4
 }
 
 // serveFixture is a server over the realistic test snapshot.
@@ -85,6 +88,13 @@ func (c serveCase) replayer(t testing.TB, srv *Server) (replay func(), size int)
 	path := c.path
 	if strings.Contains(path, "%d") {
 		path = fmt.Sprintf(path, srv.cfg.Store.Current().Result.Runs[0].ApID)
+	}
+	if c.nextPage {
+		var first runsPageBody
+		if err := json.Unmarshal(get(t, srv, path, nil).Body.Bytes(), &first); err != nil || first.NextCursor == "" {
+			t.Fatalf("%s: no next_cursor to follow (err %v)", path, err)
+		}
+		path += "&cursor=" + first.NextCursor
 	}
 	newReq := func() *http.Request {
 		req := httptest.NewRequest("GET", path, nil)

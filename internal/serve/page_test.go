@@ -1,13 +1,20 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
+	"logdiver/internal/alps"
+	"logdiver/internal/correlate"
 	"logdiver/internal/machine"
 	"logdiver/internal/store"
+	"logdiver/internal/taxonomy"
 )
 
 // runsPageBody is the decoded /v1/runs response envelope.
@@ -266,6 +273,188 @@ func FuzzParseCursor(f *testing.F) {
 		// Accepted tokens must round-trip through the HTTP layer unescaped.
 		if strings.ContainsAny(s, "&=?# %") {
 			t.Fatalf("accepted token %q needs URL escaping", s)
+		}
+	})
+}
+
+// runListRow is the reference /v1/runs row: the struct whose json.Marshal
+// bytes appendRunRow must reproduce exactly.
+type runListRow struct {
+	ApID      uint64  `json:"apid"`
+	JobID     string  `json:"job_id"`
+	User      string  `json:"user"`
+	Class     string  `json:"class"`
+	Nodes     int     `json:"nodes"`
+	Width     int     `json:"width"`
+	Start     string  `json:"start"`
+	End       string  `json:"end"`
+	DurationS float64 `json:"duration_seconds"`
+	Outcome   string  `json:"outcome"`
+	Cause     string  `json:"cause,omitempty"`
+}
+
+func makeRunListRow(run *correlate.AttributedRun) runListRow {
+	row := runListRow{
+		ApID:      run.ApID,
+		JobID:     run.JobID,
+		User:      run.User,
+		Class:     run.Class.String(),
+		Nodes:     run.NumNodes(),
+		Width:     run.Width,
+		Start:     run.Start.UTC().Format(time.RFC3339),
+		End:       run.End.UTC().Format(time.RFC3339),
+		DurationS: run.Duration().Seconds(),
+		Outcome:   run.Outcome.String(),
+	}
+	if run.Outcome == correlate.OutcomeSystemFailure {
+		row.Cause = run.Cause.String()
+	}
+	return row
+}
+
+// referenceRunsPage renders a page the reflective way: the envelope
+// through fmt, each row through json.Marshal of a runListRow.
+func referenceRunsPage(t testing.TB, snap *store.Snapshot, afterApID uint64, limit int) []byte {
+	t.Helper()
+	runs, last := snap.RunsPage(afterApID, limit)
+	var b bytes.Buffer
+	fmt.Fprintf(&b, `{"epoch":%d,"total":%d,"count":%d,`, snap.Epoch, snap.TotalRuns(), len(runs))
+	if len(runs) == limit {
+		fmt.Fprintf(&b, `"next_cursor":%q,`, encodeCursor(last))
+	}
+	b.WriteString(`"runs":[`)
+	for i, run := range runs {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		row, err := json.Marshal(makeRunListRow(run))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(row)
+	}
+	b.WriteString("]}\n")
+	return b.Bytes()
+}
+
+// chunkWriter records the largest single Write it was handed.
+type chunkWriter struct {
+	bytes.Buffer
+	maxWrite int
+}
+
+func (w *chunkWriter) Write(p []byte) (int, error) {
+	w.maxWrite = max(w.maxWrite, len(p))
+	return w.Buffer.Write(p)
+}
+
+// TestRunsPageMatchesMarshal walks every page of the realistic fixture at
+// several page sizes through the HTTP handler — the cached default page
+// included — and requires each body to equal the reflective reference byte
+// for byte.
+func TestRunsPageMatchesMarshal(t *testing.T) {
+	st := testStore(t)
+	srv := newTestServer(t, st, Config{})
+	snap := st.Current()
+
+	// Precondition: the fixture emits the optional cause member and
+	// durations that are not whole seconds, or equality proves little.
+	var sysFails, fractional int
+	for i := range snap.Result.Runs {
+		r := &snap.Result.Runs[i]
+		if r.Outcome == correlate.OutcomeSystemFailure {
+			sysFails++
+		}
+		if r.Duration()%time.Second != 0 {
+			fractional++
+		}
+	}
+	if sysFails == 0 || fractional == 0 {
+		t.Fatalf("fixture has %d system failures and %d fractional durations of %d runs; want both > 0",
+			sysFails, fractional, len(snap.Result.Runs))
+	}
+	t.Logf("fixture: %d runs, %d system failures, %d fractional durations", len(snap.Result.Runs), sysFails, fractional)
+
+	for _, limit := range []int{1, 7, 100, 200, 1000} {
+		var after uint64
+		seen := 0
+		for page := 0; ; page++ {
+			path := fmt.Sprintf("/v1/runs?limit=%d", limit)
+			if page > 0 {
+				path += "&cursor=" + encodeCursor(after)
+			}
+			rec := get(t, srv, path, nil)
+			want := referenceRunsPage(t, snap, after, limit)
+			if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+				n := 0
+				for n < min(len(got), len(want)) && got[n] == want[n] {
+					n++
+				}
+				t.Fatalf("%s: body differs from the reference at byte %d:\n got %.120q\nwant %.120q",
+					path, n, got[n:], want[n:])
+			}
+			runs, last := snap.RunsPage(after, limit)
+			seen += len(runs)
+			if len(runs) < limit {
+				break
+			}
+			after = last
+		}
+		if seen != snap.TotalRuns() {
+			t.Fatalf("limit %d: pages held %d runs, want %d", limit, seen, snap.TotalRuns())
+		}
+	}
+
+	// The largest page reaches the writer in bounded pieces.
+	var w chunkWriter
+	if err := writeRunsPage(&w, snap, 0, MaxPageSize); err != nil {
+		t.Fatal(err)
+	}
+	if w.maxWrite > pageBufSize {
+		t.Errorf("a %d-run page was written in a %d-byte piece; want at most %d", snap.TotalRuns(), w.maxWrite, pageBufSize)
+	}
+}
+
+// FuzzRunRowMatchesMarshal holds appendRunRow to the reflective reference on
+// values the fixture never has: strings needing JSON or HTML escaping,
+// control bytes, invalid UTF-8, U+2028/U+2029, durations of any
+// nanosecond count (zero, negative, and those encoding/json prints with an
+// exponent), every outcome, and classes and causes outside their enums.
+func FuzzRunRowMatchesMarshal(f *testing.F) {
+	f.Add("1000000.bw", "u0412", uint64(1), int32(96), 1536, int64(1248690000000), uint8(1), 0, uint8(1))
+	// One character needing escaping per string, so dropping any single
+	// one from the verbatim test fails a seed.
+	f.Add("a<b", "a>b", uint64(0), int32(0), 0, int64(0), uint8(4), 3, uint8(2))
+	f.Add("a&b", `a"b`, uint64(0), int32(0), 0, int64(0), uint8(4), 3, uint8(2))
+	f.Add(`a\b`, "a\x7fb", uint64(0), int32(0), 0, int64(0), uint8(4), 3, uint8(2))
+	f.Add("a\x1fb", "a\x00b", uint64(0), int32(0), 0, int64(0), uint8(4), 3, uint8(2))
+	f.Add("\xff\xfe", "\u2028\u2029", ^uint64(0), int32(-1), -1, int64(-1), uint8(4), 1<<20, uint8(9))
+	f.Add("é", "", uint64(42), int32(math.MaxInt32), math.MinInt, int64(999), uint8(0), -7, uint8(0))
+	f.Add("a b", "~", uint64(7), int32(1), 1, int64(1000), uint8(3), 0, uint8(3))
+	f.Add("x", "y", uint64(8), int32(2), 2, int64(math.MaxInt64), uint8(6), 0, uint8(1))
+	f.Add("x", "y", uint64(9), int32(2), 2, int64(math.MinInt64), uint8(4), 2, uint8(1))
+	f.Fuzz(func(t *testing.T, jobID, user string, apid uint64, nodes int32, width int, durNs int64, outcome uint8, cause int, class uint8) {
+		start := time.Date(2013, 4, 1, 0, 3, 24, 0, time.UTC)
+		run := correlate.AttributedRun{
+			AppRun: alps.AppRun{
+				ApID:  apid,
+				JobID: jobID,
+				User:  user,
+				Width: width,
+				Start: start,
+				End:   start.Add(time.Duration(durNs)),
+			},
+			Class:   machine.NodeClass(class % 5),
+			Outcome: correlate.Outcome(outcome % 7),
+			Cause:   taxonomy.Category(cause),
+			Nodes:   nodes,
+		}
+		want, err := json.Marshal(makeRunListRow(&run))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendRunRow(nil, &run); !bytes.Equal(got, want) {
+			t.Fatalf("row differs from json.Marshal:\n got %q\nwant %q", got, want)
 		}
 	})
 }

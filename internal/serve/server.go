@@ -51,8 +51,9 @@ type Config struct {
 	Fleet *fleet.Manager
 	// Version is reported by /v1/health.
 	Version version.Info
-	// RequestTimeout bounds each request end to end (DefaultRequestTimeout
-	// when zero). Requests over budget get 503.
+	// RequestTimeout bounds each POST /v1/whatif request end to end
+	// (DefaultRequestTimeout when zero). Requests over budget get 503. The
+	// other endpoints answer from memory and run without a deadline.
 	RequestTimeout time.Duration
 	// RateLimit admits at most this many requests per second per client on
 	// the data endpoints (token bucket; excess gets 429 + Retry-After).
@@ -141,7 +142,9 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.limiter = newClientLimiter(cfg.RateLimit, burst, DefaultMaxClients, cfg.Now)
 	}
-	s.route("GET /v1/health", "health", s.handleHealth)
+	// Health and metrics are the probes operators use to diagnose an
+	// overloaded server: they stay cheap and deadline-free.
+	s.routeFast("GET /v1/health", "health", s.handleHealth)
 	for v, av := range aggViews {
 		if v == 0 || av.name != aggViews[v-1].name {
 			s.routeFast("GET /v1/"+av.name, av.name, s.handleView(viewID(v), false))
@@ -149,9 +152,9 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s.routeFast("GET /v1/runs", "runs_list", s.handleRuns)
-	s.route("GET /v1/runs/{apid}", "runs", s.handleRun)
+	s.routeFast("GET /v1/runs/{apid}", "runs", s.handleRun)
 	s.route("POST /v1/whatif", "whatif", s.handleWhatif)
-	s.route("GET /metrics", "metrics", s.handleMetrics)
+	s.routeFast("GET /metrics", "metrics", s.handleMetrics)
 	return s, nil
 }
 
@@ -222,20 +225,16 @@ func (s *Server) guard(key string, h http.HandlerFunc) http.HandlerFunc {
 // deadline-bounded handler. The instrumentation wraps OUTSIDE the timeout
 // so the counters see the 503 a timed-out client actually received.
 func (s *Server) route(pattern, key string, h http.HandlerFunc) {
-	inner := http.Handler(s.guard(key, h))
-	if key != "metrics" && key != "health" {
-		// Health and metrics stay cheap and deadline-free: they are the
-		// probes operators use to diagnose an overloaded server.
-		inner = http.TimeoutHandler(inner, s.cfg.RequestTimeout, `{"error":"request timed out"}`)
-	}
+	inner := http.TimeoutHandler(s.guard(key, h), s.cfg.RequestTimeout, `{"error":"request timed out"}`)
 	s.instrument(pattern, key, inner)
 }
 
-// routeFast registers a handler outside http.TimeoutHandler: the cacheable
-// endpoints answer from pre-encoded bytes or a bounded in-memory render and
-// cannot block, so they skip the per-request timeout goroutine and response
-// buffer — that is what makes the cached path nearly allocation-free.
-// Slow-client writes are bounded by the http.Server write timeout instead.
+// routeFast registers a handler outside http.TimeoutHandler: every endpoint
+// but POST /v1/whatif answers from pre-encoded bytes or a bounded render
+// from memory and cannot block, so it skips the per-request timeout
+// goroutine and response buffer — that is what makes the cached path
+// nearly allocation-free. Slow-client writes are bounded by the
+// http.Server write timeout instead.
 func (s *Server) routeFast(pattern, key string, h http.HandlerFunc) {
 	s.instrument(pattern, key, s.guard(key, h))
 }
@@ -574,12 +573,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// The drill-down is a pure function of (snapshot, apid), so it shares
 	// the epoch ETag: a client re-fetching within the epoch gets a 304
 	// without the render.
-	etag := s.etagFor(snap)
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Cache-Control", cacheControl)
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
-		s.prom.notModified.Add(1)
-		w.WriteHeader(http.StatusNotModified)
+	if s.notModified(w, r, s.etagFor(snap)) {
 		return
 	}
 	resp := runResponse{

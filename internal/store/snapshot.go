@@ -239,8 +239,10 @@ func (s *Snapshot) TotalRuns() int { return len(s.byApID) }
 // afterApID, in ascending apid order, plus the apid of the last returned run
 // (0 when the page is empty). Page with afterApID=0 for the first page and
 // feed each page's last apid back in for the next; the ordering is stable
-// across epochs, so a traversal never shows the same run twice.
-func (s *Snapshot) RunsPage(afterApID uint64, limit int) (runs []correlate.AttributedRun, last uint64) {
+// across epochs, so a traversal never shows the same run twice. The runs
+// are pointers into the snapshot's immutable Result.Runs, not copies; a
+// repeated apid shows its first run at every occurrence.
+func (s *Snapshot) RunsPage(afterApID uint64, limit int) (runs []*correlate.AttributedRun, last uint64) {
 	if limit <= 0 {
 		return nil, 0
 	}
@@ -253,13 +255,13 @@ func (s *Snapshot) RunsPage(afterApID uint64, limit int) (runs []correlate.Attri
 	if i >= end {
 		return nil, 0
 	}
-	runs = make([]correlate.AttributedRun, 0, end-i)
+	runs = make([]*correlate.AttributedRun, 0, end-i)
 	first := s.byApID[i] // a page starts at the first pair of its apid
 	for _, p := range s.byApID[i:end] {
 		if p.apid != first.apid {
 			first = p
 		}
-		runs = append(runs, s.Result.Runs[first.run])
+		runs = append(runs, &s.Result.Runs[first.run])
 	}
 	return runs, s.byApID[end-1].apid
 }
