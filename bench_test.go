@@ -1,7 +1,7 @@
 package logdiver_test
 
-// The benchmark harness: one benchmark per reproduced table/figure (E1-E10,
-// A1, A2) plus throughput benchmarks for the pipeline stages. Each
+// The benchmark harness: one benchmark per reproduced table/figure (E1-E10;
+// A1 and A2 share one) plus throughput benchmarks for the pipeline stages. Each
 // experiment benchmark regenerates its artifact from a shared synthesized
 // dataset, so `go test -bench=.` exercises exactly the code path that
 // produced EXPERIMENTS.md.
@@ -157,21 +157,11 @@ func BenchmarkE10Coalesce(b *testing.B) {
 	}
 }
 
-func BenchmarkA1Window(b *testing.B) {
+func BenchmarkAblations(b *testing.B) {
 	f := benchFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.A1Window(f.res, f.ds.Topology, f.ds.Truth, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkA2Baseline(b *testing.B) {
-	f := benchFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.A2Baseline(f.res, f.ds.Topology, f.ds.Truth); err != nil {
+		if _, _, err := experiments.Ablations(f.res, f.ds.Topology, f.ds.Truth, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

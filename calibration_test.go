@@ -25,22 +25,15 @@ func fullDataset(t *testing.T) (*logdiver.Dataset, *logdiver.Result) {
 	return ds, analyzeDataset(t, ds)
 }
 
-func probeP(t *testing.T, runs []logdiver.AttributedRun, class logdiver.NodeClass, lo, hi int) (float64, int) {
+// probeP reads P(system failure) over the runs of class placed on [lo, hi)
+// nodes, and their number.
+func probeP(t *testing.T, res *logdiver.Result, class logdiver.NodeClass, lo, hi int) (float64, int) {
 	t.Helper()
-	var n, f int
-	for _, r := range runs {
-		if r.Class != class || r.NumNodes() < lo || r.NumNodes() >= hi {
-			continue
-		}
-		n++
-		if r.Outcome == logdiver.OutcomeSystemFailure {
-			f++
-		}
+	w, err := res.Agg.Scaling([]int{lo, hi}, class)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n == 0 {
-		return 0, 0
-	}
-	return float64(f) / float64(n), n
+	return w[0].Prob.P, w[0].Runs
 }
 
 func TestCalibrationAnchors(t *testing.T) {
@@ -50,7 +43,7 @@ func TestCalibrationAnchors(t *testing.T) {
 	ds, res := fullDataset(t)
 
 	t.Run("headline fractions", func(t *testing.T) {
-		b := logdiver.Outcomes(res.Runs)
+		b := res.Agg.Outcomes()
 		t.Logf("%d runs: system-failure fraction %.6f, lost node-hours fraction %.6f",
 			b.Total, b.SystemFailureFraction(), b.SystemNodeHoursFraction())
 		if got := b.SystemFailureFraction(); got < 0.008 || got > 0.024 {
@@ -64,8 +57,8 @@ func TestCalibrationAnchors(t *testing.T) {
 	})
 
 	t.Run("XE scaling curve", func(t *testing.T) {
-		pMid, nMid := probeP(t, res.Runs, logdiver.ClassXE, 9000, 11000)
-		pFull, nFull := probeP(t, res.Runs, logdiver.ClassXE, 19000, 23000)
+		pMid, nMid := probeP(t, res, logdiver.ClassXE, 9000, 11000)
+		pFull, nFull := probeP(t, res, logdiver.ClassXE, 19000, 23000)
 		t.Logf("P(XE ~10k) %.6f over %d runs, P(XE full) %.6f over %d runs", pMid, nMid, pFull, nFull)
 		if nMid < 50 || nFull < 50 {
 			t.Fatalf("too few probe runs: mid=%d full=%d", nMid, nFull)
@@ -90,8 +83,8 @@ func TestCalibrationAnchors(t *testing.T) {
 	})
 
 	t.Run("XK scaling curve", func(t *testing.T) {
-		pMid, nMid := probeP(t, res.Runs, logdiver.ClassXK, 1800, 2200)
-		pFull, nFull := probeP(t, res.Runs, logdiver.ClassXK, 4000, 4300)
+		pMid, nMid := probeP(t, res, logdiver.ClassXK, 1800, 2200)
+		pFull, nFull := probeP(t, res, logdiver.ClassXK, 4000, 4300)
 		t.Logf("P(XK ~2k) %.6f over %d runs, P(XK full) %.6f over %d runs", pMid, nMid, pFull, nFull)
 		if nMid < 30 || nFull < 30 {
 			t.Fatalf("too few probe runs: mid=%d full=%d", nMid, nFull)
@@ -110,20 +103,13 @@ func TestCalibrationAnchors(t *testing.T) {
 	})
 
 	t.Run("hybrid detection gap", func(t *testing.T) {
-		truth := trueSystemFailures(ds)
-		xe := logdiver.DetectionCoverage(res.Runs, truth, logdiver.ClassXE)
+		xe := detectionCoverage(ds, res, logdiver.ClassXE, 0)
 		if xe.Rate() < 0.9 {
 			t.Errorf("XE detection coverage = %.3f, want >= 0.9 (CPU errors are logged)", xe.Rate())
 		}
 		// The gap concentrates at scale, where GPU failures dominate the
 		// XK failure mix.
-		var xkFull []logdiver.AttributedRun
-		for _, r := range res.Runs {
-			if r.Class == logdiver.ClassXK && r.NumNodes() >= 3000 {
-				xkFull = append(xkFull, r)
-			}
-		}
-		xk := logdiver.DetectionCoverage(xkFull, truth, logdiver.ClassXK)
+		xk := detectionCoverage(ds, res, logdiver.ClassXK, 3000)
 		t.Logf("coverage XE %.6f %+v, full-scale XK %.6f %+v", xe.Rate(), xe, xk.Rate(), xk)
 		if xk.TrueSystem < 20 {
 			t.Fatalf("too few full-scale XK system failures: %d", xk.TrueSystem)
@@ -138,25 +124,12 @@ func TestCalibrationAnchors(t *testing.T) {
 	})
 
 	t.Run("attribution accuracy", func(t *testing.T) {
-		var trueSys, attributed, correct int
-		for _, r := range res.Runs {
-			isTrue := ds.Truth[r.ApID].Outcome == logdiver.OutcomeSystemFailure
-			isAttr := r.Outcome == logdiver.OutcomeSystemFailure
-			if isTrue {
-				trueSys++
-			}
-			if isAttr {
-				attributed++
-				if isTrue {
-					correct++
-				}
-			}
-		}
-		if trueSys == 0 || attributed == 0 {
+		c := detectionCoverage(ds, res, 0, 0)
+		if c.TrueSystem == 0 || c.Attributed == 0 {
 			t.Fatal("no system failures to evaluate")
 		}
-		prec := float64(correct) / float64(attributed)
-		t.Logf("precision %.6f (%d of %d attributed; %d truly system)", prec, correct, attributed, trueSys)
+		prec := c.Precision()
+		t.Logf("precision %.6f (%d of %d attributed; %d truly system)", prec, c.Detected, c.Attributed, c.TrueSystem)
 		if prec < 0.8 {
 			t.Errorf("attribution precision = %.3f, want >= 0.8", prec)
 		}

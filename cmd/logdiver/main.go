@@ -379,7 +379,7 @@ func simulate(args []string) error {
 	fmt.Fprintf(os.Stderr, "parsed: %d runs; simulating %d policies, seed %d\n",
 		len(res.Runs), len(policies), *seed)
 
-	mtti, err := metrics.MTTIByScale(res.Runs, metrics.GeometricBuckets(top.NumNodes()), 0)
+	mtti, err := res.Agg.MTTI(metrics.GeometricBuckets(top.NumNodes()), 0)
 	if err != nil {
 		return err
 	}

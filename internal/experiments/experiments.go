@@ -59,36 +59,6 @@ func DefaultProbes() []Probe {
 	}
 }
 
-// ProbeResult reads P(system failure) for runs inside a probe window.
-type ProbeResult struct {
-	Probe
-	Runs     int
-	Failures int
-	P        stats.Proportion
-}
-
-// ReadProbe evaluates one probe over attributed runs.
-func ReadProbe(runs []correlate.AttributedRun, p Probe) (ProbeResult, error) {
-	out := ProbeResult{Probe: p}
-	for _, r := range runs {
-		if r.Class != p.Class || r.NumNodes() < p.Lo || r.NumNodes() >= p.Hi {
-			continue
-		}
-		out.Runs++
-		if r.Outcome == correlate.OutcomeSystemFailure {
-			out.Failures++
-		}
-	}
-	if out.Runs > 0 {
-		prop, err := stats.Wilson(out.Failures, out.Runs, 1.96)
-		if err != nil {
-			return out, err
-		}
-		out.P = prop
-	}
-	return out, nil
-}
-
 // E1Workload characterizes the measured workload (paper-style Table 1).
 func E1Workload(res *core.Result) *report.Table {
 	t := &report.Table{
@@ -129,7 +99,7 @@ func E1Workload(res *core.Result) *report.Table {
 
 // E2Outcomes is the headline outcome breakdown (anchored: 1.53% / 9%).
 func E2Outcomes(res *core.Result) *report.Table {
-	b := metrics.Outcomes(res.Runs)
+	b := res.Agg.Outcomes()
 	t := &report.Table{
 		ID:      "E2",
 		Title:   "Application outcome breakdown",
@@ -163,7 +133,7 @@ func E3Categories(res *core.Result) *report.Table {
 		Title:   "System-caused failures by error category",
 		Columns: []string{"group", "category", "failures", "share", "node-hours lost"},
 	}
-	cats := metrics.ByCategory(res.Runs)
+	cats := res.Agg.Categories()
 	var total int
 	for _, c := range cats {
 		total += c.Failures
@@ -181,8 +151,7 @@ func E3Categories(res *core.Result) *report.Table {
 
 // scalingTable renders a failure-probability-versus-scale curve.
 func scalingTable(id, title string, res *core.Result, class machine.NodeClass, maxNodes int, probes []Probe) (*report.Table, error) {
-	bounds := metrics.GeometricBuckets(maxNodes)
-	buckets, err := metrics.FailureProbabilityByScale(res.Runs, bounds, class)
+	buckets, err := res.Agg.Scaling(metrics.GeometricBuckets(maxNodes), class)
 	if err != nil {
 		return nil, err
 	}
@@ -202,16 +171,16 @@ func scalingTable(id, title string, res *core.Result, class machine.NodeClass, m
 		if p.Class != class {
 			continue
 		}
-		pr, err := ReadProbe(res.Runs, p)
+		w, err := res.Agg.Scaling([]int{p.Lo, p.Hi}, p.Class)
 		if err != nil {
 			return nil, err
 		}
-		if pr.Runs == 0 {
+		if w[0].Runs == 0 {
 			t.Notes = append(t.Notes, fmt.Sprintf("%s: no runs in window (dataset too small)", p.Name))
 			continue
 		}
 		t.Notes = append(t.Notes, fmt.Sprintf("%s: measured %s over %d runs (paper anchor %s)",
-			p.Name, report.F3(pr.P.P), pr.Runs, report.F3(p.Anchor)))
+			p.Name, report.F3(w[0].Prob.P), w[0].Runs, report.F3(p.Anchor)))
 	}
 	return t, nil
 }
@@ -265,7 +234,7 @@ func E6Distributions(res *core.Result) (*report.Table, error) {
 // E7MTTI reports mean time to interrupt by application scale.
 func E7MTTI(res *core.Result) (*report.Table, error) {
 	bounds := []int{1, 64, 512, 4096, 16384, 22637}
-	buckets, err := metrics.MTTIByScale(res.Runs, bounds, 0)
+	buckets, err := res.Agg.MTTI(bounds, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -322,10 +291,6 @@ func E8Timeline(res *core.Result) (*report.Table, error) {
 // E9Detection compares error-detection coverage across partitions and scale
 // against ground truth: the hybrid detection gap of lesson 3.
 func E9Detection(res *core.Result, truth map[uint64]gen.Truth) *report.Table {
-	trueSys := make(map[uint64]bool, len(truth))
-	for id, tr := range truth {
-		trueSys[id] = tr.Outcome == correlate.OutcomeSystemFailure
-	}
 	t := &report.Table{
 		ID:      "E9",
 		Title:   "Error-detection coverage, XE vs XK (vs ground truth)",
@@ -341,16 +306,20 @@ func E9Detection(res *core.Result, truth map[uint64]gen.Truth) *report.Table {
 		{"XE full scale (>=16384)", machine.ClassXE, 16384},
 		{"XK full scale (>=3000)", machine.ClassXK, 3000},
 	}
-	for _, p := range populations {
-		var filtered []correlate.AttributedRun
-		for _, r := range res.Runs {
+	cov := make([]metrics.Coverage, len(populations))
+	for i := range res.Runs {
+		r := &res.Runs[i]
+		trueSys := truth[r.ApID].Outcome == correlate.OutcomeSystemFailure
+		attributed := r.Outcome == correlate.OutcomeSystemFailure
+		for k, p := range populations {
 			if r.Class == p.class && r.NumNodes() >= p.minNds {
-				filtered = append(filtered, r)
+				cov[k].Add(trueSys, attributed)
 			}
 		}
-		cov := metrics.DetectionCoverage(filtered, trueSys, p.class)
-		t.AddRow(p.name, report.Count(cov.TrueSystem), report.Count(cov.Attributed),
-			report.Pct(cov.Rate()), report.Pct(cov.Precision()))
+	}
+	for k, p := range populations {
+		t.AddRow(p.name, report.Count(cov[k].TrueSystem), report.Count(cov[k].Attributed),
+			report.Pct(cov[k].Rate()), report.Pct(cov[k].Precision()))
 	}
 	t.Notes = append(t.Notes,
 		"coverage: share of truly system-caused failures the logs let the pipeline attribute to the system",
@@ -386,9 +355,12 @@ func E10Coalesce(res *core.Result) *report.Table {
 	return t
 }
 
-// A1Window sweeps the evidence window and reports attribution quality at
-// each setting, quantifying the design choice the default window encodes.
-func A1Window(res *core.Result, top *machine.Topology, truth map[uint64]gen.Truth, windows []time.Duration) (*report.Table, error) {
+// Ablations re-attributes every run under modified correlator settings and
+// scores each setting against ground truth: A1 sweeps the evidence window
+// (nil windows: the default sweep), A2 compares the node-time join with the
+// naive temporal-only join. Both share one copy of the runs and one event
+// index.
+func Ablations(res *core.Result, top *machine.Topology, truth map[uint64]gen.Truth, windows []time.Duration) (a1, a2 *report.Table, err error) {
 	if len(windows) == 0 {
 		windows = []time.Duration{
 			time.Minute, 3 * time.Minute, 6 * time.Minute,
@@ -397,17 +369,11 @@ func A1Window(res *core.Result, top *machine.Topology, truth map[uint64]gen.Trut
 	}
 	raw := rawRuns(res)
 	ix := interval.NewIndex(res.Events)
-	t := &report.Table{
-		ID:      "A1",
-		Title:   "Ablation: evidence window vs attribution quality",
-		Columns: []string{"window", "attributed system", "measured fraction", "precision", "recall"},
-	}
-	for _, w := range windows {
-		cfg := correlate.DefaultConfig()
-		cfg.EvidenceWindow = w
+	columns := []string{"attributed system", "measured fraction", "precision", "recall"}
+	score := func(t *report.Table, label string, cfg correlate.Config) error {
 		corr, err := correlate.New(ix, top, cfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		attr := corr.AttributeAll(raw)
 		prec, rec, attributed := accuracy(attr, truth)
@@ -415,21 +381,28 @@ func A1Window(res *core.Result, top *machine.Topology, truth map[uint64]gen.Trut
 		if len(attr) > 0 {
 			frac = float64(attributed) / float64(len(attr))
 		}
-		t.AddRow(w.String(), report.Count(attributed), report.Pct(frac),
-			report.Pct(prec), report.Pct(rec))
+		t.AddRow(label, report.Count(attributed), report.Pct(frac), report.Pct(prec), report.Pct(rec))
+		return nil
 	}
-	t.Notes = append(t.Notes, "default window: 6m; growing the window inflates attribution (precision falls)")
-	return t, nil
-}
 
-// A2Baseline compares the node-time join with the naive temporal-only join.
-func A2Baseline(res *core.Result, top *machine.Topology, truth map[uint64]gen.Truth) (*report.Table, error) {
-	raw := rawRuns(res)
-	ix := interval.NewIndex(res.Events)
-	t := &report.Table{
+	a1 = &report.Table{
+		ID:      "A1",
+		Title:   "Ablation: evidence window vs attribution quality",
+		Columns: append([]string{"window"}, columns...),
+	}
+	for _, w := range windows {
+		cfg := correlate.DefaultConfig()
+		cfg.EvidenceWindow = w
+		if err := score(a1, w.String(), cfg); err != nil {
+			return nil, nil, err
+		}
+	}
+	a1.Notes = append(a1.Notes, "default window: 6m; growing the window inflates attribution (precision falls)")
+
+	a2 = &report.Table{
 		ID:      "A2",
 		Title:   "Ablation: node-time join vs temporal-only baseline",
-		Columns: []string{"method", "attributed system", "measured fraction", "precision", "recall"},
+		Columns: append([]string{"method"}, columns...),
 	}
 	for _, mode := range []struct {
 		name     string
@@ -440,21 +413,12 @@ func A2Baseline(res *core.Result, top *machine.Topology, truth map[uint64]gen.Tr
 	} {
 		cfg := correlate.DefaultConfig()
 		cfg.TemporalOnly = mode.temporal
-		corr, err := correlate.New(ix, top, cfg)
-		if err != nil {
-			return nil, err
+		if err := score(a2, mode.name, cfg); err != nil {
+			return nil, nil, err
 		}
-		attr := corr.AttributeAll(raw)
-		prec, rec, attributed := accuracy(attr, truth)
-		frac := 0.0
-		if len(attr) > 0 {
-			frac = float64(attributed) / float64(len(attr))
-		}
-		t.AddRow(mode.name, report.Count(attributed), report.Pct(frac),
-			report.Pct(prec), report.Pct(rec))
 	}
-	t.Notes = append(t.Notes, "the temporal-only baseline attributes any failure near any machine event: precision collapses")
-	return t, nil
+	a2.Notes = append(a2.Notes, "the temporal-only baseline attributes any failure near any machine event: precision collapses")
+	return a1, a2, nil
 }
 
 // rawRuns strips attribution from a result's runs.
@@ -545,11 +509,7 @@ func All(res *core.Result, top *machine.Topology, truth map[uint64]gen.Truth) ([
 	}
 	out = append(out, e16, E17Applications(res))
 	if truth != nil && top != nil {
-		a1, err := A1Window(res, top, truth, nil)
-		if err != nil {
-			return nil, err
-		}
-		a2, err := A2Baseline(res, top, truth)
+		a1, a2, err := Ablations(res, top, truth, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -29,7 +29,7 @@
 //	res, err := logdiver.Analyze(logdiver.Archives{Accounting: &acc, Apsys: &aps, Syslog: &sys},
 //		ds.Topology, logdiver.Options{})
 //	// handle err
-//	b := logdiver.Outcomes(res.Runs)
+//	b := res.Agg.Outcomes()
 //	fmt.Printf("system-failure fraction: %.2f%%\n", 100*b.SystemFailureFraction())
 package logdiver
 
@@ -79,8 +79,6 @@ type (
 	OutcomeBreakdown = metrics.OutcomeBreakdown
 	// ScaleBucket is one point of a failure-probability curve.
 	ScaleBucket = metrics.ScaleBucket
-	// Coverage quantifies detection coverage against ground truth.
-	Coverage = metrics.Coverage
 
 	// Table is a rendered experiment artifact.
 	Table = report.Table
@@ -126,21 +124,5 @@ func Analyze(a Archives, top *Topology, opts Options) (*Result, error) {
 	return core.Analyze(a, top, opts)
 }
 
-// Outcomes aggregates attributed runs by outcome: the headline breakdown.
-func Outcomes(runs []AttributedRun) OutcomeBreakdown { return metrics.Outcomes(runs) }
-
-// FailureProbabilityByScale estimates P(system failure) per placement-size
-// bucket with Wilson confidence intervals. bounds are ascending bucket
-// edges; classFilter restricts the population (0 accepts every class).
-func FailureProbabilityByScale(runs []AttributedRun, bounds []int, classFilter NodeClass) ([]ScaleBucket, error) {
-	return metrics.FailureProbabilityByScale(runs, bounds, classFilter)
-}
-
 // GeometricBuckets returns power-of-two bucket edges up to max.
 func GeometricBuckets(max int) []int { return metrics.GeometricBuckets(max) }
-
-// DetectionCoverage compares attribution with ground truth for one node
-// class (0 accepts every class). truth maps apid to "truly system-caused".
-func DetectionCoverage(runs []AttributedRun, truth map[uint64]bool, classFilter NodeClass) Coverage {
-	return metrics.DetectionCoverage(runs, truth, classFilter)
-}

@@ -3,11 +3,11 @@ package logdiver_test
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
 	"logdiver"
+	"logdiver/internal/metrics"
 )
 
 // smallDataset synthesizes a fast dataset on the small machine.
@@ -49,14 +49,17 @@ func analyzeDataset(t testing.TB, ds *logdiver.Dataset) *logdiver.Result {
 	return res
 }
 
-// trueSystemFailures projects a dataset's ground truth onto the boolean
-// form DetectionCoverage consumes.
-func trueSystemFailures(ds *logdiver.Dataset) map[uint64]bool {
-	out := make(map[uint64]bool, len(ds.Truth))
-	for id, tr := range ds.Truth {
-		out[id] = tr.Outcome == logdiver.OutcomeSystemFailure
+// detectionCoverage tallies attribution against the dataset's ground truth
+// over the runs of class (0: every class) placed on at least minNodes nodes.
+func detectionCoverage(ds *logdiver.Dataset, res *logdiver.Result, class logdiver.NodeClass, minNodes int) metrics.Coverage {
+	var c metrics.Coverage
+	for i := range res.Runs {
+		r := &res.Runs[i]
+		if (class == 0 || r.Class == class) && r.NumNodes() >= minNodes {
+			c.Add(ds.Truth[r.ApID].Outcome == logdiver.OutcomeSystemFailure, r.Outcome == logdiver.OutcomeSystemFailure)
+		}
 	}
-	return out
+	return c
 }
 
 func TestPublicAPIEndToEnd(t *testing.T) {
@@ -65,11 +68,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if len(res.Runs) != len(ds.Runs) {
 		t.Fatalf("runs: %d vs %d", len(res.Runs), len(ds.Runs))
 	}
-	b := logdiver.Outcomes(res.Runs)
+	b := res.Agg.Outcomes()
 	if b.Total == 0 || b.SystemFailureFraction() <= 0 {
 		t.Errorf("breakdown: %+v", b)
 	}
-	buckets, err := logdiver.FailureProbabilityByScale(res.Runs, logdiver.GeometricBuckets(512), logdiver.ClassXE)
+	buckets, err := res.Agg.Scaling(logdiver.GeometricBuckets(512), logdiver.ClassXE)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +83,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if populated == 0 {
 		t.Error("no runs in scale buckets")
 	}
-	cov := logdiver.DetectionCoverage(res.Runs, trueSystemFailures(ds), 0)
+	cov := detectionCoverage(ds, res, 0, 0)
 	if cov.TrueSystem == 0 {
 		t.Error("no true system failures")
 	}
@@ -128,31 +131,4 @@ func TestAnchorsExported(t *testing.T) {
 	if logdiver.AnchorXEProb22k/logdiver.AnchorXEProb10k < 20 {
 		t.Error("XE anchors do not encode the 20x amplification")
 	}
-}
-
-func ExampleOutcomes() {
-	cfg := logdiver.ScaledGeneratorConfig(1)
-	cfg.Machine = logdiver.SmallMachine()
-	cfg.Workload.JobsPerDay = 50
-	cfg.Workload.XECapabilitySizes = []int{256}
-	cfg.Workload.XKCapabilitySizes = []int{64}
-	cfg.Workload.SmallSizeMax = 64
-	ds, err := logdiver.Generate(cfg)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	var acc, aps, sys bytes.Buffer
-	if err := errors.Join(ds.WriteAccounting(&acc), ds.WriteApsys(&aps), ds.WriteErrorLog(&sys)); err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	res, err := logdiver.Analyze(logdiver.Archives{Accounting: &acc, Apsys: &aps, Syslog: &sys}, ds.Topology, logdiver.Options{})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	b := logdiver.Outcomes(res.Runs)
-	fmt.Println(b.Total > 0)
-	// Output: true
 }
