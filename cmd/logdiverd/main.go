@@ -224,7 +224,7 @@ func run(args []string, onListen func(addr string)) error {
 				logger.Info("snapshot installed",
 					"epoch", round.FleetEpoch,
 					"shards", snap.EpochVector(),
-					"runs", len(snap.Result.Runs),
+					"runs", snap.Outcomes.Total,
 					"events", snap.Result.NumEvents,
 					"partial", snap.Partial,
 				)

@@ -365,7 +365,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Status:  "ok",
 		Epoch:   snap.Epoch,
 		BuiltAt: snap.BuiltAt.UTC().Format(time.RFC3339),
-		Runs:    len(snap.Result.Runs),
+		Runs:    snap.Outcomes.Total,
 		Jobs:    snap.Result.NumJobs,
 		Events:  snap.Result.NumEvents,
 		Version: s.cfg.Version,
@@ -619,7 +619,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if snap := s.cfg.Store.Current(); snap != nil {
 		gauges["logdiver_snapshot_epoch"] = float64(snap.Epoch)
-		gauges["logdiver_snapshot_runs"] = float64(len(snap.Result.Runs))
+		gauges["logdiver_snapshot_runs"] = float64(snap.Outcomes.Total)
 		gauges["logdiver_snapshot_built_timestamp_seconds"] = float64(snap.BuiltAt.Unix())
 	}
 	if last, ok := s.cfg.Store.LastSync(); ok {
