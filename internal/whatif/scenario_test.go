@@ -134,7 +134,7 @@ func TestHypothesisDetectFractionMonotone(t *testing.T) {
 		Values:    fractions,
 		Seeds:     scenarioSeeds,
 		Precondition: func(c hypothesisCase) error {
-			if n := SilentCandidates(f.res.Runs); n < 10 {
+			if n := silentCandidates(f.res.Runs); n < 10 {
 				return fmt.Errorf("fixture has %d XK USER candidates; need >= 10", n)
 			}
 			return nil
@@ -153,8 +153,8 @@ func TestHypothesisDetectFractionMonotone(t *testing.T) {
 					return fmt.Errorf("fraction 0 detected %d runs", p.RunsDetected)
 				}
 			case "1":
-				if p.RunsDetected != SilentCandidates(f.res.Runs) {
-					return fmt.Errorf("fraction 1 detected %d of %d candidates", p.RunsDetected, SilentCandidates(f.res.Runs))
+				if p.RunsDetected != silentCandidates(f.res.Runs) {
+					return fmt.Errorf("fraction 1 detected %d of %d candidates", p.RunsDetected, silentCandidates(f.res.Runs))
 				}
 			}
 			if c.Index > 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -140,12 +141,13 @@ func TestNoopByteIdentical(t *testing.T) {
 	}
 }
 
-// TestMeasuredEqualsNoopReplay pins the report's measured rows to the no-op
-// replay, byte for byte, on a hand-made stream with every outcome whose
-// node-hours sum to different floats in different orders: the rows agree
-// because both are one exact accumulation, not because the fold happens to
-// add in the order the measured breakdown does. The stream is replayed
-// forward and reversed, at one and at three workers.
+// TestMeasuredEqualsNoopReplay pins the report's measured rows and total to
+// a fresh metrics.Fold of the stream, and the no-op replay's rows to them,
+// byte for byte, on a hand-made stream with every outcome whose node-hours
+// sum to different floats in different orders: the rows agree because each
+// is one exact accumulation, not because a fold happens to add in the order
+// another does. The stream is replayed forward and reversed, at one and at
+// three workers.
 func TestMeasuredEqualsNoopReplay(t *testing.T) {
 	base := time.Date(2013, 4, 3, 0, 0, 0, 0, time.UTC)
 	var runs []correlate.AttributedRun
@@ -181,31 +183,126 @@ func TestMeasuredEqualsNoopReplay(t *testing.T) {
 	for i := range runs {
 		reversed[len(runs)-1-i] = runs[i]
 	}
-	var first []byte
 	for _, stream := range [][]correlate.AttributedRun{runs, reversed} {
 		mtti, err := metrics.MTTIByScale(stream, metrics.GeometricBuckets(16), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		agg := metrics.Fold(stream)
+		fold := agg.Outcomes()
+		want := mustJSONBytes(t, refMeasuredRows(fold))
 		for _, par := range []int{1, 3} {
 			rep := mustSimulate(t, Input{Runs: stream, MTTI: mtti}, []Policy{{Name: "noop"}}, Options{Seed: 3, Parallelism: par})
-			measured := mustJSONBytes(t, rep.Measured)
-			for name, rows := range map[string][]OutcomeRow{"baseline": rep.Baseline.Outcomes, "noop": rep.Policies[0].Outcomes} {
-				if got := mustJSONBytes(t, rows); !bytes.Equal(got, measured) {
-					t.Errorf("parallelism %d: %s rows differ from measured:\n got %s\nwant %s", par, name, got, measured)
+			for name, rows := range map[string][]OutcomeRow{"measured": rep.Measured, "noop": rep.Policies[0].Outcomes} {
+				if got := mustJSONBytes(t, rows); !bytes.Equal(got, want) {
+					t.Errorf("parallelism %d: %s rows differ from metrics.Fold:\n got %s\nwant %s", par, name, got, want)
 				}
+			}
+			if rep.TotalNodeHours != fold.TotalNodeHours {
+				t.Errorf("parallelism %d: total %v node-hours, metrics.Fold %v", par, rep.TotalNodeHours, fold.TotalNodeHours)
 			}
 			for _, row := range rep.Measured[:4] {
 				if row.Runs != 9 {
 					t.Fatalf("measured row %+v: the fixture has 9 runs of every outcome", row)
 				}
 			}
-			if first == nil {
-				first = measured
-			} else if !bytes.Equal(measured, first) {
-				t.Errorf("measured rows depend on the run order:\n%s\n%s", measured, first)
-			}
 		}
+	}
+}
+
+// referencePolicies are DefaultPolicies plus a fixed-interval design and
+// full detection coverage with retries: every checkpoint kind, both
+// detection extremes, recovery with and without checkpoints.
+func referencePolicies() []Policy {
+	return append(DefaultPolicies(),
+		Policy{
+			Name:               "fixed-90m",
+			Checkpoint:         CheckpointFixed,
+			CheckpointInterval: 90 * time.Minute,
+			CheckpointCost:     4 * time.Minute,
+			RestartCost:        9 * time.Minute,
+			RetryLimit:         3,
+			RetryBackoff:       time.Minute,
+		},
+		Policy{Name: "detect-all", DetectFraction: 1, RetryLimit: 1, RestartCost: 10 * time.Minute},
+	)
+}
+
+// matchReference fails t unless Simulate marshals to the reference's bytes.
+func matchReference(t *testing.T, in Input, pols []Policy, opts Options) {
+	t.Helper()
+	want, err := referenceSimulate(in, pols, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := mustSimulate(t, in, pols, opts)
+	if g, w := mustJSONBytes(t, got), mustJSONBytes(t, want); !bytes.Equal(g, w) {
+		t.Errorf("seed %d parallelism %d: report differs from the reference:\n got %s\nwant %s", opts.Seed, opts.Parallelism, g, w)
+	}
+}
+
+// TestSimulateMatchesReference holds Simulate to the replay over the runs
+// themselves (reference_test.go), byte for byte once marshaled, on the
+// fixture and on edge inputs, at seeds 1-4 and 1, 2 and 7 workers.
+func TestSimulateMatchesReference(t *testing.T) {
+	f := getFixture(t)
+	runs, mtti := f.input.Runs, f.input.MTTI
+	bounds := metrics.GeometricBuckets(f.ds.Topology.NumNodes())
+	mttiOf := func(runs []correlate.AttributedRun) []metrics.MTTIBucket {
+		m, err := metrics.MTTIByScale(runs, bounds, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	var noSystem []correlate.AttributedRun
+	for _, r := range runs {
+		if r.Outcome != correlate.OutcomeSystemFailure {
+			noSystem = append(noSystem, r)
+		}
+	}
+	if g := newRefMTTITable(Input{Runs: noSystem}).global; !math.IsInf(g, 1) || silentCandidates(noSystem) == 0 {
+		t.Fatalf("no-system stream: global MTTI %v, %d detection candidates; want +Inf and some", g, silentCandidates(noSystem))
+	}
+	// The runs of the first bucket take no time, so its interrupts give
+	// it an MTTI of 0 and a Daly interval of 0.
+	instant := slices.Clone(runs)
+	for i := range instant {
+		if n := instant[i].NumNodes(); n >= mtti[0].Lo && n < mtti[0].Hi {
+			instant[i].End = instant[i].Start
+		}
+	}
+	instantMTTI := mttiOf(instant)
+	if b := instantMTTI[0]; b.Interrupts == 0 || b.MTTIHours != 0 {
+		t.Fatalf("instant bucket %+v: want interrupts at MTTI 0", b)
+	}
+	// A window of the buckets leaves the smallest and largest runs outside.
+	window := mtti[2:6]
+	if newRefMTTITable(Input{MTTI: window}).bucketOf(1) != -1 {
+		t.Fatal("one-node runs fall inside the window")
+	}
+
+	pols := referencePolicies()
+	for _, c := range []struct {
+		name string
+		in   Input
+	}{
+		{"fixture", f.input},
+		{"no-runs", Input{MTTI: mtti}},
+		{"empty", Input{}},
+		{"nil-mtti", Input{Runs: runs}},
+		{"no-system-failure", Input{Runs: noSystem, MTTI: mttiOf(noSystem)}},
+		{"outside-buckets", Input{Runs: runs, MTTI: window}},
+		{"zero-mtti-bucket", Input{Runs: instant, MTTI: instantMTTI}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 4; seed++ {
+				for _, par := range []int{1, 2, 7} {
+					matchReference(t, c.in, pols, Options{Seed: seed, Parallelism: par})
+				}
+			}
+		})
 	}
 }
 
@@ -260,7 +357,7 @@ func TestSameSeedBitReproducible(t *testing.T) {
 // within the binomial envelope of the stochastic draws.
 func TestDifferentSeedsBoundedVariance(t *testing.T) {
 	f := getFixture(t)
-	candidates := SilentCandidates(f.res.Runs)
+	candidates := silentCandidates(f.res.Runs)
 	if candidates < 20 {
 		t.Fatalf("fixture has %d silent candidates; need >= 20 for a meaningful variance test", candidates)
 	}
@@ -305,8 +402,8 @@ func TestDetectionRecoversGroundTruth(t *testing.T) {
 			trueSilent++
 		}
 	}
-	if candidates != SilentCandidates(f.res.Runs) {
-		t.Fatalf("candidate count mismatch: %d vs %d", candidates, SilentCandidates(f.res.Runs))
+	if candidates != silentCandidates(f.res.Runs) {
+		t.Fatalf("candidate count mismatch: %d vs %d", candidates, silentCandidates(f.res.Runs))
 	}
 	if trueSilent < 5 {
 		t.Fatalf("fixture has %d true silent failures among %d candidates; need >= 5", trueSilent, candidates)
@@ -426,4 +523,17 @@ func TestReportTables(t *testing.T) {
 			t.Errorf("table %s has no rows", tbl.ID)
 		}
 	}
+}
+
+// silentCandidates counts the detection counterfactual's target
+// population: hybrid-node (XK) runs the measured attribution blamed on the
+// USER. DetectFraction draws against exactly this population.
+func silentCandidates(runs []correlate.AttributedRun) int {
+	var n int
+	for _, r := range runs {
+		if r.Class == machine.ClassXK && r.Outcome == correlate.OutcomeUserFailure {
+			n++
+		}
+	}
+	return n
 }
