@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"logdiver/internal/checkpoint"
 	"logdiver/internal/correlate"
@@ -93,27 +95,41 @@ func (p *prng) expHours(m float64) float64 {
 	return -math.Log(1-u) * m
 }
 
+// runFeature is what a replay reads of one run, derived once per Simulate:
+// every policy's kernel and fold read these 40 bytes, not the 264-byte run.
+type runFeature struct {
+	apid    uint64
+	dur     time.Duration // End - Start
+	nt      metrics.Nanos // the run's exact metrics.NodeTime
+	nodes   int32
+	bucket  int16 // MTTI scale bucket, -1 when outside every bucket
+	outcome int8  // measured correlate.Outcome
+	// xkUser marks the detection counterfactual's population: hybrid-node
+	// (XK) runs the measured attribution blamed on the USER.
+	xkUser bool
+}
+
+// sysOutcome is correlate.OutcomeSystemFailure as an outcome index.
+const sysOutcome = int8(correlate.OutcomeSystemFailure)
+
 // runDelta is one run's contribution to a policy's aggregates. Deltas are
 // computed independently (possibly in parallel) and folded sequentially in
 // stream order so float accumulation order is fixed.
 //
-// The run's own measured node time is nt, an exact metrics.NodeTime: the
-// fold adds it to the row of the final outcome. Realized useful work is
-// the node time of the SUCCESS and RECOVERED rows, lost work that of the
-// SYSTEM and RECOVERED rows plus lostExtra, consumed machine time that of
-// every row plus consumedExtra. A no-op policy has no extras, so its rows
-// are the measured ones exactly (see measuredRows).
+// The fold adds the run's exact node time (runFeature.nt) to the row of
+// the final outcome. Realized useful work is the node time of the SUCCESS
+// and RECOVERED rows, lost work that of the SYSTEM and RECOVERED rows plus
+// lostExtra, consumed machine time that of every row plus consumedExtra. A
+// no-op policy has no extras, so its rows are the measured ones exactly.
 type runDelta struct {
-	outcome       int           // final outcome index (1..4, or idxRecovered)
-	nt            metrics.Nanos // the run's measured node time
-	lostExtra     float64       // lost node-hours beyond the run's own: failed retries less checkpointed work
-	banked        float64       // node-hours preserved in durable checkpoints of unrecovered runs
-	ckptOv        float64       // checkpoint-write overhead node-hours
-	restartOv     float64       // restart overhead node-hours of successful retries
-	consumedExtra float64       // machine node-hours beyond the run's own: overheads, retries, re-executed rework
-	delay         float64       // wall-clock hours recovery added to completion
-	bucket        int           // MTTI scale bucket, -1 when outside every bucket
-	attempts      int           // retries attempted
+	lostExtra     float64 // lost node-hours beyond the run's own: failed retries less checkpointed work
+	banked        float64 // node-hours preserved in durable checkpoints of unrecovered runs
+	ckptOv        float64 // checkpoint-write overhead node-hours
+	restartOv     float64 // restart overhead node-hours of successful retries
+	consumedExtra float64 // machine node-hours beyond the run's own: overheads, retries, re-executed rework
+	delay         float64 // wall-clock hours recovery added to completion
+	attempts      int32   // retries attempted
+	outcome       int8    // final outcome index (1..4, or idxRecovered)
 	recovered     bool
 	detected      bool // reclassified by the detection counterfactual
 }
@@ -121,59 +137,53 @@ type runDelta struct {
 // interrupted reports whether the run's final outcome is a system
 // interrupt, recovered or not: the runs whose node time is lost work.
 func (d *runDelta) interrupted() bool {
-	return d.outcome == int(correlate.OutcomeSystemFailure) || d.outcome == idxRecovered
+	return d.outcome == sysOutcome || d.outcome == idxRecovered
 }
 
-// mttiTable answers "what MTTI does a run of n nodes see" from the
-// measured distribution, falling back to the global MTTI for buckets
-// without interrupts and to +Inf when the stream has no interrupts at all.
-type mttiTable struct {
-	bounds  []int
-	buckets []metrics.MTTIBucket
-	global  float64
-}
-
-func newMTTITable(in Input) mttiTable {
-	t := mttiTable{buckets: in.MTTI, global: math.Inf(1)}
+// features reads each run once, in parallel, into its runFeature, then
+// sums the global MTTI over them serially in stream order: the exposure of
+// every run per measured system interrupt, +Inf when there is none. Runs of
+// a bucket without interrupts, or outside every bucket, see the global MTTI.
+func features(in Input, workers int) ([]runFeature, float64) {
+	var bounds []int
 	if len(in.MTTI) > 0 {
-		t.bounds = make([]int, len(in.MTTI)+1)
+		bounds = make([]int, len(in.MTTI)+1)
 		for i, b := range in.MTTI {
-			t.bounds[i] = b.Lo
+			bounds[i] = b.Lo
 		}
-		t.bounds[len(in.MTTI)] = in.MTTI[len(in.MTTI)-1].Hi
+		bounds[len(in.MTTI)] = in.MTTI[len(in.MTTI)-1].Hi
 	}
+	feats := make([]runFeature, len(in.Runs))
+	forChunks(len(feats), workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			r := &in.Runs[i]
+			bucket := sort.SearchInts(bounds, r.NumNodes()+1) - 1
+			if bucket >= len(in.MTTI) {
+				bucket = -1
+			}
+			feats[i] = runFeature{
+				apid:    r.ApID,
+				dur:     r.End.Sub(r.Start),
+				nt:      metrics.NodeTime(r),
+				nodes:   r.Nodes,
+				bucket:  int16(bucket),
+				outcome: int8(r.Outcome),
+				xkUser:  r.Class == machine.ClassXK && r.Outcome == correlate.OutcomeUserFailure,
+			}
+		}
+	})
 	var exposure float64
 	var interrupts int
-	for _, r := range in.Runs {
-		exposure += r.Duration().Hours()
-		if r.Outcome == correlate.OutcomeSystemFailure {
+	for i := range feats {
+		exposure += feats[i].dur.Hours()
+		if feats[i].outcome == sysOutcome {
 			interrupts++
 		}
 	}
-	if interrupts > 0 {
-		t.global = exposure / float64(interrupts)
+	if interrupts == 0 {
+		return feats, math.Inf(1)
 	}
-	return t
-}
-
-// bucketOf returns the scale-bucket index for an n-node run (-1: none).
-func (t mttiTable) bucketOf(n int) int {
-	if len(t.bounds) == 0 {
-		return -1
-	}
-	i := sort.SearchInts(t.bounds, n+1) - 1
-	if i < 0 || i >= len(t.buckets) {
-		return -1
-	}
-	return i
-}
-
-// mttiAt returns the MTTI (hours) a run of n nodes is exposed to.
-func (t mttiTable) mttiAt(n int) float64 {
-	if i := t.bucketOf(n); i >= 0 && t.buckets[i].Interrupts > 0 {
-		return t.buckets[i].MTTIHours
-	}
-	return t.global
+	return feats, exposure / float64(interrupts)
 }
 
 // intervalHours resolves a policy's checkpoint interval for a run exposed
@@ -203,7 +213,44 @@ func intervalHours(pol Policy, m float64) (float64, error) {
 	}
 }
 
-// simulateRun replays one measured run under one policy.
+// scalePlan is a policy at one MTTI: the mean time to interrupt (hours) a
+// run there is exposed to, and the checkpoint interval the policy keeps.
+type scalePlan struct{ mtti, tau float64 }
+
+// sweep is one policy made ready for the kernel: its costs in hours and its
+// plan per MTTI bucket, by bucket+1, so plans[0] is the plan at the global
+// MTTI for runs outside every bucket.
+type sweep struct {
+	pol                        Policy
+	ckptCost, restart, backoff float64
+	plans                      []scalePlan
+}
+
+func newSweep(pol Policy, mtti []metrics.MTTIBucket, global float64) sweep {
+	s := sweep{
+		pol:      pol,
+		ckptCost: pol.CheckpointCost.Hours(),
+		restart:  pol.RestartCost.Hours(),
+		backoff:  pol.RetryBackoff.Hours(),
+		plans:    make([]scalePlan, len(mtti)+1),
+	}
+	for i := range s.plans {
+		m := global
+		if i > 0 && mtti[i-1].Interrupts > 0 {
+			m = mtti[i-1].MTTIHours
+		}
+		tau, err := intervalHours(pol, m)
+		if err != nil {
+			// Policies are validated; what fails is an MTTI of 0 (every
+			// interrupted run of the bucket took no time): no checkpoints.
+			tau = 0
+		}
+		s.plans[i] = scalePlan{mtti: m, tau: tau}
+	}
+	return s
+}
+
+// run replays one measured run under the policy, writing its delta in place.
 //
 // Event model, in order:
 //
@@ -219,58 +266,51 @@ func intervalHours(pol Policy, m float64) (float64, error) {
 //
 // The no-op policy takes none of these branches and reproduces the
 // measured accounting bit for bit.
-func simulateRun(r *correlate.AttributedRun, pol Policy, seed int64, mtti mttiTable) runDelta {
-	n := r.NumNodes()
-	nf := float64(n)
-	dHours := r.Duration().Hours()
-	d := runDelta{bucket: mtti.bucketOf(n), outcome: int(r.Outcome), nt: metrics.NodeTime(r)}
-
-	rng := newPRNG(seed, r.ApID)
+func (s *sweep) run(f *runFeature, seed int64, d *runDelta) {
+	*d = runDelta{outcome: f.outcome}
+	// Only detection candidates and interrupted runs draw.
+	var rng prng
+	if f.xkUser || f.outcome == sysOutcome {
+		rng = newPRNG(seed, f.apid)
+	}
 	// The detection draw is consumed for every candidate run regardless of
 	// DetectFraction, so detect-dimension sweeps see aligned retry draws.
-	if r.Class == machine.ClassXK && r.Outcome == correlate.OutcomeUserFailure {
-		if u := rng.float64(); u < pol.DetectFraction {
-			d.outcome = int(correlate.OutcomeSystemFailure)
+	if f.xkUser {
+		if u := rng.float64(); u < s.pol.DetectFraction {
+			d.outcome = sysOutcome
 			d.detected = true
 		}
 	}
 
-	m := mtti.mttiAt(n)
-	tau, err := intervalHours(pol, m)
-	if err != nil {
-		// Policies are validated before simulation; the only residual
-		// failure is a non-positive MTTI, which mttiAt never produces.
-		tau = 0
-	}
-	ckptCost := pol.CheckpointCost.Hours()
+	p := s.plans[f.bucket+1]
+	nf := float64(f.nodes)
+	dHours := f.dur.Hours()
 	var ckptOvH float64 // per-node hours spent writing checkpoints
 	var savedH float64  // per-node hours preserved by the last checkpoint
-	if tau > 0 {
-		writes := math.Floor(dHours / tau)
-		ckptOvH = writes * ckptCost
-		savedH = writes * tau
+	if p.tau > 0 {
+		writes := math.Floor(dHours / p.tau)
+		ckptOvH = writes * s.ckptCost
+		savedH = writes * p.tau
 	}
 	d.ckptOv = ckptOvH * nf
 
-	if d.outcome != int(correlate.OutcomeSystemFailure) {
+	if d.outcome != sysOutcome {
 		d.consumedExtra = d.ckptOv
-		return d
+		return
 	}
 
 	// A system interrupt: the tail since the last checkpoint is rework.
 	reworkH := dHours - savedH
-	restartH := pol.RestartCost.Hours()
-	needH := restartH + reworkH // wall hours a retry must survive
-	backoffH := pol.RetryBackoff.Hours()
+	needH := s.restart + reworkH // wall hours a retry must survive
 	var retryLostH, delayH float64
-	for i := 0; i < pol.RetryLimit; i++ {
+	for i := 0; i < s.pol.RetryLimit; i++ {
 		d.attempts++
-		delayH += backoffH
-		t := rng.expHours(m)
+		delayH += s.backoff
+		t := rng.expHours(p.mtti)
 		if t >= needH {
 			d.recovered = true
 			delayH += needH
-			d.restartOv = restartH * nf
+			d.restartOv = s.restart * nf
 			break
 		}
 		retryLostH += t
@@ -290,7 +330,21 @@ func simulateRun(r *correlate.AttributedRun, pol Policy, seed int64, mtti mttiTa
 		// The successful retry re-executes the rework tail.
 		d.consumedExtra += reworkH * nf
 	}
-	return d
+}
+
+// forChunks calls body over [0, n) in one contiguous chunk per worker and
+// returns when every chunk is done.
+func forChunks(n, workers int, body func(lo, hi int)) {
+	var wg sync.WaitGroup
+	chunk := (n + workers - 1) / workers
+	for lo := 0; lo < n; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			body(lo, hi)
+		}(lo, min(lo+chunk, n))
+	}
+	wg.Wait()
 }
 
 // Simulate replays the measured stream under each policy (plus the
@@ -310,46 +364,37 @@ func Simulate(in Input, policies []Policy, opts Options) (*Report, error) {
 		}
 		names[p.Name] = true
 	}
+	if len(in.MTTI) > math.MaxInt16 {
+		return nil, fmt.Errorf("whatif: %d MTTI buckets exceed the limit of %d", len(in.MTTI), math.MaxInt16)
+	}
 	workers := opts.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(in.Runs) {
-		workers = max(len(in.Runs), 1)
+	workers = max(min(workers, len(in.Runs)), 1)
+
+	feats, global := features(in, workers)
+	deltas := make([]runDelta, len(feats))
+	simPolicy := func(pol Policy) PolicyResult {
+		s := newSweep(pol, in.MTTI, global)
+		forChunks(len(feats), workers, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				s.run(&feats[i], opts.Seed, &deltas[i])
+			}
+		})
+		return s.fold(feats, deltas, in.MTTI)
 	}
 
-	mtti := newMTTITable(in)
-	measured := metrics.Outcomes(in.Runs)
+	// The baseline ends every run in its measured outcome with no extras:
+	// its outcome rows and consumed node-hours are the measured accounting.
+	base := simPolicy(Policy{Name: "measured-baseline"})
 	rep := &Report{
 		Seed:           opts.Seed,
 		Runs:           len(in.Runs),
-		Measured:       measuredRows(measured),
-		TotalNodeHours: measured.TotalNodeHours,
+		TotalNodeHours: base.ConsumedNodeHours,
+		Measured:       slices.Clone(base.Outcomes),
+		Baseline:       base,
 	}
-
-	deltas := make([]runDelta, len(in.Runs))
-	simPolicy := func(pol Policy) PolicyResult {
-		var wg sync.WaitGroup
-		chunk := (len(in.Runs) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := min(lo+chunk, len(in.Runs))
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					deltas[i] = simulateRun(&in.Runs[i], pol, opts.Seed, mtti)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-		return foldPolicy(pol, deltas, mtti)
-	}
-
-	rep.Baseline = simPolicy(Policy{Name: "measured-baseline"})
 	for _, pol := range policies {
 		res := simPolicy(pol)
 		res.SavedNodeHours = rep.Baseline.LostNodeHours - res.LostNodeHours
@@ -362,54 +407,38 @@ func Simulate(in Input, policies []Policy, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// measuredRows renders the measured outcome breakdown in the simulator's
-// row shape. The breakdown and foldPolicy's outcome rows are one
-// accumulation: each row's node-hours are its runs' exact metrics.NodeTime
-// summed and converted once, so the no-op replay, which ends every run in
-// its measured outcome, renders these rows byte for byte in any run order.
-func measuredRows(b metrics.OutcomeBreakdown) []OutcomeRow {
-	rows := make([]OutcomeRow, len(outcomeLabels))
-	for i, o := range outcomeLabels {
-		rows[i] = OutcomeRow{Outcome: o.label}
-		if o.idx != idxRecovered {
-			rows[i].Runs = b.Counts[correlate.Outcome(o.idx)]
-			rows[i].NodeHours = b.NodeHours[correlate.Outcome(o.idx)]
-		}
-	}
-	return rows
-}
-
-// foldPolicy reduces per-run deltas into a PolicyResult, strictly in
-// stream order.
-func foldPolicy(pol Policy, deltas []runDelta, mtti mttiTable) PolicyResult {
-	res := PolicyResult{Name: pol.Name, Policy: pol}
+// fold reduces per-run deltas into a PolicyResult, strictly in stream
+// order. Each outcome row's node-hours are its runs' exact node time summed
+// and converted once, so they do not depend on the run order.
+func (s *sweep) fold(feats []runFeature, deltas []runDelta, mtti []metrics.MTTIBucket) PolicyResult {
+	res := PolicyResult{Name: s.pol.Name, Policy: s.pol}
 	var counts [numOutcomes]int
 	var nodeTime [numOutcomes]metrics.Nanos
 	var lostExtra, consumedExtra float64
-	byScale := make([]scaleAgg, len(mtti.buckets))
+	byScale := make([]scaleAgg, len(mtti))
 	for i := range deltas {
-		d := &deltas[i]
+		d, f := &deltas[i], &feats[i]
 		counts[d.outcome]++
-		nodeTime[d.outcome].Add(d.nt)
+		nodeTime[d.outcome].Add(f.nt)
 		lostExtra += d.lostExtra
 		consumedExtra += d.consumedExtra
 		res.BankedNodeHours += d.banked
 		res.CheckpointOverheadNodeHours += d.ckptOv
 		res.RestartOverheadNodeHours += d.restartOv
 		res.RecoveryDelayHours += d.delay
-		res.RetriesAttempted += d.attempts
+		res.RetriesAttempted += int(d.attempts)
 		if d.recovered {
 			res.RunsRecovered++
 		}
 		if d.detected {
 			res.RunsDetected++
 		}
-		if d.bucket >= 0 {
-			agg := &byScale[d.bucket]
+		if f.bucket >= 0 {
+			agg := &byScale[f.bucket]
 			agg.runs++
 			if d.interrupted() {
 				agg.interrupts++
-				agg.lost.Add(d.nt)
+				agg.lost.Add(f.nt)
 				agg.lostExtra += d.lostExtra
 			}
 			if d.recovered {
@@ -439,23 +468,15 @@ func foldPolicy(pol Policy, deltas []runDelta, mtti mttiTable) PolicyResult {
 	for i, o := range outcomeLabels {
 		res.Outcomes[i] = OutcomeRow{Outcome: o.label, Runs: counts[o.idx], NodeHours: nodeTime[o.idx].Hours()}
 	}
-	res.ByScale = make([]ScaleRow, len(mtti.buckets))
-	for i, b := range mtti.buckets {
-		m := mtti.global
-		if b.Interrupts > 0 {
-			m = b.MTTIHours
-		}
-		tau, err := intervalHours(pol, m)
-		if err != nil {
-			tau = 0
-		}
+	res.ByScale = make([]ScaleRow, len(mtti))
+	for i, b := range mtti {
 		res.ByScale[i] = ScaleRow{
 			Lo: b.Lo, Hi: b.Hi,
-			Label:         bucketLabel(b.Lo, b.Hi),
+			Label:         metrics.ScaleBucket{Lo: b.Lo, Hi: b.Hi}.Label(),
 			Runs:          byScale[i].runs,
 			Interrupts:    byScale[i].interrupts,
 			MTTIHours:     b.MTTIHours,
-			TauHours:      tau,
+			TauHours:      s.plans[i+1].tau,
 			RunsRecovered: byScale[i].recovered,
 			LostNodeHours: byScale[i].lost.Hours() + byScale[i].lostExtra,
 		}
@@ -469,25 +490,4 @@ type scaleAgg struct {
 	runs, interrupts, recovered int
 	lost                        metrics.Nanos
 	lostExtra                   float64
-}
-
-// bucketLabel matches metrics.ScaleBucket.Label.
-func bucketLabel(lo, hi int) string {
-	if hi-lo == 1 {
-		return fmt.Sprintf("%d", lo)
-	}
-	return fmt.Sprintf("%d-%d", lo, hi-1)
-}
-
-// SilentCandidates counts the detection counterfactual's target
-// population: hybrid-node (XK) runs the measured attribution blamed on
-// the USER. DetectFraction draws against exactly this population.
-func SilentCandidates(runs []correlate.AttributedRun) int {
-	var n int
-	for _, r := range runs {
-		if r.Class == machine.ClassXK && r.Outcome == correlate.OutcomeUserFailure {
-			n++
-		}
-	}
-	return n
 }
