@@ -39,10 +39,9 @@ type promMetrics struct {
 	// them. served - renders is the work the cache saved.
 	cacheServed  atomic.Uint64
 	cacheRenders atomic.Uint64
-	// whatifServed counts /v1/whatif responses answered from the per-epoch
-	// report cache; whatifRenders counts actual simulations (cache fills
-	// plus uncached renders). served - renders is the simulation work the
-	// cache saved.
+	// whatifServed counts /v1/whatif 200s, cached or not; whatifRenders
+	// counts actual simulations (cache fills plus uncached renders), so
+	// served - renders is the simulation work the cache saved.
 	whatifServed  atomic.Uint64
 	whatifRenders atomic.Uint64
 }
@@ -127,7 +126,7 @@ func (m *promMetrics) render(w http.ResponseWriter, gauges map[string]float64, f
 	b.WriteString("# HELP logdiver_cache_renders_total Once-per-epoch view renders filling the response cache.\n")
 	b.WriteString("# TYPE logdiver_cache_renders_total counter\n")
 	fmt.Fprintf(&b, "logdiver_cache_renders_total %d\n", m.cacheRenders.Load())
-	b.WriteString("# HELP logdiver_whatif_served_total /v1/whatif responses served from the per-epoch report cache.\n")
+	b.WriteString("# HELP logdiver_whatif_served_total /v1/whatif responses served (200s, cached or not).\n")
 	b.WriteString("# TYPE logdiver_whatif_served_total counter\n")
 	fmt.Fprintf(&b, "logdiver_whatif_served_total %d\n", m.whatifServed.Load())
 	b.WriteString("# HELP logdiver_whatif_renders_total Counterfactual simulations run to answer /v1/whatif.\n")

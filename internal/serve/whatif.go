@@ -136,8 +136,8 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		return encodeJSON(whatifResponse{Epoch: snap.Epoch, Partial: snap.Partial, Report: rep})
 	}
 
+	s.prom.whatifServed.Add(1)
 	if cv, ok := s.cacheFor(snap).whatif.view(key, render, &s.prom.whatifRenders); ok {
-		s.prom.whatifServed.Add(1)
 		cv.write(w, r)
 		return
 	}

@@ -267,10 +267,18 @@ func TestWhatifCachedBytesDifferential(t *testing.T) {
 
 // TestWhatifCacheCapacity fills the per-epoch report cache past its bound
 // and checks overflow requests are still answered correctly, just without
-// caching, and that the render counter reflects the uncached work.
+// caching, that the render counter reflects the uncached work, and that
+// every 200 counts as served: served - renders is exactly the cache hits.
 func TestWhatifCacheCapacity(t *testing.T) {
 	st := testStore(t)
 	srv := newTestServer(t, st, Config{})
+	hits := func(want int64) {
+		t.Helper()
+		served, renders := int64(srv.prom.whatifServed.Load()), int64(srv.prom.whatifRenders.Load())
+		if served-renders != want {
+			t.Errorf("served %d - renders %d = %d, want %d cache hits", served, renders, served-renders, want)
+		}
+	}
 
 	// Fill the cache with distinct seeds.
 	for i := 0; i < whatifCacheMax; i++ {
@@ -283,6 +291,7 @@ func TestWhatifCacheCapacity(t *testing.T) {
 	if renders != whatifCacheMax {
 		t.Fatalf("renders %d, want %d", renders, whatifCacheMax)
 	}
+	hits(0)
 
 	// Overflow request: still 200, rendered uncached, and repeatable.
 	over1 := post(t, srv, "/v1/whatif?seed=999", "", nil)
@@ -296,6 +305,7 @@ func TestWhatifCacheCapacity(t *testing.T) {
 	if got := srv.prom.whatifRenders.Load(); got != renders+2 {
 		t.Errorf("overflow renders %d, want %d (each overflow request re-renders)", got, renders+2)
 	}
+	hits(0)
 
 	// Cached entries still serve from cache (no new renders).
 	before := srv.prom.whatifRenders.Load()
@@ -305,6 +315,7 @@ func TestWhatifCacheCapacity(t *testing.T) {
 	if got := srv.prom.whatifRenders.Load(); got != before {
 		t.Errorf("cached re-read rendered again (%d -> %d)", before, got)
 	}
+	hits(1)
 
 	// Epoch advance resets capacity.
 	snap := *st.Current()
@@ -312,10 +323,7 @@ func TestWhatifCacheCapacity(t *testing.T) {
 	if r := post(t, srv, "/v1/whatif?seed=999", "", nil); r.Code != 200 {
 		t.Fatalf("post-advance status %d", r.Code)
 	}
-	served := srv.prom.whatifServed.Load()
-	if served == 0 {
-		t.Error("whatifServed never incremented")
-	}
+	hits(1)
 }
 
 // TestWhatifFleetMergedView checks /v1/whatif in fleet mode simulates over
