@@ -142,8 +142,7 @@ func testSnapshotServer(t *testing.T, cfg serve.Config) *httptest.Server {
 				Start:     base.Add(time.Duration(i) * time.Minute),
 				End:       base.Add(time.Duration(i+1) * time.Minute),
 			},
-			Class:   machine.ClassXE,
-			Outcome: correlate.OutcomeSuccess,
+			Attribution: correlate.Attribution{Class: machine.ClassXE, Outcome: correlate.OutcomeSuccess},
 		}
 	}
 	snap, err := store.Build(&core.Result{Runs: runs, Agg: metrics.Fold(runs)}, top, store.IngestStats{}, base)

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"logdiver/internal/coalesce"
 	"logdiver/internal/persist"
 )
 
@@ -65,7 +66,8 @@ func stateCmd(args []string) error {
 			OpenRuns:   len(p.Alps.Open),
 			Done:       len(p.Alps.Done),
 			Attributed: len(p.Attr),
-			Events:     len(p.Events),
+			Events:     len(coalesce.Dedup(p.Events)),
+			RawEvents:  len(p.Events) + p.DuplicateEvents,
 		},
 	}
 	for i, name := range []string{"accounting", "apsys", "syslog"} {
@@ -93,9 +95,9 @@ func stateCmd(args []string) error {
 		fmt.Printf("tail:       %-10s offset=%d carry=%dB inode=%d\n",
 			tv.Archive, tv.Offset, tv.CarryBytes, tv.Inode)
 	}
-	fmt.Printf("pipeline:   %d jobs, %d open runs, %d completed (%d attributed), %d events\n",
+	fmt.Printf("pipeline:   %d jobs, %d open runs, %d completed (%d attributed), %d events (%d raw)\n",
 		view.Pipeline.Jobs, view.Pipeline.OpenRuns, view.Pipeline.Done,
-		view.Pipeline.Attributed, view.Pipeline.Events)
+		view.Pipeline.Attributed, view.Pipeline.Events, view.Pipeline.RawEvents)
 	return nil
 }
 
@@ -132,4 +134,5 @@ type pipelineView struct {
 	Done       int `json:"completed_runs"`
 	Attributed int `json:"attributed_runs"`
 	Events     int `json:"events"`
+	RawEvents  int `json:"raw_events"`
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"logdiver/internal/core"
+	"logdiver/internal/machine"
 	"logdiver/internal/persist"
 	"logdiver/internal/store"
 )
@@ -139,5 +140,76 @@ func TestStateSubcommandErrors(t *testing.T) {
 	}
 	if err := run([]string{"state", "-file", good}); err == nil {
 		t.Error("bit-rotted state file accepted")
+	}
+}
+
+// TestStateCountsEventsLikeResult: on a state saved from a generated archive
+// with new and duplicate log lines no Result has seen yet, `logdiver state`
+// counts `events` after deduplication and `raw_events` before it, as the
+// pipeline's Result (and so /v1/health) counts them.
+func TestStateCountsEventsLikeResult(t *testing.T) {
+	dir := t.TempDir()
+	writeArchive(t, dir)
+	var text [3][]byte
+	for i, name := range []string{"accounting.log", "apsys.log", "syslog.log"} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		text[i] = b
+	}
+	top, err := machine.New(machine.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := core.NewIncremental(top, time.UTC, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The second append is the syslog's second half and its second quarter
+	// again.
+	lines := strings.SplitAfter(string(text[2]), "\n")
+	q := len(lines) / 4
+	if _, err := inc.Append(core.Delta{Accounting: text[0], Apsys: text[1], Syslog: []byte(strings.Join(lines[:2*q], ""))}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc.Result(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc.Append(core.Delta{Syslog: []byte(strings.Join(lines[2*q:], "") + strings.Join(lines[q:2*q], ""))}); err != nil {
+		t.Fatal(err)
+	}
+	pst, err := inc.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := inc.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RawEvents <= len(res.Events) || len(res.Events) == 0 {
+		t.Fatalf("fixture: %d raw events for %d kept, want duplicates", res.RawEvents, len(res.Events))
+	}
+	path := filepath.Join(dir, persist.StateFile)
+	if err := persist.Save(path, &persist.State{Syncer: &store.SyncerState{Pipeline: pst}}); err != nil {
+		t.Fatal(err)
+	}
+	out := captureStdout(t, func() {
+		if err := run([]string{"state", "-file", path, "-json"}); err != nil {
+			t.Errorf("state -json failed: %v", err)
+		}
+	})
+	var view struct {
+		Pipeline struct {
+			Events    int `json:"events"`
+			RawEvents int `json:"raw_events"`
+		} `json:"pipeline"`
+	}
+	if err := json.Unmarshal([]byte(out), &view); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, out)
+	}
+	if view.Pipeline.Events != len(res.Events) || view.Pipeline.RawEvents != res.RawEvents {
+		t.Errorf("state counts %d events, %d raw; the Result %d and %d",
+			view.Pipeline.Events, view.Pipeline.RawEvents, len(res.Events), res.RawEvents)
 	}
 }

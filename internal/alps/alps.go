@@ -53,11 +53,11 @@ type AppRun struct {
 }
 
 // Duration returns the run's wall-clock duration.
-func (r AppRun) Duration() time.Duration { return r.End.Sub(r.Start) }
+func (r *AppRun) Duration() time.Duration { return r.End.Sub(r.Start) }
 
 // Failed reports whether the run terminated abnormally (nonzero exit code
 // or fatal signal).
-func (r AppRun) Failed() bool { return r.ExitCode != 0 || r.Signal != 0 }
+func (r *AppRun) Failed() bool { return r.ExitCode != 0 || r.Signal != 0 }
 
 // StartMessage renders the apsys "Starting" message body for r.
 func StartMessage(r AppRun) string {

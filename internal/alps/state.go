@@ -2,6 +2,7 @@ package alps
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -25,17 +26,16 @@ type AssemblerState struct {
 }
 
 // State exports the assembler for persistence. The returned state shares no
-// mutable memory with the assembler: AppRun placements are not copied (they
-// are never mutated after Add), but the containers are fresh.
+// mutable memory with the assembler: Done shares the completed runs, which
+// are never written after they complete, and Open is a fresh container.
 func (a *Assembler) State() AssemblerState {
 	st := AssemblerState{
 		Open:       make([]AppRun, 0, len(a.open)),
-		Done:       make([]AppRun, len(a.done)),
+		Done:       slices.Clip(a.done),
 		Unmatched:  a.unmatched,
 		Duplicates: a.duplicates,
 		Clamped:    a.clamped,
 	}
-	copy(st.Done, a.done)
 	for _, r := range a.open {
 		st.Open = append(st.Open, r)
 	}
@@ -43,19 +43,18 @@ func (a *Assembler) State() AssemblerState {
 	return st
 }
 
-// RestoreAssembler rebuilds an assembler from a persisted state. The caller
-// re-applies the duplicate policy with SetLenient. A state carrying the same
-// apid twice in Open is corrupt and rejected.
+// RestoreAssembler rebuilds an assembler from a persisted state, taking over
+// st.Done. The caller re-applies the duplicate policy with SetLenient. A
+// state carrying the same apid twice in Open is corrupt and rejected.
 func RestoreAssembler(st AssemblerState) (*Assembler, error) {
 	a := &Assembler{
 		open:       make(map[uint64]AppRun, len(st.Open)),
-		done:       make([]AppRun, len(st.Done)),
+		done:       slices.Clip(st.Done), // an append never writes the caller's array
 		unmatched:  st.Unmatched,
 		duplicates: st.Duplicates,
 		clamped:    st.Clamped,
 		interned:   make(map[string]string),
 	}
-	copy(a.done, st.Done)
 	for _, r := range st.Open {
 		if _, dup := a.open[r.ApID]; dup {
 			return nil, fmt.Errorf("alps: restore: apid %d open twice", r.ApID)

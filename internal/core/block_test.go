@@ -79,7 +79,7 @@ func refSyslogBlock(data []byte, firstLine int, top *machine.Topology, cls *taxo
 // apsysFold is what one apsys block contributes to the pipeline: the
 // counted lines, the malformed-line accounting, and — since the parsed
 // messages matter only through the runs they pair into — the state of a
-// lenient assembler the messages were folded into.
+// lenient assembler the messages were added to.
 type apsysFold struct {
 	lines      int
 	stats      parse.LineStats

@@ -4,7 +4,7 @@ package core
 // service tails growing archives and appends each new chunk of raw log
 // text; the Incremental keeps the persistent parse state (the accounting
 // and apsys assemblers, whose half-open records span append boundaries, the
-// classified event stream, and the cumulative ParseStats with absolute line
+// classified events, and the cumulative ParseStats with absolute line
 // provenance) and, on demand, materializes a *Result equal to what a
 // from-scratch Analyze over the concatenated input would produce — for work
 // proportional to what was appended plus one copy of the runs, with no sort
@@ -24,9 +24,9 @@ package core
 // output order between rounds. Each order is total (wlm.CompareJobs,
 // coalesce.CompareEvents, alps.ByStart), so sorting only a round's own batch
 // and folding it in with mergeSorted lands on the very sequence a sort of
-// everything gives. The carries are derived, not persisted: a restored
-// pipeline sorts its job table once and starts with the other two empty, so
-// its first Result merges everything in.
+// everything gives. Each record has one owner: a completed run lives in the
+// apsys assembler and its attribution beside it, an event in the dedup
+// carry or, until the next Result, in the pending batch.
 // TestIncrementalMatchesAnalyze and TestIncrementalSchedule assert exact
 // Result equality against the batch pipeline after every round.
 
@@ -82,24 +82,25 @@ type Incremental struct {
 
 	wlmAsm  *wlm.Assembler
 	alpsAsm *alps.Assembler
-	events  []errlog.Event
+	// pending are the events since the last Result; raw counts every event.
+	pending []errlog.Event
+	raw     int
 	stats   ParseStats
 	// lineBase holds the raw lines already consumed per archive, so sample
 	// and strict-error line numbers stay absolute across appends.
 	lineBase [3]int
 
-	// attr mirrors alpsAsm.Done() (completion order) with the attribution
-	// of the last Result call; done[len(attr):] are not yet attributed. No
-	// Result shares it, so re-attribution writes it in place.
-	attr []correlate.AttributedRun
+	// attr[i] is the attribution of alpsAsm.Done()[i] at the last Result
+	// call; done[len(attr):] are not yet attributed. No Result shares it, so
+	// re-attribution writes it in place.
+	attr []correlate.Attribution
 	// The sorted carries: order is the indices of attr in alps.ByStart order,
-	// jobs the assembled jobs, dedup the coalesce.Dedup of events[:folded].
-	// Returned Results share a clipped prefix of jobs and dedup, which are
-	// therefore extended or replaced, never written.
-	order  []int
-	jobs   []wlm.Job
-	dedup  []errlog.Event
-	folded int
+	// jobs the assembled jobs, dedup the coalesce.Dedup of the events before
+	// pending. Results and states share a clipped prefix of jobs and dedup,
+	// which are therefore extended or replaced, never written.
+	order []int
+	jobs  []wlm.Job
+	dedup []errlog.Event
 	// dirtyJobs are batch jobs with new accounting records since the last
 	// Result; minNew/haveNew track the earliest new event timestamp.
 	dirtyJobs map[string]struct{}
@@ -222,7 +223,8 @@ func (inc *Incremental) Append(d Delta) (AppendStats, error) {
 			inc.minNew, inc.haveNew = e.Time, true
 		}
 	}
-	inc.events = append(inc.events, evs...)
+	inc.pending = append(inc.pending, evs...)
+	inc.raw += len(evs)
 	st.RunsCompleted = len(inc.alpsAsm.Done())
 	return st, nil
 }
@@ -296,14 +298,14 @@ func (inc *Incremental) Result() (*Result, error) {
 		return nil, inc.err
 	}
 	inc.foldJobs()
-	if fresh := inc.events[inc.folded:]; len(fresh) > 0 {
-		inc.dedup = mergeSorted(inc.dedup, coalesce.Dedup(fresh), coalesce.CompareEvents, coalesce.Duplicate)
-		inc.folded = len(inc.events)
+	if len(inc.pending) > 0 {
+		inc.dedup = mergeSorted(inc.dedup, coalesce.Dedup(inc.pending), coalesce.CompareEvents, coalesce.Duplicate)
+		inc.pending = nil
 	}
 	res := &Result{
 		Jobs:      slices.Clip(inc.jobs),
 		Events:    slices.Clip(inc.dedup),
-		RawEvents: len(inc.events),
+		RawEvents: inc.raw,
 		Parse:     inc.stats,
 	}
 	res.Parse.setAssembler(inc.alpsAsm)
@@ -358,12 +360,12 @@ func (inc *Incremental) Result() (*Result, error) {
 	inc.attr = slices.Grow(inc.attr, len(done)-carried)[:len(done)]
 	for k, i := range affIdx {
 		if i < carried {
-			inc.agg.Sub(&inc.attr[i])
+			inc.agg.Sub(&correlate.AttributedRun{AppRun: done[i], Attribution: inc.attr[i]})
 		} else {
 			inc.span.cover(&done[i])
 		}
-		inc.attr[i] = newAttr[k]
-		inc.agg.Add(&inc.attr[i])
+		inc.attr[i] = newAttr[k].Attribution
+		inc.agg.Add(&newAttr[k])
 	}
 	inc.lastRedo = len(affIdx)
 	inc.dirtyJobs = make(map[string]struct{}) // not clear: a catch-up round's table would stay
@@ -373,7 +375,9 @@ func (inc *Incremental) Result() (*Result, error) {
 	inc.order = mergeSorted(inc.order, alps.StartOrder(done, len(inc.order)), alps.ByStart(done), nil)
 	res.Runs = make([]correlate.AttributedRun, len(inc.order))
 	for k, i := range inc.order {
-		res.Runs[k] = inc.attr[i]
+		// Field by field: a composite literal measured slower on idle rounds.
+		r := &res.Runs[k]
+		r.AppRun, r.Attribution = done[i], inc.attr[i]
 	}
 	res.Agg = inc.agg.Clone()
 	res.Start, res.End = inc.span.start, inc.span.end

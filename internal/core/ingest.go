@@ -13,7 +13,7 @@ package core
 //
 // ParseStats accumulation is race-free by construction: each archive reader
 // owns a private ParseStats, each block's counters and line-stats travel
-// with the block result and are folded in on the single consumer goroutine,
+// with the block result and are merged on the single consumer goroutine,
 // and the three private structs are merged after all readers join.
 //
 // Strict mode is deterministic: each block worker reports the first

@@ -84,7 +84,7 @@ func expandAndWalk(res *Result, top *machine.Topology) []correlate.AttributedRun
 	for i, r := range res.Runs {
 		run := r.AppRun
 		nodes := run.Placement.Nodes()
-		a := correlate.AttributedRun{AppRun: run, Class: machine.ClassXE, Nodes: int32(len(nodes))}
+		a := correlate.AttributedRun{AppRun: run, Attribution: correlate.Attribution{Class: machine.ClassXE, Nodes: int32(len(nodes))}}
 		for _, n := range nodes {
 			if node, err := top.Node(n); err == nil && node.Class == machine.ClassXK {
 				a.Class = machine.ClassXK

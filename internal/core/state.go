@@ -15,39 +15,41 @@ import (
 	"time"
 
 	"logdiver/internal/alps"
+	"logdiver/internal/coalesce"
 	"logdiver/internal/correlate"
 	"logdiver/internal/errlog"
 	"logdiver/internal/machine"
-	"logdiver/internal/metrics"
 	"logdiver/internal/parse"
 	"logdiver/internal/wlm"
 )
 
 // IncrementalState is the serializable resume state of an Incremental: the
-// two assemblers' half-open records, the classified event stream, cumulative
+// two assemblers' half-open records, the classified events, cumulative
 // parse stats with absolute line provenance, the per-archive line bases, and
-// the attribution carry (attr + dirty-job/min-new window bookkeeping).
-// Restoring it and appending a delta is equivalent to having appended the
-// same delta to the original pipeline.
+// the attribution carry (attr + dirty-job/min-new window bookkeeping), each
+// saved as it is held. Restoring it and appending a delta is equivalent to
+// having appended the same delta to the original pipeline.
 type IncrementalState struct {
 	// Jobs is the accounting assembler's job table (wlm.Assembler.State).
 	Jobs []wlm.Job
 	// Alps is the apsys assembler state, including completion order.
 	Alps alps.AssemblerState
-	// Events is the classified event stream in append order (pre-dedup).
+	// Events are the deduplicated carry, then the events appended since the
+	// last Result: deduplicating them gives the carry back.
 	Events []errlog.Event
+	// DuplicateEvents counts the appended events Events leaves out, so
+	// len(Events)+DuplicateEvents is the Result's RawEvents.
+	DuplicateEvents int
 	// Stats is the cumulative ParseStats across all appends.
 	Stats ParseStats
 	// LineBase holds raw lines consumed per archive, in the fixed order
 	// accounting, apsys, syslog; it keeps restored provenance absolute.
 	LineBase [3]int
-	// Attr is the attribution of the last Result call, mirroring
-	// Alps.Done's completion order (len(Attr) <= len(Alps.Done)). Its runs
-	// are zero: each Attr[i].AppRun is Alps.Done[i], which restore puts
-	// back, so a run is serialized once and its placement held once.
-	Attr []correlate.AttributedRun
+	// Attr[i] is the attribution of Alps.Done[i] at the last Result call
+	// (len(Attr) <= len(Alps.Done)).
+	Attr []correlate.Attribution
 	// DirtyJobs, MinNew and HaveNew carry the re-attribution window of
-	// appends not yet folded into a Result (normally empty: the daemon
+	// appends no Result has seen yet (normally empty: the daemon
 	// persists after sync rounds, which always materialize a Result).
 	DirtyJobs []string
 	MinNew    time.Time
@@ -56,10 +58,11 @@ type IncrementalState struct {
 	LastRedo int
 }
 
-// State exports the pipeline for persistence. A poisoned pipeline (failed
-// strict-mode append) has no resumable state and returns its error: the
-// archive position of the failure is unrecoverable, so persisting it would
-// checkpoint a pipeline that can never make progress.
+// State exports the pipeline for persistence. It copies only the
+// attribution, which re-attribution writes in place. A poisoned pipeline
+// (failed strict-mode append) has no resumable state and returns its error:
+// the archive position of the failure is unrecoverable, so persisting it
+// would checkpoint a pipeline that can never make progress.
 func (inc *Incremental) State() (*IncrementalState, error) {
 	if inc.err != nil {
 		return nil, fmt.Errorf("core: cannot persist poisoned pipeline: %w", inc.err)
@@ -67,18 +70,15 @@ func (inc *Incremental) State() (*IncrementalState, error) {
 	st := &IncrementalState{
 		Jobs:     inc.wlmAsm.State(),
 		Alps:     inc.alpsAsm.State(),
-		Events:   append([]errlog.Event(nil), inc.events...),
+		Events:   append(slices.Clip(inc.dedup), inc.pending...),
 		Stats:    inc.stats,
 		LineBase: inc.lineBase,
-		Attr:     make([]correlate.AttributedRun, len(inc.attr)),
+		Attr:     slices.Clone(inc.attr),
 		MinNew:   inc.minNew,
 		HaveNew:  inc.haveNew,
 		LastRedo: inc.lastRedo,
 	}
-	for i, r := range inc.attr {
-		r.AppRun = alps.AppRun{}
-		st.Attr[i] = r
-	}
+	st.DuplicateEvents = inc.raw - len(st.Events)
 	if len(inc.dirtyJobs) > 0 {
 		st.DirtyJobs = make([]string, 0, len(inc.dirtyJobs))
 		for id := range inc.dirtyJobs {
@@ -90,10 +90,10 @@ func (inc *Incremental) State() (*IncrementalState, error) {
 }
 
 // RestoreIncremental rebuilds a pipeline from a persisted state under the
-// caller's configuration (same semantics as NewIncremental). Structural
-// invariants are validated — attribution cannot outrun completion, line
-// bases cannot be negative — so a corrupt state surfaces here instead of as
-// skewed analysis output.
+// caller's configuration (same semantics as NewIncremental). The pipeline
+// takes over st's runs and attribution. Structural invariants are validated
+// — attribution cannot outrun completion, line bases cannot be negative —
+// so a corrupt state surfaces here instead of as skewed analysis output.
 func RestoreIncremental(top *machine.Topology, loc *time.Location, opts Options, st *IncrementalState) (*Incremental, error) {
 	if st == nil {
 		return nil, fmt.Errorf("core: nil incremental state")
@@ -123,21 +123,21 @@ func RestoreIncremental(top *machine.Topology, loc *time.Location, opts Options,
 	inc.jobs = slices.Clone(st.Jobs) // State wrote them sorted: this sort is one pass
 	slices.SortFunc(inc.jobs, wlm.CompareJobs)
 	inc.alpsAsm = alpsAsm
-	inc.events = append([]errlog.Event(nil), st.Events...)
+	inc.dedup = coalesce.Dedup(st.Events)
+	inc.raw = len(st.Events) + st.DuplicateEvents
 	inc.stats = st.Stats
 	inc.lineBase = st.LineBase
 	done := alpsAsm.Done()
-	inc.attr = make([]correlate.AttributedRun, len(st.Attr))
-	for i, r := range st.Attr {
-		if r.Outcome < correlate.OutcomeSuccess || r.Outcome > correlate.OutcomeSystemFailure {
-			return nil, fmt.Errorf("core: restore: run %d has outcome %v", i, r.Outcome)
+	inc.attr = st.Attr
+	// The aggregate and the span are derived, not persisted: refold them.
+	for i := range inc.attr {
+		run := correlate.AttributedRun{AppRun: done[i], Attribution: inc.attr[i]}
+		if run.Outcome < correlate.OutcomeSuccess || run.Outcome > correlate.OutcomeSystemFailure {
+			return nil, fmt.Errorf("core: restore: run %d has outcome %v", i, run.Outcome)
 		}
-		r.AppRun = done[i]
-		inc.attr[i] = r
+		inc.agg.Add(&run)
 		inc.span.cover(&done[i])
 	}
-	// The aggregate and the span are derived, not persisted: refold them.
-	inc.agg = metrics.Fold(inc.attr)
 	for _, id := range st.DirtyJobs {
 		inc.dirtyJobs[id] = struct{}{}
 	}

@@ -74,6 +74,12 @@ func (o Outcome) String() string {
 // AttributedRun is an application run with its outcome attribution.
 type AttributedRun struct {
 	alps.AppRun
+	Attribution
+}
+
+// Attribution is what the join decides about one run, held apart from the
+// run so the online pipeline keeps each run once, in its assembler.
+type Attribution struct {
 	// Class is ClassXK when the placement includes any hybrid node,
 	// otherwise ClassXE.
 	Class machine.NodeClass
@@ -175,7 +181,7 @@ func (c *Correlator) isWalltimeKill(run alps.AppRun) bool {
 
 // Attribute classifies one run.
 func (c *Correlator) Attribute(run alps.AppRun) AttributedRun {
-	out := AttributedRun{AppRun: run, Class: machine.ClassXE, Nodes: int32(run.Placement.Len())}
+	out := AttributedRun{AppRun: run, Attribution: Attribution{Class: machine.ClassXE, Nodes: int32(run.Placement.Len())}}
 	if c.top.AnyXK(run.Placement) { // any XK node makes the run hybrid
 		out.Class = machine.ClassXK
 	}

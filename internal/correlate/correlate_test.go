@@ -1,6 +1,7 @@
 package correlate
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -349,9 +350,37 @@ func TestQualifying(t *testing.T) {
 
 // TestAttributedRunSize pins the per-run record every Result, snapshot and
 // what-if input holds a copy of: carrying a placement must not grow it past
-// the 264 bytes an expanded node list took.
+// the 264 bytes an expanded node list took. It also pins the attribution
+// alone, the per-run record the online pipeline carries and saves.
 func TestAttributedRunSize(t *testing.T) {
 	if n := unsafe.Sizeof(AttributedRun{}); n > 264 {
 		t.Errorf("AttributedRun is %d bytes, want at most 264", n)
 	}
+	if n := unsafe.Sizeof(Attribution{}); n > 112 {
+		t.Errorf("Attribution is %d bytes, want at most 112", n)
+	}
+}
+
+// TestAttributionHoldsNoRun: the attribution the pipeline carries and saves
+// beside each completed run holds no run and no placement of its own, so a
+// run is held, and saved, once.
+func TestAttributionHoldsNoRun(t *testing.T) {
+	forbidden := []reflect.Type{reflect.TypeOf(alps.AppRun{}), reflect.TypeOf(machine.Placement{})}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		for _, f := range forbidden {
+			if typ == f {
+				t.Errorf("Attribution%s is a %v", path, typ)
+			}
+		}
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(typ.Field(i).Type, path+"."+typ.Field(i).Name)
+			}
+		case reflect.Array, reflect.Slice, reflect.Pointer:
+			walk(typ.Elem(), path+"[]")
+		}
+	}
+	walk(reflect.TypeOf(Attribution{}), "")
 }

@@ -373,8 +373,8 @@ func TestE11Energy(t *testing.T) {
 		{1000, machine.ClassXE, correlate.OutcomeSuccess},
 	} {
 		res.Runs = append(res.Runs, correlate.AttributedRun{
-			AppRun: alps.AppRun{Start: base, End: base.Add(10 * time.Hour)},
-			Class:  r.class, Outcome: r.outcome, Nodes: r.nodes,
+			AppRun:      alps.AppRun{Start: base, End: base.Add(10 * time.Hour)},
+			Attribution: correlate.Attribution{Class: r.class, Outcome: r.outcome, Nodes: r.nodes},
 		})
 	}
 	got := E11Energy(res).Rows
@@ -408,8 +408,8 @@ func TestE12InterruptDist(t *testing.T) {
 	res := &core.Result{}
 	add := func(class machine.NodeClass, outcome correlate.Outcome) {
 		res.Runs = append(res.Runs, correlate.AttributedRun{
-			AppRun: alps.AppRun{ApID: uint64(len(res.Runs) + 1), Start: base, End: base.Add(time.Hour)},
-			Class:  class, Outcome: outcome, Nodes: 1,
+			AppRun:      alps.AppRun{ApID: uint64(len(res.Runs) + 1), Start: base, End: base.Add(time.Hour)},
+			Attribution: correlate.Attribution{Class: class, Outcome: outcome, Nodes: 1},
 		})
 	}
 	check := func(want ...string) { // interrupts of all, XE and XK runs
@@ -654,7 +654,7 @@ func tieFixture() *core.Result {
 			ApID: uint64(i + 1), Cmd: fmt.Sprintf("app%02d", i),
 			Placement: machine.Placement{{Lo: machine.NodeID(20 + i), Hi: machine.NodeID(20 + i)}},
 			Start:     base.Add(time.Duration(i) * time.Minute),
-		}, Outcome: correlate.OutcomeSuccess}
+		}, Attribution: correlate.Attribution{Outcome: correlate.OutcomeSuccess}}
 		r.End = r.Start.Add(time.Hour)
 		if i < 2 { // killed by the first two events
 			r.End = res.Events[i].Time.Add(time.Minute)

@@ -47,11 +47,13 @@ func randomRuns(rng *rand.Rand, n int, top *machine.Topology) []correlate.Attrib
 		}
 		start := base.Add(time.Duration(rng.Int63n(int64(30 * 24 * time.Hour))))
 		runs[i] = correlate.AttributedRun{
-			AppRun:  alps.AppRun{ApID: uint64(i + 1), Start: start, End: start.Add(dur)},
-			Class:   class,
-			Outcome: correlate.Outcomes()[rng.Intn(4)],
-			Cause:   cats[rng.Intn(len(cats))],
-			Nodes:   int32(nodes),
+			AppRun: alps.AppRun{ApID: uint64(i + 1), Start: start, End: start.Add(dur)},
+			Attribution: correlate.Attribution{
+				Class:   class,
+				Outcome: correlate.Outcomes()[rng.Intn(4)],
+				Cause:   cats[rng.Intn(len(cats))],
+				Nodes:   int32(nodes),
+			},
 		}
 		if runs[i].Outcome != correlate.OutcomeSystemFailure && rng.Intn(2) == 0 {
 			runs[i].Cause = 0

@@ -20,10 +20,7 @@ func mkRun(apid uint64, nNodes int, dur time.Duration, class machine.NodeClass, 
 			Start: base,
 			End:   base.Add(dur),
 		},
-		Class:   class,
-		Outcome: outcome,
-		Cause:   cause,
-		Nodes:   int32(nNodes),
+		Attribution: correlate.Attribution{Class: class, Outcome: outcome, Cause: cause, Nodes: int32(nNodes)},
 	}
 }
 

@@ -444,10 +444,12 @@ func FuzzRunRowMatchesMarshal(f *testing.F) {
 				Start: start,
 				End:   start.Add(time.Duration(durNs)),
 			},
-			Class:   machine.NodeClass(class % 5),
-			Outcome: correlate.Outcome(outcome % 7),
-			Cause:   taxonomy.Category(cause),
-			Nodes:   nodes,
+			Attribution: correlate.Attribution{
+				Class:   machine.NodeClass(class % 5),
+				Outcome: correlate.Outcome(outcome % 7),
+				Cause:   taxonomy.Category(cause),
+				Nodes:   nodes,
+			},
 		}
 		want, err := json.Marshal(makeRunListRow(&run))
 		if err != nil {

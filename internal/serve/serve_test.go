@@ -430,8 +430,7 @@ func syntheticSnapshot(t testing.TB, top *machine.Topology, n int) *store.Snapsh
 				Start:     base.Add(time.Duration(i) * time.Minute),
 				End:       base.Add(time.Duration(i+1) * time.Minute),
 			},
-			Class:   machine.ClassXE,
-			Outcome: correlate.OutcomeSuccess,
+			Attribution: correlate.Attribution{Class: machine.ClassXE, Outcome: correlate.OutcomeSuccess},
 		}
 	}
 	res := &core.Result{Runs: runs, Agg: metrics.Fold(runs)}

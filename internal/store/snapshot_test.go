@@ -78,8 +78,7 @@ func pageSnapshot(t *testing.T, apids []uint64) *Snapshot {
 				Start:     base.Add(time.Duration(i) * time.Minute),
 				End:       base.Add(time.Duration(i+1) * time.Minute),
 			},
-			Class:   machine.ClassXE,
-			Outcome: correlate.OutcomeSuccess,
+			Attribution: correlate.Attribution{Class: machine.ClassXE, Outcome: correlate.OutcomeSuccess},
 		}
 	}
 	snap, err := Build(&core.Result{Runs: runs, Agg: metrics.Fold(runs)}, top, IngestStats{}, base)

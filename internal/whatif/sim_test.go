@@ -155,10 +155,8 @@ func TestMeasuredEqualsNoopReplay(t *testing.T) {
 		for i := 0; i < 9; i++ {
 			dur := time.Duration(1+i*i*37+k) * 1234567891 * time.Nanosecond
 			runs = append(runs, correlate.AttributedRun{
-				AppRun:  alps.AppRun{ApID: uint64(len(runs) + 1), Start: base, End: base.Add(dur)},
-				Class:   machine.ClassXE,
-				Outcome: o,
-				Nodes:   int32(1 + (i*7+k)%13),
+				AppRun:      alps.AppRun{ApID: uint64(len(runs) + 1), Start: base, End: base.Add(dur)},
+				Attribution: correlate.Attribution{Class: machine.ClassXE, Outcome: o, Nodes: int32(1 + (i*7+k)%13)},
 			})
 		}
 	}
