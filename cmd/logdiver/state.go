@@ -8,12 +8,12 @@ import (
 	"path/filepath"
 	"time"
 
-	"logdiver/internal/coalesce"
 	"logdiver/internal/persist"
 )
 
 // stateCmd inspects and verifies a logdiverd state file: it runs the full
-// Load validation (magic, version, length, checksum, payload decode) and
+// Load validation (magic, version, length, checksum, then the payload's
+// records one by one) and
 // prints what the daemon would restore — epoch, configuration fingerprint,
 // ingest history, tail offsets, pipeline population. Any validation
 // failure is reported with the same typed error the daemon would act on,
@@ -48,6 +48,7 @@ func stateCmd(args []string) error {
 
 	sy := st.Syncer
 	p := sy.Pipeline
+	events, rawEvents := p.EventCounts()
 	view := stateView{
 		Path:        path,
 		SizeBytes:   fi.Size(),
@@ -66,8 +67,8 @@ func stateCmd(args []string) error {
 			OpenRuns:   len(p.Alps.Open),
 			Done:       len(p.Alps.Done),
 			Attributed: len(p.Attr),
-			Events:     len(coalesce.Dedup(p.Events)),
-			RawEvents:  len(p.Events) + p.DuplicateEvents,
+			Events:     events,
+			RawEvents:  rawEvents,
 		},
 	}
 	for i, name := range []string{"accounting", "apsys", "syslog"} {

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -143,6 +146,29 @@ func TestStateSubcommandErrors(t *testing.T) {
 	}
 }
 
+// TestStateRejectsVersion2: a file in the version-2 format, which held the
+// whole state as one gob value, is refused at its header with the
+// VersionError naming both versions, before any of its payload is read.
+func TestStateRejectsVersion2(t *testing.T) {
+	path := writeStateFile(t, t.TempDir())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint32(data[len("LDVSTATE"):], 2)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"state", "-file", path})
+	var ve *persist.VersionError
+	if !errors.As(err, &ve) {
+		t.Fatalf("state on a version-2 file: %v (%T), want a *persist.VersionError", err, err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "version 2") || !strings.Contains(msg, fmt.Sprintf("version %d", persist.Version)) || !strings.Contains(msg, path) {
+		t.Errorf("error %q does not name the file and both versions", msg)
+	}
+}
+
 // TestStateCountsEventsLikeResult: on a state saved from a generated archive
 // with new and duplicate log lines no Result has seen yet, `logdiver state`
 // counts `events` after deduplication and `raw_events` before it, as the
@@ -179,8 +205,13 @@ func TestStateCountsEventsLikeResult(t *testing.T) {
 	if _, err := inc.Append(core.Delta{Syslog: []byte(strings.Join(lines[2*q:], "") + strings.Join(lines[q:2*q], ""))}); err != nil {
 		t.Fatal(err)
 	}
+	// The state shares the pipeline's carries: save it before the Result.
 	pst, err := inc.State()
 	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, persist.StateFile)
+	if err := persist.Save(path, &persist.State{Syncer: &store.SyncerState{Pipeline: pst}}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := inc.Result()
@@ -189,10 +220,6 @@ func TestStateCountsEventsLikeResult(t *testing.T) {
 	}
 	if res.RawEvents <= len(res.Events) || len(res.Events) == 0 {
 		t.Fatalf("fixture: %d raw events for %d kept, want duplicates", res.RawEvents, len(res.Events))
-	}
-	path := filepath.Join(dir, persist.StateFile)
-	if err := persist.Save(path, &persist.State{Syncer: &store.SyncerState{Pipeline: pst}}); err != nil {
-		t.Fatal(err)
 	}
 	out := captureStdout(t, func() {
 		if err := run([]string{"state", "-file", path, "-json"}); err != nil {

@@ -30,15 +30,17 @@ import (
 // saved as it is held. Restoring it and appending a delta is equivalent to
 // having appended the same delta to the original pipeline.
 type IncrementalState struct {
-	// Jobs is the accounting assembler's job table (wlm.Assembler.State).
+	// Jobs is the accounting assembler's job table in wlm.CompareJobs order.
 	Jobs []wlm.Job
 	// Alps is the apsys assembler state, including completion order.
 	Alps alps.AssemblerState
-	// Events are the deduplicated carry, then the events appended since the
-	// last Result: deduplicating them gives the carry back.
+	// Events is the deduplicated event carry: in coalesce.CompareEvents
+	// order, no two of them duplicates.
 	Events []errlog.Event
-	// DuplicateEvents counts the appended events Events leaves out, so
-	// len(Events)+DuplicateEvents is the Result's RawEvents.
+	// Pending are the events appended since the last Result, as appended.
+	Pending []errlog.Event
+	// DuplicateEvents counts the appended events the carry leaves out, so
+	// len(Events)+len(Pending)+DuplicateEvents is the Result's RawEvents.
 	DuplicateEvents int
 	// Stats is the cumulative ParseStats across all appends.
 	Stats ParseStats
@@ -58,28 +60,34 @@ type IncrementalState struct {
 	LastRedo int
 }
 
-// State exports the pipeline for persistence. It copies only the
-// attribution, which re-attribution writes in place. A poisoned pipeline
-// (failed strict-mode append) has no resumable state and returns its error:
-// the archive position of the failure is unrecoverable, so persisting it
-// would checkpoint a pipeline that can never make progress.
+// State exports the pipeline for persistence. The state shares the
+// pipeline's carries instead of copying them, so it is valid until the next
+// Append or Result: encode it before then (re-attribution writes the
+// attribution in place). A poisoned pipeline (failed strict-mode append) has
+// no resumable state and returns its error: the archive position of the
+// failure is unrecoverable, so persisting it would checkpoint a pipeline
+// that can never make progress.
 func (inc *Incremental) State() (*IncrementalState, error) {
 	if inc.err != nil {
 		return nil, fmt.Errorf("core: cannot persist poisoned pipeline: %w", inc.err)
 	}
 	st := &IncrementalState{
-		Jobs:     inc.wlmAsm.State(),
+		Jobs:     slices.Clip(inc.jobs),
 		Alps:     inc.alpsAsm.State(),
-		Events:   append(slices.Clip(inc.dedup), inc.pending...),
+		Events:   slices.Clip(inc.dedup),
+		Pending:  slices.Clip(inc.pending),
 		Stats:    inc.stats,
 		LineBase: inc.lineBase,
-		Attr:     slices.Clone(inc.attr),
+		Attr:     slices.Clip(inc.attr),
 		MinNew:   inc.minNew,
 		HaveNew:  inc.haveNew,
 		LastRedo: inc.lastRedo,
 	}
-	st.DuplicateEvents = inc.raw - len(st.Events)
+	st.DuplicateEvents = inc.raw - len(st.Events) - len(st.Pending)
 	if len(inc.dirtyJobs) > 0 {
+		// The job carry is folded by Result: until then the table is the
+		// assembler's.
+		st.Jobs = inc.wlmAsm.State()
 		st.DirtyJobs = make([]string, 0, len(inc.dirtyJobs))
 		for id := range inc.dirtyJobs {
 			st.DirtyJobs = append(st.DirtyJobs, id)
@@ -91,9 +99,10 @@ func (inc *Incremental) State() (*IncrementalState, error) {
 
 // RestoreIncremental rebuilds a pipeline from a persisted state under the
 // caller's configuration (same semantics as NewIncremental). The pipeline
-// takes over st's runs and attribution. Structural invariants are validated
-// — attribution cannot outrun completion, line bases cannot be negative —
-// so a corrupt state surfaces here instead of as skewed analysis output.
+// takes over st's jobs, runs, event carry and attribution. Structural
+// invariants are validated — attribution cannot outrun completion, line
+// bases cannot be negative, the sorted carries must be sorted — so a corrupt
+// state surfaces here instead of as skewed analysis output.
 func RestoreIncremental(top *machine.Topology, loc *time.Location, opts Options, st *IncrementalState) (*Incremental, error) {
 	if st == nil {
 		return nil, fmt.Errorf("core: nil incremental state")
@@ -110,6 +119,17 @@ func RestoreIncremental(top *machine.Topology, loc *time.Location, opts Options,
 			return nil, fmt.Errorf("core: restore: negative line base %d for archive %d", b, i)
 		}
 	}
+	if st.DuplicateEvents < 0 {
+		return nil, fmt.Errorf("core: restore: negative duplicate event count %d", st.DuplicateEvents)
+	}
+	if !slices.IsSortedFunc(st.Jobs, wlm.CompareJobs) {
+		return nil, fmt.Errorf("core: restore: job table out of order")
+	}
+	for i := 1; i < len(st.Events); i++ {
+		if coalesce.CompareEvents(st.Events[i-1], st.Events[i]) >= 0 || coalesce.Duplicate(st.Events[i-1], st.Events[i]) {
+			return nil, fmt.Errorf("core: restore: event carry out of order or duplicated at %d", i)
+		}
+	}
 	wlmAsm, err := wlm.RestoreAssembler(st.Jobs)
 	if err != nil {
 		return nil, fmt.Errorf("core: restore: %w", err)
@@ -120,11 +140,12 @@ func RestoreIncremental(top *machine.Topology, loc *time.Location, opts Options,
 	}
 	alpsAsm.SetLenient(inc.opts.ParseMode == parse.Lenient)
 	inc.wlmAsm = wlmAsm
-	inc.jobs = slices.Clone(st.Jobs) // State wrote them sorted: this sort is one pass
-	slices.SortFunc(inc.jobs, wlm.CompareJobs)
+	if st.Jobs != nil {
+		inc.jobs = slices.Clip(st.Jobs)
+	}
 	inc.alpsAsm = alpsAsm
-	inc.dedup = coalesce.Dedup(st.Events)
-	inc.raw = len(st.Events) + st.DuplicateEvents
+	inc.dedup = st.keptEvents()
+	inc.raw = len(st.Events) + len(st.Pending) + st.DuplicateEvents
 	inc.stats = st.Stats
 	inc.lineBase = st.LineBase
 	done := alpsAsm.Done()
@@ -145,4 +166,16 @@ func RestoreIncremental(top *machine.Topology, loc *time.Location, opts Options,
 	inc.haveNew = st.HaveNew
 	inc.lastRedo = st.LastRedo
 	return inc, nil
+}
+
+// EventCounts returns the events a Result of the state's pipeline keeps and
+// the raw events it counts, without restoring the pipeline.
+func (st *IncrementalState) EventCounts() (kept, raw int) {
+	return len(st.keptEvents()), len(st.Events) + len(st.Pending) + st.DuplicateEvents
+}
+
+// keptEvents folds the deduplicated pending events into the carry, as the
+// next Result would; with none pending it is the carry itself.
+func (st *IncrementalState) keptEvents() []errlog.Event {
+	return mergeSorted(slices.Clip(st.Events), coalesce.Dedup(st.Pending), coalesce.CompareEvents, coalesce.Duplicate)
 }

@@ -49,7 +49,8 @@ type ManagerConfig struct {
 	// Now injects the clock (time.Now when nil); tests pin it.
 	Now func() time.Time
 	// Logf receives warning lines (state-restore fallbacks, persist
-	// failures). Nil discards them.
+	// failures), from several goroutines at once while NewManager restores
+	// the shards. Nil discards them.
 	Logf func(format string, args ...any)
 }
 
@@ -124,13 +125,16 @@ type shard struct {
 	// fleetEpoch is the fleet epoch recorded in the restored state file.
 	fleetEpoch uint64
 
-	failed      bool
-	lastErr     string
+	failed  bool
+	lastErr string
+	// lastPersist is when the state file last held the pipeline's state:
+	// the last save, or the load of a warm boot. Zero until then, so a cold
+	// boot saves on its first round.
 	lastPersist time.Time
 }
 
-// syncConcurrency bounds how many shards ingest at once during a sync
-// round.
+// syncConcurrency bounds how many shards restore at once in NewManager and
+// ingest at once during a sync round.
 const syncConcurrency = 4
 
 // Manager runs one incremental pipeline per configured shard and folds the
@@ -148,7 +152,9 @@ type Manager struct {
 
 // NewManager builds the per-shard runtimes, warm-restoring each shard that
 // has usable persisted state: an unusable state file degrades that shard to
-// a cold rebuild in lenient mode and is a construction error in strict mode.
+// a cold rebuild in lenient mode and is a construction error in strict mode,
+// naming the first such shard in configuration order. Shards load and
+// restore concurrently, syncConcurrency at a time.
 func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if cfg.Config == nil || len(cfg.Config.Shards) == 0 {
 		return nil, fmt.Errorf("fleet: no shards configured")
@@ -181,15 +187,26 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		now:   now,
 		logf:  logf,
 	}
+	m.shards = make([]*shard, len(cfg.Config.Shards))
+	errs := make([]error, len(cfg.Config.Shards))
+	var wg sync.WaitGroup
+	for i, sc := range cfg.Config.Shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m.sem <- struct{}{}
+			defer func() { <-m.sem }()
+			m.shards[i], errs[i] = newShard(sc, cfg.Options, rulesID, defaultTZ, now, logf)
+		}()
+	}
+	wg.Wait()
 	var epochSum, seed uint64
-	for _, sc := range cfg.Config.Shards {
-		sh, err := newShard(sc, cfg.Options, rulesID, defaultTZ, now, logf)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: shard %q: %w", sc.Name, err)
+	for i, sh := range m.shards {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("fleet: shard %q: %w", cfg.Config.Shards[i].Name, errs[i])
 		}
 		epochSum += sh.restore.Epoch
 		seed = max(seed, sh.fleetEpoch)
-		m.shards = append(m.shards, sh)
 	}
 	// Seed the fleet epoch so fleet ETags stay monotonic across restarts of
 	// these state dirs. The sum of the restored shard epochs is not enough
@@ -250,6 +267,11 @@ func newShard(sc ShardConfig, opts core.Options, rulesID, defaultTZ string, now 
 		if resume, err = sh.loadState(opts, logf); err != nil {
 			return nil, err
 		}
+		if resume != nil {
+			// A warm boot counts as a save: the file holds the pipeline as
+			// restored, so the state interval runs from the load.
+			sh.lastPersist = now()
+		}
 	}
 	if sh.restore.Epoch > 0 {
 		if err := sh.store.Restore(sh.restore.Epoch); err != nil {
@@ -275,6 +297,7 @@ func newShard(sc ShardConfig, opts core.Options, rulesID, defaultTZ string, now 
 		}
 		logf("fleet: shard %s: state restore failed; rebuilding cold: %v", sc.Name, err)
 		sh.restore = Restore{Mode: "cold-fallback", Detail: err.Error(), Epoch: sh.restore.Epoch}
+		sh.lastPersist = time.Time{}
 		syCfg.Resume = nil
 		syCfg.Tailer = store.NewTailer(sc.ArchiveDir)
 		sh.sy, err = store.NewSyncer(syCfg)

@@ -1,20 +1,30 @@
 package persist
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"logdiver/internal/alps"
 	"logdiver/internal/core"
+	"logdiver/internal/correlate"
+	"logdiver/internal/errlog"
 	"logdiver/internal/gen"
 	"logdiver/internal/machine"
+	"logdiver/internal/raceflag"
 	"logdiver/internal/store"
+	"logdiver/internal/wlm"
 )
 
 // smallDataset generates a small synthetic archive set, optionally offset
@@ -368,12 +378,11 @@ func TestWarmRestartNoGrowth(t *testing.T) {
 	}
 }
 
-// TestCrashInjection corrupts a valid state file every way a crash or a bad
-// disk can: every corruption must surface as a typed load error — never a
-// panic, never a silently wrong state.
-func TestCrashInjection(t *testing.T) {
-	dir, stateDir := t.TempDir(), t.TempDir()
-	statePath := filepath.Join(stateDir, StateFile)
+// validStateFile writes the first-life state file of the small dataset and
+// returns its bytes and the file offset at which each of its records begins.
+func validStateFile(t testing.TB, statePath string) (valid []byte, boundaries []int) {
+	t.Helper()
+	dir := t.TempDir()
 	ds := smallDataset(t, 0, 21)
 	writeArchives(t, dir, ds)
 	firstLife(t, dir, statePath, ds, 0)
@@ -381,6 +390,121 @@ func TestCrashInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return valid, recordBoundaries(t, valid)
+}
+
+// recordBoundaries re-encodes the state a valid file holds, which must
+// reproduce the file's payload byte for byte, and returns the file offsets
+// at which its records begin.
+func recordBoundaries(t testing.TB, valid []byte) []int {
+	t.Helper()
+	p := filepath.Join(t.TempDir(), StateFile)
+	if err := os.WriteFile(p, valid, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Load(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &boundaryWriter{}
+	if _, err := writePayload(rec, st); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec.buf.Bytes(), valid[headerSize:]) {
+		t.Fatal("re-encoding a loaded state does not reproduce its payload")
+	}
+	return rec.starts
+}
+
+// boundaryWriter keeps a payload and the file offset of each of its
+// records: the encoder writes every record with one Write.
+type boundaryWriter struct {
+	buf    bytes.Buffer
+	starts []int
+}
+
+func (w *boundaryWriter) Write(p []byte) (int, error) {
+	w.starts = append(w.starts, headerSize+w.buf.Len())
+	return w.buf.Write(p)
+}
+
+// reseal rewrites a file's length and checksum to describe whatever payload
+// follows its header, as a Save of those records would have.
+func reseal(b []byte) []byte {
+	out := bytes.Clone(b)
+	h := sha256.New()
+	h.Write(out[headerSize:])
+	copy(out, sealHeader(uint64(len(out)-headerSize), h))
+	return out
+}
+
+// crashMutant is one way a crash or a bad disk can leave a state file.
+type crashMutant struct {
+	name string
+	data []byte
+}
+
+// crashMutants derives from a valid file every corruption TestCrashInjection
+// checks, version skew aside.
+func crashMutants(valid []byte, boundaries []int) []crashMutant {
+	var out []crashMutant
+	add := func(name string, b []byte) { out = append(out, crashMutant{name, b}) }
+	add("empty", nil)
+	// A torn write can stop anywhere; sweep truncation points across the
+	// header and the payload.
+	for _, n := range []int{1, len(magic), headerSize - 1, headerSize, headerSize + 1,
+		headerSize + (len(valid)-headerSize)/2, len(valid) - 1} {
+		add(fmt.Sprintf("truncated at %d", n), valid[:n])
+	}
+	// Flip one byte at a spread of offsets, header and payload alike.
+	for off := 0; off < len(valid); off += len(valid)/17 + 1 {
+		mut := bytes.Clone(valid)
+		mut[off] ^= 0x40
+		add(fmt.Sprintf("bit flip at %d", off), mut)
+	}
+	add("trailing garbage", append(bytes.Clone(valid), "tail"...))
+	// Torn at every record boundary and one byte either side: as written,
+	// the header disagrees with the length; resealed, the header agrees and
+	// the records themselves come up short.
+	for _, b := range boundaries {
+		for _, n := range []int{b - 1, b, b + 1} {
+			if n <= headerSize || n >= len(valid) {
+				continue
+			}
+			add(fmt.Sprintf("torn at %d", n), valid[:n])
+			add(fmt.Sprintf("torn and resealed at %d", n), reseal(valid[:n]))
+		}
+	}
+	// Killed between two chunks: the temp file holds the placeholder header
+	// and the records written so far.
+	for _, b := range boundaries[1:] {
+		add(fmt.Sprintf("killed before the record at %d", b), append(make([]byte, headerSize), valid[headerSize:b]...))
+	}
+	return out
+}
+
+// TestCrashInjection corrupts a valid state file every way a crash or a bad
+// disk can: every corruption must surface as a typed load error — never a
+// panic, never a silently wrong state.
+func TestCrashInjection(t *testing.T) {
+	stateDir := t.TempDir()
+	statePath := filepath.Join(stateDir, StateFile)
+	valid, boundaries := validStateFile(t, statePath)
+	// The dataset's slices each fit one record; a synthetic state whose
+	// slices span two records each also tears between chunks of one slice.
+	multi := filepath.Join(t.TempDir(), StateFile)
+	if err := Save(multi, syntheticState(chunkRecords+1)); err != nil {
+		t.Fatal(err)
+	}
+	validMulti, err := os.ReadFile(multi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	multiBoundaries := recordBoundaries(t, validMulti)
+	if len(boundaries) < 5 || len(multiBoundaries) < 10 {
+		t.Fatalf("fixtures: %d and %d records, too few to tear between", len(boundaries), len(multiBoundaries))
+	}
+	mutants := append(crashMutants(valid, boundaries), crashMutants(validMulti, multiBoundaries)...)
 
 	loadMutant := func(t *testing.T, b []byte) error {
 		t.Helper()
@@ -404,6 +528,21 @@ func TestCrashInjection(t *testing.T) {
 			t.Errorf("error does not name the file: %v", fe)
 		}
 	}
+	run := func(name, prefix string) {
+		t.Run(name, func(t *testing.T) {
+			n := 0
+			for _, m := range mutants {
+				if strings.HasPrefix(m.name, prefix) {
+					n++
+					t.Logf("%s", m.name)
+					wantFormat(t, loadMutant(t, m.data))
+				}
+			}
+			if n == 0 {
+				t.Fatalf("no %q mutant", prefix)
+			}
+		})
+	}
 
 	t.Run("missing", func(t *testing.T) {
 		_, err := Load(filepath.Join(t.TempDir(), StateFile))
@@ -411,34 +550,9 @@ func TestCrashInjection(t *testing.T) {
 			t.Fatalf("error %v, want fs.ErrNotExist", err)
 		}
 	})
-	t.Run("empty", func(t *testing.T) {
-		wantFormat(t, loadMutant(t, nil))
-	})
-	t.Run("truncated", func(t *testing.T) {
-		// A torn write can stop anywhere; sweep truncation points across
-		// the header and the payload.
-		points := []int{1, len(magic), headerSize - 1, headerSize, headerSize + 1,
-			headerSize + (len(valid)-headerSize)/2, len(valid) - 1}
-		for _, n := range points {
-			wantFormat(t, loadMutant(t, valid[:n]))
-		}
-	})
-	t.Run("bit-rot", func(t *testing.T) {
-		// Flip one byte at a spread of offsets, header and payload alike.
-		for off := 0; off < len(valid); off += len(valid)/17 + 1 {
-			mut := append([]byte(nil), valid...)
-			mut[off] ^= 0x40
-			if _, err := Load(func() string {
-				p := filepath.Join(t.TempDir(), StateFile)
-				if err := os.WriteFile(p, mut, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return p
-			}()); err == nil {
-				t.Fatalf("Load accepted a byte flip at offset %d", off)
-			}
-		}
-	})
+	run("empty", "empty")
+	run("truncated", "truncated")
+	run("bit-rot", "bit flip")
 	t.Run("version-skew", func(t *testing.T) {
 		mut := append([]byte(nil), valid...)
 		mut[len(magic)+3]++ // low byte of the big-endian version field
@@ -451,22 +565,276 @@ func TestCrashInjection(t *testing.T) {
 			t.Errorf("VersionError got=%d want=%d", ve.Got, ve.Want)
 		}
 	})
-	t.Run("trailing-garbage", func(t *testing.T) {
-		wantFormat(t, loadMutant(t, append(append([]byte(nil), valid...), "tail"...)))
-	})
+	run("trailing-garbage", "trailing")
+	run("torn-at-record-boundaries", "torn")
 	t.Run("kill-mid-write", func(t *testing.T) {
 		// A crash between temp-file creation and rename leaves a stray temp
-		// alongside an intact old state: the old state must still load.
-		stray := filepath.Join(stateDir, ".ldv-state-stray")
-		if err := os.WriteFile(stray, valid[:len(valid)/3], 0o644); err != nil {
+		// alongside an intact old state: the old state must still load, and
+		// the temp, killed between any two of its records, must not.
+		for _, m := range mutants {
+			if !strings.HasPrefix(m.name, "killed") && m.name != "truncated at "+fmt.Sprint(headerSize+(len(valid)-headerSize)/2) {
+				continue
+			}
+			stray := filepath.Join(stateDir, ".ldv-state-stray")
+			if err := os.WriteFile(stray, m.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var fe *FormatError
+			if _, err := Load(stray); !errors.As(err, &fe) || !strings.Contains(err.Error(), stray) {
+				t.Fatalf("temp %s loads with %v (%T), want a *FormatError naming it", m.name, err, err)
+			}
+			st, err := Load(statePath)
+			if err != nil {
+				t.Fatalf("intact state failed to load next to a temp %s: %v", m.name, err)
+			}
+			if st.Epoch != 1 {
+				t.Errorf("epoch %d, want 1", st.Epoch)
+			}
+		}
+	})
+}
+
+// TestVersion2IsAVersionError: a file as version 2 wrote it — the header,
+// then the whole State as one gob value — is refused at its header.
+func TestVersion2IsAVersionError(t *testing.T) {
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(syntheticState(10)); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(payload.Bytes())
+	b := append([]byte(magic), 0, 0, 0, 2)
+	b = binary.BigEndian.AppendUint64(b, uint64(payload.Len()))
+	b = append(append(b, sum[:]...), payload.Bytes()...)
+	p := filepath.Join(t.TempDir(), StateFile)
+	if err := os.WriteFile(p, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(p)
+	var ve *VersionError
+	if !errors.As(err, &ve) || ve.Got != 2 || ve.Want != Version {
+		t.Fatalf("a version-2 file loads with %v (%T), want a VersionError from 2 to %d", err, err, Version)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "version 2") || !strings.Contains(msg, fmt.Sprintf("version %d", Version)) {
+		t.Errorf("error %q does not name both versions", msg)
+	}
+}
+
+// TestRecordMustFillItsCount: a record whose frame counts more elements
+// than its gob stream holds is refused, even in a file whose checksum is
+// sound, instead of leaving zero-valued runs in the restored slice.
+func TestRecordMustFillItsCount(t *testing.T) {
+	records := func(st *State) [][]byte {
+		w := &boundaryWriter{}
+		if _, err := writePayload(w, st); err != nil {
 			t.Fatal(err)
 		}
-		st, err := Load(statePath)
-		if err != nil {
-			t.Fatalf("intact state failed to load next to a torn temp: %v", err)
+		b := w.buf.Bytes()
+		var out [][]byte
+		for i, start := range w.starts {
+			end := len(b)
+			if i+1 < len(w.starts) {
+				end = w.starts[i+1] - headerSize
+			}
+			out = append(out, b[start-headerSize:end])
 		}
-		if st.Epoch != 1 {
-			t.Errorf("epoch %d, want 1", st.Epoch)
+		return out
+	}
+	full := syntheticState(10)
+	short := syntheticState(10)
+	short.Syncer.Pipeline.Alps.Done = short.Syncer.Pipeline.Alps.Done[:9]
+	recs, shortRecs := records(full), records(short)
+	const done = 4 // types, header, jobs, open runs, completed runs
+	body := shortRecs[done]
+	n, a := binary.Uvarint(body)
+	_, b := binary.Uvarint(body[a:])
+	if n != 9 {
+		t.Fatalf("fixture: record %d holds %d elements, want the 9 completed runs", done, n)
+	}
+	body = body[a+b:]
+	liar := binary.AppendUvarint(binary.AppendUvarint(nil, 10), uint64(len(body)))
+	recs[done] = append(liar, body...)
+	file := make([]byte, headerSize)
+	for _, r := range recs {
+		file = append(file, r...)
+	}
+	p := filepath.Join(t.TempDir(), StateFile)
+	if err := os.WriteFile(p, reseal(file), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(p)
+	var fe *FormatError
+	if !errors.As(err, &fe) || !strings.Contains(err.Error(), "completed runs") {
+		t.Fatalf("a record one element short of its count loads with %v, want a FormatError naming the completed runs", err)
+	}
+}
+
+// syntheticState returns a well-formed state whose pipeline holds n
+// completed runs, each attributed, n events in the carry, n/4 jobs, and a
+// few open runs and pending events. Its values are arbitrary but distinct:
+// nothing restores it, Save and Load only move it.
+func syntheticState(n int) *State {
+	t0 := time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC)
+	run := func(i int) alps.AppRun {
+		return alps.AppRun{
+			ApID: uint64(i + 1), JobID: fmt.Sprintf("%d.bw", i/4), User: "user" + fmt.Sprint(i%97),
+			Cmd: "app" + fmt.Sprint(i%13), Width: 32,
+			Placement: machine.Placement{{Lo: machine.NodeID(i % 500), Hi: machine.NodeID(i%500 + 7)}},
+			Start:     t0.Add(time.Duration(i) * time.Minute), End: t0.Add(time.Duration(i+30) * time.Minute),
+		}
+	}
+	event := func(i int) errlog.Event {
+		return errlog.Event{Time: t0.Add(time.Duration(i) * time.Second), Node: machine.NodeID(i % 500),
+			Cname: fmt.Sprintf("c%d-0c0s%dn%d", i%12, i%8, i%4), Message: "machine check exception " + fmt.Sprint(i%31)}
+	}
+	p := &core.IncrementalState{LineBase: [3]int{n, n, n}}
+	for i := 0; i < n/4; i++ {
+		p.Jobs = append(p.Jobs, wlm.Job{ID: fmt.Sprintf("%d.bw", i), User: "user", Queue: "normal",
+			StartedAt: t0.Add(time.Duration(i) * time.Minute), Nodes: 8})
+	}
+	for i := 0; i < n; i++ {
+		p.Alps.Done = append(p.Alps.Done, run(i))
+		a := correlate.Attribution{Class: machine.ClassXE, Outcome: correlate.OutcomeSuccess, Nodes: 8}
+		if i%50 == 0 {
+			a.Outcome, a.Evidence, a.HasEvidence = correlate.OutcomeSystemFailure, event(i), true
+		}
+		p.Attr = append(p.Attr, a)
+		p.Events = append(p.Events, event(i))
+	}
+	for i := 0; i < 5; i++ {
+		p.Alps.Open = append(p.Alps.Open, run(n+i))
+		p.Pending = append(p.Pending, event(n+i))
+	}
+	return &State{
+		SavedAt: t0, Epoch: 3, FleetEpoch: 4,
+		Fingerprint: Fingerprint{Machine: "small", Nodes: 512, ParseMode: "lenient", Rules: RulesBuiltin, TimeZone: "UTC"},
+		Syncer: &store.SyncerState{Pipeline: p, Tailer: store.TailerState{Files: [3]store.TailFileState{
+			{Offset: 100, Carry: []byte("part")}, {Offset: 200}, {Offset: 300},
+		}}},
+	}
+}
+
+// TestSyntheticRoundTrip: every field and every bulk slice of a state whose
+// slices span several chunks survives Save and Load.
+func TestSyntheticRoundTrip(t *testing.T) {
+	st := syntheticState(3*chunkRecords + 5)
+	p := filepath.Join(t.TempDir(), StateFile)
+	if err := Save(p, st); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, st) {
+		t.Fatal("a synthetic state changed across Save and Load")
+	}
+}
+
+// heapProbe is the file end of a Save's stream: before every eighth record,
+// the first included, it collects garbage and notes the live heap, and it
+// keeps the largest record.
+type heapProbe struct {
+	records   int
+	peak      uint64
+	maxRecord int
+}
+
+func (w *heapProbe) Write(p []byte) (int, error) {
+	w.maxRecord = max(w.maxRecord, len(p))
+	if w.records%8 == 0 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		w.peak = max(w.peak, m.HeapAlloc)
+	}
+	w.records++
+	return len(p), nil
+}
+
+// TestSaveMemoryBounded is the bounded-save gate: the live heap a Save adds
+// on top of the state it saves is one chunk record and the encoder's fixed
+// costs, whatever the state's size, so between about 10k and 100k runs it
+// grows by less than one chunk. A Save that buffered the payload, or
+// copied a bulk slice, would grow by tens of megabytes.
+func TestSaveMemoryBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("collects garbage before every record of a 100k-run state")
+	}
+	if raceflag.Enabled {
+		t.Skip("heap volume is not meaningful under the race detector")
+	}
+	added := func(n int) (extra uint64, maxRecord int) {
+		st := syntheticState(n)
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		probe := &heapProbe{}
+		if _, err := writePayload(probe, st); err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(st)
+		return probe.peak - min(probe.peak, m.HeapAlloc), probe.maxRecord
+	}
+	small, rec1 := added(10_000)
+	large, rec2 := added(100_000)
+	chunk := uint64(max(rec1, rec2))
+	t.Logf("Save adds %d B at 10k runs, %d B at 100k runs; largest record %d B", small, large, chunk)
+	if large > small+chunk {
+		t.Errorf("Save adds %d B over a 100k-run state and %d B over a 10k-run one: more than one chunk (%d B) apart", large, small, chunk)
+	}
+}
+
+// FuzzLoad: on any bytes Load returns a state or one of its typed errors,
+// never panics, and returns a state only when the header's length and
+// checksum match the payload. With reseal set the harness rewrites the
+// header to match whatever payload follows it, so the record decoder and
+// its checks see arbitrary records. The seeds are a small valid file and
+// every TestCrashInjection mutant of it: small inputs keep the fuzzer fast.
+func FuzzLoad(f *testing.F) {
+	path := filepath.Join(f.TempDir(), StateFile)
+	if err := Save(path, syntheticState(20)); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid, false)
+	f.Add(valid, true)
+	for _, m := range crashMutants(valid, recordBoundaries(f, valid)) {
+		f.Add(m.data, false)
+	}
+	mut := bytes.Clone(valid)
+	mut[len(magic)+3]++
+	f.Add(mut, false)
+
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte, resealed bool) {
+		if resealed && len(data) >= headerSize {
+			data = reseal(data)
+		}
+		p := filepath.Join(dir, fmt.Sprintf("fuzz-%d.ldv", time.Now().UnixNano()))
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		defer os.Remove(p)
+		st, err := Load(p)
+		if err != nil {
+			var fe *FormatError
+			var ve *VersionError
+			if !errors.As(err, &fe) && !errors.As(err, &ve) {
+				t.Fatalf("untyped error %v (%T)", err, err)
+			}
+			return
+		}
+		if st == nil || st.Syncer == nil || st.Syncer.Pipeline == nil {
+			t.Fatal("Load returned no error and no state")
+		}
+		sum := sha256.Sum256(data[headerSize:])
+		if binary.BigEndian.Uint32(data[len(magic):]) != Version ||
+			binary.BigEndian.Uint64(data[len(magic)+4:]) != uint64(len(data)-headerSize) ||
+			!bytes.Equal(sum[:], data[headerSize-sha256.Size:headerSize]) {
+			t.Fatal("Load returned a state from a file whose header does not describe its payload")
 		}
 	})
 }
