@@ -204,7 +204,7 @@ func analyze(args []string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "parsed: %d jobs, %d runs, %d events (malformed lines skipped: %d accounting, %d apsys, %d syslog)\n",
-		len(res.Jobs), len(res.Runs), len(res.Events),
+		res.NumJobs, len(res.Runs), len(res.Events),
 		res.Parse.AccountingMalformed, res.Parse.ApsysMalformed, res.Parse.SyslogMalformed)
 	for _, h := range res.Parse.Hygiene() {
 		fmt.Fprintf(os.Stderr, "  %s\n", h)

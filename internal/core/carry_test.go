@@ -16,6 +16,7 @@ import (
 	"logdiver/internal/machine"
 	"logdiver/internal/raceflag"
 	"logdiver/internal/syslogx"
+	"logdiver/internal/wlm"
 )
 
 // TestMergeSorted pins the carry merge against sort-everything on random
@@ -244,9 +245,77 @@ func TestResultRoundAllocCeiling(t *testing.T) {
 	}
 	if got := m1.TotalAlloc - m0.TotalAlloc; got > ceiling {
 		t.Errorf("idle Result over %d runs, %d jobs, %d events allocated %d bytes, ceiling %d",
-			len(idle.Runs), len(idle.Jobs), len(idle.Events), got, ceiling)
+			len(idle.Runs), idle.NumJobs, len(idle.Events), got, ceiling)
 	}
 	if inc.Reattributed() != 0 {
 		t.Errorf("idle Result re-attributed %d runs", inc.Reattributed())
+	}
+}
+
+// lastEndRecord is the last E record of the accounting archive acc, as one
+// line: appending it again touches a job the pipeline already holds.
+func lastEndRecord(t *testing.T, acc string) []byte {
+	t.Helper()
+	lines := linesOf(acc)
+	for i := len(lines) - 1; i >= 0; i-- {
+		if strings.Contains(lines[i], ";E;") {
+			return []byte(lines[i])
+		}
+	}
+	t.Fatal("no E record in the accounting archive")
+	return nil
+}
+
+// TestDirtyJobRoundAllocCeiling bounds a round whose only news is an
+// accounting record for a job already held: it re-attributes that job's runs
+// and allocates less than an idle Result plus one job table. A round that
+// copied or re-sorted the jobs would pass the bound.
+func TestDirtyJobRoundAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures a full pipeline fixture")
+	}
+	if raceflag.Enabled {
+		t.Skip("allocation volume is not meaningful under the race detector")
+	}
+	acc, aps, sys := testArchiveText(t)
+	inc, err := NewIncremental(testDataset(t).Topology, time.UTC, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc.Append(Delta{Accounting: []byte(acc), Apsys: []byte(aps), Syslog: []byte(sys)}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := inc.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NumJobs < 500 {
+		t.Fatalf("fixture has %d jobs: too few to tell a copy of the table from noise", res.NumJobs)
+	}
+	allocated := func() uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		if _, err := inc.Result(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	idle := allocated()
+	if _, err := inc.Append(Delta{Accounting: lastEndRecord(t, acc)}); err != nil {
+		t.Fatal(err)
+	}
+	if inc.wlmAsm.Len() != res.NumJobs {
+		t.Fatalf("the re-appended E record added a job: %d, was %d", inc.wlmAsm.Len(), res.NumJobs)
+	}
+	dirty := allocated()
+	ceiling := idle + uint64(res.NumJobs)*uint64(unsafe.Sizeof(wlm.Job{}))
+	if dirty >= ceiling {
+		t.Errorf("a round with one dirty job over %d jobs allocated %d bytes, an idle one %d; ceiling %d",
+			res.NumJobs, dirty, idle, ceiling)
+	}
+	if inc.Reattributed() == 0 {
+		t.Error("the dirty job's round re-attributed no run")
 	}
 }

@@ -195,8 +195,10 @@ func (s ParseStats) Hygiene() []ArchiveHygiene {
 
 // Result is the complete pipeline output.
 type Result struct {
-	// Jobs are the assembled batch jobs, sorted by start time.
-	Jobs []wlm.Job
+	// NumJobs counts the distinct batch jobs the accounting archive names.
+	// The job records themselves stay in the accounting assembler, which
+	// attribution reads for walltime kills.
+	NumJobs int
 	// Runs are the attributed application runs, in start order.
 	Runs []correlate.AttributedRun
 	// Agg is the exact aggregate of Runs, which every served view renders.
@@ -248,7 +250,7 @@ func AnalyzeParsed(jobs []wlm.Job, runs []alps.AppRun, events []errlog.Event, to
 	}
 	opts = opts.withDefaults()
 	deduped := coalesce.Dedup(events)
-	res := &Result{Jobs: jobs, Events: deduped, RawEvents: len(events)}
+	res := &Result{NumJobs: len(jobs), Events: deduped, RawEvents: len(events)}
 	cfg := correlate.DefaultConfig()
 	cfg.Jobs = make(map[string]wlm.Job, len(jobs))
 	for _, j := range jobs {

@@ -20,13 +20,13 @@ package core
 // saw new accounting records (walltime-kill detection reads the job record),
 // against an index of only the events those runs can see.
 //
-// The sorted carries: jobs, deduplicated events and the run order stay in
-// output order between rounds. Each order is total (wlm.CompareJobs,
-// coalesce.CompareEvents, alps.ByStart), so sorting only a round's own batch
-// and folding it in with mergeSorted lands on the very sequence a sort of
-// everything gives. Each record has one owner: a completed run lives in the
-// apsys assembler and its attribution beside it, an event in the dedup
-// carry or, until the next Result, in the pending batch.
+// The sorted carries: deduplicated events and the run order stay in output
+// order between rounds. Each order is total (coalesce.CompareEvents,
+// alps.ByStart), so sorting only a round's own batch and folding it in with
+// mergeSorted lands on the very sequence a sort of everything gives. Each
+// record has one owner: a job lives in the accounting assembler, a completed
+// run in the apsys assembler and its attribution beside it, an event in the
+// dedup carry or, until the next Result, in the pending batch.
 // TestIncrementalMatchesAnalyze and TestIncrementalSchedule assert exact
 // Result equality against the batch pipeline after every round.
 
@@ -95,11 +95,10 @@ type Incremental struct {
 	// re-attribution writes it in place.
 	attr []correlate.Attribution
 	// The sorted carries: order is the indices of attr in alps.ByStart order,
-	// jobs the assembled jobs, dedup the coalesce.Dedup of the events before
-	// pending. Results and states share a clipped prefix of jobs and dedup,
-	// which are therefore extended or replaced, never written.
+	// dedup the coalesce.Dedup of the events before pending. Results and
+	// states share a clipped prefix of dedup, which is therefore extended or
+	// replaced, never written.
 	order []int
-	jobs  []wlm.Job
 	dedup []errlog.Event
 	// dirtyJobs are batch jobs with new accounting records since the last
 	// Result; minNew/haveNew track the earliest new event timestamp.
@@ -129,7 +128,6 @@ func NewIncremental(top *machine.Topology, loc *time.Location, opts Options) (*I
 		loc:       loc,
 		wlmAsm:    wlm.NewAssembler(),
 		alpsAsm:   alps.NewAssembler(),
-		jobs:      []wlm.Job{}, // non-nil when empty, like Assembler.Jobs
 		dirtyJobs: make(map[string]struct{}),
 	}
 	inc.alpsAsm.SetLenient(opts.ParseMode == parse.Lenient)
@@ -263,47 +261,25 @@ func mergeSorted[T any](carry, batch []T, cmp func(a, b T) int, dup func(a, b T)
 	return out
 }
 
-// foldJobs merges the current records of the dirty jobs — exactly the changed
-// set — into the job carry, after filtering out their stale copies (a job's
-// start time, hence its position, can change).
-func (inc *Incremental) foldJobs() {
-	batch := make([]wlm.Job, 0, len(inc.dirtyJobs))
-	for id := range inc.dirtyJobs {
-		if j, ok := inc.wlmAsm.Job(id); ok {
-			batch = append(batch, j)
-		}
-	}
-	slices.SortFunc(batch, wlm.CompareJobs)
-	carry := inc.jobs
-	if len(carry)+len(batch) > inc.wlmAsm.Len() { // some dirty job is already carried
-		carry = slices.DeleteFunc(slices.Clone(carry), func(j wlm.Job) bool {
-			_, dirty := inc.dirtyJobs[j.ID]
-			return dirty
-		})
-	}
-	inc.jobs = mergeSorted(carry, batch, wlm.CompareJobs, nil)
-}
-
 // Result materializes the full pipeline output over everything appended so
-// far by folding the changed jobs, the new events (sorted and deduplicated
-// among themselves first) and the newly completed runs into the sorted
-// carries. Only runs inside the affected window are re-attributed, against
-// an index of the events from the earliest such run's evidence horizon on;
-// the rest keep the attribution of the previous Result. The returned Result
-// equals a from-scratch Analyze over the concatenated input. It is never
-// written again; its Jobs and Events may share their backing arrays with
-// other Results, its Runs are its own.
+// far by folding the new events (sorted and deduplicated among themselves
+// first) and the newly completed runs into the sorted carries. Only runs
+// inside the affected window or of a job with new accounting records are
+// re-attributed, against an index of the events from the earliest such
+// run's evidence horizon on; the rest keep the attribution of the previous
+// Result. The returned Result equals a from-scratch Analyze over the
+// concatenated input. It is never written again; its Events may share their
+// backing array with other Results, its Runs are its own.
 func (inc *Incremental) Result() (*Result, error) {
 	if inc.err != nil {
 		return nil, inc.err
 	}
-	inc.foldJobs()
 	if len(inc.pending) > 0 {
 		inc.dedup = mergeSorted(inc.dedup, coalesce.Dedup(inc.pending), coalesce.CompareEvents, coalesce.Duplicate)
 		inc.pending = nil
 	}
 	res := &Result{
-		Jobs:      slices.Clip(inc.jobs),
+		NumJobs:   inc.wlmAsm.Len(),
 		Events:    slices.Clip(inc.dedup),
 		RawEvents: inc.raw,
 		Parse:     inc.stats,

@@ -72,12 +72,12 @@ func (ix *walkIndex) first(nodes []machine.NodeID, from, to time.Time, keep func
 }
 
 // expandAndWalk attributes res's runs again with the oracle join, under the
-// default correlation windows and res's jobs.
-func expandAndWalk(res *Result, top *machine.Topology) []correlate.AttributedRun {
+// default correlation windows and the given job table.
+func expandAndWalk(res *Result, table []wlm.Job, top *machine.Topology) []correlate.AttributedRun {
 	cfg := correlate.DefaultConfig()
 	ix := newWalkIndex(res.Events)
-	jobs := make(map[string]wlm.Job, len(res.Jobs))
-	for _, j := range res.Jobs {
+	jobs := make(map[string]wlm.Job, len(table))
+	for _, j := range table {
 		jobs[j.ID] = j
 	}
 	out := make([]correlate.AttributedRun, len(res.Runs))
@@ -120,10 +120,11 @@ func expandAndWalk(res *Result, top *machine.Topology) []correlate.AttributedRun
 	return out
 }
 
-// requireExpandAndWalk fails unless res's attribution equals the oracle's.
-func requireExpandAndWalk(t *testing.T, name string, res *Result, top *machine.Topology) {
+// requireExpandAndWalk fails unless res's attribution equals the oracle's
+// over the jobs a fresh assembler builds from the accounting archive acc.
+func requireExpandAndWalk(t *testing.T, name string, res *Result, acc string, top *machine.Topology) {
 	t.Helper()
-	want := expandAndWalk(res, top)
+	want := expandAndWalk(res, assembledJobs(t, []byte(acc), top, Options{}), top)
 	if reflect.DeepEqual(res.Runs, want) {
 		return
 	}
@@ -147,7 +148,7 @@ func TestAttributionMatchesExpandAndWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireExpandAndWalk(t, name, res, ds.Topology)
+		requireExpandAndWalk(t, name, res, a[0], ds.Topology)
 	}
 	cfgs := []gen.Config{}
 	for seed := int64(1); seed <= 3; seed++ {
@@ -163,7 +164,8 @@ func TestAttributionMatchesExpandAndWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Analyze(archivesFor(t, ds), ds.Topology, Options{})
+		acc, aps, sys := archiveText(t, ds)
+		res, err := Analyze(archivesOf(acc, aps, sys), ds.Topology, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +178,7 @@ func TestAttributionMatchesExpandAndWalk(t *testing.T) {
 		if system == 0 {
 			t.Fatalf("%d nodes, seed %d: no run has evidence; the comparison would be vacuous", ds.Topology.NumNodes(), cfg.Seed)
 		}
-		requireExpandAndWalk(t, "generated", res, ds.Topology)
+		requireExpandAndWalk(t, "generated", res, acc, ds.Topology)
 	}
 }
 
@@ -215,7 +217,7 @@ func TestEvidenceTieRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireExpandAndWalk(t, "tie fixture", res, top)
+	requireExpandAndWalk(t, "tie fixture", res, "", top)
 	for i, want := range []errlog.Event{
 		res.Events[slices.IndexFunc(res.Events, func(e errlog.Event) bool { return e.Node == 11 })],
 		events[4],

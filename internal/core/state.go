@@ -30,7 +30,8 @@ import (
 // saved as it is held. Restoring it and appending a delta is equivalent to
 // having appended the same delta to the original pipeline.
 type IncrementalState struct {
-	// Jobs is the accounting assembler's job table in wlm.CompareJobs order.
+	// Jobs is the accounting assembler's job table, in the order the jobs'
+	// first records arrived; restore accepts any order.
 	Jobs []wlm.Job
 	// Alps is the apsys assembler state, including completion order.
 	Alps alps.AssemblerState
@@ -72,7 +73,7 @@ func (inc *Incremental) State() (*IncrementalState, error) {
 		return nil, fmt.Errorf("core: cannot persist poisoned pipeline: %w", inc.err)
 	}
 	st := &IncrementalState{
-		Jobs:     slices.Clip(inc.jobs),
+		Jobs:     slices.Clip(inc.wlmAsm.Jobs()),
 		Alps:     inc.alpsAsm.State(),
 		Events:   slices.Clip(inc.dedup),
 		Pending:  slices.Clip(inc.pending),
@@ -85,9 +86,6 @@ func (inc *Incremental) State() (*IncrementalState, error) {
 	}
 	st.DuplicateEvents = inc.raw - len(st.Events) - len(st.Pending)
 	if len(inc.dirtyJobs) > 0 {
-		// The job carry is folded by Result: until then the table is the
-		// assembler's.
-		st.Jobs = inc.wlmAsm.State()
 		st.DirtyJobs = make([]string, 0, len(inc.dirtyJobs))
 		for id := range inc.dirtyJobs {
 			st.DirtyJobs = append(st.DirtyJobs, id)
@@ -99,10 +97,11 @@ func (inc *Incremental) State() (*IncrementalState, error) {
 
 // RestoreIncremental rebuilds a pipeline from a persisted state under the
 // caller's configuration (same semantics as NewIncremental). The pipeline
-// takes over st's jobs, runs, event carry and attribution. Structural
-// invariants are validated — attribution cannot outrun completion, line
-// bases cannot be negative, the sorted carries must be sorted — so a corrupt
-// state surfaces here instead of as skewed analysis output.
+// copies st's job table and takes over its runs, event carry and
+// attribution. Structural invariants are validated — attribution cannot
+// outrun completion, line bases cannot be negative, job IDs are present and
+// unique, the event carry is sorted — so a corrupt state surfaces here
+// instead of as skewed analysis output.
 func RestoreIncremental(top *machine.Topology, loc *time.Location, opts Options, st *IncrementalState) (*Incremental, error) {
 	if st == nil {
 		return nil, fmt.Errorf("core: nil incremental state")
@@ -122,9 +121,6 @@ func RestoreIncremental(top *machine.Topology, loc *time.Location, opts Options,
 	if st.DuplicateEvents < 0 {
 		return nil, fmt.Errorf("core: restore: negative duplicate event count %d", st.DuplicateEvents)
 	}
-	if !slices.IsSortedFunc(st.Jobs, wlm.CompareJobs) {
-		return nil, fmt.Errorf("core: restore: job table out of order")
-	}
 	for i := 1; i < len(st.Events); i++ {
 		if coalesce.CompareEvents(st.Events[i-1], st.Events[i]) >= 0 || coalesce.Duplicate(st.Events[i-1], st.Events[i]) {
 			return nil, fmt.Errorf("core: restore: event carry out of order or duplicated at %d", i)
@@ -140,9 +136,6 @@ func RestoreIncremental(top *machine.Topology, loc *time.Location, opts Options,
 	}
 	alpsAsm.SetLenient(inc.opts.ParseMode == parse.Lenient)
 	inc.wlmAsm = wlmAsm
-	if st.Jobs != nil {
-		inc.jobs = slices.Clip(st.Jobs)
-	}
 	inc.alpsAsm = alpsAsm
 	inc.dedup = st.keptEvents()
 	inc.raw = len(st.Events) + len(st.Pending) + st.DuplicateEvents

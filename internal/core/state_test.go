@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -105,10 +106,11 @@ func TestRestoreRejectsUnknownOutcome(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsUnsortedCarries: restore takes the saved job table and
-// event carry over as the sorted carries, so a state whose table is out of
-// order or whose carry repeats an event is refused, not restored to a
-// pipeline whose merges would go wrong.
+// TestRestoreRejectsUnsortedCarries: restore takes the saved event carry
+// over as a sorted carry and the job table as the assembler's, keyed by job
+// ID, so a state whose carry is out of order or repeats an event, or whose
+// table repeats a job or holds one without an ID, is refused, not restored
+// to a pipeline whose merges or job lookups would go wrong.
 func TestRestoreRejectsUnsortedCarries(t *testing.T) {
 	top := testDataset(t).Topology
 	acc, aps, sys := testArchiveText(t)
@@ -136,7 +138,8 @@ func TestRestoreRejectsUnsortedCarries(t *testing.T) {
 		name  string
 		spoil func(*IncrementalState)
 	}{
-		{"jobs out of order", func(st *IncrementalState) { st.Jobs[0], st.Jobs[1] = st.Jobs[1], st.Jobs[0] }},
+		{"job repeated", func(st *IncrementalState) { st.Jobs[1] = st.Jobs[0] }},
+		{"job with empty ID", func(st *IncrementalState) { st.Jobs[1].ID = "" }},
 		{"events out of order", func(st *IncrementalState) { st.Events[0], st.Events[1] = st.Events[1], st.Events[0] }},
 		{"event repeated", func(st *IncrementalState) { st.Events[1] = st.Events[0] }},
 	} {
@@ -269,7 +272,8 @@ func TestRestoresParentLayout(t *testing.T) {
 // TestStateAllocCeiling bounds what State allocates: the open-run container
 // and small change. The job table, the completed runs, the event carry and
 // the attribution are shared, never copied; a State that copied any of them
-// would allocate well past the bound.
+// would allocate well past the bound. It holds after a Result and between an
+// Append that touched a job and the next Result alike.
 func TestStateAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measures a full pipeline fixture")
@@ -292,17 +296,83 @@ func TestStateAllocCeiling(t *testing.T) {
 	if len(res.Runs) < 1000 || len(res.Events) < len(res.Runs) {
 		t.Fatalf("fixture has %d runs and %d events: too small to tell a bulk copy from noise", len(res.Runs), len(res.Events))
 	}
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	st, err := inc.State()
-	runtime.ReadMemStats(&m1)
+	measure := func(what string) {
+		t.Helper()
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		st, err := inc.State()
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ceiling := (uint64(unsafe.Sizeof(IncrementalState{})) + uint64(len(st.Alps.Open))*uint64(unsafe.Sizeof(alps.AppRun{}))) * 3 / 2
+		if got := m1.TotalAlloc - m0.TotalAlloc; got > ceiling {
+			t.Errorf("State %s over %d runs, %d jobs (%d dirty), %d events allocated %d bytes, ceiling %d",
+				what, len(st.Alps.Done), len(st.Jobs), len(st.DirtyJobs), len(st.Events), got, ceiling)
+		}
+	}
+	measure("after a Result")
+	if _, err := inc.Append(Delta{Accounting: lastEndRecord(t, acc)}); err != nil {
+		t.Fatal(err)
+	}
+	if len(inc.dirtyJobs) != 1 {
+		t.Fatalf("re-appending an E record left %d dirty jobs, want 1", len(inc.dirtyJobs))
+	}
+	measure("with a dirty job")
+}
+
+// TestRestoresParentJobOrder: the parent layout saved the job table sorted
+// by start time, then ID; the table is now saved in first-seen order and the
+// format version did not change. A state whose table is in the old order
+// restores, and after one more append its Result equals Analyze over the
+// same bytes.
+func TestRestoresParentJobOrder(t *testing.T) {
+	top := testDataset(t).Topology
+	acc, aps, sys := testArchiveText(t)
+	accC, apsC, sysC := splitChunks(acc, 2), splitChunks(aps, 2), splitChunks(sys, 2)
+	inc, err := NewIncremental(top, time.UTC, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ceiling := (uint64(unsafe.Sizeof(IncrementalState{})) + uint64(len(st.Alps.Open))*uint64(unsafe.Sizeof(alps.AppRun{}))) * 3 / 2
-	if got := m1.TotalAlloc - m0.TotalAlloc; got > ceiling {
-		t.Errorf("State over %d runs, %d jobs, %d events allocated %d bytes, ceiling %d",
-			len(st.Alps.Done), len(st.Jobs), len(st.Events), got, ceiling)
+	if _, err := inc.Append(Delta{Accounting: accC[0], Apsys: apsC[0], Syslog: sysC[0]}); err != nil {
+		t.Fatal(err)
 	}
+	if _, err := inc.Result(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := inc.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := *st
+	parent.Jobs = slices.Clone(st.Jobs)
+	slices.SortFunc(parent.Jobs, func(a, b wlm.Job) int {
+		if c := a.StartedAt.Compare(b.StartedAt); c != 0 {
+			return c
+		}
+		return strings.Compare(a.ID, b.ID)
+	})
+	if slices.EqualFunc(parent.Jobs, st.Jobs, func(a, b wlm.Job) bool { return a.ID == b.ID }) {
+		t.Fatal("fixture: the first-seen order is the parent's order, nothing to tell apart")
+	}
+	restored, err := RestoreIncremental(top, time.UTC, Options{}, &parent)
+	if err != nil {
+		t.Fatalf("a state with the parent's job order does not restore: %v", err)
+	}
+	if _, err := restored.Append(Delta{Accounting: accC[1], Apsys: apsC[1], Syslog: sysC[1]}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Analyze(archivesOf(acc, aps, sys), top, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		diffResult(t, 1, got, want)
+	}
+	requireJobTable(t, "restored from the parent's order", restored, []byte(acc))
 }

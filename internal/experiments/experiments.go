@@ -85,7 +85,7 @@ func E1Workload(res *core.Result) *report.Table {
 		}
 		return report.Pct(x / totalNH)
 	}
-	t.AddRow("batch jobs", report.Count(len(res.Jobs)), "", "")
+	t.AddRow("batch jobs", report.Count(res.NumJobs), "", "")
 	t.AddRow("application runs", report.Count(len(res.Runs)), report.F1(totalNH), "100.00%")
 	t.AddRow("XE (CPU) runs", report.Count(xe), report.F1(xeNH), share(xeNH))
 	t.AddRow("XK (hybrid) runs", report.Count(xk), report.F1(xkNH), share(xkNH))

@@ -190,7 +190,7 @@ func checkSnapshot(t testing.TB, snap *store.Snapshot, want *core.Result, ds *ge
 	}
 	retained := store.Retained{
 		Runs:      want.Runs,
-		NumJobs:   len(want.Jobs),
+		NumJobs:   want.NumJobs,
 		NumEvents: len(want.Events),
 		Parse:     want.Parse,
 		Start:     want.Start,
@@ -198,7 +198,7 @@ func checkSnapshot(t testing.TB, snap *store.Snapshot, want *core.Result, ds *ge
 	}
 	if !reflect.DeepEqual(snap.Result, retained) {
 		t.Fatalf("warm-restart snapshot diverged from from-scratch Analyze (%d vs %d runs, %d vs %d jobs, %d vs %d events)",
-			len(snap.Result.Runs), len(want.Runs), snap.Result.NumJobs, len(want.Jobs), snap.Result.NumEvents, len(want.Events))
+			len(snap.Result.Runs), len(want.Runs), snap.Result.NumJobs, want.NumJobs, snap.Result.NumEvents, len(want.Events))
 	}
 	ref, err := store.Build(want, ds.Topology, store.IngestStats{}, time.Time{})
 	if err != nil {
@@ -325,7 +325,7 @@ func TestDifferentialWarmRestart(t *testing.T) {
 			checkSnapshot(t, snap, want, ds)
 			if got := restoredResult(t, dir, statePath, ds, tc.secondPar); !reflect.DeepEqual(got, want) {
 				t.Fatalf("restored pipeline Result diverged from from-scratch Analyze (%d vs %d runs, %d vs %d jobs, %d vs %d events, %d vs %d raw events)",
-					len(got.Runs), len(want.Runs), len(got.Jobs), len(want.Jobs), len(got.Events), len(want.Events),
+					len(got.Runs), len(want.Runs), got.NumJobs, want.NumJobs, len(got.Events), len(want.Events),
 					got.RawEvents, want.RawEvents)
 			}
 		})

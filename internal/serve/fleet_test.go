@@ -281,7 +281,7 @@ func TestFleetHealthCountsMatchBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs, jobs, events = runs+len(res.Runs), jobs+len(res.Jobs), events+len(res.Events)
+		runs, jobs, events = runs+len(res.Runs), jobs+res.NumJobs, events+len(res.Events)
 	}
 	if runs == 0 || jobs == 0 || events == 0 {
 		t.Fatalf("fixture too thin: %d runs, %d jobs, %d events", runs, jobs, events)

@@ -92,13 +92,13 @@ func scratchShard(t testing.TB, m gen.FleetMachine, windows int, par int, epoch 
 }
 
 // retainedSums is what a merged snapshot must retain besides the runs: the
-// sums of the batch Results' slice lengths.
+// sums of the batch Results' job and event counts.
 type retainedSums struct {
 	jobs, events int
 }
 
 func (r *retainedSums) add(res *core.Result) {
-	r.jobs += len(res.Jobs)
+	r.jobs += res.NumJobs
 	r.events += len(res.Events)
 }
 

@@ -433,9 +433,9 @@ func TestSyncAllReadsToTheEnd(t *testing.T) {
 		t.Fatalf("SyncAll: %v, %v", installed, err)
 	}
 	snap := st.Current()
-	if !reflect.DeepEqual(snap.Result.Runs, want.Runs) || snap.Result.NumJobs != len(want.Jobs) || snap.Result.NumEvents != len(want.Events) {
+	if !reflect.DeepEqual(snap.Result.Runs, want.Runs) || snap.Result.NumJobs != want.NumJobs || snap.Result.NumEvents != len(want.Events) {
 		t.Errorf("SyncAll snapshot: %d runs, %d jobs, %d events; Analyze: %d, %d, %d",
-			len(snap.Result.Runs), snap.Result.NumJobs, snap.Result.NumEvents, len(want.Runs), len(want.Jobs), len(want.Events))
+			len(snap.Result.Runs), snap.Result.NumJobs, snap.Result.NumEvents, len(want.Runs), want.NumJobs, len(want.Events))
 	}
 	if snap.Ingest.Rounds != 1 || snap.Epoch != 1 {
 		t.Errorf("SyncAll installed epoch %d after %d rounds, want one of each", snap.Epoch, snap.Ingest.Rounds)

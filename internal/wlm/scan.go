@@ -293,11 +293,13 @@ func (a *Assembler) AddScan(r ScanRecord) error {
 	if len(r.JobID) == 0 {
 		return fmt.Errorf("wlm: record with empty job id")
 	}
-	j := a.jobs[string(r.JobID)]
-	if j == nil {
-		j = &Job{ID: string(r.JobID)}
-		a.jobs[j.ID] = j
+	i, ok := a.index[string(r.JobID)]
+	if !ok {
+		i = len(a.jobs)
+		a.jobs = append(a.jobs, Job{ID: string(r.JobID)})
+		a.index[a.jobs[i].ID] = i
 	}
+	j := &a.jobs[i]
 	if r.Has&HasUser != 0 {
 		j.User = a.intern(r.User)
 	}

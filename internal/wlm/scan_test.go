@@ -2,6 +2,7 @@ package wlm
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -209,5 +210,34 @@ func TestCheckLineBytesZeroAlloc(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("CheckLineBytes+AddScan(%q) allocates %.1f allocs/op, want 0", line, n)
 		}
+	}
+}
+
+// TestAssemblerAllocatesNoJobRecord: the table is one slice of jobs, so
+// assembling n distinct jobs allocates each job's ID string and the amortized
+// growth of the slice, the index and the intern table, not a record per job.
+func TestAssemblerAllocatesNoJobRecord(t *testing.T) {
+	const n = 1000
+	base := sampleJob()
+	recs := make([]ScanRecord, n)
+	for i := range recs {
+		j := base
+		j.ID = fmt.Sprintf("%d.bw", 1000000+i)
+		rec, skip, perr := CheckLineBytes([]byte(FormatRecord(EndRecord(j))), time.UTC)
+		if skip || perr != nil {
+			t.Fatalf("record %d: skip %v, error %v", i, skip, perr)
+		}
+		recs[i] = rec
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		a := NewAssembler()
+		for _, rec := range recs {
+			if err := a.AddScan(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if ceiling := float64(n + n/10); allocs > ceiling {
+		t.Errorf("assembling %d jobs allocated %.0f times, ceiling %.0f (one ID string per job plus growth)", n, allocs, ceiling)
 	}
 }

@@ -2,25 +2,25 @@ package wlm
 
 import "fmt"
 
-// State exports the assembler's job table for persistence, sorted like Jobs.
-// Job IDs are unique (they key the internal map), so the sorted slice is a
-// lossless representation of the assembler.
-func (a *Assembler) State() []Job { return a.Jobs() }
-
-// RestoreAssembler rebuilds an assembler from persisted jobs. Duplicate job
-// IDs mean the state is corrupt (the live assembler keys its table by ID and
-// cannot produce them) and are rejected.
+// RestoreAssembler rebuilds an assembler from a persisted job table, copied
+// in one allocation; any order restores. An empty or repeated job ID means
+// the state is corrupt (the live assembler keys its table by ID and cannot
+// produce either) and is rejected.
 func RestoreAssembler(jobs []Job) (*Assembler, error) {
-	a := NewAssembler()
-	for _, j := range jobs {
-		if j.ID == "" {
+	a := &Assembler{
+		jobs:     append([]Job(nil), jobs...),
+		index:    make(map[string]int, len(jobs)),
+		interned: make(map[string]string),
+	}
+	for i := range a.jobs {
+		id := a.jobs[i].ID
+		if id == "" {
 			return nil, fmt.Errorf("wlm: restore: job with empty id")
 		}
-		if _, dup := a.jobs[j.ID]; dup {
-			return nil, fmt.Errorf("wlm: restore: duplicate job id %q", j.ID)
+		if _, dup := a.index[id]; dup {
+			return nil, fmt.Errorf("wlm: restore: duplicate job id %q", id)
 		}
-		job := j
-		a.jobs[j.ID] = &job
+		a.index[id] = i
 	}
 	return a, nil
 }

@@ -147,9 +147,12 @@ func StartRecord(j Job) Record {
 	}}
 }
 
-// Assembler folds a stream of accounting records into Job objects.
+// Assembler folds a stream of accounting records into Job objects. It is
+// the pipeline's one job table: the jobs in the order their first record
+// arrived, with an index from job ID to position.
 type Assembler struct {
-	jobs map[string]*Job
+	jobs  []Job
+	index map[string]int
 	// interned canonicalizes the short repeated per-job strings (user,
 	// account, queue) so the byte-view fast path copies each distinct value
 	// out of its input buffer at most once.
@@ -158,38 +161,21 @@ type Assembler struct {
 
 // NewAssembler returns an empty assembler.
 func NewAssembler() *Assembler {
-	return &Assembler{jobs: make(map[string]*Job), interned: make(map[string]string)}
+	return &Assembler{index: make(map[string]int), interned: make(map[string]string)}
 }
 
-// CompareJobs is the output order of jobs: start time, then ID. IDs are
-// unique per assembler, so the order is total.
-func CompareJobs(a, b Job) int { return compareJobs(&a, &b) }
-
-// compareJobs is CompareJobs without copying the jobs.
-func compareJobs(a, b *Job) int {
-	if c := a.StartedAt.Compare(b.StartedAt); c != 0 {
-		return c
-	}
-	return strings.Compare(a.ID, b.ID)
-}
-
-// Jobs returns the assembled jobs in CompareJobs order.
-func (a *Assembler) Jobs() []Job {
-	out := make([]Job, 0, len(a.jobs))
-	for _, j := range a.jobs {
-		out = append(out, *j)
-	}
-	sort.Slice(out, func(i, k int) bool { return compareJobs(&out[i], &out[k]) < 0 })
-	return out
-}
+// Jobs returns the assembled jobs in the order their first record arrived.
+// The slice is the assembler's own, not a copy: it is valid until the next
+// AddScan, which may write its jobs in place.
+func (a *Assembler) Jobs() []Job { return a.jobs }
 
 // Job returns the assembled job with the given ID, if any record named it.
 func (a *Assembler) Job(id string) (Job, bool) {
-	j := a.jobs[id]
-	if j == nil {
+	i, ok := a.index[id]
+	if !ok {
 		return Job{}, false
 	}
-	return *j, true
+	return a.jobs[i], true
 }
 
 // Len returns the number of distinct jobs seen.

@@ -184,22 +184,37 @@ func TestAssemblerRejectsEmptyJobID(t *testing.T) {
 	}
 }
 
-func TestAssemblerSortsJobs(t *testing.T) {
+// TestAssemblerKeepsFirstSeenOrder: Jobs lists the jobs in the order their
+// first record arrived, whatever their start times and IDs, and a later
+// record for a held job updates it in place.
+func TestAssemblerKeepsFirstSeenOrder(t *testing.T) {
 	a := NewAssembler()
 	base := time.Date(2013, 4, 3, 0, 0, 0, 0, time.UTC)
-	for i, id := range []string{"30.bw", "10.bw", "20.bw"} {
+	ids := []string{"30.bw", "10.bw", "20.bw"}
+	for i, id := range ids {
 		j := sampleJob()
 		j.ID = id
-		j.StartedAt = base.Add(time.Duration(len("xxx")-i) * time.Hour)
+		j.StartedAt = base.Add(time.Duration(len(ids)-i) * time.Hour)
 		if err := a.Add(StartRecord(j)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	j := sampleJob()
+	j.ID = ids[1]
+	if err := a.Add(EndRecord(j)); err != nil {
+		t.Fatal(err)
+	}
 	jobs := a.Jobs()
-	for i := 1; i < len(jobs); i++ {
-		if jobs[i-1].StartedAt.After(jobs[i].StartedAt) {
-			t.Errorf("jobs not sorted by start: %v after %v", jobs[i-1].StartedAt, jobs[i].StartedAt)
+	if len(jobs) != len(ids) {
+		t.Fatalf("%d jobs, want %d", len(jobs), len(ids))
+	}
+	for i, id := range ids {
+		if jobs[i].ID != id {
+			t.Errorf("job %d is %s, want %s (first-seen order)", i, jobs[i].ID, id)
 		}
+	}
+	if jobs[1].EndedAt.IsZero() {
+		t.Error("the E record of a held job did not update it")
 	}
 }
 
@@ -283,7 +298,35 @@ func TestAssemblerJobLookup(t *testing.T) {
 	if _, ok := a.Job("nope.bw"); ok {
 		t.Error("Job found a job no record named")
 	}
-	if CompareJobs(Job{ID: "b"}, Job{ID: "a"}) <= 0 || CompareJobs(Job{ID: "z"}, Job{ID: "a", StartedAt: j.StartedAt}) >= 0 {
-		t.Error("CompareJobs does not order by start time, then ID")
+}
+
+// TestRestoreAssembler: a restored assembler holds a copy of the saved
+// table in the saved order, finds its jobs by ID and folds later records
+// into them; a table that repeats a job ID or holds an empty one is refused.
+func TestRestoreAssembler(t *testing.T) {
+	saved := []Job{sampleJob(), sampleJob()}
+	saved[0].ID, saved[1].ID = "20.bw", "10.bw"
+	a, err := RestoreAssembler(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := sampleJob()
+	end.ID, end.ExitStatus = "10.bw", 265
+	if err := a.Add(EndRecord(end)); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := a.Job("10.bw"); !ok || got.ExitStatus != 265 || a.Len() != 2 || a.Jobs()[0].ID != "20.bw" {
+		t.Errorf("restored assembler: job %+v (found %v), %d jobs, first %s", got, ok, a.Len(), a.Jobs()[0].ID)
+	}
+	if saved[1].ExitStatus != 0 {
+		t.Error("a record folded into the restored assembler wrote the saved table")
+	}
+	for name, jobs := range map[string][]Job{
+		"repeated ID": {saved[0], saved[0]},
+		"empty ID":    {saved[0], {}},
+	} {
+		if _, err := RestoreAssembler(jobs); err == nil {
+			t.Errorf("%s: restored", name)
+		}
 	}
 }

@@ -98,8 +98,8 @@ func TestPublicAPITextArchives(t *testing.T) {
 	if len(res.Runs) != len(ds.Runs) {
 		t.Errorf("runs: %d vs %d", len(res.Runs), len(ds.Runs))
 	}
-	if len(res.Jobs) != len(ds.Jobs) {
-		t.Errorf("jobs: %d vs %d", len(res.Jobs), len(ds.Jobs))
+	if res.NumJobs != len(ds.Jobs) {
+		t.Errorf("jobs: %d vs %d", res.NumJobs, len(ds.Jobs))
 	}
 }
 
