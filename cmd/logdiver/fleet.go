@@ -105,7 +105,7 @@ func fleetTables(shardStats []fleet.ShardStatus, merged *store.Snapshot) []*repo
 // subdirectory per machine plus a ready-to-run fleet.conf with relative
 // paths. Window w > 0 appends that production window to the existing
 // archives instead of recreating them; only restricts the write to a single
-// machine (the CI smoke test grows one shard that way).
+// machine (which grows one shard of a running fleet daemon).
 func generateFleet(k, days int, seed int64, window int, only, out string, par int) error {
 	machines := gen.Fleet(k, days, seed)
 	conf := fleet.Config{}

@@ -2,11 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
+	"encoding/json"
 	"fmt"
 	"io"
 	"io/fs"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +21,7 @@ import (
 	"logdiver/internal/persist"
 	"logdiver/internal/report"
 	"logdiver/internal/rulecheck"
+	"logdiver/internal/serve"
 	"logdiver/internal/store"
 )
 
@@ -275,6 +281,69 @@ func TestAnalyzeFleetMatchesReference(t *testing.T) {
 		if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() || !strings.Contains(gotErr.Error(), `shard "m01"`) {
 			t.Errorf("strict analysis with a malformed %s last m01 line: err %v, reference %v; want the same error naming shard m01", last, gotErr, wantErr)
 		}
+	}
+}
+
+// TestAnalyzeFleetF1MatchesHealth: the F1 rows of analyze -fleet-config sum
+// to the runs, jobs and events the daemon's /v1/health reports at its top
+// level for the same fleet config — serve over the daemon's runtime after
+// its first round. referenceFleet cannot see a fault in F1 itself, since
+// both sides of TestAnalyzeFleetMatchesReference render it with fleetTables.
+func TestAnalyzeFleetF1MatchesHealth(t *testing.T) {
+	out := t.TempDir()
+	if err := run([]string{"generate", "-fleet", "3", "-days", "1", "-seed", "1", "-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	conf := filepath.Join(out, "fleet.conf")
+	text, err := runCapture(t, []string{"analyze", "-fleet-config", conf, "-format", "csv"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, f1, _ := strings.Cut(text, "# F1: Fleet shards\n")
+	f1, _, _ = strings.Cut(f1, "\n# ")
+	rows, err := csv.NewReader(strings.NewReader(f1)).ReadAll()
+	if err != nil || len(rows) != 4 {
+		t.Fatalf("F1 of\n%s\nparsed to %d rows: %v", text, len(rows), err)
+	}
+	var batch [3]int // runs, jobs, events
+	for _, row := range rows[1:] {
+		for i := range batch {
+			n, err := strconv.Atoi(strings.ReplaceAll(row[1+i], ",", ""))
+			if err != nil {
+				t.Fatalf("F1 row %v: %v", row, err)
+			}
+			batch[i] += n
+		}
+	}
+
+	cfg, err := fleet.LoadConfig(conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := fleet.NewManager(fleet.ManagerConfig{Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if round := mgr.SyncRound(t.Context()); !round.Installed {
+		t.Fatalf("first round installed nothing: %+v", round)
+	}
+	srv, err := serve.New(serve.Config{Fleet: mgr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/v1/health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h struct{ Runs, Jobs, Events int }
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if daemon := [3]int{h.Runs, h.Jobs, h.Events}; daemon != batch || batch[0] == 0 {
+		t.Errorf("F1 sums to %v runs/jobs/events, /v1/health reports %v", batch, daemon)
 	}
 }
 

@@ -50,8 +50,8 @@
 // generate writes the three raw archives plus ground truth. -machine small
 // rescales both the topology and the workload so a few days analyze in
 // seconds; -start and -seed let successive invocations produce disjoint
-// production windows, which the serving smoke tests append to a live
-// logdiverd data directory.
+// production windows, which can be appended to a live logdiverd data
+// directory.
 //
 // analyze -fleet-config runs logdiverd's runtime (internal/fleet) over every
 // shard of a fleet config (one archive directory per machine) until the
@@ -60,8 +60,8 @@
 // generate -fleet K lays out a K-machine small-profile fleet under -out —
 // one archive subdirectory per machine plus a ready-to-run fleet.conf —
 // while -fleet-window W appends production window W to the existing shard
-// archives (optionally a single machine via -fleet-only), which the fleet
-// smoke test uses to advance one shard's epoch.
+// archives (optionally a single machine via -fleet-only), which advances
+// one shard's epoch of a running fleet daemon.
 //
 // simulate runs the counterfactual resilience simulator over an analyzed
 // archive: it attributes every run exactly as analyze does, then replays

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"logdiver/internal/core"
+	"logdiver/internal/fleet"
 	"logdiver/internal/machine"
 	"logdiver/internal/persist"
 	"logdiver/internal/store"
@@ -238,5 +239,39 @@ func TestStateCountsEventsLikeResult(t *testing.T) {
 	if view.Pipeline.Events != len(res.Events) || view.Pipeline.RawEvents != res.RawEvents {
 		t.Errorf("state counts %d events, %d raw; the Result %d and %d",
 			view.Pipeline.Events, view.Pipeline.RawEvents, len(res.Events), res.RawEvents)
+	}
+}
+
+// TestStateReadsDaemonState: `logdiver state -state-dir` verifies a state
+// file as the daemon writes it — saved by the daemon's runtime,
+// fleet.Manager, over a real pipeline, on its shutdown save — not only the
+// hand-built fixture above, and reports the epoch and runs it holds.
+func TestStateReadsDaemonState(t *testing.T) {
+	dir, stateDir := t.TempDir(), t.TempDir()
+	writeArchive(t, dir)
+	mgr, err := fleet.NewManager(fleet.ManagerConfig{Config: &fleet.Config{Shards: []fleet.ShardConfig{{
+		Name: "small", ArchiveDir: dir, Machine: fleet.MachineSmall, StateDir: stateDir,
+	}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if round := mgr.SyncRound(t.Context()); !round.Installed || round.Shards[0].Err != nil {
+		t.Fatalf("first round: %+v", round)
+	}
+	mgr.PersistAll()
+	sh := mgr.View().Shards[0]
+
+	out := captureStdout(t, func() {
+		if err := run([]string{"state", "-state-dir", stateDir, "-json"}); err != nil {
+			t.Errorf("state over the daemon's file: %v", err)
+		}
+	})
+	var view stateView
+	if err := json.Unmarshal([]byte(out), &view); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, out)
+	}
+	if view.Epoch != sh.Epoch || view.Pipeline.Done != sh.Runs || view.Fingerprint.Machine != fleet.MachineSmall {
+		t.Errorf("state reports epoch %d, %d completed runs, machine %q; the daemon served epoch %d with %d runs",
+			view.Epoch, view.Pipeline.Done, view.Fingerprint.Machine, sh.Epoch, sh.Runs)
 	}
 }

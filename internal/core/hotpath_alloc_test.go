@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"logdiver/internal/errlog"
 	"logdiver/internal/machine"
@@ -94,5 +95,45 @@ func TestIdleLinesAllocateNothing(t *testing.T) {
 		if b, p := allocs(bare), allocs(padded); p != b {
 			t.Errorf("%s: a block allocates %.1f allocs/op, %.1f with 64 rounds of idle lines; want equal", tc.name, b, p)
 		}
+	}
+}
+
+// TestRepeatedAccountingRecordAllocs gates the accounting sink of Append: a
+// record for a job the round has already marked dirty allocates nothing, so
+// a chunk of K records of one held job allocates about what one record does.
+// The bound, less than K/2 more from K=1 to K=64, fails a sink that builds
+// the job-ID key once per record.
+func TestRepeatedAccountingRecordAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	top, err := machine.New(machine.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rec = "04/03/2013 13:00:00;E;123.bw;user=bob Exit_status=265\n"
+	inc, err := NewIncremental(top, time.UTC, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc.Append(Delta{Accounting: []byte(rec)}); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(k int) float64 {
+		d := Delta{Accounting: []byte(strings.Repeat(rec, k))}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := inc.Append(d); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const k = 64
+	one, many := allocs(1), allocs(k)
+	if inc.wlmAsm.Len() != 1 {
+		t.Fatalf("the repeated record assembled %d jobs, want 1", inc.wlmAsm.Len())
+	}
+	if many-one >= k/2 {
+		t.Errorf("Append of %d records of one held job allocates %.1f, of one record %.1f: want less than %d more",
+			k, many, one, k/2)
 	}
 }

@@ -182,7 +182,10 @@ func (inc *Incremental) Append(d Delta) (AppendStats, error) {
 		Syslog:     deltaReader(d.Syslog),
 		Location:   inc.loc,
 	}, inc.top, inc.opts, func(rec wlm.ScanRecord) error {
-		inc.dirtyJobs[string(rec.JobID)] = struct{}{}
+		// Look up first: an assignment allocates its key even when present.
+		if _, ok := inc.dirtyJobs[string(rec.JobID)]; !ok {
+			inc.dirtyJobs[string(rec.JobID)] = struct{}{}
+		}
 		return inc.wlmAsm.AddScan(rec)
 	}, inc.alpsAsm)
 	if err != nil {

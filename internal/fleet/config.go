@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"logdiver/internal/machine"
+	"logdiver/internal/parse"
 )
 
 // Shard machine profiles understood by the config parser, mirroring the
@@ -63,27 +64,6 @@ type Config struct {
 	Shards []ShardConfig
 }
 
-// shardNameMax bounds shard names; they appear in URLs, metrics labels and
-// file paths.
-const shardNameMax = 64
-
-// validShardName reports whether the name is safe to use as a query
-// parameter, a metrics label value and a path component.
-func validShardName(name string) bool {
-	if name == "" || len(name) > shardNameMax {
-		return false
-	}
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-		case r == '.' || r == '_' || r == '-':
-		default:
-			return false
-		}
-	}
-	return name != "." && name != ".."
-}
-
 // ParseConfig parses the declarative fleet config format:
 //
 //	# comment (also ';')
@@ -97,70 +77,31 @@ func validShardName(name string) bool {
 // optional. Relative paths are left as-is (LoadConfig resolves them against
 // the config file's directory). Shards are returned sorted by name.
 func ParseConfig(text string) (*Config, error) {
-	cfg := &Config{}
-	var cur *ShardConfig
-	seenKeys := map[string]bool{}
-	for no, raw := range strings.Split(text, "\n") {
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, ";") {
-			continue
-		}
-		if strings.HasPrefix(line, "[") {
-			if !strings.HasSuffix(line, "]") {
-				return nil, fmt.Errorf("fleet: line %d: unterminated section header %q", no+1, line)
-			}
-			section := strings.TrimSpace(line[1 : len(line)-1])
-			name, ok := strings.CutPrefix(section, "shard ")
-			if !ok {
-				return nil, fmt.Errorf("fleet: line %d: unknown section %q (want [shard NAME])", no+1, section)
-			}
-			name = strings.TrimSpace(name)
-			if !validShardName(name) {
-				return nil, fmt.Errorf("fleet: line %d: invalid shard name %q (letters, digits, dot, underscore, dash; max %d chars)", no+1, name, shardNameMax)
-			}
-			cfg.Shards = append(cfg.Shards, ShardConfig{Name: name, Machine: MachineBlueWaters})
-			cur = &cfg.Shards[len(cfg.Shards)-1]
-			seenKeys = map[string]bool{}
-			continue
-		}
-		key, value, ok := strings.Cut(line, "=")
-		if !ok {
-			return nil, fmt.Errorf("fleet: line %d: expected key = value, got %q", no+1, line)
-		}
-		if cur == nil {
-			return nil, fmt.Errorf("fleet: line %d: key outside a [shard NAME] section", no+1)
-		}
-		key = strings.TrimSpace(key)
-		value = strings.TrimSpace(value)
-		if seenKeys[key] {
-			return nil, fmt.Errorf("fleet: line %d: duplicate key %q in shard %q", no+1, key, cur.Name)
-		}
-		seenKeys[key] = true
-		switch key {
-		case "archive-dir":
-			cur.ArchiveDir = value
-		case "machine":
-			if value != MachineBlueWaters && value != MachineSmall {
-				return nil, fmt.Errorf("fleet: line %d: unknown machine profile %q (want %s or %s)", no+1, value, MachineBlueWaters, MachineSmall)
-			}
-			cur.Machine = value
-		case "state-dir":
-			cur.StateDir = value
-		case "tz":
-			cur.TimeZone = value
-		default:
-			return nil, fmt.Errorf("fleet: line %d: unknown key %q", no+1, key)
-		}
+	secs, err := parse.Sections(text, "fleet", "shard", "shards")
+	if err != nil {
+		return nil, err
 	}
-	if len(cfg.Shards) == 0 {
-		return nil, fmt.Errorf("fleet: config declares no shards")
-	}
-	names := map[string]bool{}
-	for _, sh := range cfg.Shards {
-		if names[sh.Name] {
-			return nil, fmt.Errorf("fleet: duplicate shard name %q", sh.Name)
+	cfg := &Config{Shards: make([]ShardConfig, len(secs))}
+	for i, sec := range secs {
+		sh := &cfg.Shards[i]
+		*sh = ShardConfig{Name: sec.Name, Machine: MachineBlueWaters}
+		for _, kv := range sec.Keys {
+			switch kv.Key {
+			case "archive-dir":
+				sh.ArchiveDir = kv.Value
+			case "machine":
+				if kv.Value != MachineBlueWaters && kv.Value != MachineSmall {
+					return nil, fmt.Errorf("fleet: line %d: unknown machine profile %q (want %s or %s)", kv.Line, kv.Value, MachineBlueWaters, MachineSmall)
+				}
+				sh.Machine = kv.Value
+			case "state-dir":
+				sh.StateDir = kv.Value
+			case "tz":
+				sh.TimeZone = kv.Value
+			default:
+				return nil, fmt.Errorf("fleet: line %d: unknown key %q", kv.Line, kv.Key)
+			}
 		}
-		names[sh.Name] = true
 		if sh.ArchiveDir == "" {
 			return nil, fmt.Errorf("fleet: shard %q: archive-dir is required", sh.Name)
 		}

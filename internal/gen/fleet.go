@@ -16,7 +16,8 @@ import (
 // machines with distinct names, overlapping production windows and disjoint
 // run/job identifier ranges, so per-machine analyses can be merged into one
 // fleet view without identifier collisions. The merge oracle tests and the
-// CI fleet-smoke job both build their shards from these fixtures.
+// fleet daemon tests (TestDaemonFleetEndToEnd) build their shards from these
+// fixtures.
 
 const (
 	// fleetApIDStride separates the aprun-id ranges of fleet machines.

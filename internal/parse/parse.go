@@ -1,8 +1,9 @@
 // Package parse defines the shared vocabulary of corruption-tolerant
 // ingestion: the strict/lenient parse mode, the typed malformed-line error
 // every format parser reports, per-kind malformed counters with first-N
-// provenance samples, and the byte-view helpers the format parsers share
-// (bytes.go). The format parsers (internal/wlm, internal/alps,
+// provenance samples, the byte-view helpers the format parsers share
+// (bytes.go), and the section syntax of fleet configs and what-if policy
+// files (sections.go). The format parsers (internal/wlm, internal/alps,
 // internal/syslogx) produce these types; internal/core aggregates them into
 // ParseStats and threads the mode through ingestion.
 package parse

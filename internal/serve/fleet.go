@@ -65,9 +65,7 @@ func (s *Server) serveShardView(w http.ResponseWriter, r *http.Request, machine 
 
 // ---- /v1/health fleet section ----
 
-// shardHealth is one shard's row in /v1/health. Field order matters to the
-// CI smoke checks, which extract adjacent fields from the rendered JSON:
-// name, status, epoch, runs, lag, then error.
+// shardHealth is one shard's row in /v1/health.
 type shardHealth struct {
 	Name       string        `json:"name"`
 	Status     string        `json:"status"`

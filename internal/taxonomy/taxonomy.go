@@ -12,6 +12,7 @@ package taxonomy
 import (
 	"regexp"
 	"strconv"
+	"sync"
 )
 
 // Category identifies a leaf of the error taxonomy. The zero value
@@ -252,10 +253,11 @@ func NewClassifier(rules []Rule) *Classifier {
 	return c
 }
 
-// Default returns the classifier with the built-in Cray-style rule set.
-func Default() *Classifier {
-	return NewClassifier(defaultRules())
-}
+// Default returns the classifier with the built-in Cray-style rule set. It
+// is built once and shared: a Classifier has no mutators.
+func Default() *Classifier { return builtin() }
+
+var builtin = sync.OnceValue(func() *Classifier { return NewClassifier(defaultRules()) })
 
 // Rules returns a copy of the classifier's rule list.
 func (c *Classifier) Rules() []Rule {

@@ -143,10 +143,19 @@ func TestClassifierRulesCopied(t *testing.T) {
 	if len(rules) == 0 {
 		t.Fatal("no rules")
 	}
-	rules[0].Category = taxonomy.SoftwareOS
-	fresh := cls.Rules()
-	if fresh[0].Category == taxonomy.SoftwareOS && taxonomy.Default().Rules()[0].Category != taxonomy.SoftwareOS {
-		t.Error("Rules() exposes internal slice")
+	want := rules[0].Category
+	rules[0].Category = want + 1
+	if got := cls.Rules()[0].Category; got != want {
+		t.Errorf("Rules() exposes internal slice: rule 0 is now %v, was %v", got, want)
+	}
+}
+
+// TestDefaultBuiltOnce: every caller shares one built-in classifier, so
+// each Analyze, NewIncremental and RestoreIncremental without a rule file
+// skips compiling 18 regexps and the automaton.
+func TestDefaultBuiltOnce(t *testing.T) {
+	if taxonomy.Default() != taxonomy.Default() {
+		t.Error("Default() built a second classifier")
 	}
 }
 

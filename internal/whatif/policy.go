@@ -18,6 +18,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"logdiver/internal/parse"
 )
 
 // CheckpointKind selects how a policy picks checkpoint intervals.
@@ -69,10 +71,6 @@ func checkpointKindFromString(s string) (CheckpointKind, bool) {
 // simulation work.
 const MaxPolicies = 16
 
-// policyNameMax bounds policy names; they appear in tables, JSON payloads
-// and cache keys.
-const policyNameMax = 64
-
 // Policy is one declarative resilience design to replay the measured
 // stream under. The zero value (plus a name) is the no-op policy: it
 // reproduces the measured baseline exactly.
@@ -109,27 +107,10 @@ func (p Policy) IsNoop() bool {
 	return p.Checkpoint == CheckpointNone && p.RetryLimit == 0 && p.DetectFraction == 0
 }
 
-// validPolicyName mirrors the fleet shard-name rules: safe as a table
-// cell, a JSON value and a cache-key component.
-func validPolicyName(name string) bool {
-	if name == "" || len(name) > policyNameMax {
-		return false
-	}
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-		case r == '.' || r == '_' || r == '-':
-		default:
-			return false
-		}
-	}
-	return name != "." && name != ".."
-}
-
 // Validate checks the policy for internal consistency.
 func (p Policy) Validate() error {
-	if !validPolicyName(p.Name) {
-		return fmt.Errorf("whatif: invalid policy name %q (letters, digits, dot, underscore, dash; max %d chars)", p.Name, policyNameMax)
+	if !parse.ValidName(p.Name) {
+		return fmt.Errorf("whatif: invalid policy name %q (letters, digits, dot, underscore, dash; max %d chars)", p.Name, parse.NameMax)
 	}
 	switch p.Checkpoint {
 	case CheckpointNone:
@@ -218,85 +199,46 @@ func DefaultPolicies() []Policy {
 // only) takes a Go duration. Policies are returned in file order and each
 // must Validate; names must be unique.
 func ParsePolicies(text string) ([]Policy, error) {
-	var pols []Policy
-	var cur *Policy
-	seenKeys := map[string]bool{}
-	for no, raw := range strings.Split(text, "\n") {
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, ";") {
-			continue
-		}
-		if strings.HasPrefix(line, "[") {
-			if !strings.HasSuffix(line, "]") {
-				return nil, fmt.Errorf("whatif: line %d: unterminated section header %q", no+1, line)
-			}
-			section := strings.TrimSpace(line[1 : len(line)-1])
-			name, ok := strings.CutPrefix(section, "policy ")
-			if !ok {
-				return nil, fmt.Errorf("whatif: line %d: unknown section %q (want [policy NAME])", no+1, section)
-			}
-			name = strings.TrimSpace(name)
-			if !validPolicyName(name) {
-				return nil, fmt.Errorf("whatif: line %d: invalid policy name %q (letters, digits, dot, underscore, dash; max %d chars)", no+1, name, policyNameMax)
-			}
-			if len(pols) == MaxPolicies {
-				return nil, fmt.Errorf("whatif: line %d: too many policies (max %d per simulation)", no+1, MaxPolicies)
-			}
-			pols = append(pols, Policy{Name: name})
-			cur = &pols[len(pols)-1]
-			seenKeys = map[string]bool{}
-			continue
-		}
-		key, value, ok := strings.Cut(line, "=")
-		if !ok {
-			return nil, fmt.Errorf("whatif: line %d: expected key = value, got %q", no+1, line)
-		}
-		if cur == nil {
-			return nil, fmt.Errorf("whatif: line %d: key outside a [policy NAME] section", no+1)
-		}
-		key = strings.TrimSpace(key)
-		value = strings.TrimSpace(value)
-		if seenKeys[key] {
-			return nil, fmt.Errorf("whatif: line %d: duplicate key %q in policy %q", no+1, key, cur.Name)
-		}
-		seenKeys[key] = true
-		var err error
-		switch key {
-		case "checkpoint":
-			kind, ok := checkpointKindFromString(value)
-			if !ok {
-				return nil, fmt.Errorf("whatif: line %d: unknown checkpoint kind %q (want none, fixed or daly)", no+1, value)
-			}
-			cur.Checkpoint = kind
-		case "checkpoint-interval":
-			cur.CheckpointInterval, err = parsePolicyDuration(value)
-		case "checkpoint-cost":
-			cur.CheckpointCost, err = parsePolicyDuration(value)
-		case "restart-cost":
-			cur.RestartCost, err = parsePolicyDuration(value)
-		case "retry-limit":
-			cur.RetryLimit, err = strconv.Atoi(value)
-		case "retry-backoff":
-			cur.RetryBackoff, err = parsePolicyDuration(value)
-		case "detect-fraction":
-			cur.DetectFraction, err = strconv.ParseFloat(value, 64)
-		default:
-			return nil, fmt.Errorf("whatif: line %d: unknown key %q", no+1, key)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("whatif: line %d: bad %s: %v", no+1, key, err)
-		}
+	secs, err := parse.Sections(text, "whatif", "policy", "policies")
+	if err != nil {
+		return nil, err
 	}
-	if len(pols) == 0 {
-		return nil, fmt.Errorf("whatif: config declares no policies")
+	if len(secs) > MaxPolicies {
+		return nil, fmt.Errorf("whatif: line %d: too many policies (max %d per simulation)", secs[MaxPolicies].Line, MaxPolicies)
 	}
-	names := map[string]bool{}
-	for _, p := range pols {
-		if names[p.Name] {
-			return nil, fmt.Errorf("whatif: duplicate policy name %q", p.Name)
+	pols := make([]Policy, len(secs))
+	for i, sec := range secs {
+		cur := &pols[i]
+		cur.Name = sec.Name
+		for _, kv := range sec.Keys {
+			var err error
+			switch value := kv.Value; kv.Key {
+			case "checkpoint":
+				kind, ok := checkpointKindFromString(value)
+				if !ok {
+					return nil, fmt.Errorf("whatif: line %d: unknown checkpoint kind %q (want none, fixed or daly)", kv.Line, value)
+				}
+				cur.Checkpoint = kind
+			case "checkpoint-interval":
+				cur.CheckpointInterval, err = parsePolicyDuration(value)
+			case "checkpoint-cost":
+				cur.CheckpointCost, err = parsePolicyDuration(value)
+			case "restart-cost":
+				cur.RestartCost, err = parsePolicyDuration(value)
+			case "retry-limit":
+				cur.RetryLimit, err = strconv.Atoi(value)
+			case "retry-backoff":
+				cur.RetryBackoff, err = parsePolicyDuration(value)
+			case "detect-fraction":
+				cur.DetectFraction, err = strconv.ParseFloat(value, 64)
+			default:
+				return nil, fmt.Errorf("whatif: line %d: unknown key %q", kv.Line, kv.Key)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("whatif: line %d: bad %s: %v", kv.Line, kv.Key, err)
+			}
 		}
-		names[p.Name] = true
-		if err := p.Validate(); err != nil {
+		if err := cur.Validate(); err != nil {
 			return nil, err
 		}
 	}
