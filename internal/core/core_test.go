@@ -150,49 +150,6 @@ func TestAnalyzeMatchesInMemoryPath(t *testing.T) {
 	}
 }
 
-func TestAnalyzeAttributionAgainstTruth(t *testing.T) {
-	ds := testDataset(t)
-	res, err := Analyze(archivesFor(t, ds), ds.Topology, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var trueSys, detectedTrueSys, attributed, correct int
-	for _, r := range res.Runs {
-		truth := ds.Truth[r.ApID]
-		if truth.Outcome == correlate.OutcomeSystemFailure {
-			trueSys++
-			if truth.Detected {
-				detectedTrueSys++
-			}
-		}
-		if r.Outcome == correlate.OutcomeSystemFailure {
-			attributed++
-			if truth.Outcome == correlate.OutcomeSystemFailure {
-				correct++
-			}
-		}
-	}
-	if trueSys == 0 {
-		t.Fatal("no true system failures in dataset")
-	}
-	// Attribution must recover the large majority of *detectable* system
-	// failures and stay mostly correct.
-	recall := float64(correct) / float64(trueSys)
-	if detectedTrueSys > 0 {
-		detRecall := float64(correct) / float64(detectedTrueSys)
-		if detRecall < 0.8 {
-			t.Errorf("recall of detectable system failures = %.2f, want >= 0.8", detRecall)
-		}
-	}
-	precision := float64(correct) / float64(attributed)
-	if precision < 0.7 {
-		t.Errorf("attribution precision = %.2f, want >= 0.7", precision)
-	}
-	if recall < 0.4 {
-		t.Errorf("overall recall = %.2f implausibly low", recall)
-	}
-}
-
 func TestAnalyzeNilTopology(t *testing.T) {
 	if _, err := Analyze(Archives{}, nil, Options{}); err == nil {
 		t.Error("nil topology accepted")
