@@ -7,6 +7,7 @@ package logdiver_test
 // produced EXPERIMENTS.md.
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -303,11 +304,13 @@ func BenchmarkAnalyze(b *testing.B) {
 }
 
 // TestAnalyzeAllocCeiling bounds what one worker per archive allocates over
-// the 30-day fixture (measured 89.4k): the line paths are
-// allocation-free, so the count scales with records retained, not with lines
-// read, and a per-line allocation creeping back in blows through it many
-// times over. It is the only gate of errlog.EventBatch.Append; an allocation
-// once per 256 KB block stays under it by design.
+// the 30-day fixture, in count (measured 89.4k) and in bytes (measured
+// 172-173 MB). The line paths are allocation-free, so the count scales
+// with records retained, not with lines read, and a per-line allocation
+// creeping back in blows through it many times over. It is the only gate of
+// errlog.EventBatch.Append; an allocation once per 256 KB block stays under
+// it by design. The bytes ceiling catches a second copy of the runs or the
+// events in a round, which adds few allocations but many bytes.
 func TestAnalyzeAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates and analyzes the 30-day ingest fixture")
@@ -316,9 +319,17 @@ func TestAnalyzeAllocCeiling(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const ceiling = 90600
+	const bytesCeiling = 182_000_000
 	f := ingestFixture(t)
 	if n := testing.AllocsPerRun(1, func() { analyzeIngest(t, f, 1) }); n > ceiling {
 		t.Errorf("Analyze at one worker per archive: %.0f allocs/op, ceiling %d", n, ceiling)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	analyzeIngest(t, f, 1)
+	runtime.ReadMemStats(&m1)
+	if b := m1.TotalAlloc - m0.TotalAlloc; b > bytesCeiling {
+		t.Errorf("Analyze at one worker per archive: %d B/op, ceiling %d", b, bytesCeiling)
 	}
 }
 

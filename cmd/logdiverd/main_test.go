@@ -293,6 +293,29 @@ func TestDaemonWarmRestart(t *testing.T) {
 	}
 }
 
+// refusedBoot runs a daemon boot that must fail and returns its error. A
+// boot that binds its listener instead fails the test and is stopped with
+// SIGTERM, and one that neither fails nor stops within ten seconds fails it
+// too, so a wrong success names its assertion instead of serving until the
+// test binary's timeout.
+func refusedBoot(t *testing.T, args ...string) error {
+	t.Helper()
+	errCh := make(chan error, 1)
+	go func() {
+		errCh <- run(args, func(addr string) {
+			t.Errorf("daemon bound %s; the boot should have been refused", addr)
+			_ = syscall.Kill(syscall.Getpid(), syscall.SIGTERM)
+		})
+	}()
+	select {
+	case err := <-errCh:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon neither refused to boot nor stopped within 10 s")
+		return nil
+	}
+}
+
 // TestDaemonRestoreFallback is the crash-injection policy at daemon level:
 // an unusable state file must cold-rebuild (with provenance) in lenient
 // mode and refuse to start in strict mode — never crash, never serve wrong
@@ -321,13 +344,13 @@ func TestDaemonRestoreFallback(t *testing.T) {
 	})
 
 	t.Run("strict-refuses", func(t *testing.T) {
-		err := run([]string{
+		err := refusedBoot(t,
 			"-listen", "127.0.0.1:0",
 			"-data-dir", dir,
 			"-machine", "small",
 			"-parse-mode", "strict",
 			"-state-dir", corrupt(t),
-		}, nil)
+		)
 		if err == nil || !strings.Contains(err.Error(), "state.ldv") {
 			t.Fatalf("strict boot over corrupt state: err = %v, want provenance error naming the file", err)
 		}
@@ -340,13 +363,13 @@ func TestDaemonRestoreFallback(t *testing.T) {
 		base, stop := bootDaemon(t, dir, "-state-dir", stateDir, "-state-interval", "10ms")
 		waitFor(t, base, "snapshot", func(h health) bool { return h.Status == "ok" && h.Runs > 0 })
 		stop()
-		err := run([]string{
+		err := refusedBoot(t,
 			"-listen", "127.0.0.1:0",
 			"-data-dir", dir,
 			"-machine", "small",
 			"-parse-mode", "strict",
 			"-state-dir", stateDir,
-		}, nil)
+		)
 		if err == nil || !strings.Contains(err.Error(), "parse mode") {
 			t.Fatalf("strict boot over lenient state: err = %v, want fingerprint mismatch", err)
 		}

@@ -14,10 +14,8 @@ import (
 	"time"
 
 	"logdiver/internal/alps"
-	"logdiver/internal/coalesce"
 	"logdiver/internal/correlate"
 	"logdiver/internal/errlog"
-	"logdiver/internal/interval"
 	"logdiver/internal/machine"
 	"logdiver/internal/metrics"
 	"logdiver/internal/parse"
@@ -214,74 +212,31 @@ type Result struct {
 	Start, End time.Time
 }
 
-// Analyze runs the full pipeline over raw archives: ingestion followed by
-// AnalyzeParsed. The three archives are read concurrently through the block
-// engine in ingest.go, each with Options.Parallelism block workers; the
-// Result is identical at every worker count and block size.
+// Analyze runs the full pipeline over raw archives: one round of a fresh
+// Incremental, which reads the three archives concurrently through the block
+// engine in ingest.go, each with Options.Parallelism block workers, and then
+// attributes every run. The Result is identical at every worker count and
+// block size.
 func Analyze(a Archives, top *machine.Topology, opts Options) (*Result, error) {
-	if top == nil {
-		return nil, fmt.Errorf("core: nil topology")
-	}
-	opts = opts.withDefaults()
-	wlmAsm := wlm.NewAssembler()
-	alpsAsm := alps.NewAssembler()
-	alpsAsm.SetLenient(opts.ParseMode == parse.Lenient)
-	events, stats, err := ingest(a, top, opts, wlmAsm.AddScan, alpsAsm)
+	inc, err := NewIncremental(top, a.Location, opts)
 	if err != nil {
 		return nil, err
 	}
-	res, err := AnalyzeParsed(wlmAsm.Jobs(), alpsAsm.Runs(), events, top, opts)
-	if err != nil {
+	if _, err := inc.read(a); err != nil {
 		return nil, err
 	}
-	stats.setAssembler(alpsAsm)
-	res.Parse = stats
-	return res, nil
+	return inc.Result()
 }
 
-// AnalyzeParsed is the post-ingest stage of Analyze: it deduplicates the
-// classified events (the only coalescing stage attribution uses, see package
-// coalesce), indexes them by node and time, and attributes every run against
-// that index and the jobs' accounting records. Its only caller outside tests
-// is Analyze; it is exported so the benchmark can time the stage on its own.
+// AnalyzeParsed is the post-ingest half of Analyze over already-parsed jobs,
+// completed runs and raw events: a pipeline restored from them, one Result.
+// Its only caller outside tests is the benchmark, which times it alone.
 func AnalyzeParsed(jobs []wlm.Job, runs []alps.AppRun, events []errlog.Event, top *machine.Topology, opts Options) (*Result, error) {
-	if top == nil {
-		return nil, fmt.Errorf("core: nil topology")
-	}
-	opts = opts.withDefaults()
-	deduped := coalesce.Dedup(events)
-	res := &Result{NumJobs: len(jobs), Events: deduped, RawEvents: len(events)}
-	cfg := correlate.DefaultConfig()
-	cfg.Jobs = make(map[string]wlm.Job, len(jobs))
-	for _, j := range jobs {
-		cfg.Jobs[j.ID] = j
-	}
-	corr, err := correlate.New(interval.NewIndex(deduped), top, cfg)
+	inc, err := RestoreIncremental(top, nil, opts, &IncrementalState{Jobs: jobs, Alps: alps.AssemblerState{Done: runs}, Pending: events})
 	if err != nil {
 		return nil, err
 	}
-	res.Runs = corr.AttributeAllParallel(runs, opts.Parallelism)
-	res.Agg = metrics.Fold(res.Runs)
-	var sp span
-	for i := range res.Runs {
-		sp.cover(&res.Runs[i].AppRun)
-	}
-	res.Start, res.End = sp.start, sp.end
-	return res, nil
-}
-
-// span bounds the observed activity: the earliest nonzero run start and the
-// latest run end. Both are order-free, so the incremental pipeline covers
-// only its newly completed runs (re-attribution moves neither).
-type span struct{ start, end time.Time }
-
-func (s *span) cover(r *alps.AppRun) {
-	if !r.Start.IsZero() && (s.start.IsZero() || r.Start.Before(s.start)) {
-		s.start = r.Start
-	}
-	if r.End.After(s.end) {
-		s.end = r.End
-	}
+	return inc.Result()
 }
 
 // archiveErr stamps the archive name onto typed parse errors and wraps err

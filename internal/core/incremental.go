@@ -1,14 +1,15 @@
 package core
 
-// Incremental ingestion: the online counterpart of Analyze. A long-running
-// service tails growing archives and appends each new chunk of raw log
-// text; the Incremental keeps the persistent parse state (the accounting
-// and apsys assemblers, whose half-open records span append boundaries, the
+// The pipeline. Incremental is the one path from raw bytes to a Result:
+// Analyze is one round of a fresh Incremental, and a long-running service
+// tails growing archives and appends each new chunk of raw log text. The
+// Incremental keeps the persistent parse state (the accounting and apsys
+// assemblers, whose half-open records span append boundaries, the
 // classified events, and the cumulative ParseStats with absolute line
-// provenance) and, on demand, materializes a *Result equal to what a
-// from-scratch Analyze over the concatenated input would produce — for work
-// proportional to what was appended plus one copy of the runs, with no sort
-// and no re-attribution of history.
+// provenance) and, on demand, materializes a *Result equal to what one
+// round over the concatenated input would produce — for work proportional
+// to what was appended plus one copy of the runs, with no sort and no
+// re-attribution of history.
 //
 // The re-attribution window: a run's attribution depends on the event index
 // only inside [End-EvidenceWindow, End+PostWindow] (Attribute clamps the
@@ -28,7 +29,8 @@ package core
 // run in the apsys assembler and its attribution beside it, an event in the
 // dedup carry or, until the next Result, in the pending batch.
 // TestIncrementalMatchesAnalyze and TestIncrementalSchedule assert exact
-// Result equality against the batch pipeline after every round.
+// Result equality against a fresh pipeline's one round after every round;
+// TestAnalyzeAttributionAgainstTruth scores both against ground truth.
 
 import (
 	"bytes"
@@ -115,8 +117,8 @@ type Incremental struct {
 }
 
 // NewIncremental returns an empty incremental pipeline. loc interprets
-// accounting timestamps (UTC when nil); opts follows Analyze semantics,
-// with the zero value selecting the study defaults.
+// accounting timestamps (UTC when nil); the zero Options select the study
+// defaults.
 func NewIncremental(top *machine.Topology, loc *time.Location, opts Options) (*Incremental, error) {
 	if top == nil {
 		return nil, fmt.Errorf("core: nil topology")
@@ -134,22 +136,9 @@ func NewIncremental(top *machine.Topology, loc *time.Location, opts Options) (*I
 	return inc, nil
 }
 
-// countLines counts the lines in b, treating a final unterminated fragment
-// as one line (matching stream.ForEachLine).
-func countLines(b []byte) int {
-	n := bytes.Count(b, []byte("\n"))
-	if len(b) > 0 && b[len(b)-1] != '\n' {
-		n++
-	}
-	return n
-}
-
 // shiftSamples rebases the retained sample line numbers by base, turning
 // chunk-relative provenance into absolute archive line numbers.
 func shiftSamples(ls *parse.LineStats, base int) {
-	if base == 0 {
-		return
-	}
 	for i := 0; i < ls.Samples.N; i++ {
 		if ls.Samples.Samples[i].Line > 0 {
 			ls.Samples.Samples[i].Line += base
@@ -166,25 +155,35 @@ func deltaReader(b []byte) io.Reader {
 	return bytes.NewReader(b)
 }
 
-// Append folds one chunk of raw archive bytes into the pipeline state. The
-// chunk goes through ingest — the block engine Analyze uses, the three
-// archives concurrently with Options.Parallelism workers each — into the
-// persistent assemblers, in lenient or strict mode per Options.ParseMode. A
-// strict-mode parse failure poisons the Incremental: the error, with
-// absolute line provenance, is returned from this and every later call.
+// Append folds one chunk of raw archive bytes into the pipeline state, in
+// lenient or strict mode per Options.ParseMode. A strict-mode parse failure
+// poisons the Incremental: the error, with absolute line provenance, is
+// returned from this and every later call.
 func (inc *Incremental) Append(d Delta) (AppendStats, error) {
-	if inc.err != nil {
-		return AppendStats{}, inc.err
-	}
-	evs, rst, err := ingest(Archives{
+	return inc.read(Archives{
 		Accounting: deltaReader(d.Accounting),
 		Apsys:      deltaReader(d.Apsys),
 		Syslog:     deltaReader(d.Syslog),
-		Location:   inc.loc,
-	}, inc.top, inc.opts, func(rec wlm.ScanRecord) error {
-		// Look up first: an assignment allocates its key even when present.
-		if _, ok := inc.dirtyJobs[string(rec.JobID)]; !ok {
-			inc.dirtyJobs[string(rec.JobID)] = struct{}{}
+	})
+}
+
+// read is the one way raw bytes enter the pipeline, for Append and Analyze
+// alike: ingest — the three archives concurrently, Options.Parallelism
+// block workers each — into the persistent assemblers. The archives'
+// Location is the pipeline's.
+func (inc *Incremental) read(a Archives) (AppendStats, error) {
+	if inc.err != nil {
+		return AppendStats{}, inc.err
+	}
+	a.Location = inc.loc
+	evs, rst, lines, err := ingest(a, inc.top, inc.opts, func(rec wlm.ScanRecord) error {
+		// With nothing attributed yet the next Result redoes every run, so no
+		// job needs marking. Look up first: an assignment allocates its key
+		// even when present.
+		if len(inc.attr) > 0 {
+			if _, ok := inc.dirtyJobs[string(rec.JobID)]; !ok {
+				inc.dirtyJobs[string(rec.JobID)] = struct{}{}
+			}
 		}
 		return inc.wlmAsm.AddScan(rec)
 	}, inc.alpsAsm)
@@ -193,11 +192,8 @@ func (inc *Incremental) Append(d Delta) (AppendStats, error) {
 		// lines its archive had already consumed and re-render the message.
 		var pe *parse.Error
 		if errors.As(err, &pe) && pe.Line > 0 {
-			for i, name := range archiveNames {
-				if pe.Archive == name {
-					pe.Line += inc.lineBase[i]
-					break
-				}
+			if i := slices.Index(archiveNames[:], pe.Archive); i >= 0 {
+				pe.Line += inc.lineBase[i]
 			}
 			err = archiveErr(pe.Archive, pe)
 		}
@@ -205,13 +201,6 @@ func (inc *Incremental) Append(d Delta) (AppendStats, error) {
 		return AppendStats{}, err
 	}
 
-	st := AppendStats{
-		AccountingLines: countLines(d.Accounting),
-		ApsysLines:      countLines(d.Apsys),
-		SyslogLines:     countLines(d.Syslog),
-		Events:          len(evs),
-	}
-	lines := [len(archiveNames)]int{st.AccountingLines, st.ApsysLines, st.SyslogLines}
 	details := [len(archiveNames)]*parse.LineStats{&rst.AccountingDetail, &rst.ApsysDetail, &rst.SyslogDetail}
 	for i := range archiveNames {
 		shiftSamples(details[i], inc.lineBase[i])
@@ -224,10 +213,19 @@ func (inc *Incremental) Append(d Delta) (AppendStats, error) {
 			inc.minNew, inc.haveNew = e.Time, true
 		}
 	}
-	inc.pending = append(inc.pending, evs...)
+	if len(inc.pending) == 0 {
+		inc.pending = evs // ingest's own slice: no copy
+	} else {
+		inc.pending = append(inc.pending, evs...)
+	}
 	inc.raw += len(evs)
-	st.RunsCompleted = len(inc.alpsAsm.Done())
-	return st, nil
+	return AppendStats{
+		AccountingLines: lines[archiveIdxAccounting],
+		ApsysLines:      lines[archiveIdxApsys],
+		SyslogLines:     lines[archiveIdxSyslog],
+		Events:          len(evs),
+		RunsCompleted:   len(inc.alpsAsm.Done()),
+	}, nil
 }
 
 // mergeSorted folds batch into carry, both sorted by the total order cmp;
@@ -235,10 +233,14 @@ func (inc *Incremental) Append(d Delta) (AppendStats, error) {
 // dropped. carry is never written: a batch that sorts after it extends it
 // (into spare capacity, which no holder of the old length can see), anything
 // else yields a fresh slice, copied at memmove speed outside the stretch the
-// batch interleaves with.
+// batch interleaves with. The batch is the caller's to give away: with no
+// carry it is the result.
 func mergeSorted[T any](carry, batch []T, cmp func(a, b T) int, dup func(a, b T) bool) []T {
-	if len(carry) == 0 || len(batch) == 0 {
-		return append(carry, batch...)
+	if len(carry) == 0 {
+		return batch
+	}
+	if len(batch) == 0 {
+		return carry
 	}
 	lo, _ := slices.BinarySearchFunc(carry, batch[0], cmp)
 	out := carry
@@ -296,14 +298,10 @@ func (inc *Incremental) Result() (*Result, error) {
 	}
 	done := inc.alpsAsm.Done()
 	var affIdx []int
-	var affRuns []alps.AppRun
 	var minEnd time.Time // the earliest End among them
 	for i := range done {
 		r := &done[i]
-		redo := i >= len(inc.attr)
-		if !redo && inc.haveNew && !r.End.Before(boundary) {
-			redo = true
-		}
+		redo := i >= len(inc.attr) || inc.haveNew && !r.End.Before(boundary)
 		if !redo && len(inc.dirtyJobs) > 0 {
 			_, redo = inc.dirtyJobs[r.JobID]
 		}
@@ -312,19 +310,38 @@ func (inc *Incremental) Result() (*Result, error) {
 				minEnd = r.End
 			}
 			affIdx = append(affIdx, i)
-			affRuns = append(affRuns, *r)
 		}
 	}
-	// The correlator sees what the affected runs can: their own jobs, and the
-	// events from the earliest evidence horizon among them on.
-	cfg.Jobs = make(map[string]wlm.Job, len(affRuns))
-	for _, r := range affRuns {
-		if j, ok := inc.wlmAsm.Job(r.JobID); ok {
-			cfg.Jobs[r.JobID] = j
+	// The runs to attribute, in the order of idx. When every completed run is
+	// redone (a fresh pipeline's round) that is the output order, and their
+	// attributions are the Result's runs; otherwise the affected ones.
+	inc.order = mergeSorted(inc.order, alps.StartOrder(done, len(inc.order)), alps.ByStart(done), nil)
+	idx := affIdx
+	if len(affIdx) == len(done) {
+		idx = inc.order
+	}
+	runs := make([]alps.AppRun, len(idx))
+	for k, i := range idx {
+		runs[k] = done[i]
+	}
+	// The correlator sees what the runs can: their own jobs (the whole table
+	// when they outnumber it), and the events from the earliest evidence
+	// horizon among them on.
+	if len(runs) >= inc.wlmAsm.Len() {
+		cfg.Jobs = make(map[string]wlm.Job, inc.wlmAsm.Len())
+		for _, j := range inc.wlmAsm.Jobs() {
+			cfg.Jobs[j.ID] = j
+		}
+	} else {
+		cfg.Jobs = make(map[string]wlm.Job, len(runs))
+		for _, r := range runs {
+			if j, ok := inc.wlmAsm.Job(r.JobID); ok {
+				cfg.Jobs[r.JobID] = j
+			}
 		}
 	}
 	lo := len(inc.dedup)
-	if len(affRuns) > 0 {
+	if len(runs) > 0 {
 		lo, _ = slices.BinarySearchFunc(inc.dedup, minEnd.Add(-cfg.EvidenceWindow),
 			func(e errlog.Event, horizon time.Time) int { return e.Time.Compare(horizon) })
 	}
@@ -332,35 +349,51 @@ func (inc *Incremental) Result() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	newAttr := corr.AttributeAllParallel(affRuns, inc.opts.Parallelism)
+	attributed := corr.AttributeAllParallel(runs, inc.opts.Parallelism)
 	// The aggregate takes −old +new for exactly the re-attributed runs and
 	// +new for the newly completed ones, which alone can widen the span.
 	carried := len(inc.attr)
 	inc.attr = slices.Grow(inc.attr, len(done)-carried)[:len(done)]
-	for k, i := range affIdx {
+	for k, i := range idx {
 		if i < carried {
 			inc.agg.Sub(&correlate.AttributedRun{AppRun: done[i], Attribution: inc.attr[i]})
 		} else {
 			inc.span.cover(&done[i])
 		}
-		inc.attr[i] = newAttr[k].Attribution
-		inc.agg.Add(&newAttr[k])
+		inc.attr[i] = attributed[k].Attribution
+		inc.agg.Add(&attributed[k])
 	}
-	inc.lastRedo = len(affIdx)
+	inc.lastRedo = len(idx)
 	inc.dirtyJobs = make(map[string]struct{}) // not clear: a catch-up round's table would stay
 	inc.minNew, inc.haveNew = time.Time{}, false
 
-	// The same order as Assembler.Runs, which the batch path attributes in.
-	inc.order = mergeSorted(inc.order, alps.StartOrder(done, len(inc.order)), alps.ByStart(done), nil)
-	res.Runs = make([]correlate.AttributedRun, len(inc.order))
-	for k, i := range inc.order {
-		// Field by field: a composite literal measured slower on idle rounds.
-		r := &res.Runs[k]
-		r.AppRun, r.Attribution = done[i], inc.attr[i]
+	if len(idx) == len(done) {
+		res.Runs = attributed
+	} else {
+		res.Runs = make([]correlate.AttributedRun, len(inc.order))
+		for k, i := range inc.order {
+			// Field by field: a composite literal measured slower on idle rounds.
+			r := &res.Runs[k]
+			r.AppRun, r.Attribution = done[i], inc.attr[i]
+		}
 	}
 	res.Agg = inc.agg.Clone()
 	res.Start, res.End = inc.span.start, inc.span.end
 	return res, nil
+}
+
+// span bounds the observed activity: the earliest nonzero run start and the
+// latest run end. Both are order-free, so a round covers only its newly
+// completed runs (re-attribution moves neither).
+type span struct{ start, end time.Time }
+
+func (s *span) cover(r *alps.AppRun) {
+	if !r.Start.IsZero() && (s.start.IsZero() || r.Start.Before(s.start)) {
+		s.start = r.Start
+	}
+	if r.End.After(s.end) {
+		s.end = r.End
+	}
 }
 
 // Runs returns the completed-run count attributed so far.

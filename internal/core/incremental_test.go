@@ -59,7 +59,7 @@ func testArchiveText(t *testing.T) (acc, aps, sys string) {
 func assembledJobs(t *testing.T, acc []byte, top *machine.Topology, opts Options) []wlm.Job {
 	t.Helper()
 	asm := wlm.NewAssembler()
-	_, _, err := ingest(Archives{Accounting: deltaReader(acc), Location: time.UTC}, top, opts.withDefaults(), asm.AddScan, alps.NewAssembler())
+	_, _, _, err := ingest(Archives{Accounting: deltaReader(acc), Location: time.UTC}, top, opts.withDefaults(), asm.AddScan, alps.NewAssembler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,8 +300,13 @@ func TestIncrementalStrictLineProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inc.Append(Delta{Apsys: chunks[0]}); err != nil {
+	st, err := inc.Append(Delta{Apsys: chunks[0]})
+	if err != nil {
 		t.Fatalf("clean chunk rejected: %v", err)
+	}
+	// splitChunks ends every chunk but the last with a newline.
+	if n := strings.Count(string(chunks[0]), "\n"); st.ApsysLines != n {
+		t.Fatalf("append read %d apsys lines, the chunk holds %d", st.ApsysLines, n)
 	}
 	bad := append([]byte("this is not a syslog line\n"), chunks[1]...)
 	_, err = inc.Append(Delta{Apsys: bad})
@@ -312,7 +317,7 @@ func TestIncrementalStrictLineProvenance(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("error %v is not a *parse.Error", err)
 	}
-	wantLine := countLines(chunks[0]) + 1
+	wantLine := st.ApsysLines + 1
 	if pe.Line != wantLine {
 		t.Errorf("error line %d, want absolute line %d", pe.Line, wantLine)
 	}
@@ -356,7 +361,8 @@ func TestIncrementalStrictArchivePrecedence(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("error %v is not a *parse.Error", err)
 	}
-	if wantLine := countLines(accC[0]) + countLines(badAcc); pe.Archive != ArchiveAccounting || pe.Line != wantLine {
+	// Both accounting chunks end with a newline: the bad record is the last line.
+	if wantLine := strings.Count(string(accC[0])+string(badAcc), "\n"); pe.Archive != ArchiveAccounting || pe.Line != wantLine {
 		t.Errorf("error at %s line %d, want %s line %d", pe.Archive, pe.Line, ArchiveAccounting, wantLine)
 	}
 	_, want := Analyze(Archives{

@@ -1,7 +1,7 @@
 package core
 
-// Ingestion: the one path from raw archive bytes to parsed state, shared by
-// Analyze and Incremental.Append. The three archives are parsed concurrently
+// Ingestion: the one path from raw archive bytes to parsed state, entered
+// through Incremental (Analyze is one round of a fresh one). The three archives are parsed concurrently
 // (one reader goroutine each), and within every archive the raw text is
 // split into line-aligned blocks that a worker pool (Options.Parallelism
 // workers per archive) parses — and, for syslog, classifies — concurrently.
@@ -64,12 +64,13 @@ func (s *ParseStats) merge(o ParseStats) {
 // ingest parses the three archives concurrently (a nil archive is skipped):
 // accounting records go to accSink and apsys messages into alpsAsm, both in
 // archive order, and the classified syslog events are returned with the
-// merged parse stats. The caller owns both sinks — Analyze passes fresh
-// assemblers, Incremental.Append its persistent ones — and derives the
-// pairing-anomaly counters via setAssembler when it snapshots. With
-// corruption in several archives a strict-mode run reports the error of the
-// first one in fixed order (accounting, apsys, syslog).
-func ingest(a Archives, top *machine.Topology, opts Options, accSink func(wlm.ScanRecord) error, alpsAsm *alps.Assembler) (events []errlog.Event, stats ParseStats, err error) {
+// merged parse stats and the raw lines read per archive (blank and malformed
+// ones included). The caller owns both sinks — Incremental's persistent
+// assemblers, or a test's fresh ones — and derives the pairing-anomaly
+// counters via setAssembler when it snapshots. With corruption in several
+// archives a strict-mode run reports the error of the first one in fixed
+// order (accounting, apsys, syslog).
+func ingest(a Archives, top *machine.Topology, opts Options, accSink func(wlm.ScanRecord) error, alpsAsm *alps.Assembler) (events []errlog.Event, stats ParseStats, lines [len(archiveNames)]int, err error) {
 	var (
 		wg    sync.WaitGroup
 		parts [len(archiveNames)]ParseStats
@@ -78,26 +79,26 @@ func ingest(a Archives, top *machine.Topology, opts Options, accSink func(wlm.Sc
 	wg.Add(len(archiveNames))
 	go func() {
 		defer wg.Done()
-		errs[archiveIdxAccounting] = ingestAccounting(a.Accounting, a.Location, opts.Parallelism, opts.ParseMode, &parts[archiveIdxAccounting], accSink)
+		lines[archiveIdxAccounting], errs[archiveIdxAccounting] = ingestAccounting(a.Accounting, a.Location, opts.Parallelism, opts.ParseMode, &parts[archiveIdxAccounting], accSink)
 	}()
 	go func() {
 		defer wg.Done()
-		errs[archiveIdxApsys] = ingestApsys(a.Apsys, opts.Parallelism, opts.ParseMode, &parts[archiveIdxApsys], alpsAsm)
+		lines[archiveIdxApsys], errs[archiveIdxApsys] = ingestApsys(a.Apsys, opts.Parallelism, opts.ParseMode, &parts[archiveIdxApsys], alpsAsm)
 	}()
 	go func() {
 		defer wg.Done()
-		events, errs[archiveIdxSyslog] = ingestSyslog(a.Syslog, top, opts.Classifier, opts.Parallelism, opts.ParseMode, &parts[archiveIdxSyslog])
+		events, lines[archiveIdxSyslog], errs[archiveIdxSyslog] = ingestSyslog(a.Syslog, top, opts.Classifier, opts.Parallelism, opts.ParseMode, &parts[archiveIdxSyslog])
 	}()
 	wg.Wait()
 	for i, e := range errs {
 		if e != nil {
-			return nil, ParseStats{}, archiveErr(archiveNames[i], e)
+			return nil, ParseStats{}, lines, archiveErr(archiveNames[i], e)
 		}
 	}
 	for _, p := range parts {
 		stats.merge(p)
 	}
-	return events, stats, nil
+	return events, stats, lines, nil
 }
 
 // setAssembler copies the pairing-anomaly counters out of an apsys
@@ -120,13 +121,13 @@ type accChunk struct {
 
 // ingestAccounting streams the accounting archive through the block worker
 // pool, feeding every parsed record to sink (in archive order) and
-// accumulating parse stats into st. Errors are returned unwrapped; ingest
-// stamps the archive name.
-func ingestAccounting(r io.Reader, loc *time.Location, workers int, mode parse.Mode, st *ParseStats, sink func(wlm.ScanRecord) error) error {
+// accumulating parse stats into st. It returns the raw lines read. Errors
+// are returned unwrapped; ingest stamps the archive name.
+func ingestAccounting(r io.Reader, loc *time.Location, workers int, mode parse.Mode, st *ParseStats, sink func(wlm.ScanRecord) error) (int, error) {
 	if r == nil {
-		return nil
+		return 0, nil
 	}
-	err := stream.OrderedRecycledBlocks(r, ingestBlockSize, workers,
+	lines, err := stream.OrderedRecycledBlocks(r, ingestBlockSize, workers,
 		func(b stream.Block) (accChunk, error) {
 			recs, stats, err := wlm.ScanBlockMode(b.Data, loc, b.FirstLine, mode)
 			if err != nil {
@@ -145,11 +146,11 @@ func ingestAccounting(r io.Reader, loc *time.Location, workers int, mode parse.M
 			return nil
 		})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	st.AccountingDetail.SetArchive(ArchiveAccounting)
 	st.AccountingMalformed = st.AccountingDetail.Malformed()
-	return nil
+	return lines, nil
 }
 
 // apsysTagBytes is alps.Tag for byte-view comparison on the hot path.
@@ -234,13 +235,13 @@ func parseApsysBlockBytes(b stream.Block, mode parse.Mode) (apsViewChunk, error)
 // ingestApsys streams the apsys archive through the block worker pool into
 // the caller-owned assembler. The pairing-anomaly counters (OpenRuns,
 // UnmatchedExits, ...) are assembler state, not per-block deltas, so they
-// are not accumulated here (see setAssembler). Errors are returned
-// unwrapped; ingest stamps the archive name.
-func ingestApsys(r io.Reader, workers int, mode parse.Mode, st *ParseStats, asm *alps.Assembler) error {
+// are not accumulated here (see setAssembler). It returns the raw lines
+// read. Errors are returned unwrapped; ingest stamps the archive name.
+func ingestApsys(r io.Reader, workers int, mode parse.Mode, st *ParseStats, asm *alps.Assembler) (int, error) {
 	if r == nil {
-		return nil
+		return 0, nil
 	}
-	err := stream.OrderedRecycledBlocks(r, ingestBlockSize, workers,
+	lines, err := stream.OrderedRecycledBlocks(r, ingestBlockSize, workers,
 		func(b stream.Block) (apsViewChunk, error) { return parseApsysBlockBytes(b, mode) },
 		func(c apsViewChunk) error {
 			st.ApsysLines += c.lines
@@ -253,11 +254,11 @@ func ingestApsys(r io.Reader, workers int, mode parse.Mode, st *ParseStats, asm 
 			return nil
 		})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	st.ApsysDetail.SetArchive(ArchiveApsys)
 	st.ApsysMalformed = st.ApsysDetail.Malformed()
-	return nil
+	return lines, nil
 }
 
 // sysChunk is one parsed-and-classified syslog block.
@@ -311,18 +312,18 @@ func parseSyslogBlock(b stream.Block, top *machine.Topology, cls *taxonomy.Class
 }
 
 // ingestSyslog streams the error log through the block worker pool and
-// returns the classified events in archive order. Errors are returned
-// unwrapped; ingest stamps the archive name.
-func ingestSyslog(r io.Reader, top *machine.Topology, cls *taxonomy.Classifier, workers int, mode parse.Mode, st *ParseStats) ([]errlog.Event, error) {
+// returns the classified events in archive order and the raw lines read.
+// Errors are returned unwrapped; ingest stamps the archive name.
+func ingestSyslog(r io.Reader, top *machine.Topology, cls *taxonomy.Classifier, workers int, mode parse.Mode, st *ParseStats) ([]errlog.Event, int, error) {
 	if r == nil {
-		return nil, nil
+		return nil, 0, nil
 	}
 	var events []errlog.Event
 	// Per-worker host caches, reused across the blocks of this archive. The
 	// pool is local because cached attributions are only valid for this
 	// topology.
 	hostCaches := sync.Pool{New: func() any { return errlog.NewHostCache() }}
-	err := stream.OrderedRecycledBlocks(r, ingestBlockSize, workers,
+	lines, err := stream.OrderedRecycledBlocks(r, ingestBlockSize, workers,
 		func(b stream.Block) (sysChunk, error) {
 			hc := hostCaches.Get().(*errlog.HostCache)
 			defer hostCaches.Put(hc)
@@ -336,9 +337,9 @@ func ingestSyslog(r io.Reader, top *machine.Topology, cls *taxonomy.Classifier, 
 			return nil
 		})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	st.SyslogDetail.SetArchive(ArchiveSyslog)
 	st.SyslogMalformed = st.SyslogDetail.Malformed()
-	return events, nil
+	return events, lines, nil
 }

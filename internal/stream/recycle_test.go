@@ -43,8 +43,9 @@ func TestOrderedRecycledBlocksMatchesNumbered(t *testing.T) {
 				func(s sum) error { want = append(want, s); return nil }); err != nil {
 				t.Fatal(err)
 			}
-			if err := OrderedRecycledBlocks(strings.NewReader(input), blockSize, workers, digest,
-				func(s sum) error { got = append(got, s); return nil }); err != nil {
+			n, err := OrderedRecycledBlocks(strings.NewReader(input), blockSize, workers, digest,
+				func(s sum) error { got = append(got, s); return nil })
+			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
@@ -52,12 +53,16 @@ func TestOrderedRecycledBlocksMatchesNumbered(t *testing.T) {
 					blockSize, workers, len(got), len(want))
 				continue
 			}
-			total := 0
+			total, lines := 0, 0
 			for _, s := range want {
 				total += s.bytes
+				lines += s.lines
 			}
 			if total != len(input) {
 				t.Errorf("blockSize=%d workers=%d: blocks cover %d bytes, input has %d", blockSize, workers, total, len(input))
+			}
+			if n != lines {
+				t.Errorf("blockSize=%d workers=%d: OrderedRecycledBlocks reports %d lines, its blocks hold %d", blockSize, workers, n, lines)
 			}
 		}
 	}
@@ -69,7 +74,7 @@ func TestOrderedRecycledBlocksUnterminatedTail(t *testing.T) {
 	input := "one\ntwo\nthree without newline"
 	var lines []string
 	var firsts []int
-	err := OrderedRecycledBlocks(strings.NewReader(input), 5, 2,
+	n, err := OrderedRecycledBlocks(strings.NewReader(input), 5, 2,
 		func(b Block) ([]string, error) {
 			var out []string
 			ForEachLine(b.Data, func(l []byte) { out = append(out, string(l)) })
@@ -82,13 +87,16 @@ func TestOrderedRecycledBlocksUnterminatedTail(t *testing.T) {
 	if want := []string{"one", "two", "three without newline"}; !reflect.DeepEqual(lines, want) {
 		t.Errorf("lines = %q, want %q", lines, want)
 	}
+	if n != 3 {
+		t.Errorf("OrderedRecycledBlocks read %d lines, want 3", n)
+	}
 }
 
 // keepViews runs input through OrderedRecycledBlocks with a consume that
 // breaks the contract on purpose: it keeps every block's bytes as a view.
 func keepViews(t *testing.T, input string, blockSize, workers int) (kept [][]byte) {
 	t.Helper()
-	err := OrderedRecycledBlocks(strings.NewReader(input), blockSize, workers,
+	_, err := OrderedRecycledBlocks(strings.NewReader(input), blockSize, workers,
 		func(b Block) ([]byte, error) { return b.Data, nil },
 		func(view []byte) error {
 			if !strings.Contains(input, string(view)) {

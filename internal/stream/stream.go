@@ -49,12 +49,13 @@ type Block struct {
 // does not end in a newline. Emission stops without error when emit returns
 // false. blockSize < 1 selects DefaultBlockSize.
 func NumberedBlocks(r io.Reader, blockSize int, emit func(Block) bool) error {
-	return splitBlocks(r, blockSize,
+	_, err := splitBlocks(r, blockSize,
 		func(n int) *[]byte {
 			b := make([]byte, 0, n)
 			return &b
 		},
 		func(b Block, _ *[]byte) bool { return emit(b) })
+	return err
 }
 
 // blockBufPool recycles block buffers for OrderedRecycledBlocks. Pooled
@@ -84,8 +85,9 @@ func poison(buf []byte) {
 // splitBlocks is the block splitter. Each block is built inside the buffer
 // getBuf returns for its length (a fresh one for NumberedBlocks, one drawn
 // from blockBufPool for OrderedRecycledBlocks); emit receives that handle
-// alongside the block and owns the buffer from then on.
-func splitBlocks(r io.Reader, blockSize int, getBuf func(n int) *[]byte, emit func(b Block, buf *[]byte) bool) error {
+// alongside the block and owns the buffer from then on. It returns the lines
+// of the blocks emitted, an unterminated last line included.
+func splitBlocks(r io.Reader, blockSize int, getBuf func(n int) *[]byte, emit func(b Block, buf *[]byte) bool) (int, error) {
 	if blockSize < 1 {
 		blockSize = DefaultBlockSize
 	}
@@ -106,14 +108,14 @@ func splitBlocks(r io.Reader, blockSize int, getBuf func(n int) *[]byte, emit fu
 			data := buf[:n]
 			if i := bytes.LastIndexByte(data, '\n'); i >= 0 {
 				if !flush(carry, data[:i+1]) {
-					return nil
+					return line - 1, nil
 				}
 				carry = append(carry[:0], data[i+1:]...)
 			} else {
 				carry = append(carry, data...)
 			}
 			if len(carry) > parse.AbsMaxLineBytes {
-				return bufio.ErrTooLong
+				return line - 1, bufio.ErrTooLong
 			}
 		}
 		switch err {
@@ -121,10 +123,11 @@ func splitBlocks(r io.Reader, blockSize int, getBuf func(n int) *[]byte, emit fu
 		case io.EOF:
 			if len(carry) > 0 {
 				flush(carry, nil)
+				line++ // the unterminated last line
 			}
-			return nil
+			return line - 1, nil
 		default:
-			return err
+			return line - 1, err
 		}
 	}
 }
@@ -136,14 +139,16 @@ func splitBlocks(r io.Reader, blockSize int, getBuf func(n int) *[]byte, emit fu
 // corresponding output, so neither apply's Out value nor consume may retain
 // any bytes of the block past consume's return — everything kept must be
 // copied (or interned) first. In exchange the steady-state ingestion path
-// does not allocate one fresh block per DefaultBlockSize of input.
+// does not allocate one fresh block per DefaultBlockSize of input. It returns
+// the lines read, counted where the blocks are split (a final unterminated
+// line counts as one), so no caller passes over the bytes a second time.
 //
 // Inside a test binary every buffer is first overwritten to its full
 // capacity with a fill byte that changes on each recycle (see poison): a
 // view that outlived its block then reads as one repeated byte, a different
 // one in any two runs, and the differential and golden tests fail on it.
 // That is the whole retention check; nothing static stands behind it.
-func OrderedRecycledBlocks[Out any](r io.Reader, blockSize, workers int, apply func(b Block) (Out, error), consume func(Out) error) error {
+func OrderedRecycledBlocks[Out any](r io.Reader, blockSize, workers int, apply func(b Block) (Out, error), consume func(Out) error) (lines int, err error) {
 	type job struct {
 		b   Block
 		buf *[]byte
@@ -152,11 +157,13 @@ func OrderedRecycledBlocks[Out any](r io.Reader, blockSize, workers int, apply f
 		out Out
 		buf *[]byte
 	}
-	return Ordered(workers,
+	err = Ordered(workers,
 		func(emit func(job) bool) error {
-			return splitBlocks(r, blockSize,
+			var err error
+			lines, err = splitBlocks(r, blockSize,
 				func(int) *[]byte { return blockBufPool.Get().(*[]byte) },
 				func(b Block, buf *[]byte) bool { return emit(job{b: b, buf: buf}) })
+			return err
 		},
 		func(j job) (recycled, error) {
 			out, err := apply(j.b)
@@ -168,6 +175,7 @@ func OrderedRecycledBlocks[Out any](r io.Reader, blockSize, workers int, apply f
 			blockBufPool.Put(rc.buf)
 			return err
 		})
+	return lines, err
 }
 
 // ForEachLine splits a block into lines with the exact semantics of
