@@ -1,10 +1,11 @@
 package core
 
 // Ingestion: the one path from raw archive bytes to parsed state, entered
-// through Incremental (Analyze is one round of a fresh one). The three archives are parsed concurrently
-// (one reader goroutine each), and within every archive the raw text is
-// split into line-aligned blocks that a worker pool (Options.Parallelism
-// workers per archive) parses — and, for syslog, classifies — concurrently.
+// through Incremental (Analyze is one round of a fresh one). The three
+// archives are parsed concurrently (one reader goroutine each), and within
+// every archive the raw text is split into line-aligned blocks that a worker
+// pool (Options.Parallelism workers per archive) parses — and, for syslog,
+// classifies — concurrently.
 // Block results are merged back in archive order, so the assembled jobs,
 // runs, events and ParseStats — including the per-kind malformed counters
 // and provenance samples — do not depend on the worker count or the block
