@@ -124,6 +124,26 @@ type ParseStats struct {
 	AccountingDetail, ApsysDetail, SyslogDetail parse.LineStats
 }
 
+// Add folds o into s: every counter adds, and o's retained samples follow
+// s's. It is the one sum of two ParseStats, for the per-archive totals of a
+// round, the pipeline's running totals and the fleet merge alike.
+func (s *ParseStats) Add(o ParseStats) {
+	s.AccountingRecords += o.AccountingRecords
+	s.AccountingMalformed += o.AccountingMalformed
+	s.ApsysLines += o.ApsysLines
+	s.ApsysMalformed += o.ApsysMalformed
+	s.OpenRuns += o.OpenRuns
+	s.UnmatchedExits += o.UnmatchedExits
+	s.DuplicateStarts += o.DuplicateStarts
+	s.ClampedRuns += o.ClampedRuns
+	s.SyslogLines += o.SyslogLines
+	s.SyslogMalformed += o.SyslogMalformed
+	s.Unclassified += o.Unclassified
+	s.AccountingDetail.Merge(o.AccountingDetail)
+	s.ApsysDetail.Merge(o.ApsysDetail)
+	s.SyslogDetail.Merge(o.SyslogDetail)
+}
+
 // ArchiveHygiene is the per-archive view of ParseStats: how much of one
 // raw log source was usable, with the malformed lines broken down by kind.
 // It is the shape both the logdiverd /v1/health endpoint and the

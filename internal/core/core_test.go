@@ -12,6 +12,7 @@ import (
 	"logdiver/internal/gen"
 	"logdiver/internal/machine"
 	"logdiver/internal/taxonomy"
+	"logdiver/internal/wlm"
 )
 
 var testDatasetCache *gen.Dataset
@@ -129,7 +130,11 @@ func TestAnalyzeMatchesInMemoryPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromMem, err := AnalyzeParsed(ds.Jobs, ds.Runs, ds.Events, ds.Topology, Options{})
+	jobs := make([]wlm.Job, len(ds.Jobs))
+	for i, j := range ds.Jobs {
+		jobs[i] = j.Job
+	}
+	fromMem, err := AnalyzeParsed(jobs, ds.Runs, ds.Events, ds.Topology, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

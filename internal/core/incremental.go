@@ -206,7 +206,7 @@ func (inc *Incremental) read(a Archives) (AppendStats, error) {
 		shiftSamples(details[i], inc.lineBase[i])
 		inc.lineBase[i] += lines[i]
 	}
-	inc.stats.merge(rst)
+	inc.stats.Add(rst)
 
 	for _, e := range evs {
 		if !inc.haveNew || e.Time.Before(inc.minNew) {

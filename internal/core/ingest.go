@@ -44,24 +44,6 @@ import (
 // boundaries onto chunk edges.
 var ingestBlockSize = stream.DefaultBlockSize
 
-// merge folds per-archive stats into the pipeline totals.
-func (s *ParseStats) merge(o ParseStats) {
-	s.AccountingRecords += o.AccountingRecords
-	s.AccountingMalformed += o.AccountingMalformed
-	s.ApsysLines += o.ApsysLines
-	s.ApsysMalformed += o.ApsysMalformed
-	s.OpenRuns += o.OpenRuns
-	s.UnmatchedExits += o.UnmatchedExits
-	s.DuplicateStarts += o.DuplicateStarts
-	s.ClampedRuns += o.ClampedRuns
-	s.SyslogLines += o.SyslogLines
-	s.SyslogMalformed += o.SyslogMalformed
-	s.Unclassified += o.Unclassified
-	s.AccountingDetail.Merge(o.AccountingDetail)
-	s.ApsysDetail.Merge(o.ApsysDetail)
-	s.SyslogDetail.Merge(o.SyslogDetail)
-}
-
 // ingest parses the three archives concurrently (a nil archive is skipped):
 // accounting records go to accSink and apsys messages into alpsAsm, both in
 // archive order, and the classified syslog events are returned with the
@@ -97,7 +79,7 @@ func ingest(a Archives, top *machine.Topology, opts Options, accSink func(wlm.Sc
 		}
 	}
 	for _, p := range parts {
-		stats.merge(p)
+		stats.Add(p)
 	}
 	return events, stats, lines, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -318,6 +319,10 @@ func TestGenerateEventsClassifiable(t *testing.T) {
 // The archive round trips read each archive back through the byte parsers
 // ingestion runs.
 
+// TestWriteAccountingRoundTrip reads the accounting archive back twice:
+// through the parser and assembler ingestion runs, which must recover every
+// job's ID and walltimes, and as raw k=v tokens, which must hold every field
+// the writer emits for the job, in one Q, one S and one E record.
 func TestWriteAccountingRoundTrip(t *testing.T) {
 	ds := generateTest(t, 2)
 	var buf strings.Builder
@@ -340,19 +345,47 @@ func TestWriteAccountingRoundTrip(t *testing.T) {
 	if asm.Len() != len(ds.Jobs) {
 		t.Errorf("recovered %d jobs, want %d", asm.Len(), len(ds.Jobs))
 	}
-	jobs := asm.Jobs()
-	byID := make(map[string]wlm.Job, len(jobs))
-	for _, j := range jobs {
-		byID[j.ID] = j
-	}
-	for _, want := range ds.Jobs {
-		got, ok := byID[want.ID]
-		if !ok {
-			t.Fatalf("job %s lost in round trip", want.ID)
+	for _, j := range ds.Jobs {
+		// The wire format has whole seconds.
+		want := wlm.Job{ID: j.ID, Walltime: j.Walltime.Truncate(time.Second), UsedWalltime: j.UsedWalltime.Truncate(time.Second)}
+		if got, ok := asm.Job(j.ID); !ok || got != want {
+			t.Fatalf("job %s assembled as %+v (found %v), want %+v", j.ID, got, ok, want)
 		}
-		if got.Nodes != want.Nodes || got.ExitStatus != want.ExitStatus ||
-			!got.StartedAt.Equal(want.StartedAt.Truncate(time.Second)) {
-			t.Fatalf("job %s mismatch:\n got %+v\nwant %+v", want.ID, got, want)
+	}
+
+	types := make(map[string]string, len(ds.Jobs))
+	fields := make(map[string]map[string]string, len(ds.Jobs))
+	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		parts := strings.SplitN(line, ";", 4)
+		if len(parts) != 4 {
+			t.Fatalf("line %q has %d parts", line, len(parts))
+		}
+		id := parts[2]
+		types[id] += parts[1]
+		if fields[id] == nil {
+			fields[id] = make(map[string]string)
+		}
+		for _, kv := range strings.Fields(parts[3]) {
+			k, v, _ := strings.Cut(kv, "=")
+			fields[id][k] = v
+		}
+	}
+	unix := func(at time.Time) string { return strconv.FormatInt(at.Unix(), 10) }
+	for _, j := range ds.Jobs {
+		want := map[string]string{
+			"user":                    j.User,
+			"account":                 j.Account,
+			"queue":                   j.Queue,
+			"ctime":                   unix(j.CreatedAt),
+			"start":                   unix(j.StartedAt),
+			"end":                     unix(j.EndedAt),
+			"Resource_List.nodect":    strconv.Itoa(j.Nodes),
+			"Resource_List.walltime":  wlm.FormatWalltime(j.Walltime),
+			"resources_used.walltime": wlm.FormatWalltime(j.UsedWalltime),
+			"Exit_status":             strconv.Itoa(j.ExitStatus),
+		}
+		if types[j.ID] != "QSE" || !reflect.DeepEqual(fields[j.ID], want) {
+			t.Fatalf("job %s: records %q with fields %v, want QSE with %v", j.ID, types[j.ID], fields[j.ID], want)
 		}
 	}
 }

@@ -34,7 +34,7 @@ type Dataset struct {
 	Config   Config
 	Topology *machine.Topology
 	// Jobs are the batch jobs as the accounting log reports them.
-	Jobs []wlm.Job
+	Jobs []wlm.FullJob
 	// Runs are the application runs as the ALPS log reports them,
 	// sorted by start time.
 	Runs []alps.AppRun
@@ -162,7 +162,7 @@ type sim struct {
 	heap eventHeap
 	seq  int
 
-	jobs        []wlm.Job
+	jobs        []wlm.FullJob
 	runs        []alps.AppRun
 	extraEvents []errlog.Event
 	truth       map[uint64]Truth
@@ -313,18 +313,16 @@ func (s *sim) executeJob(job *runningJob) time.Time {
 
 	jobID := strconv.Itoa(1000000+s.nextJobID) + ".bw"
 	s.nextJobID++
-	s.jobs = append(s.jobs, wlm.Job{
-		ID:           jobID,
-		User:         p.user,
-		Account:      p.account,
-		Queue:        p.queue,
-		CreatedAt:    job.started.Add(-time.Duration(1+s.rng.Intn(7200)) * time.Second),
-		StartedAt:    job.started,
-		EndedAt:      endAt,
-		Nodes:        len(job.nodes),
-		Walltime:     p.walltime,
-		UsedWalltime: endAt.Sub(job.started),
-		ExitStatus:   exitStatus,
+	s.jobs = append(s.jobs, wlm.FullJob{
+		Job:        wlm.Job{ID: jobID, Walltime: p.walltime, UsedWalltime: endAt.Sub(job.started)},
+		User:       p.user,
+		Account:    p.account,
+		Queue:      p.queue,
+		CreatedAt:  job.started.Add(-time.Duration(1+s.rng.Intn(7200)) * time.Second),
+		StartedAt:  job.started,
+		EndedAt:    endAt,
+		Nodes:      len(job.nodes),
+		ExitStatus: exitStatus,
 	})
 	// Stamp the job ID on the runs just recorded (they were appended with
 	// a placeholder).

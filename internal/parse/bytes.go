@@ -71,32 +71,6 @@ func Atoi(b []byte) (int, bool) {
 	return n, true
 }
 
-// ParseInt64 parses b with the exact acceptance of
-// strconv.ParseInt(string(b), 10, 64), without allocating.
-func ParseInt64(b []byte) (int64, bool) {
-	s := b
-	neg := false
-	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
-		neg = s[0] == '-'
-		s = s[1:]
-	}
-	if len(s) == 0 || len(s) > 18 {
-		n, err := strconv.ParseInt(string(b), 10, 64)
-		return n, err == nil
-	}
-	var n int64
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int64(c-'0')
-	}
-	if neg {
-		n = -n
-	}
-	return n, true
-}
-
 // ParseUint64 parses b with the exact acceptance of
 // strconv.ParseUint(string(b), 10, 64), without allocating.
 func ParseUint64(b []byte) (uint64, bool) {

@@ -36,20 +36,6 @@ func TestAtoiMatchesStrconv(t *testing.T) {
 	}
 }
 
-func TestParseInt64MatchesStrconv(t *testing.T) {
-	for _, s := range numCorpus {
-		want, err := strconv.ParseInt(s, 10, 64)
-		got, ok := ParseInt64([]byte(s))
-		if ok != (err == nil) {
-			t.Errorf("ParseInt64(%q) ok=%v, strconv err=%v", s, ok, err)
-			continue
-		}
-		if ok && got != want {
-			t.Errorf("ParseInt64(%q) = %d, strconv = %d", s, got, want)
-		}
-	}
-}
-
 func TestParseUint64MatchesStrconv(t *testing.T) {
 	for _, s := range numCorpus {
 		want, err := strconv.ParseUint(s, 10, 64)
@@ -109,14 +95,9 @@ func TestNumericParsersZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() {
 		Atoi(in)
 		Atoi(neg)
-		ParseInt64(in)
-		ParseInt64(neg)
 		ParseUint64(in)
 		if _, ok := Atoi(bad); ok {
 			t.Fatal("Atoi accepted 12a")
-		}
-		if _, ok := ParseInt64(bad); ok {
-			t.Fatal("ParseInt64 accepted 12a")
 		}
 		if _, ok := ParseUint64(bad); ok {
 			t.Fatal("ParseUint64 accepted 12a")

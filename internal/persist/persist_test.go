@@ -688,8 +688,7 @@ func syntheticState(n int) *State {
 	}
 	p := &core.IncrementalState{LineBase: [3]int{n, n, n}}
 	for i := 0; i < n/4; i++ {
-		p.Jobs = append(p.Jobs, wlm.Job{ID: fmt.Sprintf("%d.bw", i), User: "user", Queue: "normal",
-			StartedAt: t0.Add(time.Duration(i) * time.Minute), Nodes: 8})
+		p.Jobs = append(p.Jobs, wlm.Job{ID: fmt.Sprintf("%d.bw", i), Walltime: time.Duration(i) * time.Minute, UsedWalltime: time.Minute})
 	}
 	for i := 0; i < n; i++ {
 		p.Alps.Done = append(p.Alps.Done, run(i))

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"logdiver/internal/core"
 	"logdiver/internal/correlate"
 	"logdiver/internal/parse"
 )
@@ -129,7 +128,7 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 		res.Runs = append(res.Runs, pr.Runs...)
 		res.NumJobs += pr.NumJobs
 		res.NumEvents += pr.NumEvents
-		res.Parse = mergeParse(res.Parse, pr.Parse)
+		res.Parse.Add(pr.Parse)
 		res.Start = minNonZero(res.Start, pr.Start)
 		res.End = maxTime(res.End, pr.End)
 		m.BuiltAt = maxTime(m.BuiltAt, p.BuiltAt)
@@ -138,6 +137,12 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 		m.NumXE = max(m.NumXE, p.NumXE)
 		m.NumXK = max(m.NumXK, p.NumXK)
 		m.agg.Merge(&p.agg)
+	}
+	// The retained malformed-line samples are per-shard provenance: the
+	// merged view drops them (fetch a ?machine= view to see them), which
+	// keeps the merge independent of fold order.
+	for _, d := range []*parse.LineStats{&res.Parse.AccountingDetail, &res.Parse.ApsysDetail, &res.Parse.SyslogDetail} {
+		d.Samples = parse.SampleSet{}
 	}
 	// The bucket bounds are sized to the union topology; for equal-topology
 	// shards they equal each shard's own. Every part came out of Build, so
@@ -201,35 +206,6 @@ func mergeRefs(dst, a, b []apidRef) {
 	}
 	k += copy(dst[k:], a)
 	copy(dst[k:], b)
-}
-
-// mergeParse sums two hygiene reports. Per-kind counters add; the retained
-// malformed-line samples are per-shard provenance and are dropped from the
-// merged view (fetch a ?machine= view to see them), which keeps the merge
-// independent of fold order.
-func mergeParse(a, b core.ParseStats) core.ParseStats {
-	return core.ParseStats{
-		AccountingRecords:   a.AccountingRecords + b.AccountingRecords,
-		AccountingMalformed: a.AccountingMalformed + b.AccountingMalformed,
-		ApsysLines:          a.ApsysLines + b.ApsysLines,
-		ApsysMalformed:      a.ApsysMalformed + b.ApsysMalformed,
-		OpenRuns:            a.OpenRuns + b.OpenRuns,
-		UnmatchedExits:      a.UnmatchedExits + b.UnmatchedExits,
-		DuplicateStarts:     a.DuplicateStarts + b.DuplicateStarts,
-		ClampedRuns:         a.ClampedRuns + b.ClampedRuns,
-		SyslogLines:         a.SyslogLines + b.SyslogLines,
-		SyslogMalformed:     a.SyslogMalformed + b.SyslogMalformed,
-		Unclassified:        a.Unclassified + b.Unclassified,
-		AccountingDetail:    mergeDetail(a.AccountingDetail, b.AccountingDetail),
-		ApsysDetail:         mergeDetail(a.ApsysDetail, b.ApsysDetail),
-		SyslogDetail:        mergeDetail(a.SyslogDetail, b.SyslogDetail),
-	}
-}
-
-func mergeDetail(a, b parse.LineStats) parse.LineStats {
-	k := a.Kinds
-	k.Merge(b.Kinds)
-	return parse.LineStats{Kinds: k}
 }
 
 // mergeIngest sums ingestion history: the merged snapshot's build cost is

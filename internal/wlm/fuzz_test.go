@@ -69,8 +69,9 @@ func seedLines(seeds [][]byte) []string {
 // FuzzParseRecord pins the accounting line parser ingestion runs to the
 // string reference on arbitrary lines, in UTC and in a fixed non-UTC zone:
 // CheckLineBytes must skip, reject (same kind, reason and text) or accept (a
-// field-identical ScanRecord) exactly as CheckLine does. Records ParseRecord
-// accepts must also survive the assembler.
+// ScanRecord with the job ID and walltimes of the parsed Record) exactly as
+// CheckLine does. Records ParseRecord accepts must also survive the
+// assembler.
 func FuzzParseRecord(f *testing.F) {
 	for _, seed := range []string{
 		"04/03/2013 12:00:00;E;123.bw;user=alice Exit_status=0",

@@ -1,9 +1,11 @@
 package wlm
 
-// The string-form reference of the accounting parser. No product code calls
-// it: it is the independent, map-backed implementation the byte parser in
-// scan.go is pinned to (TestCheckLineBytesMatchesCheckLine, FuzzParseRecord,
-// TestScanBlockModeMatchesScanner, FuzzParseAccounting).
+// The string-form reference of the accounting parser and its fold. No
+// product code calls it: it is the independent, map-backed implementation
+// the byte parser and AddScan in scan.go are pinned to
+// (TestCheckLineBytesMatchesCheckLine, FuzzParseRecord,
+// TestScanBlockModeMatchesScanner, TestAddScanMatchesAdd,
+// FuzzParseAccounting).
 
 import (
 	"bufio"
@@ -91,56 +93,39 @@ func ParseWalltime(s string) (time.Duration, error) {
 	return time.Duration(h)*time.Hour + time.Duration(m)*time.Minute + time.Duration(sec)*time.Second, nil
 }
 
-// Add folds one record into the assembler. Unknown field values are ignored
-// rather than treated as errors: field sets vary across WLM versions. Add
-// delegates to AddScan so the two entry points share one fold
-// implementation.
+// Add is the reference fold of one map-backed Record, written apart from
+// AddScan: the job joins the table on first sight, and each walltime the
+// record carries in a form ParseWalltime accepts overwrites the job's. Other
+// field values are ignored rather than treated as errors: field sets vary
+// across WLM versions.
 func (a *Assembler) Add(r Record) error {
-	return a.AddScan(scanFromRecord(r))
+	if r.JobID == "" {
+		return fmt.Errorf("wlm: record with empty job id")
+	}
+	i, ok := a.index[r.JobID]
+	if !ok {
+		i = len(a.jobs)
+		a.jobs = append(a.jobs, Job{ID: r.JobID})
+		a.index[r.JobID] = i
+	}
+	if d, err := ParseWalltime(r.Fields["Resource_List.walltime"]); err == nil {
+		a.jobs[i].Walltime = d
+	}
+	if d, err := ParseWalltime(r.Fields["resources_used.walltime"]); err == nil {
+		a.jobs[i].UsedWalltime = d
+	}
+	return nil
 }
 
-// scanFromRecord converts a map-backed Record into the ScanRecord AddScan
-// consumes, applying the same non-empty/parseable field policy Add used to
-// apply inline. It exists so Add can delegate to AddScan.
+// scanFromRecord is the ScanRecord a map-backed Record should scan to: its
+// job ID and each walltime that ParseWalltime accepts.
 func scanFromRecord(r Record) ScanRecord {
-	s := ScanRecord{Time: r.Time, Type: r.Type, JobID: []byte(r.JobID)}
-	setStr := func(dst *[]byte, key string, bit FieldSet) {
-		if v, ok := r.Fields[key]; ok && v != "" {
-			*dst, s.Has = []byte(v), s.Has|bit
-		}
+	s := ScanRecord{JobID: []byte(r.JobID)}
+	if d, err := ParseWalltime(r.Fields["Resource_List.walltime"]); err == nil {
+		s.Walltime, s.Has = d, s.Has|HasWalltime
 	}
-	setStr(&s.User, "user", HasUser)
-	setStr(&s.Account, "account", HasAccount)
-	setStr(&s.Queue, "queue", HasQueue)
-	setTime := func(dst *time.Time, key string, bit FieldSet) {
-		if v, ok := r.Fields[key]; ok {
-			if sec, err := strconv.ParseInt(v, 10, 64); err == nil {
-				*dst, s.Has = time.Unix(sec, 0).UTC(), s.Has|bit
-			}
-		}
-	}
-	setTime(&s.CreatedAt, "ctime", HasCtime)
-	setTime(&s.StartedAt, "start", HasStart)
-	setTime(&s.EndedAt, "end", HasEnd)
-	if v, ok := r.Fields["Resource_List.nodect"]; ok {
-		if n, err := strconv.Atoi(v); err == nil {
-			s.Nodes, s.Has = n, s.Has|HasNodect
-		}
-	}
-	if v, ok := r.Fields["Resource_List.walltime"]; ok {
-		if d, err := ParseWalltime(v); err == nil {
-			s.Walltime, s.Has = d, s.Has|HasWalltime
-		}
-	}
-	if v, ok := r.Fields["resources_used.walltime"]; ok {
-		if d, err := ParseWalltime(v); err == nil {
-			s.UsedWalltime, s.Has = d, s.Has|HasUsedWalltime
-		}
-	}
-	if v, ok := r.Fields["Exit_status"]; ok {
-		if n, err := strconv.Atoi(v); err == nil {
-			s.ExitStatus, s.Has = n, s.Has|HasExitStatus
-		}
+	if d, err := ParseWalltime(r.Fields["resources_used.walltime"]); err == nil {
+		s.UsedWalltime, s.Has = d, s.Has|HasUsedWalltime
 	}
 	return s
 }

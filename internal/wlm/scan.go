@@ -1,6 +1,7 @@
 // Byte-oriented accounting parser, the one ingestion runs. CheckLineBytes
-// parses a line from a byte view into a compact ScanRecord of field views
-// instead of a map-backed Record; Assembler.AddScan folds it. The string
+// checks a line from a byte view and keeps what the job table needs — the
+// job ID view and the two walltimes — in a ScanRecord instead of a
+// map-backed Record; Assembler.AddScan folds it. The string
 // reference it is pinned to (ParseRecord, CheckLine, Assembler.Add) lives in
 // reference_test.go, where the differential tests and fuzzers compare the
 // two.
@@ -18,47 +19,35 @@ import (
 	"logdiver/internal/stream"
 )
 
-// FieldSet records which accounting fields a ScanRecord carries. A field's
-// bit is set only when the field was present, non-empty and (for numeric
-// fields) parseable — replicating the Assembler's ignore-unparseable
-// policy.
-type FieldSet uint16
+// FieldSet records which walltimes a ScanRecord carries. A bit is set only
+// when the record's last value for the key parses, replicating the
+// Assembler's ignore-unparseable policy.
+type FieldSet uint8
 
 // Field presence bits.
 const (
-	HasUser FieldSet = 1 << iota
-	HasAccount
-	HasQueue
-	HasCtime
-	HasStart
-	HasEnd
-	HasNodect
-	HasWalltime
+	HasWalltime FieldSet = 1 << iota
 	HasUsedWalltime
-	HasExitStatus
 )
 
-// ScanRecord is one parsed accounting record with byte views into the
-// caller's buffer. Views (JobID, User, Account, Queue) are valid only as
-// long as the underlying buffer; AddScan copies what it retains.
+// ScanRecord is what ingestion keeps of one accounting record: the job it
+// names, as a view into the caller's buffer valid only as long as that
+// buffer (AddScan copies it on the job's first sight), and the requested
+// and consumed walltimes it carries.
 type ScanRecord struct {
-	Time  time.Time
-	Type  EventType
 	JobID []byte
-	// Field views and parsed values; consult Has before reading.
-	User, Account, Queue          []byte
-	CreatedAt, StartedAt, EndedAt time.Time
-	Nodes                         int
-	Walltime, UsedWalltime        time.Duration
-	ExitStatus                    int
-	Has                           FieldSet
+	// Walltime and UsedWalltime are valid when their Has bit is set.
+	Walltime, UsedWalltime time.Duration
+	Has                    FieldSet
 }
 
 // CheckLineBytes is the per-line acceptance function of the accounting
 // format: blank lines are skipped, lines failing the shared encoding/oversize
 // checks or the format parse return a typed *parse.Error, and everything else
-// yields the parsed ScanRecord. Timestamps are interpreted in loc (UTC if
-// nil). It allocates only on malformed or non-canonical input.
+// yields the parsed ScanRecord. A line is well formed when it has the four
+// ;-joined parts, a valid timestamp (read in loc, UTC if nil), a known record
+// type, a non-empty job ID and k=v tokens only; of the tokens only the two
+// walltimes are read. It allocates only on malformed or non-canonical input.
 func CheckLineBytes(b []byte, loc *time.Location) (r ScanRecord, skip bool, perr *parse.Error) {
 	if loc == nil {
 		loc = time.UTC
@@ -86,11 +75,8 @@ func CheckLineBytes(b []byte, loc *time.Location) (r ScanRecord, skip bool, perr
 	i3 += i2 + 1
 	ts, typ, jobID, fields := b[:i1], b[i1+1:i2], b[i2+1:i3], b[i3+1:]
 
-	t, ok := parseStampFastWlm(ts, loc)
-	if !ok {
-		var err error
-		t, err = time.ParseInLocation(stampLayout, string(ts), loc)
-		if err != nil {
+	if !canonicalStamp(ts) {
+		if _, err := time.ParseInLocation(stampLayout, string(ts), loc); err != nil {
 			return ScanRecord{}, false, parse.Errorf(parse.KindTimestamp, parse.SampleText(b), "wlm: bad timestamp: %s", err.Error())
 		}
 	}
@@ -100,14 +86,11 @@ func CheckLineBytes(b []byte, loc *time.Location) (r ScanRecord, skip bool, perr
 	if len(jobID) == 0 {
 		return ScanRecord{}, false, errLine(parse.KindStructure, b, "wlm: empty job id")
 	}
-	r.Time = t
-	r.Type = EventType(typ[0])
 	r.JobID = jobID
 
 	// Walk the space-separated k=v fields, retaining the LAST occurrence of
-	// each known key (the map in ParseRecord is last-wins).
-	var ctime, start, end, nodect, wall, usedWall, exitStatus []byte
-	var seen FieldSet
+	// each walltime key (the map in ParseRecord is last-wins).
+	var wall, usedWall []byte
 	for i := 0; i < len(fields); {
 		// Skip field separators (any Unicode space, like strings.Fields).
 		if isSp, w := spaceAt(fields, i); isSp {
@@ -128,91 +111,27 @@ func CheckLineBytes(b []byte, loc *time.Location) (r ScanRecord, skip bool, perr
 		if eq < 0 {
 			return ScanRecord{}, false, parse.Errorf(parse.KindField, parse.SampleText(b), "wlm: malformed field %q", kv)
 		}
-		k, v := kv[:eq], kv[eq+1:]
-		switch {
-		case bytes.Equal(k, keyUser):
-			r.User, seen = v, seen|HasUser
-		case bytes.Equal(k, keyAccount):
-			r.Account, seen = v, seen|HasAccount
-		case bytes.Equal(k, keyQueue):
-			r.Queue, seen = v, seen|HasQueue
-		case bytes.Equal(k, keyCtime):
-			ctime, seen = v, seen|HasCtime
-		case bytes.Equal(k, keyStart):
-			start, seen = v, seen|HasStart
-		case bytes.Equal(k, keyEnd):
-			end, seen = v, seen|HasEnd
-		case bytes.Equal(k, keyNodect):
-			nodect, seen = v, seen|HasNodect
+		switch k := kv[:eq]; {
 		case bytes.Equal(k, keyWalltime):
-			wall, seen = v, seen|HasWalltime
+			wall = kv[eq+1:]
 		case bytes.Equal(k, keyUsedWall):
-			usedWall, seen = v, seen|HasUsedWalltime
-		case bytes.Equal(k, keyExit):
-			exitStatus, seen = v, seen|HasExitStatus
+			usedWall = kv[eq+1:]
 		}
 	}
-	// Resolve values with the Assembler's ignore-unparseable policy: a bit
-	// is set only when the (last) value is non-empty / parseable.
-	if seen&HasUser != 0 && len(r.User) > 0 {
-		r.Has |= HasUser
+	// An absent key leaves a nil view, which does not parse either.
+	if d, ok := parseWalltimeBytes(wall); ok {
+		r.Walltime, r.Has = d, r.Has|HasWalltime
 	}
-	if seen&HasAccount != 0 && len(r.Account) > 0 {
-		r.Has |= HasAccount
-	}
-	if seen&HasQueue != 0 && len(r.Queue) > 0 {
-		r.Has |= HasQueue
-	}
-	if seen&HasCtime != 0 {
-		if sec, ok := parse.ParseInt64(ctime); ok {
-			r.CreatedAt, r.Has = time.Unix(sec, 0).UTC(), r.Has|HasCtime
-		}
-	}
-	if seen&HasStart != 0 {
-		if sec, ok := parse.ParseInt64(start); ok {
-			r.StartedAt, r.Has = time.Unix(sec, 0).UTC(), r.Has|HasStart
-		}
-	}
-	if seen&HasEnd != 0 {
-		if sec, ok := parse.ParseInt64(end); ok {
-			r.EndedAt, r.Has = time.Unix(sec, 0).UTC(), r.Has|HasEnd
-		}
-	}
-	if seen&HasNodect != 0 {
-		if n, ok := parse.Atoi(nodect); ok {
-			r.Nodes, r.Has = n, r.Has|HasNodect
-		}
-	}
-	if seen&HasWalltime != 0 {
-		if d, ok := parseWalltimeBytes(wall); ok {
-			r.Walltime, r.Has = d, r.Has|HasWalltime
-		}
-	}
-	if seen&HasUsedWalltime != 0 {
-		if d, ok := parseWalltimeBytes(usedWall); ok {
-			r.UsedWalltime, r.Has = d, r.Has|HasUsedWalltime
-		}
-	}
-	if seen&HasExitStatus != 0 {
-		if n, ok := parse.Atoi(exitStatus); ok {
-			r.ExitStatus, r.Has = n, r.Has|HasExitStatus
-		}
+	if d, ok := parseWalltimeBytes(usedWall); ok {
+		r.UsedWalltime, r.Has = d, r.Has|HasUsedWalltime
 	}
 	return r, false, nil
 }
 
-// Known accounting field keys.
+// The accounting field keys ingestion reads.
 var (
-	keyUser     = []byte("user")
-	keyAccount  = []byte("account")
-	keyQueue    = []byte("queue")
-	keyCtime    = []byte("ctime")
-	keyStart    = []byte("start")
-	keyEnd      = []byte("end")
-	keyNodect   = []byte("Resource_List.nodect")
 	keyWalltime = []byte("Resource_List.walltime")
 	keyUsedWall = []byte("resources_used.walltime")
-	keyExit     = []byte("Exit_status")
 )
 
 // spaceAt reports whether the byte sequence at b[i:] starts with a Unicode
@@ -260,13 +179,14 @@ func parseWalltimeBytes(b []byte) (time.Duration, bool) {
 	return time.Duration(h)*time.Hour + time.Duration(m)*time.Minute + time.Duration(s)*time.Second, true
 }
 
-// parseStampFastWlm parses the canonical zero-padded form of stampLayout
-// ("01/02/2006 15:04:05") without allocating. Deviations (including the
-// 1-digit hours time.Parse tolerates) return ok == false and take the
-// time.ParseInLocation fallback, which is authoritative.
-func parseStampFastWlm(b []byte, loc *time.Location) (time.Time, bool) {
+// canonicalStamp reports whether b is a valid timestamp in the canonical
+// zero-padded form of stampLayout ("01/02/2006 15:04:05"), without
+// allocating. Deviations (including the 1-digit hours time.Parse tolerates)
+// report false and take the time.ParseInLocation fallback, which is
+// authoritative.
+func canonicalStamp(b []byte) bool {
 	if len(b) != 19 || b[2] != '/' || b[5] != '/' || b[10] != ' ' || b[13] != ':' || b[16] != ':' {
-		return time.Time{}, false
+		return false
 	}
 	mo, ok1 := parse.Digits2(b[0], b[1])
 	day, ok2 := parse.Digits2(b[3], b[4])
@@ -274,21 +194,15 @@ func parseStampFastWlm(b []byte, loc *time.Location) (time.Time, bool) {
 	hour, ok4 := parse.Digits2(b[11], b[12])
 	min, ok5 := parse.Digits2(b[14], b[15])
 	sec, ok6 := parse.Digits2(b[17], b[18])
-	if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6) {
-		return time.Time{}, false
-	}
-	if mo < 1 || mo > 12 || day < 1 || day > parse.DaysIn(mo, year) || hour > 23 || min > 59 || sec > 59 {
-		return time.Time{}, false
-	}
-	return time.Date(year, time.Month(mo), day, hour, min, sec, 0, loc), true
+	return ok1 && ok2 && ok3 && ok4 && ok5 && ok6 &&
+		mo >= 1 && mo <= 12 && day >= 1 && day <= parse.DaysIn(mo, year) && hour <= 23 && min <= 59 && sec <= 59
 }
 
-// AddScan folds one ScanRecord into the assembler. Unparseable field values
-// were already dropped by CheckLineBytes rather than treated as errors: field
-// sets vary across WLM versions. Retained strings (job ID on first sight;
-// user/account/queue) are copied out of the caller's buffer, the short
-// per-job strings through the assembler's intern table so repeated values
-// share storage.
+// AddScan folds one ScanRecord into the assembler: the job it names joins
+// the table on first sight (its ID copied out of the caller's buffer), and
+// the walltimes the record carries overwrite the job's. Unparseable values
+// were already dropped by CheckLineBytes rather than treated as errors:
+// field sets vary across WLM versions.
 func (a *Assembler) AddScan(r ScanRecord) error {
 	if len(r.JobID) == 0 {
 		return fmt.Errorf("wlm: record with empty job id")
@@ -299,62 +213,13 @@ func (a *Assembler) AddScan(r ScanRecord) error {
 		a.jobs = append(a.jobs, Job{ID: string(r.JobID)})
 		a.index[a.jobs[i].ID] = i
 	}
-	j := &a.jobs[i]
-	if r.Has&HasUser != 0 {
-		j.User = a.intern(r.User)
-	}
-	if r.Has&HasAccount != 0 {
-		j.Account = a.intern(r.Account)
-	}
-	if r.Has&HasQueue != 0 {
-		j.Queue = a.intern(r.Queue)
-	}
-	if r.Has&HasCtime != 0 {
-		j.CreatedAt = r.CreatedAt
-	}
-	if r.Has&HasStart != 0 {
-		j.StartedAt = r.StartedAt
-	}
-	if r.Has&HasEnd != 0 {
-		j.EndedAt = r.EndedAt
-	}
-	if r.Has&HasNodect != 0 {
-		j.Nodes = r.Nodes
-	}
 	if r.Has&HasWalltime != 0 {
-		j.Walltime = r.Walltime
+		a.jobs[i].Walltime = r.Walltime
 	}
 	if r.Has&HasUsedWalltime != 0 {
-		j.UsedWalltime = r.UsedWalltime
-	}
-	if r.Has&HasExitStatus != 0 {
-		j.ExitStatus = r.ExitStatus
-	}
-	switch r.Type {
-	case EventStart:
-		if j.StartedAt.IsZero() {
-			j.StartedAt = r.Time
-		}
-	case EventEnd:
-		if j.EndedAt.IsZero() {
-			j.EndedAt = r.Time
-		}
-	case EventAbort:
-		j.Aborted = true
-	default:
-		// Queue and delete records carry no state the assembled job tracks.
+		a.jobs[i].UsedWalltime = r.UsedWalltime
 	}
 	return nil
-}
-
-// intern returns a canonical string for b, copying it at most once.
-func (a *Assembler) intern(b []byte) string {
-	if s, ok := a.interned[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	a.interned[s] = s
-	return s
 }
 
 // ScanBlockMode is the unit of work of ingestion: it parses a block whose

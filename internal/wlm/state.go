@@ -8,9 +8,8 @@ import "fmt"
 // produce either) and is rejected.
 func RestoreAssembler(jobs []Job) (*Assembler, error) {
 	a := &Assembler{
-		jobs:     append([]Job(nil), jobs...),
-		index:    make(map[string]int, len(jobs)),
-		interned: make(map[string]string),
+		jobs:  append([]Job(nil), jobs...),
+		index: make(map[string]int, len(jobs)),
 	}
 	for i := range a.jobs {
 		id := a.jobs[i].ID

@@ -1,7 +1,8 @@
 // Package wlm models the workload-manager (Torque/Moab-style) job accounting
-// log: the per-job queue/start/end records from which the analysis derives
-// job populations, requested resources and batch exit status. The wire
-// format follows the PBS/Torque accounting-record convention:
+// log: the per-job queue/start/end records from which the analysis counts
+// batch jobs and reads each job's requested and consumed walltime. The
+// writer renders the full records the generator simulates. The wire format
+// follows the PBS/Torque accounting-record convention:
 //
 //	04/03/2013 12:00:00;E;123456.bw;user=alice queue=normal ctime=1364996400 ... Exit_status=0
 //
@@ -79,9 +80,22 @@ func FormatRecord(r Record) string {
 	return b.String()
 }
 
-// Job is the assembled view of one batch job.
+// Job is what the analysis reads of one batch job: its ID and the
+// requested and consumed walltimes, from which correlate tells a walltime
+// kill apart from a user or system failure.
 type Job struct {
-	ID        string
+	ID string
+	// Walltime is the requested wall-clock limit (Resource_List.walltime).
+	Walltime time.Duration
+	// UsedWalltime is the consumed wall clock (resources_used.walltime).
+	UsedWalltime time.Duration
+}
+
+// FullJob is a batch job with every field the accounting writer renders:
+// the generator's record, from which QueueRecord, StartRecord and EndRecord
+// build the wire records. Ingestion keeps only the Job inside it.
+type FullJob struct {
+	Job
 	User      string
 	Account   string
 	Queue     string
@@ -90,16 +104,10 @@ type Job struct {
 	EndedAt   time.Time // end
 	// Nodes is the requested node count (Resource_List.nodect).
 	Nodes int
-	// Walltime is the requested wall-clock limit.
-	Walltime time.Duration
-	// UsedWalltime is the consumed wall clock (resources_used.walltime).
-	UsedWalltime time.Duration
 	// ExitStatus is the batch exit status; by Torque convention negative
 	// values denote jobs killed by the server (e.g. -11 for node failure)
 	// and values >= 256 indicate death by signal (status - 256).
 	ExitStatus int
-	// Aborted records whether an A record was seen for the job.
-	Aborted bool
 }
 
 // FormatWalltime renders d in the HH:MM:SS accounting convention (hours may
@@ -113,7 +121,7 @@ func FormatWalltime(d time.Duration) string {
 }
 
 // EndRecord renders the canonical E record for a completed job.
-func EndRecord(j Job) Record {
+func EndRecord(j FullJob) Record {
 	f := map[string]string{
 		"user":                    j.User,
 		"account":                 j.Account,
@@ -130,7 +138,7 @@ func EndRecord(j Job) Record {
 }
 
 // QueueRecord renders the Q record for a job.
-func QueueRecord(j Job) Record {
+func QueueRecord(j FullJob) Record {
 	return Record{Time: j.CreatedAt, Type: EventQueue, JobID: j.ID, Fields: map[string]string{
 		"user":  j.User,
 		"queue": j.Queue,
@@ -138,7 +146,7 @@ func QueueRecord(j Job) Record {
 }
 
 // StartRecord renders the S record for a job.
-func StartRecord(j Job) Record {
+func StartRecord(j FullJob) Record {
 	return Record{Time: j.StartedAt, Type: EventStart, JobID: j.ID, Fields: map[string]string{
 		"user":                   j.User,
 		"queue":                  j.Queue,
@@ -147,21 +155,17 @@ func StartRecord(j Job) Record {
 	}}
 }
 
-// Assembler folds a stream of accounting records into Job objects. It is
-// the pipeline's one job table: the jobs in the order their first record
+// Assembler folds a stream of accounting records into Jobs. It is the
+// pipeline's one job table: the jobs in the order their first record
 // arrived, with an index from job ID to position.
 type Assembler struct {
 	jobs  []Job
 	index map[string]int
-	// interned canonicalizes the short repeated per-job strings (user,
-	// account, queue) so the byte-view fast path copies each distinct value
-	// out of its input buffer at most once.
-	interned map[string]string
 }
 
 // NewAssembler returns an empty assembler.
 func NewAssembler() *Assembler {
-	return &Assembler{index: make(map[string]int), interned: make(map[string]string)}
+	return &Assembler{index: make(map[string]int)}
 }
 
 // Jobs returns the assembled jobs in the order their first record arrived.

@@ -1,27 +1,31 @@
 package wlm
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"logdiver/internal/parse"
 )
 
-func sampleJob() Job {
-	return Job{
-		ID:           "123456.bw",
-		User:         "alice",
-		Account:      "geo_sim",
-		Queue:        "normal",
-		CreatedAt:    time.Date(2013, 4, 3, 10, 0, 0, 0, time.UTC),
-		StartedAt:    time.Date(2013, 4, 3, 12, 0, 0, 0, time.UTC),
-		EndedAt:      time.Date(2013, 4, 3, 14, 30, 0, 0, time.UTC),
-		Nodes:        128,
-		Walltime:     4 * time.Hour,
-		UsedWalltime: 2*time.Hour + 30*time.Minute,
-		ExitStatus:   0,
+func sampleJob() FullJob {
+	return FullJob{
+		Job: Job{
+			ID:           "123456.bw",
+			Walltime:     4 * time.Hour,
+			UsedWalltime: 2*time.Hour + 30*time.Minute,
+		},
+		User:       "alice",
+		Account:    "geo_sim",
+		Queue:      "normal",
+		CreatedAt:  time.Date(2013, 4, 3, 10, 0, 0, 0, time.UTC),
+		StartedAt:  time.Date(2013, 4, 3, 12, 0, 0, 0, time.UTC),
+		EndedAt:    time.Date(2013, 4, 3, 14, 30, 0, 0, time.UTC),
+		Nodes:      128,
+		ExitStatus: 0,
 	}
 }
 
@@ -122,11 +126,13 @@ func TestWalltimePropertyRoundTrip(t *testing.T) {
 		back, err := ParseWalltime(FormatWalltime(d))
 		return err == nil && back == d
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestAssemblerFullLifecycle: a job's Q, S and E records fold into one job
+// holding its ID and both walltimes, the used one from the E record.
 func TestAssemblerFullLifecycle(t *testing.T) {
 	j := sampleJob()
 	a := NewAssembler()
@@ -138,22 +144,14 @@ func TestAssemblerFullLifecycle(t *testing.T) {
 	if a.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", a.Len())
 	}
-	jobs := a.Jobs()
-	got := jobs[0]
-	if got.ID != j.ID || got.User != j.User || got.Queue != j.Queue {
-		t.Errorf("identity fields: got %+v", got)
-	}
-	if !got.StartedAt.Equal(j.StartedAt) || !got.EndedAt.Equal(j.EndedAt) || !got.CreatedAt.Equal(j.CreatedAt) {
-		t.Errorf("times: got %+v", got)
-	}
-	if got.Nodes != j.Nodes || got.Walltime != j.Walltime || got.UsedWalltime != j.UsedWalltime {
-		t.Errorf("resources: got %+v", got)
-	}
-	if got.ExitStatus != 0 || got.Aborted {
-		t.Errorf("status: got %+v", got)
+	if got := a.Jobs()[0]; got != j.Job {
+		t.Errorf("assembled job %+v, want %+v", got, j.Job)
 	}
 }
 
+// TestAssemblerAbort: an A record names its job but carries no walltime, so
+// it leaves the job as the S record left it, and the E record after it
+// still sets the used walltime.
 func TestAssemblerAbort(t *testing.T) {
 	j := sampleJob()
 	j.ExitStatus = -11 // node failure convention
@@ -165,15 +163,14 @@ func TestAssemblerAbort(t *testing.T) {
 	if err := a.Add(abort); err != nil {
 		t.Fatal(err)
 	}
+	if got := a.Jobs()[0]; got != (Job{ID: j.ID, Walltime: j.Walltime}) {
+		t.Errorf("after S and A records: %+v", got)
+	}
 	if err := a.Add(EndRecord(j)); err != nil {
 		t.Fatal(err)
 	}
-	got := a.Jobs()[0]
-	if !got.Aborted {
-		t.Error("Aborted not set")
-	}
-	if got.ExitStatus != -11 {
-		t.Errorf("ExitStatus = %d, want -11", got.ExitStatus)
+	if got := a.Jobs()[0]; got != j.Job {
+		t.Errorf("after the E record: %+v, want %+v", got, j.Job)
 	}
 }
 
@@ -213,13 +210,13 @@ func TestAssemblerKeepsFirstSeenOrder(t *testing.T) {
 			t.Errorf("job %d is %s, want %s (first-seen order)", i, jobs[i].ID, id)
 		}
 	}
-	if jobs[1].EndedAt.IsZero() {
+	if jobs[1].UsedWalltime != j.UsedWalltime {
 		t.Error("the E record of a held job did not update it")
 	}
 }
 
 // TestWriterScannerRoundTrip: records rendered by FormatRecord, one per
-// line, scan back through ScanBlockMode as well-formed E records.
+// line, scan back through ScanBlockMode with their job IDs and walltimes.
 func TestWriterScannerRoundTrip(t *testing.T) {
 	var buf strings.Builder
 	const n = 50
@@ -237,8 +234,10 @@ func TestWriterScannerRoundTrip(t *testing.T) {
 		t.Errorf("scanned %d, want %d", len(recs), n)
 	}
 	for i, r := range recs {
-		if r.Type != EventEnd {
-			t.Errorf("record %d type %c, want E", i, r.Type)
+		want := sampleJob()
+		if string(r.JobID) != strings.Repeat("1", 1+i%3)+".bw" || r.Has != HasWalltime|HasUsedWalltime ||
+			r.Walltime != want.Walltime || r.UsedWalltime != want.UsedWalltime {
+			t.Errorf("record %d scanned as %s %v %v (%b)", i, r.JobID, r.Walltime, r.UsedWalltime, r.Has)
 		}
 	}
 	if stats.Malformed() != 0 {
@@ -260,20 +259,17 @@ func TestScannerSkipsNoise(t *testing.T) {
 	}
 }
 
+// TestEndRecordSignalConvention: the E record of a job killed by a signal
+// renders its exit status as 256 plus the signal number.
 func TestEndRecordSignalConvention(t *testing.T) {
 	j := sampleJob()
 	j.ExitStatus = 256 + 9 // killed by SIGKILL
-	rec := EndRecord(j)
-	got, err := ParseRecord(FormatRecord(rec), time.UTC)
+	got, err := ParseRecord(FormatRecord(EndRecord(j)), time.UTC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewAssembler()
-	if err := a.Add(got); err != nil {
-		t.Fatal(err)
-	}
-	if st := a.Jobs()[0].ExitStatus; st != 265 {
-		t.Errorf("ExitStatus = %d, want 265", st)
+	if st := got.Fields["Exit_status"]; st != "265" {
+		t.Errorf("Exit_status = %q, want 265", st)
 	}
 }
 
@@ -292,7 +288,7 @@ func TestAssemblerJobLookup(t *testing.T) {
 	if err := a.Add(EndRecord(j)); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := a.Job(j.ID); got != a.Jobs()[0] || got.EndedAt.IsZero() {
+	if got, _ := a.Job(j.ID); got != a.Jobs()[0] || got.UsedWalltime == 0 {
 		t.Errorf("Job after the E record = %+v, want the updated %+v", got, a.Jobs()[0])
 	}
 	if _, ok := a.Job("nope.bw"); ok {
@@ -304,21 +300,21 @@ func TestAssemblerJobLookup(t *testing.T) {
 // table in the saved order, finds its jobs by ID and folds later records
 // into them; a table that repeats a job ID or holds an empty one is refused.
 func TestRestoreAssembler(t *testing.T) {
-	saved := []Job{sampleJob(), sampleJob()}
+	saved := []Job{sampleJob().Job, sampleJob().Job}
 	saved[0].ID, saved[1].ID = "20.bw", "10.bw"
 	a, err := RestoreAssembler(saved)
 	if err != nil {
 		t.Fatal(err)
 	}
 	end := sampleJob()
-	end.ID, end.ExitStatus = "10.bw", 265
+	end.ID, end.UsedWalltime = "10.bw", time.Hour
 	if err := a.Add(EndRecord(end)); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := a.Job("10.bw"); !ok || got.ExitStatus != 265 || a.Len() != 2 || a.Jobs()[0].ID != "20.bw" {
+	if got, ok := a.Job("10.bw"); !ok || got.UsedWalltime != time.Hour || a.Len() != 2 || a.Jobs()[0].ID != "20.bw" {
 		t.Errorf("restored assembler: job %+v (found %v), %d jobs, first %s", got, ok, a.Len(), a.Jobs()[0].ID)
 	}
-	if saved[1].ExitStatus != 0 {
+	if saved[1].UsedWalltime == time.Hour {
 		t.Error("a record folded into the restored assembler wrote the saved table")
 	}
 	for name, jobs := range map[string][]Job{
@@ -328,5 +324,13 @@ func TestRestoreAssembler(t *testing.T) {
 		if _, err := RestoreAssembler(jobs); err == nil {
 			t.Errorf("%s: restored", name)
 		}
+	}
+}
+
+// TestJobSize: a job is what attribution reads — an ID and two walltimes —
+// so the job table and every saved job record cost 32 bytes a job.
+func TestJobSize(t *testing.T) {
+	if n := unsafe.Sizeof(Job{}); n > 32 {
+		t.Errorf("Job is %d bytes, want at most 32", n)
 	}
 }
