@@ -20,7 +20,7 @@ import (
 // drained (Manager.Drain), then prints the fleet tables from the manager's
 // view. The shards' state dirs are ignored: a batch analysis reads and
 // writes no state.
-func analyzeFleet(confPath string, opts logdiver.Options, defaultTZ, format string) error {
+func analyzeFleet(confPath string, opts logdiver.Options, format string) error {
 	cfg, err := fleet.LoadConfig(confPath)
 	if err != nil {
 		return err
@@ -28,7 +28,7 @@ func analyzeFleet(confPath string, opts logdiver.Options, defaultTZ, format stri
 	for i := range cfg.Shards {
 		cfg.Shards[i].StateDir = ""
 	}
-	mgr, err := fleet.NewManager(fleet.ManagerConfig{Config: cfg, Options: opts, TimeZone: defaultTZ})
+	mgr, err := fleet.NewManager(fleet.ManagerConfig{Config: cfg, Options: opts})
 	if err != nil {
 		return err
 	}

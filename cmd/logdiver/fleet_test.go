@@ -122,9 +122,9 @@ func TestAnalyzeFleetConfig(t *testing.T) {
 
 // referenceFleet is the batch path analyze -fleet-config ran before it ran
 // the daemon's runtime, kept as that runtime's oracle: every shard's archive
-// directory through logdiver.Analyze (a missing archive reads as empty; the
-// fixtures set no tz, so UTC) and store.Build, stamped with the shard's name,
-// the snapshots folded by store.Merge. The error of a failing shard names it.
+// directory through logdiver.Analyze (a missing archive reads as empty) and
+// store.Build, stamped with the shard's name, the snapshots folded by
+// store.Merge. The error of a failing shard names it.
 func referenceFleet(confPath string, opts logdiver.Options) ([]fleet.ShardStatus, *store.Snapshot, error) {
 	cfg, err := fleet.LoadConfig(confPath)
 	if err != nil {
@@ -148,7 +148,7 @@ func referenceShard(sc fleet.ShardConfig, opts logdiver.Options) (*store.Snapsho
 	if err != nil {
 		return nil, err
 	}
-	archives := logdiver.Archives{Location: time.UTC}
+	archives := logdiver.Archives{}
 	for _, a := range []struct {
 		name string
 		dst  *io.Reader

@@ -8,7 +8,7 @@
 //	    [-truth truth.jsonl] [-machine bluewaters|small] [-format ascii|md|csv]
 //	    [-rules site-rules.txt] [-parallelism N] [-parse-mode lenient|strict]
 //	logdiver analyze -fleet-config fleet.conf [-format ascii|md|csv] \
-//	    [-rules site-rules.txt] [-parallelism N] [-parse-mode lenient|strict] [-tz ZONE]
+//	    [-rules site-rules.txt] [-parallelism N] [-parse-mode lenient|strict]
 //	logdiver coalesce -syslog sys.log [-machine bluewaters|small] \
 //	    [-temporal 5m] [-spatial 2m] [-top 25]
 //	logdiver avail -syslog sys.log [-machine bluewaters|small] [-top 5]
@@ -163,7 +163,6 @@ func analyze(args []string) error {
 		truth    = fs.String("truth", "", "optional ground-truth sidecar (enables E9/A1/A2)")
 		machine  = fs.String("machine", "bluewaters", "machine model: bluewaters or small")
 		format   = fs.String("format", "ascii", "output format: ascii, md or csv")
-		timezone = fs.String("tz", "UTC", "accounting timestamp zone")
 		rules    = fs.String("rules", "", "optional classifier rule file (replaces the built-in taxonomy rules)")
 		validate = fs.Bool("validate-rules", true, "lint -rules files and reject rule sets with error-severity findings")
 		par      = fs.Int("parallelism", 0, "ingestion workers per archive and attribution workers (0 = GOMAXPROCS; the three archives are always read concurrently)")
@@ -191,10 +190,10 @@ func analyze(args []string) error {
 	}
 	opts := logdiver.Options{Parallelism: *par, ParseMode: parseMode, Classifier: cls}
 	if *fleetCfg != "" {
-		return analyzeFleet(*fleetCfg, opts, *timezone, *format)
+		return analyzeFleet(*fleetCfg, opts, *format)
 	}
 
-	archives, top, closeAll, err := openArchives(*accPath, *apsPath, *sysPath, *machine, *timezone)
+	archives, top, closeAll, err := openArchives(*accPath, *apsPath, *sysPath, *machine)
 	if err != nil {
 		return err
 	}
@@ -239,7 +238,7 @@ func analyze(args []string) error {
 // the SMW) attribute system-wide — and the pre-dedup count. Shared by
 // coalesce and avail.
 func analyzeSyslog(sysPath, machineName string) (*logdiver.Result, *logdiver.Topology, error) {
-	archives, top, closeAll, err := openArchives("", "", sysPath, machineName, "UTC")
+	archives, top, closeAll, err := openArchives("", "", sysPath, machineName)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -248,20 +247,15 @@ func analyzeSyslog(sysPath, machineName string) (*logdiver.Result, *logdiver.Top
 	return res, top, err
 }
 
-// openArchives resolves the machine model and timezone and opens whichever
-// of the three archive paths are non-empty. The caller calls closeAll when
-// the analysis is done. Shared by analyze, simulate, coalesce and avail.
-func openArchives(accPath, apsPath, sysPath, machineName, timezone string) (_ logdiver.Archives, _ *logdiver.Topology, closeAll func(), _ error) {
+// openArchives resolves the machine model and opens whichever of the three
+// archive paths are non-empty. The caller calls closeAll when the analysis
+// is done. Shared by analyze, simulate, coalesce and avail.
+func openArchives(accPath, apsPath, sysPath, machineName string) (_ logdiver.Archives, _ *logdiver.Topology, closeAll func(), _ error) {
 	top, err := fleet.Topology(machineName)
 	if err != nil {
 		return logdiver.Archives{}, nil, nil, err
 	}
-	loc, err := time.LoadLocation(timezone)
-	if err != nil {
-		return logdiver.Archives{}, nil, nil, fmt.Errorf("timezone: %w", err)
-	}
-
-	archives := logdiver.Archives{Location: loc}
+	var archives logdiver.Archives
 	var files []*os.File
 	closeAll = func() {
 		for _, f := range files {
@@ -304,17 +298,16 @@ func openArchives(accPath, apsPath, sysPath, machineName, timezone string) (_ lo
 func simulate(args []string) error {
 	fs := flag.NewFlagSet("simulate", flag.ContinueOnError)
 	var (
-		accPath  = fs.String("accounting", "", "path to the accounting archive")
-		apsPath  = fs.String("apsys", "", "path to the apsys archive")
-		sysPath  = fs.String("syslog", "", "path to the syslog archive")
-		machine  = fs.String("machine", "bluewaters", "machine model: bluewaters or small")
-		timezone = fs.String("tz", "UTC", "accounting timestamp zone")
-		par      = fs.Int("parallelism", 0, "worker count for ingestion and simulation (0 = GOMAXPROCS; results are identical at any setting)")
-		mode     = fs.String("parse-mode", "lenient", "malformed-input policy: lenient (skip and account) or strict (fail fast)")
-		policy   = fs.String("policy", "", "policy config file (whatif format; mutually exclusive with the inline policy flags)")
-		seed     = fs.Int64("seed", 1, "simulation seed (same seed, same archive: identical report)")
-		format   = fs.String("format", "ascii", "output format: ascii, md or csv")
-		jsonOut  = fs.Bool("json", false, "emit the full report as JSON instead of tables")
+		accPath = fs.String("accounting", "", "path to the accounting archive")
+		apsPath = fs.String("apsys", "", "path to the apsys archive")
+		sysPath = fs.String("syslog", "", "path to the syslog archive")
+		machine = fs.String("machine", "bluewaters", "machine model: bluewaters or small")
+		par     = fs.Int("parallelism", 0, "worker count for ingestion and simulation (0 = GOMAXPROCS; results are identical at any setting)")
+		mode    = fs.String("parse-mode", "lenient", "malformed-input policy: lenient (skip and account) or strict (fail fast)")
+		policy  = fs.String("policy", "", "policy config file (whatif format; mutually exclusive with the inline policy flags)")
+		seed    = fs.Int64("seed", 1, "simulation seed (same seed, same archive: identical report)")
+		format  = fs.String("format", "ascii", "output format: ascii, md or csv")
+		jsonOut = fs.Bool("json", false, "emit the full report as JSON instead of tables")
 
 		// Inline single-policy flags, rendered into the same config
 		// vocabulary the -policy file uses (read back via fs.Visit, so
@@ -367,7 +360,7 @@ func simulate(args []string) error {
 		policies = whatif.DefaultPolicies()
 	}
 
-	archives, top, closeAll, err := openArchives(*accPath, *apsPath, *sysPath, *machine, *timezone)
+	archives, top, closeAll, err := openArchives(*accPath, *apsPath, *sysPath, *machine)
 	if err != nil {
 		return err
 	}

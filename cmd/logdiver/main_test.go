@@ -195,7 +195,7 @@ func TestCoalesceMatchesAnalyze(t *testing.T) {
 	writeArchive(t, dir)
 	sysPath := filepath.Join(dir, "syslog.log")
 
-	archives, top, closeAll, err := openArchives("", "", sysPath, "small", "UTC")
+	archives, top, closeAll, err := openArchives("", "", sysPath, "small")
 	if err != nil {
 		t.Fatal(err)
 	}

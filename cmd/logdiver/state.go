@@ -87,9 +87,8 @@ func stateCmd(args []string) error {
 	fmt.Printf("format:     version %d, checksum ok\n", view.Version)
 	fmt.Printf("saved:      %s\n", view.SavedAt)
 	fmt.Printf("epoch:      %d\n", view.Epoch)
-	fmt.Printf("config:     machine=%s nodes=%d parse-mode=%s rules=%s tz=%s\n",
-		st.Fingerprint.Machine, st.Fingerprint.Nodes, st.Fingerprint.ParseMode,
-		st.Fingerprint.Rules, st.Fingerprint.TimeZone)
+	fmt.Printf("config:     machine=%s nodes=%d parse-mode=%s rules=%s\n",
+		st.Fingerprint.Machine, st.Fingerprint.Nodes, st.Fingerprint.ParseMode, st.Fingerprint.Rules)
 	fmt.Printf("ingest:     %d rounds; lines: %d accounting, %d apsys, %d syslog\n",
 		view.Ingest.Rounds, view.Ingest.AccountingLines, view.Ingest.ApsysLines, view.Ingest.SyslogLines)
 	for _, tv := range view.Tailer {

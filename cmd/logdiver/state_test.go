@@ -27,7 +27,7 @@ func writeStateFile(t *testing.T, dir string) string {
 		Epoch:   7,
 		Fingerprint: persist.Fingerprint{
 			Machine: "small", Nodes: 64, ParseMode: "lenient",
-			Rules: persist.RulesBuiltin, TimeZone: "UTC",
+			Rules: persist.RulesBuiltin,
 		},
 		Syncer: &store.SyncerState{
 			Pipeline: &core.IncrementalState{},

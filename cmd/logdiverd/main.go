@@ -7,15 +7,15 @@
 //	logdiverd -data-dir ./archive [-machine bluewaters|small] [-state-dir ./state]
 //	logdiverd -fleet-config fleet.conf
 //	    [-listen :8080] [-poll-interval 2s] [-parallelism N]
-//	    [-parse-mode lenient|strict] [-rules site-rules.txt] [-tz UTC]
+//	    [-parse-mode lenient|strict] [-rules site-rules.txt]
 //	    [-request-timeout 10s] [-state-interval 1m]
 //	logdiverd -version
 //
 // There is one runtime: a fleet.Manager running one incremental pipeline
 // per machine shard. -fleet-config names a file with one [shard NAME]
-// section per machine (archive dir, machine profile, optional state dir and
-// zone); -data-dir D [-machine P] [-state-dir S] is shorthand for the
-// one-shard fleet "[shard P] archive-dir = D, machine = P, state-dir = S".
+// section per machine (archive dir, machine profile, optional state dir);
+// -data-dir D [-machine P] [-state-dir S] is shorthand for the one-shard
+// fleet "[shard P] archive-dir = D, machine = P, state-dir = S".
 // The two are mutually exclusive, and -state-dir belongs to the shorthand
 // (a config file sets state-dir per shard).
 //
@@ -95,7 +95,6 @@ func run(args []string, onListen func(addr string)) error {
 		mode        = fs.String("parse-mode", "lenient", "malformed-input policy: lenient or strict")
 		rules       = fs.String("rules", "", "optional classifier rule file (replaces the built-in taxonomy rules)")
 		validate    = fs.Bool("validate-rules", true, "lint -rules files and reject rule sets with error-severity findings")
-		timezone    = fs.String("tz", "UTC", "accounting timestamp zone")
 		reqTimeout  = fs.Duration("request-timeout", serve.DefaultRequestTimeout, "per-request deadline for POST /v1/whatif")
 		rateLimit   = fs.Float64("rate-limit", 0, "per-client requests/second on the data endpoints (0 = no rate limiting; excess gets 429 + Retry-After)")
 		rateBurst   = fs.Int("rate-burst", 0, "rate-limit token-bucket burst (0 = 2x the rate)")
@@ -155,7 +154,6 @@ func run(args []string, onListen func(addr string)) error {
 	mgr, err := fleet.NewManager(fleet.ManagerConfig{
 		Config:        fcfg,
 		Options:       logdiver.Options{Parallelism: *par, ParseMode: parseMode, Classifier: cls},
-		TimeZone:      *timezone,
 		RulesID:       rulesID,
 		StateInterval: *stateEvery,
 		Logf: func(format string, args ...any) {

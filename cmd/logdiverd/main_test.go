@@ -415,7 +415,7 @@ func TestDataDirMatchesBareSyncer(t *testing.T) {
 	}
 	st := store.New()
 	sy, err := store.NewSyncer(store.SyncerConfig{
-		Tailer: store.NewTailer(dir), Store: st, Topology: top, Location: time.UTC, Options: core.Options{},
+		Tailer: store.NewTailer(dir), Store: st, Topology: top, Options: core.Options{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -543,6 +543,17 @@ func TestDaemonFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-data-dir", t.TempDir(), "-machine", "nope"}, nil); err == nil {
 		t.Error("unknown machine accepted")
+	}
+	// The accounting zone is retired from the flags and the config file.
+	if err := run([]string{"-data-dir", t.TempDir(), "-tz", "UTC"}, nil); err == nil || !strings.Contains(err.Error(), "tz") {
+		t.Errorf("-tz UTC: err %v, want one naming tz", err)
+	}
+	tzConf := filepath.Join(t.TempDir(), "fleet.conf")
+	if err := os.WriteFile(tzConf, []byte("[shard a]\narchive-dir = a\ntz = UTC\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-fleet-config", tzConf}, nil); err == nil || !strings.Contains(err.Error(), `"tz"`) {
+		t.Errorf("fleet config with tz: err %v, want one naming tz", err)
 	}
 	if err := run([]string{"-version"}, nil); err != nil {
 		t.Errorf("-version: %v", err)

@@ -96,7 +96,7 @@ func finishingBody(apid uint64, exit int) string {
 // analyzeText is Analyze over in-memory apsys and syslog text.
 func analyzeText(t *testing.T, top *machine.Topology, aps, sys string) *Result {
 	t.Helper()
-	res, err := Analyze(Archives{Apsys: strings.NewReader(aps), Syslog: strings.NewReader(sys), Location: time.UTC}, top, Options{})
+	res, err := Analyze(Archives{Apsys: strings.NewReader(aps), Syslog: strings.NewReader(sys)}, top, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,8 +31,6 @@ type Archives struct {
 	Apsys io.Reader
 	// Syslog is the system error log archive.
 	Syslog io.Reader
-	// Location interprets accounting timestamps (UTC when nil).
-	Location *time.Location
 }
 
 // Options tunes the pipeline. The zero value selects the study defaults.
@@ -238,7 +236,7 @@ type Result struct {
 // attributes every run. The Result is identical at every worker count and
 // block size.
 func Analyze(a Archives, top *machine.Topology, opts Options) (*Result, error) {
-	inc, err := NewIncremental(top, a.Location, opts)
+	inc, err := NewIncremental(top, nil, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"logdiver/internal/coalesce"
 	"logdiver/internal/correlate"
@@ -68,7 +67,6 @@ func archivesFor(t *testing.T, ds *gen.Dataset) Archives {
 		Accounting: strings.NewReader(acc.String()),
 		Apsys:      strings.NewReader(aps.String()),
 		Syslog:     strings.NewReader(sys.String()),
-		Location:   time.UTC,
 	}
 }
 

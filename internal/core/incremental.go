@@ -116,9 +116,9 @@ type Incremental struct {
 	err error
 }
 
-// NewIncremental returns an empty incremental pipeline. loc interprets
-// accounting timestamps (UTC when nil); the zero Options select the study
-// defaults.
+// NewIncremental returns an empty incremental pipeline. loc is the zone
+// accounting stamps are checked in (UTC when nil; no result depends on it);
+// the zero Options select the study defaults.
 func NewIncremental(top *machine.Topology, loc *time.Location, opts Options) (*Incremental, error) {
 	if top == nil {
 		return nil, fmt.Errorf("core: nil topology")
@@ -169,14 +169,12 @@ func (inc *Incremental) Append(d Delta) (AppendStats, error) {
 
 // read is the one way raw bytes enter the pipeline, for Append and Analyze
 // alike: ingest — the three archives concurrently, Options.Parallelism
-// block workers each — into the persistent assemblers. The archives'
-// Location is the pipeline's.
+// block workers each — into the persistent assemblers.
 func (inc *Incremental) read(a Archives) (AppendStats, error) {
 	if inc.err != nil {
 		return AppendStats{}, inc.err
 	}
-	a.Location = inc.loc
-	evs, rst, lines, err := ingest(a, inc.top, inc.opts, func(rec wlm.ScanRecord) error {
+	evs, rst, lines, err := ingest(a, inc.loc, inc.top, inc.opts, func(rec wlm.ScanRecord) error {
 		// With nothing attributed yet the next Result redoes every run, so no
 		// job needs marking. Look up first: an assignment allocates its key
 		// even when present.

@@ -59,7 +59,7 @@ func testArchiveText(t *testing.T) (acc, aps, sys string) {
 func assembledJobs(t *testing.T, acc []byte, top *machine.Topology, opts Options) []wlm.Job {
 	t.Helper()
 	asm := wlm.NewAssembler()
-	_, _, _, err := ingest(Archives{Accounting: deltaReader(acc), Location: time.UTC}, top, opts.withDefaults(), asm.AddScan, alps.NewAssembler())
+	_, _, _, err := ingest(Archives{Accounting: deltaReader(acc)}, nil, top, opts.withDefaults(), asm.AddScan, alps.NewAssembler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,6 @@ func TestIncrementalMatchesAnalyze(t *testing.T) {
 					Accounting: strings.NewReader(accPfx.String()),
 					Apsys:      strings.NewReader(apsPfx.String()),
 					Syslog:     strings.NewReader(sysPfx.String()),
-					Location:   time.UTC,
 				}, ds.Topology, opts)
 				if err != nil {
 					t.Fatalf("round %d: analyze: %v", r, err)
@@ -368,7 +367,6 @@ func TestIncrementalStrictArchivePrecedence(t *testing.T) {
 	_, want := Analyze(Archives{
 		Accounting: strings.NewReader(string(accC[0]) + string(badAcc)),
 		Syslog:     strings.NewReader(string(badSys)),
-		Location:   time.UTC,
 	}, ds.Topology, opts)
 	if want == nil || err.Error() != want.Error() {
 		t.Errorf("append error diverges from Analyze over the concatenated input:\n append  %v\n analyze %v", err, want)

@@ -45,15 +45,15 @@ import (
 var ingestBlockSize = stream.DefaultBlockSize
 
 // ingest parses the three archives concurrently (a nil archive is skipped):
-// accounting records go to accSink and apsys messages into alpsAsm, both in
-// archive order, and the classified syslog events are returned with the
-// merged parse stats and the raw lines read per archive (blank and malformed
-// ones included). The caller owns both sinks — Incremental's persistent
-// assemblers, or a test's fresh ones — and derives the pairing-anomaly
-// counters via setAssembler when it snapshots. With corruption in several
-// archives a strict-mode run reports the error of the first one in fixed
-// order (accounting, apsys, syslog).
-func ingest(a Archives, top *machine.Topology, opts Options, accSink func(wlm.ScanRecord) error, alpsAsm *alps.Assembler) (events []errlog.Event, stats ParseStats, lines [len(archiveNames)]int, err error) {
+// accounting records, their stamps checked in loc, go to accSink and apsys
+// messages into alpsAsm, both in archive order, and the classified syslog
+// events are returned with the merged parse stats and the raw lines read per
+// archive (blank and malformed ones included). The caller owns both sinks —
+// Incremental's persistent assemblers, or a test's fresh ones — and derives
+// the pairing-anomaly counters via setAssembler when it snapshots. With
+// corruption in several archives a strict-mode run reports the error of the
+// first one in fixed order (accounting, apsys, syslog).
+func ingest(a Archives, loc *time.Location, top *machine.Topology, opts Options, accSink func(wlm.ScanRecord) error, alpsAsm *alps.Assembler) (events []errlog.Event, stats ParseStats, lines [len(archiveNames)]int, err error) {
 	var (
 		wg    sync.WaitGroup
 		parts [len(archiveNames)]ParseStats
@@ -62,7 +62,7 @@ func ingest(a Archives, top *machine.Topology, opts Options, accSink func(wlm.Sc
 	wg.Add(len(archiveNames))
 	go func() {
 		defer wg.Done()
-		lines[archiveIdxAccounting], errs[archiveIdxAccounting] = ingestAccounting(a.Accounting, a.Location, opts.Parallelism, opts.ParseMode, &parts[archiveIdxAccounting], accSink)
+		lines[archiveIdxAccounting], errs[archiveIdxAccounting] = ingestAccounting(a.Accounting, loc, opts.Parallelism, opts.ParseMode, &parts[archiveIdxAccounting], accSink)
 	}()
 	go func() {
 		defer wg.Done()

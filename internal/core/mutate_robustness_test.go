@@ -45,7 +45,6 @@ func archivesOf(acc, aps, sys string) Archives {
 		Accounting: strings.NewReader(acc),
 		Apsys:      strings.NewReader(aps),
 		Syslog:     strings.NewReader(sys),
-		Location:   time.UTC,
 	}
 }
 
@@ -210,7 +209,6 @@ func TestMutationManifestReconciliation(t *testing.T) {
 	res, err := Analyze(Archives{
 		Accounting: strings.NewReader(string(accB)),
 		Apsys:      strings.NewReader(string(apsB)),
-		Location:   time.UTC,
 	}, ds.Topology, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -311,10 +309,10 @@ func TestStrictModeFailFast(t *testing.T) {
 		clean   string
 	}{
 		{"accounting", ArchiveAccounting, func(m string) Archives {
-			return Archives{Accounting: strings.NewReader(m), Location: time.UTC}
+			return Archives{Accounting: strings.NewReader(m)}
 		}, acc},
 		{"apsys", ArchiveApsys, func(m string) Archives {
-			return Archives{Apsys: strings.NewReader(m), Location: time.UTC}
+			return Archives{Apsys: strings.NewReader(m)}
 		}, aps},
 	}
 	for _, tc := range cases {
@@ -366,13 +364,13 @@ func TestStrictModeFailFast(t *testing.T) {
 func TestStrictModeCleanArchives(t *testing.T) {
 	ds := testDataset(t)
 	acc, aps, _ := archiveText(t, ds)
-	a := Archives{Accounting: strings.NewReader(acc), Apsys: strings.NewReader(aps), Location: time.UTC}
+	a := Archives{Accounting: strings.NewReader(acc), Apsys: strings.NewReader(aps)}
 	strict, err := Analyze(a, ds.Topology, Options{ParseMode: parse.Strict})
 	if err != nil {
 		t.Fatalf("strict Analyze failed on clean archives: %v", err)
 	}
 	lenient, err := Analyze(Archives{
-		Accounting: strings.NewReader(acc), Apsys: strings.NewReader(aps), Location: time.UTC,
+		Accounting: strings.NewReader(acc), Apsys: strings.NewReader(aps),
 	}, ds.Topology, Options{})
 	if err != nil {
 		t.Fatal(err)

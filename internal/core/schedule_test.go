@@ -251,7 +251,6 @@ func runSchedule(t *testing.T, seed int64, mutated bool, parallelism int) {
 			Accounting: bytes.NewReader(pfx[0].Bytes()),
 			Apsys:      bytes.NewReader(pfx[1].Bytes()),
 			Syslog:     bytes.NewReader(pfx[2].Bytes()),
-			Location:   time.UTC,
 		}, top, opts)
 		if err != nil {
 			t.Fatalf("step %d (%s): analyze: %v", i, st.note, err)

@@ -211,7 +211,7 @@ func TestRestoresParentLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, err := Analyze(Archives{Accounting: strings.NewReader(acc), Apsys: strings.NewReader(aps),
-		Syslog: strings.NewReader(sys + echo), Location: time.UTC}, top, Options{})
+		Syslog: strings.NewReader(sys + echo)}, top, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestRestoresParentLayout(t *testing.T) {
 	t.Run("parent-to-current", func(t *testing.T) {
 		var raw []errlog.Event
 		for _, text := range []string{first, second} {
-			evs, _, _, err := ingest(Archives{Syslog: strings.NewReader(text), Location: time.UTC}, top, Options{}.withDefaults(), nil, alps.NewAssembler())
+			evs, _, _, err := ingest(Archives{Syslog: strings.NewReader(text)}, nil, top, Options{}.withDefaults(), nil, alps.NewAssembler())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -53,9 +53,6 @@ type ShardConfig struct {
 	// StateDir, when set, enables crash-safe persisted state for this
 	// shard (one state.ldv per shard, reusing internal/persist).
 	StateDir string
-	// TimeZone interprets the shard's accounting timestamps; empty means
-	// the manager default.
-	TimeZone string
 }
 
 // Config is a parsed fleet configuration: the declarative list of shards a
@@ -71,7 +68,6 @@ type Config struct {
 //	archive-dir = /srv/logs/m00
 //	machine = small
 //	state-dir = /var/lib/logdiver/m00
-//	tz = America/Chicago
 //
 // One [shard NAME] section per machine; archive-dir is required, the rest
 // optional. Relative paths are left as-is (LoadConfig resolves them against
@@ -96,8 +92,6 @@ func ParseConfig(text string) (*Config, error) {
 				sh.Machine = kv.Value
 			case "state-dir":
 				sh.StateDir = kv.Value
-			case "tz":
-				sh.TimeZone = kv.Value
 			default:
 				return nil, fmt.Errorf("fleet: line %d: unknown key %q", kv.Line, kv.Key)
 			}
@@ -149,9 +143,6 @@ func (c *Config) String() string {
 		fmt.Fprintf(&b, "machine = %s\n", sh.Machine)
 		if sh.StateDir != "" {
 			fmt.Fprintf(&b, "state-dir = %s\n", sh.StateDir)
-		}
-		if sh.TimeZone != "" {
-			fmt.Fprintf(&b, "tz = %s\n", sh.TimeZone)
 		}
 	}
 	return b.String()

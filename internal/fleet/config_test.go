@@ -14,7 +14,6 @@ func TestParseConfig(t *testing.T) {
 [shard bw-main]
 archive-dir = /srv/logs/bw
 state-dir = /var/lib/logdiver/bw
-tz = America/Chicago
 
 ; second machine
 [shard test-rig]
@@ -26,7 +25,7 @@ machine = small
 		t.Fatal(err)
 	}
 	want := &Config{Shards: []ShardConfig{
-		{Name: "bw-main", ArchiveDir: "/srv/logs/bw", Machine: MachineBlueWaters, StateDir: "/var/lib/logdiver/bw", TimeZone: "America/Chicago"},
+		{Name: "bw-main", ArchiveDir: "/srv/logs/bw", Machine: MachineBlueWaters, StateDir: "/var/lib/logdiver/bw"},
 		{Name: "test-rig", ArchiveDir: "rigs/a", Machine: MachineSmall},
 	}}
 	if !reflect.DeepEqual(cfg, want) {
@@ -57,6 +56,7 @@ func TestParseConfigErrors(t *testing.T) {
 		{"dotdot name", "[shard ..]\narchive-dir=x\n", "invalid shard name"},
 		{"long name", "[shard " + strings.Repeat("x", 65) + "]\narchive-dir=x\n", "invalid shard name"},
 		{"unknown key", "[shard a]\narchive-dir=x\ncolour = blue\n", "unknown key"},
+		{"retired tz key", "[shard a]\narchive-dir=x\ntz = UTC\n", `unknown key "tz"`},
 		{"bad machine", "[shard a]\narchive-dir=x\nmachine = cray-2\n", "unknown machine profile"},
 		{"missing archive dir", "[shard a]\nmachine = small\n", "archive-dir is required"},
 		{"duplicate key", "[shard a]\narchive-dir=x\narchive-dir=y\n", "duplicate key"},
@@ -77,7 +77,7 @@ func TestParseConfigErrors(t *testing.T) {
 }
 
 func TestConfigRoundTrip(t *testing.T) {
-	cfg, err := ParseConfig("[shard a]\narchive-dir = x\nmachine = small\ntz = UTC\n[shard b]\narchive-dir = y\nstate-dir = s\n")
+	cfg, err := ParseConfig("[shard a]\narchive-dir = x\nmachine = small\n[shard b]\narchive-dir = y\nstate-dir = s\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestLoadConfigResolvesRelativePaths(t *testing.T) {
 // panics, and any accepted config survives a render → parse round trip.
 func FuzzFleetConfig(f *testing.F) {
 	f.Add("[shard m00]\narchive-dir = data/m00\nmachine = small\n")
-	f.Add("[shard a]\narchive-dir=x\nstate-dir=y\ntz = UTC\n")
+	f.Add("[shard a]\narchive-dir=x\nstate-dir=y\n")
 	f.Add("# comment\n; comment\n[shard b]\narchive-dir = /x\n")
 	f.Add("[shard ..]\narchive-dir=x")
 	f.Add("[shard a]\narchive-dir = a = b\n")

@@ -34,12 +34,9 @@ type ManagerConfig struct {
 	// Config is the parsed fleet declaration. Required.
 	Config *Config
 	// Options follows core.Analyze semantics and applies to every shard
-	// pipeline (per-shard knobs are topology, archives, state and zone —
-	// policy is fleet-wide).
+	// pipeline (per-shard knobs are topology, archives and state — policy
+	// is fleet-wide).
 	Options core.Options
-	// TimeZone is the default accounting zone name for shards without a
-	// tz key; empty means UTC.
-	TimeZone string
 	// RulesID is the classifier-rules identity recorded in per-shard state
 	// fingerprints (persist.RulesBuiltin when empty).
 	RulesID string
@@ -175,10 +172,6 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if rulesID == "" {
 		rulesID = persist.RulesBuiltin
 	}
-	defaultTZ := cfg.TimeZone
-	if defaultTZ == "" {
-		defaultTZ = "UTC"
-	}
 
 	m := &Manager{
 		fleet: store.New(),
@@ -196,7 +189,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 			defer wg.Done()
 			m.sem <- struct{}{}
 			defer func() { <-m.sem }()
-			m.shards[i], errs[i] = newShard(sc, cfg.Options, rulesID, defaultTZ, now, logf)
+			m.shards[i], errs[i] = newShard(sc, cfg.Options, rulesID, now, logf)
 		}()
 	}
 	wg.Wait()
@@ -227,7 +220,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 }
 
 // newShard builds one shard runtime, restoring persisted state when usable.
-func newShard(sc ShardConfig, opts core.Options, rulesID, defaultTZ string, now func() time.Time, logf func(string, ...any)) (*shard, error) {
+func newShard(sc ShardConfig, opts core.Options, rulesID string, now func() time.Time, logf func(string, ...any)) (*shard, error) {
 	profile := sc.Machine
 	if profile == "" {
 		profile = MachineBlueWaters
@@ -235,14 +228,6 @@ func newShard(sc ShardConfig, opts core.Options, rulesID, defaultTZ string, now 
 	top, err := Topology(profile)
 	if err != nil {
 		return nil, err
-	}
-	tzName := sc.TimeZone
-	if tzName == "" {
-		tzName = defaultTZ
-	}
-	loc, err := time.LoadLocation(tzName)
-	if err != nil {
-		return nil, fmt.Errorf("timezone: %w", err)
 	}
 
 	sh := &shard{
@@ -262,7 +247,6 @@ func newShard(sc ShardConfig, opts core.Options, rulesID, defaultTZ string, now 
 			Nodes:     top.NumNodes(),
 			ParseMode: opts.ParseMode.String(),
 			Rules:     rulesID,
-			TimeZone:  tzName,
 		}
 		if resume, err = sh.loadState(opts, logf); err != nil {
 			return nil, err
@@ -282,7 +266,6 @@ func newShard(sc ShardConfig, opts core.Options, rulesID, defaultTZ string, now 
 		Tailer:   store.NewTailer(sc.ArchiveDir),
 		Store:    sh.store,
 		Topology: top,
-		Location: loc,
 		Options:  opts,
 		Machine:  sc.Name,
 		Resume:   resume,

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -17,6 +18,7 @@ import (
 	"logdiver/internal/gen"
 	"logdiver/internal/machine"
 	"logdiver/internal/parse"
+	"logdiver/internal/persist"
 	"logdiver/internal/raceflag"
 	"logdiver/internal/store"
 )
@@ -245,6 +247,33 @@ func TestManagerWarmRestart(t *testing.T) {
 	}
 	if v2.FleetEpoch <= v1.FleetEpoch {
 		t.Fatalf("fleet epoch not monotonic across restart: %d -> %d", v1.FleetEpoch, v2.FleetEpoch)
+	}
+
+	// A state file an older writer left, whose fingerprint still carries the
+	// retired accounting zone field, restores warm under the machine, parse
+	// mode and rules it was written with.
+	golden, err := os.ReadFile(filepath.Join("..", "persist", "testdata", "state-v3.ldv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(golden, []byte("TimeZone")) {
+		t.Fatal("the golden state no longer carries a TimeZone field; this case checks nothing")
+	}
+	upgrade := filepath.Join(root, "upgrade")
+	if err := os.MkdirAll(filepath.Join(upgrade, "state"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(upgrade, "state", persist.StateFile), golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err := NewManager(ManagerConfig{Config: &Config{Shards: []ShardConfig{{
+		Name: "golden", ArchiveDir: upgrade, Machine: MachineSmall, StateDir: filepath.Join(upgrade, "state"),
+	}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := old.View().Shards[0].Restore; r.Mode != "warm" {
+		t.Fatalf("the older writer's state booted %q (%s), want warm", r.Mode, r.Detail)
 	}
 }
 

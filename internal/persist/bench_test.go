@@ -3,7 +3,6 @@ package persist
 import (
 	"path/filepath"
 	"testing"
-	"time"
 
 	"logdiver/internal/core"
 	"logdiver/internal/store"
@@ -38,7 +37,6 @@ func BenchmarkRestore(b *testing.B) {
 				Tailer:   store.NewTailer(dir),
 				Store:    st,
 				Topology: ds.Topology,
-				Location: time.UTC,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -64,7 +62,6 @@ func BenchmarkRestore(b *testing.B) {
 				Tailer:   store.NewTailer(dir),
 				Store:    st,
 				Topology: ds.Topology,
-				Location: time.UTC,
 				Resume:   loaded.Syncer,
 				Options:  core.Options{},
 			})

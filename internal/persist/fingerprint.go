@@ -27,8 +27,6 @@ type Fingerprint struct {
 	// Rules identifies the classifier rule set: RulesBuiltin, or
 	// "sha256:<hex>" of the rule file bytes (HashRules).
 	Rules string `json:"rules"`
-	// TimeZone is the accounting timestamp zone name.
-	TimeZone string `json:"time_zone"`
 }
 
 // HashRules returns the Rules identity of a custom rule file's bytes.
@@ -50,8 +48,6 @@ func (f Fingerprint) Diff(cur Fingerprint) string {
 		return fmt.Sprintf("parse mode: state built under %q, running %q", f.ParseMode, cur.ParseMode)
 	case f.Rules != cur.Rules:
 		return fmt.Sprintf("classifier rules: state built with %s, running %s", f.Rules, cur.Rules)
-	case f.TimeZone != cur.TimeZone:
-		return fmt.Sprintf("timezone: state built in %q, running %q", f.TimeZone, cur.TimeZone)
 	}
 	return ""
 }

@@ -139,7 +139,6 @@ func TestGoldenStateRestores(t *testing.T) {
 		Tailer:   store.NewTailer(dir),
 		Store:    st,
 		Topology: ds.Topology,
-		Location: time.UTC,
 		Resume:   loaded.Syncer,
 	})
 	if err != nil {

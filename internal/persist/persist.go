@@ -51,10 +51,9 @@
 //
 // State carries data, never policy: positions, accumulated records,
 // counters, and the epoch. Configuration — machine model, parse mode,
-// classifier rules, timezone — stays with the process, and a Fingerprint of
-// it is stored alongside the state so a restart under different
-// configuration is detected (Fingerprint.Diff) instead of silently blending
-// two analyses.
+// classifier rules — stays with the process, and a Fingerprint of it is
+// stored alongside the state so a restart under different configuration is
+// detected (Fingerprint.Diff) instead of silently blending two analyses.
 package persist
 
 import (

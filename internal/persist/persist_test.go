@@ -86,7 +86,6 @@ func testFingerprint(ds *gen.Dataset) Fingerprint {
 		Nodes:     ds.Topology.NumNodes(),
 		ParseMode: "lenient",
 		Rules:     RulesBuiltin,
-		TimeZone:  "UTC",
 	}
 }
 
@@ -99,7 +98,6 @@ func firstLife(t testing.TB, dir, statePath string, ds *gen.Dataset, par int) {
 		Tailer:   store.NewTailer(dir),
 		Store:    st,
 		Topology: ds.Topology,
-		Location: time.UTC,
 		Options:  core.Options{Parallelism: par},
 	})
 	if err != nil {
@@ -138,7 +136,7 @@ func analyzeFiles(t testing.TB, dir string, ds *gen.Dataset, par int) *core.Resu
 	defer aps.Close()
 	defer sys.Close()
 	res, err := core.Analyze(core.Archives{
-		Accounting: acc, Apsys: aps, Syslog: sys, Location: time.UTC,
+		Accounting: acc, Apsys: aps, Syslog: sys,
 	}, ds.Topology, core.Options{Parallelism: par})
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +301,6 @@ func TestDifferentialWarmRestart(t *testing.T) {
 				Tailer:   store.NewTailer(dir),
 				Store:    st,
 				Topology: ds.Topology,
-				Location: time.UTC,
 				Options:  core.Options{Parallelism: tc.secondPar},
 				Resume:   loaded.Syncer,
 			})
@@ -354,7 +351,6 @@ func TestWarmRestartNoGrowth(t *testing.T) {
 		Tailer:   store.NewTailer(dir),
 		Store:    st,
 		Topology: ds.Topology,
-		Location: time.UTC,
 		Resume:   loaded.Syncer,
 	})
 	if err != nil {
@@ -705,7 +701,7 @@ func syntheticState(n int) *State {
 	}
 	return &State{
 		SavedAt: t0, Epoch: 3, FleetEpoch: 4,
-		Fingerprint: Fingerprint{Machine: "small", Nodes: 512, ParseMode: "lenient", Rules: RulesBuiltin, TimeZone: "UTC"},
+		Fingerprint: Fingerprint{Machine: "small", Nodes: 512, ParseMode: "lenient", Rules: RulesBuiltin},
 		Syncer: &store.SyncerState{Pipeline: p, Tailer: store.TailerState{Files: [3]store.TailFileState{
 			{Offset: 100, Carry: []byte("part")}, {Offset: 200}, {Offset: 300},
 		}}},
@@ -839,7 +835,7 @@ func FuzzLoad(f *testing.F) {
 }
 
 func TestFingerprint(t *testing.T) {
-	base := Fingerprint{Machine: "bluewaters", Nodes: 26864, ParseMode: "lenient", Rules: RulesBuiltin, TimeZone: "UTC"}
+	base := Fingerprint{Machine: "bluewaters", Nodes: 26864, ParseMode: "lenient", Rules: RulesBuiltin}
 	if d := base.Diff(base); d != "" {
 		t.Errorf("equal fingerprints diff: %q", d)
 	}
@@ -851,7 +847,6 @@ func TestFingerprint(t *testing.T) {
 		{func(f *Fingerprint) { f.Nodes = 64 }, "topology"},
 		{func(f *Fingerprint) { f.ParseMode = "strict" }, "parse mode"},
 		{func(f *Fingerprint) { f.Rules = HashRules([]byte("rule")) }, "rules"},
-		{func(f *Fingerprint) { f.TimeZone = "America/Chicago" }, "timezone"},
 	}
 	for _, tc := range cases {
 		cur := base

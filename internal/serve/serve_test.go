@@ -61,7 +61,6 @@ func testStore(t testing.TB) *store.Store {
 			Accounting: strings.NewReader(acc.String()),
 			Apsys:      strings.NewReader(aps.String()),
 			Syslog:     strings.NewReader(sys.String()),
-			Location:   time.UTC,
 		}, ds.Topology, core.Options{})
 		if err != nil {
 			t.Fatal(err)

@@ -254,7 +254,6 @@ func TestSyncerLifecycle(t *testing.T) {
 		Tailer:   NewTailer(dir),
 		Store:    st,
 		Topology: smallDataset(t, 0, 21).Topology,
-		Location: time.UTC,
 		Now: func() time.Time {
 			clock = clock.Add(time.Second)
 			return clock
@@ -351,7 +350,7 @@ func TestSyncerLifecycle(t *testing.T) {
 	}
 
 	// The installed snapshot matches a from-scratch Analyze of the files.
-	files := core.Archives{Location: time.UTC}
+	files := core.Archives{}
 	acc, err := os.Open(filepath.Join(dir, AccountingFile))
 	if err != nil {
 		t.Fatal(err)
@@ -403,7 +402,7 @@ func TestSyncAllReadsToTheEnd(t *testing.T) {
 	}
 	ds := smallDataset(t, 0, 21)
 	writeArchives(t, dir, ds)
-	files := core.Archives{Location: time.UTC}
+	files := core.Archives{}
 	for _, a := range []struct {
 		name string
 		dst  *io.Reader
@@ -425,7 +424,7 @@ func TestSyncAllReadsToTheEnd(t *testing.T) {
 	}
 
 	st := New()
-	sy, err := NewSyncer(SyncerConfig{Tailer: NewTailer(dir), Store: st, Topology: ds.Topology, Location: time.UTC})
+	sy, err := NewSyncer(SyncerConfig{Tailer: NewTailer(dir), Store: st, Topology: ds.Topology})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +464,6 @@ func TestBuildDurationCoversBuild(t *testing.T) {
 		Tailer:   NewTailer(dir),
 		Store:    st,
 		Topology: smallDataset(t, 0, 21).Topology,
-		Location: time.UTC,
 		Now: func() time.Time {
 			clock = clock.Add(time.Second)
 			if began.IsZero() {

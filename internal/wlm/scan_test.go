@@ -42,33 +42,71 @@ func scanRecordsEqual(t *testing.T, line string, got, want ScanRecord) {
 	}
 }
 
+// zoneStampLines carry stamps a zone could read differently: wall times in
+// a DST gap or overlap of America/Chicago (2013-03-10 02:30, 2013-11-03
+// 01:30) and of Australia/Lord_Howe (2013-10-06 02:15, 2013-04-07 01:45),
+// canonical and not, and stamps no zone accepts.
+var zoneStampLines = []string{
+	"03/10/2013 02:30:00;E;80.bw;resources_used.walltime=01:00:00",
+	"03/10/2013 2:30:00;E;81.bw;resources_used.walltime=01:00:00",
+	"3/10/2013 02:30:00;E;82.bw;resources_used.walltime=01:00:00",
+	"11/03/2013 01:30:00;S;83.bw;Resource_List.walltime=02:00:00",
+	"11/03/2013 1:30:00;S;84.bw;Resource_List.walltime=02:00:00",
+	"10/06/2013 02:15:00;E;85.bw;user=x",
+	"10/06/2013 2:15:00;E;86.bw;user=x",
+	"04/07/2013 01:45:00;E;87.bw;user=x",
+	"04/07/2013 1:45:00;E;88.bw;user=x",
+	"02/29/2013 12:00:00;E;89.bw;user=x", // 2013 has no February 29
+	"02/29/2013 2:30:00;E;90.bw;user=x",
+	"03/10/2013 24:30:00;E;91.bw;user=x",
+	"03/10/2013 02:30:00 CDT;E;92.bw;user=x", // a zone suffix is not in the layout
+}
+
 // TestCheckLineBytesMatchesCheckLine pins the byte scanner to the string
-// reference line by line: same skips, same typed errors (kind and text),
-// and records with the same job ID and walltimes, in UTC and in a fixed
-// non-UTC zone.
+// reference line by line — same skips, same typed errors (kind and text),
+// records with the same job ID and walltimes — and pins that the zone
+// changes no outcome: in every zone the record, the skip and the error
+// (kind, reason and text) equal those under nil, the zone ingestion uses.
 func TestCheckLineBytesMatchesCheckLine(t *testing.T) {
 	lines := append([]string{}, scanDiffLines...)
 	for _, tc := range wlmErrorCases {
 		lines = append(lines, tc.line)
 	}
-	// nil is not in the list: the string reference requires a location,
-	// while CheckLineBytes defaults nil to UTC (checked below).
-	for _, loc := range []*time.Location{time.UTC, time.FixedZone("CST", -6*3600)} {
-		for _, line := range lines {
-			wantRec, wantSkip, wantErr := CheckLine(line, loc)
+	lines = append(lines, zoneStampLines...)
+	zones := []*time.Location{nil, time.UTC}
+	for _, name := range []string{"America/Chicago", "Australia/Lord_Howe"} {
+		loc, err := time.LoadLocation(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zones = append(zones, loc)
+	}
+	for _, line := range lines {
+		baseRec, baseSkip, baseErr := CheckLineBytes([]byte(line), nil)
+		for _, loc := range zones {
 			gotRec, gotSkip, gotErr := CheckLineBytes([]byte(line), loc)
+			if gotSkip != baseSkip || !reflect.DeepEqual(gotErr, baseErr) || !reflect.DeepEqual(gotRec, baseRec) {
+				t.Errorf("CheckLineBytes(%q) in %v = (%+v, %v, %+v), in nil (%+v, %v, %+v)",
+					line, loc, gotRec, gotSkip, gotErr, baseRec, baseSkip, baseErr)
+			}
+			// The string reference requires a location; nil reads as UTC.
+			ref := loc
+			if ref == nil {
+				ref = time.UTC
+			}
+			wantRec, wantSkip, wantErr := CheckLine(line, ref)
 			if gotSkip != wantSkip {
-				t.Errorf("CheckLineBytes(%q) skip = %v, want %v", line, gotSkip, wantSkip)
+				t.Errorf("CheckLineBytes(%q) in %v skip = %v, want %v", line, loc, gotSkip, wantSkip)
 				continue
 			}
 			if (gotErr == nil) != (wantErr == nil) {
-				t.Errorf("CheckLineBytes(%q) err = %v, string path %v", line, gotErr, wantErr)
+				t.Errorf("CheckLineBytes(%q) in %v err = %v, string path %v", line, loc, gotErr, wantErr)
 				continue
 			}
 			if wantErr != nil {
 				if gotErr.Kind != wantErr.Kind || gotErr.Error() != wantErr.Error() {
-					t.Errorf("CheckLineBytes(%q) err = %q (%v), string path %q (%v)",
-						line, gotErr.Error(), gotErr.Kind, wantErr.Error(), wantErr.Kind)
+					t.Errorf("CheckLineBytes(%q) in %v err = %q (%v), string path %q (%v)",
+						line, loc, gotErr.Error(), gotErr.Kind, wantErr.Error(), wantErr.Kind)
 				}
 				continue
 			}
@@ -78,9 +116,6 @@ func TestCheckLineBytesMatchesCheckLine(t *testing.T) {
 			scanRecordsEqual(t, line, gotRec, scanFromRecord(wantRec))
 		}
 	}
-	nilRec, _, _ := CheckLineBytes([]byte(wlmGoodLine), nil)
-	utcRec, _, _ := CheckLineBytes([]byte(wlmGoodLine), time.UTC)
-	scanRecordsEqual(t, wlmGoodLine, nilRec, utcRec)
 }
 
 // TestScanBlockModeMatchesScanner pins the ingestion block parser to the
