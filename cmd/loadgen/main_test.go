@@ -228,7 +228,7 @@ func TestOpenLoopIntegration(t *testing.T) {
 // sheds must be counted as sheds (not errors), and the 429s must carry
 // Retry-After to qualify.
 func TestShedClassification(t *testing.T) {
-	ts := testSnapshotServer(t, serve.Config{RateLimit: 5, RateBurst: 5})
+	ts := testSnapshotServer(t, serve.Config{RateLimit: 5})
 	client := &http.Client{Timeout: 5 * time.Second}
 	tg, err := preflight(client, ts.URL, 5*time.Second)
 	if err != nil {
@@ -244,7 +244,7 @@ func TestShedClassification(t *testing.T) {
 		t.Fatalf("%d errors; sheds must classify as sheds", res.errs)
 	}
 	if len(res.shedLat) == 0 {
-		t.Fatal("100 requests through a 5-token bucket shed nothing")
+		t.Fatal("100 requests through a 10-token bucket shed nothing")
 	}
 	if len(res.okLat) == 0 {
 		t.Fatal("everything shed; the burst should have admitted some")

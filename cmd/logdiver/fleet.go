@@ -106,7 +106,7 @@ func fleetTables(shardStats []fleet.ShardStatus, merged *store.Snapshot) []*repo
 // paths. Window w > 0 appends that production window to the existing
 // archives instead of recreating them; only restricts the write to a single
 // machine (which grows one shard of a running fleet daemon).
-func generateFleet(k, days int, seed int64, window int, only, out string, par int) error {
+func generateFleet(k, days int, seed int64, window int, only, out string) error {
 	machines := gen.Fleet(k, days, seed)
 	conf := fleet.Config{}
 	var wrote []string
@@ -120,9 +120,7 @@ func generateFleet(k, days int, seed int64, window int, only, out string, par in
 		if only != "" && m.Name != only {
 			continue
 		}
-		cfg := m.Window(window)
-		cfg.Parallelism = par
-		ds, err := gen.Generate(cfg)
+		ds, err := gen.Generate(m.Window(window))
 		if err != nil {
 			return err
 		}

@@ -6,16 +6,16 @@
 //
 //	logdiver analyze -accounting acc.log -apsys apsys.log -syslog sys.log \
 //	    [-truth truth.jsonl] [-machine bluewaters|small] [-format ascii|md|csv]
-//	    [-rules site-rules.txt] [-parallelism N] [-parse-mode lenient|strict]
+//	    [-rules site-rules.txt] [-parse-mode lenient|strict]
 //	logdiver analyze -fleet-config fleet.conf [-format ascii|md|csv] \
-//	    [-rules site-rules.txt] [-parallelism N] [-parse-mode lenient|strict]
+//	    [-rules site-rules.txt] [-parse-mode lenient|strict]
 //	logdiver coalesce -syslog sys.log [-machine bluewaters|small] \
 //	    [-temporal 5m] [-spatial 2m] [-top 25]
 //	logdiver avail -syslog sys.log [-machine bluewaters|small] [-top 5]
 //	logdiver lint-rules [-rules site-rules.txt] [-json]
 //	logdiver mutate -in sys.log -out sys.corrupt.log [-manifest m.json] \
 //	    [-seed N] [-budget F] [-ops truncate,encoding,...] [-max-per-op N]
-//	logdiver generate -days 30 -out ./archive [-parallelism N] \
+//	logdiver generate -days 30 -out ./archive \
 //	    [-machine bluewaters|small] [-start YYYY-MM-DD] [-seed N]
 //	logdiver generate -fleet K -days D -out ./fleet [-seed N] \
 //	    [-fleet-window W] [-fleet-only NAME]
@@ -31,12 +31,11 @@
 // same linter to -rules files before using them; -validate-rules=false
 // skips that gate.
 //
-// -parallelism sets the worker pools of the streaming ingestion layer
-// (analyze: the three archives are always parsed and classified
-// concurrently, each by this many block workers) and of archive emission
-// (generate). 0 means one worker per CPU; 1 means one worker per archive
-// (analyze) or sequential emission (generate). Results and output bytes are
-// identical at any setting.
+// Every worker pool (analyze's block workers, one pool per archive, the
+// three archives read concurrently; simulate's replay; generate's archive
+// emission) runs runtime.GOMAXPROCS(0) workers, so the GOMAXPROCS
+// environment variable sets them. Results and output bytes are identical at
+// any setting.
 //
 // -parse-mode selects the malformed-input policy: lenient (default) skips
 // unparseable lines and accounts them per kind in the stderr summary;
@@ -165,7 +164,6 @@ func analyze(args []string) error {
 		format   = fs.String("format", "ascii", "output format: ascii, md or csv")
 		rules    = fs.String("rules", "", "optional classifier rule file (replaces the built-in taxonomy rules)")
 		validate = fs.Bool("validate-rules", true, "lint -rules files and reject rule sets with error-severity findings")
-		par      = fs.Int("parallelism", 0, "ingestion workers per archive and attribution workers (0 = GOMAXPROCS; the three archives are always read concurrently)")
 		mode     = fs.String("parse-mode", "lenient", "malformed-input policy: lenient (skip and account) or strict (fail fast)")
 		fleetCfg = fs.String("fleet-config", "", "fleet config file: analyze every [shard NAME] archive dir and print merged fleet tables (mutually exclusive with the per-archive flags)")
 	)
@@ -188,7 +186,7 @@ func analyze(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := logdiver.Options{Parallelism: *par, ParseMode: parseMode, Classifier: cls}
+	opts := logdiver.Options{ParseMode: parseMode, Classifier: cls}
 	if *fleetCfg != "" {
 		return analyzeFleet(*fleetCfg, opts, *format)
 	}
@@ -302,7 +300,6 @@ func simulate(args []string) error {
 		apsPath = fs.String("apsys", "", "path to the apsys archive")
 		sysPath = fs.String("syslog", "", "path to the syslog archive")
 		machine = fs.String("machine", "bluewaters", "machine model: bluewaters or small")
-		par     = fs.Int("parallelism", 0, "worker count for ingestion and simulation (0 = GOMAXPROCS; results are identical at any setting)")
 		mode    = fs.String("parse-mode", "lenient", "malformed-input policy: lenient (skip and account) or strict (fail fast)")
 		policy  = fs.String("policy", "", "policy config file (whatif format; mutually exclusive with the inline policy flags)")
 		seed    = fs.Int64("seed", 1, "simulation seed (same seed, same archive: identical report)")
@@ -365,7 +362,7 @@ func simulate(args []string) error {
 		return err
 	}
 	defer closeAll()
-	res, err := logdiver.Analyze(archives, top, logdiver.Options{Parallelism: *par, ParseMode: parseMode})
+	res, err := logdiver.Analyze(archives, top, logdiver.Options{ParseMode: parseMode})
 	if err != nil {
 		return err
 	}
@@ -377,7 +374,7 @@ func simulate(args []string) error {
 		return err
 	}
 	rep, err := whatif.Simulate(whatif.Input{Runs: res.Runs, MTTI: mtti},
-		policies, whatif.Options{Seed: *seed, Parallelism: *par})
+		policies, whatif.Options{Seed: *seed})
 	if err != nil {
 		return err
 	}
@@ -626,7 +623,6 @@ func generate(args []string) error {
 		days     = fs.Int("days", 30, "production days to synthesize")
 		seed     = fs.Int64("seed", 1, "random seed")
 		out      = fs.String("out", "archive", "output directory")
-		par      = fs.Int("parallelism", 0, "log-emission worker count (0 = GOMAXPROCS, 1 = sequential)")
 		machine  = fs.String("machine", "bluewaters", "machine model: bluewaters or small (small rescales the workload too)")
 		start    = fs.String("start", "", "first production day (YYYY-MM-DD; default 2013-04-01)")
 		fleetK   = fs.Int("fleet", 0, "generate a K-machine fleet: one small-machine archive dir per shard plus a ready-to-run fleet.conf under -out")
@@ -637,7 +633,7 @@ func generate(args []string) error {
 		return err
 	}
 	if *fleetK > 0 {
-		return generateFleet(*fleetK, *days, *seed, *fleetWin, *fleetOne, *out, *par)
+		return generateFleet(*fleetK, *days, *seed, *fleetWin, *fleetOne, *out)
 	}
 	if *fleetWin != 0 || *fleetOne != "" {
 		return fmt.Errorf("generate: -fleet-window and -fleet-only require -fleet K")
@@ -652,7 +648,6 @@ func generate(args []string) error {
 		return fmt.Errorf("unknown machine %q", *machine)
 	}
 	cfg.Seed = *seed
-	cfg.Parallelism = *par
 	if *start != "" {
 		at, err := time.Parse("2006-01-02", *start)
 		if err != nil {

@@ -63,6 +63,12 @@ func TestRunUsageErrors(t *testing.T) {
 	if err := run([]string{"analyze", "-apsys", "/does/not/exist", "-machine", "small"}); err == nil {
 		t.Error("missing file accepted")
 	}
+	// The worker count is GOMAXPROCS's alone: -parallelism is undefined.
+	for _, sub := range []string{"analyze", "simulate", "generate"} {
+		if err := run([]string{sub, "-parallelism", "2"}); err == nil || !strings.Contains(err.Error(), "parallelism") {
+			t.Errorf("%s -parallelism 2: err %v, want one naming parallelism", sub, err)
+		}
+	}
 }
 
 // TestUsageNamesEverySubcommand pins the usage line and the

@@ -6,7 +6,7 @@
 //
 //	logdiverd -data-dir ./archive [-machine bluewaters|small] [-state-dir ./state]
 //	logdiverd -fleet-config fleet.conf
-//	    [-listen :8080] [-poll-interval 2s] [-parallelism N]
+//	    [-listen :8080] [-poll-interval 2s]
 //	    [-parse-mode lenient|strict] [-rules site-rules.txt]
 //	    [-request-timeout 10s] [-state-interval 1m]
 //	logdiverd -version
@@ -52,6 +52,9 @@
 //
 // SIGINT/SIGTERM stop the poll loop, persist every healthy shard's state and
 // drain in-flight requests before exit. Logs are structured JSON on stderr.
+//
+// Every worker pool runs runtime.GOMAXPROCS(0) workers, so the GOMAXPROCS
+// environment variable sizes them.
 package main
 
 import (
@@ -91,15 +94,12 @@ func run(args []string, onListen func(addr string)) error {
 		fleetConf   = fs.String("fleet-config", "", "fleet config file with one [shard NAME] section per machine (mutually exclusive with -data-dir)")
 		poll        = fs.Duration("poll-interval", 2*time.Second, "archive poll interval")
 		machineName = fs.String("machine", "bluewaters", "machine model of the -data-dir shard, and its name: bluewaters or small")
-		par         = fs.Int("parallelism", 0, "ingestion workers per archive and attribution workers (0 = GOMAXPROCS)")
 		mode        = fs.String("parse-mode", "lenient", "malformed-input policy: lenient or strict")
 		rules       = fs.String("rules", "", "optional classifier rule file (replaces the built-in taxonomy rules)")
 		validate    = fs.Bool("validate-rules", true, "lint -rules files and reject rule sets with error-severity findings")
 		reqTimeout  = fs.Duration("request-timeout", serve.DefaultRequestTimeout, "per-request deadline for POST /v1/whatif")
 		rateLimit   = fs.Float64("rate-limit", 0, "per-client requests/second on the data endpoints (0 = no rate limiting; excess gets 429 + Retry-After)")
-		rateBurst   = fs.Int("rate-burst", 0, "rate-limit token-bucket burst (0 = 2x the rate)")
 		maxInflight = fs.Int("max-inflight", 0, "bound on concurrently executing data-endpoint requests (0 = unbounded; excess gets immediate 503 + Retry-After)")
-		retryAfter  = fs.Duration("retry-after", serve.DefaultRetryAfter, "Retry-After hint sent with 503 concurrency sheds")
 		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 		stateDir    = fs.String("state-dir", "", "directory for the -data-dir shard's durable state (empty = no persistence, cold rebuild on every start)")
 		stateEvery  = fs.Duration("state-interval", time.Minute, "minimum interval between periodic state persists")
@@ -153,7 +153,7 @@ func run(args []string, onListen func(addr string)) error {
 	}
 	mgr, err := fleet.NewManager(fleet.ManagerConfig{
 		Config:        fcfg,
-		Options:       logdiver.Options{Parallelism: *par, ParseMode: parseMode, Classifier: cls},
+		Options:       logdiver.Options{ParseMode: parseMode, Classifier: cls},
 		RulesID:       rulesID,
 		StateInterval: *stateEvery,
 		Logf: func(format string, args ...any) {
@@ -165,12 +165,9 @@ func run(args []string, onListen func(addr string)) error {
 	}
 	srv, err := serve.New(serve.Config{
 		Fleet:          mgr,
-		Version:        version.Get(),
 		RequestTimeout: *reqTimeout,
 		RateLimit:      *rateLimit,
-		RateBurst:      *rateBurst,
 		MaxInFlight:    *maxInflight,
-		RetryAfter:     *retryAfter,
 	})
 	if err != nil {
 		return err

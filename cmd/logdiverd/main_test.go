@@ -555,6 +555,15 @@ func TestDaemonFlagValidation(t *testing.T) {
 	if err := run([]string{"-fleet-config", tzConf}, nil); err == nil || !strings.Contains(err.Error(), `"tz"`) {
 		t.Errorf("fleet config with tz: err %v, want one naming tz", err)
 	}
+	// So are the worker count, the rate-limit burst and the shed hint:
+	// GOMAXPROCS sets the first, the other two derive from -rate-limit and
+	// a fixed Retry-After: 1.
+	for _, flag := range [][]string{{"-parallelism", "2"}, {"-rate-burst", "3"}, {"-retry-after", "2s"}} {
+		err := run(append([]string{"-data-dir", t.TempDir()}, flag...), nil)
+		if err == nil || !strings.Contains(err.Error(), flag[0][1:]) {
+			t.Errorf("%s %s: err %v, want one naming %s", flag[0], flag[1], err, flag[0][1:])
+		}
+	}
 	if err := run([]string{"-version"}, nil); err != nil {
 		t.Errorf("-version: %v", err)
 	}
@@ -562,18 +571,20 @@ func TestDaemonFlagValidation(t *testing.T) {
 
 // TestDaemonServeKnobs boots the daemon with the serving-tier flags and
 // exercises each through the real HTTP surface: epoch ETag caching with
-// 304 revalidation, per-client rate limiting with 429 + Retry-After, and
-// health staying reachable while the client is shed.
+// 304 revalidation, per-client rate limiting with 429 + Retry-After and
+// the burst derived from the rate (⌈2×3⌉ = 6 tokens), and health staying
+// reachable while the client is shed.
 func TestDaemonServeKnobs(t *testing.T) {
 	dir := t.TempDir()
 	writeDataset(t, dir, 0, 31)
 	base, stop := bootDaemon(t, dir,
-		"-rate-limit", "3", "-rate-burst", "3",
-		"-max-inflight", "8", "-retry-after", "2s")
+		"-rate-limit", "3", "-max-inflight", "8")
 	defer stop()
 	waitFor(t, base, "first snapshot", func(h health) bool { return h.Status == "ok" && h.Runs > 0 })
 
 	// Cached response with an epoch ETag; conditional refetch is a 304.
+	// Both are admitted: they take the bucket's first two tokens.
+	first := time.Now()
 	resp, err := http.Get(base + "/v1/outcomes")
 	if err != nil {
 		t.Fatal(err)
@@ -596,7 +607,8 @@ func TestDaemonServeKnobs(t *testing.T) {
 		t.Fatalf("conditional refetch: status %d, %d body bytes, want empty 304", resp.StatusCode, len(body))
 	}
 
-	// Hammer past the 3-token bucket: a 429 with Retry-After must appear.
+	// Hammer past the 6-token bucket: a 429 with Retry-After must appear.
+	admitted := 2
 	var shed *http.Response
 	for i := 0; i < 20 && shed == nil; i++ {
 		r, err := http.Get(base + "/v1/outcomes")
@@ -607,6 +619,7 @@ func TestDaemonServeKnobs(t *testing.T) {
 		r.Body.Close()
 		switch r.StatusCode {
 		case http.StatusOK:
+			admitted++
 		case http.StatusTooManyRequests:
 			shed = r
 		default:
@@ -614,7 +627,13 @@ func TestDaemonServeKnobs(t *testing.T) {
 		}
 	}
 	if shed == nil {
-		t.Fatal("20 rapid requests through a 3-token bucket never shed")
+		t.Fatal("20 rapid requests through a 6-token bucket never shed")
+	}
+	// A full bucket of 6 admits at least 6 before the first shed, and at
+	// most 6 plus the 3 tokens a second that accrued meanwhile.
+	refilled := int(3 * time.Since(first).Seconds())
+	if admitted < 6 || admitted > 6+refilled {
+		t.Errorf("%d requests admitted before the first 429, want 6 to %d (burst ⌈2×3⌉ = 6)", admitted, 6+refilled)
 	}
 	if ra := shed.Header.Get("Retry-After"); ra == "" {
 		t.Error("429 without Retry-After")

@@ -45,7 +45,9 @@ type Options struct {
 	// the three archives concurrently and splits each into line-aligned
 	// blocks, so N means N workers per archive) and the attribution workers
 	// of the join. Values <= 0 (including negatives) select
-	// runtime.GOMAXPROCS(0). Results are identical at every value.
+	// runtime.GOMAXPROCS(0). Results are identical at every value. The
+	// binaries leave it at zero, so GOMAXPROCS sets it; tests and the
+	// benchmark's batch_p1_mbps phase set it.
 	Parallelism int
 	// ParseMode selects the malformed-input policy. Lenient (the zero
 	// value) skips unparseable lines while accounting them — per-kind

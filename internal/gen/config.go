@@ -195,6 +195,7 @@ type Config struct {
 	// and write them in order). Values <= 0 select runtime.GOMAXPROCS(0);
 	// 1 forces sequential emission. Output bytes are identical either way:
 	// all randomness is drawn on the emitting goroutine before fan-out.
+	// The binaries leave it at zero; the benchmark's fixtures set 1.
 	Parallelism int
 	// ApIDBase offsets every generated aprun id: the first run gets
 	// ApIDBase+1. Fleet fixtures give each machine (and each append

@@ -111,8 +111,7 @@ type Config struct {
 	// Ops selects the operators to apply; nil selects AllOps.
 	Ops []Op
 	// MaxPerOp caps the victims per operator regardless of budget
-	// (0 = uncapped). Oversize mutations cost ~1 MiB each; tests on large
-	// inputs cap them.
+	// (0 = uncapped). OpOversize is capped at MaxOversize in any case.
 	MaxPerOp int
 	// BlockLines is the block length of the structural operators
 	// (duplicate, reorder); 0 selects DefaultBlockLines.
@@ -131,6 +130,11 @@ const (
 	DefaultBlockLines  = 4
 	DefaultSkewMax     = time.Hour
 	DefaultOversizePad = 64
+	// MaxOversize caps OpOversize's victims per Apply, whatever the
+	// budget: each one grows the output by about parse.MaxLineBytes
+	// (1 MiB), so at a 1% budget an uncapped 30-day archive would grow by
+	// gigabytes.
+	MaxOversize = 8
 )
 
 func (c Config) withDefaults() Config {
@@ -215,7 +219,11 @@ func Apply(input []byte, cfg Config) ([]byte, *Manifest) {
 		if !enabled[o] {
 			continue
 		}
-		for n := 0; n < perOp; n++ {
+		n := perOp
+		if o == OpOversize {
+			n = min(n, MaxOversize)
+		}
+		for range n {
 			if !e.applyOne(o) {
 				break // no eligible victims left for this operator
 			}

@@ -246,6 +246,11 @@ func TestBudgetBoundsMutationCount(t *testing.T) {
 	if got := len(m.Mutations); got != 3 {
 		t.Errorf("MaxPerOp ignored: %d mutations, want 3", got)
 	}
+	// round(0.01*1000) = 10 oversize victims, capped at MaxOversize.
+	_, m = Apply(in, Config{Seed: 9, Ops: []Op{OpOversize}})
+	if got := len(m.Mutations); got != MaxOversize {
+		t.Errorf("oversize at the default budget: %d mutations, want MaxOversize = %d", got, MaxOversize)
+	}
 }
 
 func TestApplyEmptyAndTinyInputs(t *testing.T) {

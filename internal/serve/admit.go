@@ -13,11 +13,11 @@ import (
 // from overload, both shedding FAST — a rejected request costs a counter
 // bump and a small JSON error, never a queue slot:
 //
-//   - a per-client token bucket (RateLimit req/s, RateBurst burst) answers
-//     429 Too Many Requests with Retry-After when one client out-asks its
-//     share;
+//   - a per-client token bucket (RateLimit req/s, a burst of ⌈2×RateLimit⌉)
+//     answers 429 Too Many Requests with Retry-After when one client
+//     out-asks its share;
 //   - a global in-flight bound (MaxInFlight) answers 503 Service
-//     Unavailable with Retry-After when the server as a whole is at its
+//     Unavailable with Retry-After: 1 when the server as a whole is at its
 //     concurrency limit, regardless of who is asking.
 //
 // Shedding instead of queueing keeps latency for admitted requests flat at
@@ -30,8 +30,9 @@ import (
 const (
 	// DefaultMaxClients bounds the rate limiter's per-client tracking map.
 	DefaultMaxClients = 10000
-	// DefaultRetryAfter is the Retry-After hint on 503 concurrency sheds.
-	DefaultRetryAfter = time.Second
+	// shedRetryAfter is the Retry-After hint, in seconds, on 503
+	// concurrency sheds.
+	shedRetryAfter = "1"
 )
 
 // clientLimiter is a per-client token-bucket rate limiter. The map of
@@ -142,7 +143,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 			n := s.inFlight.Load()
 			if n >= int64(s.cfg.MaxInFlight) {
 				s.prom.shedInFlight.Add(1)
-				w.Header().Set("Retry-After", s.retryAfter)
+				w.Header().Set("Retry-After", shedRetryAfter)
 				s.writeErr(w, http.StatusServiceUnavailable, "server at concurrency limit")
 				return false
 			}

@@ -153,9 +153,9 @@ func TestClientKey(t *testing.T) {
 func TestRateLimitHTTP(t *testing.T) {
 	clk := newFakeClock()
 	st := testStore(t)
-	srv := newTestServer(t, st, Config{RateLimit: 1, RateBurst: 2, Now: clk.Now})
+	srv := newTestServer(t, st, Config{RateLimit: 1, Now: clk.Now})
 
-	// The burst admits two; the third is shed.
+	// The derived burst, ⌈2×1⌉, admits two; the third is shed.
 	for i := 0; i < 2; i++ {
 		if rec := get(t, srv, "/v1/outcomes", nil); rec.Code != 200 {
 			t.Fatalf("burst request %d: status %d", i, rec.Code)
@@ -205,11 +205,11 @@ func TestRateLimitHTTP(t *testing.T) {
 
 // TestMaxInFlightBound proves the concurrency bound is exact: with
 // MaxInFlight=2, two requests parked inside a handler hold the server at
-// capacity, the third is shed immediately with 503 + Retry-After, and after
-// the parked requests finish the server admits again.
+// capacity, the third is shed immediately with 503 + Retry-After: 1, and
+// after the parked requests finish the server admits again.
 func TestMaxInFlightBound(t *testing.T) {
 	st := testStore(t)
-	srv := newTestServer(t, st, Config{MaxInFlight: 2, RetryAfter: 3 * time.Second})
+	srv := newTestServer(t, st, Config{MaxInFlight: 2})
 
 	entered := make(chan struct{}, 4)
 	unblock := make(chan struct{})
@@ -237,8 +237,8 @@ func TestMaxInFlightBound(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("over-capacity status %d, want 503", rec.Code)
 	}
-	if ra := rec.Header().Get("Retry-After"); ra != "3" {
-		t.Errorf("Retry-After %q, want \"3\"", ra)
+	if ra := rec.Header().Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After %q, want \"1\"", ra)
 	}
 	if !strings.Contains(rec.Body.String(), "concurrency") {
 		t.Errorf("503 body %q does not explain itself", rec.Body.String())
@@ -416,7 +416,7 @@ func TestGracefulDrain(t *testing.T) {
 func TestAdmissionMetricsExposition(t *testing.T) {
 	clk := newFakeClock()
 	st := testStore(t)
-	srv := newTestServer(t, st, Config{RateLimit: 2, RateBurst: 3, Now: clk.Now})
+	srv := newTestServer(t, st, Config{RateLimit: 2, Now: clk.Now})
 
 	var got200, got429, got304 int
 	etag := ""

@@ -16,7 +16,6 @@ import (
 	"logdiver/internal/machine"
 	"logdiver/internal/parse"
 	"logdiver/internal/store"
-	"logdiver/internal/version"
 )
 
 // newTestFleet lays out k generated shard archives and serves a manager
@@ -49,7 +48,7 @@ func newTestFleet(t *testing.T, k int, opts core.Options) (*fleet.Manager, *http
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Fleet: mgr, Version: version.Get()})
+	srv, err := New(Config{Fleet: mgr})
 	if err != nil {
 		t.Fatal(err)
 	}

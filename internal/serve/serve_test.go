@@ -17,7 +17,6 @@ import (
 	"logdiver/internal/machine"
 	"logdiver/internal/metrics"
 	"logdiver/internal/store"
-	"logdiver/internal/version"
 )
 
 // testSnapshot builds a store holding one real snapshot over a generated
@@ -80,7 +79,7 @@ func testStore(t testing.TB) *store.Store {
 
 func testServer(t testing.TB, st *store.Store) *httptest.Server {
 	t.Helper()
-	srv, err := New(Config{Store: st, Version: version.Get()})
+	srv, err := New(Config{Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,26 +49,19 @@ type Config struct {
 	// rows and the per-shard /metrics gauges report. The daemon always sets
 	// it; a server over a bare Store has no shards.
 	Fleet *fleet.Manager
-	// Version is reported by /v1/health.
-	Version version.Info
 	// RequestTimeout bounds each POST /v1/whatif request end to end
 	// (DefaultRequestTimeout when zero). Requests over budget get 503. The
 	// other endpoints answer from memory and run without a deadline.
 	RequestTimeout time.Duration
 	// RateLimit admits at most this many requests per second per client on
-	// the data endpoints (token bucket; excess gets 429 + Retry-After).
-	// Zero or negative disables per-client rate limiting.
+	// the data endpoints (token bucket holding ⌈2×RateLimit⌉ tokens, at
+	// least 1; excess gets 429 + Retry-After). Zero or negative disables
+	// per-client rate limiting.
 	RateLimit float64
-	// RateBurst is the token-bucket burst capacity (min 1; defaults to
-	// 2*RateLimit rounded up when zero).
-	RateBurst int
 	// MaxInFlight bounds concurrently executing data-endpoint requests;
-	// excess requests are shed immediately with 503 + Retry-After. Zero or
-	// negative disables the bound.
+	// excess requests are shed immediately with 503 + Retry-After: 1. Zero
+	// or negative disables the bound.
 	MaxInFlight int
-	// RetryAfter is the Retry-After hint sent with 503 concurrency sheds
-	// (DefaultRetryAfter when zero).
-	RetryAfter time.Duration
 	// Now injects the clock for the ingestion-lag gauge and the rate
 	// limiter (time.Now if nil).
 	Now func() time.Time
@@ -86,9 +79,10 @@ type Server struct {
 	// cfg.MaxInFlight.
 	inFlight atomic.Int64
 	// limiter is the per-client token bucket (nil when rate limiting is
-	// off); retryAfter is the precomputed 503 Retry-After header value.
-	limiter    *clientLimiter
-	retryAfter string
+	// off).
+	limiter *clientLimiter
+	// version is the build reported by /v1/health.
+	version version.Info
 }
 
 // aggViews is the one table behind the aggregate views, indexed by viewID.
@@ -123,24 +117,17 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = DefaultRequestTimeout
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
 	s := &Server{
-		cfg:        cfg,
-		prom:       newPromMetrics(),
-		mux:        http.NewServeMux(),
-		retryAfter: strconv.Itoa(int(math.Ceil(cfg.RetryAfter.Seconds()))),
+		cfg:     cfg,
+		prom:    newPromMetrics(),
+		mux:     http.NewServeMux(),
+		version: version.Get(),
 	}
 	if cfg.RateLimit > 0 {
-		burst := cfg.RateBurst
-		if burst <= 0 {
-			burst = int(math.Ceil(2 * cfg.RateLimit))
-		}
-		s.limiter = newClientLimiter(cfg.RateLimit, burst, DefaultMaxClients, cfg.Now)
+		s.limiter = newClientLimiter(cfg.RateLimit, int(math.Ceil(2*cfg.RateLimit)), DefaultMaxClients, cfg.Now)
 	}
 	// Health and metrics are the probes operators use to diagnose an
 	// overloaded server: they stay cheap and deadline-free.
@@ -357,7 +344,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	if snap == nil {
 		s.writeJSON(w, http.StatusServiceUnavailable, startingResponse{
-			Status: "starting", Version: s.cfg.Version, Fleet: s.fleetHealthOf(fv),
+			Status: "starting", Version: s.version, Fleet: s.fleetHealthOf(fv),
 		})
 		return
 	}
@@ -368,7 +355,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Runs:    snap.Outcomes.Total,
 		Jobs:    snap.Result.NumJobs,
 		Events:  snap.Result.NumEvents,
-		Version: s.cfg.Version,
+		Version: s.version,
 		Ingest:  snap.Ingest,
 		Parse:   snap.Result.Parse.Hygiene(),
 		Fleet:   s.fleetHealthOf(fv),

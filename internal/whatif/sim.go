@@ -31,7 +31,7 @@ type Options struct {
 	// Parallelism bounds the worker count (<=0 means GOMAXPROCS). It
 	// affects wall-clock time only, never results: per-run randomness is
 	// derived from (Seed, ApID) and per-run deltas are folded in stream
-	// order.
+	// order. The binaries leave it at zero; the invariance tests vary it.
 	Parallelism int
 }
 
